@@ -43,22 +43,6 @@ void BM_ArchiveAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_ArchiveAppend);
 
-void BM_ArchiveDecode(benchmark::State& state) {
-  TarArchive archive;
-  const int windows = static_cast<int>(state.range(0));
-  for (int w = 0; w < windows; ++w) archive.RegisterWindow(w, 10000, 10);
-  Rng rng(2);
-  for (int w = 0; w < windows; ++w) {
-    const uint64_t count = 50 + rng.NextBounded(20);
-    archive.Add(0, w, count, count * 2);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(archive.Decode(0));
-  }
-  state.SetItemsProcessed(state.iterations() * windows);
-}
-BENCHMARK(BM_ArchiveDecode)->Arg(5)->Arg(50)->Arg(500);
-
 void BM_ArchiveDecodeInto(benchmark::State& state) {
   TarArchive archive;
   const int windows = static_cast<int>(state.range(0));

@@ -32,8 +32,8 @@ uint64_t HashSpan(const std::vector<Int>& values) {
   return h;
 }
 
-/// The same mixing over raw bytes; the checksum used by the TARAKB2
-/// segment format and the write-ahead log.
+/// The same mixing over raw bytes; the checksum used by the persisted
+/// segment formats and the write-ahead log.
 inline uint64_t HashBytes(const uint8_t* data, size_t size) {
   uint64_t h = 0x2545f4914f6cdd1dULL;
   for (size_t i = 0; i < size; ++i) h = HashCombine(h, data[i]);

@@ -32,8 +32,9 @@ inline Status TryDecodeVar(const uint8_t* data, size_t size, size_t* pos,
 }
 
 /// Phase B shared by the two-phase kernels: turns the flat varint value
-/// array into entries with exactly the legacy Decode() arithmetic —
-/// uint32 wrap on window gaps, int64 wrap on zigzag count deltas.
+/// array into entries with exactly the arithmetic of TarArchive's scalar
+/// VisitEntries scan — uint32 wrap on window gaps, int64 wrap on zigzag
+/// count deltas.
 DecodeResult ReconstructEntries(const uint64_t* values, size_t value_count,
                                 Status tail_status, ArchiveEntry* out,
                                 size_t out_capacity) {

@@ -1,11 +1,18 @@
 #include "core/kb_blocks.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/crash_point.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "core/byte_codec.h"
@@ -22,6 +29,82 @@ constexpr char kBlocksManifestFile[] = "blocks.tarakb3";
 
 LoadError Err(LoadError::Code code, std::string message) {
   return LoadError{code, std::move(message)};
+}
+
+LoadError ErrnoErr(const std::string& what, const std::filesystem::path& path) {
+  return Err(LoadError::Code::kIoError,
+             what + " " + path.string() + ": " + std::strerror(errno));
+}
+
+/// Flushes the directory entry for `path` so a just-renamed file survives
+/// a crash. Best-effort on filesystems where directories cannot be opened.
+std::optional<LoadError> SyncParentDir(const std::filesystem::path& path) {
+  const std::filesystem::path parent =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return ErrnoErr("cannot open directory", parent);
+  const int rc = ::fsync(dir_fd);
+  ::close(dir_fd);
+  if (rc != 0) return ErrnoErr("fsync failed on directory", parent);
+  return std::nullopt;
+}
+
+/// Slurps a file, typed kIoError on failure.
+std::optional<LoadError> ReadFileBytes(const std::filesystem::path& path,
+                                       std::vector<uint8_t>* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Err(LoadError::Code::kIoError,
+               "cannot open " + path.string() + " for reading");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) {
+    return Err(LoadError::Code::kIoError, "read failed on " + path.string());
+  }
+  const std::string& data = buffer.str();
+  out->assign(data.begin(), data.end());
+  return std::nullopt;
+}
+
+/// Crash-safe file replacement: bytes land in `<path>.tmp`, are fsync'd,
+/// renamed over `path`, then the parent directory entry is fsync'd. A
+/// crash at any step leaves either the old file intact or the new one
+/// fully in place. CrashPoint crossings ("storage.tmp_written",
+/// "storage.tmp_synced", "storage.renamed", "storage.dir_synced")
+/// separate the durability steps for the crash-matrix tests.
+std::optional<LoadError> AtomicWriteFileBytes(
+    const std::filesystem::path& path, const std::vector<uint8_t>& bytes) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoErr("cannot open", tmp);
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written,
+                              bytes.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const LoadError error = ErrnoErr("write failed on", tmp);
+      ::close(fd);
+      return error;
+    }
+    written += static_cast<size_t>(n);
+  }
+  CrashPoint("storage.tmp_written");
+  if (::fsync(fd) != 0) {
+    const LoadError error = ErrnoErr("fsync failed on", tmp);
+    ::close(fd);
+    return error;
+  }
+  if (::close(fd) != 0) return ErrnoErr("close failed on", tmp);
+  CrashPoint("storage.tmp_synced");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return ErrnoErr("rename failed onto", path);
+  }
+  CrashPoint("storage.renamed");
+  if (auto error = SyncParentDir(path)) return error;
+  CrashPoint("storage.dir_synced");
+  return std::nullopt;
 }
 
 uint64_t AlignUp(uint64_t offset) {
@@ -258,7 +341,7 @@ std::optional<LoadError> WritePackedBlocks(const std::vector<PackInput>& inputs,
   const auto flush = [&]() -> std::optional<LoadError> {
     block.file_bytes = bytes.size();
     block.file_hash = HashBytes(bytes.data(), bytes.size());
-    if (auto error = internal::AtomicWriteFileBytes(
+    if (auto error = AtomicWriteFileBytes(
             dir / KnowledgeBaseBlockFileName(block.file_index), bytes)) {
       return error;
     }
@@ -291,7 +374,7 @@ std::optional<LoadError> WritePackedBlocks(const std::vector<PackInput>& inputs,
 
 std::optional<LoadError> WriteBlocksManifest(const std::filesystem::path& dir,
                                              const KbBlocksManifest& manifest) {
-  return internal::AtomicWriteFileBytes(dir / kBlocksManifestFile,
+  return AtomicWriteFileBytes(dir / kBlocksManifestFile,
                                         EncodeBlocksManifestBytes(manifest));
 }
 
@@ -327,6 +410,17 @@ std::vector<PackInput> EncodeRange(const KnowledgeBaseSnapshot& snapshot,
     inputs.push_back(in);
   }
   return inputs;
+}
+
+/// The first file index no block of `manifest` uses: every rewrite writes
+/// its new blocks from here, so it never overwrites a file the current
+/// manifest names.
+uint64_t NextFileIndex(const KbBlocksManifest& manifest) {
+  uint64_t next = 0;
+  for (const KbBlockInfo& block : manifest.blocks) {
+    next = std::max(next, block.file_index + 1);
+  }
+  return next;
 }
 
 std::optional<LoadError> RemoveFile(const std::filesystem::path& path) {
@@ -374,7 +468,7 @@ Expected<KbBlocksManifest, LoadError> ReadKnowledgeBaseBlocksManifest(
   const std::filesystem::path root(dir);
   std::vector<uint8_t> bytes;
   if (auto error =
-          internal::ReadFileBytes(root / kBlocksManifestFile, &bytes)) {
+          ReadFileBytes(root / kBlocksManifestFile, &bytes)) {
     return *std::move(error);
   }
   ByteReader reader(bytes.data(), bytes.size());
@@ -428,10 +522,7 @@ std::optional<LoadError> AppendKnowledgeBaseBlocks(
   const WindowId existing = manifest->window_count();
   if (existing == snapshot.window_count()) return std::nullopt;
 
-  uint64_t next_index = 0;
-  for (const KbBlockInfo& block : manifest->blocks) {
-    next_index = std::max(next_index, block.file_index + 1);
-  }
+  const uint64_t next_index = NextFileIndex(manifest.value());
   const std::filesystem::path root(dir);
   std::vector<std::vector<uint8_t>> storage;
   const std::vector<PackInput> inputs =
@@ -443,38 +534,22 @@ std::optional<LoadError> AppendKnowledgeBaseBlocks(
   return WriteBlocksManifest(root, manifest.value());
 }
 
-std::optional<LoadError> CheckpointKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    return AppendKnowledgeBaseBlocks(snapshot, dir);
-  }
-  return AppendKnowledgeBaseDir(snapshot, dir);
-}
-
 std::optional<LoadError> RepartitionKnowledgeBase(const std::string& dir,
                                                   uint64_t block_bytes) {
   const std::filesystem::path root(dir);
   std::vector<std::filesystem::path> orphans;
-  std::vector<PackInput> inputs;
-  KbBlocksManifest updated;
-  uint64_t next_index = 0;
-
-  // Both sources keep their bytes alive through the pack: the mapped
-  // blocks via `mapped`, the KB2 segment files via `storage`.
-  std::optional<MappedKb> mapped;
-  std::vector<std::vector<uint8_t>> storage;
-
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    auto opened = MappedKb::Open(dir);
-    if (!opened.has_value()) return opened.error();
-    mapped.emplace(std::move(opened.value()));
-    const KbBlocksManifest& manifest = mapped->manifest();
-    updated = manifest;
+  {
+    // The mapping keeps the old segment bytes alive through the pack and
+    // is dropped before the old block files are deleted.
+    auto mapped = MappedKb::Open(dir);
+    if (!mapped.has_value()) return mapped.error();
+    KbBlocksManifest updated = mapped->manifest();
     updated.blocks.clear();
-    for (const KbBlockInfo& block : manifest.blocks) {
-      next_index = std::max(next_index, block.file_index + 1);
+    for (const KbBlockInfo& block : mapped->manifest().blocks) {
       orphans.push_back(root / KnowledgeBaseBlockFileName(block.file_index));
     }
+    std::vector<PackInput> inputs;
+    inputs.reserve(mapped->window_count());
     for (WindowId w = 0; w < mapped->window_count(); ++w) {
       const SegmentView view = mapped->segment(w);
       PackInput in;
@@ -483,56 +558,17 @@ std::optional<LoadError> RepartitionKnowledgeBase(const std::string& dir,
       in.size = view.size;
       inputs.push_back(in);
     }
-  } else if (KnowledgeBaseDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    updated.min_support_floor = manifest->min_support_floor;
-    updated.min_confidence_floor = manifest->min_confidence_floor;
-    updated.max_itemset_size = manifest->max_itemset_size;
-    updated.build_content_index = manifest->build_content_index;
-    orphans.push_back(root / KnowledgeBaseManifestFileName());
-    for (size_t w = 0; w < manifest->rows.size(); ++w) {
-      const KbManifestRow& row = manifest->rows[w];
-      const std::filesystem::path path =
-          root / KnowledgeBaseSegmentFileName(static_cast<WindowId>(w));
-      orphans.push_back(path);
-      storage.emplace_back();
-      if (auto error = internal::ReadFileBytes(path, &storage.back())) {
-        return error;
-      }
-      const std::vector<uint8_t>& blob = storage.back();
-      if (blob.size() != row.segment_bytes ||
-          HashBytes(blob.data(), blob.size()) != row.segment_hash) {
-        std::ostringstream message;
-        message << path.string()
-                << " does not match its manifest row (size or checksum) — "
-                   "refusing to repartition a corrupt knowledge base";
-        return Err(LoadError::Code::kCorruptSegment, message.str());
-      }
-      PackInput in;
-      in.row.total_transactions = row.total_transactions;
-      in.row.rule_watermark = row.rule_watermark;
-      in.row.entry_count = row.entry_count;
-      in.row.segment_hash = row.segment_hash;
-      in.data = blob.data();
-      in.size = blob.size();
-      inputs.push_back(in);
+    if (auto error = WritePackedBlocks(inputs, 0,
+                                       NextFileIndex(mapped->manifest()),
+                                       block_bytes, root, &updated.blocks)) {
+      return error;
     }
-  } else {
-    return Err(LoadError::Code::kIoError,
-               "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
+    if (auto error = WriteBlocksManifest(root, updated)) return error;
   }
-
-  if (auto error = WritePackedBlocks(inputs, 0, next_index, block_bytes, root,
-                                     &updated.blocks)) {
-    return error;
-  }
-  if (auto error = WriteBlocksManifest(root, updated)) return error;
   // The new manifest is durable; only now are the files it no longer
   // names expendable. A crash before this point leaves the old manifest
   // (and its files) fully intact; a crash during the sweep leaves
-  // harmless unreferenced files a re-run removes.
-  mapped.reset();  // unmap before deleting the old block files
+  // harmless unreferenced files.
   for (const std::filesystem::path& orphan : orphans) {
     if (auto error = RemoveFile(orphan)) return error;
   }
@@ -541,132 +577,73 @@ std::optional<LoadError> RepartitionKnowledgeBase(const std::string& dir,
 
 std::optional<LoadError> TrimKnowledgeBase(const std::string& dir,
                                            uint32_t window_count) {
-  const std::filesystem::path root(dir);
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    if (window_count > manifest->window_count()) {
-      std::ostringstream message;
-      message << "cannot trim to " << window_count << " windows; only "
-              << manifest->window_count() << " exist";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-    if (window_count == manifest->window_count()) return std::nullopt;
-
-    uint64_t next_index = 0;
-    for (const KbBlockInfo& block : manifest->blocks) {
-      next_index = std::max(next_index, block.file_index + 1);
-    }
-    KbBlocksManifest updated = manifest.value();
-    updated.blocks.clear();
-    std::vector<std::filesystem::path> orphans;
-    for (const KbBlockInfo& block : manifest->blocks) {
-      const std::filesystem::path path =
-          root / KnowledgeBaseBlockFileName(block.file_index);
-      if (block.first_window + block.rows.size() <= window_count) {
-        updated.blocks.push_back(block);  // fully kept, file untouched
-        continue;
-      }
-      orphans.push_back(path);
-      if (block.first_window >= window_count) continue;  // fully dropped
-      // The block straddles the cut: byte-copy the kept prefix into a
-      // fresh-indexed file (offsets inside it are unchanged).
-      const size_t keep_rows = window_count - block.first_window;
-      std::vector<uint8_t> bytes;
-      if (auto error = internal::ReadFileBytes(path, &bytes)) return error;
-      if (bytes.size() != block.file_bytes) {
-        std::ostringstream message;
-        message << path.string() << " is " << bytes.size()
-                << " bytes but the manifest promises " << block.file_bytes;
-        return Err(LoadError::Code::kCorruptSegment, message.str());
-      }
-      const KbBlockRow& last = block.rows[keep_rows - 1];
-      bytes.resize(last.offset + last.segment_bytes);
-      KbBlockInfo partial;
-      partial.file_index = next_index++;
-      partial.first_window = block.first_window;
-      partial.file_bytes = bytes.size();
-      partial.file_hash = HashBytes(bytes.data(), bytes.size());
-      partial.rows.assign(block.rows.begin(),
-                          block.rows.begin() + keep_rows);
-      if (auto error = internal::AtomicWriteFileBytes(
-              root / KnowledgeBaseBlockFileName(partial.file_index), bytes)) {
-        return error;
-      }
-      updated.blocks.push_back(std::move(partial));
-    }
-    if (auto error = WriteBlocksManifest(root, updated)) return error;
-    for (const std::filesystem::path& orphan : orphans) {
-      if (auto error = RemoveFile(orphan)) return error;
-    }
-    return std::nullopt;
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
+  if (!manifest.has_value()) return manifest.error();
+  if (window_count > manifest->window_count()) {
+    std::ostringstream message;
+    message << "cannot trim to " << window_count << " windows; only "
+            << manifest->window_count() << " exist";
+    return Err(LoadError::Code::kBadManifest, message.str());
   }
+  if (window_count == manifest->window_count()) return std::nullopt;
 
-  if (KnowledgeBaseDirExists(dir)) {
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    if (window_count > manifest->rows.size()) {
-      std::ostringstream message;
-      message << "cannot trim to " << window_count << " windows; only "
-              << manifest->rows.size() << " exist";
-      return Err(LoadError::Code::kBadManifest, message.str());
+  const std::filesystem::path root(dir);
+  uint64_t next_index = NextFileIndex(manifest.value());
+  KbBlocksManifest updated = manifest.value();
+  updated.blocks.clear();
+  std::vector<std::filesystem::path> orphans;
+  for (const KbBlockInfo& block : manifest->blocks) {
+    const std::filesystem::path path =
+        root / KnowledgeBaseBlockFileName(block.file_index);
+    if (block.first_window + block.rows.size() <= window_count) {
+      updated.blocks.push_back(block);  // fully kept, file untouched
+      continue;
     }
-    if (window_count == manifest->rows.size()) return std::nullopt;
-    const size_t old_count = manifest->rows.size();
-    KbManifest updated = manifest.value();
-    updated.rows.resize(window_count);
-    if (auto error = internal::WriteKnowledgeBaseDirManifest(dir, updated)) {
+    orphans.push_back(path);
+    if (block.first_window >= window_count) continue;  // fully dropped
+    // The block straddles the cut: byte-copy the kept prefix into a
+    // fresh-indexed file (offsets inside it are unchanged).
+    const size_t keep_rows = window_count - block.first_window;
+    std::vector<uint8_t> bytes;
+    if (auto error = ReadFileBytes(path, &bytes)) return error;
+    if (bytes.size() != block.file_bytes) {
+      std::ostringstream message;
+      message << path.string() << " is " << bytes.size()
+              << " bytes but the manifest promises " << block.file_bytes;
+      return Err(LoadError::Code::kCorruptSegment, message.str());
+    }
+    const KbBlockRow& last = block.rows[keep_rows - 1];
+    bytes.resize(last.offset + last.segment_bytes);
+    KbBlockInfo partial;
+    partial.file_index = next_index++;
+    partial.first_window = block.first_window;
+    partial.file_bytes = bytes.size();
+    partial.file_hash = HashBytes(bytes.data(), bytes.size());
+    partial.rows.assign(block.rows.begin(), block.rows.begin() + keep_rows);
+    if (auto error = AtomicWriteFileBytes(
+            root / KnowledgeBaseBlockFileName(partial.file_index), bytes)) {
       return error;
     }
-    for (size_t w = window_count; w < old_count; ++w) {
-      if (auto error = RemoveFile(
-              root /
-              KnowledgeBaseSegmentFileName(static_cast<WindowId>(w)))) {
-        return error;
-      }
-    }
-    return std::nullopt;
+    updated.blocks.push_back(std::move(partial));
   }
-
-  return Err(LoadError::Code::kIoError,
-             "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
+  if (auto error = WriteBlocksManifest(root, updated)) return error;
+  for (const std::filesystem::path& orphan : orphans) {
+    if (auto error = RemoveFile(orphan)) return error;
+  }
+  return std::nullopt;
 }
 
 std::optional<LoadError> RemoveKnowledgeBase(const std::string& dir) {
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
+  if (!manifest.has_value()) return manifest.error();
   const std::filesystem::path root(dir);
-  bool found = false;
-  if (KnowledgeBaseBlocksDirExists(dir)) {
-    found = true;
-    auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    for (const KbBlockInfo& block : manifest->blocks) {
-      if (auto error = RemoveFile(
-              root / KnowledgeBaseBlockFileName(block.file_index))) {
-        return error;
-      }
-    }
-    if (auto error = RemoveFile(root / kBlocksManifestFile)) return error;
-  }
-  if (KnowledgeBaseDirExists(dir)) {
-    found = true;
-    auto manifest = ReadKnowledgeBaseDirManifest(dir);
-    if (!manifest.has_value()) return manifest.error();
-    for (size_t w = 0; w < manifest->rows.size(); ++w) {
-      if (auto error = RemoveFile(
-              root /
-              KnowledgeBaseSegmentFileName(static_cast<WindowId>(w)))) {
-        return error;
-      }
-    }
-    if (auto error = RemoveFile(root / KnowledgeBaseManifestFileName())) {
+  for (const KbBlockInfo& block : manifest->blocks) {
+    if (auto error =
+            RemoveFile(root / KnowledgeBaseBlockFileName(block.file_index))) {
       return error;
     }
   }
-  if (!found) {
-    return Err(LoadError::Code::kIoError,
-               "no knowledge base (TARAKB2 or TARAKB3) in " + dir);
-  }
-  return std::nullopt;
+  return RemoveFile(root / kBlocksManifestFile);
 }
 
 Expected<MappedKb, LoadError> MappedKb::Open(const std::string& dir) {

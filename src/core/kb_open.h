@@ -11,20 +11,16 @@
 
 namespace tara {
 
-/// The unified knowledge-base entrypoint. One call subsumes what used to
-/// be three (LoadKnowledgeBaseDir, the TARAKB3 loaders, and
-/// RecoverKnowledgeBase): it detects the on-disk format, optionally
-/// verifies it, optionally replays a write-ahead log on top, and returns
-/// a ready engine. The legacy signatures remain for one release as thin
-/// deprecated shims over this function.
+/// The one knowledge-base entrypoint: opens a TARAKB3 directory
+/// (kb_blocks.h), optionally verifies it, optionally replays a
+/// write-ahead log on top, and returns a ready engine.
 
 /// How segment payloads reach memory.
 enum class OpenMode {
   /// Decode every window before returning — open cost O(total bytes),
-  /// queries never touch the disk format again. The only mode TARAKB2
-  /// directories support (requesting kMapped on one falls back to eager).
+  /// queries never touch the disk format again.
   kEager,
-  /// Memory-map the TARAKB3 block files and decode windows on first
+  /// Memory-map the block files and decode windows on first
   /// access — open cost O(blocks), independent of window count; no
   /// segment payload byte is read at open. Queries materialize exactly
   /// the window prefix they need. Corruption discovered during a lazy
@@ -46,8 +42,8 @@ enum class OpenVerify {
 };
 
 struct OpenOptions {
-  /// Directory holding the knowledge base — TARAKB3 (blocks.tarakb3)
-  /// when present, TARAKB2 (manifest.tarakb) otherwise.
+  /// Directory holding the knowledge base (blocks.tarakb3 plus its
+  /// block files).
   std::string kb_dir;
 
   OpenMode mode = OpenMode::kEager;
@@ -66,7 +62,7 @@ struct OpenOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Engine parallelism (Options::parallelism); also fans hash
-  /// verification and eager TARAKB3 segment parsing across a pool.
+  /// verification and eager segment parsing across a pool.
   /// 0 = hardware concurrency.
   uint32_t parallelism = 1;
 
@@ -77,9 +73,16 @@ struct OpenOptions {
   WalReplayStats* replay_stats = nullptr;
 };
 
-/// Opens the knowledge base described by `options`. Every failure —
-/// missing or corrupt files, format mismatches, WAL damage — is a typed
-/// LoadError, never an abort.
+/// Opens the knowledge base described by `options`:
+/// - `kb_dir` holds a blocks manifest: open it eager or mapped, then
+///   replay `wal_dir` on top when set;
+/// - no checkpoint but `wal_dir` is set: rebuild the engine from the WAL
+///   header's options and replay the whole log (the crash came before
+///   the first checkpoint);
+/// - otherwise a typed error: kBadVersion when `kb_dir` holds only a
+///   retired TARAKB2 `manifest.tarakb`, kIoError when it holds nothing.
+/// Every failure — missing or corrupt files, format mismatches, WAL
+/// damage — is a typed LoadError, never an abort.
 Expected<TaraEngine, LoadError> OpenKnowledgeBase(const OpenOptions& options);
 
 }  // namespace tara

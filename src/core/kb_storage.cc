@@ -1,20 +1,11 @@
 #include "core/kb_storage.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
-#include "common/crash_point.h"
 #include "common/hash.h"
 #include "core/byte_codec.h"
-#include "core/kb_open.h"
 
 namespace tara {
 namespace {
@@ -26,16 +17,25 @@ constexpr char kManifestMagic[] = "TARAKB2";
 constexpr size_t kManifestMagicLen = sizeof(kManifestMagic) - 1;
 constexpr char kSegmentMagic[] = "TSEG";
 constexpr size_t kSegmentMagicLen = sizeof(kSegmentMagic) - 1;
-constexpr char kManifestFile[] = "manifest.tarakb";
 
-std::string SegmentFileName(WindowId window) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "window-%06u.seg", window);
-  return name;
-}
+/// One stream-header row: a window and its segment blob.
+struct ManifestRow {
+  uint64_t total_transactions = 0;
+  uint64_t rule_watermark = 0;
+  uint64_t entry_count = 0;
+  uint64_t segment_bytes = 0;
+  uint64_t segment_hash = 0;
+};
 
-using Manifest = KbManifest;
-using ManifestRow = KbManifestRow;
+/// The stream header: the serialized construction options plus one row
+/// per window.
+struct Manifest {
+  double min_support_floor = 0;
+  double min_confidence_floor = 0;
+  uint64_t max_itemset_size = 0;
+  bool build_content_index = false;
+  std::vector<ManifestRow> rows;
+};
 
 LoadError Err(LoadError::Code code, std::string message) {
   return LoadError{code, std::move(message)};
@@ -105,16 +105,12 @@ Manifest ManifestFor(const KnowledgeBaseSnapshot& snapshot) {
   return manifest;
 }
 
-/// Parses a manifest from `reader`; on success the cursor rests on the
-/// first byte after it (the first segment, in the stream format).
+/// Parses a stream header from `reader`; on success the cursor rests on
+/// the first byte after it (the first segment).
 std::optional<LoadError> DecodeManifest(ByteReader* reader,
                                         Manifest* manifest) {
   if (reader->remaining() == 0) {
-    // The classic symptom of a crash inside a truncating in-place
-    // rewrite; called out separately from generic bad magic so the
-    // operator knows it is a torn write, not the wrong file.
-    return Err(LoadError::Code::kTruncated,
-               "manifest is zero-length (torn write from a crashed save?)");
+    return Err(LoadError::Code::kTruncated, "knowledge-base stream is empty");
   }
   if (!reader->Magic(kManifestMagic, kManifestMagicLen)) {
     // Distinguish a stale format from arbitrary bytes for a better
@@ -239,218 +235,17 @@ std::optional<LoadError> DecodeSegmentInto(const uint8_t* data, size_t size,
   return std::nullopt;
 }
 
-TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics,
-                     uint32_t parallelism) {
+TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics) {
   KbOptions options;
   options.min_support_floor = manifest.min_support_floor;
   options.min_confidence_floor = manifest.min_confidence_floor;
   options.max_itemset_size = static_cast<uint32_t>(manifest.max_itemset_size);
   options.build_content_index = manifest.build_content_index;
   options.metrics = metrics;
-  options.parallelism = parallelism;
   return TaraEngine(options);
 }
 
-LoadError ErrnoErr(const std::string& what, const std::filesystem::path& path) {
-  return Err(LoadError::Code::kIoError,
-             what + " " + path.string() + ": " + std::strerror(errno));
-}
-
-/// Flushes the directory entry for `path` so a just-renamed file survives
-/// a crash. Best-effort on filesystems where directories cannot be opened.
-std::optional<LoadError> SyncParentDir(const std::filesystem::path& path) {
-  const std::filesystem::path parent =
-      path.has_parent_path() ? path.parent_path() : ".";
-  const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) return ErrnoErr("cannot open directory", parent);
-  const int rc = ::fsync(dir_fd);
-  ::close(dir_fd);
-  if (rc != 0) return ErrnoErr("fsync failed on directory", parent);
-  return std::nullopt;
-}
-
-/// Checks that manifest `rows` describe a prefix of `snapshot`'s windows.
-/// Metadata-level check (transactions, watermark, entry count): cheap, and
-/// sufficient because segment bytes are a deterministic function of the
-/// window sequence.
-std::optional<LoadError> CheckPrefix(const KnowledgeBaseSnapshot& snapshot,
-                                     const std::vector<ManifestRow>& rows) {
-  if (rows.size() > snapshot.window_count()) {
-    std::ostringstream message;
-    message << "directory holds " << rows.size()
-            << " windows but the snapshot has only "
-            << snapshot.window_count()
-            << " — appending cannot rewind a knowledge base";
-    return Err(LoadError::Code::kBadManifest, message.str());
-  }
-  for (size_t w = 0; w < rows.size(); ++w) {
-    const WindowSegment& segment =
-        snapshot.segment(static_cast<WindowId>(w));
-    if (rows[w].total_transactions != segment.total_transactions ||
-        rows[w].rule_watermark != segment.rule_watermark ||
-        rows[w].entry_count != segment.entries.size()) {
-      std::ostringstream message;
-      message << "window " << w
-              << " on disk does not match the snapshot (different data or "
-                 "floors?) — refusing to append; save to a fresh directory";
-      return Err(LoadError::Code::kBadManifest, message.str());
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<LoadError> CheckOptionsMatch(
-    const KnowledgeBaseSnapshot& snapshot, const Manifest& manifest) {
-  const KbOptions& options = snapshot.options();
-  if (manifest.min_support_floor != options.min_support_floor ||
-      manifest.min_confidence_floor != options.min_confidence_floor ||
-      manifest.max_itemset_size != options.max_itemset_size ||
-      manifest.build_content_index != options.build_content_index) {
-    return Err(LoadError::Code::kBadManifest,
-               "directory was written with different construction options "
-               "(floors/itemset cap/content index) — refusing to append");
-  }
-  return std::nullopt;
-}
-
 }  // namespace
-
-namespace internal {
-
-std::optional<LoadError> ReadFileBytes(const std::filesystem::path& path,
-                                       std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Err(LoadError::Code::kIoError,
-               "cannot open " + path.string() + " for reading");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Err(LoadError::Code::kIoError, "read failed on " + path.string());
-  }
-  const std::string& data = buffer.str();
-  out->assign(data.begin(), data.end());
-  return std::nullopt;
-}
-
-std::optional<LoadError> AtomicWriteFileBytes(
-    const std::filesystem::path& path, const std::vector<uint8_t>& bytes) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoErr("cannot open", tmp);
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written,
-                              bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const LoadError error = ErrnoErr("write failed on", tmp);
-      ::close(fd);
-      return error;
-    }
-    written += static_cast<size_t>(n);
-  }
-  CrashPoint("storage.tmp_written");
-  if (::fsync(fd) != 0) {
-    const LoadError error = ErrnoErr("fsync failed on", tmp);
-    ::close(fd);
-    return error;
-  }
-  if (::close(fd) != 0) return ErrnoErr("close failed on", tmp);
-  CrashPoint("storage.tmp_synced");
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return ErrnoErr("rename failed onto", path);
-  }
-  CrashPoint("storage.renamed");
-  if (auto error = SyncParentDir(path)) return error;
-  CrashPoint("storage.dir_synced");
-  return std::nullopt;
-}
-
-void WarnDeprecatedOnce(bool* warned, const char* legacy,
-                        const char* replacement) {
-  if (*warned) return;
-  *warned = true;
-  std::fprintf(stderr,
-               "tara: %s is deprecated and will be removed next release; "
-               "use %s\n",
-               legacy, replacement);
-}
-
-std::optional<LoadError> WriteKnowledgeBaseDirManifest(
-    const std::string& dir, const KbManifest& manifest) {
-  return AtomicWriteFileBytes(std::filesystem::path(dir) / kManifestFile,
-                              EncodeManifestBytes(manifest));
-}
-
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDirImpl(
-    const std::string& dir, obs::MetricsRegistry* metrics,
-    uint32_t parallelism) {
-  const std::filesystem::path root(dir);
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error = ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return *std::move(error);
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  Manifest manifest;
-  if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-
-  TaraEngine engine = EngineFor(manifest, metrics, parallelism);
-  std::vector<Rule> rules;
-  for (size_t w = 0; w < manifest.rows.size(); ++w) {
-    const ManifestRow& row = manifest.rows[w];
-    const std::filesystem::path path =
-        root / SegmentFileName(static_cast<WindowId>(w));
-    std::vector<uint8_t> segment;
-    if (auto error = ReadFileBytes(path, &segment)) return *std::move(error);
-    if (segment.size() != row.segment_bytes) {
-      std::ostringstream message;
-      message << path.string() << " is " << segment.size()
-              << " bytes but the manifest promises " << row.segment_bytes;
-      return Err(LoadError::Code::kCorruptSegment, message.str());
-    }
-    if (auto error =
-            DecodeSegmentInto(segment.data(), segment.size(), row,
-                              static_cast<WindowId>(w), &rules, &engine)) {
-      return *std::move(error);
-    }
-  }
-  return engine;
-}
-
-Expected<TaraEngine, LoadError> RecoverKnowledgeBaseImpl(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics, WalReplayStats* stats,
-    uint32_t parallelism) {
-  std::optional<TaraEngine> engine;
-  if (KnowledgeBaseDirExists(kb_dir)) {
-    auto loaded = LoadKnowledgeBaseDirImpl(kb_dir, metrics, parallelism);
-    if (!loaded.has_value()) return loaded.error();
-    engine.emplace(std::move(loaded.value()));
-  } else {
-    // No checkpoint yet: the crash happened before the first save. The
-    // WAL header carries the construction options, so the whole engine
-    // rebuilds from the log alone.
-    auto contents = ReadWal(wal_dir);
-    if (!contents.has_value()) return contents.error();
-    KbOptions options = contents->options;
-    options.metrics = metrics;
-    options.parallelism = parallelism;
-    engine.emplace(options);
-  }
-  auto replayed = engine->AttachWal(wal_dir);
-  if (!replayed.has_value()) return replayed.error();
-  if (stats != nullptr) *stats = replayed.value();
-  return std::move(*engine);
-}
-
-}  // namespace internal
 
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot) {
   Manifest manifest = ManifestFor(snapshot);
@@ -475,7 +270,7 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
   Manifest manifest;
   if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
 
-  TaraEngine engine = EngineFor(manifest, metrics, 1);
+  TaraEngine engine = EngineFor(manifest, metrics);
   std::vector<Rule> rules;
   size_t pos = reader.pos();
   for (size_t w = 0; w < manifest.rows.size(); ++w) {
@@ -501,102 +296,6 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
     return Err(LoadError::Code::kTrailingBytes, message.str());
   }
   return engine;
-}
-
-std::optional<LoadError> SaveKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Err(LoadError::Code::kIoError,
-               "cannot create directory " + dir + ": " + ec.message());
-  }
-  const std::filesystem::path root(dir);
-  Manifest manifest = ManifestFor(snapshot);
-  for (WindowId w = 0; w < snapshot.window_count(); ++w) {
-    const std::vector<uint8_t> segment = EncodeSegmentBytes(snapshot, w);
-    manifest.rows.push_back(RowFor(snapshot, w, segment));
-    if (auto error = internal::AtomicWriteFileBytes(
-            root / SegmentFileName(w), segment)) {
-      return error;
-    }
-  }
-  // Manifest last: it only ever names segments that are already durable.
-  return internal::AtomicWriteFileBytes(root / kManifestFile,
-                                        EncodeManifestBytes(manifest));
-}
-
-std::optional<LoadError> AppendKnowledgeBaseDir(
-    const KnowledgeBaseSnapshot& snapshot, const std::string& dir) {
-  const std::filesystem::path root(dir);
-  if (!std::filesystem::exists(root / kManifestFile)) {
-    return SaveKnowledgeBaseDir(snapshot, dir);
-  }
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error =
-          internal::ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return error;
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  Manifest on_disk;
-  if (auto error = DecodeManifest(&reader, &on_disk)) return error;
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-  if (auto error = CheckOptionsMatch(snapshot, on_disk)) return error;
-  if (auto error = CheckPrefix(snapshot, on_disk.rows)) return error;
-
-  // Only the new windows' segments are encoded and written; the manifest
-  // keeps the on-disk rows for the untouched prefix.
-  Manifest updated = ManifestFor(snapshot);
-  updated.rows = on_disk.rows;
-  for (WindowId w = static_cast<WindowId>(on_disk.rows.size());
-       w < snapshot.window_count(); ++w) {
-    const std::vector<uint8_t> segment = EncodeSegmentBytes(snapshot, w);
-    updated.rows.push_back(RowFor(snapshot, w, segment));
-    if (auto error = internal::AtomicWriteFileBytes(
-            root / SegmentFileName(w), segment)) {
-      return error;
-    }
-  }
-  // The manifest replacement is atomic (temp + rename), so a crash here
-  // leaves the previous manifest — and therefore a loadable prefix —
-  // intact, never a truncated rewrite.
-  return internal::AtomicWriteFileBytes(root / kManifestFile,
-                                        EncodeManifestBytes(updated));
-}
-
-bool KnowledgeBaseDirExists(const std::string& dir) {
-  std::error_code ec;
-  return std::filesystem::exists(std::filesystem::path(dir) / kManifestFile,
-                                 ec);
-}
-
-std::string KnowledgeBaseManifestFileName() { return kManifestFile; }
-
-std::string KnowledgeBaseSegmentFileName(WindowId window) {
-  return SegmentFileName(window);
-}
-
-Expected<KbManifest, LoadError> ReadKnowledgeBaseDirManifest(
-    const std::string& dir) {
-  const std::filesystem::path root(dir);
-  std::vector<uint8_t> manifest_bytes;
-  if (auto error =
-          internal::ReadFileBytes(root / kManifestFile, &manifest_bytes)) {
-    return *std::move(error);
-  }
-  ByteReader reader(manifest_bytes.data(), manifest_bytes.size());
-  KbManifest manifest;
-  if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
-  if (reader.remaining() != 0) {
-    return Err(LoadError::Code::kTrailingBytes,
-               "trailing bytes after the manifest in " +
-                   (root / kManifestFile).string());
-  }
-  return manifest;
 }
 
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
@@ -706,33 +405,6 @@ Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
   decoded.first_rule = parsed->first_rule;
   decoded.entries = *std::move(entries);
   return decoded;
-}
-
-Expected<TaraEngine, LoadError> RecoverKnowledgeBase(
-    const std::string& kb_dir, const std::string& wal_dir,
-    obs::MetricsRegistry* metrics, WalReplayStats* stats) {
-  static bool warned = false;
-  internal::WarnDeprecatedOnce(&warned, "RecoverKnowledgeBase",
-                               "OpenKnowledgeBase(OpenOptions) with wal_dir "
-                               "set (core/kb_open.h)");
-  OpenOptions options;
-  options.kb_dir = kb_dir;
-  options.wal_dir = wal_dir;
-  options.metrics = metrics;
-  options.replay_stats = stats;
-  return OpenKnowledgeBase(options);
-}
-
-Expected<TaraEngine, LoadError> LoadKnowledgeBaseDir(
-    const std::string& dir, obs::MetricsRegistry* metrics) {
-  static bool warned = false;
-  internal::WarnDeprecatedOnce(&warned, "LoadKnowledgeBaseDir",
-                               "OpenKnowledgeBase(OpenOptions) "
-                               "(core/kb_open.h)");
-  OpenOptions options;
-  options.kb_dir = dir;
-  options.metrics = metrics;
-  return OpenKnowledgeBase(options);
 }
 
 }  // namespace tara

@@ -9,9 +9,9 @@
 
 namespace tara {
 
-/// Stream-level serialization of a TARA knowledge base: the segmented
-/// TARAKB2 format of kb_storage.h (manifest + per-window segments) as one
-/// contiguous stream. The offline phase can thus run once — on a beefier
+/// Stream-level serialization of a TARA knowledge base: the stream form
+/// of kb_storage.h (header + per-window segments) as one contiguous
+/// stream. The offline phase can thus run once — on a beefier
 /// machine or a schedule — and the interactive explorer reloads the index
 /// in milliseconds, which is how a deployment of the paper's Figure 2
 /// architecture would separate its two halves.
@@ -19,8 +19,8 @@ namespace tara {
 /// Output is deterministic: byte-identical for the same window sequence
 /// regardless of build parallelism or whether windows arrived via
 /// BuildAll or live AppendWindow calls. For incremental on-disk
-/// persistence (append = one new segment file + manifest) use the
-/// directory API in kb_storage.h.
+/// persistence (append = one new block file + manifest) use the TARAKB3
+/// directory API in kb_blocks.h.
 
 /// Writes the knowledge base of `snapshot` to `out`.
 void SaveKnowledgeBase(const KnowledgeBaseSnapshot& snapshot,

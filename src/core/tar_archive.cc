@@ -93,12 +93,6 @@ std::span<const ArchiveEntry> TarArchive::DecodeInto(
   return out;
 }
 
-std::vector<ArchiveEntry> TarArchive::Decode(RuleId rule) const {
-  DecodeArena arena;
-  const std::span<const ArchiveEntry> entries = DecodeInto(rule, arena);
-  return std::vector<ArchiveEntry>(entries.begin(), entries.end());
-}
-
 std::optional<ArchiveEntry> TarArchive::EntryFor(RuleId rule,
                                                  WindowId window) const {
   std::optional<ArchiveEntry> found;

@@ -99,6 +99,13 @@ uint32_t TaraEngine::window_count() const {
   return builder_->snapshot()->window_count();
 }
 
+uint64_t TaraEngine::rule_count() const {
+  if (lazy_ != nullptr && !lazy_->done.load(std::memory_order_acquire)) {
+    return lazy_->kb->manifest().rule_watermark();
+  }
+  return builder_->snapshot()->catalog().size();
+}
+
 std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
   const MappedKb& kb = *lazy_->kb;
   const uint32_t total = kb.window_count();

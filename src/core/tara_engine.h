@@ -139,9 +139,10 @@ class TaraEngine {
   /// --- Durability (write-ahead log) ---------------------------------------
   /// With a WAL attached, Append*/BuildAll return only after the new
   /// window's record is fdatasync'd to the log, so an ack sent after an
-  /// append survives any crash: recovery (RecoverKnowledgeBase in
-  /// kb_storage.h, or AttachWal over a loaded engine) replays the log
-  /// tail and reproduces the acked state byte-for-byte.
+  /// append survives any crash: recovery (OpenKnowledgeBase with
+  /// OpenOptions::wal_dir in kb_open.h, or AttachWal over a loaded
+  /// engine) replays the log tail and reproduces the acked state
+  /// byte-for-byte.
 
   /// Attaches (creating if absent) the write-ahead log in `dir`,
   /// replaying any records it holds into this engine first. Call once,
@@ -153,7 +154,7 @@ class TaraEngine {
 
   /// Resets the attached log to its header (no-op without one). Call
   /// only right after the logged windows became durable via
-  /// AppendKnowledgeBaseDir — that pair is the checkpoint step.
+  /// AppendKnowledgeBaseBlocks — that pair is the checkpoint step.
   std::optional<LoadError> TruncateWal() { return builder_->TruncateWal(); }
 
   /// True once a WAL is attached (Options::wal_dir or AttachWal).
@@ -194,6 +195,11 @@ class TaraEngine {
   /// Total windows of the knowledge base — on a mapped engine this is
   /// the manifest's count and does NOT materialize anything.
   uint32_t window_count() const;
+
+  /// Rules interned across all windows — like window_count(), read from
+  /// the manifest (its final watermark) while a mapped engine still has
+  /// windows pending, so it neither decodes nor fails on corrupt storage.
+  uint64_t rule_count() const;
 
   /// --- Zero-copy (mapped) knowledge bases ----------------------------------
   /// OpenKnowledgeBase(OpenMode::kMapped) plumbing — see kb_open.h for

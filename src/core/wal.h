@@ -24,9 +24,9 @@ namespace tara {
 ///            alone.
 ///   records: u32 payload length (LE) + u64 payload checksum (LE) +
 ///            payload. The payload is the window's transaction count
-///            (varint) followed by its TARAKB2 segment blob — the same
-///            bytes `window-NNNNNN.seg` would hold, so the WAL reuses
-///            the segment codec end to end.
+///            (varint) followed by its TSEG segment blob — the same
+///            bytes a TARAKB3 block file holds for that window, so the
+///            WAL reuses the segment codec end to end.
 ///
 /// Durability contract: WalWriter::Append returns only after the record
 /// is fdatasync'd, so an engine that logs each committed window before
@@ -34,7 +34,7 @@ namespace tara {
 /// (crash mid-append) is detected by the length/checksum pair and
 /// truncated away on the next open; everything before it replays.
 /// After the windows land durably in a knowledge-base directory
-/// (AppendKnowledgeBaseDir), Truncate() resets the log to just its
+/// (AppendKnowledgeBaseBlocks), Truncate() resets the log to just its
 /// header.
 
 /// One logged window.
@@ -101,7 +101,7 @@ class WalWriter {
 
   /// Drops every record (the header stays), fdatasync'd. Call only after
   /// the logged windows are durable elsewhere — i.e. right after a
-  /// successful AppendKnowledgeBaseDir checkpoint.
+  /// successful AppendKnowledgeBaseBlocks checkpoint.
   std::optional<LoadError> Truncate();
 
   const std::string& path() const { return path_; }

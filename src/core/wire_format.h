@@ -21,7 +21,7 @@
 /// untrusted bytes: every Decode* function here treats its input as
 /// hostile and returns Expected<_, ParseError> — truncation, unknown
 /// versions, unknown kinds, and trailing garbage are typed errors, never
-/// aborts (the same contract LoadError gives the TARAKB2 loaders).
+/// aborts (the same contract LoadError gives the knowledge-base loaders).
 ///
 /// ## Frame layout (version 1)
 ///
@@ -116,7 +116,7 @@ enum class FrameType : uint8_t {
   kReplicaCheckpoint = 15,
   /// Primary -> replica: one durably-acked window. Payload: varint
   /// window id + varint total transactions + varint primary generation +
-  /// the window's TARAKB2 segment blob (rest of payload) — byte-for-byte
+  /// the window's TSEG segment blob (rest of payload) — byte-for-byte
   /// what the write-ahead log record for that window carries.
   kReplicaRecord = 16,
   /// Primary -> replica: liveness + lag probe sent when the stream is
@@ -356,7 +356,7 @@ std::string EncodeReplicaCheckpointFrame(const ReplicaCheckpoint& checkpoint);
 Expected<ReplicaCheckpoint, ParseError> DecodeReplicaCheckpointPayload(
     std::string_view payload);
 
-/// One streamed window: the same TARAKB2 segment blob the primary's
+/// One streamed window: the same TSEG segment blob the primary's
 /// write-ahead log record carries, ready for the replica's replay path.
 struct ReplicaRecord {
   WindowId window = 0;

@@ -12,7 +12,6 @@
 
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
-#include "core/kb_storage.h"
 #include "datagen/quest_generator.h"
 #include "obs/metrics.h"
 #include "server/replica.h"
@@ -33,7 +32,6 @@ Expected<TaraEngine, std::string> BootstrapEngine(
     // directory (if any) plus the replayed log tail, log left attached.
     if (!bootstrap.wal_dir.empty() &&
         (WalExists(bootstrap.wal_dir) ||
-         KnowledgeBaseDirExists(bootstrap.loaddir) ||
          KnowledgeBaseBlocksDirExists(bootstrap.loaddir))) {
       open.wal_dir = bootstrap.wal_dir;
     }

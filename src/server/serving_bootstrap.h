@@ -9,8 +9,8 @@
 
 namespace tara::server {
 
-/// How a serving process obtains its engine: load a segmented TARAKB2
-/// directory, or synthesize + build a Quest dataset (demos, smoke tests,
+/// How a serving process obtains its engine: open a TARAKB3 directory,
+/// or synthesize + build a Quest dataset (demos, smoke tests,
 /// load generation). Shared by the tara_server binary and `tara_cli
 /// serve` so the two front doors stay behaviorally identical.
 struct EngineBootstrap {
@@ -23,9 +23,9 @@ struct EngineBootstrap {
   /// checkpoint when both are given, on top of the deterministically
   /// rebuilt Quest base otherwise).
   std::string wal_dir;
-  /// Open `loaddir` in mapped mode (TARAKB3 zero-copy, windows
-  /// materialize on demand). Ignored when the directory is TARAKB2 or a
-  /// WAL is configured — both force an eager open.
+  /// Open `loaddir` in mapped mode (zero-copy, windows materialize on
+  /// demand). Ignored when a WAL is configured — replay forces an eager
+  /// open.
   bool mmap = false;
   /// Verify checkpoint content hashes before serving from it.
   bool verify_hashes = false;

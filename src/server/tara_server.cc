@@ -229,11 +229,12 @@ bool TaraServer::HandleFrame(Connection* connection,
                    EncodeFrame(FrameType::kMetricsResponse, snapshot));
     }
     case FrameType::kInfoRequest: {
-      const auto snapshot = engine_->Snapshot();
+      // Counts, never Snapshot(): on a lazily mapped engine a snapshot
+      // decodes every window, and aborts on a corrupt block.
       ServerInfo info;
-      info.window_count = snapshot->window_count();
-      info.generation = snapshot->generation();
-      info.rule_count = snapshot->catalog().size();
+      info.window_count = engine_->window_count();
+      info.generation = engine_->generation();
+      info.rule_count = engine_->rule_count();
       return Reply(connection, EncodeInfoResponseFrame(info));
     }
     case FrameType::kPing:

@@ -9,7 +9,7 @@
 // server behind a different front door.
 //
 // Options:
-//   --loaddir DIR     load a TARAKB2 knowledge-base directory instead of
+//   --loaddir DIR     open a TARAKB3 knowledge-base directory instead of
 //                     generating data
 //   --quest N ITEMS   Quest generator size (default 4000 120)
 //   --windows K       windows to partition the generated data into (4)

@@ -99,7 +99,8 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
     const RuleId fine_id = fine_engine.catalog().Find(rule);
     if (fine_id == RuleCatalog::kNotFound) continue;
     // Only exact when archived in all three fine windows.
-    if (fine_engine.archive().Decode(fine_id).size() != 3) continue;
+    DecodeArena arena;
+    if (fine_engine.archive().DecodeInto(fine_id, arena).size() != 3) continue;
     const RollUpBound bound =
         fine_engine.RollUpRule(fine_id, fine_engine.AllWindows()).value();
     const auto coarse_entry =

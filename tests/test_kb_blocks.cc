@@ -1,13 +1,18 @@
 // Block-partitioned (TARAKB3) persistence and the zero-copy open path:
 // round-trips through both OpenMode's, balanced partitioning, the
-// append-only block contract, lazy materialization observability, a
-// mapped-vs-eager differential oracle over the full query surface, and
+// append-only block contract and its refusals, lazy materialization
+// observability, a mapped-vs-eager differential oracle over the full
+// query surface, a crash matrix over every directory rewrite, and
 // corruption fuzz that must always come back as a typed error — at open
 // (verify = kHashes), or as QueryError::kCorruptStorage on the first
 // lazy decode that hits it — never a crash.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crash_point.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/kb_blocks.h"
@@ -47,9 +53,10 @@ EvolvingDatabase MakeData(uint32_t windows) {
   return EvolvingDatabase::PartitionIntoBatches(db, windows);
 }
 
-TaraEngine BuildEngine(const EvolvingDatabase& data) {
+TaraEngine BuildEngine(const EvolvingDatabase& data,
+                       double support_floor = kSupportFloor) {
   TaraEngine::Options options;
-  options.min_support_floor = kSupportFloor;
+  options.min_support_floor = support_floor;
   options.min_confidence_floor = kConfidenceFloor;
   options.max_itemset_size = 4;
   TaraEngine engine(options);
@@ -112,7 +119,7 @@ TEST_F(KbBlocksTest, RoundTripsThroughBothOpenModes) {
     }
     // Once every window is materialized the loaded engine streams to the
     // exact bytes of the source engine — blocks hold the same segment
-    // blobs TARAKB2 does.
+    // blobs the stream form does.
     EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
   }
 }
@@ -191,6 +198,144 @@ TEST_F(KbBlocksTest, AppendPacksOnlyNewWindowsIntoFreshBlocks) {
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_EQ(KnowledgeBaseToString(*loaded),
             KnowledgeBaseToString(BuildEngine(data)));
+}
+
+TEST_F(KbBlocksTest, AppendIntoEmptyDirectoryDoesAFullSave) {
+  const EvolvingDatabase data = MakeData(2);
+  const TaraEngine engine = BuildEngine(data);
+  ASSERT_FALSE(
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
+  const auto loaded = Open(dir_.string(), OpenMode::kEager);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_EQ(loaded->window_count(), 2u);
+  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(engine));
+}
+
+TEST_F(KbBlocksTest, AppendRefusesAMismatchedDirectory) {
+  const EvolvingDatabase data = MakeData(3);
+  const TaraEngine first = BuildEngine(data);
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*first.Snapshot(), dir_.string()).has_value());
+  const auto refused = [this](const TaraEngine& engine) {
+    const auto error =
+        AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string());
+    EXPECT_TRUE(error.has_value());
+    if (error.has_value()) {
+      EXPECT_EQ(error->code, LoadError::Code::kBadManifest) << *error;
+    }
+  };
+
+  // Different construction options.
+  TaraEngine::Options options;
+  options.min_support_floor = 0.02;
+  options.min_confidence_floor = 0.2;
+  refused(TaraEngine(options));
+
+  // Same options, but the directory is not a prefix: different data...
+  QuestGenerator::Params params;
+  params.num_transactions = 1500;
+  params.num_items = 80;
+  params.num_patterns = 40;
+  params.avg_transaction_len = 8;
+  params.seed = 4242;
+  refused(BuildEngine(EvolvingDatabase::PartitionIntoBatches(
+      QuestGenerator(params).Generate(), 3)));
+  // ...or fewer windows than the directory already holds.
+  TaraEngine shorter = BuildEngine(EvolvingDatabase());
+  for (uint32_t w = 0; w < 2; ++w) {
+    const WindowInfo& info = data.window(w);
+    shorter.AppendWindow(data.database(), info.begin, info.end);
+  }
+  refused(shorter);
+
+  // Every refusal left the directory as it was.
+  const auto loaded = Open(dir_.string(), OpenMode::kEager);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(first));
+}
+
+TEST_F(KbBlocksTest, CleanSavesLeaveNoTempFiles) {
+  const EvolvingDatabase data = MakeData(3);
+  TaraEngine engine = BuildEngine(EvolvingDatabase());
+  for (uint32_t w = 0; w < 2; ++w) {
+    const WindowInfo& info = data.window(w);
+    engine.AppendWindow(data.database(), info.begin, info.end);
+  }
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
+                   .has_value());
+  const WindowInfo& info = data.window(2);
+  engine.AppendWindow(data.database(), info.begin, info.end);
+  ASSERT_FALSE(
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
+          .has_value());
+  ASSERT_FALSE(RepartitionKnowledgeBase(dir_.string()).has_value());
+  ASSERT_FALSE(TrimKnowledgeBase(dir_.string(), 2).has_value());
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
+TEST_F(KbBlocksTest, ZeroLengthManifestIsATypedTornWriteError) {
+  // The signature damage of an in-place truncating rewrite: a crash after
+  // open(O_TRUNC) but before the write leaves a 0-byte manifest. The
+  // open must name the torn write, not crash or claim "wrong format".
+  const TaraEngine engine = BuildEngine(MakeData(2));
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string()).has_value());
+  WriteFileBytes(dir_ / "blocks.tarakb3", "");
+  for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+    const auto loaded = Open(dir_.string(), mode);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.error().code, LoadError::Code::kTruncated);
+    EXPECT_NE(loaded.error().message.find("zero-length"), std::string::npos)
+        << loaded.error().message;
+  }
+  // Appending over it refuses for the same typed reason.
+  const auto append =
+      AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string());
+  ASSERT_TRUE(append.has_value());
+  EXPECT_EQ(append->code, LoadError::Code::kTruncated);
+}
+
+// OpenKnowledgeBase's three cases: a blocks manifest opens (and, with a
+// wal_dir but no log yet, starts one); no checkpoint plus a wal_dir
+// rebuilds from the log alone (test_wal.cc); anything else is typed.
+TEST_F(KbBlocksTest, OpenRefusesMissingAndRetiredDirectories) {
+  for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+    const auto missing = Open((dir_ / "nowhere").string(), mode);
+    ASSERT_FALSE(missing.has_value());
+    EXPECT_EQ(missing.error().code, LoadError::Code::kIoError);
+  }
+
+  // A directory in the retired one-file-per-window format is refused by
+  // name, with or without a WAL to replay on top.
+  const fs::path legacy = dir_ / "legacy";
+  fs::create_directories(legacy);
+  WriteFileBytes(legacy / "manifest.tarakb", "TARAKB2 legacy manifest");
+  WriteFileBytes(legacy / "window-000000.seg", "TSEG legacy segment");
+  OpenOptions options;
+  options.kb_dir = legacy.string();
+  for (const std::string& wal : {std::string(), (dir_ / "wal").string()}) {
+    options.wal_dir = wal;
+    const auto refused = OpenKnowledgeBase(options);
+    ASSERT_FALSE(refused.has_value());
+    EXPECT_EQ(refused.error().code, LoadError::Code::kBadVersion);
+    EXPECT_NE(refused.error().message.find("TARAKB2"), std::string::npos)
+        << refused.error().message;
+  }
+  EXPECT_FALSE(fs::exists(dir_ / "wal"));
+
+  // Recover-on-open over a checkpoint with no log yet creates the log.
+  const TaraEngine engine = BuildEngine(MakeData(2));
+  const fs::path kb = dir_ / "kb";
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), kb.string()).has_value());
+  options.kb_dir = kb.string();
+  options.wal_dir = (dir_ / "wal").string();
+  const auto recovered = OpenKnowledgeBase(options);
+  ASSERT_TRUE(recovered.has_value()) << recovered.error();
+  EXPECT_TRUE(recovered->wal_attached());
+  EXPECT_EQ(KnowledgeBaseToString(*recovered), KnowledgeBaseToString(engine));
 }
 
 TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
@@ -476,10 +621,13 @@ TEST_F(KbBlocksTest, LazyDecodeOfCorruptStorageIsATypedQueryError) {
   EXPECT_TRUE(loaded->MineWindow(0, setting).has_value());
   EXPECT_FALSE(loaded->fully_materialized());
 
-  // The eager open refuses outright with the load-side error.
+  // The eager open refuses outright with the load-side error, naming
+  // the damaged window.
   const auto eager = Open(dir_.string(), OpenMode::kEager);
   ASSERT_FALSE(eager.has_value());
   EXPECT_EQ(eager.error().code, LoadError::Code::kCorruptSegment);
+  EXPECT_NE(eager.error().message.find("window 3"), std::string::npos)
+      << eager.error().message;
 }
 
 // Corruption fuzz over the blocks manifest: seeded single-byte flips and
@@ -537,6 +685,9 @@ TEST_F(KbBlocksTest, ManifestTruncationsAreTypedErrors) {
     ASSERT_FALSE(loaded.has_value());
     EXPECT_FALSE(loaded.error().message.empty());
   }
+  WriteFileBytes(manifest, valid.substr(0, valid.size() - 5));
+  EXPECT_EQ(Open(dir_.string(), OpenMode::kMapped).error().code,
+            LoadError::Code::kTruncated);
   WriteFileBytes(manifest, "junk that is surely not a manifest");
   EXPECT_EQ(Open(dir_.string(), OpenMode::kMapped).error().code,
             LoadError::Code::kBadMagic);
@@ -563,14 +714,16 @@ TEST_F(KbBlocksTest, RepartitionTrimAndRemoveRoundTrip) {
   const EvolvingDatabase data = MakeData(4);
   const TaraEngine original = BuildEngine(data);
   ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
+      SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string()).has_value());
 
-  // TARAKB2 -> TARAKB3 conversion is a byte-level move: same windows,
-  // same stream bytes, old per-window files gone.
+  // Splitting into small blocks is a byte-level move: same windows, same
+  // stream bytes, fresh file indices, the old block file gone.
   ASSERT_FALSE(RepartitionKnowledgeBase(dir_.string(), 4096).has_value());
-  EXPECT_TRUE(KnowledgeBaseBlocksDirExists(dir_.string()));
-  EXPECT_FALSE(fs::exists(dir_ / "manifest.tarakb"));
-  EXPECT_FALSE(fs::exists(dir_ / "window-000000.seg"));
+  const auto split = ReadKnowledgeBaseBlocksManifest(dir_.string());
+  ASSERT_TRUE(split.has_value());
+  EXPECT_GT(split->blocks.size(), 1u);
+  EXPECT_GT(split->blocks.front().file_index, 0u);
+  EXPECT_FALSE(fs::exists(dir_ / KnowledgeBaseBlockFileName(0)));
   {
     const auto loaded = Open(dir_.string(), OpenMode::kMapped);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
@@ -651,6 +804,139 @@ TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
   EXPECT_EQ(recovered->window_count(), 4u);
   EXPECT_EQ(stats.records_replayed, 2u);
   EXPECT_EQ(KnowledgeBaseToString(*recovered), reference);
+}
+
+/// The crash matrix every TARAKB3 rewrite must pass. `rewrite` first runs
+/// uncrashed on a copy of `seed` to fix the after-state. Then, for
+/// crash_at = 0, 1, ..., a forked child arms the injector and runs it on
+/// a fresh copy: the armed crossing SIGKILLs the child (no destructors —
+/// the user-space stand-in for a power cut) between two storage.*
+/// durability steps. Killed or not, the copy must hold exactly the
+/// before or the after manifest, open eager and mapped to that state's
+/// stream bytes, and pass VerifyHashes. The walk ends once a child runs
+/// out of crossings and completes, so every step is hit.
+/// A coarser floor for the crash matrices: each of their dozen trials
+/// decodes the knowledge base twice, and fewer rules keep that cheap
+/// under the sanitizers.
+constexpr double kCrashSupportFloor = 0.05;
+
+template <typename Rewrite>
+void ExpectEveryCrashLeavesBeforeOrAfter(const fs::path& seed,
+                                         const std::string& before,
+                                         const std::string& after,
+                                         const Rewrite& rewrite) {
+  const fs::path reference = seed.string() + "_reference";
+  fs::remove_all(reference);
+  fs::copy(seed, reference);
+  ASSERT_FALSE(rewrite(reference.string()).has_value());
+  const std::string before_manifest = ReadFileBytes(seed / "blocks.tarakb3");
+  const std::string after_manifest =
+      ReadFileBytes(reference / "blocks.tarakb3");
+
+  bool completed_cleanly = false;
+  long kills = 0;
+  for (long crash_at = 0; crash_at < 64 && !completed_cleanly; ++crash_at) {
+    const fs::path trial = seed.string() + "_trial" + std::to_string(crash_at);
+    fs::remove_all(trial);
+    fs::copy(seed, trial);
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Forked child: report a clean pass via the exit code; _exit skips
+      // gtest and atexit teardown.
+      ArmCrashPoint(crash_at);
+      _exit(rewrite(trial.string()).has_value() ? 2 : 0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    if (WIFEXITED(status)) {
+      ASSERT_EQ(WEXITSTATUS(status), 0) << "rewrite failed in the child";
+      completed_cleanly = true;  // the injector ran out of crossings
+    } else {
+      ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+          << "unexpected child termination, status " << status;
+      ++kills;
+    }
+
+    const std::string manifest = ReadFileBytes(trial / "blocks.tarakb3");
+    ASSERT_TRUE(manifest == before_manifest || manifest == after_manifest)
+        << "crash point " << crash_at << " left a third manifest";
+    const bool landed = manifest == after_manifest;
+    if (completed_cleanly) {
+      EXPECT_TRUE(landed) << "a clean run must land";
+    }
+    auto mapped = MappedKb::Open(trial.string());
+    ASSERT_TRUE(mapped.has_value())
+        << "crash point " << crash_at << ": " << mapped.error();
+    EXPECT_FALSE(mapped->VerifyHashes().has_value())
+        << "crash point " << crash_at;
+    for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+      const auto opened = Open(trial.string(), mode);
+      ASSERT_TRUE(opened.has_value())
+          << "crash point " << crash_at << ": " << opened.error();
+      EXPECT_EQ(KnowledgeBaseToString(*opened), landed ? after : before)
+          << "crash point " << crash_at;
+    }
+    fs::remove_all(trial);
+  }
+  EXPECT_TRUE(completed_cleanly)
+      << "crash-point matrix never exhausted the injection sites";
+  EXPECT_GT(kills, 0);
+}
+
+TEST_F(KbBlocksTest, AppendSurvivesACrashAtEveryDurabilityStep) {
+  const EvolvingDatabase data = MakeData(4);
+  TaraEngine engine = BuildEngine(EvolvingDatabase(), kCrashSupportFloor);
+  for (uint32_t w = 0; w < 3; ++w) {
+    const WindowInfo& info = data.window(w);
+    engine.AppendWindow(data.database(), info.begin, info.end);
+  }
+  const fs::path seed = dir_ / "seed";
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), seed.string(), 4096)
+          .has_value());
+  const std::string before = KnowledgeBaseToString(engine);
+  const WindowInfo& info = data.window(3);
+  engine.AppendWindow(data.database(), info.begin, info.end);
+  const std::string after =
+      KnowledgeBaseToString(BuildEngine(data, kCrashSupportFloor));
+  ASSERT_EQ(KnowledgeBaseToString(engine), after);
+  ExpectEveryCrashLeavesBeforeOrAfter(
+      seed, before, after, [&engine](const std::string& dir) {
+        return AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir, 4096);
+      });
+}
+
+TEST_F(KbBlocksTest, RepartitionSurvivesACrashAtEveryDurabilityStep) {
+  const TaraEngine engine = BuildEngine(MakeData(4), kCrashSupportFloor);
+  const fs::path seed = dir_ / "seed";
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), seed.string(), 4096)
+          .has_value());
+  ASSERT_GT(ReadKnowledgeBaseBlocksManifest(seed.string())->blocks.size(), 1u);
+  // Merging into one block moves bytes, never the knowledge base.
+  const std::string reference = KnowledgeBaseToString(engine);
+  ExpectEveryCrashLeavesBeforeOrAfter(
+      seed, reference, reference, [](const std::string& dir) {
+        return RepartitionKnowledgeBase(dir);
+      });
+}
+
+TEST_F(KbBlocksTest, TrimSurvivesACrashAtEveryDurabilityStep) {
+  const EvolvingDatabase data = MakeData(4);
+  const TaraEngine engine = BuildEngine(data, kCrashSupportFloor);
+  const fs::path seed = dir_ / "seed";
+  // One block: the trim must byte-copy a kept prefix into a fresh file.
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine.Snapshot(), seed.string()).has_value());
+  TaraEngine prefix = BuildEngine(EvolvingDatabase(), kCrashSupportFloor);
+  for (uint32_t w = 0; w < 2; ++w) {
+    const WindowInfo& info = data.window(w);
+    prefix.AppendWindow(data.database(), info.begin, info.end);
+  }
+  ExpectEveryCrashLeavesBeforeOrAfter(
+      seed, KnowledgeBaseToString(engine), KnowledgeBaseToString(prefix),
+      [](const std::string& dir) { return TrimKnowledgeBase(dir, 2); });
 }
 
 }  // namespace

@@ -1,23 +1,13 @@
-// Segmented (directory-backed) knowledge-base persistence: round-trips,
-// the O(new window) append contract, and rejection of every kind of
-// on-disk damage as a LoadError value rather than a crash.
+// The stream form of a persisted knowledge base (kb_storage.h): seeded
+// byte flips and truncations must always come back as a loaded engine or
+// a typed LoadError, never a crash. The TARAKB3 directory format and its
+// crash safety are covered by test_kb_blocks.cc.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/crash_point.h"
 #include "common/rng.h"
-#include "core/kb_open.h"
-#include "core/kb_storage.h"
 #include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
@@ -25,8 +15,6 @@
 
 namespace tara {
 namespace {
-
-namespace fs = std::filesystem;
 
 EvolvingDatabase MakeData(uint32_t windows) {
   QuestGenerator::Params params;
@@ -47,190 +35,6 @@ TaraEngine BuildEngine(const EvolvingDatabase& data) {
   TaraEngine engine(options);
   engine.BuildAll(data);
   return engine;
-}
-
-/// Eager open through the unified entry point (the legacy
-/// LoadKnowledgeBaseDir shim keeps its own smoke test below).
-Expected<TaraEngine, LoadError> Load(const std::string& dir) {
-  OpenOptions options;
-  options.kb_dir = dir;
-  return OpenKnowledgeBase(options);
-}
-
-std::string ReadFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
-}
-
-void WriteFile(const fs::path& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-class KbStorageTest : public ::testing::Test {
- protected:
-  // The pid keeps concurrent suite runs (e.g. plain + sanitized build
-  // trees on one machine) from clobbering each other's fixtures.
-  KbStorageTest()
-      : dir_(fs::path(::testing::TempDir()) /
-             ("kb_storage_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name())) {
-    fs::remove_all(dir_);
-  }
-  ~KbStorageTest() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
-};
-
-TEST_F(KbStorageTest, DirectoryRoundTripPreservesQueryAnswers) {
-  const EvolvingDatabase data = MakeData(4);
-  const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
-
-  // Layout: one manifest plus one segment file per window.
-  EXPECT_TRUE(fs::exists(dir_ / "manifest.tarakb"));
-  for (uint32_t w = 0; w < 4; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    EXPECT_TRUE(fs::exists(dir_ / name)) << name;
-  }
-
-  const auto loaded = Load(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  const TaraEngine& engine = *loaded;
-  EXPECT_EQ(engine.window_count(), original.window_count());
-  EXPECT_EQ(engine.catalog().size(), original.catalog().size());
-  const ParameterSetting setting{0.02, 0.3};
-  for (WindowId w = 0; w < original.window_count(); ++w) {
-    EXPECT_EQ(engine.MineWindow(w, setting).value(),
-              original.MineWindow(w, setting).value());
-  }
-  // Loaded-then-streamed equals streamed directly: the directory holds
-  // exactly the same segmented bytes as the single-stream format.
-  EXPECT_EQ(KnowledgeBaseToString(engine), KnowledgeBaseToString(original));
-}
-
-TEST_F(KbStorageTest, AppendRewritesOnlyNewSegmentsAndManifest) {
-  const EvolvingDatabase data = MakeData(4);
-
-  // Save the first three windows, then append the fourth live.
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
-  for (uint32_t w = 0; w < 3; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  std::vector<std::string> old_segments;
-  for (uint32_t w = 0; w < 3; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    old_segments.push_back(ReadFile(dir_ / name));
-  }
-
-  const WindowInfo& info = data.window(3);
-  engine.AppendWindow(data.database(), info.begin, info.end);
-  ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-
-  // The three old segment files are byte-identical — append touched only
-  // window-000003.seg and the manifest.
-  for (uint32_t w = 0; w < 3; ++w) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "window-%06u.seg", w);
-    EXPECT_EQ(ReadFile(dir_ / name), old_segments[w]) << name;
-  }
-  EXPECT_TRUE(fs::exists(dir_ / "window-000003.seg"));
-
-  // And the appended directory loads to the same knowledge base as a
-  // from-scratch build over all four windows.
-  const auto loaded = Load(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(KnowledgeBaseToString(*loaded),
-            KnowledgeBaseToString(BuildEngine(data)));
-}
-
-TEST_F(KbStorageTest, AppendIntoEmptyDirectoryDoesAFullSave) {
-  const EvolvingDatabase data = MakeData(2);
-  const TaraEngine engine = BuildEngine(data);
-  ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const auto loaded = Load(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(loaded->window_count(), 2u);
-}
-
-TEST_F(KbStorageTest, AppendRefusesAMismatchedDirectory) {
-  const TaraEngine first = BuildEngine(MakeData(3));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*first.Snapshot(), dir_.string()).has_value());
-
-  // A different engine (different floors) must not append over it.
-  TaraEngine::Options options;
-  options.min_support_floor = 0.02;
-  options.min_confidence_floor = 0.2;
-  TaraEngine other(options);
-  const auto error = AppendKnowledgeBaseDir(*other.Snapshot(), dir_.string());
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->code, LoadError::Code::kBadManifest);
-}
-
-TEST_F(KbStorageTest, RejectsCorruptedSegment) {
-  const TaraEngine engine = BuildEngine(MakeData(3));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-
-  const fs::path victim = dir_ / "window-000001.seg";
-  std::string bytes = ReadFile(victim);
-  ASSERT_GT(bytes.size(), 16u);
-  bytes[bytes.size() / 2] ^= 0x5a;  // flip bits mid-segment
-  WriteFile(victim, bytes);
-
-  const auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kCorruptSegment);
-  EXPECT_NE(loaded.error().message.find("window 1"), std::string::npos)
-      << loaded.error().message;
-}
-
-TEST_F(KbStorageTest, RejectsTruncatedSegmentFile) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path victim = dir_ / "window-000000.seg";
-  const std::string bytes = ReadFile(victim);
-  WriteFile(victim, bytes.substr(0, bytes.size() / 2));
-  const auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kCorruptSegment);
-}
-
-TEST_F(KbStorageTest, RejectsTruncatedOrGarbageManifest) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path manifest = dir_ / "manifest.tarakb";
-  const std::string bytes = ReadFile(manifest);
-
-  WriteFile(manifest, bytes.substr(0, bytes.size() - 5));
-  auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kTruncated);
-
-  WriteFile(manifest, "definitely not a manifest");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kBadMagic);
-
-  WriteFile(manifest, bytes + "tail");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kTrailingBytes);
 }
 
 // Corruption fuzz smoke: seeded single-byte flips and truncations of a
@@ -278,170 +82,6 @@ TEST(KbStorageFuzz, TruncationsNeverCrashTheStreamLoader) {
   for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
     ASSERT_FALSE(KnowledgeBaseFromString(valid.substr(0, cut)).has_value());
   }
-}
-
-TEST_F(KbStorageTest, ManifestByteFlipsNeverCrashTheDirectoryLoader) {
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const fs::path manifest = dir_ / "manifest.tarakb";
-  const std::string valid = ReadFile(manifest);
-
-  Rng rng(0xD15EA5E);
-  int rejected = 0;
-  constexpr int kFlips = 50;
-  for (int i = 0; i < kFlips; ++i) {
-    std::string mutated = valid;
-    const size_t pos = rng.NextBounded(mutated.size());
-    mutated[pos] ^= static_cast<char>(1 + rng.NextBounded(255));
-    WriteFile(manifest, mutated);
-    if (!Load(dir_.string()).has_value()) ++rejected;
-  }
-  EXPECT_GT(rejected, kFlips / 2);
-
-  // Restored manifest loads again: the fuzz loop left no side effects.
-  WriteFile(manifest, valid);
-  EXPECT_TRUE(Load(dir_.string()).has_value());
-}
-
-TEST_F(KbStorageTest, ZeroLengthManifestIsATypedTornWriteError) {
-  // The signature damage of the old in-place truncating rewrite: a
-  // crash after open(trunc) but before the write left a 0-byte
-  // manifest. The loader must name the torn write, not crash or claim
-  // "wrong file format".
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  WriteFile(dir_ / "manifest.tarakb", "");
-  const auto loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kTruncated);
-  EXPECT_NE(loaded.error().message.find("zero-length"), std::string::npos)
-      << loaded.error().message;
-  // Appending over it refuses for the same typed reason.
-  const auto append = AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string());
-  ASSERT_TRUE(append.has_value());
-  EXPECT_EQ(append->code, LoadError::Code::kTruncated);
-}
-
-TEST_F(KbStorageTest, CleanSavesLeaveNoTempFiles) {
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
-  const EvolvingDatabase data = MakeData(3);
-  for (uint32_t w = 0; w < 2; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  const WindowInfo& info = data.window(2);
-  engine.AppendWindow(data.database(), info.begin, info.end);
-  ASSERT_FALSE(
-      AppendKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
-  }
-}
-
-// Crash-point matrix: kill the process (SIGKILL, no destructors — the
-// user-space stand-in for a power cut) between every pair of durability
-// steps inside AppendKnowledgeBaseDir, then require the directory to
-// load as either the old 3-window prefix or the full 4-window KB,
-// byte-identical to an uncrashed reference either way. Exercises every
-// write/fsync/rename/dirsync boundary until one run completes cleanly.
-TEST_F(KbStorageTest, AppendSurvivesACrashAtEveryDurabilityStep) {
-  const EvolvingDatabase data = MakeData(4);
-  TaraEngine engine = BuildEngine(EvolvingDatabase());
-  for (uint32_t w = 0; w < 3; ++w) {
-    const WindowInfo& info = data.window(w);
-    engine.AppendWindow(data.database(), info.begin, info.end);
-  }
-  const fs::path seed_dir = dir_ / "seed";
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), seed_dir.string()).has_value());
-  const std::string reference3 = KnowledgeBaseToString(engine);
-  const WindowInfo& info = data.window(3);
-  engine.AppendWindow(data.database(), info.begin, info.end);
-  const std::string reference4 = KnowledgeBaseToString(engine);
-
-  bool completed_cleanly = false;
-  for (long crash_at = 0; crash_at < 64 && !completed_cleanly; ++crash_at) {
-    const fs::path trial = dir_ / ("trial_" + std::to_string(crash_at));
-    fs::remove_all(trial);
-    fs::copy(seed_dir, trial);
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-      // Forked child: arm the injector, run the append, report a clean
-      // pass via the exit code. _exit skips gtest/atexit teardown.
-      ArmCrashPoint(crash_at);
-      const auto error =
-          AppendKnowledgeBaseDir(*engine.Snapshot(), trial.string());
-      _exit(error.has_value() ? 2 : 0);
-    }
-    int status = 0;
-    ASSERT_EQ(waitpid(child, &status, 0), child);
-    if (WIFEXITED(status)) {
-      ASSERT_EQ(WEXITSTATUS(status), 0) << "append failed in the child";
-      completed_cleanly = true;  // injector ran out of crossings
-    } else {
-      ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-          << "unexpected child termination, status " << status;
-    }
-    // Killed or not, the directory must load — to the old prefix or the
-    // fully-appended KB, never anything else and never an error.
-    const auto loaded = Load(trial.string());
-    ASSERT_TRUE(loaded.has_value())
-        << "crash point " << crash_at << ": " << loaded.error();
-    const std::string recovered = KnowledgeBaseToString(*loaded);
-    if (loaded->window_count() == 3u) {
-      EXPECT_EQ(recovered, reference3) << "crash point " << crash_at;
-      EXPECT_FALSE(completed_cleanly)
-          << "a clean append must surface the new window";
-    } else {
-      ASSERT_EQ(loaded->window_count(), 4u) << "crash point " << crash_at;
-      EXPECT_EQ(recovered, reference4) << "crash point " << crash_at;
-    }
-  }
-  EXPECT_TRUE(completed_cleanly)
-      << "crash-point matrix never exhausted the injection sites";
-}
-
-TEST_F(KbStorageTest, RejectsMissingPieces) {
-  // No directory / no manifest at all.
-  auto loaded = Load((dir_ / "nowhere").string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kIoError);
-
-  const TaraEngine engine = BuildEngine(MakeData(2));
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*engine.Snapshot(), dir_.string()).has_value());
-  fs::remove(dir_ / "window-000001.seg");
-  loaded = Load(dir_.string());
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, LoadError::Code::kIoError);
-}
-
-// The deprecated entry points must keep compiling and working — they
-// route through OpenKnowledgeBase (so TARAKB3 directories work through
-// them too) after a one-time stderr deprecation note.
-TEST_F(KbStorageTest, LegacyLoaderShimsStillWork) {
-  const EvolvingDatabase data = MakeData(2);
-  const TaraEngine original = BuildEngine(data);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseDir(*original.Snapshot(), dir_.string()).has_value());
-
-  const auto loaded = LoadKnowledgeBaseDir(dir_.string());
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(loaded->window_count(), original.window_count());
-  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
-
-  // RecoverKnowledgeBase without an existing WAL creates one over the
-  // checkpoint, exactly as before the redesign.
-  const std::string wal_dir = (dir_ / "wal").string();
-  const auto recovered = RecoverKnowledgeBase(dir_.string(), wal_dir);
-  ASSERT_TRUE(recovered.has_value()) << recovered.error();
-  EXPECT_EQ(recovered->window_count(), original.window_count());
-  EXPECT_TRUE(recovered->wal_attached());
 }
 
 }  // namespace

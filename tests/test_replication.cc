@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/query_request.h"
@@ -375,7 +376,8 @@ TEST_F(ReplicationTest, HandshakeRefusesMismatchedFloors) {
   TaraEngine foreign(other);
   foreign.AppendWindow(data_.database(), 0, 100);
   const std::string ckpt = (dir_ / "foreign_ckpt").string();
-  ASSERT_FALSE(AppendKnowledgeBaseDir(*foreign.Snapshot(), ckpt).has_value());
+  ASSERT_FALSE(
+      AppendKnowledgeBaseBlocks(*foreign.Snapshot(), ckpt).has_value());
 
   ReplicaOptions options;
   options.primary_port = server_->port();
@@ -541,7 +543,7 @@ TEST_F(ReplicationCrashTest, PrimaryKilledMidStreamFollowerNeverDiverges) {
   ReplicaOptions options;
   options.primary_port = port;
   options.backoff_initial_ms = 10;
-  if (KnowledgeBaseDirExists(ckpt_dir)) options.kb_dir = ckpt_dir;
+  if (KnowledgeBaseBlocksDirExists(ckpt_dir)) options.kb_dir = ckpt_dir;
   ReplicaEngine replica(options);
   if (replica.Start().has_value()) _exit(2);
   uint32_t have = replica.engine()->window_count();
@@ -550,7 +552,7 @@ TEST_F(ReplicationCrashTest, PrimaryKilledMidStreamFollowerNeverDiverges) {
         have + 1, std::chrono::duration_cast<std::chrono::milliseconds>(kWait));
     if (now <= have) _exit(2);
     have = now;
-    if (AppendKnowledgeBaseDir(*replica.engine()->Snapshot(), ckpt_dir)
+    if (AppendKnowledgeBaseBlocks(*replica.engine()->Snapshot(), ckpt_dir)
             .has_value()) {
       _exit(2);
     }

@@ -3,20 +3,27 @@
 // byte-identity with local execution, typed error passthrough,
 // concurrent clients with live wire ingestion, the deterministic shed
 // and deadline admission paths, malformed-frame survival, and the
-// metrics/info endpoints. Runs under TSan in CI.
+// metrics/info endpoints (including info on a lazily mapped, corrupt
+// knowledge base). Runs under TSan in CI.
 
 #include "server/tara_server.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/kb_blocks.h"
+#include "core/kb_open.h"
 #include "core/query_request.h"
 #include "core/wire_format.h"
 #include "datagen/quest_generator.h"
@@ -419,6 +426,63 @@ TEST_F(ServerTest, InfoReportsKnowledgeBaseShape) {
   EXPECT_EQ(info->window_count, 3u);
   EXPECT_EQ(info->generation, engine_->generation());
   EXPECT_EQ(info->rule_count, engine_->Snapshot()->catalog().size());
+}
+
+// `info` must not materialize a lazily mapped knowledge base: it answers
+// from the manifest, so a corrupt block can neither abort the server nor
+// force a full decode.
+TEST(MappedServerTest, InfoOnACorruptMappedKbNeitherDecodesNorAborts) {
+  namespace fs = std::filesystem;
+  TaraEngine::Options options;
+  options.min_support_floor = 0.02;
+  options.min_confidence_floor = 0.2;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;
+  TaraEngine eager(options);
+  eager.BuildAll(EvolvingDatabase::PartitionIntoBatches(MakeData(1200, 7), 4));
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("server_mapped_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*eager.Snapshot(), dir.string(), 4096)
+          .has_value());
+
+  // Flip a byte inside the last window's segment.
+  const auto manifest = ReadKnowledgeBaseBlocksManifest(dir.string());
+  ASSERT_TRUE(manifest.has_value()) << manifest.error();
+  const KbBlockInfo& block = manifest->blocks.back();
+  const KbBlockRow& row = block.rows.back();
+  const fs::path victim = dir / KnowledgeBaseBlockFileName(block.file_index);
+  std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekg(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
+  const char byte = static_cast<char>(file.get() ^ 0x5a);
+  file.seekp(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
+  file.put(byte);
+  file.close();
+
+  OpenOptions open;
+  open.kb_dir = dir.string();
+  open.mode = OpenMode::kMapped;
+  auto opened = OpenKnowledgeBase(open);
+  ASSERT_TRUE(opened.has_value()) << opened.error();
+  TaraEngine engine = std::move(opened).value();
+  const uint32_t materialized = engine.materialized_window_count();
+  ASSERT_LT(materialized, engine.window_count());
+
+  TaraServer server(&engine, ServerOptions{});
+  ASSERT_FALSE(server.Start().has_value());
+  auto connected = TaraClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.has_value()) << connected.error();
+  TaraClient client = std::move(connected.value());
+  const auto info = client.Info();
+  ASSERT_TRUE(info.has_value()) << info.error();
+  EXPECT_EQ(info->window_count, eager.window_count());
+  EXPECT_EQ(info->rule_count, eager.catalog().size());
+  EXPECT_EQ(engine.materialized_window_count(), materialized);
+  // Still serving: the process is alive and the connection usable.
+  EXPECT_TRUE(client.Ping().has_value());
+  server.Stop();
+  fs::remove_all(dir);
 }
 
 TEST_F(ServerTest, StopDrainsCleanly) {

@@ -14,7 +14,8 @@ TEST(TarArchiveTest, RoundTripsSingleRule) {
   archive.Add(7, 0, 10, 20);
   archive.Add(7, 2, 12, 25);
 
-  const auto series = archive.Decode(7);
+  DecodeArena arena;
+  const auto series = archive.DecodeInto(7, arena);
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].window, 0u);
   EXPECT_EQ(series[0].rule_count, 10u);
@@ -31,8 +32,15 @@ TEST(TarArchiveTest, RoundTripsSingleRule) {
 TEST(TarArchiveTest, UnknownRuleDecodesEmpty) {
   TarArchive archive;
   archive.RegisterWindow(0, 10, 1);
-  EXPECT_TRUE(archive.Decode(3).empty());
-  EXPECT_TRUE(archive.Decode(12345).empty());
+  DecodeArena arena;
+  EXPECT_TRUE(archive.DecodeInto(3, arena).empty());
+  EXPECT_TRUE(archive.DecodeInto(12345, arena).empty());
+  bool visited = false;
+  archive.VisitEntries(3, [&](const ArchiveEntry&) {
+    visited = true;
+    return true;
+  });
+  EXPECT_FALSE(visited);
 }
 
 TEST(TarArchiveTest, DecreasingCountsRoundTrip) {
@@ -41,7 +49,8 @@ TEST(TarArchiveTest, DecreasingCountsRoundTrip) {
   uint64_t counts[] = {500, 400, 450, 100, 90};
   uint64_t ants[] = {800, 700, 650, 300, 95};
   for (WindowId w = 0; w < 5; ++w) archive.Add(0, w, counts[w], ants[w]);
-  const auto series = archive.Decode(0);
+  DecodeArena arena;
+  const auto series = archive.DecodeInto(0, arena);
   ASSERT_EQ(series.size(), 5u);
   for (WindowId w = 0; w < 5; ++w) {
     EXPECT_EQ(series[w].rule_count, counts[w]);
@@ -57,7 +66,8 @@ TEST(TarArchiveTest, StableRulesCompressWell) {
   for (WindowId w = 0; w < 100; ++w) archive.Add(0, w, 50, 100);
   EXPECT_EQ(archive.entry_count(), 100u);
   EXPECT_LT(archive.payload_bytes(), 100u * 4);
-  const auto series = archive.Decode(0);
+  DecodeArena arena;
+  const auto series = archive.DecodeInto(0, arena);
   ASSERT_EQ(series.size(), 100u);
   EXPECT_EQ(series[99].rule_count, 50u);
 }
@@ -231,13 +241,27 @@ TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
       shadow[r].push_back(ArchiveEntry{w, count, ant});
     }
   }
+  DecodeArena arena;
   for (RuleId r = 0; r < 200; ++r) {
-    const auto series = archive.Decode(r);
+    arena.Reset();
+    const auto series = archive.DecodeInto(r, arena);
     ASSERT_EQ(series.size(), shadow[r].size()) << "rule " << r;
     for (size_t i = 0; i < series.size(); ++i) {
       EXPECT_EQ(series[i].window, shadow[r][i].window);
       EXPECT_EQ(series[i].rule_count, shadow[r][i].rule_count);
       EXPECT_EQ(series[i].antecedent_count, shadow[r][i].antecedent_count);
+    }
+    // The visitor's scalar scan yields the same series.
+    std::vector<ArchiveEntry> visited;
+    archive.VisitEntries(r, [&](const ArchiveEntry& e) {
+      visited.push_back(e);
+      return true;
+    });
+    ASSERT_EQ(visited.size(), shadow[r].size()) << "rule " << r;
+    for (size_t i = 0; i < visited.size(); ++i) {
+      EXPECT_EQ(visited[i].window, shadow[r][i].window);
+      EXPECT_EQ(visited[i].rule_count, shadow[r][i].rule_count);
+      EXPECT_EQ(visited[i].antecedent_count, shadow[r][i].antecedent_count);
     }
   }
 }

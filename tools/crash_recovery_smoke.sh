@@ -1,8 +1,9 @@
 #!/bin/sh
 # Crash-recovery smoke test: kill -9 a live-appending `tara_cli serve`
-# running with a write-ahead log, recover with `tara_cli recover`, and
-# require the recovered knowledge-base directory to be byte-identical to
-# an uncrashed reference holding the same acked windows. Then restart
+# running with a write-ahead log, recover with `tara_cli wal recover`,
+# and require the recovered knowledge-base directory to pass `db verify`
+# and to hold the same knowledge base, byte for byte in the stream form,
+# as an uncrashed reference with the same acked windows. Then restart
 # the server on the recovered state and shut it down cleanly.
 #
 #   crash_recovery_smoke.sh /path/to/tara_cli
@@ -78,7 +79,7 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 rm -f "$WORK/port"
 
-"$CLI" recover "$WORK/kb" --wal "$WORK/wal" 2> "$WORK/recover.log"
+"$CLI" wal recover --kb "$WORK/kb" --wal "$WORK/wal" 2> "$WORK/recover.log"
 cat "$WORK/recover.log"
 COUNT=$(sed -n 's/^recovered \([0-9][0-9]*\) windows.*/\1/p' "$WORK/recover.log")
 case "$COUNT" in
@@ -87,9 +88,18 @@ case "$COUNT" in
   *) echo "unexpected recovered window count: '$COUNT'"; exit 1 ;;
 esac
 
-# The acceptance bar: recovered bytes == the uncrashed reference at the
-# recovered window count.
-diff -r "$WORK/kb" "$REF" || { echo "recovered state diverges from the reference"; exit 1; }
+# The acceptance bar: the recovered directory is intact and holds the
+# uncrashed reference's knowledge base at the recovered window count.
+# Block boundaries follow each directory's checkpoint cadence, so the
+# two directories differ file by file; their stream forms must not.
+"$CLI" db verify --kb "$WORK/kb" > /dev/null \
+  || { echo "recovered directory fails db verify"; exit 1; }
+for dir in kb "$(basename "$REF")"; do
+  printf 'loaddir %s\nsave %s\nquit\n' "$WORK/$dir" "$WORK/$dir.stream" \
+    | "$CLI" > /dev/null
+done
+cmp "$WORK/kb.stream" "$REF.stream" \
+  || { echo "recovered state diverges from the reference"; exit 1; }
 echo "recovered state matches the $COUNT-window reference byte-for-byte"
 
 # The recovered checkpoint serves again (and the truncated log re-attaches).

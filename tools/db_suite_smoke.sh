@@ -1,8 +1,9 @@
 #!/bin/sh
 # db-suite smoke test: build a small KB through an interactive session,
-# then drive every `db` verb over it — stats/show on the TARAKB2 form,
-# split to TARAKB3, verify (clean AND corrupted), a mapped load through
-# the session, trim, and rm. Exercises the noun-verb surface end to end.
+# then drive every `db` verb over it — stats/show/verify on the TARAKB3
+# directory `savedir` writes, split into small blocks, verify (clean AND
+# corrupted), a mapped load through the session, trim, and rm. Exercises
+# the noun-verb surface end to end.
 #
 #   db_suite_smoke.sh /path/to/tara_cli
 set -e
@@ -15,25 +16,29 @@ rm -rf "$WORK"
 mkdir -p "$WORK"
 trap 'rm -rf "$WORK"' EXIT
 
-# Build a 4-window KB and save it segmented (TARAKB2).
+# Build a 4-window KB and save it as a block directory.
 printf 'gen quest 3000 120\nwindows 4\nbuild 0.01 0.1\nsavedir %s/kb\nquit\n' \
   "$WORK" | "$CLI" > /dev/null
 
-"$CLI" db stats --kb "$WORK/kb" | grep -q "TARAKB2" \
-  || { echo "expected a TARAKB2 stats header"; exit 1; }
+"$CLI" db stats --kb "$WORK/kb" | grep -q "TARAKB3" \
+  || { echo "expected a TARAKB3 stats header"; exit 1; }
 [ "$("$CLI" db show --kb "$WORK/kb" | wc -l)" -eq 5 ] \
   || { echo "db show should print 4 windows + header"; exit 1; }
 "$CLI" db verify --kb "$WORK/kb" | grep -q "all hashes match" \
-  || { echo "TARAKB2 verify failed"; exit 1; }
+  || { echo "verify failed"; exit 1; }
 
-# Convert to blocks (tiny target size so several blocks appear).
+# Split into small blocks (tiny target size so several blocks appear).
+# The new manifest must name exactly the block files on disk: every new
+# block written, every old one removed.
 "$CLI" db split --kb "$WORK/kb" --block-bytes 4096 > /dev/null
-"$CLI" db stats --kb "$WORK/kb" | grep -q "TARAKB3" \
-  || { echo "split did not convert to TARAKB3"; exit 1; }
-[ ! -e "$WORK/kb/manifest.tarakb" ] \
-  || { echo "split left the TARAKB2 manifest behind"; exit 1; }
+NAMED=$("$CLI" db stats --kb "$WORK/kb" | grep -o 'block-[0-9]*\.blk' | sort)
+ON_DISK=$(cd "$WORK/kb" && ls block-*.blk | sort)
+[ "$NAMED" = "$ON_DISK" ] \
+  || { echo "split manifest names [$NAMED] but disk holds [$ON_DISK]"; exit 1; }
+[ "$(echo "$NAMED" | wc -l)" -gt 1 ] \
+  || { echo "split did not produce several blocks"; exit 1; }
 "$CLI" db verify --kb "$WORK/kb" | grep -q "all hashes match" \
-  || { echo "TARAKB3 verify failed"; exit 1; }
+  || { echo "verify after split failed"; exit 1; }
 
 # The mapped session load answers queries over the block form.
 printf 'loaddir %s/kb mmap\nmine 2 0.02 0.4\nregion 2 0.02 0.4\nquit\n' \
