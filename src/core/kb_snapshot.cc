@@ -1,11 +1,129 @@
 #include "core/kb_snapshot.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.h"
 
 namespace tara {
+
+namespace {
+
+/// Per-rule accumulators of one multi-window request: an open-addressing
+/// table from RuleId to a dense slot. The table grows with the distinct
+/// rules the request reads, never with the catalog, so a two-window
+/// request on a large knowledge base costs two windows' rules. Rules are
+/// kept in the order first read; callers sort what they emit.
+template <typename Value>
+class RuleAccumulators {
+ public:
+  RuleAccumulators() { Rehash(16); }
+
+  /// The accumulator of `rule`, value-initialized when first read.
+  Value& operator[](RuleId rule) {
+    Slot* slot = Probe(rule);
+    if (slot->index == kEmpty) {
+      if (2 * (rules_.size() + 1) > table_.size()) {
+        Rehash(2 * table_.size());
+        slot = Probe(rule);
+      }
+      *slot = Slot{rule, static_cast<uint32_t>(rules_.size())};
+      rules_.push_back(rule);
+      values_.emplace_back();
+    }
+    return values_[slot->index];
+  }
+
+  /// The accumulator of `rule`, or nullptr if no window read it.
+  Value* Find(RuleId rule) {
+    const Slot* slot = Probe(rule);
+    return slot->index == kEmpty ? nullptr : &values_[slot->index];
+  }
+
+  size_t size() const { return rules_.size(); }
+  RuleId rule(size_t i) const { return rules_[i]; }
+  const Value& value(size_t i) const { return values_[i]; }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  struct Slot {
+    RuleId rule = 0;
+    uint32_t index = kEmpty;
+  };
+
+  Slot* Probe(RuleId rule) {
+    // Fibonacci hashing scatters the dense, consecutive RuleIds.
+    size_t i = static_cast<size_t>((rule * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (table_[i].index != kEmpty && table_[i].rule != rule) {
+      i = (i + 1) & (table_.size() - 1);
+    }
+    return &table_[i];
+  }
+
+  void Rehash(size_t capacity) {
+    table_.assign(capacity, Slot{});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (uint32_t i = 0; i < rules_.size(); ++i) {
+      *Probe(rules_[i]) = Slot{rules_[i], i};
+    }
+  }
+
+  std::vector<Slot> table_;
+  int shift_ = 64;
+  std::vector<RuleId> rules_;
+  std::vector<Value> values_;
+};
+
+/// Sorts rule ids ascending by least-significant-digit radix sort, one
+/// pass per significant byte of the largest id: linear in the ids emitted.
+void SortRuleIds(std::vector<RuleId>* rules) {
+  if (rules->empty()) return;
+  const RuleId largest = *std::max_element(rules->begin(), rules->end());
+  std::vector<RuleId> sorted(rules->size());
+  for (int shift = 0; shift < 32 && (largest >> shift) != 0; shift += 8) {
+    std::array<size_t, 257> next{};
+    for (RuleId rule : *rules) ++next[((rule >> shift) & 0xff) + 1];
+    for (size_t digit = 1; digit < next.size(); ++digit) {
+      next[digit] += next[digit - 1];
+    }
+    for (RuleId rule : *rules) sorted[next[(rule >> shift) & 0xff]++] = rule;
+    rules->swap(sorted);
+  }
+}
+
+/// One pass over `windows`: each rule valid under settings[s] in a window
+/// counts one hit in slot s of its accumulator. Under kExact only rules
+/// valid in the first window are tracked — no other rule can be valid in
+/// every window.
+template <size_t N>
+RuleAccumulators<std::array<uint32_t, N>> CountHits(
+    const std::vector<std::shared_ptr<const WindowSegment>>& segments,
+    const WindowSet& windows, const std::array<ParameterSetting, N>& settings,
+    MatchMode mode) {
+  RuleAccumulators<std::array<uint32_t, N>> hits;
+  std::vector<RuleId> valid;
+  bool first = true;
+  for (WindowId w : windows) {
+    for (size_t s = 0; s < N; ++s) {
+      valid.clear();
+      segments[w]->index.CollectRules(settings[s].min_support,
+                                      settings[s].min_confidence, &valid);
+      for (RuleId rule : valid) {
+        if (first || mode == MatchMode::kSingle) {
+          ++hits[rule][s];
+        } else if (auto* tracked = hits.Find(rule)) {
+          ++(*tracked)[s];
+        }
+      }
+    }
+    first = false;
+  }
+  return hits;
+}
+
+}  // namespace
 
 std::optional<std::string> KbOptions::Validate() const {
   std::ostringstream error;
@@ -115,38 +233,19 @@ Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::MineWindow(
   return CollectWindow(w, setting);
 }
 
-std::vector<RuleId> KnowledgeBaseSnapshot::MineWindowsUnchecked(
-    const WindowSet& windows, const ParameterSetting& setting,
-    MatchMode mode) const {
-  std::vector<RuleId> combined;
-  bool first = true;
-  for (WindowId w : windows) {
-    std::vector<RuleId> rules = CollectWindow(w, setting);
-    std::sort(rules.begin(), rules.end());
-    if (first) {
-      combined = std::move(rules);
-      first = false;
-      continue;
-    }
-    std::vector<RuleId> merged;
-    if (mode == MatchMode::kSingle) {
-      std::set_union(combined.begin(), combined.end(), rules.begin(),
-                     rules.end(), std::back_inserter(merged));
-    } else {
-      std::set_intersection(combined.begin(), combined.end(), rules.begin(),
-                            rules.end(), std::back_inserter(merged));
-    }
-    combined = std::move(merged);
-  }
-  return combined;
-}
-
 Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::MineWindows(
     const WindowSet& windows, const ParameterSetting& setting,
     MatchMode mode) const {
   if (auto error = ValidateWindows(windows)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
-  return MineWindowsUnchecked(windows, setting, mode);
+  const auto hits = CountHits<1>(segments_, windows, {setting}, mode);
+  const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
+  std::vector<RuleId> rules;
+  for (size_t i = 0; i < hits.size(); ++i) {
+    if (hits.value(i)[0] >= need) rules.push_back(hits.rule(i));
+  }
+  SortRuleIds(&rules);
+  return rules;
 }
 
 Expected<TrajectoryQueryResult, QueryError>
@@ -176,13 +275,17 @@ Expected<RulesetDiff, QueryError> KnowledgeBaseSnapshot::CompareSettings(
   if (auto error = ValidateWindows(windows)) return *std::move(error);
   if (auto error = ValidateSetting(first)) return *std::move(error);
   if (auto error = ValidateSetting(second)) return *std::move(error);
-  const std::vector<RuleId> a = MineWindowsUnchecked(windows, first, mode);
-  const std::vector<RuleId> b = MineWindowsUnchecked(windows, second, mode);
+  const auto hits = CountHits<2>(segments_, windows, {first, second}, mode);
+  const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
   RulesetDiff diff;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(diff.only_first));
-  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                      std::back_inserter(diff.only_second));
+  for (size_t i = 0; i < hits.size(); ++i) {
+    const bool in_first = hits.value(i)[0] >= need;
+    const bool in_second = hits.value(i)[1] >= need;
+    if (in_first && !in_second) diff.only_first.push_back(hits.rule(i));
+    if (in_second && !in_first) diff.only_second.push_back(hits.rule(i));
+  }
+  SortRuleIds(&diff.only_first);
+  SortRuleIds(&diff.only_second);
   return diff;
 }
 
@@ -246,30 +349,60 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
     const WindowSet& windows, const ParameterSetting& setting) const {
   if (auto error = ValidateWindows(windows)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
-  // Candidates: every rule present in at least one of the windows.
-  std::vector<RuleId> candidates;
+  // One pass over the requested windows' entries. Per rule it sums the
+  // counts of the windows that archived it; the missing windows' terms are
+  // the request's totals minus the rule's present ones. That is the
+  // RollUpAggregate the roll-up tree and the linear archive scan build, so
+  // FinishRollUp yields the same doubles.
+  struct Present {
+    uint64_t rule_count = 0;
+    uint64_t antecedent_count = 0;
+    uint64_t size = 0;
+    uint64_t slack = 0;
+    uint32_t windows = 0;
+  };
+  uint64_t total = 0;
+  uint64_t total_slack = 0;
+  RuleAccumulators<Present> present;
   for (WindowId w : windows) {
+    const uint64_t size = archive_->window_size(w);
+    const uint64_t slack = UnarchivedCountSlack(
+        archive_->floor_count(w), archive_->confidence_floor(w), size);
+    total += size;
+    total_slack += slack;
     for (const WindowIndex::Entry& e : segments_[w]->entries) {
-      candidates.push_back(e.rule);
+      Present& p = present[e.rule];
+      p.rule_count += e.rule_count;
+      p.antecedent_count += e.antecedent_count;
+      p.size += size;
+      p.slack += slack;
+      ++p.windows;
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
 
   RolledUpRules result;
-  for (RuleId rule : candidates) {
-    const RollUpBound bound = rollup_tree_->RollUp(rule, windows.ids());
+  for (size_t i = 0; i < present.size(); ++i) {
+    const Present& p = present.value(i);
+    RollUpAggregate agg;
+    agg.known_rule = p.rule_count;
+    agg.known_ant = p.antecedent_count;
+    agg.missing_slack = total_slack - p.slack;
+    agg.missing_size = total - p.size;
+    agg.total = total;
+    agg.missing_windows = static_cast<uint32_t>(windows.size()) - p.windows;
+    const RollUpBound bound = FinishRollUp(agg);
     const bool certain = bound.support_lo + 1e-12 >= setting.min_support &&
                          bound.confidence_lo + 1e-12 >= setting.min_confidence;
     const bool possible = bound.support_hi + 1e-12 >= setting.min_support &&
                           bound.confidence_hi + 1e-12 >= setting.min_confidence;
     if (certain) {
-      result.certain.push_back(rule);
+      result.certain.push_back(present.rule(i));
     } else if (possible) {
-      result.possible.push_back(rule);
+      result.possible.push_back(present.rule(i));
     }
   }
+  SortRuleIds(&result.certain);
+  SortRuleIds(&result.possible);
   return result;
 }
 

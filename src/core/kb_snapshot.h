@@ -136,10 +136,10 @@ struct RolledUpRules {
 };
 
 /// One committed window of the knowledge base: its EPS index slice, its
-/// build inputs (kept for roll-up candidate enumeration and
-/// serialization), and its build breakdown. Immutable once a snapshot
-/// referencing it has been published; shared by every later snapshot, so
-/// appending a window never copies older windows.
+/// build inputs (kept for roll-up mining and serialization), and its build
+/// breakdown. Immutable once a snapshot referencing it has been published;
+/// shared by every later snapshot, so appending a window never copies older
+/// windows.
 struct WindowSegment {
   WindowIndex index;
   std::vector<WindowIndex::Entry> entries;
@@ -194,8 +194,9 @@ class KnowledgeBaseSnapshot {
   const TarArchive& archive() const { return *archive_; }
 
   /// This generation's hierarchical roll-up index (partial sums over the
-  /// archive). Immutable; answers RollUpRule/MineRolledUp/EntryFor in
-  /// O(log) instead of decoding streams.
+  /// archive). Immutable; answers RollUpRule and EntryFor in O(log)
+  /// instead of decoding streams. MineRolledUp reads every candidate's
+  /// entries anyway, so it sums them in one pass instead.
   const RollUpTree& rollup_tree() const { return *rollup_tree_; }
 
   /// The archived entry of `rule` in `window`, if any — O(log entries)
@@ -288,6 +289,7 @@ class KnowledgeBaseSnapshot {
 
   /// Roll-up mining: rules valid over the union of `windows` under
   /// `setting`, split into certain and possible per the interval bounds.
+  /// Both outputs sorted by RuleId.
   Expected<RolledUpRules, QueryError> MineRolledUp(
       const WindowSet& windows, const ParameterSetting& setting) const;
 
@@ -306,10 +308,6 @@ class KnowledgeBaseSnapshot {
   /// Unvalidated single-window collect shared by the public entrypoints.
   std::vector<RuleId> CollectWindow(WindowId w,
                                     const ParameterSetting& setting) const;
-  /// Unvalidated multi-window merge.
-  std::vector<RuleId> MineWindowsUnchecked(const WindowSet& windows,
-                                           const ParameterSetting& setting,
-                                           MatchMode mode) const;
 
   /// Shared with the owning builder; bounded by rule_count_.
   std::shared_ptr<const RuleCatalog> catalog_;

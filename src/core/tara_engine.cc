@@ -251,9 +251,13 @@ std::optional<QueryError> TaraEngine::EnsureForRequest(
   return EnsureWindows(required);
 }
 
+std::optional<QueryError> TaraEngine::MaterializeAll() const {
+  if (lazy_ == nullptr) return std::nullopt;
+  return EnsureWindows(lazy_->kb->window_count());
+}
+
 void TaraEngine::EnsureAllOrDie() const {
-  if (lazy_ == nullptr || lazy_->done.load(std::memory_order_acquire)) return;
-  if (auto error = EnsureWindows(lazy_->kb->window_count())) {
+  if (auto error = MaterializeAll()) {
     TARA_CHECK(false) << error->message
                       << " — open with OpenOptions::verify = kHashes to "
                          "detect this at open time instead";

@@ -220,6 +220,13 @@ class TaraEngine {
   /// engines without a mapped knowledge base).
   bool fully_materialized() const;
 
+  /// Materializes every remaining window without aborting: nullopt once
+  /// the whole knowledge base is decoded, kCorruptStorage (sticky) when a
+  /// pending segment is corrupt. Callers with an error channel that need
+  /// the whole knowledge base (a server's append and replica-subscribe
+  /// handlers) pass this gate before AppendWindow or Snapshot().
+  std::optional<QueryError> MaterializeAll() const;
+
   /// Windows decoded into the builder so far. On a lazily mapped engine
   /// this lags window_count() until queries (or Snapshot()) pull the
   /// rest in — the observable proof that mapped opens are lazy.
@@ -425,8 +432,8 @@ class TaraEngine {
   std::optional<QueryError> EnsureRule(RuleId rule) const;
   /// The kind-aware gate Execute/ExecuteBatch use.
   std::optional<QueryError> EnsureForRequest(const QueryRequest& request) const;
-  /// Full materialization for callers with no error channel (Snapshot,
-  /// appends, quiescent accessors); aborts on corrupt storage.
+  /// MaterializeAll for callers with no error channel (Snapshot, appends,
+  /// quiescent accessors); aborts on corrupt storage.
   void EnsureAllOrDie() const;
   /// The mutex-held worker: two-phase decode (parallel structural parse,
   /// window-ordered resolve + append) of windows [materialized, need).

@@ -363,6 +363,9 @@ bool TaraServer::HandleAppendWindow(Connection* connection,
                  EncodeErrorFrame(ServerWireError::kBadRequest,
                                   "AppendWindow with zero transactions"));
   }
+  if (auto error = engine_->MaterializeAll()) {
+    return Reply(connection, EncodeErrorFrame(*error));
+  }
   const WindowId window = engine_->AppendWindow(*db, 0, db->size());
   if (metrics_.appends != nullptr) metrics_.appends->Increment();
   return Reply(connection,
@@ -376,6 +379,11 @@ bool TaraServer::HandleReplicaSubscribe(Connection* connection,
     if (metrics_.parse_errors != nullptr) metrics_.parse_errors->Increment();
     Reply(connection, EncodeErrorFrame(subscribe.error()));
     return true;  // lockstep framing is intact; the connection survives
+  }
+  // The stream serves whole snapshots: decode everything now, or refuse
+  // with the storage error instead of aborting in Snapshot().
+  if (auto error = engine_->MaterializeAll()) {
+    return Reply(connection, EncodeErrorFrame(*error));
   }
   uint32_t next = subscribe->from_window;
   if (next > engine_->durable_window_count()) {

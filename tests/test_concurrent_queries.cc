@@ -79,6 +79,21 @@ TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
       engine_.RollUpRule(probe_rule, all_).value();
   const auto base_mined = engine_.MineRolledUp(all_, setting_).value();
   const auto base_window = engine_.MineWindow(anchor, setting_).value();
+  // Multi-window mining in both modes over sparse window sets, so every
+  // per-request accumulator runs concurrently with the others.
+  const std::vector<WindowSet> sparse = {
+      engine_.MakeWindowSet({0, 2}), engine_.MakeWindowSet({1, 3}),
+      engine_.MakeWindowSet({0, 3})};
+  constexpr MatchMode kModes[] = {MatchMode::kSingle, MatchMode::kExact};
+  std::vector<std::vector<RuleId>> base_multi;
+  for (const WindowSet& windows : sparse) {
+    for (MatchMode mode : kModes) {
+      base_multi.push_back(
+          engine_.MineWindows(windows, setting_, mode).value());
+    }
+  }
+  ASSERT_FALSE(base_multi[0].empty());  // kSingle over {0, 2}
+  ASSERT_FALSE(base_multi[1].empty());  // kExact over {0, 2}
 
   const unsigned hw = std::thread::hardware_concurrency();
   const size_t num_threads = hw > 1 ? (hw > 8 ? 8 : hw) : 4;
@@ -142,6 +157,14 @@ TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
       if ((i + tid) % 2 == 0) {
         if (engine_.MineWindow(anchor, setting_).value() != base_window) {
           failures.fetch_add(1);
+        }
+      }
+      for (size_t s = 0; s < sparse.size(); ++s) {
+        for (size_t m = 0; m < 2; ++m) {
+          if (engine_.MineWindows(sparse[s], setting_, kModes[m]).value() !=
+              base_multi[2 * s + m]) {
+            failures.fetch_add(1);
+          }
         }
       }
     }

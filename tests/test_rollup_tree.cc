@@ -1,18 +1,23 @@
-// Tree-vs-linear equivalence for the hierarchical roll-up index: both
-// paths aggregate into RollUpAggregate and finish through FinishRollUp,
-// so the property tests here demand EXACT double equality, not
-// tolerances — any drift means the partial sums diverged.
+// Tree-vs-linear equivalence for the hierarchical roll-up index, and the
+// snapshot's one-pass multi-window queries against per-window and
+// per-rule references. Every roll-up path aggregates into RollUpAggregate
+// and finishes through FinishRollUp, so the property tests here demand
+// EXACT double equality (or equal result bytes), not tolerances — any
+// drift means the sums diverged.
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/query_request.h"
 #include "core/rollup_tree.h"
 #include "core/tar_archive.h"
 #include "core/tara_engine.h"
 #include "core/window_set.h"
 #include "gtest/gtest.h"
+#include "mining/frequent_itemset.h"
 
 namespace tara {
 namespace {
@@ -211,62 +216,154 @@ TEST(RollUpTree, LiveAppendsKeepTreeAndPinnedSnapshotsConsistent) {
   }
 }
 
-TEST(RollUpTree, MineRolledUpAgreesWithPerRuleBounds) {
-  TaraEngine::Options options;
-  options.min_support_floor = 0.01;
-  options.min_confidence_floor = 0.1;
+/// A seeded random knowledge base appended through
+/// AppendPrecomputedWindow: window sizes vary, each rule of a fixed pool
+/// is present in about 70% of windows, and every count passes the floors.
+std::shared_ptr<const KnowledgeBaseSnapshot> RandomKnowledgeBase(
+    uint64_t seed, const TaraEngine::Options& options) {
   TaraEngine engine(options);
-
-  Rng rng(777);
-  for (int w = 0; w < 6; ++w) {
-    std::vector<TaraEngine::PrecomputedRule> rules;
-    for (int r = 0; r < 8; ++r) {
-      if (rng.NextBounded(4) == 0) continue;
+  Rng rng(seed);
+  const uint32_t windows = 2 + static_cast<uint32_t>(rng.NextBounded(9));
+  // Up to 600 rules, so sorted outputs span RuleIds of one and two bytes.
+  const uint32_t rules = 8 + static_cast<uint32_t>(rng.NextBounded(600));
+  for (uint32_t w = 0; w < windows; ++w) {
+    const uint64_t size = 400 + rng.NextBounded(1200);
+    const uint64_t floor_count =
+        MinCountForSupport(options.min_support_floor, size);
+    std::vector<TaraEngine::PrecomputedRule> mined;
+    for (uint32_t r = 0; r < rules; ++r) {
+      if (rng.NextBounded(10) >= 7) continue;
       TaraEngine::PrecomputedRule p;
       p.rule = Rule{{static_cast<ItemId>(r)},
                     {static_cast<ItemId>(1000 + r)}};
-      p.rule_count = 15 + rng.NextBounded(100);
-      p.antecedent_count = p.rule_count + rng.NextBounded(150);
-      rules.push_back(p);
+      p.rule_count = floor_count + rng.NextBounded(size / 2);
+      const uint64_t most = std::min<uint64_t>(
+          size, static_cast<uint64_t>(static_cast<double>(p.rule_count) /
+                                      options.min_confidence_floor));
+      p.antecedent_count =
+          p.rule_count + rng.NextBounded(most - p.rule_count + 1);
+      mined.push_back(p);
     }
-    engine.AppendPrecomputedWindow(1000, rules);
+    engine.AppendPrecomputedWindow(size, mined);
   }
+  return engine.Snapshot();
+}
 
-  const auto snapshot = engine.Snapshot();
-  const WindowSet windows = WindowSet::Range(1, 5, snapshot->window_count());
-  const ParameterSetting setting{0.05, 0.3};
-  const auto rolled = snapshot->MineRolledUp(windows, setting);
-  ASSERT_TRUE(rolled.has_value());
-
-  const uint32_t known_rules =
-      static_cast<uint32_t>(snapshot->archive().rule_count());
-  for (RuleId rule = 0; rule < known_rules; ++rule) {
-    const RollUpBound bound =
-        snapshot->archive().RollUp(rule, windows.ids());
-    const bool certain = bound.support_lo + 1e-12 >= setting.min_support &&
-                         bound.confidence_lo + 1e-12 >= setting.min_confidence;
-    const bool possible = bound.support_hi + 1e-12 >= setting.min_support &&
-                          bound.confidence_hi + 1e-12 >= setting.min_confidence;
-    const bool in_certain =
-        std::find(rolled->certain.begin(), rolled->certain.end(), rule) !=
-        rolled->certain.end();
-    const bool in_possible =
-        std::find(rolled->possible.begin(), rolled->possible.end(), rule) !=
-        rolled->possible.end();
-    // A rule present in any requested window is a candidate; classify it
-    // exactly as the linear bounds do.
-    bool present = false;
-    for (WindowId win : windows) {
-      present = present || snapshot->archive().EntryFor(rule, win).has_value();
+/// MineWindows reference: each window's answer sorted, merged pairwise.
+std::vector<RuleId> ReferenceMineWindows(const KnowledgeBaseSnapshot& kb,
+                                         const WindowSet& windows,
+                                         const ParameterSetting& setting,
+                                         MatchMode mode) {
+  std::vector<RuleId> combined;
+  bool first = true;
+  for (WindowId w : windows) {
+    std::vector<RuleId> rules = kb.MineWindow(w, setting).value();
+    std::sort(rules.begin(), rules.end());
+    if (first) {
+      combined = std::move(rules);
+      first = false;
+      continue;
     }
-    if (present) {
-      EXPECT_EQ(in_certain, certain) << "rule " << rule;
-      EXPECT_EQ(in_possible, certain ? false : possible) << "rule " << rule;
+    std::vector<RuleId> merged;
+    if (mode == MatchMode::kSingle) {
+      std::set_union(combined.begin(), combined.end(), rules.begin(),
+                     rules.end(), std::back_inserter(merged));
     } else {
-      EXPECT_FALSE(in_certain) << "rule " << rule;
-      EXPECT_FALSE(in_possible) << "rule " << rule;
+      std::set_intersection(combined.begin(), combined.end(), rules.begin(),
+                            rules.end(), std::back_inserter(merged));
+    }
+    combined = std::move(merged);
+  }
+  return combined;
+}
+
+/// MineRolledUp reference: every rule the archive holds in some requested
+/// window, classified by its linear-scan TarArchive::RollUp bounds.
+RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
+                                    const WindowSet& windows,
+                                    const ParameterSetting& setting) {
+  RolledUpRules result;
+  for (RuleId rule = 0; rule < kb.rule_count(); ++rule) {
+    bool present = false;
+    for (WindowId w : windows) {
+      present = present || kb.archive().EntryFor(rule, w).has_value();
+    }
+    if (!present) continue;
+    const RollUpBound bound = kb.archive().RollUp(rule, windows.ids());
+    if (bound.support_lo + 1e-12 >= setting.min_support &&
+        bound.confidence_lo + 1e-12 >= setting.min_confidence) {
+      result.certain.push_back(rule);
+    } else if (bound.support_hi + 1e-12 >= setting.min_support &&
+               bound.confidence_hi + 1e-12 >= setting.min_confidence) {
+      result.possible.push_back(rule);
     }
   }
+  return result;
+}
+
+/// The multi-window queries (MineWindows, CompareSettings, MineRolledUp)
+/// against the references above, byte for byte, over random knowledge
+/// bases, window sets of every shape, both match modes, and settings at
+/// the floors, in between, and above every rule.
+TEST(RollUpTree, MultiWindowQueriesMatchPerWindowReferences) {
+  TaraEngine::Options options;
+  options.min_support_floor = 0.01;
+  options.min_confidence_floor = 0.1;
+  const ParameterSetting floors{options.min_support_floor,
+                                options.min_confidence_floor};
+  const ParameterSetting above_every_rule{1.0, 1.0};
+  size_t nonempty = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto kb = RandomKnowledgeBase(seed, options);
+    Rng rng(seed * 7919);
+    const auto random_setting = [&] {
+      return ParameterSetting{0.01 + 0.4 * rng.NextDouble(),
+                              0.1 + 0.9 * rng.NextDouble()};
+    };
+    for (int round = 0; round < 60; ++round) {
+      const WindowSet windows = RandomWindowSet(rng, kb->window_count());
+      const ParameterSetting settings[] = {floors, above_every_rule,
+                                           random_setting()};
+      for (const ParameterSetting& setting : settings) {
+        const RolledUpRules rolled =
+            kb->MineRolledUp(windows, setting).value();
+        EXPECT_EQ(EncodeQueryResult(QueryKind::kRollUpMine, rolled),
+                  EncodeQueryResult(
+                      QueryKind::kRollUpMine,
+                      ReferenceMineRolledUp(*kb, windows, setting)))
+            << "seed " << seed << " round " << round;
+        nonempty += rolled.certain.size() + rolled.possible.size();
+
+        for (MatchMode mode : {MatchMode::kSingle, MatchMode::kExact}) {
+          const std::vector<RuleId> mined =
+              kb->MineWindows(windows, setting, mode).value();
+          const std::vector<RuleId> expected =
+              ReferenceMineWindows(*kb, windows, setting, mode);
+          EXPECT_EQ(EncodeQueryResult(QueryKind::kMineWindows, mined),
+                    EncodeQueryResult(QueryKind::kMineWindows, expected))
+              << "seed " << seed << " round " << round;
+          nonempty += mined.size();
+
+          const ParameterSetting second = random_setting();
+          const RulesetDiff diff =
+              kb->CompareSettings(setting, second, windows, mode).value();
+          const std::vector<RuleId> other =
+              ReferenceMineWindows(*kb, windows, second, mode);
+          RulesetDiff expected_diff;
+          std::set_difference(expected.begin(), expected.end(),
+                              other.begin(), other.end(),
+                              std::back_inserter(expected_diff.only_first));
+          std::set_difference(other.begin(), other.end(), expected.begin(),
+                              expected.end(),
+                              std::back_inserter(expected_diff.only_second));
+          EXPECT_EQ(EncodeQueryResult(QueryKind::kCompare, diff),
+                    EncodeQueryResult(QueryKind::kCompare, expected_diff))
+              << "seed " << seed << " round " << round;
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0u);  // the floors admit rules; not all answers empty
 }
 
 TEST(RollUpTreeBuilder, SnapshotsShareSeriesCopyOnWrite) {

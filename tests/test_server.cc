@@ -4,7 +4,8 @@
 // concurrent clients with live wire ingestion, the deterministic shed
 // and deadline admission paths, malformed-frame survival, and the
 // metrics/info endpoints (including info on a lazily mapped, corrupt
-// knowledge base). Runs under TSan in CI.
+// knowledge base) and every client frame against a corrupt mapped tail.
+// Runs under TSan in CI.
 
 #include "server/tara_server.h"
 
@@ -428,61 +429,139 @@ TEST_F(ServerTest, InfoReportsKnowledgeBaseShape) {
   EXPECT_EQ(info->rule_count, engine_->Snapshot()->catalog().size());
 }
 
+/// A server over a lazily mapped knowledge base whose last window's
+/// segment is corrupt (one flipped byte), next to the eager engine the
+/// directory was saved from.
+class MappedServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    namespace fs = std::filesystem;
+    TaraEngine::Options options;
+    options.min_support_floor = 0.02;
+    options.min_confidence_floor = 0.2;
+    options.max_itemset_size = 4;
+    options.build_content_index = true;
+    eager_ = std::make_unique<TaraEngine>(options);
+    eager_->BuildAll(
+        EvolvingDatabase::PartitionIntoBatches(MakeData(1200, 7), 4));
+    dir_ = fs::path(::testing::TempDir()) /
+           ("server_mapped_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    ASSERT_FALSE(
+        SaveKnowledgeBaseBlocks(*eager_->Snapshot(), dir_.string(), 4096)
+            .has_value());
+
+    // Flip a byte inside the last window's segment.
+    const auto manifest = ReadKnowledgeBaseBlocksManifest(dir_.string());
+    ASSERT_TRUE(manifest.has_value()) << manifest.error();
+    const KbBlockInfo& block = manifest->blocks.back();
+    const KbBlockRow& row = block.rows.back();
+    const fs::path victim =
+        dir_ / KnowledgeBaseBlockFileName(block.file_index);
+    std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
+    const char byte = static_cast<char>(file.get() ^ 0x5a);
+    file.seekp(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
+    file.put(byte);
+    file.close();
+
+    OpenOptions open;
+    open.kb_dir = dir_.string();
+    open.mode = OpenMode::kMapped;
+    auto opened = OpenKnowledgeBase(open);
+    ASSERT_TRUE(opened.has_value()) << opened.error();
+    engine_ = std::make_unique<TaraEngine>(std::move(opened).value());
+    ASSERT_LT(engine_->materialized_window_count(), engine_->window_count());
+
+    server_ = std::make_unique<TaraServer>(engine_.get(), ServerOptions{});
+    ASSERT_FALSE(server_->Start().has_value());
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+    std::filesystem::remove_all(dir_);
+  }
+
+  TaraClient Connect() {
+    auto client = TaraClient::Connect("127.0.0.1", server_->port());
+    EXPECT_TRUE(client.has_value()) << client.error();
+    return std::move(client.value());
+  }
+
+  std::unique_ptr<TaraEngine> eager_;
+  std::filesystem::path dir_;
+  std::unique_ptr<TaraEngine> engine_;
+  std::unique_ptr<TaraServer> server_;
+};
+
+constexpr uint32_t kCorruptStorageWireCode =
+    QueryErrorWireCode(QueryError::Code::kCorruptStorage);
+
 // `info` must not materialize a lazily mapped knowledge base: it answers
 // from the manifest, so a corrupt block can neither abort the server nor
 // force a full decode.
-TEST(MappedServerTest, InfoOnACorruptMappedKbNeitherDecodesNorAborts) {
-  namespace fs = std::filesystem;
-  TaraEngine::Options options;
-  options.min_support_floor = 0.02;
-  options.min_confidence_floor = 0.2;
-  options.max_itemset_size = 4;
-  options.build_content_index = true;
-  TaraEngine eager(options);
-  eager.BuildAll(EvolvingDatabase::PartitionIntoBatches(MakeData(1200, 7), 4));
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("server_mapped_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  ASSERT_FALSE(
-      SaveKnowledgeBaseBlocks(*eager.Snapshot(), dir.string(), 4096)
-          .has_value());
-
-  // Flip a byte inside the last window's segment.
-  const auto manifest = ReadKnowledgeBaseBlocksManifest(dir.string());
-  ASSERT_TRUE(manifest.has_value()) << manifest.error();
-  const KbBlockInfo& block = manifest->blocks.back();
-  const KbBlockRow& row = block.rows.back();
-  const fs::path victim = dir / KnowledgeBaseBlockFileName(block.file_index);
-  std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
-  file.seekg(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
-  const char byte = static_cast<char>(file.get() ^ 0x5a);
-  file.seekp(static_cast<std::streamoff>(row.offset + row.segment_bytes / 2));
-  file.put(byte);
-  file.close();
-
-  OpenOptions open;
-  open.kb_dir = dir.string();
-  open.mode = OpenMode::kMapped;
-  auto opened = OpenKnowledgeBase(open);
-  ASSERT_TRUE(opened.has_value()) << opened.error();
-  TaraEngine engine = std::move(opened).value();
-  const uint32_t materialized = engine.materialized_window_count();
-  ASSERT_LT(materialized, engine.window_count());
-
-  TaraServer server(&engine, ServerOptions{});
-  ASSERT_FALSE(server.Start().has_value());
-  auto connected = TaraClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(connected.has_value()) << connected.error();
-  TaraClient client = std::move(connected.value());
+TEST_F(MappedServerTest, InfoOnACorruptMappedKbNeitherDecodesNorAborts) {
+  const uint32_t materialized = engine_->materialized_window_count();
+  TaraClient client = Connect();
   const auto info = client.Info();
   ASSERT_TRUE(info.has_value()) << info.error();
-  EXPECT_EQ(info->window_count, eager.window_count());
-  EXPECT_EQ(info->rule_count, eager.catalog().size());
-  EXPECT_EQ(engine.materialized_window_count(), materialized);
+  EXPECT_EQ(info->window_count, eager_->window_count());
+  EXPECT_EQ(info->rule_count, eager_->catalog().size());
+  EXPECT_EQ(engine_->materialized_window_count(), materialized);
   // Still serving: the process is alive and the connection usable.
   EXPECT_TRUE(client.Ping().has_value());
-  server.Stop();
-  fs::remove_all(dir);
+}
+
+// Every frame a client can send gets a typed reply from a server whose
+// unmaterialized tail is corrupt; the ones that need the whole knowledge
+// base (append, replica subscribe) are refused with kCorruptStorage
+// instead of aborting the process.
+TEST_F(MappedServerTest, EveryClientFrameOnACorruptTailGetsATypedReply) {
+  const WindowId tail = engine_->window_count() - 1;
+  const ParameterSetting setting{0.03, 0.3};
+  TaraClient client = Connect();
+
+  const auto executed = client.Execute(QueryRequest::MineWindow(tail, setting));
+  ASSERT_FALSE(executed.has_value());
+  EXPECT_EQ(executed.error().code, kCorruptStorageWireCode);
+
+  const auto batch = client.ExecuteBatch(
+      {QueryRequest::MineWindow(tail, setting),
+       QueryRequest::RollUpMine({0, tail}, setting)});
+  ASSERT_TRUE(batch.has_value()) << batch.error().message;
+  ASSERT_EQ(batch->size(), 2u);
+  for (const auto& result : *batch) {
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(result.error().code, kCorruptStorageWireCode);
+  }
+
+  const auto appended = client.AppendWindow(MakeData(300, 11));
+  ASSERT_FALSE(appended.has_value());
+  EXPECT_EQ(appended.error().code, kCorruptStorageWireCode);
+  EXPECT_EQ(engine_->window_count(), eager_->window_count());
+
+  {
+    // Replica subscribe has no client call; speak the frame directly.
+    auto raw = ConnectTcp("127.0.0.1", server_->port());
+    ASSERT_TRUE(raw.has_value());
+    std::string error;
+    ASSERT_TRUE(
+        WriteAll(raw.value().fd(), EncodeReplicaSubscribeFrame(0), &error));
+    const FrameRead reply = ReadFrame(raw.value().fd(), kWireMaxPayloadBytes);
+    ASSERT_EQ(reply.status, FrameRead::Status::kOk);
+    ASSERT_EQ(reply.header.type, FrameType::kError);
+    const auto wire_error = DecodeErrorPayload(reply.payload);
+    ASSERT_TRUE(wire_error.has_value());
+    EXPECT_EQ(wire_error->code, kCorruptStorageWireCode);
+  }
+
+  const auto info = client.Info();
+  ASSERT_TRUE(info.has_value()) << info.error();
+  EXPECT_EQ(info->window_count, eager_->window_count());
+  EXPECT_TRUE(client.Metrics(/*json=*/false).has_value());
+  EXPECT_TRUE(client.Metrics(/*json=*/true).has_value());
+  // The process survived all of it and still answers.
+  EXPECT_TRUE(client.Ping().has_value());
 }
 
 TEST_F(ServerTest, StopDrainsCleanly) {
