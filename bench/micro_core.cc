@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "core/query_request.h"
 #include "core/stable_region_index.h"
 #include "core/tar_archive.h"
 #include "core/tara_engine.h"
@@ -157,10 +158,10 @@ obs::MetricsRegistry& ObsRegistry() {
 }
 
 void MineWindowLoop(benchmark::State& state, TaraEngine& engine) {
-  const WindowId newest = engine.window_count() - 1;
-  const ParameterSetting setting{0.02, 0.3};
+  const QueryRequest request = QueryRequest::MineWindow(
+      engine.window_count() - 1, ParameterSetting{0.02, 0.3});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.MineWindow(newest, setting).value());
+    benchmark::DoNotOptimize(engine.Execute(request).value());
   }
 }
 
@@ -174,13 +175,13 @@ void BM_MineWindowRegistry(benchmark::State& state) {
 }
 BENCHMARK(BM_MineWindowRegistry);
 
-// RecommendRegion is the cheapest query (a point-locate on the EPS), so
-// it is the most sensitive to per-query span overhead.
+// A region query is the cheapest (a point-locate on the EPS), so it is
+// the most sensitive to per-query span overhead.
 void RecommendRegionLoop(benchmark::State& state, TaraEngine& engine) {
-  const WindowId newest = engine.window_count() - 1;
-  const ParameterSetting setting{0.02, 0.3};
+  const QueryRequest request = QueryRequest::Region(
+      engine.window_count() - 1, ParameterSetting{0.02, 0.3});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RecommendRegion(newest, setting).value());
+    benchmark::DoNotOptimize(engine.Execute(request).value());
   }
 }
 

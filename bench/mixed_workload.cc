@@ -367,7 +367,7 @@ int Run() {
   }
 
   const ParameterSetting setting{0.008, 0.3};
-  const auto mined = engine.MineWindow(0, setting).value();
+  const auto mined = engine.Snapshot()->MineWindow(0, setting).value();
   if (mined.empty()) {
     std::fprintf(stderr, "dataset produced no rules at the probe setting\n");
     return 1;

@@ -1,12 +1,14 @@
 #include "bench/q1_runner.h"
 
 #include <cstdio>
+#include <variant>
 #include <vector>
 
 #include "baselines/dctar.h"
 #include "baselines/hmine_baseline.h"
 #include "baselines/paras_baseline.h"
 #include "common/stopwatch.h"
+#include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "obs/metrics.h"
 
@@ -79,9 +81,7 @@ void RunQ1Experiment(BenchDataset& d, Vary vary, BenchReport* report) {
   systems.Build(d);
 
   const WindowId anchor = d.data.window_count() - 1;
-  // Baselines take raw window lists; the TARA engines take a WindowSet.
   const std::vector<WindowId> horizon = Horizon(d);
-  const WindowSet tara_horizon = systems.tara.MakeWindowSet(horizon);
   const std::vector<double>& sweep =
       vary == Vary::kSupport ? d.support_sweep : d.confidence_sweep;
 
@@ -96,20 +96,32 @@ void RunQ1Experiment(BenchDataset& d, Vary vary, BenchReport* report) {
     setting.min_confidence =
         vary == Vary::kConfidence ? value : d.fixed_confidence;
 
-    const size_t rules = systems.tara.MineWindow(anchor, setting).value().size();
+    // The TARA systems answer through Execute, the engine's instrumented
+    // query path, so every timed row also lands in the per-kind latency
+    // histograms.
+    const QueryRequest trajectory =
+        QueryRequest::Trajectory(anchor, setting, horizon);
+    const QueryRequest content_view =
+        QueryRequest::ContentView(anchor, setting);
+    const QueryRequest region = QueryRequest::Region(anchor, setting);
+    const size_t rules =
+        std::get<std::vector<RuleId>>(
+            systems.tara.Execute(QueryRequest::MineWindow(anchor, setting))
+                .value())
+            .size();
 
     // .value() inside the timed lambdas asserts the sweep stays above the
     // dataset floors — a silently rejected query would time the validation
     // path, not the query.
     const double tara_us = TimeMicros(kFastReps, [&] {
-      systems.tara.TrajectoryQuery(anchor, setting, tara_horizon).value();
+      systems.tara.Execute(trajectory).value();
     });
     const double tara_s_us = TimeMicros(kFastReps, [&] {
-      systems.tara_s.TrajectoryQuery(anchor, setting, tara_horizon).value();
-      systems.tara_s.ContentView(anchor, setting).value();
+      systems.tara_s.Execute(trajectory).value();
+      systems.tara_s.Execute(content_view).value();
     });
     const double tara_r_us = TimeMicros(kFastReps, [&] {
-      systems.tara.RecommendRegion(anchor, setting).value();
+      systems.tara.Execute(region).value();
     });
     const double hmine_us = TimeMicros(kSlowReps, [&] {
       systems.hmine.TrajectoryQuery(anchor, setting, horizon);
@@ -149,7 +161,6 @@ void RunQ2Experiment(BenchDataset& d, Vary vary, BenchReport* report) {
   systems.Build(d);
 
   const std::vector<WindowId> windows = Horizon(d);
-  const WindowSet tara_windows = systems.tara.MakeWindowSet(windows);
   const std::vector<double>& sweep =
       vary == Vary::kSupport ? d.support_sweep : d.confidence_sweep;
 
@@ -167,12 +178,12 @@ void RunQ2Experiment(BenchDataset& d, Vary vary, BenchReport* report) {
     second.min_confidence =
         vary == Vary::kConfidence ? value : d.fixed_confidence;
 
+    const QueryRequest compare =
+        QueryRequest::Compare(first, second, windows, MatchMode::kExact);
     size_t diff_size = 0;
     const double tara_us = TimeMicros(kFastReps, [&] {
-      const auto diff = systems.tara
-                            .CompareSettings(first, second, tara_windows,
-                                             MatchMode::kExact)
-                            .value();
+      const auto diff =
+          std::get<RulesetDiff>(systems.tara.Execute(compare).value());
       diff_size = diff.only_first.size() + diff.only_second.size();
     });
     const double hmine_us = TimeMicros(kSlowReps, [&] {

@@ -6,6 +6,7 @@
 //   $ ./examples/parameter_explorer
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/tara_engine.h"
@@ -32,6 +33,8 @@ int main() {
   TaraEngine engine(options);
   engine.BuildAll(data);
 
+  // Every query below runs on one pinned snapshot.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
   const WindowId newest = engine.window_count() - 1;
   std::printf("knowledge base ready: %u windows, %zu rules interned\n\n",
               engine.window_count(), engine.catalog().size());
@@ -43,7 +46,7 @@ int main() {
 
   // Q3: what region does the guess land in, and what would change it?
   for (int step = 0; step < 4; ++step) {
-    const RegionInfo region = engine.RecommendRegion(newest, guess).value();
+    const RegionInfo region = kb->RecommendRegion(newest, guess).value();
     std::printf("  region: supp (%.4f, %.4f], conf (%.3f, %.3f] -> %zu "
                 "rules\n",
                 region.support_lower, region.support_upper,
@@ -55,8 +58,7 @@ int main() {
     if (region.support_lower <= options.min_support_floor) break;
     ParameterSetting next = guess;
     next.min_support = region.support_lower;
-    const RegionInfo next_region =
-        engine.RecommendRegion(newest, next).value();
+    const RegionInfo next_region = kb->RecommendRegion(newest, next).value();
     std::printf("  -> relaxing support to %.4f would grow the result to %zu "
                 "rules\n",
                 next.min_support, next_region.result_size);
@@ -73,8 +75,7 @@ int main() {
                                 chosen.min_confidence};
   const WindowSet windows = WindowSet::Single(newest, engine.window_count());
   const auto diff =
-      engine.CompareSettings(looser, chosen, windows, MatchMode::kExact)
-          .value();
+      kb->CompareSettings(looser, chosen, windows, MatchMode::kExact).value();
   std::printf("\nQ2 diff (supp %.4f vs %.4f): %zu rules only at the looser "
               "setting, e.g.:\n",
               looser.min_support, chosen.min_support,
@@ -85,11 +86,11 @@ int main() {
   }
 
   // Q5: content-based exploration — rules about one specific item.
-  const std::vector<RuleId> all = engine.MineWindow(newest, chosen).value();
+  const std::vector<RuleId> all = kb->MineWindow(newest, chosen).value();
   if (!all.empty()) {
     const ItemId focus = engine.catalog().rule(all[0]).antecedent[0];
     const std::vector<RuleId> about =
-        engine.ContentQuery(newest, {focus}, chosen).value();
+        kb->ContentQuery(newest, {focus}, chosen).value();
     std::printf("\nQ5: %zu of the %zu current rules involve item %u:\n",
                 about.size(), all.size(), focus);
     for (size_t i = 0; i < about.size() && i < 4; ++i) {

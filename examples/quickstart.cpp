@@ -5,7 +5,10 @@
 //   $ ./examples/quickstart
 
 #include <cstdio>
+#include <memory>
+#include <variant>
 
+#include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
@@ -35,20 +38,21 @@ int main() {
               engine.window_count(), engine.catalog().size(),
               engine.archive().entry_count());
 
-  // 3. Online: mine the newest window.
+  // 3. Online: mine the newest window. Typed queries run on a pinned
+  // snapshot — one immutable generation of the knowledge base.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
   const ParameterSetting setting{0.02, 0.5};
-  const WindowId newest = engine.window_count() - 1;
+  const WindowId newest = kb->window_count() - 1;
   // Queries return Expected<..., QueryError>; .value() asserts success,
   // which is the right call for a demo with known-good parameters.
-  const std::vector<RuleId> rules =
-      engine.MineWindow(newest, setting).value();
+  const std::vector<RuleId> rules = kb->MineWindow(newest, setting).value();
   std::printf("\nQ: rules with support >= %.2f, confidence >= %.2f in the "
               "newest window: %zu\n",
               setting.min_support, setting.min_confidence, rules.size());
 
   // 4. Trajectory of the first few rules across all windows. WindowSet
   // validates the window list once, at construction.
-  const WindowSet horizon = engine.AllWindows();
+  const WindowSet horizon = kb->AllWindows();
   std::printf("\ntrajectories (support/confidence per window):\n");
   for (size_t i = 0; i < rules.size() && i < 3; ++i) {
     std::printf("  %-28s", engine.catalog().FormatRule(rules[i]).c_str());
@@ -60,13 +64,15 @@ int main() {
         std::printf("  [   --    ]");
       }
     }
-    const TrajectoryMeasures m =
-        engine.RuleMeasures(rules[i], horizon).value();
+    const TrajectoryMeasures m = kb->RuleMeasures(rules[i], horizon).value();
     std::printf("  coverage=%.2f stability=%.2f\n", m.coverage, m.stability);
   }
 
   // 5. Parameter recommendation: the stable region around the setting.
-  const RegionInfo region = engine.RecommendRegion(newest, setting).value();
+  // Execute(QueryRequest) is the engine's one query entry point — the
+  // instrumented, cached path a server uses — answering like the snapshot.
+  const RegionInfo region = std::get<RegionInfo>(
+      engine.Execute(QueryRequest::Region(newest, setting)).value());
   std::printf("\nstable region around (%.3f, %.2f): support (%.4f, %.4f], "
               "confidence (%.3f, %.3f], %zu rules — any setting inside "
               "gives the same answer\n",
@@ -76,10 +82,9 @@ int main() {
               region.result_size);
 
   // 6. Compare two settings across all windows.
-  const auto diff = engine
-                        .CompareSettings(ParameterSetting{0.02, 0.5},
-                                         ParameterSetting{0.04, 0.5}, horizon,
-                                         MatchMode::kExact)
+  const auto diff = kb->CompareSettings(ParameterSetting{0.02, 0.5},
+                                        ParameterSetting{0.04, 0.5}, horizon,
+                                        MatchMode::kExact)
                         .value();
   std::printf("\ntightening support 0.02 -> 0.04 over all windows drops %zu "
               "rules (gains %zu)\n",

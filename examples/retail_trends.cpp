@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,19 +61,21 @@ int main() {
   TaraEngine engine(options);
   engine.BuildAll(data);
 
-  const WindowSet all_weeks = engine.AllWindows();
+  // Every query below runs on one pinned snapshot.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
+  const WindowSet all_weeks = kb->AllWindows();
   const ParameterSetting setting{0.006, 0.3};
 
   // Rules valid in at least one week, with their evolving measures.
   const std::vector<RuleId> rules =
-      engine.MineWindows(all_weeks, setting, MatchMode::kSingle).value();
+      kb->MineWindows(all_weeks, setting, MatchMode::kSingle).value();
   struct Scored {
     RuleId rule;
     TrajectoryMeasures m;
   };
   std::vector<Scored> scored;
   for (RuleId r : rules) {
-    scored.push_back(Scored{r, engine.RuleMeasures(r, all_weeks).value()});
+    scored.push_back(Scored{r, kb->RuleMeasures(r, all_weeks).value()});
   }
   std::printf("%zu rules were significant in at least one week\n",
               scored.size());
@@ -127,13 +130,12 @@ int main() {
   // Roll-up: treat weeks 0-3 as a "month" and mine it with bounds.
   const WindowSet month = WindowSet::Range(0, 4, engine.window_count());
   const auto rolled =
-      engine.MineRolledUp(month, ParameterSetting{0.01, 0.3}).value();
+      kb->MineRolledUp(month, ParameterSetting{0.01, 0.3}).value();
   std::printf("\nrolled-up month (weeks 1-4): %zu rules certainly valid, "
               "%zu possibly valid (depend on sub-floor windows)\n",
               rolled.certain.size(), rolled.possible.size());
   if (!rolled.certain.empty()) {
-    const RollUpBound bound =
-        engine.RollUpRule(rolled.certain[0], month).value();
+    const RollUpBound bound = kb->RollUpRule(rolled.certain[0], month).value();
     std::printf("  e.g. %s: support in [%.4f, %.4f], confidence in "
                 "[%.3f, %.3f]\n",
                 engine.catalog().FormatRule(rolled.certain[0]).c_str(),

@@ -264,7 +264,9 @@ class KnowledgeBaseSnapshot {
       const ParameterSetting& first, const ParameterSetting& second,
       const WindowSet& windows, MatchMode mode) const;
 
-  /// Q3: the time-aware stable region of `setting` in window `w`.
+  /// Q3: the time-aware stable region of `setting` in window `w` — the
+  /// parameter recommendation primitive (any setting inside the region is
+  /// equivalent; its upper corner is the tightest such setting).
   Expected<RegionInfo, QueryError> RecommendRegion(
       WindowId w, const ParameterSetting& setting) const;
 

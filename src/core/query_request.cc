@@ -525,42 +525,4 @@ Expected<QueryResult, QueryError> ExecuteQuery(
   return QueryError{QueryError::Code::kBadWindow, "unknown query kind"};
 }
 
-std::vector<Expected<QueryResult, QueryError>> ExecuteQueryBatch(
-    const KnowledgeBaseSnapshot& snapshot,
-    std::span<const QueryRequest> requests, ThreadPool* pool) {
-  // Dedup by canonical bytes: each unique request executes exactly once.
-  std::unordered_map<std::string, size_t> unique_index;
-  std::vector<const QueryRequest*> unique_requests;
-  std::vector<size_t> request_to_unique(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const auto [it, inserted] = unique_index.try_emplace(
-        EncodeQueryRequest(requests[i]), unique_requests.size());
-    if (inserted) unique_requests.push_back(&requests[i]);
-    request_to_unique[i] = it->second;
-  }
-
-  std::vector<std::optional<Expected<QueryResult, QueryError>>> unique_results(
-      unique_requests.size());
-  if (pool != nullptr && unique_requests.size() > 1) {
-    pool->ParallelFor(unique_requests.size(),
-                      [&](size_t, size_t begin, size_t end) {
-                        for (size_t u = begin; u < end; ++u) {
-                          unique_results[u] =
-                              ExecuteQuery(snapshot, *unique_requests[u]);
-                        }
-                      });
-  } else {
-    for (size_t u = 0; u < unique_requests.size(); ++u) {
-      unique_results[u] = ExecuteQuery(snapshot, *unique_requests[u]);
-    }
-  }
-
-  std::vector<Expected<QueryResult, QueryError>> results;
-  results.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    results.push_back(*unique_results[request_to_unique[i]]);
-  }
-  return results;
-}
-
 }  // namespace tara

@@ -2,7 +2,6 @@
 #define TARA_CORE_QUERY_REQUEST_H_
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -10,20 +9,20 @@
 #include <vector>
 
 #include "common/expected.h"
-#include "common/thread_pool.h"
 #include "core/kb_snapshot.h"
 #include "core/query_error.h"
 #include "core/query_kind.h"
 
 namespace tara {
 
-/// A self-contained description of one online query — the unit of the
-/// batch API and the query cache. Unlike the typed entrypoints (whose
-/// WindowSet arguments are validated at construction and abort on bad
-/// ids), a QueryRequest carries raw window ids and is validated entirely
-/// at execution time with QueryError results, so requests may be parsed
-/// from untrusted batch scripts or network payloads and replayed against
-/// any engine generation.
+/// A self-contained description of one online query — the argument of
+/// TaraEngine::Execute / ExecuteBatch, the unit of the wire protocol and
+/// the key of the query cache. Unlike the typed KnowledgeBaseSnapshot
+/// methods (whose WindowSet arguments are validated at construction and
+/// abort on bad ids), a QueryRequest carries raw window ids and is
+/// validated entirely at execution time with QueryError results, so
+/// requests may be parsed from untrusted batch scripts or network
+/// payloads and replayed against any engine generation.
 ///
 /// Only the fields of the request's kind are meaningful; the factories
 /// below set exactly those. Window ids and items are canonicalized
@@ -87,21 +86,13 @@ std::string EncodeQueryResult(QueryKind kind, const QueryResult& result);
 std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
                                              std::string_view bytes);
 
-/// Executes `request` against one pinned snapshot. All validation errors
-/// come back as QueryError values — including out-of-range window ids,
-/// which the typed WindowSet-based entrypoints would refuse at set
-/// construction time.
+/// Executes `request` against one pinned snapshot, uninstrumented and
+/// uncached — the core TaraEngine::Execute / ExecuteBatch wrap. All
+/// validation errors come back as QueryError values — including
+/// out-of-range window ids, which the WindowSet-based snapshot methods
+/// would refuse at set construction time.
 Expected<QueryResult, QueryError> ExecuteQuery(
     const KnowledgeBaseSnapshot& snapshot, const QueryRequest& request);
-
-/// Executes a batch against one snapshot: identical requests (by
-/// canonical bytes) are executed once and their result copied to every
-/// occurrence, and distinct requests fan out across `pool` when one is
-/// given (nullptr = sequential). Results are positionally aligned with
-/// `requests`. This is the uncached core of TaraEngine::ExecuteBatch.
-std::vector<Expected<QueryResult, QueryError>> ExecuteQueryBatch(
-    const KnowledgeBaseSnapshot& snapshot,
-    std::span<const QueryRequest> requests, ThreadPool* pool = nullptr);
 
 }  // namespace tara
 

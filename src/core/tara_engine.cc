@@ -203,16 +203,6 @@ std::optional<QueryError> TaraEngine::EnsureWindows(uint64_t required) const {
   return std::nullopt;
 }
 
-std::optional<QueryError> TaraEngine::EnsureRule(RuleId rule) const {
-  if (lazy_ == nullptr || lazy_->done.load(std::memory_order_acquire)) {
-    return std::nullopt;
-  }
-  const std::optional<WindowId> w = lazy_->kb->FirstWindowWithRule(rule);
-  return EnsureWindows(w.has_value()
-                           ? static_cast<uint64_t>(*w) + 1
-                           : lazy_->kb->window_count());
-}
-
 std::optional<QueryError> TaraEngine::EnsureForRequest(
     const QueryRequest& request) const {
   if (lazy_ == nullptr || lazy_->done.load(std::memory_order_acquire)) {
@@ -243,10 +233,18 @@ std::optional<QueryError> TaraEngine::EnsureForRequest(
       required = windows_max();
       break;
     case QueryKind::kMeasures:
-    case QueryKind::kRollUpRule:
-      if (auto gate = EnsureRule(request.rule)) return gate;
-      required = windows_max();
+    case QueryKind::kRollUpRule: {
+      // Through the window that interned the rule — everything when the
+      // manifest never heard of it, so the rejection matches an eager
+      // engine's byte for byte.
+      const std::optional<WindowId> first =
+          lazy_->kb->FirstWindowWithRule(request.rule);
+      const uint64_t rule_prefix = first.has_value()
+                                       ? static_cast<uint64_t>(*first) + 1
+                                       : lazy_->kb->window_count();
+      required = std::max(rule_prefix, windows_max());
       break;
+    }
   }
   return EnsureWindows(required);
 }
@@ -297,117 +295,11 @@ Expected<WalReplayStats, LoadError> TaraEngine::AttachWal(
   return builder_->AttachWal(dir);
 }
 
-Expected<std::vector<RuleId>, QueryError> TaraEngine::MineWindow(
-    WindowId w, const ParameterSetting& setting) const {
-  obs::QuerySpan span = Span(QueryKind::kMineWindow);
-  if (auto gate = EnsureWindows(static_cast<uint64_t>(w) + 1)) {
-    return Gated<std::vector<RuleId>>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->MineWindow(w, setting));
-}
-
-Expected<std::vector<RuleId>, QueryError> TaraEngine::MineWindows(
-    const WindowSet& windows, const ParameterSetting& setting,
-    MatchMode mode) const {
-  obs::QuerySpan span = Span(QueryKind::kMineWindows);
-  if (auto gate = EnsureWindows(windows.required_window_count())) {
-    return Gated<std::vector<RuleId>>(&span, *std::move(gate));
-  }
-  return Finish(&span,
-                builder_->snapshot()->MineWindows(windows, setting, mode));
-}
-
-Expected<TaraEngine::TrajectoryQueryResult, QueryError>
-TaraEngine::TrajectoryQuery(WindowId anchor, const ParameterSetting& setting,
-                            const WindowSet& horizon) const {
-  obs::QuerySpan span = Span(QueryKind::kTrajectory);
-  if (auto gate = EnsureWindows(
-          std::max(static_cast<uint64_t>(anchor) + 1,
-                   static_cast<uint64_t>(horizon.required_window_count())))) {
-    return Gated<TrajectoryQueryResult>(&span, *std::move(gate));
-  }
-  return Finish(&span,
-                builder_->snapshot()->TrajectoryQuery(anchor, setting,
-                                                      horizon));
-}
-
-Expected<TaraEngine::RulesetDiff, QueryError> TaraEngine::CompareSettings(
-    const ParameterSetting& first, const ParameterSetting& second,
-    const WindowSet& windows, MatchMode mode) const {
-  obs::QuerySpan span = Span(QueryKind::kCompare);
-  if (auto gate = EnsureWindows(windows.required_window_count())) {
-    return Gated<RulesetDiff>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->CompareSettings(first, second,
-                                                             windows, mode));
-}
-
-Expected<RegionInfo, QueryError> TaraEngine::RecommendRegion(
-    WindowId w, const ParameterSetting& setting) const {
-  obs::QuerySpan span = Span(QueryKind::kRegion);
-  if (auto gate = EnsureWindows(static_cast<uint64_t>(w) + 1)) {
-    return Gated<RegionInfo>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->RecommendRegion(w, setting));
-}
-
-Expected<TrajectoryMeasures, QueryError> TaraEngine::RuleMeasures(
-    RuleId rule, const WindowSet& windows) const {
-  obs::QuerySpan span = Span(QueryKind::kMeasures);
-  if (auto gate = EnsureRule(rule)) {
-    return Gated<TrajectoryMeasures>(&span, *std::move(gate));
-  }
-  if (auto gate = EnsureWindows(windows.required_window_count())) {
-    return Gated<TrajectoryMeasures>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->RuleMeasures(rule, windows));
-}
-
-Expected<std::vector<RuleId>, QueryError> TaraEngine::ContentQuery(
-    WindowId w, const Itemset& items, const ParameterSetting& setting) const {
-  obs::QuerySpan span = Span(QueryKind::kContent);
-  if (auto gate = EnsureWindows(static_cast<uint64_t>(w) + 1)) {
-    return Gated<std::vector<RuleId>>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->ContentQuery(w, items, setting));
-}
-
-Expected<std::unordered_map<ItemId, std::vector<RuleId>>, QueryError>
-TaraEngine::ContentView(WindowId w, const ParameterSetting& setting) const {
-  obs::QuerySpan span = Span(QueryKind::kContentView);
-  if (auto gate = EnsureWindows(static_cast<uint64_t>(w) + 1)) {
-    return Gated<std::unordered_map<ItemId, std::vector<RuleId>>>(
-        &span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->ContentView(w, setting));
-}
-
-Expected<RollUpBound, QueryError> TaraEngine::RollUpRule(
-    RuleId rule, const WindowSet& windows) const {
-  obs::QuerySpan span = Span(QueryKind::kRollUpRule);
-  if (auto gate = EnsureRule(rule)) {
-    return Gated<RollUpBound>(&span, *std::move(gate));
-  }
-  if (auto gate = EnsureWindows(windows.required_window_count())) {
-    return Gated<RollUpBound>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->RollUpRule(rule, windows));
-}
-
-Expected<TaraEngine::RolledUpRules, QueryError> TaraEngine::MineRolledUp(
-    const WindowSet& windows, const ParameterSetting& setting) const {
-  obs::QuerySpan span = Span(QueryKind::kRollUpMine);
-  if (auto gate = EnsureWindows(windows.required_window_count())) {
-    return Gated<RolledUpRules>(&span, *std::move(gate));
-  }
-  return Finish(&span, builder_->snapshot()->MineRolledUp(windows, setting));
-}
-
 Expected<QueryResult, QueryError> TaraEngine::Execute(
     const QueryRequest& request) const {
-  obs::QuerySpan span = Span(request.kind);
+  obs::QuerySpan span(metrics_.latency[static_cast<int>(request.kind)]);
   if (auto gate = EnsureForRequest(request)) {
-    return Gated<QueryResult>(&span, *std::move(gate));
+    return Finish(&span, *std::move(gate));
   }
   const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
       builder_->snapshot();
@@ -434,61 +326,38 @@ Expected<QueryResult, QueryError> TaraEngine::Execute(
 std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
     std::span<const QueryRequest> requests) const {
   // Gate every request BEFORE pinning the snapshot or fanning out: pool
-  // workers must never materialize (they would need the lazy mutex).
+  // workers must never materialize (they would need the lazy mutex). A
+  // request whose gate fails (corrupt storage) is answered with that
+  // error; the rest run as usual.
+  std::vector<std::optional<QueryError>> gates;
   if (lazy_ != nullptr && !lazy_->done.load(std::memory_order_acquire)) {
-    bool any_gate_failed = false;
-    std::vector<std::optional<QueryError>> gates(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      gates[i] = EnsureForRequest(requests[i]);
-      any_gate_failed = any_gate_failed || gates[i].has_value();
-    }
-    if (any_gate_failed) {
-      // Corruption path: serve what still materializes, reject the rest.
-      // Throughput is irrelevant here — fall back to per-request calls.
-      std::vector<Expected<QueryResult, QueryError>> results;
-      results.reserve(requests.size());
-      for (size_t i = 0; i < requests.size(); ++i) {
-        if (gates[i].has_value()) {
-          if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
-          results.push_back(*std::move(gates[i]));
-        } else {
-          results.push_back(Execute(requests[i]));
-        }
-      }
-      return results;
+    gates.reserve(requests.size());
+    for (const QueryRequest& request : requests) {
+      gates.push_back(EnsureForRequest(request));
     }
   }
+  const auto gated = [&gates](size_t i) {
+    return !gates.empty() && gates[i].has_value();
+  };
 
   // One snapshot for the whole batch: every request — hit or miss — is
-  // answered from the same generation.
+  // answered from the same generation. Dedup by canonical request bytes,
+  // probe the cache (when one exists) once per distinct request, and
+  // execute only the misses (in parallel when a pool exists).
   const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
       builder_->snapshot();
-  if (cache_ == nullptr) {
-    auto results = ExecuteQueryBatch(*snapshot, requests, query_pool_.get());
-    for (const auto& result : results) {
-      if (result.has_value()) {
-        if (metrics_.ok != nullptr) metrics_.ok->Increment();
-      } else {
-        if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
-      }
-    }
-    return results;
-  }
-
-  // Dedup by canonical request bytes, then partition into cache hits and
-  // misses; only the misses execute (in parallel when a pool exists).
   const uint64_t generation = snapshot->generation();
   std::unordered_map<std::string, size_t> unique_index;
   std::vector<const QueryRequest*> unique_requests;
-  std::vector<std::string> unique_keys;
+  std::vector<const std::string*> unique_keys;
   std::vector<size_t> request_to_unique(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    std::string key = EncodeQueryRequest(requests[i]);
-    const auto [it, inserted] =
-        unique_index.try_emplace(std::move(key), unique_requests.size());
+    if (gated(i)) continue;
+    const auto [it, inserted] = unique_index.try_emplace(
+        EncodeQueryRequest(requests[i]), unique_requests.size());
     if (inserted) {
       unique_requests.push_back(&requests[i]);
-      unique_keys.push_back(it->first);
+      unique_keys.push_back(&it->first);  // node keys never move
     }
     request_to_unique[i] = it->second;
   }
@@ -498,13 +367,15 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
   std::vector<size_t> miss_indexes;
   for (size_t u = 0; u < unique_requests.size(); ++u) {
     const QueryKind kind = unique_requests[u]->kind;
-    if (std::optional<std::string> hit =
-            cache_->Get(generation, kind, unique_keys[u])) {
-      if (std::optional<QueryResult> decoded =
-              DecodeQueryResult(kind, *hit)) {
-        unique_results[u] = Expected<QueryResult, QueryError>(
-            *std::move(decoded));
-        continue;
+    if (cache_ != nullptr) {
+      if (std::optional<std::string> hit =
+              cache_->Get(generation, kind, *unique_keys[u])) {
+        if (std::optional<QueryResult> decoded =
+                DecodeQueryResult(kind, *hit)) {
+          unique_results[u] = Expected<QueryResult, QueryError>(
+              *std::move(decoded));
+          continue;
+        }
       }
     }
     miss_indexes.push_back(u);
@@ -514,8 +385,8 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
     const QueryRequest& request = *unique_requests[u];
     Expected<QueryResult, QueryError> result =
         ExecuteQuery(*snapshot, request);
-    if (result.has_value()) {
-      cache_->Put(generation, request.kind, unique_keys[u],
+    if (cache_ != nullptr && result.has_value()) {
+      cache_->Put(generation, request.kind, *unique_keys[u],
                   EncodeQueryResult(request.kind, result.value()));
     }
     unique_results[u] = std::move(result);
@@ -531,16 +402,16 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
     for (const size_t u : miss_indexes) execute_miss(u);
   }
 
+  // Counted per batch position, so a duplicated request counts each time.
   std::vector<Expected<QueryResult, QueryError>> results;
   results.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    const auto& result = *unique_results[request_to_unique[i]];
-    if (result.has_value()) {
-      if (metrics_.ok != nullptr) metrics_.ok->Increment();
+    if (gated(i)) {
+      results.push_back(*std::move(gates[i]));
     } else {
-      if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
+      results.push_back(*unique_results[request_to_unique[i]]);
     }
-    results.push_back(result);
+    Count(results.back());
   }
   return results;
 }

@@ -8,7 +8,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/expected.h"
@@ -21,8 +20,6 @@
 #include "core/rule_catalog.h"
 #include "core/stable_region_index.h"
 #include "core/tar_archive.h"
-#include "core/trajectory.h"
-#include "core/window_set.h"
 #include "obs/metrics.h"
 #include "obs/query_span.h"
 #include "txdb/evolving_database.h"
@@ -42,13 +39,14 @@ class MappedKb;
 ///   EPS slice, and publishes every new generation of the knowledge base
 ///   with one atomic pointer swap;
 /// - immutable **KnowledgeBaseSnapshot** values (the read side) that all
-///   query code runs against. Every query method pins the current
-///   generation for its duration; Snapshot() hands the same pin to
-///   callers that want several queries answered from one consistent view.
+///   query code runs against. Execute pins the current generation for its
+///   duration; Snapshot() hands the same pin to callers that want several
+///   typed queries answered from one consistent view.
 ///
-/// The facade's own contribution is the observability layer (per-kind
-/// latency spans, ok/rejected counters) and API stability: its public
-/// surface predates the split and is preserved verbatim.
+/// The facade adds the one query entry point, Execute(QueryRequest) /
+/// ExecuteBatch: the only path that records query metrics, consults the
+/// query cache and lazily materializes a mapped knowledge base. For typed,
+/// uninstrumented results, pin Snapshot() and call its query methods.
 ///
 /// ## Error contract
 ///
@@ -58,9 +56,10 @@ class MappedKb;
 /// reported as a QueryError value, never an abort, so one bad client
 /// request cannot take down a serving process. CHECK aborts remain for
 /// internal invariants and construction-time contracts (an out-of-range
-/// id passed to MakeWindowSet is the caller's bug, caught at
-/// construction). One-shot tools may call .value(), which aborts with the
-/// error message on misuse.
+/// id passed to KnowledgeBaseSnapshot::MakeWindowSet is the caller's bug,
+/// caught at construction; a QueryRequest's raw ids are validated at
+/// execution instead). One-shot tools may call .value(), which aborts
+/// with the error message on misuse.
 ///
 /// ## Observability
 ///
@@ -88,15 +87,14 @@ class MappedKb;
 ///   stage, so RuleIds and the serialized knowledge base are
 ///   byte-identical to a sequential build, on the bulk and the live path
 ///   alike.
-/// - **Queries**: every const method (MineWindow(s), TrajectoryQuery,
-///   CompareSettings, RecommendRegion, RuleMeasures, ContentQuery,
-///   ContentView, RollUpRule, MineRolledUp) is safe for any number of
-///   concurrent callers **at any time — including while ingestion is
-///   running**. Each call pins the generation current at its start and
-///   answers entirely from that immutable snapshot; a window committed
-///   mid-query becomes visible to the *next* call. This is enforced by
-///   the live-ingestion stress test (tests/test_live_ingestion.cc) run
-///   under ThreadSanitizer.
+/// - **Queries** (Execute, ExecuteBatch, and every query method of a
+///   pinned Snapshot()) are safe for any number of concurrent callers
+///   **at any time — including while ingestion is running**. Each call
+///   pins the generation current at its start and answers entirely from
+///   that immutable snapshot; a window committed mid-query becomes
+///   visible to the *next* call. This is enforced by the live-ingestion
+///   stress test (tests/test_live_ingestion.cc) run under
+///   ThreadSanitizer.
 /// - **Accessors** (catalog(), archive(), window_index(),
 ///   window_entries(), build_stats()): quiescent views of the builder's
 ///   working state for offline tooling. They are NOT synchronized with a
@@ -107,9 +105,6 @@ class TaraEngine {
   using Options = KbOptions;
   using WindowBuildStats = tara::WindowBuildStats;
   using PrecomputedRule = tara::PrecomputedRule;
-  using TrajectoryQueryResult = tara::TrajectoryQueryResult;
-  using RulesetDiff = tara::RulesetDiff;
-  using RolledUpRules = tara::RolledUpRules;
 
   explicit TaraEngine(const Options& options);
   ~TaraEngine();
@@ -234,91 +229,12 @@ class TaraEngine {
     return builder_->snapshot()->window_count();
   }
 
-  /// --- WindowSet construction --------------------------------------------
-
-  /// A validated WindowSet over this engine's windows. Aborts if any id is
-  /// out of range.
-  WindowSet MakeWindowSet(std::vector<WindowId> ids) const {
-    return WindowSet(std::move(ids), window_count());
-  }
-
-  /// Every window of the engine, oldest first.
-  WindowSet AllWindows() const { return WindowSet::All(window_count()); }
-
-  /// The newest `count` windows (fewer if the engine has fewer).
-  WindowSet RecentWindows(uint32_t count) const {
-    const uint32_t n = window_count();
-    return WindowSet::Range(count >= n ? 0 : n - count, n, n);
-  }
-
-  /// --- Online operations -------------------------------------------------
-  /// All of these validate the request and return a QueryError (never
-  /// abort) on invalid thresholds, window ids, empty window sets, or
-  /// unknown rules — see the class-level error contract. Each pins the
-  /// current snapshot for its duration.
-
-  /// Rules valid in window `w` under `setting`.
-  Expected<std::vector<RuleId>, QueryError> MineWindow(
-      WindowId w, const ParameterSetting& setting) const;
-
-  /// Rules valid across `windows` under `setting`, combined per `mode`.
-  /// Output is sorted by RuleId.
-  Expected<std::vector<RuleId>, QueryError> MineWindows(
-      const WindowSet& windows, const ParameterSetting& setting,
-      MatchMode mode) const;
-
-  /// Q1: rules matching `setting` in `anchor`, each with its trajectory
-  /// over `horizon` (oldest window first).
-  Expected<TrajectoryQueryResult, QueryError> TrajectoryQuery(
-      WindowId anchor, const ParameterSetting& setting,
-      const WindowSet& horizon) const;
-
-  /// Q2: symmetric difference of the rulesets of two settings over the same
-  /// windows. Outputs sorted by RuleId.
-  Expected<RulesetDiff, QueryError> CompareSettings(
-      const ParameterSetting& first, const ParameterSetting& second,
-      const WindowSet& windows, MatchMode mode) const;
-
-  /// Q3: the time-aware stable region of `setting` in window `w` — the
-  /// parameter recommendation primitive (any setting inside the region is
-  /// equivalent; the region's upper corner is the tightest setting with the
-  /// same result).
-  Expected<RegionInfo, QueryError> RecommendRegion(
-      WindowId w, const ParameterSetting& setting) const;
-
-  /// Q4: evolving-behavior measures of a rule over `windows`.
-  Expected<TrajectoryMeasures, QueryError> RuleMeasures(
-      RuleId rule, const WindowSet& windows) const;
-
-  /// Q5: rules valid under `setting` in window `w` containing all of
-  /// `items`. Requires Options::build_content_index.
-  Expected<std::vector<RuleId>, QueryError> ContentQuery(
-      WindowId w, const Itemset& items,
-      const ParameterSetting& setting) const;
-
-  /// Builds the merged item→rules view of a window's result set — the
-  /// region-index merge the TARA-S variant performs during Q1 (its extra
-  /// online cost in Figures 7-8).
-  Expected<std::unordered_map<ItemId, std::vector<RuleId>>, QueryError>
-  ContentView(WindowId w, const ParameterSetting& setting) const;
-
-  /// Roll-up: interval measures of `rule` over the union of `windows`.
-  Expected<RollUpBound, QueryError> RollUpRule(
-      RuleId rule, const WindowSet& windows) const;
-
-  /// Roll-up mining: rules valid over the union of `windows` under
-  /// `setting`, split into certain and possible per the interval bounds.
-  Expected<RolledUpRules, QueryError> MineRolledUp(
-      const WindowSet& windows, const ParameterSetting& setting) const;
-
-  /// --- Uniform execution, batching, and the query cache -------------------
-  /// Execute/ExecuteBatch are the serving fast path: the only entrypoints
-  /// that consult the generation-pinned query cache (see query_cache.h).
-  /// With Options::query_cache_bytes == 0 they behave exactly like the
-  /// typed methods above (same validation, same QueryError codes) — the
-  /// differential harness in tests/test_query_cache.cc enforces that the
-  /// cached, batched, and uncached paths return byte-identical serialized
-  /// results at every generation.
+  /// --- Online operations: the one query entry point ----------------------
+  /// Execute/ExecuteBatch return a QueryError (never abort) on invalid
+  /// thresholds, window ids, window sets or rules, record query metrics,
+  /// consult the query cache (query_cache.h), and materialize the window
+  /// prefix a request needs on a mapped engine. Cached, batched and
+  /// uncached answers are byte-identical (tests/test_query_cache.cc).
 
   /// Executes one request against the current generation, answering from
   /// the cache when enabled. Safe for any number of concurrent callers,
@@ -388,29 +304,21 @@ class TaraEngine {
     obs::Counter* rejected = nullptr;
   };
 
+  /// Bumps `ok` or `rejected` for one answered request.
+  void Count(const Expected<QueryResult, QueryError>& result) const {
+    obs::Counter* counter =
+        result.has_value() ? metrics_.ok : metrics_.rejected;
+    if (counter != nullptr) counter->Increment();
+  }
+
   /// Books the span/counters for a finished query: cancels the latency
-  /// span and bumps `rejected` on an error, bumps `ok` otherwise, and
-  /// forwards the result unchanged.
-  template <typename T>
-  Expected<T, QueryError> Finish(obs::QuerySpan* span,
-                                 Expected<T, QueryError> result) const {
-    if (result.has_value()) {
-      if (metrics_.ok != nullptr) metrics_.ok->Increment();
-    } else {
-      span->Cancel();
-      if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
-    }
+  /// span on an error, counts the outcome, and forwards the result
+  /// unchanged.
+  Expected<QueryResult, QueryError> Finish(
+      obs::QuerySpan* span, Expected<QueryResult, QueryError> result) const {
+    if (!result.has_value()) span->Cancel();
+    Count(result);
     return result;
-  }
-
-  obs::QuerySpan Span(QueryKind kind) const {
-    return obs::QuerySpan(metrics_.latency[static_cast<int>(kind)]);
-  }
-
-  /// Books a lazy-materialization failure as a rejected query.
-  template <typename T>
-  Expected<T, QueryError> Gated(obs::QuerySpan* span, QueryError error) const {
-    return Finish(span, Expected<T, QueryError>(std::move(error)));
   }
 
   /// Registers query instruments in options.metrics (no-op when null).
@@ -426,11 +334,8 @@ class TaraEngine {
   /// Materializes windows so the snapshot holds at least
   /// min(required, total) of them. Sticky-fails with kCorruptStorage.
   std::optional<QueryError> EnsureWindows(uint64_t required) const;
-  /// Materializes through the window that interned `rule` (everything,
-  /// when the manifest never heard of it, so the rejection matches an
-  /// eager engine's byte for byte).
-  std::optional<QueryError> EnsureRule(RuleId rule) const;
-  /// The kind-aware gate Execute/ExecuteBatch use.
+  /// The kind-aware gate Execute/ExecuteBatch use — the one place that
+  /// decides which window prefix each query kind needs.
   std::optional<QueryError> EnsureForRequest(const QueryRequest& request) const;
   /// MaterializeAll for callers with no error channel (Snapshot, appends,
   /// quiescent accessors); aborts on corrupt storage.

@@ -17,8 +17,8 @@ namespace tara {
 /// call. The ids are always in ascending (chronological) order; trajectory
 /// points therefore come out oldest-first.
 ///
-/// Prefer building one through TaraEngine::MakeWindowSet / AllWindows,
-/// which supply the engine's window count as the bound.
+/// Prefer building one through KnowledgeBaseSnapshot::MakeWindowSet /
+/// AllWindows, which supply the snapshot's window count as the bound.
 class WindowSet {
  public:
   /// The empty set.

@@ -147,7 +147,8 @@ TEST(ParasBaselineTest, RegionQueryOnIndexedWindowMatchesTara) {
 
   const ParameterSetting setting{0.04, 0.4};
   const RegionInfo from_paras = paras.RecommendRegion(setting);
-  const RegionInfo from_tara = engine.RecommendRegion(2, setting).value();
+  const RegionInfo from_tara =
+      engine.Snapshot()->RecommendRegion(2, setting).value();
   EXPECT_DOUBLE_EQ(from_paras.support_lower, from_tara.support_lower);
   EXPECT_DOUBLE_EQ(from_paras.support_upper, from_tara.support_upper);
   EXPECT_EQ(from_paras.result_size, from_tara.result_size);
@@ -174,7 +175,7 @@ TEST(BaselineAgreementTest, AllFourSystemsProduceTheSameRulesets) {
   EXPECT_EQ(ToSet(hmine.MineWindow(w, setting)), truth);
   EXPECT_EQ(ToSet(paras.MineWindow(w, setting)), truth);
   RuleSet tara_set;
-  for (RuleId id : engine.MineWindow(w, setting).value()) {
+  for (RuleId id : engine.Snapshot()->MineWindow(w, setting).value()) {
     const Rule& r = engine.catalog().rule(id);
     tara_set.emplace(r.antecedent, r.consequent);
   }

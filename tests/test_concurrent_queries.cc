@@ -1,18 +1,21 @@
 // Multi-threaded stress test of the online query path: N threads hammer
-// Q1-Q5 and the roll-up operations against one finished engine, and every
-// answer must equal the single-threaded baseline computed up front. Run
-// under ThreadSanitizer (tools/run_tsan.sh) this also proves the const
-// query path performs no hidden mutation — including metric recording,
-// which the fixture leaves ENABLED so the relaxed-atomic instrument
-// writes are exercised under the race detector.
+// Q1-Q5 and the roll-up operations through TaraEngine::Execute against one
+// finished engine, and every answer must equal the single-threaded
+// baseline computed up front. Run under ThreadSanitizer
+// (tools/run_tsan.sh) this also proves the const query path performs no
+// hidden mutation — including metric recording, which the fixture leaves
+// ENABLED so the relaxed-atomic instrument writes are exercised under the
+// race detector.
 
 #include <atomic>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/exploration.h"
+#include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "obs/metrics.h"
@@ -20,6 +23,13 @@
 
 namespace tara {
 namespace {
+
+/// Executes `request` and unwraps its typed result (aborting on a
+/// rejection, like .value() on any query result).
+template <typename T>
+T Answer(const TaraEngine& engine, const QueryRequest& request) {
+  return std::get<T>(engine.Execute(request).value());
+}
 
 class ConcurrentQueriesTest : public ::testing::Test {
  protected:
@@ -35,7 +45,7 @@ class ConcurrentQueriesTest : public ::testing::Test {
       data.AppendBatch(gen.GenerateBatch(w, w * 1000).transactions());
     }
     engine_.BuildAll(data);
-    all_ = engine_.AllWindows();
+    all_ = WindowSet::All(engine_.window_count());
   }
 
   static TaraEngine::Options MakeOptions(obs::MetricsRegistry* registry) {
@@ -57,39 +67,40 @@ class ConcurrentQueriesTest : public ::testing::Test {
 
 TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
   const WindowId anchor = kWindows - 1;
+  const std::vector<WindowId>& all = all_.ids();
+  const ParameterSetting second{0.02, 0.4};
 
   // Single-threaded baselines, computed before any concurrency starts.
-  const auto base_q1 =
-      engine_.TrajectoryQuery(anchor, setting_, all_).value();
+  const auto base_q1 = Answer<TrajectoryQueryResult>(
+      engine_, QueryRequest::Trajectory(anchor, setting_, all));
   ASSERT_FALSE(base_q1.rules.empty());
-  const ParameterSetting second{0.02, 0.4};
-  const auto base_q2 =
-      engine_.CompareSettings(setting_, second, all_, MatchMode::kExact)
-          .value();
+  const auto base_q2 = Answer<RulesetDiff>(
+      engine_, QueryRequest::Compare(setting_, second, all, MatchMode::kExact));
   const RegionInfo base_q3 =
-      engine_.RecommendRegion(anchor, setting_).value();
+      Answer<RegionInfo>(engine_, QueryRequest::Region(anchor, setting_));
   const RuleId probe_rule = base_q1.rules[0];
-  const TrajectoryMeasures base_q4 =
-      engine_.RuleMeasures(probe_rule, all_).value();
+  const TrajectoryMeasures base_q4 = Answer<TrajectoryMeasures>(
+      engine_, QueryRequest::Measures(probe_rule, all));
   const Itemset probe_items = {
       engine_.catalog().rule(probe_rule).antecedent[0]};
-  const auto base_q5 =
-      engine_.ContentQuery(anchor, probe_items, setting_).value();
-  const RollUpBound base_rollup =
-      engine_.RollUpRule(probe_rule, all_).value();
-  const auto base_mined = engine_.MineRolledUp(all_, setting_).value();
-  const auto base_window = engine_.MineWindow(anchor, setting_).value();
+  const QueryRequest q5 = QueryRequest::Content(anchor, probe_items, setting_);
+  const auto base_q5 = Answer<std::vector<RuleId>>(engine_, q5);
+  const RollUpBound base_rollup = Answer<RollUpBound>(
+      engine_, QueryRequest::RollUpRule(probe_rule, all));
+  const auto base_mined = Answer<RolledUpRules>(
+      engine_, QueryRequest::RollUpMine(all, setting_));
+  const QueryRequest mine_window = QueryRequest::MineWindow(anchor, setting_);
+  const auto base_window = Answer<std::vector<RuleId>>(engine_, mine_window);
   // Multi-window mining in both modes over sparse window sets, so every
   // per-request accumulator runs concurrently with the others.
-  const std::vector<WindowSet> sparse = {
-      engine_.MakeWindowSet({0, 2}), engine_.MakeWindowSet({1, 3}),
-      engine_.MakeWindowSet({0, 3})};
+  const std::vector<std::vector<WindowId>> sparse = {{0, 2}, {1, 3}, {0, 3}};
   constexpr MatchMode kModes[] = {MatchMode::kSingle, MatchMode::kExact};
+  std::vector<QueryRequest> multi;
   std::vector<std::vector<RuleId>> base_multi;
-  for (const WindowSet& windows : sparse) {
+  for (const std::vector<WindowId>& windows : sparse) {
     for (MatchMode mode : kModes) {
-      base_multi.push_back(
-          engine_.MineWindows(windows, setting_, mode).value());
+      multi.push_back(QueryRequest::MineWindows(windows, setting_, mode));
+      base_multi.push_back(Answer<std::vector<RuleId>>(engine_, multi.back()));
     }
   }
   ASSERT_FALSE(base_multi[0].empty());  // kSingle over {0, 2}
@@ -102,38 +113,42 @@ TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
 
   auto worker = [&](size_t tid) {
     for (int i = 0; i < kItersPerThread; ++i) {
-      // Each thread builds its own WindowSet too, exercising the catalog
-      // and window accessors concurrently.
-      const WindowSet mine = engine_.AllWindows();
-      const auto q1 = engine_.TrajectoryQuery(anchor, setting_, mine).value();
+      // Each thread builds its own window list too, exercising the window
+      // accessors concurrently.
+      const std::vector<WindowId> mine =
+          WindowSet::All(engine_.window_count()).ids();
+      const auto q1 = Answer<TrajectoryQueryResult>(
+          engine_, QueryRequest::Trajectory(anchor, setting_, mine));
       if (q1.rules != base_q1.rules) failures.fetch_add(1);
 
-      const auto q2 =
-          engine_.CompareSettings(setting_, second, mine, MatchMode::kExact)
-              .value();
+      const auto q2 = Answer<RulesetDiff>(
+          engine_,
+          QueryRequest::Compare(setting_, second, mine, MatchMode::kExact));
       if (q2.only_first != base_q2.only_first ||
           q2.only_second != base_q2.only_second) {
         failures.fetch_add(1);
       }
 
-      const RegionInfo q3 = engine_.RecommendRegion(anchor, setting_).value();
+      const RegionInfo q3 =
+          Answer<RegionInfo>(engine_, QueryRequest::Region(anchor, setting_));
       if (q3.result_size != base_q3.result_size ||
           q3.support_lower != base_q3.support_lower) {
         failures.fetch_add(1);
       }
 
-      const TrajectoryMeasures q4 =
-          engine_.RuleMeasures(probe_rule, mine).value();
+      const TrajectoryMeasures q4 = Answer<TrajectoryMeasures>(
+          engine_, QueryRequest::Measures(probe_rule, mine));
       if (q4.coverage != base_q4.coverage ||
           q4.mean_support != base_q4.mean_support) {
         failures.fetch_add(1);
       }
 
-      const auto q5 =
-          engine_.ContentQuery(anchor, probe_items, setting_).value();
-      if (q5 != base_q5) failures.fetch_add(1);
+      if (Answer<std::vector<RuleId>>(engine_, q5) != base_q5) {
+        failures.fetch_add(1);
+      }
 
-      const RollUpBound ru = engine_.RollUpRule(probe_rule, mine).value();
+      const RollUpBound ru = Answer<RollUpBound>(
+          engine_, QueryRequest::RollUpRule(probe_rule, mine));
       if (ru.support_lo != base_rollup.support_lo ||
           ru.confidence_hi != base_rollup.confidence_hi) {
         failures.fetch_add(1);
@@ -142,8 +157,8 @@ TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
       // Rejections must also be concurrency-safe: a sub-floor setting
       // comes back as an error value (rejected counter only), never an
       // abort or a race.
-      const auto rejected =
-          engine_.MineWindow(anchor, ParameterSetting{0.0001, 0.3});
+      const auto rejected = engine_.Execute(
+          QueryRequest::MineWindow(anchor, ParameterSetting{0.0001, 0.3}));
       if (rejected.has_value() ||
           rejected.error().code != QueryError::Code::kSupportBelowFloor) {
         failures.fetch_add(1);
@@ -151,20 +166,18 @@ TEST_F(ConcurrentQueriesTest, QueriesMatchSingleThreadedBaselines) {
 
       // Stagger the heavier calls so threads interleave different queries.
       if ((i + tid) % 3 == 0) {
-        const auto mined = engine_.MineRolledUp(mine, setting_).value();
+        const auto mined = Answer<RolledUpRules>(
+            engine_, QueryRequest::RollUpMine(mine, setting_));
         if (mined.certain != base_mined.certain) failures.fetch_add(1);
       }
       if ((i + tid) % 2 == 0) {
-        if (engine_.MineWindow(anchor, setting_).value() != base_window) {
+        if (Answer<std::vector<RuleId>>(engine_, mine_window) != base_window) {
           failures.fetch_add(1);
         }
       }
-      for (size_t s = 0; s < sparse.size(); ++s) {
-        for (size_t m = 0; m < 2; ++m) {
-          if (engine_.MineWindows(sparse[s], setting_, kModes[m]).value() !=
-              base_multi[2 * s + m]) {
-            failures.fetch_add(1);
-          }
+      for (size_t k = 0; k < multi.size(); ++k) {
+        if (Answer<std::vector<RuleId>>(engine_, multi[k]) != base_multi[k]) {
+          failures.fetch_add(1);
         }
       }
     }
@@ -220,7 +233,7 @@ TEST_F(ConcurrentQueriesTest, SnapshotsAreSafeWhileRecordersRun) {
   std::atomic<bool> stop{false};
   std::thread recorder([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)engine_.MineWindow(0, setting_);
+      (void)engine_.Execute(QueryRequest::MineWindow(0, setting_));
     }
   });
   for (int i = 0; i < 50; ++i) {

@@ -81,6 +81,7 @@ TEST_P(EnginePropertyTest, AllQueriesMatchScratchMiningEverywhere) {
   options.max_itemset_size = w.max_size;
   TaraEngine engine(options);
   engine.BuildAll(w.data);
+  const auto kb = engine.Snapshot();
   const DctarBaseline scratch(&w.data, w.max_size);
 
   for (WindowId window = 0; window < w.data.window_count(); ++window) {
@@ -88,7 +89,7 @@ TEST_P(EnginePropertyTest, AllQueriesMatchScratchMiningEverywhere) {
       for (double confidence : {0.1, 0.4, 0.7}) {
         const ParameterSetting setting{support, confidence};
         RuleSet from_index;
-        for (RuleId id : engine.MineWindow(window, setting).value()) {
+        for (RuleId id : kb->MineWindow(window, setting).value()) {
           const Rule& r = engine.catalog().rule(id);
           from_index.emplace(r.antecedent, r.consequent);
         }
@@ -100,7 +101,7 @@ TEST_P(EnginePropertyTest, AllQueriesMatchScratchMiningEverywhere) {
             << w.name << " window=" << window << " supp=" << support
             << " conf=" << confidence;
         // Region result size is consistent with the mining result.
-        EXPECT_EQ(engine.RecommendRegion(window, setting).value().result_size,
+        EXPECT_EQ(kb->RecommendRegion(window, setting).value().result_size,
                   from_index.size());
       }
     }

@@ -40,7 +40,7 @@ class ExplorationFixture : public ::testing::Test {
       }
       engine_.AppendPrecomputedWindow(kWindowSize, rules);
     }
-    horizon_ = engine_.AllWindows();
+    horizon_ = WindowSet::All(engine_.window_count());
   }
 
   RuleId IdOf(size_t rule_index) {

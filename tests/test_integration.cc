@@ -48,7 +48,7 @@ TEST(IntegrationTest, RetailPipelineEndToEnd) {
   const ParameterSetting setting{0.006, 0.3};
   for (WindowId w = 0; w < 4; ++w) {
     std::set<std::pair<Itemset, Itemset>> from_index;
-    for (RuleId id : reloaded.MineWindow(w, setting).value()) {
+    for (RuleId id : reloaded.Snapshot()->MineWindow(w, setting).value()) {
       const Rule& r = reloaded.catalog().rule(id);
       from_index.emplace(r.antecedent, r.consequent);
     }
@@ -62,7 +62,7 @@ TEST(IntegrationTest, RetailPipelineEndToEnd) {
   // The exploration service runs on the reloaded base.
   ExplorationService service(&reloaded);
   const auto stable =
-      service.TopStable(reloaded.AllWindows(), setting, 5).value();
+      service.TopStable(reloaded.Snapshot()->AllWindows(), setting, 5).value();
   EXPECT_FALSE(stable.empty());
   EXPECT_GT(stable[0].measures.coverage, 0.0);
 }
@@ -90,9 +90,11 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
   fine_engine.BuildAll(fine);
   TaraEngine coarse_engine(options);
   coarse_engine.BuildAll(coarse);
+  const auto fine_kb = fine_engine.Snapshot();
 
   const ParameterSetting setting{0.01, 0.3};
-  const auto coarse_rules = coarse_engine.MineWindow(0, setting).value();
+  const auto coarse_rules =
+      coarse_engine.Snapshot()->MineWindow(0, setting).value();
   size_t checked = 0;
   for (RuleId coarse_id : coarse_rules) {
     const Rule& rule = coarse_engine.catalog().rule(coarse_id);
@@ -102,7 +104,7 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
     DecodeArena arena;
     if (fine_engine.archive().DecodeInto(fine_id, arena).size() != 3) continue;
     const RollUpBound bound =
-        fine_engine.RollUpRule(fine_id, fine_engine.AllWindows()).value();
+        fine_kb->RollUpRule(fine_id, fine_kb->AllWindows()).value();
     const auto coarse_entry =
         coarse_engine.archive().EntryFor(coarse_id, 0);
     ASSERT_TRUE(coarse_entry.has_value());
@@ -142,13 +144,14 @@ TEST(IntegrationTest, TaraOverFaersQuartersTracksDdiRules) {
   options.max_itemset_size = 4;
   TaraEngine engine(options);
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   size_t tracked = 0;
   for (const PlantedDdi& ddi : gen.ground_truth()) {
     const RuleId id = engine.catalog().Find(Rule{ddi.drugs, {ddi.adr}});
     if (id == RuleCatalog::kNotFound) continue;
     const TrajectoryMeasures m =
-        engine.RuleMeasures(id, engine.AllWindows()).value();
+        kb->RuleMeasures(id, kb->AllWindows()).value();
     EXPECT_GT(m.mean_confidence, 0.5)
         << "interaction ADR should follow the combo";
     if (m.coverage == 1.0) ++tracked;
@@ -176,8 +179,8 @@ TEST(IntegrationTest, TextRoundTripFeedsTheEngine) {
   b.AppendWindow(reloaded, 0, reloaded.size());
 
   const ParameterSetting setting{0.02, 0.3};
-  EXPECT_EQ(a.MineWindow(0, setting).value().size(),
-            b.MineWindow(0, setting).value().size());
+  EXPECT_EQ(a.Snapshot()->MineWindow(0, setting).value().size(),
+            b.Snapshot()->MineWindow(0, setting).value().size());
   EXPECT_EQ(a.archive().payload_bytes(), b.archive().payload_bytes());
 }
 

@@ -17,7 +17,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,14 +110,17 @@ TEST_F(KbBlocksTest, RoundTripsThroughBothOpenModes) {
   EXPECT_TRUE(fs::exists(dir_ / "blocks.tarakb3"));
   EXPECT_TRUE(KnowledgeBaseBlocksDirExists(dir_.string()));
 
+  const auto original_kb = original.Snapshot();
   for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
     const auto loaded = Open(dir_.string(), mode);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
     EXPECT_EQ(loaded->window_count(), original.window_count());
     const ParameterSetting setting{0.02, 0.3};
     for (WindowId w = 0; w < original.window_count(); ++w) {
-      EXPECT_EQ(loaded->MineWindow(w, setting).value(),
-                original.MineWindow(w, setting).value());
+      EXPECT_EQ(std::get<std::vector<RuleId>>(
+                    loaded->Execute(QueryRequest::MineWindow(w, setting))
+                        .value()),
+                original_kb->MineWindow(w, setting).value());
     }
     // Once every window is materialized the loaded engine streams to the
     // exact bytes of the source engine — blocks hold the same segment
@@ -338,30 +343,89 @@ TEST_F(KbBlocksTest, OpenRefusesMissingAndRetiredDirectories) {
   EXPECT_EQ(KnowledgeBaseToString(*recovered), KnowledgeBaseToString(engine));
 }
 
+// One gate serves every kind: a mapped open decodes nothing, and one
+// Execute of each query kind materializes exactly the window prefix that
+// kind needs — never more.
 TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
-  const TaraEngine original = BuildEngine(MakeData(5));
-  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
-                                       4096)
-                   .has_value());
+  TaraEngine::Options options;
+  options.min_support_floor = kSupportFloor;
+  options.min_confidence_floor = kConfidenceFloor;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;  // so every kind, Q5 too, answers
+  TaraEngine original(options);
+  original.BuildAll(MakeData(5));
+  const auto original_kb = original.Snapshot();
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*original_kb, dir_.string(), 4096).has_value());
+
+  // A rule first interned by window 2, and one by window 0.
+  const RuleId rule_of_2 = original_kb->segment(1).rule_watermark;
+  ASSERT_LT(rule_of_2, original_kb->segment(2).rule_watermark);
+  const RuleId rule_of_0 = 0;
+  const ParameterSetting setting{0.02, 0.3};
+  const ParameterSetting second{0.03, 0.4};
+  const ItemId item = original_kb->catalog().rule(rule_of_0).antecedent[0];
+
+  struct Case {
+    QueryRequest request;
+    uint32_t prefix;  // windows the request needs materialized
+  };
+  const Case cases[] = {
+      // Single-window kinds: through the window.
+      {QueryRequest::MineWindow(1, setting), 2},
+      {QueryRequest::Region(2, setting), 3},
+      {QueryRequest::Content(1, {item}, setting), 2},
+      {QueryRequest::ContentView(3, setting), 4},
+      // Trajectory: through the larger of anchor and horizon.
+      {QueryRequest::Trajectory(1, setting, {0, 3}), 4},
+      {QueryRequest::Trajectory(2, setting, {0, 1}), 3},
+      // Multi-window kinds: through the largest requested window.
+      {QueryRequest::MineWindows({0, 2}, setting, MatchMode::kSingle), 3},
+      {QueryRequest::Compare(setting, second, {1, 2}, MatchMode::kExact), 3},
+      {QueryRequest::RollUpMine({0, 1}, setting), 2},
+      // Rule kinds: through the rule's first window or the largest
+      // requested window, whichever is later.
+      {QueryRequest::Measures(rule_of_2, {0}), 3},
+      {QueryRequest::Measures(rule_of_0, {3}), 4},
+      {QueryRequest::RollUpRule(rule_of_2, {0, 1}), 3},
+      {QueryRequest::RollUpRule(rule_of_0, {1}), 2},
+  };
+  bool kinds_seen[kQueryKindCount] = {};
+  for (const Case& c : cases) {
+    const std::string_view kind = QueryKindName(c.request.kind);
+    kinds_seen[static_cast<int>(c.request.kind)] = true;
+    const auto loaded = Open(dir_.string(), OpenMode::kMapped);
+    ASSERT_TRUE(loaded.has_value()) << loaded.error();
+    // Open itself decoded nothing.
+    EXPECT_EQ(loaded->window_count(), 5u);
+    EXPECT_EQ(loaded->materialized_window_count(), 0u);
+    EXPECT_FALSE(loaded->fully_materialized());
+
+    const auto result = loaded->Execute(c.request);
+    ASSERT_TRUE(result.has_value()) << kind << ": " << result.error();
+    EXPECT_EQ(loaded->materialized_window_count(), c.prefix) << kind;
+    EXPECT_FALSE(loaded->fully_materialized()) << kind;
+    // Same answer as the eagerly built engine.
+    EXPECT_EQ(EncodeQueryResult(c.request.kind, result.value()),
+              EncodeQueryResult(c.request.kind,
+                                ExecuteQuery(*original_kb, c.request).value()))
+        << kind;
+  }
+  for (int k = 0; k < kQueryKindCount; ++k) {
+    EXPECT_TRUE(kinds_seen[k]) << QueryKindName(static_cast<QueryKind>(k));
+  }
+
+  // A later query extends a decoded prefix; touching the last window
+  // completes materialization.
   const auto loaded = Open(dir_.string(), OpenMode::kMapped);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  const TaraEngine& engine = *loaded;
-
-  // Open itself decoded nothing.
-  EXPECT_EQ(engine.window_count(), 5u);
-  EXPECT_EQ(engine.materialized_window_count(), 0u);
-  EXPECT_FALSE(engine.fully_materialized());
-
-  // A query against window 1 pulls in exactly the prefix it needs.
-  const ParameterSetting setting{0.02, 0.3};
-  ASSERT_TRUE(engine.MineWindow(1, setting).has_value());
-  EXPECT_EQ(engine.materialized_window_count(), 2u);
-  EXPECT_FALSE(engine.fully_materialized());
-
-  // Touching the last window completes materialization.
-  ASSERT_TRUE(engine.MineWindow(4, setting).has_value());
-  EXPECT_EQ(engine.materialized_window_count(), 5u);
-  EXPECT_TRUE(engine.fully_materialized());
+  ASSERT_TRUE(
+      loaded->Execute(QueryRequest::MineWindow(1, setting)).has_value());
+  EXPECT_EQ(loaded->materialized_window_count(), 2u);
+  ASSERT_TRUE(
+      loaded->Execute(QueryRequest::MineWindow(4, setting)).has_value());
+  EXPECT_EQ(loaded->materialized_window_count(), 5u);
+  EXPECT_TRUE(loaded->fully_materialized());
 }
 
 TEST_F(KbBlocksTest, FirstWindowWithRuleFollowsTheWatermarks) {
@@ -544,7 +608,10 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
       for (int i = 0; i < 40; ++i) {
         const WindowId w =
             static_cast<WindowId>(rng.NextBounded(engine.window_count()));
-        if (!engine.MineWindow(w, setting).has_value()) failures.fetch_add(1);
+        if (!engine.Execute(QueryRequest::MineWindow(w, setting))
+                 .has_value()) {
+          failures.fetch_add(1);
+        }
       }
     });
   }
@@ -610,15 +677,17 @@ TEST_F(KbBlocksTest, LazyDecodeOfCorruptStorageIsATypedQueryError) {
   const auto loaded = Open(dir_.string(), OpenMode::kMapped);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   const ParameterSetting setting{0.02, 0.3};
-  EXPECT_TRUE(loaded->MineWindow(0, setting).has_value());
+  const QueryRequest first = QueryRequest::MineWindow(0, setting);
+  const QueryRequest last = QueryRequest::MineWindow(3, setting);
+  EXPECT_TRUE(loaded->Execute(first).has_value());
 
-  const auto rejected = loaded->MineWindow(3, setting);
+  const auto rejected = loaded->Execute(last);
   ASSERT_FALSE(rejected.has_value());
   EXPECT_EQ(rejected.error().code, QueryError::Code::kCorruptStorage);
 
   // Sticky: the tail stays unavailable, decoded windows keep serving.
-  EXPECT_FALSE(loaded->MineWindow(3, setting).has_value());
-  EXPECT_TRUE(loaded->MineWindow(0, setting).has_value());
+  EXPECT_FALSE(loaded->Execute(last).has_value());
+  EXPECT_TRUE(loaded->Execute(first).has_value());
   EXPECT_FALSE(loaded->fully_materialized());
 
   // The eager open refuses outright with the load-side error, naming

@@ -17,10 +17,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/query_request.h"
 #include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
@@ -94,7 +96,9 @@ TEST(LiveIngestionTest, PinnedSnapshotIsImmuneToLaterAppends) {
   // The engine's current view does see everything.
   EXPECT_EQ(engine.window_count(), kWindows);
   EXPECT_EQ(engine.generation(), kWindows);
-  EXPECT_TRUE(engine.MineWindow(kWindows - 1, setting).has_value());
+  EXPECT_TRUE(
+      engine.Execute(QueryRequest::MineWindow(kWindows - 1, setting))
+          .has_value());
 }
 
 TEST(LiveIngestionTest, LiveAppendsSerializeIdenticallyToBuildAll) {
@@ -140,6 +144,7 @@ TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
   // shared, never rebuilt).
   TaraEngine reference(MakeOptions());
   reference.BuildAll(data);
+  const auto reference_kb = reference.Snapshot();
   const ParameterSetting setting{0.01, 0.3};
   const ParameterSetting tighter{0.02, 0.4};
 
@@ -148,19 +153,18 @@ TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
   std::vector<RegionInfo> region_base(kWindows + 1);
   std::vector<RollUpBound> rollup_base(kWindows + 1);
   std::vector<std::vector<RuleId>> content_base(kWindows + 1);
-  const RuleId probe =
-      reference.MineWindow(0, setting).value().at(0);
+  const RuleId probe = reference_kb->MineWindow(0, setting).value().at(0);
   const Itemset probe_items = {
       reference.catalog().rule(probe).antecedent[0]};
   for (uint32_t k = 1; k <= kWindows; ++k) {
     std::vector<WindowId> ids(k);
     for (uint32_t w = 0; w < k; ++w) ids[w] = w;
-    const WindowSet windows = reference.MakeWindowSet(ids);
-    mine_base[k] = reference.MineWindow(k - 1, setting).value();
-    region_base[k] = reference.RecommendRegion(k - 1, setting).value();
-    rollup_base[k] = reference.RollUpRule(probe, windows).value();
+    const WindowSet windows = reference_kb->MakeWindowSet(ids);
+    mine_base[k] = reference_kb->MineWindow(k - 1, setting).value();
+    region_base[k] = reference_kb->RecommendRegion(k - 1, setting).value();
+    rollup_base[k] = reference_kb->RollUpRule(probe, windows).value();
     content_base[k] =
-        reference.ContentQuery(k - 1, probe_items, setting).value();
+        reference_kb->ContentQuery(k - 1, probe_items, setting).value();
   }
 
   obs::MetricsRegistry registry;
@@ -216,17 +220,17 @@ TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
         ok &= q5 == content_base[k];
         if (!ok) failures.fetch_add(1);
         observations.fetch_add(1);
-        // Round-robin a facade-level query too: it pins its own
+        // Round-robin a query through Execute too: it pins its own
         // (possibly newer) snapshot and exercises the metric spans.
         switch (r % 3) {
           case 0:
-            (void)engine.MineWindow(0, setting);
+            (void)engine.Execute(QueryRequest::MineWindow(0, setting));
             break;
           case 1:
-            (void)engine.RecommendRegion(0, setting);
+            (void)engine.Execute(QueryRequest::Region(0, setting));
             break;
           default:
-            (void)engine.RuleMeasures(probe, all);
+            (void)engine.Execute(QueryRequest::Measures(probe, all.ids()));
             break;
         }
       }
@@ -242,7 +246,9 @@ TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
   EXPECT_EQ(engine.window_count(), kWindows);
   EXPECT_EQ(engine.generation(), kWindows);
   // Final state answers exactly like the reference.
-  EXPECT_EQ(engine.MineWindow(kWindows - 1, setting).value(),
+  EXPECT_EQ(std::get<std::vector<RuleId>>(
+                engine.Execute(QueryRequest::MineWindow(kWindows - 1, setting))
+                    .value()),
             mine_base[kWindows]);
   EXPECT_EQ(KnowledgeBaseToString(engine),
             KnowledgeBaseToString(reference));

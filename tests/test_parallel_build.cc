@@ -75,17 +75,21 @@ TEST(ParallelBuildTest, ParallelEngineAnswersMatchSequential) {
   parallel.BuildAll(data);
 
   ASSERT_EQ(parallel.window_count(), sequential.window_count());
+  const auto parallel_kb = parallel.Snapshot();
+  const auto sequential_kb = sequential.Snapshot();
   const ParameterSetting setting{0.008, 0.3};
   for (WindowId w = 0; w < sequential.window_count(); ++w) {
-    EXPECT_EQ(parallel.MineWindow(w, setting).value(),
-              sequential.MineWindow(w, setting).value())
+    EXPECT_EQ(parallel_kb->MineWindow(w, setting).value(),
+              sequential_kb->MineWindow(w, setting).value())
         << "window " << w;
   }
-  const WindowSet all = sequential.AllWindows();
-  EXPECT_EQ(parallel
-                .MineWindows(parallel.AllWindows(), setting, MatchMode::kExact)
+  const WindowSet all = sequential_kb->AllWindows();
+  EXPECT_EQ(parallel_kb
+                ->MineWindows(parallel_kb->AllWindows(), setting,
+                              MatchMode::kExact)
                 .value(),
-            sequential.MineWindows(all, setting, MatchMode::kExact).value());
+            sequential_kb->MineWindows(all, setting, MatchMode::kExact)
+                .value());
 }
 
 TEST(ParallelBuildTest, ParallelAppendWindowMatchesSequential) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
+#include "obs/metrics.h"
 #include "txdb/evolving_database.h"
 
 namespace tara {
@@ -49,13 +51,15 @@ EvolvingDatabase MakeData() {
   return data;
 }
 
-TaraEngine::Options MakeOptions(size_t cache_bytes) {
+TaraEngine::Options MakeOptions(size_t cache_bytes,
+                                obs::MetricsRegistry* metrics = nullptr) {
   TaraEngine::Options options;
   options.min_support_floor = kSupportFloor;
   options.min_confidence_floor = kConfidenceFloor;
   options.max_itemset_size = 4;
   options.build_content_index = true;
   options.query_cache_bytes = cache_bytes;
+  options.metrics = metrics;
   return options;
 }
 
@@ -209,8 +213,11 @@ TEST(QueryCacheDifferential, CachedEqualsOracleAcrossGenerations) {
 
 TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   const EvolvingDatabase data = MakeData();
-  TaraEngine oracle(MakeOptions(0));
-  TaraEngine cached(MakeOptions(8u << 20));
+  // Declared before the engines: a registry must outlive its engine.
+  obs::MetricsRegistry oracle_metrics;
+  obs::MetricsRegistry cached_metrics;
+  TaraEngine oracle(MakeOptions(0, &oracle_metrics));
+  TaraEngine cached(MakeOptions(8u << 20, &cached_metrics));
   for (uint32_t w = 0; w < kBaseWindows; ++w) {
     AppendWindowTo(&oracle, data, w);
     AppendWindowTo(&cached, data, w);
@@ -227,6 +234,11 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   requests.push_back(requests[5]);
   requests.push_back(QueryRequest::Trajectory(0, {0.01, 0.3}, {2, 0, 1, 1}));
   requests.push_back(QueryRequest::Trajectory(0, {0.01, 0.3}, {0, 1, 2}));
+  // A duplicated rejection, so both counters see a repeat.
+  const QueryRequest below_floor =
+      QueryRequest::MineWindow(0, {kSupportFloor / 10, kConfidenceFloor});
+  requests.push_back(below_floor);
+  requests.push_back(below_floor);
 
   const auto oracle_results = oracle.ExecuteBatch(requests);
   const auto cached_results = cached.ExecuteBatch(requests);
@@ -237,6 +249,20 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
         SameAnswer(requests[i], oracle_results[i], cached_results[i]))
         << "at batch position " << i;
   }
+
+  // ok/rejected count per batch position, duplicates included, whether
+  // or not a cache answers: both engines move by the same amounts.
+  uint64_t ok = 0;
+  for (const auto& result : oracle_results) ok += result.has_value() ? 1 : 0;
+  const uint64_t rejected = requests.size() - ok;
+  ASSERT_GE(rejected, 2u);
+  const auto counts = [](obs::MetricsRegistry& registry) {
+    return std::pair<uint64_t, uint64_t>(
+        registry.GetCounter("tara.query.ok")->Value(),
+        registry.GetCounter("tara.query.rejected")->Value());
+  };
+  EXPECT_EQ(counts(oracle_metrics), std::make_pair(ok, rejected));
+  EXPECT_EQ(counts(cached_metrics), std::make_pair(ok, rejected));
 
   // Re-running the identical batch is answered fully from cache for the
   // successful requests; rejected ones are never cached (errors are
@@ -256,6 +282,8 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   const QueryCache::Stats after = cached.query_cache()->stats();
   EXPECT_EQ(after.misses, before.misses + failed_keys.size());
   EXPECT_GT(after.hits, before.hits);
+  // A batch answered mostly from cache counts exactly like the first.
+  EXPECT_EQ(counts(cached_metrics), std::make_pair(2 * ok, 2 * rejected));
 }
 
 TEST(QueryCacheUnit, KeysIncludeGenerationAndKind) {

@@ -1,13 +1,16 @@
-// Error-path coverage for the crash-free query API: every Q1-Q5/roll-up
-// entrypoint must reject invalid input with the right QueryError code and
-// an actionable message — and keep serving afterwards — instead of
-// aborting the process. Also pins the metrics contract for rejections:
+// Error-path coverage for the crash-free query API: Execute must reject
+// invalid input of every Q1-Q5/roll-up kind with the right QueryError
+// code and an actionable message — and keep serving afterwards — instead
+// of aborting the process. Also pins the metrics contract for rejections:
 // they count in tara.query.rejected but record no latency sample.
 
 #include <sstream>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "obs/metrics.h"
@@ -19,6 +22,8 @@ namespace {
 constexpr double kFloorSupport = 0.01;
 constexpr double kFloorConfidence = 0.1;
 const ParameterSetting kOkSetting{0.02, 0.3};
+/// Every window of MakeData()'s knowledge base.
+const std::vector<WindowId> kAllWindows = {0, 1, 2};
 
 EvolvingDatabase MakeData() {
   QuestGenerator::Params params;
@@ -49,8 +54,8 @@ class QueryErrorTest : public ::testing::Test {
 TaraEngine* QueryErrorTest::engine_ = nullptr;
 
 TEST_F(QueryErrorTest, MineWindowRejectsSupportBelowFloor) {
-  const auto result =
-      engine_->MineWindow(0, ParameterSetting{0.001, 0.3});
+  const auto result = engine_->Execute(
+      QueryRequest::MineWindow(0, ParameterSetting{0.001, 0.3}));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kSupportBelowFloor);
   EXPECT_NE(result.error().message.find("floor"), std::string::npos)
@@ -58,83 +63,93 @@ TEST_F(QueryErrorTest, MineWindowRejectsSupportBelowFloor) {
 }
 
 TEST_F(QueryErrorTest, MineWindowRejectsConfidenceBelowFloor) {
-  const auto result =
-      engine_->MineWindow(0, ParameterSetting{0.02, 0.01});
+  const auto result = engine_->Execute(
+      QueryRequest::MineWindow(0, ParameterSetting{0.02, 0.01}));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kConfidenceBelowFloor);
 }
 
 TEST_F(QueryErrorTest, MineWindowRejectsBadWindow) {
-  const auto result = engine_->MineWindow(99, kOkSetting);
+  const auto result =
+      engine_->Execute(QueryRequest::MineWindow(99, kOkSetting));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kBadWindow);
 }
 
 TEST_F(QueryErrorTest, FloorBoundaryIsInclusive) {
   // Exactly the floor is a valid setting; only strictly below rejects.
-  EXPECT_TRUE(
-      engine_
-          ->MineWindow(0, ParameterSetting{kFloorSupport, kFloorConfidence})
-          .has_value());
+  EXPECT_TRUE(engine_
+                  ->Execute(QueryRequest::MineWindow(
+                      0, ParameterSetting{kFloorSupport, kFloorConfidence}))
+                  .has_value());
 }
 
 TEST_F(QueryErrorTest, MineWindowsRejectsEmptyWindowSet) {
-  const auto result =
-      engine_->MineWindows(WindowSet(), kOkSetting, MatchMode::kSingle);
+  const auto result = engine_->Execute(
+      QueryRequest::MineWindows({}, kOkSetting, MatchMode::kSingle));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kEmptyWindowSet);
 }
 
 TEST_F(QueryErrorTest, MineWindowsRejectsForeignWindowSet) {
-  // A set validated against a bigger engine must not be trusted here.
-  const WindowSet foreign = WindowSet::Single(50, 100);
-  const auto result =
-      engine_->MineWindows(foreign, kOkSetting, MatchMode::kExact);
+  // A request naming windows of a bigger engine is rejected, not run.
+  const auto result = engine_->Execute(
+      QueryRequest::MineWindows({50}, kOkSetting, MatchMode::kExact));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kWindowSetMismatch);
+  // Likewise a typed set validated against a bigger engine must not be
+  // trusted by this engine's snapshot.
+  const WindowSet foreign = WindowSet::Single(50, 100);
+  const auto typed =
+      engine_->Snapshot()->MineWindows(foreign, kOkSetting, MatchMode::kExact);
+  ASSERT_FALSE(typed.has_value());
+  EXPECT_EQ(typed.error().code, QueryError::Code::kWindowSetMismatch);
 }
 
 TEST_F(QueryErrorTest, TrajectoryQueryRejectsBadAnchorAndBadHorizon) {
-  const WindowSet horizon = engine_->AllWindows();
-  const auto bad_anchor = engine_->TrajectoryQuery(99, kOkSetting, horizon);
+  const auto bad_anchor = engine_->Execute(
+      QueryRequest::Trajectory(99, kOkSetting, kAllWindows));
   ASSERT_FALSE(bad_anchor.has_value());
   EXPECT_EQ(bad_anchor.error().code, QueryError::Code::kBadWindow);
 
   const auto bad_horizon =
-      engine_->TrajectoryQuery(0, kOkSetting, WindowSet());
+      engine_->Execute(QueryRequest::Trajectory(0, kOkSetting, {}));
   ASSERT_FALSE(bad_horizon.has_value());
   EXPECT_EQ(bad_horizon.error().code, QueryError::Code::kEmptyWindowSet);
 }
 
 TEST_F(QueryErrorTest, CompareSettingsRejectsEitherSettingBelowFloor) {
-  const WindowSet windows = engine_->AllWindows();
-  const auto first_bad = engine_->CompareSettings(
-      ParameterSetting{0.001, 0.3}, kOkSetting, windows, MatchMode::kExact);
+  const auto first_bad = engine_->Execute(
+      QueryRequest::Compare(ParameterSetting{0.001, 0.3}, kOkSetting,
+                            kAllWindows, MatchMode::kExact));
   ASSERT_FALSE(first_bad.has_value());
   EXPECT_EQ(first_bad.error().code, QueryError::Code::kSupportBelowFloor);
 
-  const auto second_bad = engine_->CompareSettings(
-      kOkSetting, ParameterSetting{0.02, 0.001}, windows, MatchMode::kExact);
+  const auto second_bad = engine_->Execute(
+      QueryRequest::Compare(kOkSetting, ParameterSetting{0.02, 0.001},
+                            kAllWindows, MatchMode::kExact));
   ASSERT_FALSE(second_bad.has_value());
   EXPECT_EQ(second_bad.error().code,
             QueryError::Code::kConfidenceBelowFloor);
 }
 
 TEST_F(QueryErrorTest, RecommendRegionRejectsBadWindow) {
-  const auto result = engine_->RecommendRegion(7, kOkSetting);
+  const auto result = engine_->Execute(QueryRequest::Region(7, kOkSetting));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kBadWindow);
 }
 
 TEST_F(QueryErrorTest, RuleMeasuresRejectsUnknownRule) {
   const RuleId unknown = static_cast<RuleId>(engine_->catalog().size());
-  const auto result = engine_->RuleMeasures(unknown, engine_->AllWindows());
+  const auto result =
+      engine_->Execute(QueryRequest::Measures(unknown, kAllWindows));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kUnknownRule);
 }
 
 TEST_F(QueryErrorTest, ContentQueryWithoutContentIndexIsRejected) {
-  const auto result = engine_->ContentQuery(0, {1}, kOkSetting);
+  const auto result =
+      engine_->Execute(QueryRequest::Content(0, {1}, kOkSetting));
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, QueryError::Code::kNoContentIndex);
   EXPECT_NE(result.error().message.find("build_content_index"),
@@ -144,26 +159,30 @@ TEST_F(QueryErrorTest, ContentQueryWithoutContentIndexIsRejected) {
 
 TEST_F(QueryErrorTest, RollUpRejectsUnknownRuleAndEmptySet) {
   const RuleId unknown = static_cast<RuleId>(engine_->catalog().size() + 5);
-  const auto bad_rule = engine_->RollUpRule(unknown, engine_->AllWindows());
+  const auto bad_rule =
+      engine_->Execute(QueryRequest::RollUpRule(unknown, kAllWindows));
   ASSERT_FALSE(bad_rule.has_value());
   EXPECT_EQ(bad_rule.error().code, QueryError::Code::kUnknownRule);
 
-  const auto empty = engine_->MineRolledUp(WindowSet(), kOkSetting);
+  const auto empty = engine_->Execute(QueryRequest::RollUpMine({}, kOkSetting));
   ASSERT_FALSE(empty.has_value());
   EXPECT_EQ(empty.error().code, QueryError::Code::kEmptyWindowSet);
 }
 
 TEST_F(QueryErrorTest, EngineKeepsAnsweringAfterRejections) {
-  (void)engine_->MineWindow(99, kOkSetting);
-  (void)engine_->MineWindow(0, ParameterSetting{0.0001, 0.3});
-  const auto result = engine_->MineWindow(0, kOkSetting);
+  (void)engine_->Execute(QueryRequest::MineWindow(99, kOkSetting));
+  (void)engine_->Execute(
+      QueryRequest::MineWindow(0, ParameterSetting{0.0001, 0.3}));
+  const auto result = engine_->Execute(QueryRequest::MineWindow(0, kOkSetting));
   ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->empty());
+  EXPECT_FALSE(std::get<std::vector<RuleId>>(*result).empty());
 }
 
 TEST_F(QueryErrorTest, ValueOnAnErrorAborts) {
   // .value() keeps the old CHECK contract for callers that want it.
-  EXPECT_DEATH(engine_->MineWindow(99, kOkSetting).value(), "window");
+  EXPECT_DEATH(
+      engine_->Execute(QueryRequest::MineWindow(99, kOkSetting)).value(),
+      "window");
 }
 
 TEST(QueryErrorMetricsTest, RejectionsCountButRecordNoLatency) {
@@ -182,12 +201,14 @@ TEST(QueryErrorMetricsTest, RejectionsCountButRecordNoLatency) {
   obs::Counter* ok = registry.GetCounter("tara.query.ok");
   obs::Counter* rejected = registry.GetCounter("tara.query.rejected");
 
-  ASSERT_TRUE(engine.MineWindow(0, kOkSetting).has_value());
+  ASSERT_TRUE(
+      engine.Execute(QueryRequest::MineWindow(0, kOkSetting)).has_value());
   EXPECT_EQ(latency->Count(), 1u);
   EXPECT_EQ(ok->Value(), 1u);
   EXPECT_EQ(rejected->Value(), 0u);
 
-  ASSERT_FALSE(engine.MineWindow(99, kOkSetting).has_value());
+  ASSERT_FALSE(
+      engine.Execute(QueryRequest::MineWindow(99, kOkSetting)).has_value());
   EXPECT_EQ(latency->Count(), 1u) << "rejected query must not record latency";
   EXPECT_EQ(ok->Value(), 1u);
   EXPECT_EQ(rejected->Value(), 1u);

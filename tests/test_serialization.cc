@@ -49,22 +49,24 @@ TEST(SerializationTest, RoundTripPreservesEveryQueryAnswer) {
   }
 
   // Mining, regions, and trajectories answer identically.
+  const auto loaded_kb = loaded.Snapshot();
+  const auto original_kb = original.Snapshot();
   const std::vector<WindowId> horizon = {0, 1, 2};
   for (double supp : {0.01, 0.02, 0.05}) {
     for (double conf : {0.1, 0.4, 0.7}) {
       const ParameterSetting setting{supp, conf};
       for (WindowId w = 0; w < original.window_count(); ++w) {
-        EXPECT_EQ(loaded.MineWindow(w, setting).value(),
-                  original.MineWindow(w, setting).value());
-        const RegionInfo a = loaded.RecommendRegion(w, setting).value();
-        const RegionInfo b = original.RecommendRegion(w, setting).value();
+        EXPECT_EQ(loaded_kb->MineWindow(w, setting).value(),
+                  original_kb->MineWindow(w, setting).value());
+        const RegionInfo a = loaded_kb->RecommendRegion(w, setting).value();
+        const RegionInfo b = original_kb->RecommendRegion(w, setting).value();
         EXPECT_DOUBLE_EQ(a.support_upper, b.support_upper);
         EXPECT_EQ(a.result_size, b.result_size);
       }
     }
   }
   const auto rules =
-      original.MineWindow(0, ParameterSetting{0.02, 0.3}).value();
+      original_kb->MineWindow(0, ParameterSetting{0.02, 0.3}).value();
   for (RuleId id : rules) {
     const Trajectory a = BuildTrajectory(loaded.archive(), id, horizon);
     const Trajectory b = BuildTrajectory(original.archive(), id, horizon);
@@ -89,11 +91,11 @@ TEST(SerializationTest, PreservesOptionsAndContentIndex) {
 
   // Content queries work on the reloaded base.
   const ParameterSetting setting{0.02, 0.2};
-  const auto rules = loaded.MineWindow(0, setting).value();
+  const auto rules = loaded.Snapshot()->MineWindow(0, setting).value();
   ASSERT_FALSE(rules.empty());
   const ItemId item = loaded.catalog().rule(rules[0]).antecedent[0];
-  EXPECT_EQ(loaded.ContentQuery(0, {item}, setting).value(),
-            original.ContentQuery(0, {item}, setting).value());
+  EXPECT_EQ(loaded.Snapshot()->ContentQuery(0, {item}, setting).value(),
+            original.Snapshot()->ContentQuery(0, {item}, setting).value());
 }
 
 TEST(SerializationTest, LoadedEngineKeepsEvolving) {
@@ -108,8 +110,10 @@ TEST(SerializationTest, LoadedEngineKeepsEvolving) {
   const WindowId w = loaded.AppendWindow(more.database(), info.begin,
                                          info.end);
   EXPECT_EQ(w, 3u);
-  EXPECT_FALSE(
-      loaded.MineWindow(w, ParameterSetting{0.02, 0.2}).value().empty());
+  EXPECT_FALSE(loaded.Snapshot()
+                   ->MineWindow(w, ParameterSetting{0.02, 0.2})
+                   .value()
+                   .empty());
 }
 
 TEST(SerializationTest, RejectsGarbageStreamsAsValues) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/dctar.h"
+#include "core/query_request.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
@@ -56,11 +57,13 @@ TEST_P(EngineGroundTruthTest, MineWindowMatchesScratchMining) {
   const EvolvingDatabase data = MakeEvolvingQuest(4, 31);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
   const DctarBaseline scratch(&data, 5);
 
   for (WindowId w = 0; w < data.window_count(); ++w) {
     const ParameterSetting setting{min_supp, min_conf};
-    const auto tara_rules = AsRuleSet(engine, engine.MineWindow(w, setting).value());
+    const auto tara_rules =
+        AsRuleSet(engine, kb->MineWindow(w, setting).value());
     const auto scratch_rules = AsRuleSet(scratch.MineWindow(w, setting));
     EXPECT_EQ(tara_rules, scratch_rules)
         << "window " << w << " supp=" << min_supp << " conf=" << min_conf;
@@ -76,10 +79,11 @@ TEST(TaraEngineTest, TrajectoriesMatchRawScans) {
   const EvolvingDatabase data = MakeEvolvingQuest(4, 32);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.03, 0.3};
-  const WindowSet horizon = engine.AllWindows();
-  const auto result = engine.TrajectoryQuery(3, setting, horizon).value();
+  const WindowSet horizon = kb->AllWindows();
+  const auto result = kb->TrajectoryQuery(3, setting, horizon).value();
   ASSERT_FALSE(result.rules.empty());
   ASSERT_EQ(result.rules.size(), result.trajectories.size());
 
@@ -118,20 +122,21 @@ TEST(TaraEngineTest, MatchModesCombineWindows) {
   const EvolvingDatabase data = MakeEvolvingQuest(3, 33);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.02, 0.2};
-  const WindowSet windows = engine.AllWindows();
+  const WindowSet windows = kb->AllWindows();
   const auto any =
-      engine.MineWindows(windows, setting, MatchMode::kSingle).value();
+      kb->MineWindows(windows, setting, MatchMode::kSingle).value();
   const auto all =
-      engine.MineWindows(windows, setting, MatchMode::kExact).value();
+      kb->MineWindows(windows, setting, MatchMode::kExact).value();
   EXPECT_TRUE(std::is_sorted(any.begin(), any.end()));
   EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
   EXPECT_LE(all.size(), any.size());
   // kExact results must each be valid in every window.
   for (RuleId id : all) {
     for (WindowId w : windows) {
-      const auto in_window = engine.MineWindow(w, setting).value();
+      const auto in_window = kb->MineWindow(w, setting).value();
       EXPECT_TRUE(std::find(in_window.begin(), in_window.end(), id) !=
                   in_window.end());
     }
@@ -139,7 +144,7 @@ TEST(TaraEngineTest, MatchModesCombineWindows) {
   // Union really is the union.
   std::set<RuleId> union_set;
   for (WindowId w : windows) {
-    for (RuleId id : engine.MineWindow(w, setting).value()) union_set.insert(id);
+    for (RuleId id : kb->MineWindow(w, setting).value()) union_set.insert(id);
   }
   EXPECT_EQ(any.size(), union_set.size());
 }
@@ -148,15 +153,16 @@ TEST(TaraEngineTest, CompareSettingsMatchesManualDiff) {
   const EvolvingDatabase data = MakeEvolvingQuest(3, 34);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting p1{0.02, 0.2};
   const ParameterSetting p2{0.05, 0.2};
-  const WindowSet windows = engine.AllWindows();
+  const WindowSet windows = kb->AllWindows();
   const auto diff =
-      engine.CompareSettings(p1, p2, windows, MatchMode::kExact).value();
+      kb->CompareSettings(p1, p2, windows, MatchMode::kExact).value();
 
-  const auto a = engine.MineWindows(windows, p1, MatchMode::kExact).value();
-  const auto b = engine.MineWindows(windows, p2, MatchMode::kExact).value();
+  const auto a = kb->MineWindows(windows, p1, MatchMode::kExact).value();
+  const auto b = kb->MineWindows(windows, p2, MatchMode::kExact).value();
   std::vector<RuleId> only_a, only_b;
   std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                       std::back_inserter(only_a));
@@ -173,10 +179,11 @@ TEST(TaraEngineTest, RecommendRegionIsConsistentWithMining) {
   const EvolvingDatabase data = MakeEvolvingQuest(2, 35);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.04, 0.4};
-  const RegionInfo region = engine.RecommendRegion(1, setting).value();
-  EXPECT_EQ(region.result_size, engine.MineWindow(1, setting).value().size());
+  const RegionInfo region = kb->RecommendRegion(1, setting).value();
+  EXPECT_EQ(region.result_size, kb->MineWindow(1, setting).value().size());
   EXPECT_LE(region.support_lower, setting.min_support);
   EXPECT_GE(region.support_upper + 1e-12, setting.min_support);
 }
@@ -187,14 +194,15 @@ TEST(TaraEngineTest, ContentQueryRequiresAndUsesContentIndex) {
   const EvolvingDatabase data = MakeEvolvingQuest(2, 36);
   TaraEngine engine(options);
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.02, 0.2};
-  const auto all_rules = engine.MineWindow(0, setting).value();
+  const auto all_rules = kb->MineWindow(0, setting).value();
   ASSERT_FALSE(all_rules.empty());
   // Pick an item appearing in some rule and query for it.
   const Rule& probe = engine.catalog().rule(all_rules.front());
   const ItemId item = probe.antecedent.front();
-  const auto matches = engine.ContentQuery(0, {item}, setting).value();
+  const auto matches = kb->ContentQuery(0, {item}, setting).value();
   EXPECT_FALSE(matches.empty());
   for (RuleId id : matches) {
     const Rule& r = engine.catalog().rule(id);
@@ -215,9 +223,10 @@ TEST(TaraEngineTest, ContentViewGroupsResultByItem) {
   const EvolvingDatabase data = MakeEvolvingQuest(2, 37);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
   const ParameterSetting setting{0.02, 0.2};
-  const auto view = engine.ContentView(0, setting).value();
-  const auto rules = engine.MineWindow(0, setting).value();
+  const auto view = kb->ContentView(0, setting).value();
+  const auto rules = kb->MineWindow(0, setting).value();
   // Every rule appears under each of its items.
   for (RuleId id : rules) {
     const Rule& r = engine.catalog().rule(id);
@@ -234,10 +243,11 @@ TEST(TaraEngineTest, RollUpCertainRulesAreTrulyValid) {
   const EvolvingDatabase data = MakeEvolvingQuest(3, 38);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.02, 0.3};
-  const WindowSet windows = engine.AllWindows();
-  const auto rolled = engine.MineRolledUp(windows, setting).value();
+  const WindowSet windows = kb->AllWindows();
+  const auto rolled = kb->MineRolledUp(windows, setting).value();
 
   // "Certain" rules must pass an exact raw-scan check over the union.
   size_t begin = data.window(0).begin;
@@ -259,9 +269,7 @@ TEST(TaraEngineTest, RollUpCertainRulesAreTrulyValid) {
   std::set<RuleId> candidates(rolled.certain.begin(), rolled.certain.end());
   candidates.insert(rolled.possible.begin(), rolled.possible.end());
   const auto anywhere =
-      engine
-          .MineWindows(windows, ParameterSetting{0.02, 0.3},
-                       MatchMode::kSingle)
+      kb->MineWindows(windows, ParameterSetting{0.02, 0.3}, MatchMode::kSingle)
           .value();
   for (RuleId id : anywhere) {
     const Rule& r = engine.catalog().rule(id);
@@ -286,14 +294,15 @@ TEST(TaraEngineTest, RollUpBoundsContainExactValues) {
   const EvolvingDatabase data = MakeEvolvingQuest(3, 39);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
+  const auto kb = engine.Snapshot();
 
-  const WindowSet windows = engine.AllWindows();
-  const auto rules = engine.MineWindow(0, ParameterSetting{0.02, 0.2}).value();
+  const WindowSet windows = kb->AllWindows();
+  const auto rules = kb->MineWindow(0, ParameterSetting{0.02, 0.2}).value();
   const size_t begin = data.window(0).begin;
   const size_t end = data.window(2).end;
   const uint64_t total = end - begin;
   for (RuleId id : rules) {
-    const RollUpBound bound = engine.RollUpRule(id, windows).value();
+    const RollUpBound bound = kb->RollUpRule(id, windows).value();
     const Rule& r = engine.catalog().rule(id);
     const Itemset whole = Union(r.antecedent, r.consequent);
     const double support = static_cast<double>(data.database().CountContaining(
@@ -327,9 +336,10 @@ TEST(TaraEngineTest, IncrementalAppendMatchesBulkBuild) {
 
   const ParameterSetting setting{0.02, 0.3};
   for (WindowId w = 0; w < data.window_count(); ++w) {
-    EXPECT_EQ(AsRuleSet(bulk, bulk.MineWindow(w, setting).value()),
-              AsRuleSet(incremental,
-                        incremental.MineWindow(w, setting).value()));
+    EXPECT_EQ(
+        AsRuleSet(bulk, bulk.Snapshot()->MineWindow(w, setting).value()),
+        AsRuleSet(incremental,
+                  incremental.Snapshot()->MineWindow(w, setting).value()));
   }
 }
 
@@ -350,14 +360,16 @@ TEST(TaraEngineTest, RejectsQueriesBelowTheFloorWithoutAborting) {
   const EvolvingDatabase data = MakeEvolvingQuest(1, 42);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
-  const auto rejected = engine.MineWindow(0, ParameterSetting{0.001, 0.2});
+  const auto rejected = engine.Execute(
+      QueryRequest::MineWindow(0, ParameterSetting{0.001, 0.2}));
   ASSERT_FALSE(rejected.has_value());
   EXPECT_EQ(rejected.error().code, QueryError::Code::kSupportBelowFloor);
   EXPECT_NE(rejected.error().message.find("generation floor"),
             std::string::npos);
   // The engine survives and keeps answering valid requests.
   EXPECT_TRUE(
-      engine.MineWindow(0, ParameterSetting{0.02, 0.2}).has_value());
+      engine.Execute(QueryRequest::MineWindow(0, ParameterSetting{0.02, 0.2}))
+          .has_value());
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(WindowSetTest, RangeForIterationIsAscending) {
   EXPECT_EQ(seen, (std::vector<WindowId>{0, 2, 4}));
 }
 
-TEST(WindowSetTest, EngineFactoriesBoundByWindowCount) {
+TEST(WindowSetTest, SnapshotFactoriesBoundByWindowCount) {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
   options.min_confidence_floor = 0.1;
@@ -68,12 +68,13 @@ TEST(WindowSetTest, EngineFactoriesBoundByWindowCount) {
   engine.AppendPrecomputedWindow(100, {});
   engine.AppendPrecomputedWindow(100, {});
   engine.AppendPrecomputedWindow(100, {});
+  const auto kb = engine.Snapshot();
 
-  EXPECT_EQ(engine.AllWindows().ids(), (std::vector<WindowId>{0, 1, 2}));
-  EXPECT_EQ(engine.MakeWindowSet({2, 0}).ids(), (std::vector<WindowId>{0, 2}));
-  EXPECT_DEATH(engine.MakeWindowSet({3}), "window");
-  EXPECT_EQ(engine.RecentWindows(2).ids(), (std::vector<WindowId>{1, 2}));
-  EXPECT_EQ(engine.RecentWindows(99).ids(), (std::vector<WindowId>{0, 1, 2}));
+  EXPECT_EQ(kb->AllWindows().ids(), (std::vector<WindowId>{0, 1, 2}));
+  EXPECT_EQ(kb->MakeWindowSet({2, 0}).ids(), (std::vector<WindowId>{0, 2}));
+  EXPECT_DEATH(kb->MakeWindowSet({3}), "window");
+  EXPECT_EQ(kb->RecentWindows(2).ids(), (std::vector<WindowId>{1, 2}));
+  EXPECT_EQ(kb->RecentWindows(99).ids(), (std::vector<WindowId>{0, 1, 2}));
 }
 
 TEST(WindowSetTest, CanonicalizedSetsAnswerLikeTheirSortedForm) {
@@ -87,22 +88,23 @@ TEST(WindowSetTest, CanonicalizedSetsAnswerLikeTheirSortedForm) {
   rule.antecedent_count = 50;
   engine.AppendPrecomputedWindow(1000, {rule});
   engine.AppendPrecomputedWindow(1000, {rule});
+  const auto kb = engine.Snapshot();
 
   // MakeWindowSet canonicalizes an unsorted, duplicated id list, so every
   // query sees {0, 1} regardless of how the caller spelled it.
   const ParameterSetting setting{0.02, 0.5};
-  const WindowSet all = engine.AllWindows();
-  const WindowSet loose = engine.MakeWindowSet({1, 0, 1});
+  const WindowSet all = kb->AllWindows();
+  const WindowSet loose = kb->MakeWindowSet({1, 0, 1});
   EXPECT_EQ(loose, all);
-  EXPECT_EQ(engine.MineWindows(loose, setting, MatchMode::kExact).value(),
-            engine.MineWindows(all, setting, MatchMode::kExact).value());
-  EXPECT_EQ(engine.TrajectoryQuery(1, setting, loose).value().rules,
-            engine.TrajectoryQuery(1, setting, all).value().rules);
+  EXPECT_EQ(kb->MineWindows(loose, setting, MatchMode::kExact).value(),
+            kb->MineWindows(all, setting, MatchMode::kExact).value());
+  EXPECT_EQ(kb->TrajectoryQuery(1, setting, loose).value().rules,
+            kb->TrajectoryQuery(1, setting, all).value().rules);
   const RuleId id = engine.catalog().Find(rule.rule);
-  EXPECT_EQ(engine.RuleMeasures(id, loose).value().coverage,
-            engine.RuleMeasures(id, all).value().coverage);
-  EXPECT_EQ(engine.RollUpRule(id, loose).value().support_lo,
-            engine.RollUpRule(id, all).value().support_lo);
+  EXPECT_EQ(kb->RuleMeasures(id, loose).value().coverage,
+            kb->RuleMeasures(id, all).value().coverage);
+  EXPECT_EQ(kb->RollUpRule(id, loose).value().support_lo,
+            kb->RollUpRule(id, all).value().support_lo);
 }
 
 }  // namespace

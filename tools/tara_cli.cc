@@ -9,7 +9,7 @@
 //   mine 3 0.02 0.5             # rules of window 3
 //   region 3 0.02 0.5           # Q3: enclosing stable region
 //   diff 0.02 0.5 0.04 0.5      # Q2 across all windows
-//   traj 0.02 0.5               # Q1 from the newest window
+//   traj 3 0.02 0.5             # Q1 from window 3 over all windows
 //   top stable 5                # exploration service
 //   metrics [json]              # engine instrument snapshot
 //   cache 16777216              # enable the generation-pinned query cache
@@ -20,11 +20,17 @@
 //                               # new window when a directory is attached
 //   help / quit
 //
+// Queries follow one grammar (kQueryGrammarHelp) whether typed into the
+// session, replayed by `batch`, or sent by `tara_cli query --remote`.
+//
 // With --metrics, a text snapshot of every instrument (per-query-kind
 // latency percentiles, build gauges, archive/index sizes) is printed to
 // stderr when the session ends.
 
+#include <array>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,6 +39,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,66 +65,120 @@ namespace {
 /// registry; the `metrics` command and --metrics read it back.
 obs::MetricsRegistry& Registry() { return obs::MetricsRegistry::Global(); }
 
-/// Parses the window-id tail of a query-script line; an empty tail means
-/// every one of the `window_count` windows (local engine or remote
-/// server alike — the caller supplies whichever count applies).
-std::vector<WindowId> ParseWindowTail(std::istringstream& in,
-                                      uint32_t window_count) {
-  std::vector<WindowId> ids;
-  WindowId w = 0;
-  while (in >> w) ids.push_back(w);
-  if (ids.empty()) {
-    for (WindowId i = 0; i < window_count; ++i) ids.push_back(i);
+/// The query grammar, one verb per QueryKind: the session's and the
+/// remote shell's `help` print it.
+constexpr char kQueryGrammarHelp[] =
+    "queries (W window, S C min support/confidence, R rule; no [W...]\n"
+    "tail = every window):\n"
+    "  mine W S C | minewindows S C single|exact [W...] | region W S C\n"
+    "  traj W S C [W...] | diff S1 C1 S2 C2 [W...] | measures R [W...]\n"
+    "  content W S C ITEM... | view W S C | rollup R [W...]\n"
+    "  rollupmine S C [W...]\n";
+
+/// The verb of each QueryKind, indexed by its numeric value.
+constexpr std::array<std::string_view, kQueryKindCount> kQueryVerbs = {
+    "mine",     "minewindows", "traj", "diff",   "region",
+    "measures", "content",     "view", "rollup", "rollupmine"};
+
+std::optional<QueryKind> QueryVerbKind(std::string_view verb) {
+  for (int k = 0; k < kQueryKindCount; ++k) {
+    if (kQueryVerbs[k] == verb) return static_cast<QueryKind>(k);
   }
-  return ids;
+  return std::nullopt;
 }
 
-/// Parses one query-script line into a request. Returns nullopt (and
-/// prints the problem) on a malformed line. Shared by the local `batch`
-/// command and the remote query shell.
+/// Reads the next token of `in` into `out`; false unless the whole token
+/// parses (window, rule and item ids as unsigned decimals, settings as
+/// finite doubles).
+template <typename Number>
+bool Take(std::istream& in, Number* out) {
+  std::string token;
+  if (!(in >> token)) return false;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, *out);
+  return error == std::errc() && stop == end;
+}
+
+bool TakeSetting(std::istream& in, ParameterSetting* out) {
+  return Take(in, &out->min_support) && std::isfinite(out->min_support) &&
+         Take(in, &out->min_confidence) && std::isfinite(out->min_confidence);
+}
+
+bool AtEnd(std::istream& in) { return (in >> std::ws).eof(); }
+
+/// Parses the window-id tail of a query line (every remaining token); an
+/// empty tail means every one of the `window_count` windows (local engine
+/// or remote server alike — the caller supplies whichever count applies).
+bool ParseWindowTail(std::istream& in, uint32_t window_count,
+                     std::vector<WindowId>* ids) {
+  while (!AtEnd(in)) {
+    ids->push_back(0);
+    if (!Take(in, &ids->back())) return false;
+  }
+  if (ids->empty()) {
+    for (WindowId w = 0; w < window_count; ++w) ids->push_back(w);
+  }
+  return true;
+}
+
+/// Parses the arguments of one query line into `r`, whose kind is set.
+bool ParseQueryArgs(std::istream& in, uint32_t window_count,
+                    QueryRequest* r) {
+  std::string mode;
+  switch (r->kind) {
+    case QueryKind::kMineWindow:
+    case QueryKind::kRegion:
+    case QueryKind::kContentView:
+      return Take(in, &r->window) && TakeSetting(in, &r->setting);
+    case QueryKind::kMineWindows:
+      if (!TakeSetting(in, &r->setting) || !(in >> mode) ||
+          (mode != "single" && mode != "exact")) {
+        return false;
+      }
+      r->mode = mode == "exact" ? MatchMode::kExact : MatchMode::kSingle;
+      return ParseWindowTail(in, window_count, &r->windows);
+    case QueryKind::kTrajectory:
+      return Take(in, &r->window) && TakeSetting(in, &r->setting) &&
+             ParseWindowTail(in, window_count, &r->windows);
+    case QueryKind::kCompare:
+      r->mode = MatchMode::kExact;
+      return TakeSetting(in, &r->setting) && TakeSetting(in, &r->second) &&
+             ParseWindowTail(in, window_count, &r->windows);
+    case QueryKind::kMeasures:
+    case QueryKind::kRollUpRule:
+      return Take(in, &r->rule) &&
+             ParseWindowTail(in, window_count, &r->windows);
+    case QueryKind::kContent:
+      if (!Take(in, &r->window) || !TakeSetting(in, &r->setting)) {
+        return false;
+      }
+      while (!AtEnd(in)) {
+        r->items.push_back(0);
+        if (!Take(in, &r->items.back())) return false;
+      }
+      return true;
+    case QueryKind::kRollUpMine:
+      return TakeSetting(in, &r->setting) &&
+             ParseWindowTail(in, window_count, &r->windows);
+  }
+  return false;
+}
+
+/// Parses one query line into a request. Returns nullopt (and prints
+/// `bad query line`) unless the verb is known, every argument parses
+/// whole and no token is left over. The one query grammar: shared by the
+/// session, its `batch` command and the remote query shell.
 std::optional<QueryRequest> ParseQueryLine(const std::string& line,
                                            uint32_t window_count) {
   std::istringstream in(line);
   std::string verb;
   in >> verb;
-  WindowId w = 0;
-  double s = 0, c = 0, s2 = 0, c2 = 0;
-  RuleId rule = 0;
-  if (verb == "mine" && in >> w >> s >> c) {
-    return QueryRequest::MineWindow(w, ParameterSetting{s, c});
-  }
-  if (verb == "region" && in >> w >> s >> c) {
-    return QueryRequest::Region(w, ParameterSetting{s, c});
-  }
-  if (verb == "traj" && in >> w >> s >> c) {
-    return QueryRequest::Trajectory(w, ParameterSetting{s, c},
-                                    ParseWindowTail(in, window_count));
-  }
-  if (verb == "diff" && in >> s >> c >> s2 >> c2) {
-    return QueryRequest::Compare(ParameterSetting{s, c},
-                                 ParameterSetting{s2, c2},
-                                 ParseWindowTail(in, window_count),
-                                 MatchMode::kExact);
-  }
-  if (verb == "measures" && in >> rule) {
-    return QueryRequest::Measures(rule, ParseWindowTail(in, window_count));
-  }
-  if (verb == "content" && in >> w >> s >> c) {
-    Itemset items;
-    ItemId item = 0;
-    while (in >> item) items.push_back(item);
-    return QueryRequest::Content(w, std::move(items),
-                                 ParameterSetting{s, c});
-  }
-  if (verb == "view" && in >> w >> s >> c) {
-    return QueryRequest::ContentView(w, ParameterSetting{s, c});
-  }
-  if (verb == "rollup" && in >> rule) {
-    return QueryRequest::RollUpRule(rule, ParseWindowTail(in, window_count));
-  }
-  if (verb == "rollupmine" && in >> s >> c) {
-    return QueryRequest::RollUpMine(ParseWindowTail(in, window_count),
-                                    ParameterSetting{s, c});
+  if (const std::optional<QueryKind> kind = QueryVerbKind(verb)) {
+    QueryRequest request;
+    request.kind = *kind;
+    if (ParseQueryArgs(in, window_count, &request) && AtEnd(in)) {
+      return request;
+    }
   }
   std::printf("bad query line: %s\n", line.c_str());
   return std::nullopt;
@@ -135,7 +197,8 @@ std::string Summarize(const QueryResult& result) {
                   diff->only_first.size(), diff->only_second.size());
   } else if (const auto* region = std::get_if<RegionInfo>(&result)) {
     std::snprintf(buffer, sizeof(buffer),
-                  "region supp (%.5f, %.5f] conf (%.4f, %.4f], %zu rules",
+                  "stable region supp (%.5f, %.5f] conf (%.4f, %.4f], "
+                  "%zu rules",
                   region->support_lower, region->support_upper,
                   region->confidence_lower, region->confidence_upper,
                   region->result_size);
@@ -158,6 +221,12 @@ std::string Summarize(const QueryResult& result) {
     std::snprintf(buffer, sizeof(buffer), "ok");
   }
   return buffer;
+}
+
+/// The summary line every executed query prints, locally or remotely.
+void PrintSummary(QueryKind kind, const QueryResult& result) {
+  std::printf("%-12s %s\n", std::string(QueryKindName(kind)).c_str(),
+              Summarize(result).c_str());
 }
 
 class Session {
@@ -186,14 +255,8 @@ class Session {
       Windows(in);
     } else if (command == "build") {
       Build(in);
-    } else if (command == "mine") {
-      Mine(in);
-    } else if (command == "region") {
-      Region(in);
-    } else if (command == "diff") {
-      Diff(in);
-    } else if (command == "traj") {
-      Trajectories(in);
+    } else if (QueryVerbKind(command).has_value()) {
+      Query(line);
     } else if (command == "top") {
       Top(in);
     } else if (command == "metrics") {
@@ -227,10 +290,6 @@ class Session {
         "  gen quest N ITEMS | gen retail N ITEMS   synthesize data\n"
         "  windows K             partition into K tumbling windows\n"
         "  build SUPP CONF       offline phase with these floors\n"
-        "  mine W SUPP CONF      rules of window W\n"
-        "  region W SUPP CONF    Q3 stable region\n"
-        "  diff S1 C1 S2 C2      Q2 exact-match diff over all windows\n"
-        "  traj SUPP CONF        Q1 from the newest window\n"
         "  top stable|emerging|fading|periodic K\n"
         "  metrics [json]        instrument snapshot (text or JSON)\n"
         "  cache BYTES           size the query cache (0 disables); applies\n"
@@ -238,18 +297,16 @@ class Session {
         "  wal DIR               attach a write-ahead log: appends return\n"
         "                        only after the record is fsync'd; attaching\n"
         "                        replays any tail a crash left behind\n"
-        "  batch FILE [group]    replay a query script (one query per line:\n"
-        "                        mine W S C | region W S C | traj W S C [W...]\n"
-        "                        | diff S1 C1 S2 C2 [W...] | measures R [W...]\n"
-        "                        | content W S C ITEM... | view W S C\n"
-        "                        | rollup R [W...] | rollupmine S C [W...]);\n"
+        "  batch FILE [group]    replay a script of queries (one per line);\n"
         "                        'group' sends one ExecuteBatch instead of\n"
         "                        per-query calls\n"
         "  save FILE | loadkb FILE   knowledge-base persistence (stream)\n"
         "  savedir DIR | loaddir DIR  block directory (attaches DIR)\n"
         "  ingest FILE           append FILE as a new window; persists only\n"
         "                        the new window when a DIR is attached\n"
-        "  quit\n");
+        "  quit\n"
+        "%s",
+        kQueryGrammarHelp);
   }
 
   /// Prints a rejected query's error and returns false; true on success.
@@ -365,64 +422,32 @@ class Session {
     return engine_ != nullptr;
   }
 
-  WindowSet AllWindows() const { return engine_->AllWindows(); }
-
-  void Mine(std::istringstream& in) {
-    uint32_t w = 0;
-    double supp = 0, conf = 0;
-    if (!(in >> w >> supp >> conf) || !Ready()) return;
-    const auto result = engine_->MineWindow(w, ParameterSetting{supp, conf});
+  /// Every query verb: ParseQueryLine, Execute, the shared summary line,
+  /// then the first rules by name (the session has the catalog; the
+  /// remote shell does not).
+  void Query(const std::string& line) {
+    if (!Ready()) return;
+    const auto request = ParseQueryLine(line, engine_->window_count());
+    if (!request.has_value()) return;
+    const auto result = engine_->Execute(*request);
     if (!Ok(result)) return;
-    const std::vector<RuleId>& rules = *result;
-    std::printf("%zu rules; first few:\n", rules.size());
-    for (size_t i = 0; i < rules.size() && i < 10; ++i) {
-      std::printf("  %s\n", engine_->catalog().FormatRule(rules[i]).c_str());
-    }
-  }
-
-  void Region(std::istringstream& in) {
-    uint32_t w = 0;
-    double supp = 0, conf = 0;
-    if (!(in >> w >> supp >> conf) || !Ready()) return;
-    const auto result =
-        engine_->RecommendRegion(w, ParameterSetting{supp, conf});
-    if (!Ok(result)) return;
-    const RegionInfo& r = *result;
-    std::printf("stable region: supp (%.5f, %.5f], conf (%.4f, %.4f], "
-                "%zu rules\n",
-                r.support_lower, r.support_upper, r.confidence_lower,
-                r.confidence_upper, r.result_size);
-  }
-
-  void Diff(std::istringstream& in) {
-    double s1, c1, s2, c2;
-    if (!(in >> s1 >> c1 >> s2 >> c2) || !Ready()) return;
-    const auto result = engine_->CompareSettings(
-        ParameterSetting{s1, c1}, ParameterSetting{s2, c2}, AllWindows(),
-        MatchMode::kExact);
-    if (!Ok(result)) return;
-    std::printf("only (%g,%g): %zu rules; only (%g,%g): %zu rules\n", s1, c1,
-                result->only_first.size(), s2, c2,
-                result->only_second.size());
-  }
-
-  void Trajectories(std::istringstream& in) {
-    double supp = 0, conf = 0;
-    if (!(in >> supp >> conf) || !Ready()) return;
-    const WindowId newest = engine_->window_count() - 1;
-    const auto query = engine_->TrajectoryQuery(
-        newest, ParameterSetting{supp, conf}, AllWindows());
-    if (!Ok(query)) return;
-    const auto& result = *query;
-    std::printf("%zu rules in the newest window; trajectories:\n",
-                result.rules.size());
-    for (size_t i = 0; i < result.rules.size() && i < 5; ++i) {
-      std::printf("  %-28s",
-                  engine_->catalog().FormatRule(result.rules[i]).c_str());
-      for (const TrajectoryPoint& p : result.trajectories[i]) {
-        std::printf(p.present ? " %.4f" : "   --  ", p.support);
+    PrintSummary(request->kind, *result);
+    const auto name = [this](RuleId rule) {
+      return engine_->catalog().FormatRule(rule);
+    };
+    if (const auto* rules = std::get_if<std::vector<RuleId>>(&*result)) {
+      for (size_t i = 0; i < rules->size() && i < 10; ++i) {
+        std::printf("  %s\n", name((*rules)[i]).c_str());
       }
-      std::printf("\n");
+    } else if (const auto* traj =
+                   std::get_if<TrajectoryQueryResult>(&*result)) {
+      for (size_t i = 0; i < traj->rules.size() && i < 5; ++i) {
+        std::printf("  %-28s", name(traj->rules[i]).c_str());
+        for (const TrajectoryPoint& p : traj->trajectories[i]) {
+          std::printf(p.present ? " %.4f" : "   --  ", p.support);
+        }
+        std::printf("\n");
+      }
     }
   }
 
@@ -434,16 +459,17 @@ class Session {
     ExplorationService service(engine_.get());
     const ParameterSetting floor{engine_->options().min_support_floor,
                                  engine_->options().min_confidence_floor};
+    const WindowSet all = WindowSet::All(engine_->window_count());
     Expected<std::vector<RuleInsight>, QueryError> result =
         std::vector<RuleInsight>{};
     if (kind == "stable") {
-      result = service.TopStable(AllWindows(), floor, k);
+      result = service.TopStable(all, floor, k);
     } else if (kind == "emerging") {
-      result = service.TopEmerging(AllWindows(), floor, k);
+      result = service.TopEmerging(all, floor, k);
     } else if (kind == "fading") {
-      result = service.TopFading(AllWindows(), floor, k);
+      result = service.TopFading(all, floor, k);
     } else if (kind == "periodic") {
-      result = service.TopPeriodic(AllWindows(), floor, k, 4);
+      result = service.TopPeriodic(all, floor, k, 4);
     } else {
       std::printf("usage: top stable|emerging|fading|periodic K\n");
       return;
@@ -584,48 +610,43 @@ class Session {
                  std::chrono::steady_clock::now().time_since_epoch())
           .count();
     };
+    // 'group' sends one ExecuteBatch (one pinned snapshot, deduplicated,
+    // fanned out across the pool); otherwise each query is timed alone.
     const int64_t batch_start = now_us();
+    std::vector<Expected<QueryResult, QueryError>> results;
+    std::vector<double> latency_us;
     if (mode == "group") {
-      // One pinned snapshot, deduplicated, fanned out across the pool.
-      const auto results = engine_->ExecuteBatch(requests);
-      const int64_t elapsed = now_us() - batch_start;
-      for (size_t i = 0; i < results.size(); ++i) {
-        if (results[i].has_value()) {
-          std::printf("  [%3zu] %-12s %s\n", i,
-                      std::string(QueryKindName(requests[i].kind)).c_str(),
-                      Summarize(*results[i]).c_str());
-        } else {
-          std::ostringstream out;
-          out << results[i].error();
-          std::printf("  [%3zu] %-12s rejected: %s\n", i,
-                      std::string(QueryKindName(requests[i].kind)).c_str(),
-                      out.str().c_str());
-        }
-      }
-      std::printf("%zu queries in one batch, %.1fus total (%.1fus/query)\n",
-                  results.size(), static_cast<double>(elapsed),
-                  static_cast<double>(elapsed) /
-                      static_cast<double>(results.size()));
+      results = engine_->ExecuteBatch(requests);
     } else {
-      for (size_t i = 0; i < requests.size(); ++i) {
+      for (const QueryRequest& request : requests) {
         const int64_t start = now_us();
-        const auto result = engine_->Execute(requests[i]);
-        const int64_t elapsed = now_us() - start;
-        if (result.has_value()) {
-          std::printf("  [%3zu] %-12s %8.1fus  %s\n", i,
-                      std::string(QueryKindName(requests[i].kind)).c_str(),
-                      static_cast<double>(elapsed),
-                      Summarize(*result).c_str());
-        } else {
-          std::ostringstream out;
-          out << result.error();
-          std::printf("  [%3zu] %-12s %8.1fus  rejected: %s\n", i,
-                      std::string(QueryKindName(requests[i].kind)).c_str(),
-                      static_cast<double>(elapsed), out.str().c_str());
-        }
+        results.push_back(engine_->Execute(request));
+        latency_us.push_back(static_cast<double>(now_us() - start));
       }
-      std::printf("%zu queries, %.1fus total\n", requests.size(),
-                  static_cast<double>(now_us() - batch_start));
+    }
+    const double elapsed = static_cast<double>(now_us() - batch_start);
+    for (size_t i = 0; i < results.size(); ++i) {
+      std::ostringstream outcome;
+      if (results[i].has_value()) {
+        outcome << Summarize(*results[i]);
+      } else {
+        outcome << "rejected: " << results[i].error();
+      }
+      const std::string kind(QueryKindName(requests[i].kind));
+      if (latency_us.empty()) {
+        std::printf("  [%3zu] %-12s %s\n", i, kind.c_str(),
+                    outcome.str().c_str());
+      } else {
+        std::printf("  [%3zu] %-12s %8.1fus  %s\n", i, kind.c_str(),
+                    latency_us[i], outcome.str().c_str());
+      }
+    }
+    if (latency_us.empty()) {
+      std::printf("%zu queries in one batch, %.1fus total (%.1fus/query)\n",
+                  results.size(), elapsed,
+                  elapsed / static_cast<double>(results.size()));
+    } else {
+      std::printf("%zu queries, %.1fus total\n", results.size(), elapsed);
     }
     PrintCacheStats(before);
   }
@@ -806,14 +827,11 @@ class RemoteShell {
   void Help() {
     std::printf(
         "remote commands (deadline %ums):\n"
-        "  mine W S C | region W S C | traj W S C [W...]\n"
-        "  diff S1 C1 S2 C2 [W...] | measures R [W...]\n"
-        "  content W S C ITEM... | view W S C\n"
-        "  rollup R [W...] | rollupmine S C [W...]\n"
         "  ingest FILE           append FILE as a new window on the server\n"
         "  metrics [json]        server instrument snapshot\n"
-        "  info | ping | quit\n",
-        deadline_ms_);
+        "  info | ping | quit\n"
+        "%s",
+        deadline_ms_, kQueryGrammarHelp);
   }
 
   bool RefreshInfo(bool print) {
@@ -838,9 +856,7 @@ class RemoteShell {
     if (!request.has_value()) return;
     const auto result = client_.Execute(*request, deadline_ms_);
     if (result.has_value()) {
-      std::printf("%-12s %s\n",
-                  std::string(QueryKindName(request->kind)).c_str(),
-                  Summarize(*result).c_str());
+      PrintSummary(request->kind, *result);
     } else {
       PrintError(result.error());
     }
@@ -1265,8 +1281,8 @@ int RunRemoteQuery(int argc, char** argv) {
     }
   }
   if (!have_remote) {
-    // Without --remote, `query` is the plain local session (the query
-    // grammar is available through its `batch` command).
+    // Without --remote, `query` is the plain local session (the same
+    // query grammar, executed in-process).
     return Session().Run();
   }
   auto client = server::TaraClient::Connect(host, port);
