@@ -20,6 +20,12 @@ uint32_t EffectiveParallelism(uint32_t requested) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+LoadError CorruptSegment(WindowId window, const std::string& what) {
+  return LoadError{LoadError::Code::kCorruptSegment,
+                   "segment of window " + std::to_string(window) +
+                       " is corrupt: " + what};
+}
+
 }  // namespace
 
 KbBuilder::KbBuilder(const Options& options)
@@ -32,7 +38,7 @@ KbBuilder::KbBuilder(const Options& options)
   {
     // Publish the empty generation-0 snapshot so snapshot() is never null.
     std::lock_guard<std::mutex> lock(commit_mutex_);
-    PublishSnapshotLocked();
+    PublishSnapshotLocked(0);
   }
   if (!options_.wal_dir.empty()) {
     const auto attached = AttachWal(options_.wal_dir);
@@ -68,21 +74,22 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
     valid_bytes = contents->valid_bytes;
     stats.truncated_bytes = contents->truncated_bytes;
     stats.records_scanned = contents->records.size();
+    // Every record the checkpoint does not cover goes in one batch.
+    std::vector<PersistedWindow> batch;
     for (const WalRecord& record : contents->records) {
-      // Order the record by its window id BEFORE decoding: stale and
-      // out-of-sequence records must not be parsed against this
-      // engine's catalog (a gap record would misreport as corruption).
+      // Order the record by its window id BEFORE parsing it: a record the
+      // last checkpoint already covers (the crash landed between the
+      // checkpoint and the log truncation) is skipped unread.
       const auto window = PeekWindowSegmentWindow(record.segment_bytes.data(),
                                                  record.segment_bytes.size());
       if (!window.has_value()) return window.error();
-      const WindowId next = static_cast<WindowId>(segments_.size());
+      const WindowId next =
+          static_cast<WindowId>(window_count() + batch.size());
       if (*window < next) {
-        // A record the last checkpoint already covers (the crash landed
-        // between the checkpoint and the log truncation).
         ++stats.records_skipped;
         continue;
       }
-      if (*window > next) {
+      if (*window != next) {
         return LoadError{
             LoadError::Code::kBadManifest,
             "write-ahead log in '" + dir + "' jumps to window " +
@@ -90,22 +97,14 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
                 std::to_string(next) +
                 " windows — the log does not belong to this knowledge base"};
       }
-      auto decoded = DecodeWindowSegment(record.segment_bytes.data(),
-                                         record.segment_bytes.size(),
-                                         *catalog_);
-      if (!decoded.has_value()) return decoded.error();
-      if (decoded->first_rule != static_cast<RuleId>(catalog_->size())) {
-        return LoadError{LoadError::Code::kCorruptSegment,
-                         "write-ahead record for window " +
-                             std::to_string(decoded->window) +
-                             " starts its rule ids at " +
-                             std::to_string(decoded->first_rule) +
-                             " but the catalog holds " +
-                             std::to_string(catalog_->size()) + " rules"};
-      }
-      AppendPrecomputedWindow(record.total_transactions, decoded->entries);
-      ++stats.records_replayed;
+      auto parsed = ParseWindowSegment(record.segment_bytes.data(),
+                                       record.segment_bytes.size());
+      if (!parsed.has_value()) return parsed.error();
+      parsed.value().total_transactions = record.total_transactions;
+      batch.push_back(std::move(parsed).value());
     }
+    stats.records_replayed = batch.size();
+    if (auto error = CommitPersistedWindows(std::move(batch))) return *error;
   }
   auto writer = WalWriter::Open(dir, options_, valid_bytes, options_.metrics);
   if (!writer.has_value()) return writer.error();
@@ -244,66 +243,180 @@ KbBuilder::MinedWindow KbBuilder::MineWindowSlice(
   return mined;
 }
 
-std::vector<WindowIndex::Entry> KbBuilder::InternAndArchive(
-    WindowId window, const std::vector<MinedRule>& rules) {
-  std::vector<WindowIndex::Entry> entries;
-  entries.reserve(rules.size());
-  for (const MinedRule& r : rules) {
-    const RuleId id = catalog_->Intern(Rule{r.antecedent, r.consequent});
-    archive_.Add(id, window, r.rule_count, r.antecedent_count);
-    tree_builder_.AddEntry(id, r.rule_count, r.antecedent_count);
-    entries.push_back(
-        WindowIndex::Entry{id, r.rule_count, r.antecedent_count});
-  }
-  return entries;
-}
-
-WindowId KbBuilder::CommitAndPublish(MinedWindow mined) {
-  std::lock_guard<std::mutex> lock(commit_mutex_);
-  const WindowId window = static_cast<WindowId>(segments_.size());
+std::shared_ptr<WindowSegment> KbBuilder::InternMined(MinedWindow mined) {
   auto segment = std::make_shared<WindowSegment>();
   segment->total_transactions = mined.total_transactions;
   segment->floor_count = mined.floor_count;
   WindowBuildStats& stats = segment->stats;
-  stats.window = window;
   stats.itemset_seconds = mined.itemset_seconds;
   stats.rule_seconds = mined.rule_seconds;
   stats.itemset_count = mined.itemset_count;
   stats.rule_count = mined.rules.size();
 
-  // (3) Archive append + catalog interning (the serialized commit stage).
   Stopwatch timer;
-  archive_.RegisterWindow(window, mined.total_transactions, mined.floor_count,
-                          options_.min_confidence_floor);
-  tree_builder_.BeginWindow(
-      window, mined.total_transactions,
-      UnarchivedCountSlack(mined.floor_count, options_.min_confidence_floor,
-                           mined.total_transactions));
-  segment->entries = InternAndArchive(window, mined.rules);
+  segment->entries.reserve(mined.rules.size());
+  for (const MinedRule& r : mined.rules) {
+    const RuleId id = catalog_->Intern(Rule{r.antecedent, r.consequent});
+    segment->entries.push_back(
+        WindowIndex::Entry{id, r.rule_count, r.antecedent_count});
+  }
   segment->rule_watermark = static_cast<RuleId>(catalog_->size());
   stats.archive_seconds = timer.ElapsedSeconds();
+  return segment;
+}
 
-  // (4) EPS slice (stable region index) build.
-  timer.Restart();
-  segment->index.Build(segment->entries, mined.total_transactions,
-                       options_.build_content_index, *catalog_, pool_.get());
-  stats.index_seconds = timer.ElapsedSeconds();
-  stats.location_count = segment->index.location_count();
-  stats.region_count = segment->index.region_count();
+std::optional<LoadError> KbBuilder::ValidatePersistedLocked(
+    const std::vector<PersistedWindow>& windows) const {
+  if (windows.empty()) return std::nullopt;
+  uint64_t watermark = catalog_->size();
+  for (const PersistedWindow& p : windows) {
+    watermark += p.new_rules.size();
+  }
+  if (watermark > RuleCatalog::kNotFound) {
+    return CorruptSegment(windows.back().window, "rule ids overflow");
+  }
+  // last_seen[id] == i + 1 once window i of the batch listed rule id.
+  std::vector<uint32_t> last_seen(watermark, 0);
+  WindowId next = static_cast<WindowId>(segments_.size());
+  watermark = catalog_->size();
+  for (size_t i = 0; i < windows.size(); ++i, ++next) {
+    const PersistedWindow& p = windows[i];
+    if (p.window != next) {
+      return CorruptSegment(p.window, "it arrives where window " +
+                                          std::to_string(next) + " is next");
+    }
+    if (p.first_rule != watermark) {
+      return CorruptSegment(p.window, "it starts its rule ids at " +
+                                          std::to_string(p.first_rule) +
+                                          " but the catalog holds " +
+                                          std::to_string(watermark) +
+                                          " rules");
+    }
+    watermark += p.new_rules.size();
+    const uint32_t stamp = static_cast<uint32_t>(i + 1);
+    for (const WindowIndex::Entry& e : p.entries) {
+      if (e.rule >= watermark) {
+        return CorruptSegment(p.window, "entry names rule " +
+                                            std::to_string(e.rule) +
+                                            " past the window's watermark " +
+                                            std::to_string(watermark));
+      }
+      if (e.rule_count == 0 || e.antecedent_count < e.rule_count) {
+        return CorruptSegment(
+            p.window, "rule " + std::to_string(e.rule) +
+                          " has impossible counts (rule " +
+                          std::to_string(e.rule_count) + ", antecedent " +
+                          std::to_string(e.antecedent_count) + ")");
+      }
+      if (last_seen[e.rule] == stamp) {
+        return CorruptSegment(p.window, "rule " + std::to_string(e.rule) +
+                                            " is listed twice");
+      }
+      last_seen[e.rule] = stamp;
+    }
+  }
+  return std::nullopt;
+}
 
-  PublishLocked(std::move(segment));
-  LogWindowsLocked(window);
+std::optional<LoadError> KbBuilder::CommitPersistedWindows(
+    std::vector<PersistedWindow> windows) {
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  if (auto error = ValidatePersistedLocked(windows)) return error;
+
+  // Intern every new rule of the batch at once: all or nothing, so a
+  // rule whose contents the catalog already holds leaves it unchanged.
+  std::vector<Rule> new_rules;
+  for (PersistedWindow& p : windows) {
+    for (Rule& rule : p.new_rules) new_rules.push_back(std::move(rule));
+  }
+  if (const std::optional<size_t> repeated = catalog_->InternNew(new_rules)) {
+    // Map the batch-wide index back to its window for the message.
+    size_t offset = *repeated;
+    size_t i = 0;
+    while (offset >= windows[i].new_rules.size()) {
+      offset -= windows[i++].new_rules.size();
+    }
+    return CorruptSegment(windows[i].window,
+                          "new rule " +
+                              std::to_string(windows[i].first_rule + offset) +
+                              " repeats the contents of a rule already "
+                              "interned");
+  }
+
+  std::vector<std::shared_ptr<WindowSegment>> pending;
+  pending.reserve(windows.size());
+  for (PersistedWindow& p : windows) {
+    auto segment = std::make_shared<WindowSegment>();
+    segment->total_transactions = p.total_transactions;
+    segment->floor_count =
+        MinCountForSupport(options_.min_support_floor, p.total_transactions);
+    segment->rule_watermark =
+        static_cast<RuleId>(p.first_rule + p.new_rules.size());
+    segment->stats.rule_count = p.entries.size();
+    segment->entries = std::move(p.entries);
+    pending.push_back(std::move(segment));
+  }
+  CommitLocked(std::move(pending));
+  return std::nullopt;
+}
+
+void KbBuilder::CommitLocked(
+    std::vector<std::shared_ptr<WindowSegment>> pending) {
+  if (pending.empty()) return;
+  const WindowId first = static_cast<WindowId>(segments_.size());
+
+  // Archive and roll-up tree appends, by id, strictly in window order.
+  for (size_t i = 0; i < pending.size(); ++i) {
+    WindowSegment& segment = *pending[i];
+    const WindowId window = first + static_cast<WindowId>(i);
+    segment.stats.window = window;
+    Stopwatch timer;
+    archive_.RegisterWindow(window, segment.total_transactions,
+                            segment.floor_count,
+                            options_.min_confidence_floor);
+    tree_builder_.BeginWindow(
+        window, segment.total_transactions,
+        UnarchivedCountSlack(segment.floor_count,
+                             options_.min_confidence_floor,
+                             segment.total_transactions));
+    for (const WindowIndex::Entry& e : segment.entries) {
+      archive_.Add(e.rule, window, e.rule_count, e.antecedent_count);
+      tree_builder_.AddEntry(e.rule, e.rule_count, e.antecedent_count);
+    }
+    segment.stats.archive_seconds += timer.ElapsedSeconds();
+  }
+
+  // EPS slices: windows spread across the pool when there are several,
+  // else the one window's sort spread over it. Each build writes only its
+  // own (still private) segment and reads the catalog shared.
+  const auto build_index = [this](WindowSegment* segment, ThreadPool* pool) {
+    Stopwatch timer;
+    segment->index.Build(segment->entries, segment->total_transactions,
+                         options_.build_content_index, *catalog_, pool);
+    segment->stats.index_seconds = timer.ElapsedSeconds();
+    segment->stats.location_count = segment->index.location_count();
+    segment->stats.region_count = segment->index.region_count();
+  };
+  if (pool_ != nullptr && pending.size() > 1) {
+    pool_->ParallelFor(pending.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        build_index(pending[i].get(), nullptr);
+      }
+    });
+  } else {
+    for (const auto& segment : pending) build_index(segment.get(), pool_.get());
+  }
+
+  for (auto& segment : pending) {
+    stats_.push_back(segment->stats);
+    segments_.push_back(std::move(segment));
+  }
+  PublishSnapshotLocked(static_cast<uint32_t>(pending.size()));
+  LogWindowsLocked(first);
   MarkDurableLocked();
-  return window;
 }
 
-void KbBuilder::PublishLocked(std::shared_ptr<const WindowSegment> segment) {
-  stats_.push_back(segment->stats);
-  segments_.push_back(std::move(segment));
-  PublishSnapshotLocked();
-}
-
-void KbBuilder::PublishSnapshotLocked() {
+void KbBuilder::PublishSnapshotLocked(uint32_t windows) {
   auto snapshot =
       std::shared_ptr<KnowledgeBaseSnapshot>(new KnowledgeBaseSnapshot());
   snapshot->catalog_ = catalog_;
@@ -315,19 +428,33 @@ void KbBuilder::PublishSnapshotLocked() {
   snapshot->rollup_tree_ = tree_builder_.Snapshot();
   snapshot->segments_ = segments_;
   snapshot->options_ = options_;
-  const bool initial = current_.load(std::memory_order_relaxed) == nullptr;
-  snapshot->generation_ = initial ? 0 : ++generation_;
+  generation_ += windows;
+  snapshot->generation_ = generation_;
+  // Pin the outgoing generation before the swap. Its reference-count
+  // increment acquires those of the readers that already loaded it, which
+  // orders their loads before the store: libstdc++ 12's
+  // atomic<shared_ptr>::load releases its internal lock with relaxed
+  // order, so ThreadSanitizer otherwise reports the store racing them.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> outgoing =
+      current_.load(std::memory_order_acquire);
   current_.store(std::move(snapshot), std::memory_order_release);
   UpdateBuildMetrics();
   if (options_.metrics != nullptr) {
     metrics_.kb_generation->Set(static_cast<double>(generation_));
-    if (!initial) metrics_.kb_swaps->Increment();
+    if (windows > 0) metrics_.kb_swaps->Increment();
   }
+}
+
+WindowId KbBuilder::CommitMinedWindow(MinedWindow mined) {
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  const WindowId window = window_count();
+  CommitLocked({InternMined(std::move(mined))});
+  return window;
 }
 
 WindowId KbBuilder::AppendWindow(const TransactionDatabase& db, size_t begin,
                                  size_t end) {
-  return CommitAndPublish(MineWindowSlice(db, begin, end, pool_.get()));
+  return CommitMinedWindow(MineWindowSlice(db, begin, end, pool_.get()));
 }
 
 WindowId KbBuilder::AppendPrecomputedWindow(
@@ -345,106 +472,55 @@ WindowId KbBuilder::AppendPrecomputedWindow(
     rule.antecedent_count = r.antecedent_count;
     mined.rules.push_back(std::move(rule));
   }
-  return CommitAndPublish(std::move(mined));
+  return CommitMinedWindow(std::move(mined));
 }
 
 void KbBuilder::BuildAll(const EvolvingDatabase& data) {
   const uint32_t n = data.window_count();
+  const TransactionDatabase& db = data.database();
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  std::vector<std::shared_ptr<WindowSegment>> pending;
+  pending.reserve(n);
   ThreadPool* pool = pool_.get();
   if (pool == nullptr || n <= 1) {
     for (WindowId w = 0; w < n; ++w) {
       const WindowInfo& info = data.window(w);
-      AppendWindow(data.database(), info.begin, info.end);
+      pending.push_back(
+          InternMined(MineWindowSlice(db, info.begin, info.end, pool)));
     }
-    return;
+  } else {
+    // Parallel pipeline. Windows are independent by construction (the
+    // iPARAS increment never revisits prior windows), so:
+    //   stage 1 (fan-out): mine itemsets + derive rules per window;
+    //   stage 2 (serial):  intern rules strictly in window order — RuleIds
+    //                      come out identical to a sequential build;
+    //   stage 3:           the commit tail below (archive appends, EPS
+    //                      builds fanned across the pool, one
+    //                      publication for every window).
+    // Keep only a few windows of mined-but-uninterned rules in memory.
+    const uint32_t max_ahead = pool->size() + 2;
+    std::deque<std::future<MinedWindow>> in_flight;
+    WindowId next_to_mine = 0;
+    const auto submit_next_mine = [&] {
+      if (next_to_mine >= n) return;
+      const WindowInfo info = data.window(next_to_mine);
+      in_flight.push_back(pool->Submit([this, &db, info] {
+        // Intra-window loops stay sequential here: the window fan-out
+        // already keeps every worker busy.
+        return MineWindowSlice(db, info.begin, info.end, nullptr);
+      }));
+      ++next_to_mine;
+    };
+    while (next_to_mine < n && next_to_mine < max_ahead) submit_next_mine();
+    for (uint32_t i = 0; i < n; ++i) {
+      MinedWindow mined = in_flight.front().get();
+      in_flight.pop_front();
+      submit_next_mine();
+      pending.push_back(InternMined(std::move(mined)));
+    }
   }
-
-  // Parallel pipeline. Windows are independent by construction (the iPARAS
-  // increment never revisits prior windows), so:
-  //   stage 1 (fan-out):  mine itemsets + derive rules per window;
-  //   stage 2 (serial):   intern rules + append archive counts, strictly
-  //                       in window order — RuleIds and the archive byte
-  //                       stream come out identical to a sequential build;
-  //   stage 3 (fan-out):  build each committed window's EPS slice.
-  // The pending segments stay private to this call until every index
-  // build has joined; a single publication then makes all of them visible
-  // to readers atomically. In-flight queries keep answering from the
-  // generation they pinned throughout.
-  std::lock_guard<std::mutex> lock(commit_mutex_);
-  const TransactionDatabase& db = data.database();
-  const WindowId base = static_cast<WindowId>(segments_.size());
-  std::vector<std::shared_ptr<WindowSegment>> pending(n);
-
-  // Keep only a few windows of mined-but-uncommitted rules in memory.
-  const uint32_t max_ahead = pool->size() + 2;
-  std::deque<std::future<MinedWindow>> in_flight;
-  WindowId next_to_mine = 0;
-  const auto submit_next_mine = [&] {
-    if (next_to_mine >= n) return;
-    const WindowInfo info = data.window(next_to_mine);
-    in_flight.push_back(pool->Submit([this, &db, info] {
-      // Intra-window loops stay sequential here: the window fan-out
-      // already keeps every worker busy.
-      return MineWindowSlice(db, info.begin, info.end, nullptr);
-    }));
-    ++next_to_mine;
-  };
-  while (next_to_mine < n && next_to_mine < max_ahead) submit_next_mine();
-
-  std::vector<std::future<void>> eps_builds;
-  eps_builds.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MinedWindow mined = in_flight.front().get();
-    in_flight.pop_front();
-    submit_next_mine();
-
-    const WindowId window = base + i;
-    auto segment = std::make_shared<WindowSegment>();
-    pending[i] = segment;
-    segment->total_transactions = mined.total_transactions;
-    segment->floor_count = mined.floor_count;
-    WindowBuildStats& stats = segment->stats;
-    stats.window = window;
-    stats.itemset_seconds = mined.itemset_seconds;
-    stats.rule_seconds = mined.rule_seconds;
-    stats.itemset_count = mined.itemset_count;
-    stats.rule_count = mined.rules.size();
-
-    Stopwatch timer;
-    archive_.RegisterWindow(window, mined.total_transactions,
-                            mined.floor_count,
-                            options_.min_confidence_floor);
-    tree_builder_.BeginWindow(
-        window, mined.total_transactions,
-        UnarchivedCountSlack(mined.floor_count,
-                             options_.min_confidence_floor,
-                             mined.total_transactions));
-    segment->entries = InternAndArchive(window, mined.rules);
-    segment->rule_watermark = static_cast<RuleId>(catalog_->size());
-    stats.archive_seconds = timer.ElapsedSeconds();
-
-    // Stage 3 reads the catalog (content index only) while later windows
-    // intern — safe: RuleCatalog readers lock shared against the writer.
-    // Each task writes only its own (still private) segment.
-    WindowSegment* slot = segment.get();
-    eps_builds.push_back(pool->Submit([this, slot] {
-      Stopwatch index_timer;
-      slot->index.Build(slot->entries, slot->total_transactions,
-                        options_.build_content_index, *catalog_, nullptr);
-      slot->stats.index_seconds = index_timer.ElapsedSeconds();
-      slot->stats.location_count = slot->index.location_count();
-      slot->stats.region_count = slot->index.region_count();
-    }));
-  }
-  for (std::future<void>& f : eps_builds) f.get();
-
-  for (auto& segment : pending) {
-    stats_.push_back(segment->stats);
-    segments_.push_back(std::move(segment));
-  }
-  PublishSnapshotLocked();
-  LogWindowsLocked(base);
-  MarkDurableLocked();
+  // In-flight queries keep answering from the generation they pinned.
+  CommitLocked(std::move(pending));
 }
 
 }  // namespace tara

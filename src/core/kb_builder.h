@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/expected.h"
@@ -21,15 +22,31 @@
 
 namespace tara {
 
+/// One window persisted elsewhere — a TSEG segment (kb_storage.h) from a
+/// TARAKB3 block, a WAL record, a replication frame or the stream form —
+/// parsed and ready for KbBuilder::CommitPersistedWindows. Its entries
+/// name rules by id: ids below `first_rule` are rules earlier windows
+/// interned, and the window interns `new_rules` as ids
+/// [first_rule, first_rule + new_rules.size()), in order.
+struct PersistedWindow {
+  WindowId window = 0;
+  /// Not part of the segment blob: the caller sets it from the manifest
+  /// row, WAL record or replication frame that carried the segment.
+  uint64_t total_transactions = 0;
+  RuleId first_rule = 0;
+  std::vector<Rule> new_rules;
+  std::vector<WindowIndex::Entry> entries;
+};
+
 /// The mutable half of the knowledge base: mines arriving windows, commits
 /// them onto the current KnowledgeBaseSnapshot, and publishes each new
 /// generation with a single atomic shared_ptr swap (RCU-style).
 ///
 /// ## Concurrency contract
 ///
-/// - **One writer.** AppendWindow / AppendPrecomputedWindow / BuildAll are
-///   serialized by an internal commit mutex; concurrent writer calls are
-///   safe but pointless (they queue).
+/// - **One writer.** AppendWindow / AppendPrecomputedWindow / BuildAll /
+///   CommitPersistedWindows are serialized by an internal commit mutex;
+///   concurrent writer calls are safe but pointless (they queue).
 /// - **Any number of readers, any time.** snapshot() is a lock-free atomic
 ///   load; the returned shared_ptr pins that generation for as long as it
 ///   is held. Readers never block a writer and a writer never blocks
@@ -47,11 +64,17 @@ namespace tara {
 ///   each published snapshot receives its own immutable copy of the
 ///   (compressed) archive; the builder keeps the working archive private.
 ///
-/// Determinism: the commit stage (catalog interning + archive appends)
-/// runs strictly in window order whether windows arrive via BuildAll's
-/// parallel pipeline or one at a time through live AppendWindow calls, so
-/// RuleIds — and the serialized knowledge base — are byte-identical for
-/// the same window sequence at any parallelism, on either path.
+/// Publication: every writer call publishes exactly ONE generation for
+/// all the windows it commits, and the generation number advances by
+/// the number of windows committed — so an engine's generation equals
+/// its window count however its windows were batched (`tara.kb.swaps`
+/// counts the publications).
+///
+/// Determinism: catalog interning runs strictly in window order whether
+/// windows arrive via BuildAll's parallel pipeline, one at a time through
+/// live AppendWindow calls, or by id from persisted segments, so RuleIds
+/// — and the serialized knowledge base — are byte-identical for the same
+/// window sequence at any parallelism, on every path.
 class KbBuilder {
  public:
   using Options = KbOptions;
@@ -67,18 +90,35 @@ class KbBuilder {
   WindowId AppendWindow(const TransactionDatabase& db, size_t begin,
                         size_t end);
 
-  /// Installs a window whose rules were mined elsewhere, then publishes.
-  /// The caller guarantees the rules are exactly those passing this
-  /// builder's floors over a window of `total_transactions` transactions.
+  /// Installs a window whose rules were mined elsewhere (an external
+  /// miner), interning them by content, then publishes. The caller
+  /// guarantees the rules are exactly those passing this builder's floors
+  /// over a window of `total_transactions` transactions. Persisted
+  /// windows, whose segments already name their rules by id, go through
+  /// CommitPersistedWindows instead.
   WindowId AppendPrecomputedWindow(uint64_t total_transactions,
                                    const std::vector<PrecomputedRule>& rules);
 
   /// Appends every window of an evolving database. With
-  /// Options::parallelism > 1, independent windows are mined and
-  /// EPS-indexed concurrently and committed in window order. The new
-  /// windows become visible to readers atomically, as ONE new generation
-  /// published after the last window's commit.
+  /// Options::parallelism > 1, independent windows are mined
+  /// concurrently, interned in window order, and EPS-indexed across the
+  /// pool. At any parallelism the new windows become visible to readers
+  /// atomically, as ONE publication after the last window's commit.
   void BuildAll(const EvolvingDatabase& data);
+
+  /// Commits persisted windows — parsed TSEG segments, in window order,
+  /// the first being window_count() — by rule id, as ONE publication:
+  /// each window's new rules are moved into the catalog and must get
+  /// exactly the ids the segment names; entries go to the archive and the
+  /// roll-up tree by id (no content lookups); the EPS slices are built
+  /// across the pool when one exists. Everything is checked before the
+  /// catalog or the archive is touched: a wrong window or first rule id,
+  /// an entry with a zero rule count or an antecedent count below it, an
+  /// id past the window's watermark, one rule listed twice in a window,
+  /// or a new rule whose contents the catalog already holds is a typed
+  /// kCorruptSegment error, and then nothing is committed or published.
+  std::optional<LoadError> CommitPersistedWindows(
+      std::vector<PersistedWindow> windows);
 
   /// Attaches the write-ahead log in `dir`, creating it if absent. An
   /// existing log must carry this builder's construction options; its
@@ -104,7 +144,9 @@ class KbBuilder {
     return current_.load(std::memory_order_acquire);
   }
 
-  /// The published generation number (0 = empty initial snapshot).
+  /// The published generation number: 0 for the empty initial snapshot,
+  /// then the number of windows committed so far (each publication
+  /// advances it by the windows it commits).
   uint64_t generation() const { return snapshot()->generation(); }
 
   /// --- Durable watermark ------------------------------------------------
@@ -161,15 +203,28 @@ class KbBuilder {
   MinedWindow MineWindowSlice(const TransactionDatabase& db, size_t begin,
                               size_t end, ThreadPool* intra_pool) const;
 
-  /// Stage 2 core: interns `rules` and appends their counts to the
-  /// working archive for `window`. Must run serialized, in window order —
-  /// this is what keeps RuleIds deterministic.
-  std::vector<WindowIndex::Entry> InternAndArchive(
-      WindowId window, const std::vector<MinedRule>& rules);
+  /// Stage 2: interns `mined`'s rules by content and returns the window's
+  /// pending segment (entries by id, watermark, stats). Must run
+  /// serialized, in window order — this is what keeps RuleIds
+  /// deterministic. Commit mutex must be held.
+  std::shared_ptr<WindowSegment> InternMined(MinedWindow mined);
 
-  /// Stages 2+3 under the commit mutex: commit `mined` as the next
-  /// window, build its EPS slice, and publish the new generation.
-  WindowId CommitAndPublish(MinedWindow mined);
+  /// Interns and commits one mined window as the next window (its own
+  /// publication); returns its id. Takes the commit mutex.
+  WindowId CommitMinedWindow(MinedWindow mined);
+
+  /// Checks a persisted batch against the working state without touching
+  /// it (the CommitPersistedWindows contract). Commit mutex must be held.
+  std::optional<LoadError> ValidatePersistedLocked(
+      const std::vector<PersistedWindow>& windows) const;
+
+  /// The commit tail every writer shares: appends each pending window
+  /// (ids already interned, in window order, starting at window_count())
+  /// to the archive and the roll-up tree, builds the EPS slices (across
+  /// the pool when there are several windows), publishes ONE generation
+  /// holding all of them, logs them to the WAL and marks them durable.
+  /// No-op for an empty batch. Commit mutex must be held.
+  void CommitLocked(std::vector<std::shared_ptr<WindowSegment>> pending);
 
   /// Appends windows [first, window_count()) to the attached WAL,
   /// fdatasync'd, reading their bytes from the just-published snapshot.
@@ -184,12 +239,11 @@ class KbBuilder {
   /// mutex must be held).
   void MarkDurableLocked();
 
-  /// Appends `segment` to the working state and publishes a new
-  /// generation (commit mutex must be held).
-  void PublishLocked(std::shared_ptr<const WindowSegment> segment);
-  /// Swaps in a snapshot of the current working state (commit mutex must
-  /// be held). `swaps` counts publications after the initial one.
-  void PublishSnapshotLocked();
+  /// Swaps in a snapshot of the current working state, advancing the
+  /// generation by `windows` (the windows this publication commits; 0
+  /// only for the initial publication). `swaps` counts publications
+  /// after the initial one. Commit mutex must be held.
+  void PublishSnapshotLocked(uint32_t windows);
 
   /// Registers instruments in options_.metrics (no-op when null).
   void RegisterMetrics();
@@ -231,6 +285,9 @@ class KbBuilder {
   /// All committed segments, oldest first (each immutable once pushed).
   std::vector<std::shared_ptr<const WindowSegment>> segments_;
   std::vector<WindowBuildStats> stats_;
+  /// Windows committed by the publications so far. A counter of its own
+  /// rather than segments_.size(), so a reader comparing a snapshot's
+  /// generation with its window count catches a torn publication.
   uint64_t generation_ = 0;
   /// The RCU publication point: readers load, the writer stores.
   std::atomic<std::shared_ptr<const KnowledgeBaseSnapshot>> current_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.h"
@@ -162,6 +163,15 @@ size_t KnowledgeBaseSnapshot::IndexBytes() const {
 
 std::optional<QueryError> KnowledgeBaseSnapshot::ValidateSetting(
     const ParameterSetting& setting) const {
+  // Before the floor checks: a NaN compares false against every floor.
+  if (!std::isfinite(setting.min_support) ||
+      !std::isfinite(setting.min_confidence)) {
+    std::ostringstream message;
+    message << "setting (" << setting.min_support << ", "
+            << setting.min_confidence
+            << ") is not finite — thresholds must be real numbers";
+    return QueryError{QueryError::Code::kNonFiniteSetting, message.str()};
+  }
   if (setting.min_support + 1e-12 < options_.min_support_floor) {
     std::ostringstream message;
     message << "min_support " << setting.min_support

@@ -1,5 +1,6 @@
 #include "core/kb_storage.h"
 
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -182,59 +183,6 @@ std::optional<LoadError> DecodeManifest(ByteReader* reader,
   return std::nullopt;
 }
 
-/// Decodes one window's segment blob and appends it to `engine`,
-/// cross-checking every claim against the manifest row. `rules` is the
-/// catalog replay: rule contents accumulated from all prior segments,
-/// indexed by RuleId.
-std::optional<LoadError> DecodeSegmentInto(const uint8_t* data, size_t size,
-                                           const ManifestRow& row,
-                                           WindowId window,
-                                           std::vector<Rule>* rules,
-                                           TaraEngine* engine) {
-  const auto corrupt = [window](const std::string& what) {
-    std::ostringstream message;
-    message << "segment of window " << window << " is corrupt: " << what;
-    return Err(LoadError::Code::kCorruptSegment, message.str());
-  };
-  if (HashBytes(data, size) != row.segment_hash) {
-    return corrupt("checksum does not match the manifest");
-  }
-  auto parsed = ParseWindowSegment(data, size);
-  if (!parsed.has_value()) return parsed.error();
-  if (parsed->window != window) {
-    return corrupt("segment belongs to a different window");
-  }
-  if (parsed->first_rule != rules->size() ||
-      parsed->first_rule + parsed->new_rules.size() != row.rule_watermark) {
-    return corrupt("rule id range disagrees with the manifest watermark");
-  }
-  if (parsed->entries.size() != row.entry_count) {
-    return corrupt("entry count disagrees with the manifest");
-  }
-  for (Rule& rule : parsed.value().new_rules) {
-    rules->push_back(std::move(rule));
-  }
-  std::vector<TaraEngine::PrecomputedRule> precomputed;
-  precomputed.reserve(parsed->entries.size());
-  for (const ParsedWindowSegment::RawEntry& e : parsed->entries) {
-    if (e.rule >= row.rule_watermark) {
-      return corrupt("entry references a rule past the window's watermark");
-    }
-    TaraEngine::PrecomputedRule p;
-    p.rule = (*rules)[e.rule];
-    p.rule_count = e.rule_count;
-    p.antecedent_count = e.rule_count + e.antecedent_delta;
-    precomputed.push_back(std::move(p));
-  }
-  engine->AppendPrecomputedWindow(row.total_transactions, precomputed);
-  if (engine->catalog().size() != row.rule_watermark) {
-    return corrupt(
-        "re-interning the entries did not reproduce the manifest watermark "
-        "(duplicate or out-of-order rule contents)");
-  }
-  return std::nullopt;
-}
-
 TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics) {
   KbOptions options;
   options.min_support_floor = manifest.min_support_floor;
@@ -270,8 +218,9 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
   Manifest manifest;
   if (auto error = DecodeManifest(&reader, &manifest)) return *std::move(error);
 
-  TaraEngine engine = EngineFor(manifest, metrics);
-  std::vector<Rule> rules;
+  std::vector<PersistedWindow> batch;
+  batch.reserve(manifest.rows.size());
+  uint64_t first_rule = 0;
   size_t pos = reader.pos();
   for (size_t w = 0; w < manifest.rows.size(); ++w) {
     const ManifestRow& row = manifest.rows[w];
@@ -282,11 +231,17 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
               << bytes.size() - pos << " remain)";
       return Err(LoadError::Code::kTruncated, message.str());
     }
-    if (auto error =
-            DecodeSegmentInto(data + pos, row.segment_bytes, row,
-                              static_cast<WindowId>(w), &rules, &engine)) {
-      return *std::move(error);
-    }
+    auto parsed = ParseClaimedSegment(
+        data + pos, row.segment_bytes,
+        {.window = static_cast<WindowId>(w),
+         .total_transactions = row.total_transactions,
+         .first_rule = first_rule,
+         .rule_watermark = row.rule_watermark,
+         .entry_count = row.entry_count,
+         .segment_hash = row.segment_hash});
+    if (!parsed.has_value()) return parsed.error();
+    batch.push_back(std::move(parsed).value());
+    first_rule = row.rule_watermark;
     pos += row.segment_bytes;
   }
   if (pos != bytes.size()) {
@@ -294,6 +249,10 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
     message << bytes.size() - pos
             << " trailing bytes after the last window segment";
     return Err(LoadError::Code::kTrailingBytes, message.str());
+  }
+  TaraEngine engine = EngineFor(manifest, metrics);
+  if (auto error = engine.CommitPersistedWindows(std::move(batch))) {
+    return *std::move(error);
   }
   return engine;
 }
@@ -315,8 +274,8 @@ Expected<WindowId, LoadError> PeekWindowSegmentWindow(const uint8_t* data,
   return static_cast<WindowId>(stored_window);
 }
 
-Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
-    const uint8_t* data, size_t size) {
+Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
+                                                        size_t size) {
   const auto corrupt = [](const std::string& what) {
     return Err(LoadError::Code::kCorruptSegment,
                "window segment is corrupt: " + what);
@@ -330,7 +289,7 @@ Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
       !r.U64(&new_rule_count)) {
     return corrupt("truncated segment header");
   }
-  ParsedWindowSegment parsed;
+  PersistedWindow parsed;
   parsed.window = static_cast<WindowId>(stored_window);
   parsed.first_rule = static_cast<RuleId>(first_rule);
   if (parsed.window != stored_window || parsed.first_rule != first_rule) {
@@ -339,6 +298,9 @@ Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
   if (new_rule_count > r.remaining()) {  // each rule takes >= 2 bytes
     return corrupt("truncated rule contents");
   }
+  // Ids stay below RuleCatalog::kNotFound.
+  const uint64_t watermark = first_rule + new_rule_count;
+  if (watermark > RuleCatalog::kNotFound) return corrupt("rule ids overflow");
   parsed.new_rules.reserve(new_rule_count);
   for (uint64_t i = 0; i < new_rule_count; ++i) {
     Rule rule;
@@ -354,56 +316,72 @@ Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
   }
   parsed.entries.reserve(entry_count);
   for (uint64_t i = 0; i < entry_count; ++i) {
-    ParsedWindowSegment::RawEntry e;
-    if (!r.U64(&e.rule) || !r.U64(&e.rule_count) ||
-        !r.U64(&e.antecedent_delta)) {
+    uint64_t rule = 0, rule_count = 0, antecedent_delta = 0;
+    if (!r.U64(&rule) || !r.U64(&rule_count) || !r.U64(&antecedent_delta)) {
       return corrupt("truncated entry list");
     }
-    if (e.rule >= first_rule + parsed.new_rules.size()) {
+    if (rule >= watermark) {
       return corrupt("entry references a rule past the segment's range");
     }
-    parsed.entries.push_back(e);
+    if (rule_count == 0) return corrupt("entry with a zero rule count");
+    if (antecedent_delta > UINT64_MAX - rule_count) {
+      return corrupt("entry's antecedent count overflows");
+    }
+    parsed.entries.push_back(WindowIndex::Entry{
+        static_cast<RuleId>(rule), rule_count, rule_count + antecedent_delta});
   }
   if (r.remaining() != 0) return corrupt("trailing bytes after the entries");
   return parsed;
 }
 
-Expected<std::vector<PrecomputedRule>, LoadError> ResolveParsedSegment(
-    const ParsedWindowSegment& parsed, const RuleCatalog& catalog) {
-  const auto corrupt = [](const std::string& what) {
-    return Err(LoadError::Code::kCorruptSegment,
-               "window segment is corrupt: " + what);
+Expected<PersistedWindow, LoadError> ParseClaimedSegment(
+    const uint8_t* data, size_t size, const SegmentClaim& claim) {
+  const auto corrupt = [&claim](const std::string& what) {
+    std::ostringstream message;
+    message << "segment of window " << claim.window << " is corrupt: " << what;
+    return Err(LoadError::Code::kCorruptSegment, message.str());
   };
-  if (parsed.first_rule > catalog.size()) {
-    return corrupt("rule ids start past the catalog");
+  if (HashBytes(data, size) != claim.segment_hash) {
+    return corrupt("checksum does not match the manifest");
   }
-  std::vector<PrecomputedRule> entries;
-  entries.reserve(parsed.entries.size());
-  for (const ParsedWindowSegment::RawEntry& e : parsed.entries) {
-    PrecomputedRule p;
-    if (e.rule < parsed.first_rule) {
-      p.rule = catalog.rule(static_cast<RuleId>(e.rule));
-    } else {
-      // In range by the parse-time bound check.
-      p.rule = parsed.new_rules[e.rule - parsed.first_rule];
-    }
-    p.rule_count = e.rule_count;
-    p.antecedent_count = e.rule_count + e.antecedent_delta;
-    entries.push_back(std::move(p));
+  auto parsed = ParseWindowSegment(data, size);
+  if (!parsed.has_value()) return corrupt(parsed.error().message);
+  if (parsed->window != claim.window) {
+    return corrupt("segment belongs to a different window");
   }
-  return entries;
+  if (parsed->first_rule != claim.first_rule ||
+      parsed->first_rule + parsed->new_rules.size() != claim.rule_watermark) {
+    return corrupt("rule id range disagrees with the manifest watermark");
+  }
+  if (parsed->entries.size() != claim.entry_count) {
+    return corrupt("entry count disagrees with the manifest");
+  }
+  parsed.value().total_transactions = claim.total_transactions;
+  return parsed;
 }
 
 Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
     const uint8_t* data, size_t size, const RuleCatalog& catalog) {
   auto parsed = ParseWindowSegment(data, size);
   if (!parsed.has_value()) return parsed.error();
-  auto entries = ResolveParsedSegment(parsed.value(), catalog);
-  if (!entries.has_value()) return entries.error();
+  if (parsed->first_rule > catalog.size()) {
+    return Err(LoadError::Code::kCorruptSegment,
+               "window segment is corrupt: rule ids start past the catalog");
+  }
   DecodedWindowSegment decoded;
   decoded.window = parsed->window;
   decoded.first_rule = parsed->first_rule;
-  decoded.entries = *std::move(entries);
+  decoded.entries.reserve(parsed->entries.size());
+  for (const WindowIndex::Entry& e : parsed->entries) {
+    PrecomputedRule p;
+    // Ids past first_rule are in range by the parse-time bound check.
+    p.rule = e.rule < parsed->first_rule
+                 ? catalog.rule(e.rule)
+                 : parsed->new_rules[e.rule - parsed->first_rule];
+    p.rule_count = e.rule_count;
+    p.antecedent_count = e.antecedent_count;
+    decoded.entries.push_back(std::move(p));
+  }
   return decoded;
 }
 

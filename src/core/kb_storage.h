@@ -40,7 +40,8 @@ namespace tara {
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot);
 
 /// Parses bytes produced by EncodeKnowledgeBase (or the stream helpers in
-/// serialization.h). `metrics` becomes the loaded engine's
+/// serialization.h), committing every window in one batch
+/// (CommitPersistedWindows). `metrics` becomes the loaded engine's
 /// Options::metrics — runtime knobs are not serialized state.
 Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
     std::string_view bytes, obs::MetricsRegistry* metrics = nullptr);
@@ -52,55 +53,54 @@ std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
                                          WindowId window);
 
 /// A decoded segment blob: the window it belongs to, where its rule ids
-/// start, and its entries with rule contents resolved — ready for
-/// AppendPrecomputedWindow.
+/// start, and its entries with rule contents resolved — the shape
+/// AppendPrecomputedWindow takes. Loaders commit by id instead
+/// (ParseWindowSegment + CommitPersistedWindows).
 struct DecodedWindowSegment {
   WindowId window = 0;
   RuleId first_rule = 0;
   std::vector<PrecomputedRule> entries;
 };
 
-/// Parses a segment blob. Entries referencing rules older than
-/// `first_rule` resolve their contents through `catalog` (which must
-/// hold at least `first_rule` rules); rules the window interned first
-/// come from the blob itself. Untrusted-input discipline: any
-/// inconsistency is a LoadError, never an abort.
+/// Parses a segment blob and resolves every entry's rule contents:
+/// rules older than `first_rule` through `catalog` (which must hold at
+/// least `first_rule` rules), the rules the window interned first from
+/// the blob itself. Untrusted-input discipline: any inconsistency is a
+/// LoadError, never an abort.
 Expected<DecodedWindowSegment, LoadError> DecodeWindowSegment(
     const uint8_t* data, size_t size, const RuleCatalog& catalog);
 
-/// A segment blob parsed WITHOUT a catalog: entries keep their raw rule
-/// ids and count deltas. This is stage 1 of the two-phase decode that
-/// lets block-parallel loaders parse many segments concurrently — only
-/// the catalog-dependent resolution (stage 2, ResolveParsedSegment) must
-/// run in window order.
-struct ParsedWindowSegment {
+/// Catalog-free structural parse of a segment blob into the batch
+/// commit's input (total_transactions, which the blob does not carry,
+/// is left 0 for the caller to set). Rejects, as kCorruptSegment, a
+/// truncated or overlong blob, a rule-id range that overflows RuleId, an
+/// entry naming a rule past the segment's watermark, a zero rule count,
+/// and an antecedent count that overflows. Safe to run on many segments
+/// concurrently.
+Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
+                                                        size_t size);
+
+/// What a manifest row — the stream header's or a TARAKB3 blocks
+/// manifest's — claims about one window's segment.
+struct SegmentClaim {
   WindowId window = 0;
-  RuleId first_rule = 0;
-  /// Contents of the rules this window interned first
-  /// (ids [first_rule, first_rule + new_rules.size())).
-  std::vector<Rule> new_rules;
-  struct RawEntry {
-    uint64_t rule = 0;
-    uint64_t rule_count = 0;
-    uint64_t antecedent_delta = 0;
-  };
-  std::vector<RawEntry> entries;
+  uint64_t total_transactions = 0;
+  /// The previous row's watermark (0 for window 0).
+  uint64_t first_rule = 0;
+  uint64_t rule_watermark = 0;
+  uint64_t entry_count = 0;
+  uint64_t segment_hash = 0;
 };
 
-/// Stage 1: catalog-free structural parse of a segment blob. Safe to run
-/// on many segments concurrently.
-Expected<ParsedWindowSegment, LoadError> ParseWindowSegment(
-    const uint8_t* data, size_t size);
-
-/// Stage 2: resolves a parsed segment's entries against `catalog`, which
-/// must hold exactly the rules of all prior windows (i.e. at least
-/// `parsed.first_rule` of them). Must be called in window order.
-Expected<std::vector<PrecomputedRule>, LoadError> ResolveParsedSegment(
-    const ParsedWindowSegment& parsed, const RuleCatalog& catalog);
+/// Stage 1 of loading a segment a manifest describes: checks the blob's
+/// hash, parses it, and cross-checks the window id, the rule-id range
+/// and the entry count against `claim`; sets total_transactions from it.
+/// Errors name the window. Catalog-free, like ParseWindowSegment.
+Expected<PersistedWindow, LoadError> ParseClaimedSegment(
+    const uint8_t* data, size_t size, const SegmentClaim& claim);
 
 /// Reads just the window id from a segment blob's header, so WAL replay
-/// can order records before committing to a full (catalog-dependent)
-/// decode.
+/// can skip records a checkpoint already covers without parsing them.
 Expected<WindowId, LoadError> PeekWindowSegmentWindow(const uint8_t* data,
                                                       size_t size);
 

@@ -20,6 +20,8 @@ std::string_view QueryErrorCodeName(QueryError::Code code) {
       return "no_content_index";
     case QueryError::Code::kCorruptStorage:
       return "corrupt_storage";
+    case QueryError::Code::kNonFiniteSetting:
+      return "non_finite_setting";
   }
   return "unknown";
 }
@@ -42,6 +44,8 @@ std::optional<QueryError::Code> QueryErrorFromWireCode(uint32_t code) {
       return QueryError::Code::kNoContentIndex;
     case 8:
       return QueryError::Code::kCorruptStorage;
+    case 9:
+      return QueryError::Code::kNonFiniteSetting;
     default:
       return std::nullopt;
   }

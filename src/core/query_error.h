@@ -43,6 +43,10 @@ struct QueryError {
     /// window — is rejected. Opening with OpenVerify::kHashes detects
     /// the damage at open time instead.
     kCorruptStorage = 8,
+    /// A support or confidence threshold that is NaN or infinite. The
+    /// wire carries settings as raw f64 bits, so a client can send one;
+    /// no floor comparison can reject it.
+    kNonFiniteSetting = 9,
   };
 
   Code code = Code::kSupportBelowFloor;

@@ -36,6 +36,19 @@ RuleId RuleCatalog::Intern(const Rule& rule) {
   return it->second;
 }
 
+std::optional<size_t> RuleCatalog::InternNew(std::span<Rule> rules) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  const size_t base = rules_.size();
+  for (size_t i = 0; i < rules.size(); ++i) {
+    if (!ids_.try_emplace(rules[i], static_cast<RuleId>(base + i)).second) {
+      for (size_t j = 0; j < i; ++j) ids_.erase(rules[j]);
+      return i;
+    }
+  }
+  for (Rule& rule : rules) rules_.push_back(std::move(rule));
+  return std::nullopt;
+}
+
 RuleId RuleCatalog::Find(const Rule& rule) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = ids_.find(rule);

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -48,6 +50,13 @@ class RuleCatalog {
   /// Returns the id for `rule`, interning it if new. Single writer at a
   /// time (the build commit stage is serialized).
   RuleId Intern(const Rule& rule);
+
+  /// Interns `rules`, which must all be new, as the next ids
+  /// [size(), size() + rules.size()) in order, moving them in. All or
+  /// nothing: when one of them is already interned, or two of them are
+  /// equal, the catalog is left unchanged and the index of the first
+  /// offender comes back. Single writer, like Intern.
+  std::optional<size_t> InternNew(std::span<Rule> rules);
 
   /// Returns the id for `rule` or kNotFound if never interned.
   RuleId Find(const Rule& rule) const;

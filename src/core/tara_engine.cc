@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "core/kb_blocks.h"
 #include "core/kb_storage.h"
@@ -113,21 +111,24 @@ std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
   const uint32_t have = lazy_->materialized.load(std::memory_order_relaxed);
   if (have >= need) return std::nullopt;
 
-  // Stage 1 — catalog-free: hash-check and structurally parse each
-  // pending segment, fanned across the query pool. Workers touch only
-  // their slot; the lazy mutex (held by the caller) is never taken here.
+  // Stage 1 — catalog-free: hash-check, parse and cross-check each
+  // pending segment against its manifest row, fanned across the query
+  // pool. Workers touch only their slot; the lazy mutex (held by the
+  // caller) is never taken here.
   const uint32_t count = need - have;
-  std::vector<std::optional<Expected<ParsedWindowSegment, LoadError>>> parsed(
+  std::vector<std::optional<Expected<PersistedWindow, LoadError>>> parsed(
       count);
   const auto parse_one = [&](uint32_t i) {
-    const SegmentView view = kb.segment(have + i);
-    if (HashBytes(view.data, view.size) != view.row->segment_hash) {
-      parsed[i] = Expected<ParsedWindowSegment, LoadError>(LoadError{
-          LoadError::Code::kCorruptSegment,
-          "checksum does not match the blocks manifest"});
-      return;
-    }
-    parsed[i] = ParseWindowSegment(view.data, view.size);
+    const WindowId w = have + i;
+    const SegmentView view = kb.segment(w);
+    parsed[i] = ParseClaimedSegment(
+        view.data, view.size,
+        {.window = w,
+         .total_transactions = view.row->total_transactions,
+         .first_rule = w == 0 ? 0 : kb.segment(w - 1).row->rule_watermark,
+         .rule_watermark = view.row->rule_watermark,
+         .entry_count = view.row->entry_count,
+         .segment_hash = view.row->segment_hash});
   };
   if (query_pool_ != nullptr && count > 1) {
     query_pool_->ParallelFor(count, [&](size_t, size_t begin, size_t end) {
@@ -139,39 +140,16 @@ std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
     for (uint32_t i = 0; i < count; ++i) parse_one(i);
   }
 
-  // Stage 2 — window-ordered: resolve rule contents against the growing
-  // catalog and append, cross-checking every manifest claim. Appending
-  // per window keeps generations byte-identical to an eager load.
-  for (uint32_t i = 0; i < count; ++i) {
-    const WindowId w = have + i;
-    const auto corrupt = [w](const std::string& what) {
-      std::ostringstream message;
-      message << "segment of window " << w << " is corrupt: " << what;
-      return LoadError{LoadError::Code::kCorruptSegment, message.str()};
-    };
-    Expected<ParsedWindowSegment, LoadError>& slot = *parsed[i];
-    if (!slot.has_value()) return corrupt(slot.error().message);
-    const ParsedWindowSegment& p = slot.value();
-    const KbBlockRow& row = *kb.segment(w).row;
-    if (p.window != w) {
-      return corrupt("segment belongs to a different window");
-    }
-    if (p.first_rule != builder_->catalog().size() ||
-        p.first_rule + p.new_rules.size() != row.rule_watermark) {
-      return corrupt("rule id range disagrees with the blocks manifest");
-    }
-    if (p.entries.size() != row.entry_count) {
-      return corrupt("entry count disagrees with the blocks manifest");
-    }
-    auto entries = ResolveParsedSegment(p, builder_->catalog());
-    if (!entries.has_value()) return corrupt(entries.error().message);
-    builder_->AppendPrecomputedWindow(row.total_transactions,
-                                      entries.value());
-    if (builder_->catalog().size() != row.rule_watermark) {
-      return corrupt(
-          "re-interning the entries did not reproduce the manifest "
-          "watermark (duplicate or out-of-order rule contents)");
-    }
+  // Stage 2 — one batch commit by rule id: one publication for the whole
+  // prefix, and nothing published when any window fails.
+  std::vector<PersistedWindow> batch;
+  batch.reserve(count);
+  for (auto& slot : parsed) {
+    if (!slot->has_value()) return slot->error();
+    batch.push_back(std::move(*slot).value());
+  }
+  if (auto error = builder_->CommitPersistedWindows(std::move(batch))) {
+    return error;
   }
   lazy_->materialized.store(need, std::memory_order_release);
   if (need == total) lazy_->done.store(true, std::memory_order_release);
@@ -277,6 +255,15 @@ WindowId TaraEngine::AppendPrecomputedWindow(
 void TaraEngine::BuildAll(const EvolvingDatabase& data) {
   EnsureAllOrDie();
   builder_->BuildAll(data);
+}
+
+std::optional<LoadError> TaraEngine::CommitPersistedWindows(
+    std::vector<PersistedWindow> windows) {
+  if (auto gate = MaterializeAll()) {
+    return LoadError{LoadError::Code::kCorruptSegment,
+                     std::move(gate->message)};
+  }
+  return builder_->CommitPersistedWindows(std::move(windows));
 }
 
 Expected<WalReplayStats, LoadError> TaraEngine::AttachWal(

@@ -78,9 +78,10 @@ class MappedKb;
 /// Readers and the writer are decoupled by snapshot publication (see
 /// DESIGN.md, "Threading model"):
 ///
-/// - **Ingestion** (AppendWindow / AppendPrecomputedWindow / BuildAll):
-///   one writer at a time (concurrent writer calls serialize on an
-///   internal commit mutex). With Options::parallelism > 1 the builder
+/// - **Ingestion** (AppendWindow / AppendPrecomputedWindow / BuildAll /
+///   CommitPersistedWindows): one writer at a time (concurrent writer
+///   calls serialize on an internal commit mutex), one publication per
+///   call. With Options::parallelism > 1 the builder
 ///   parallelizes internally — independent windows are mined and
 ///   EPS-indexed on a private thread pool while catalog interning and
 ///   archive appends go through a serialized, window-ordered commit
@@ -118,18 +119,29 @@ class TaraEngine {
   WindowId AppendWindow(const TransactionDatabase& db, size_t begin,
                         size_t end);
 
-  /// Installs a window whose rules were mined elsewhere. The caller
-  /// guarantees the rules are exactly those passing this engine's floors
-  /// over a window of `total_transactions` transactions. Used by the
-  /// knowledge-base loader and by callers plugging in their own miner.
+  /// Installs a window whose rules were mined elsewhere, interning them
+  /// by content. The caller guarantees the rules are exactly those
+  /// passing this engine's floors over a window of `total_transactions`
+  /// transactions. For callers plugging in their own miner; persisted
+  /// windows go through CommitPersistedWindows.
   WindowId AppendPrecomputedWindow(uint64_t total_transactions,
                                    const std::vector<PrecomputedRule>& rules);
 
   /// Appends every window of an evolving database. With
   /// Options::parallelism > 1, independent windows are mined and
   /// EPS-indexed concurrently and committed in window order. All new
-  /// windows are published together as one new generation.
+  /// windows are published together as one publication.
   void BuildAll(const EvolvingDatabase& data);
+
+  /// Commits windows persisted elsewhere — parsed TSEG segments
+  /// (ParseWindowSegment, kb_storage.h), in window order — by rule id, as
+  /// one publication (KbBuilder::CommitPersistedWindows). A segment that
+  /// does not fit this engine is a typed error and nothing is committed.
+  /// On a mapped engine every pending window is materialized first; a
+  /// corrupt one comes back as that (sticky) failure, as kCorruptSegment,
+  /// instead of aborting. The replica's record path.
+  std::optional<LoadError> CommitPersistedWindows(
+      std::vector<PersistedWindow> windows);
 
   /// --- Durability (write-ahead log) ---------------------------------------
   /// With a WAL attached, Append*/BuildAll return only after the new
@@ -182,9 +194,11 @@ class TaraEngine {
   /// storage, like any other load the engine cannot serve around.
   std::shared_ptr<const KnowledgeBaseSnapshot> Snapshot() const;
 
-  /// The published generation number (0 = empty engine; each publication
-  /// increments it). On a mapped engine the generation grows as windows
-  /// materialize, exactly as it would during the eager load.
+  /// The published generation number: 0 for an empty engine, then the
+  /// number of windows committed so far — each publication advances it by
+  /// the windows it commits, so it does not depend on how they were
+  /// batched (a loaded engine reports its writer's generation; a replica
+  /// its primary's). On a mapped engine it grows as windows materialize.
   uint64_t generation() const { return builder_->generation(); }
 
   /// Total windows of the knowledge base — on a mapped engine this is
@@ -340,8 +354,9 @@ class TaraEngine {
   /// MaterializeAll for callers with no error channel (Snapshot, appends,
   /// quiescent accessors); aborts on corrupt storage.
   void EnsureAllOrDie() const;
-  /// The mutex-held worker: two-phase decode (parallel structural parse,
-  /// window-ordered resolve + append) of windows [materialized, need).
+  /// The mutex-held worker: hash-checks and parses windows
+  /// [materialized, need) against the manifest (fanned across the query
+  /// pool), then commits them by id in ONE batch — one publication.
   std::optional<LoadError> MaterializeLocked(uint32_t need) const;
 
   /// unique_ptr so the engine stays movable (the builder holds mutexes

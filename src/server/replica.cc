@@ -262,25 +262,22 @@ std::optional<std::string> ReplicaEngine::ApplyRecord(
            " but the next expected window is " + std::to_string(next);
   }
   const auto* data = reinterpret_cast<const uint8_t*>(record->segment.data());
-  auto decoded =
-      DecodeWindowSegment(data, record->segment.size(), engine_->catalog());
-  if (!decoded.has_value()) {
+  auto parsed = ParseWindowSegment(data, record->segment.size());
+  if (!parsed.has_value()) {
     return "window " + std::to_string(record->window) +
-           " segment does not decode: " + decoded.error().message;
+           " segment does not parse: " + parsed.error().message;
   }
-  if (decoded->window != record->window) {
+  if (parsed->window != record->window) {
     return "record header says window " + std::to_string(record->window) +
-           " but the segment blob says " + std::to_string(decoded->window);
+           " but the segment blob says " + std::to_string(parsed->window);
   }
-  if (decoded->first_rule != engine_->catalog().size()) {
+  parsed.value().total_transactions = record->total_transactions;
+  std::vector<PersistedWindow> batch;
+  batch.push_back(std::move(parsed).value());
+  if (auto error = engine_->CommitPersistedWindows(std::move(batch))) {
     return "window " + std::to_string(record->window) +
-           " starts its rules at id " + std::to_string(decoded->first_rule) +
-           " but the local catalog holds " +
-           std::to_string(engine_->catalog().size()) +
-           " rules — the stream does not continue this knowledge base";
+           " does not continue this knowledge base: " + error->message;
   }
-  engine_->AppendPrecomputedWindow(record->total_transactions,
-                                   decoded->entries);
   if (records_counter_ != nullptr) records_counter_->Increment();
   records_applied_.fetch_add(1, std::memory_order_relaxed);
   {

@@ -46,12 +46,14 @@ struct ReplicaOptions {
 
 /// A hot-standby follower of one TARA primary: it bootstraps from an
 /// optional local checkpoint, subscribes to the primary's durably-acked
-/// window stream (kReplicaSubscribe), and replays each kReplicaRecord
-/// through the engine's ordinary append path — so the replica's
-/// knowledge base is rebuilt by exactly the machinery WAL recovery uses,
-/// and every generation it publishes is byte-identical to the primary's
-/// at the same window count (the differential oracle in
-/// tests/test_replication.cc enforces this).
+/// window stream (kReplicaSubscribe), and commits each kReplicaRecord by
+/// rule id as a batch of one (TaraEngine::CommitPersistedWindows) — so
+/// the replica's knowledge base is rebuilt by exactly the machinery WAL
+/// recovery and loading use, and every generation it publishes is
+/// byte-identical to the primary's at the same window count (the
+/// differential oracle in tests/test_replication.cc enforces this). A
+/// record that does not fit is a typed error that ends the session; the
+/// engine is left unchanged and keeps serving.
 ///
 /// ## Threading model
 ///

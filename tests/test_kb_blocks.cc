@@ -34,6 +34,7 @@
 #include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
+#include "obs/metrics.h"
 #include "txdb/evolving_database.h"
 
 namespace tara {
@@ -428,6 +429,118 @@ TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
   EXPECT_TRUE(loaded->fully_materialized());
 }
 
+// Each commit step publishes ONE generation however many windows it
+// commits, and the generation advances by the windows committed — so
+// every way of building or loading the same knowledge base reports the
+// same generation (its window count) and the same stream bytes, while
+// `tara.kb.swaps` counts one publication per step.
+TEST_F(KbBlocksTest, EveryCommitStepPublishesOnce) {
+  const EvolvingDatabase data = MakeData(6);
+  TaraEngine::Options options;
+  options.min_support_floor = kSupportFloor;
+  options.min_confidence_floor = kConfidenceFloor;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;
+  const auto swaps = [](obs::MetricsRegistry& registry) {
+    return registry.GetCounter("tara.kb.swaps")->Value();
+  };
+
+  // BuildAll, sequential and pooled: one publication for six windows.
+  std::string reference;
+  for (const uint32_t parallelism : {1u, 4u}) {
+    obs::MetricsRegistry registry;
+    TaraEngine::Options built = options;
+    built.parallelism = parallelism;
+    built.metrics = &registry;
+    TaraEngine engine(built);
+    engine.BuildAll(data);
+    EXPECT_EQ(swaps(registry), 1u) << "parallelism " << parallelism;
+    EXPECT_EQ(engine.generation(), 6u) << "parallelism " << parallelism;
+    if (reference.empty()) {
+      reference = KnowledgeBaseToString(engine);
+      ASSERT_FALSE(
+          SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
+              .has_value());
+    }
+    EXPECT_EQ(KnowledgeBaseToString(engine), reference)
+        << "parallelism " << parallelism;
+  }
+
+  // An eager open commits every window in one batch.
+  {
+    obs::MetricsRegistry registry;
+    OpenOptions open;
+    open.kb_dir = dir_.string();
+    open.metrics = &registry;
+    const auto eager = OpenKnowledgeBase(open);
+    ASSERT_TRUE(eager.has_value()) << eager.error();
+    EXPECT_EQ(swaps(registry), 1u);
+    EXPECT_EQ(eager->generation(), 6u);
+    EXPECT_EQ(KnowledgeBaseToString(eager.value()), reference);
+  }
+
+  // A mapped open: one publication per materializing step, none for a
+  // step whose prefix is already decoded.
+  {
+    obs::MetricsRegistry registry;
+    OpenOptions open;
+    open.kb_dir = dir_.string();
+    open.mode = OpenMode::kMapped;
+    open.metrics = &registry;
+    const auto mapped = OpenKnowledgeBase(open);
+    ASSERT_TRUE(mapped.has_value()) << mapped.error();
+    EXPECT_EQ(swaps(registry), 0u);
+    const ParameterSetting setting{0.02, 0.3};
+    const struct {
+      WindowId window;
+      uint32_t materialized;
+      uint64_t swaps;
+    } steps[] = {{1, 2, 1}, {1, 2, 1}, {4, 5, 2}, {5, 6, 3}};
+    for (const auto& step : steps) {
+      ASSERT_TRUE(mapped->Execute(QueryRequest::MineWindow(step.window,
+                                                           setting))
+                      .has_value());
+      EXPECT_EQ(mapped->materialized_window_count(), step.materialized);
+      EXPECT_EQ(mapped->generation(), step.materialized);
+      EXPECT_EQ(swaps(registry), step.swaps) << "window " << step.window;
+    }
+    EXPECT_EQ(KnowledgeBaseToString(mapped.value()), reference);
+    EXPECT_EQ(swaps(registry), 3u);
+  }
+
+  // WAL replay over a checkpoint: the eager open of the checkpoint is
+  // one publication and the replayed tail another.
+  const fs::path checkpoint = dir_ / "checkpoint";
+  const fs::path wal = dir_ / "wal";
+  {
+    TaraEngine writer(options);
+    ASSERT_TRUE(writer.AttachWal(wal.string()).has_value());
+    for (uint32_t w = 0; w < 6; ++w) {
+      if (w == 2) {
+        ASSERT_FALSE(
+            AppendKnowledgeBaseBlocks(*writer.Snapshot(), checkpoint.string())
+                .has_value());
+      }
+      const WindowInfo& info = data.window(w);
+      writer.AppendWindow(data.database(), info.begin, info.end);
+    }
+  }
+  obs::MetricsRegistry registry;
+  WalReplayStats replayed;
+  OpenOptions open;
+  open.kb_dir = checkpoint.string();
+  open.wal_dir = wal.string();
+  open.metrics = &registry;
+  open.replay_stats = &replayed;
+  const auto recovered = OpenKnowledgeBase(open);
+  ASSERT_TRUE(recovered.has_value()) << recovered.error();
+  EXPECT_EQ(replayed.records_skipped, 2u);
+  EXPECT_EQ(replayed.records_replayed, 4u);
+  EXPECT_EQ(swaps(registry), 2u);
+  EXPECT_EQ(recovered->generation(), 6u);
+  EXPECT_EQ(KnowledgeBaseToString(recovered.value()), reference);
+}
+
 TEST_F(KbBlocksTest, FirstWindowWithRuleFollowsTheWatermarks) {
   const TaraEngine engine = BuildEngine(MakeData(4));
   ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
@@ -592,7 +705,13 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
                                        4096)
                    .has_value());
-  const auto loaded = Open(dir_.string(), OpenMode::kMapped);
+  // Pooled: materialization parses on the query pool and builds the EPS
+  // slices of a batch on the builder pool while other readers query.
+  OpenOptions open;
+  open.kb_dir = dir_.string();
+  open.mode = OpenMode::kMapped;
+  open.parallelism = 4;
+  const auto loaded = OpenKnowledgeBase(open);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   const TaraEngine& engine = *loaded;
   ASSERT_EQ(engine.materialized_window_count(), 0u);

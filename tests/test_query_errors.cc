@@ -4,7 +4,9 @@
 // of aborting the process. Also pins the metrics contract for rejections:
 // they count in tara.query.rejected but record no latency sample.
 
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -169,6 +171,67 @@ TEST_F(QueryErrorTest, RollUpRejectsUnknownRuleAndEmptySet) {
   EXPECT_EQ(empty.error().code, QueryError::Code::kEmptyWindowSet);
 }
 
+// The wire carries thresholds as raw f64 bits, so a client can send NaN
+// or an infinity. No floor comparison rejects those (a NaN compares false,
+// +inf passes), so each kind that takes a setting must refuse them up
+// front — unchecked, +inf support asked for every rule of a window and a
+// NaN for none.
+TEST(QueryErrorNonFiniteTest, EveryKindWithASettingRejectsNonFiniteValues) {
+  TaraEngine::Options options;
+  options.min_support_floor = kFloorSupport;
+  options.min_confidence_floor = kFloorConfidence;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;  // so content kinds reach the check
+  TaraEngine engine(options);
+  engine.BuildAll(MakeData());
+  const auto snapshot = engine.Snapshot();
+  const ItemId item = snapshot->catalog().rule(0).antecedent.at(0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ParameterSetting non_finite[] = {
+      {inf, 0.5}, {nan, 0.5}, {-inf, 0.5},
+      {0.05, nan}, {0.05, inf}, {0.05, -inf},
+  };
+  bool kinds_seen[kQueryKindCount] = {};
+  for (const ParameterSetting& bad : non_finite) {
+    const QueryRequest requests[] = {
+        QueryRequest::MineWindow(0, bad),
+        QueryRequest::MineWindows(kAllWindows, bad, MatchMode::kSingle),
+        QueryRequest::Trajectory(0, bad, kAllWindows),
+        QueryRequest::Compare(bad, kOkSetting, kAllWindows,
+                              MatchMode::kExact),
+        QueryRequest::Compare(kOkSetting, bad, kAllWindows,
+                              MatchMode::kSingle),
+        QueryRequest::Region(1, bad),
+        QueryRequest::Content(0, {item}, bad),
+        QueryRequest::ContentView(2, bad),
+        QueryRequest::RollUpMine(kAllWindows, bad),
+    };
+    for (const QueryRequest& request : requests) {
+      const std::string_view kind = QueryKindName(request.kind);
+      kinds_seen[static_cast<int>(request.kind)] = true;
+      const auto result = engine.Execute(request);
+      ASSERT_FALSE(result.has_value())
+          << kind << " answered (" << bad.min_support << ", "
+          << bad.min_confidence << ")";
+      EXPECT_EQ(result.error().code, QueryError::Code::kNonFiniteSetting)
+          << kind << ": " << result.error();
+      // The typed snapshot API applies the same check.
+      EXPECT_FALSE(ExecuteQuery(*snapshot, request).has_value()) << kind;
+    }
+  }
+  // The two kinds without a setting are the only ones not exercised.
+  for (int k = 0; k < kQueryKindCount; ++k) {
+    const auto kind = static_cast<QueryKind>(k);
+    const bool takes_setting =
+        kind != QueryKind::kMeasures && kind != QueryKind::kRollUpRule;
+    EXPECT_EQ(kinds_seen[k], takes_setting) << QueryKindName(kind);
+  }
+  EXPECT_TRUE(
+      engine.Execute(QueryRequest::MineWindow(0, kOkSetting)).has_value());
+}
+
 TEST_F(QueryErrorTest, EngineKeepsAnsweringAfterRejections) {
   (void)engine_->Execute(QueryRequest::MineWindow(99, kOkSetting));
   (void)engine_->Execute(
@@ -228,6 +291,10 @@ TEST(QueryErrorFormattingTest, CodeNamesAreStable) {
             "unknown_rule");
   EXPECT_EQ(QueryErrorCodeName(QueryError::Code::kNoContentIndex),
             "no_content_index");
+  EXPECT_EQ(QueryErrorCodeName(QueryError::Code::kCorruptStorage),
+            "corrupt_storage");
+  EXPECT_EQ(QueryErrorCodeName(QueryError::Code::kNonFiniteSetting),
+            "non_finite_setting");
 }
 
 TEST(QueryErrorFormattingTest, StreamOperatorShowsCodeAndMessage) {

@@ -6,11 +6,14 @@
 // in-process reconnect with exponential backoff, and the kill -9 fault
 // matrix — primary killed mid-stream and replica killed mid-replay,
 // both required to resume to the last durably-acked window with no
-// divergence and no torn tail propagated.
+// divergence and no torn tail propagated. Also: well-formed segments with
+// impossible contents are typed errors on every path that loads segments.
 
 #include "server/replica.h"
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -27,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
+#include "core/byte_codec.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
@@ -387,6 +392,418 @@ TEST_F(ReplicationTest, HandshakeRefusesMismatchedFloors) {
   ASSERT_TRUE(problem.has_value());
   EXPECT_NE(problem->find("different options"), std::string::npos)
       << *problem;
+}
+
+/// --- Hostile segments ------------------------------------------------------
+/// TSEG segments that are well-formed blobs yet describe an impossible
+/// next window. Every path that loads segments must turn each into a
+/// typed error — the stream form, an eager and a mapped open of a
+/// TARAKB3 directory whose manifest row and block hash match the segment
+/// (so hash verification passes), WAL replay, and a replica fed the
+/// segment by a primary — and nothing of the window may be published.
+
+constexpr uint64_t kHostileTransactions = 250;
+
+struct SegmentEntry {
+  uint64_t rule = 0;
+  uint64_t rule_count = 0;
+  uint64_t antecedent_delta = 0;
+};
+
+/// One next-window segment plus what its manifest row must claim.
+struct CraftedSegment {
+  std::string name;
+  std::vector<uint8_t> bytes;
+  uint64_t total_transactions = kHostileTransactions;
+  uint64_t rule_watermark = 0;
+  uint64_t entry_count = 0;
+};
+
+/// The TSEG layout of kb_storage.cc, written by hand.
+CraftedSegment Craft(std::string name, const KnowledgeBaseSnapshot& base,
+                     const std::vector<Rule>& new_rules,
+                     const std::vector<SegmentEntry>& entries) {
+  codec::ByteWriter w;
+  w.Magic("TSEG", 4);
+  w.U64(base.window_count());
+  w.U64(base.rule_count());
+  w.U64(new_rules.size());
+  for (const Rule& rule : new_rules) {
+    w.Items(rule.antecedent);
+    w.Items(rule.consequent);
+  }
+  w.U64(entries.size());
+  for (const SegmentEntry& e : entries) {
+    w.U64(e.rule);
+    w.U64(e.rule_count);
+    w.U64(e.antecedent_delta);
+  }
+  CraftedSegment segment;
+  segment.name = std::move(name);
+  segment.bytes = w.bytes();
+  segment.rule_watermark = base.rule_count() + new_rules.size();
+  segment.entry_count = entries.size();
+  return segment;
+}
+
+std::vector<CraftedSegment> HostileSegments(const KnowledgeBaseSnapshot& base) {
+  const uint64_t next_id = base.rule_count();
+  const Rule fresh{{100001}, {100002}};  // contents no window holds
+  return {
+      Craft("zero rule count", base, {}, {{0, 0, 3}}),
+      Craft("antecedent count overflow", base, {},
+            {{0, 5, UINT64_MAX - 2}}),
+      Craft("rule id past the watermark", base, {fresh},
+            {{next_id, 3, 1}, {next_id + 1, 3, 1}}),
+      Craft("one rule twice in the window", base, {}, {{0, 3, 1}, {0, 4, 2}}),
+      Craft("new rule the catalog already holds", base,
+            {base.catalog().rule(0)}, {{next_id, 3, 1}}),
+  };
+}
+
+void WriteBytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The stream form (TARAKB2) of `base` plus `extra` as one more window.
+std::string StreamWith(const KnowledgeBaseSnapshot& base,
+                       const CraftedSegment& extra) {
+  const KbOptions& options = base.options();
+  codec::ByteWriter w;
+  w.Magic("TARAKB2", 7);
+  w.F64(options.min_support_floor);
+  w.F64(options.min_confidence_floor);
+  w.U64(options.max_itemset_size);
+  w.U64(options.build_content_index ? 1 : 0);
+  w.U64(base.window_count() + 1);
+  std::vector<std::vector<uint8_t>> segments;
+  const auto row = [&w](uint64_t transactions, uint64_t watermark,
+                        uint64_t entries, const std::vector<uint8_t>& bytes) {
+    w.U64(transactions);
+    w.U64(watermark);
+    w.U64(entries);
+    w.U64(bytes.size());
+    w.Raw64(HashBytes(bytes.data(), bytes.size()));
+  };
+  for (WindowId window = 0; window < base.window_count(); ++window) {
+    segments.push_back(EncodeWindowSegment(base, window));
+    const WindowSegment& segment = base.segment(window);
+    row(segment.total_transactions, segment.rule_watermark,
+        segment.entries.size(), segments.back());
+  }
+  segments.push_back(extra.bytes);
+  row(extra.total_transactions, extra.rule_watermark, extra.entry_count,
+      extra.bytes);
+  std::string stream(w.bytes().begin(), w.bytes().end());
+  for (const std::vector<uint8_t>& bytes : segments) {
+    stream.append(bytes.begin(), bytes.end());
+  }
+  return stream;
+}
+
+/// The TARAKB3 manifest layout of kb_blocks.cc, written by hand.
+std::vector<uint8_t> EncodeBlocksManifest(const KbBlocksManifest& manifest) {
+  codec::ByteWriter w;
+  w.Magic("TARAKB3", 7);
+  w.F64(manifest.min_support_floor);
+  w.F64(manifest.min_confidence_floor);
+  w.U64(manifest.max_itemset_size);
+  w.U64(manifest.build_content_index ? 1 : 0);
+  w.U64(manifest.blocks.size());
+  for (const KbBlockInfo& block : manifest.blocks) {
+    w.U64(block.file_index);
+    w.U64(block.first_window);
+    w.U64(block.rows.size());
+    w.U64(block.file_bytes);
+    w.Raw64(block.file_hash);
+    for (const KbBlockRow& row : block.rows) {
+      w.U64(row.total_transactions);
+      w.U64(row.rule_watermark);
+      w.U64(row.entry_count);
+      w.U64(row.offset);
+      w.U64(row.segment_bytes);
+      w.Raw64(row.segment_hash);
+    }
+  }
+  return w.bytes();
+}
+
+/// `base` as a TARAKB3 directory with `extra` as one more window in a
+/// block of its own; the new manifest row and block hash match `extra`.
+void WriteBlocksWith(const KnowledgeBaseSnapshot& base,
+                     const CraftedSegment& extra, const fs::path& dir) {
+  fs::remove_all(dir);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(base, dir.string()).has_value());
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir.string());
+  ASSERT_TRUE(manifest.has_value()) << manifest.error();
+  const uint64_t hash = HashBytes(extra.bytes.data(), extra.bytes.size());
+  KbBlockInfo block;
+  block.file_index = manifest->blocks.back().file_index + 1;
+  block.first_window = base.window_count();
+  block.file_bytes = extra.bytes.size();
+  block.file_hash = hash;
+  KbBlockRow row;
+  row.total_transactions = extra.total_transactions;
+  row.rule_watermark = extra.rule_watermark;
+  row.entry_count = extra.entry_count;
+  row.segment_bytes = extra.bytes.size();
+  row.segment_hash = hash;
+  block.rows.push_back(row);
+  KbBlocksManifest edited = manifest.value();
+  edited.blocks.push_back(block);
+  WriteBytes(dir / KnowledgeBaseBlockFileName(block.file_index), extra.bytes);
+  WriteBytes(dir / KnowledgeBaseBlocksManifestFileName(),
+             EncodeBlocksManifest(edited));
+}
+
+/// A primary stand-in: answers every subscription with the checkpoint
+/// handshake for `options`/`windows` and then one record frame carrying
+/// `segment` as window `windows - 1`, and holds the stream open.
+class FakePrimary {
+ public:
+  FakePrimary(const KbOptions& options, uint32_t windows,
+              const CraftedSegment& segment) {
+    auto listener = ListenTcp("127.0.0.1", 0, 8, &port_);
+    EXPECT_TRUE(listener.has_value());
+    if (!listener.has_value()) return;
+    listener_ = std::move(listener).value();
+    ReplicaCheckpoint checkpoint;
+    checkpoint.min_support_floor = options.min_support_floor;
+    checkpoint.min_confidence_floor = options.min_confidence_floor;
+    checkpoint.max_itemset_size = options.max_itemset_size;
+    checkpoint.build_content_index = options.build_content_index;
+    checkpoint.window_count = windows;
+    checkpoint.generation = windows;
+    const std::string bytes(segment.bytes.begin(), segment.bytes.end());
+    const std::string reply =
+        EncodeReplicaCheckpointFrame(checkpoint) +
+        EncodeReplicaRecordFrame(windows - 1, segment.total_transactions,
+                                 windows, bytes);
+    thread_ = std::thread([this, reply] { Serve(reply); });
+  }
+  ~FakePrimary() {
+    stopping_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  uint16_t port() const { return port_; }
+  int subscriptions() const { return subscriptions_.load(); }
+
+ private:
+  void Serve(const std::string& reply) {
+    std::vector<Socket> streams;
+    while (!stopping_.load()) {
+      pollfd ready{listener_.fd(), POLLIN, 0};
+      if (::poll(&ready, 1, 20) <= 0) continue;
+      Socket stream(::accept(listener_.fd(), nullptr, nullptr));
+      if (!stream.valid()) continue;
+      const FrameRead subscribe = ReadFrame(stream.fd(), kWireMaxPayloadBytes);
+      if (subscribe.status != FrameRead::Status::kOk ||
+          subscribe.header.type != FrameType::kReplicaSubscribe) {
+        continue;
+      }
+      std::string error;
+      if (WriteAll(stream.fd(), reply, &error)) subscriptions_.fetch_add(1);
+      streams.push_back(std::move(stream));
+    }
+  }
+
+  Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::atomic<int> subscriptions_{0};
+  std::thread thread_;
+};
+
+class HostileSegmentTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("tara_hostile_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    const EvolvingDatabase data = MakeData(4);
+    base_ = std::make_unique<TaraEngine>(EngineOptions());
+    full_ = std::make_unique<TaraEngine>(EngineOptions());
+    for (uint32_t w = 0; w < 4; ++w) {
+      const WindowInfo& info = data.window(w);
+      if (w < 3) base_->AppendWindow(data.database(), info.begin, info.end);
+      full_->AppendWindow(data.database(), info.begin, info.end);
+    }
+    base_bytes_ = Encode(*base_);
+    // The honest fourth window: every crafted path must accept it, which
+    // shows the hand-written layouts are right.
+    const auto full = full_->Snapshot();
+    honest_.name = "honest window";
+    honest_.bytes = EncodeWindowSegment(*full, 3);
+    honest_.total_transactions = full->segment(3).total_transactions;
+    honest_.rule_watermark = full->segment(3).rule_watermark;
+    honest_.entry_count = full->segment(3).entries.size();
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+  std::unique_ptr<TaraEngine> base_;
+  std::unique_ptr<TaraEngine> full_;
+  std::string base_bytes_;
+  CraftedSegment honest_;
+};
+
+TEST_F(HostileSegmentTest, StreamFormRefusesEachWithATypedError) {
+  const auto honest = DecodeKnowledgeBase(StreamWith(*base_->Snapshot(),
+                                                     honest_));
+  ASSERT_TRUE(honest.has_value()) << honest.error();
+  EXPECT_EQ(Encode(honest.value()), Encode(*full_));
+  for (const CraftedSegment& hostile : HostileSegments(*base_->Snapshot())) {
+    const auto loaded =
+        DecodeKnowledgeBase(StreamWith(*base_->Snapshot(), hostile));
+    ASSERT_FALSE(loaded.has_value()) << hostile.name;
+    EXPECT_EQ(loaded.error().code, LoadError::Code::kCorruptSegment)
+        << hostile.name << ": " << loaded.error();
+  }
+}
+
+TEST_F(HostileSegmentTest, EagerAndMappedOpensRefuseEachWithATypedError) {
+  const fs::path kb = dir_ / "kb";
+  WriteBlocksWith(*base_->Snapshot(), honest_, kb);
+  for (const OpenMode mode : {OpenMode::kEager, OpenMode::kMapped}) {
+    OpenOptions open;
+    open.kb_dir = kb.string();
+    open.mode = mode;
+    auto honest = OpenKnowledgeBase(open);
+    ASSERT_TRUE(honest.has_value()) << honest.error();
+    EXPECT_EQ(Encode(honest.value()), Encode(*full_));
+  }
+  const ParameterSetting setting{0.02, 0.3};
+  for (const CraftedSegment& hostile : HostileSegments(*base_->Snapshot())) {
+    WriteBlocksWith(*base_->Snapshot(), hostile, kb);
+    auto mapped = MappedKb::Open(kb.string());
+    ASSERT_TRUE(mapped.has_value()) << hostile.name << ": " << mapped.error();
+    EXPECT_FALSE(mapped->VerifyHashes().has_value())
+        << hostile.name << ": the row must match the segment";
+
+    OpenOptions open;
+    open.kb_dir = kb.string();
+    open.mode = OpenMode::kEager;
+    const auto eager = OpenKnowledgeBase(open);
+    ASSERT_FALSE(eager.has_value()) << hostile.name;
+    EXPECT_EQ(eager.error().code, LoadError::Code::kCorruptSegment)
+        << hostile.name << ": " << eager.error();
+
+    // Lazily: the window is refused, stickily; the windows before it
+    // were never part of the failed batch's publication.
+    open.mode = OpenMode::kMapped;
+    auto lazy = OpenKnowledgeBase(open);
+    ASSERT_TRUE(lazy.has_value()) << hostile.name << ": " << lazy.error();
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const auto refused = lazy->Execute(QueryRequest::MineWindow(3, setting));
+      ASSERT_FALSE(refused.has_value()) << hostile.name;
+      EXPECT_EQ(refused.error().code, QueryError::Code::kCorruptStorage)
+          << hostile.name << ": " << refused.error();
+    }
+    EXPECT_EQ(lazy->generation(), lazy->materialized_window_count());
+    EXPECT_FALSE(lazy->fully_materialized());
+    EXPECT_LT(lazy->materialized_window_count(), 4u);
+  }
+}
+
+TEST_F(HostileSegmentTest, WalReplayRefusesEachWithATypedError) {
+  const fs::path kb = dir_ / "kb";
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*base_->Snapshot(), kb.string()).has_value());
+  std::vector<CraftedSegment> cases = HostileSegments(*base_->Snapshot());
+  cases.insert(cases.begin(), honest_);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const CraftedSegment& segment = cases[i];
+    const fs::path wal = dir_ / ("wal" + std::to_string(i));
+    {
+      auto writer =
+          WalWriter::Open(wal.string(), base_->options(), 0, nullptr);
+      ASSERT_TRUE(writer.has_value()) << writer.error();
+      ASSERT_FALSE(writer.value()
+                       .Append(segment.total_transactions, segment.bytes)
+                       .has_value());
+    }
+    OpenOptions open;
+    open.kb_dir = kb.string();
+    auto engine = OpenKnowledgeBase(open);
+    ASSERT_TRUE(engine.has_value()) << engine.error();
+    const auto attached = engine.value().AttachWal(wal.string());
+    if (i == 0) {
+      ASSERT_TRUE(attached.has_value()) << attached.error();
+      EXPECT_EQ(Encode(engine.value()), Encode(*full_));
+      continue;
+    }
+    ASSERT_FALSE(attached.has_value()) << segment.name;
+    EXPECT_EQ(attached.error().code, LoadError::Code::kCorruptSegment)
+        << segment.name << ": " << attached.error();
+    // Nothing of the record was committed, and no log got attached.
+    EXPECT_EQ(Encode(engine.value()), base_bytes_) << segment.name;
+    EXPECT_EQ(engine->generation(), 3u) << segment.name;
+    EXPECT_FALSE(engine->wal_attached()) << segment.name;
+  }
+}
+
+/// Polls until the replica reports an error (the tail loop records it
+/// before reconnecting); "" on timeout.
+std::string AwaitReplicaError(const ReplicaEngine& replica) {
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::string error = replica.GetStatus().last_error;
+    if (!error.empty()) return error;
+    std::this_thread::sleep_for(5ms);
+  }
+  return "";
+}
+
+TEST_F(HostileSegmentTest, ReplicaRefusesEachAndKeepsServing) {
+  const fs::path kb = dir_ / "kb";
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*base_->Snapshot(), kb.string()).has_value());
+  ReplicaOptions options;
+  options.kb_dir = kb.string();
+  options.backoff_initial_ms = 20;
+  {
+    FakePrimary primary(base_->options(), 4, honest_);
+    options.primary_port = primary.port();
+    ReplicaEngine replica(options);
+    const auto problem = replica.Start();
+    ASSERT_FALSE(problem.has_value()) << *problem;
+    ASSERT_EQ(replica.WaitForWindows(
+                  4, std::chrono::duration_cast<std::chrono::milliseconds>(
+                         kWait)),
+              4u)
+        << replica.GetStatus().last_error;
+    EXPECT_EQ(Encode(*replica.engine()), Encode(*full_));
+  }
+
+  const ParameterSetting setting{0.02, 0.3};
+  const auto answer = base_->Execute(QueryRequest::MineWindow(2, setting));
+  ASSERT_TRUE(answer.has_value());
+  for (const CraftedSegment& hostile : HostileSegments(*base_->Snapshot())) {
+    FakePrimary primary(base_->options(), 4, hostile);
+    options.primary_port = primary.port();
+    ReplicaEngine replica(options);
+    const auto problem = replica.Start();
+    ASSERT_FALSE(problem.has_value()) << hostile.name << ": " << *problem;
+    const std::string error = AwaitReplicaError(replica);
+    EXPECT_NE(error.find("corrupt"), std::string::npos)
+        << hostile.name << ": " << error;
+    EXPECT_GE(primary.subscriptions(), 1) << hostile.name;
+    const ReplicaEngine::Status status = replica.GetStatus();
+    EXPECT_EQ(status.window_count, 3u) << hostile.name;
+    EXPECT_EQ(status.generation, 3u) << hostile.name;
+    EXPECT_EQ(status.records_applied, 0u) << hostile.name;
+    // Still serving, from the knowledge base it had.
+    EXPECT_EQ(Encode(*replica.engine()), base_bytes_) << hostile.name;
+    const auto served =
+        replica.engine()->Execute(QueryRequest::MineWindow(2, setting));
+    ASSERT_TRUE(served.has_value()) << hostile.name;
+    EXPECT_EQ(EncodeQueryResult(QueryKind::kMineWindow, served.value()),
+              EncodeQueryResult(QueryKind::kMineWindow, answer.value()));
+  }
 }
 
 /// --- kill -9 fault matrix -------------------------------------------------

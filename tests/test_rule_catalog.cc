@@ -1,3 +1,6 @@
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -73,6 +76,28 @@ TEST(RuleCatalogTest, RandomizedInternRetrieveConsistency) {
     EXPECT_EQ(catalog.Find(rule), id);
     EXPECT_EQ(catalog.rule(id), rule);
   }
+}
+
+TEST(RuleCatalogTest, InternNewIsAllOrNothing) {
+  RuleCatalog catalog;
+  catalog.Intern(Rule{{1}, {2}});
+  std::vector<Rule> batch = {Rule{{3}, {4}}, Rule{{5}, {6}}};
+  EXPECT_FALSE(catalog.InternNew(batch).has_value());
+  ASSERT_EQ(catalog.size(), 3u);
+  EXPECT_EQ(catalog.Find(Rule{{3}, {4}}), 1u);
+  EXPECT_EQ(catalog.Find(Rule{{5}, {6}}), 2u);
+
+  // A rule the catalog already holds, and a rule repeated within the
+  // batch: the offender's index comes back and nothing is interned.
+  std::vector<Rule> held = {Rule{{7}, {8}}, Rule{{1}, {2}}};
+  EXPECT_EQ(catalog.InternNew(held), std::optional<size_t>(1));
+  std::vector<Rule> repeated = {Rule{{7}, {8}}, Rule{{9}, {10}},
+                                Rule{{7}, {8}}};
+  EXPECT_EQ(catalog.InternNew(repeated), std::optional<size_t>(2));
+  EXPECT_EQ(catalog.size(), 3u);
+  EXPECT_EQ(catalog.Find(Rule{{7}, {8}}), RuleCatalog::kNotFound);
+  EXPECT_EQ(catalog.Find(Rule{{9}, {10}}), RuleCatalog::kNotFound);
+  EXPECT_EQ(catalog.Intern(Rule{{7}, {8}}), 3u);
 }
 
 TEST(RuleCatalogDeathTest, RejectsUnknownIds) {

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -118,6 +119,44 @@ TEST_F(ServerTest, QueryErrorsArriveWithFrozenCodes) {
             QueryErrorWireCode(QueryError::Code::kSupportBelowFloor));
   // The connection survives typed errors.
   EXPECT_TRUE(client.Ping().has_value());
+}
+
+// Thresholds travel as raw f64 bits, so a client can send a NaN or an
+// infinity the CLI grammar would refuse. The server must answer each with
+// the typed non_finite_setting error (wire code 9), not run it, and keep
+// the connection.
+TEST_F(ServerTest, NonFiniteSettingBitsGetATypedReply) {
+  StartServer();
+  auto raw = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(raw.has_value());
+  std::string error;
+  for (const uint64_t bits :
+       {uint64_t{0x7ff8000000000000}, uint64_t{0x7ff0000000000001},
+        uint64_t{0xfff8dead00000000}, uint64_t{0x7ff0000000000000}}) {
+    const double value = std::bit_cast<double>(bits);
+    for (const ParameterSetting setting :
+         {ParameterSetting{value, 0.3}, ParameterSetting{0.03, value}}) {
+      ASSERT_TRUE(WriteAll(
+          raw.value().fd(),
+          EncodeExecuteFrame(QueryRequest::MineWindow(0, setting), 1000),
+          &error))
+          << error;
+      const FrameRead reply =
+          ReadFrame(raw.value().fd(), kWireMaxPayloadBytes);
+      ASSERT_EQ(reply.status, FrameRead::Status::kOk);
+      ASSERT_EQ(reply.header.type, FrameType::kError) << std::hex << bits;
+      const auto wire_error = DecodeErrorPayload(reply.payload);
+      ASSERT_TRUE(wire_error.has_value());
+      EXPECT_EQ(wire_error->code,
+                QueryErrorWireCode(QueryError::Code::kNonFiniteSetting))
+          << std::hex << bits;
+    }
+  }
+  ASSERT_TRUE(
+      WriteAll(raw.value().fd(), EncodeFrame(FrameType::kPing, {}), &error));
+  const FrameRead pong = ReadFrame(raw.value().fd(), kWireMaxPayloadBytes);
+  ASSERT_EQ(pong.status, FrameRead::Status::kOk);
+  EXPECT_EQ(pong.header.type, FrameType::kPong);
 }
 
 TEST_F(ServerTest, BatchMixesResultsAndErrors) {

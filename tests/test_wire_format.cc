@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -195,6 +197,8 @@ TEST(WireFormat, NumericCodesArePinned) {
   EXPECT_EQ(QueryErrorWireCode(QueryError::Code::kWindowSetMismatch), 5u);
   EXPECT_EQ(QueryErrorWireCode(QueryError::Code::kUnknownRule), 6u);
   EXPECT_EQ(QueryErrorWireCode(QueryError::Code::kNoContentIndex), 7u);
+  EXPECT_EQ(QueryErrorWireCode(QueryError::Code::kCorruptStorage), 8u);
+  EXPECT_EQ(QueryErrorWireCode(QueryError::Code::kNonFiniteSetting), 9u);
 
   EXPECT_EQ(static_cast<uint32_t>(ServerWireError::kOverloaded), 100u);
   EXPECT_EQ(static_cast<uint32_t>(ServerWireError::kDeadlineExceeded), 101u);
@@ -229,6 +233,11 @@ TEST(WireFormat, UnknownWireCodeMapsToNothing) {
   ASSERT_TRUE(QueryErrorFromWireCode(8).has_value());
   EXPECT_EQ(*QueryErrorFromWireCode(8), QueryError::Code::kCorruptStorage);
   EXPECT_EQ(WireErrorCodeName(8), "corrupt_storage");
+  // Code 9 became kNonFiniteSetting and must stay assigned.
+  ASSERT_TRUE(QueryErrorFromWireCode(9).has_value());
+  EXPECT_EQ(*QueryErrorFromWireCode(9), QueryError::Code::kNonFiniteSetting);
+  EXPECT_EQ(WireErrorCodeName(9), "non_finite_setting");
+  EXPECT_FALSE(QueryErrorFromWireCode(10).has_value());
   EXPECT_FALSE(QueryErrorFromWireCode(100).has_value());
 }
 
@@ -482,6 +491,12 @@ TEST(WireFormatFuzz, CorruptedFramesNeverCrash) {
     corpus.push_back(EncodeExecuteFrame(request, 100));
   }
   corpus.push_back(EncodeBatchExecuteFrame(AllKindsOfRequests(), 50));
+  // Thresholds are raw f64 bits: an execute frame carrying a NaN.
+  corpus.push_back(EncodeExecuteFrame(
+      QueryRequest::MineWindow(
+          0, ParameterSetting{
+                 std::bit_cast<double>(uint64_t{0x7ff8dead0000beef}), 0.3}),
+      100));
   corpus.push_back(
       EncodeResultFrame(QueryKind::kMineWindow, std::vector<RuleId>{1, 2}));
   corpus.push_back(EncodeErrorFrame(ServerWireError::kOverloaded, "x"));
