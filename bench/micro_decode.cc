@@ -26,7 +26,7 @@
 #include "common/arena.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
-#include "common/varint.h"
+#include "common/byte_codec.h"
 #include "core/decode_kernels.h"
 #include "core/rollup_tree.h"
 #include "core/tar_archive.h"
@@ -80,17 +80,20 @@ struct Workload {
         tree_builder.AddEntry(r, rule_count, ant_count);
         std::vector<uint8_t>* bytes = &streams[r];
         if (w == 0) {
-          varint::EncodeU64(w, bytes);
-          varint::EncodeU64(rule_count, bytes);
-          varint::EncodeU64(ant_count, bytes);
+          codec::PutVarint(w, bytes);
+          codec::PutVarint(rule_count, bytes);
+          codec::PutVarint(ant_count, bytes);
         } else {
-          varint::EncodeU64(w - last[r].window, bytes);
-          varint::EncodeS64(static_cast<int64_t>(rule_count) -
-                                static_cast<int64_t>(last[r].rule_count),
-                            bytes);
-          varint::EncodeS64(static_cast<int64_t>(ant_count) -
-                                static_cast<int64_t>(last[r].antecedent_count),
-                            bytes);
+          codec::PutVarint(w - last[r].window, bytes);
+          codec::PutVarint(
+              codec::ZigzagEncode(static_cast<int64_t>(rule_count) -
+                                  static_cast<int64_t>(last[r].rule_count)),
+              bytes);
+          codec::PutVarint(
+              codec::ZigzagEncode(
+                  static_cast<int64_t>(ant_count) -
+                  static_cast<int64_t>(last[r].antecedent_count)),
+              bytes);
         }
         last[r] = ArchiveEntry{w, rule_count, ant_count};
       }

@@ -8,6 +8,9 @@ namespace tara {
 /// portable scalar path without per-site #ifdefs.
 struct CpuFeatures {
   bool sse41 = false;
+  /// Probed but not dispatched on: a 32-byte AVX2 loop decodes at about a
+  /// third of the SSE4 kernel's rate (DESIGN.md, decode kernels). The
+  /// dispatch test uses it to model an AVX2 host.
   bool avx2 = false;
 };
 

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "common/varint.h"
+#include "common/byte_codec.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -12,26 +12,14 @@
 namespace tara::decode {
 namespace {
 
-/// Abort-free varint decode that classifies the failure. Acceptance set is
-/// identical to varint::TryDecodeU64; the split into kTruncated/kOverlong
-/// is what all kernels must agree on.
-inline Status TryDecodeVar(const uint8_t* data, size_t size, size_t* pos,
-                           uint64_t* out) {
-  uint64_t result = 0;
-  int shift = 0;
-  for (;;) {
-    if (*pos >= size) return Status::kTruncated;
-    const uint8_t byte = data[(*pos)++];
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 64) return Status::kOverlong;
-  }
-  *out = result;
-  return Status::kOk;
+/// The shared varint decoder; its three outcomes are the first three
+/// Status values, so every kernel classifies a bad varint alike.
+inline Status NextVarint(const uint8_t* data, size_t size, size_t* pos,
+                         uint64_t* out) {
+  return static_cast<Status>(codec::GetVarint(data, size, pos, out));
 }
 
-/// Phase B shared by the two-phase kernels: turns the flat varint value
+/// Phase B of the two-phase SSE4 kernel: turns the flat varint value
 /// array into entries with exactly the arithmetic of TarArchive's scalar
 /// VisitEntries scan — uint32 wrap on window gaps, int64 wrap on zigzag
 /// count deltas.
@@ -51,10 +39,10 @@ DecodeResult ReconstructEntries(const uint64_t* values, size_t value_count,
       entry.window += static_cast<WindowId>(v[0]);
       entry.rule_count =
           static_cast<uint64_t>(static_cast<int64_t>(entry.rule_count) +
-                                varint::ZigzagDecode(v[1]));
+                                codec::ZigzagDecode(v[1]));
       entry.antecedent_count = static_cast<uint64_t>(
           static_cast<int64_t>(entry.antecedent_count) +
-          varint::ZigzagDecode(v[2]));
+          codec::ZigzagDecode(v[2]));
     }
     out[t] = entry;
   }
@@ -79,7 +67,7 @@ DecodeResult ScalarDecode(const uint8_t* data, size_t size, ArchiveEntry* out,
       // A clean end between varints mid-triple means the value count is
       // off, not that a varint was cut short.
       if (i > 0 && pos >= size) return {Status::kDanglingValues, n};
-      const Status st = TryDecodeVar(data, size, &pos, &v[i]);
+      const Status st = NextVarint(data, size, &pos, &v[i]);
       if (st != Status::kOk) return {st, n};
     }
     if (n == out_capacity) return {Status::kCapacityExceeded, n};
@@ -91,10 +79,10 @@ DecodeResult ScalarDecode(const uint8_t* data, size_t size, ArchiveEntry* out,
       entry.window += static_cast<WindowId>(v[0]);
       entry.rule_count =
           static_cast<uint64_t>(static_cast<int64_t>(entry.rule_count) +
-                                varint::ZigzagDecode(v[1]));
+                                codec::ZigzagDecode(v[1]));
       entry.antecedent_count = static_cast<uint64_t>(
           static_cast<int64_t>(entry.antecedent_count) +
-          varint::ZigzagDecode(v[2]));
+          codec::ZigzagDecode(v[2]));
     }
     out[n++] = entry;
   }
@@ -102,10 +90,11 @@ DecodeResult ScalarDecode(const uint8_t* data, size_t size, ArchiveEntry* out,
 }
 
 // ---------------------------------------------------------------------------
-// Two-phase SIMD kernels. Phase A splits the byte stream into u64 varint
-// values, using a movemask over continuation bits to fast-path chunks that
-// are all single-byte varints (the dominant case: stable rules delta-encode
-// to 1-byte gaps and deltas). Phase B is the shared reconstruction above.
+// The two-phase SIMD kernel. Phase A splits the byte stream into u64
+// varint values, using a movemask over continuation bits to fast-path
+// chunks that are all single-byte varints (the dominant case: stable rules
+// delta-encode to 1-byte gaps and deltas). Phase B is the reconstruction
+// above.
 // ---------------------------------------------------------------------------
 
 #ifdef TARA_X86
@@ -136,7 +125,7 @@ __attribute__((target("sse4.1"))) DecodeResult Sse4Decode(
     // so the next iteration re-enters at a varint boundary.
     const size_t chunk_end = pos + 16;
     while (pos < chunk_end) {
-      const Status st = TryDecodeVar(data, size, &pos, &scratch[vc]);
+      const Status st = NextVarint(data, size, &pos, &scratch[vc]);
       if (st != Status::kOk) {
         return ReconstructEntries(scratch, vc, st, out, out_capacity);
       }
@@ -144,48 +133,7 @@ __attribute__((target("sse4.1"))) DecodeResult Sse4Decode(
     }
   }
   while (pos < size) {
-    const Status st = TryDecodeVar(data, size, &pos, &scratch[vc]);
-    if (st != Status::kOk) {
-      tail = st;
-      break;
-    }
-    ++vc;
-  }
-  return ReconstructEntries(scratch, vc, tail, out, out_capacity);
-}
-
-__attribute__((target("avx2"))) DecodeResult Avx2Decode(
-    const uint8_t* data, size_t size, ArchiveEntry* out, size_t out_capacity,
-    uint64_t* scratch, size_t scratch_capacity) {
-  if (scratch_capacity < MaxValuesForStream(size)) {
-    return {Status::kCapacityExceeded, 0};
-  }
-  size_t pos = 0;
-  size_t vc = 0;
-  Status tail = Status::kOk;
-  while (pos + 32 <= size) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + pos));
-    const int cont_mask = _mm256_movemask_epi8(chunk);
-    if (cont_mask == 0) {
-      for (int i = 0; i < 32; ++i) {
-        scratch[vc + i] = data[pos + i];
-      }
-      vc += 32;
-      pos += 32;
-      continue;
-    }
-    const size_t chunk_end = pos + 32;
-    while (pos < chunk_end) {
-      const Status st = TryDecodeVar(data, size, &pos, &scratch[vc]);
-      if (st != Status::kOk) {
-        return ReconstructEntries(scratch, vc, st, out, out_capacity);
-      }
-      ++vc;
-    }
-  }
-  while (pos < size) {
-    const Status st = TryDecodeVar(data, size, &pos, &scratch[vc]);
+    const Status st = NextVarint(data, size, &pos, &scratch[vc]);
     if (st != Status::kOk) {
       tail = st;
       break;
@@ -202,8 +150,6 @@ constexpr DecodeKernel kScalarKernel = {"scalar", /*needs_scratch=*/false,
 #ifdef TARA_X86
 constexpr DecodeKernel kSse4Kernel = {"sse4", /*needs_scratch=*/true,
                                       Sse4Decode};
-constexpr DecodeKernel kAvx2Kernel = {"avx2", /*needs_scratch=*/true,
-                                      Avx2Decode};
 #endif
 
 std::vector<DecodeKernel> BuildSupportedKernels() {
@@ -212,7 +158,6 @@ std::vector<DecodeKernel> BuildSupportedKernels() {
 #ifdef TARA_X86
   const CpuFeatures& features = GetCpuFeatures();
   if (features.sse41) kernels.push_back(kSse4Kernel);
-  if (features.avx2) kernels.push_back(kAvx2Kernel);
 #endif
   return kernels;
 }
@@ -246,7 +191,6 @@ const DecodeKernel& DispatchDecodeKernel(const CpuFeatures& features,
                                          bool force_scalar) {
   if (force_scalar) return kScalarKernel;
 #ifdef TARA_X86
-  if (features.avx2) return kAvx2Kernel;
   if (features.sse41) return kSse4Kernel;
 #else
   (void)features;

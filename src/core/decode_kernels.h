@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/arena.h"
+#include "common/byte_codec.h"
 #include "common/cpu_features.h"
 #include "core/tar_archive.h"
 
@@ -16,11 +17,11 @@ namespace tara::decode {
 /// status, and all kernels are required to agree on it (the differential
 /// tests pin this).
 enum class Status : uint8_t {
-  kOk = 0,
+  kOk = static_cast<uint8_t>(codec::VarintStatus::kOk),
   /// Stream ends in the middle of a varint.
-  kTruncated,
+  kTruncated = static_cast<uint8_t>(codec::VarintStatus::kTruncated),
   /// A varint continues past the 10-byte / 64-bit limit.
-  kOverlong,
+  kOverlong = static_cast<uint8_t>(codec::VarintStatus::kOverlong),
   /// Stream ends cleanly between varints but the value count is not a
   /// multiple of 3 (window, rule delta, antecedent delta).
   kDanglingValues,
@@ -44,7 +45,7 @@ inline size_t MaxEntriesForStream(size_t stream_bytes) {
 }
 
 /// Upper bound on individual varint values in the stream (one per byte);
-/// sizes the u64 scratch the two-phase SIMD kernels split into.
+/// sizes the u64 scratch the two-phase SSE4 kernel splits into.
 inline size_t MaxValuesForStream(size_t stream_bytes) {
   return stream_bytes;
 }

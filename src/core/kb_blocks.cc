@@ -12,10 +12,10 @@
 #include <sstream>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/crash_point.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "core/byte_codec.h"
 
 namespace tara {
 namespace {
@@ -115,10 +115,7 @@ std::vector<uint8_t> EncodeBlocksManifestBytes(
     const KbBlocksManifest& manifest) {
   ByteWriter w;
   w.Magic(kBlocksMagic, kBlocksMagicLen);
-  w.F64(manifest.min_support_floor);
-  w.F64(manifest.min_confidence_floor);
-  w.U64(manifest.max_itemset_size);
-  w.U64(manifest.build_content_index ? 1 : 0);
+  WriteOptionsFingerprint(manifest, &w);
   w.U64(manifest.blocks.size());
   for (const KbBlockInfo& block : manifest.blocks) {
     w.U64(block.file_index);
@@ -155,30 +152,15 @@ std::optional<LoadError> DecodeBlocksManifest(ByteReader* reader,
     return Err(LoadError::Code::kBadMagic,
                "not a TARA blocks manifest (TARAKB3 magic missing)");
   }
-  uint64_t content_index = 0;
+  const auto error = ReadOptionsFingerprint(reader, manifest);
+  if (error.has_value() && !error->truncated) {
+    return Err(LoadError::Code::kBadManifest,
+               "blocks manifest " + error->message);
+  }
   uint64_t block_count = 0;
-  if (!reader->F64(&manifest->min_support_floor) ||
-      !reader->F64(&manifest->min_confidence_floor) ||
-      !reader->U64(&manifest->max_itemset_size) ||
-      !reader->U64(&content_index) || !reader->U64(&block_count)) {
+  if (error.has_value() || !reader->U64(&block_count)) {
     return Err(LoadError::Code::kTruncated,
                "blocks manifest ended mid-header (truncated file?)");
-  }
-  if (content_index > 1) {
-    return Err(LoadError::Code::kBadManifest,
-               "blocks manifest content-index flag is neither 0 nor 1");
-  }
-  manifest->build_content_index = content_index != 0;
-  KbOptions options;
-  options.min_support_floor = manifest->min_support_floor;
-  options.min_confidence_floor = manifest->min_confidence_floor;
-  options.max_itemset_size =
-      static_cast<uint32_t>(manifest->max_itemset_size);
-  if (options.max_itemset_size != manifest->max_itemset_size ||
-      options.Validate().has_value()) {
-    return Err(LoadError::Code::kBadManifest,
-               "blocks manifest options are outside the valid ranges: " +
-                   options.Validate().value_or("itemset cap overflows"));
   }
   manifest->blocks.reserve(block_count <= 4096 ? block_count : 0);
   uint64_t next_window = 0;

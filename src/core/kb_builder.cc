@@ -127,11 +127,10 @@ std::optional<LoadError> KbBuilder::TruncateWal() {
 
 void KbBuilder::LogWindowsLocked(WindowId first) {
   if (wal_ == nullptr) return;
-  const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
-      current_.load(std::memory_order_relaxed);
+  const std::shared_ptr<const KnowledgeBaseSnapshot> published = snapshot();
   for (WindowId w = first; w < static_cast<WindowId>(segments_.size()); ++w) {
     const auto error = wal_->Append(segments_[w]->total_transactions,
-                                    EncodeWindowSegment(*snapshot, w));
+                                    EncodeWindowSegment(*published, w));
     // The window is already committed and visible; returning without
     // durability would let the caller ack a window a crash can lose.
     TARA_CHECK(!error.has_value())
@@ -430,14 +429,14 @@ void KbBuilder::PublishSnapshotLocked(uint32_t windows) {
   snapshot->options_ = options_;
   generation_ += windows;
   snapshot->generation_ = generation_;
-  // Pin the outgoing generation before the swap. Its reference-count
-  // increment acquires those of the readers that already loaded it, which
-  // orders their loads before the store: libstdc++ 12's
-  // atomic<shared_ptr>::load releases its internal lock with relaxed
-  // order, so ThreadSanitizer otherwise reports the store racing them.
-  const std::shared_ptr<const KnowledgeBaseSnapshot> outgoing =
-      current_.load(std::memory_order_acquire);
-  current_.store(std::move(snapshot), std::memory_order_release);
+  std::shared_ptr<const KnowledgeBaseSnapshot> outgoing = std::move(snapshot);
+  {
+    std::lock_guard<std::mutex> lock(current_mutex_);
+    current_.swap(outgoing);
+  }
+  // The previous generation is released here, outside the lock, so its
+  // last reference never frees a whole snapshot while readers wait.
+  outgoing.reset();
   UpdateBuildMetrics();
   if (options_.metrics != nullptr) {
     metrics_.kb_generation->Set(static_cast<double>(generation_));

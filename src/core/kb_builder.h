@@ -40,18 +40,20 @@ struct PersistedWindow {
 
 /// The mutable half of the knowledge base: mines arriving windows, commits
 /// them onto the current KnowledgeBaseSnapshot, and publishes each new
-/// generation with a single atomic shared_ptr swap (RCU-style).
+/// generation with a single shared_ptr swap under a publication mutex
+/// (RCU-style).
 ///
 /// ## Concurrency contract
 ///
 /// - **One writer.** AppendWindow / AppendPrecomputedWindow / BuildAll /
 ///   CommitPersistedWindows are serialized by an internal commit mutex;
 ///   concurrent writer calls are safe but pointless (they queue).
-/// - **Any number of readers, any time.** snapshot() is a lock-free atomic
-///   load; the returned shared_ptr pins that generation for as long as it
-///   is held. Readers never block a writer and a writer never blocks
-///   readers — an in-flight query keeps answering from the generation it
-///   pinned while newer windows are committed and published.
+/// - **Any number of readers, any time.** snapshot() copies the current
+///   pointer under a mutex held only for that copy (or the writer's
+///   swap); the returned shared_ptr pins that generation for as long as
+///   it is held. A reader never waits on a commit — an in-flight query
+///   keeps answering from the generation it pinned while newer windows
+///   are committed and published.
 ///
 /// What makes the swap safe:
 /// - WindowSegments are immutable once published and shared by reference
@@ -138,10 +140,12 @@ class KbBuilder {
   /// True once AttachWal has succeeded (or Options::wal_dir was set).
   bool wal_attached() const { return wal_ != nullptr; }
 
-  /// Pins and returns the current generation. Lock-free; safe from any
-  /// thread at any time, including while a writer is mid-append.
+  /// Pins and returns the current generation. Safe from any thread at any
+  /// time, including while a writer is mid-append: the lock covers only
+  /// the pointer copy, never a commit.
   std::shared_ptr<const KnowledgeBaseSnapshot> snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
   /// The published generation number: 0 for the empty initial snapshot,
@@ -289,8 +293,10 @@ class KbBuilder {
   /// rather than segments_.size(), so a reader comparing a snapshot's
   /// generation with its window count catches a torn publication.
   uint64_t generation_ = 0;
-  /// The RCU publication point: readers load, the writer stores.
-  std::atomic<std::shared_ptr<const KnowledgeBaseSnapshot>> current_;
+  /// The RCU publication point: readers copy it and the writer swaps it,
+  /// both under current_mutex_.
+  mutable std::mutex current_mutex_;
+  std::shared_ptr<const KnowledgeBaseSnapshot> current_;
   /// Write-ahead log; null until AttachWal succeeds. Written only under
   /// the commit mutex, after each publication.
   std::unique_ptr<WalWriter> wal_;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/expected.h"
 #include "core/query_error.h"
 #include "core/rollup_tree.h"
@@ -88,6 +89,62 @@ struct KbOptions {
   /// message.
   std::optional<std::string> Validate() const;
 };
+
+/// The options fingerprint: the serialized subset of KbOptions, carried
+/// byte for byte by the stream and TARAKB3 manifests, the WAL header and
+/// the replica checkpoint frame — support floor (f64), confidence floor
+/// (f64), itemset cap (varint), content-index flag (one byte, 0 or 1).
+/// `Options` is any struct with those four fields: KbOptions,
+/// KbBlocksManifest or ReplicaCheckpoint.
+template <typename Options, typename Bytes>
+void WriteOptionsFingerprint(const Options& options,
+                             codec::ByteWriter<Bytes>* out) {
+  out->F64(options.min_support_floor);
+  out->F64(options.min_confidence_floor);
+  out->U64(options.max_itemset_size);
+  out->Byte(options.build_content_index ? 1 : 0);
+}
+
+/// Why a fingerprint did not read: the bytes end inside it, or a field is
+/// out of range (KbOptions::Validate). Each format maps the two cases to
+/// its own error codes.
+struct FingerprintError {
+  bool truncated = false;
+  std::string message;
+};
+
+/// Reads a fingerprint and validates it as KbOptions would; only a valid
+/// one is copied into `*out`.
+template <typename Options>
+std::optional<FingerprintError> ReadOptionsFingerprint(codec::ByteReader* in,
+                                                       Options* out) {
+  KbOptions options;
+  uint64_t itemset_cap = 0;
+  uint8_t content_index = 0;
+  if (!in->F64(&options.min_support_floor) ||
+      !in->F64(&options.min_confidence_floor) || !in->U64(&itemset_cap) ||
+      !in->Byte(&content_index)) {
+    return FingerprintError{true, "ends inside the options fingerprint"};
+  }
+  if (content_index > 1) {
+    return FingerprintError{false, "content-index flag is neither 0 nor 1"};
+  }
+  options.max_itemset_size = static_cast<uint32_t>(itemset_cap);
+  options.build_content_index = content_index == 1;
+  const std::optional<std::string> invalid =
+      options.max_itemset_size != itemset_cap
+          ? std::optional<std::string>("itemset cap overflows")
+          : options.Validate();
+  if (invalid.has_value()) {
+    return FingerprintError{false, "options are outside the valid ranges: " +
+                                       *invalid};
+  }
+  out->min_support_floor = options.min_support_floor;
+  out->min_confidence_floor = options.min_confidence_floor;
+  out->max_itemset_size = options.max_itemset_size;
+  out->build_content_index = options.build_content_index;
+  return std::nullopt;
+}
 
 /// Per-window offline timing/size breakdown (Figure 9's stacked tasks).
 struct WindowBuildStats {

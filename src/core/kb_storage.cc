@@ -5,8 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
-#include "core/byte_codec.h"
 
 namespace tara {
 namespace {
@@ -28,13 +28,10 @@ struct ManifestRow {
   uint64_t segment_hash = 0;
 };
 
-/// The stream header: the serialized construction options plus one row
-/// per window.
+/// The stream header: the options fingerprint plus one row per window.
 struct Manifest {
-  double min_support_floor = 0;
-  double min_confidence_floor = 0;
-  uint64_t max_itemset_size = 0;
-  bool build_content_index = false;
+  /// Serialized subset only; runtime knobs take their defaults.
+  KbOptions options;
   std::vector<ManifestRow> rows;
 };
 
@@ -81,10 +78,7 @@ ManifestRow RowFor(const KnowledgeBaseSnapshot& snapshot, WindowId window,
 std::vector<uint8_t> EncodeManifestBytes(const Manifest& manifest) {
   ByteWriter w;
   w.Magic(kManifestMagic, kManifestMagicLen);
-  w.F64(manifest.min_support_floor);
-  w.F64(manifest.min_confidence_floor);
-  w.U64(manifest.max_itemset_size);
-  w.U64(manifest.build_content_index ? 1 : 0);
+  WriteOptionsFingerprint(manifest.options, &w);
   w.U64(manifest.rows.size());
   for (const ManifestRow& row : manifest.rows) {
     w.U64(row.total_transactions);
@@ -94,16 +88,6 @@ std::vector<uint8_t> EncodeManifestBytes(const Manifest& manifest) {
     w.Raw64(row.segment_hash);
   }
   return w.bytes();
-}
-
-Manifest ManifestFor(const KnowledgeBaseSnapshot& snapshot) {
-  const KbOptions& options = snapshot.options();
-  Manifest manifest;
-  manifest.min_support_floor = options.min_support_floor;
-  manifest.min_confidence_floor = options.min_confidence_floor;
-  manifest.max_itemset_size = options.max_itemset_size;
-  manifest.build_content_index = options.build_content_index;
-  return manifest;
 }
 
 /// Parses a stream header from `reader`; on success the cursor rests on
@@ -125,30 +109,14 @@ std::optional<LoadError> DecodeManifest(ByteReader* reader,
     return Err(LoadError::Code::kBadMagic,
                "not a TARA knowledge base (TARAKB2 magic missing)");
   }
-  uint64_t content_index = 0;
+  const auto error = ReadOptionsFingerprint(reader, &manifest->options);
+  if (error.has_value() && !error->truncated) {
+    return Err(LoadError::Code::kBadManifest, "manifest " + error->message);
+  }
   uint64_t window_count = 0;
-  if (!reader->F64(&manifest->min_support_floor) ||
-      !reader->F64(&manifest->min_confidence_floor) ||
-      !reader->U64(&manifest->max_itemset_size) ||
-      !reader->U64(&content_index) || !reader->U64(&window_count)) {
+  if (error.has_value() || !reader->U64(&window_count)) {
     return Err(LoadError::Code::kTruncated,
                "manifest ended mid-header (truncated stream?)");
-  }
-  if (content_index > 1) {
-    return Err(LoadError::Code::kBadManifest,
-               "manifest content-index flag is neither 0 nor 1");
-  }
-  manifest->build_content_index = content_index != 0;
-  KbOptions options;
-  options.min_support_floor = manifest->min_support_floor;
-  options.min_confidence_floor = manifest->min_confidence_floor;
-  options.max_itemset_size =
-      static_cast<uint32_t>(manifest->max_itemset_size);
-  if (options.max_itemset_size != manifest->max_itemset_size ||
-      options.Validate().has_value()) {
-    return Err(LoadError::Code::kBadManifest,
-               "manifest options are outside the valid ranges: " +
-                   options.Validate().value_or("itemset cap overflows"));
   }
   manifest->rows.reserve(window_count <= 4096 ? window_count : 0);
   uint64_t previous_watermark = 0;
@@ -184,11 +152,7 @@ std::optional<LoadError> DecodeManifest(ByteReader* reader,
 }
 
 TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics) {
-  KbOptions options;
-  options.min_support_floor = manifest.min_support_floor;
-  options.min_confidence_floor = manifest.min_confidence_floor;
-  options.max_itemset_size = static_cast<uint32_t>(manifest.max_itemset_size);
-  options.build_content_index = manifest.build_content_index;
+  KbOptions options = manifest.options;
   options.metrics = metrics;
   return TaraEngine(options);
 }
@@ -196,7 +160,8 @@ TaraEngine EngineFor(const Manifest& manifest, obs::MetricsRegistry* metrics) {
 }  // namespace
 
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot) {
-  Manifest manifest = ManifestFor(snapshot);
+  Manifest manifest;
+  manifest.options = snapshot.options();
   std::vector<std::vector<uint8_t>> segments;
   segments.reserve(snapshot.window_count());
   for (WindowId w = 0; w < snapshot.window_count(); ++w) {
@@ -295,13 +260,14 @@ Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
   if (parsed.window != stored_window || parsed.first_rule != first_rule) {
     return corrupt("window or rule id overflows");
   }
-  if (new_rule_count > r.remaining()) {  // each rule takes >= 2 bytes
+  if (new_rule_count > r.remaining() / 2) {  // each rule takes >= 2 bytes
     return corrupt("truncated rule contents");
   }
   // Ids stay below RuleCatalog::kNotFound.
   const uint64_t watermark = first_rule + new_rule_count;
   if (watermark > RuleCatalog::kNotFound) return corrupt("rule ids overflow");
-  parsed.new_rules.reserve(new_rule_count);
+  // Rules grow as they decode: each takes far more memory than its two
+  // bytes, so the count alone must not size an allocation.
   for (uint64_t i = 0; i < new_rule_count; ++i) {
     Rule rule;
     if (!r.Items(&rule.antecedent) || !r.Items(&rule.consequent)) {
@@ -311,7 +277,7 @@ Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
   }
   uint64_t entry_count = 0;
   if (!r.U64(&entry_count)) return corrupt("truncated entry count");
-  if (entry_count > r.remaining()) {  // each entry takes >= 3 bytes
+  if (entry_count > r.remaining() / 3) {  // each entry takes >= 3 bytes
     return corrupt("truncated entry list");
   }
   parsed.entries.reserve(entry_count);

@@ -21,7 +21,7 @@ namespace tara {
 ///   travels everywhere: TARAKB3 block files (kb_blocks.h), WAL records
 ///   (wal.h) and replication frames (wire_format.h) all carry it.
 /// - The **stream form** (magic "TARAKB2") is a small header — the
-///   serialized construction options plus one row per window (transaction
+///   options fingerprint (kb_snapshot.h) plus one row per window (transaction
 ///   count, rule watermark, entry count, segment size and checksum) —
 ///   followed by every segment, concatenated. It is the single-file
 ///   `save`/`load` format (serialization.h) and the byte-identity oracle
@@ -30,9 +30,11 @@ namespace tara {
 /// The one on-disk directory format is TARAKB3 (kb_blocks.h); open it
 /// with OpenKnowledgeBase (kb_open.h).
 ///
-/// Integers are LEB128 varints, doubles and checksums are 8-byte
-/// little-endian; itemsets are delta-encoded. Decoders treat all input as
-/// untrusted and return LoadError instead of aborting.
+/// Every byte goes through the shared codec (common/byte_codec.h):
+/// integers are LEB128 varints, doubles and checksums are 8-byte
+/// little-endian, itemsets are delta-encoded. Decoders read through its
+/// ByteReader, treat all input as untrusted and return LoadError instead
+/// of aborting.
 
 /// Serializes one pinned generation in the stream form. Deterministic —
 /// byte-identical for the same window sequence regardless of build

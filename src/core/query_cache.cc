@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
 
 namespace tara {
@@ -19,9 +20,7 @@ std::string QueryCache::MakeKey(uint64_t generation, QueryKind kind,
                                 std::string_view request) {
   std::string key;
   key.reserve(9 + request.size());
-  for (int i = 0; i < 8; ++i) {
-    key.push_back(static_cast<char>((generation >> (8 * i)) & 0xff));
-  }
+  codec::PutFixed(generation, &key);
   key.push_back(static_cast<char>(kind));
   key.append(request);
   return key;

@@ -1,91 +1,28 @@
 #include "core/query_request.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
-#include "common/varint.h"
+#include "common/byte_codec.h"
 
 namespace tara {
 namespace {
 
-void AppendDouble(double value, std::string* out) {
-  const uint64_t bits = std::bit_cast<uint64_t>(value);
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-}
+using codec::ByteReader;
+using codec::StringWriter;
 
-void AppendVarint(uint64_t value, std::string* out) {
-  std::vector<uint8_t> bytes;
-  varint::EncodeU64(value, &bytes);
-  out->append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-}
-
+/// Window ids and items are canonical: sorted and deduplicated.
 template <typename Int>
-void AppendIdList(std::vector<Int> ids, std::string* out) {
+void WriteIdSet(std::vector<Int> ids, StringWriter* out) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  AppendVarint(ids.size(), out);
-  for (const Int id : ids) AppendVarint(id, out);
+  out->IdList(ids);
 }
 
-void AppendSetting(const ParameterSetting& setting, std::string* out) {
-  AppendDouble(setting.min_support, out);
-  AppendDouble(setting.min_confidence, out);
-}
-
-/// Cursor over untrusted bytes; every Read* returns false on truncation.
-struct Reader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-
-  explicit Reader(std::string_view bytes)
-      : data(reinterpret_cast<const uint8_t*>(bytes.data())),
-        size(bytes.size()) {}
-
-  bool ReadVarint(uint64_t* out) {
-    return varint::TryDecodeU64(data, size, &pos, out);
-  }
-
-  bool ReadDouble(double* out) {
-    if (pos + 8 > size) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    *out = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  template <typename Int>
-  bool ReadIdList(std::vector<Int>* out) {
-    uint64_t count = 0;
-    if (!ReadVarint(&count) || count > size) return false;
-    out->clear();
-    out->reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!ReadVarint(&id)) return false;
-      out->push_back(static_cast<Int>(id));
-    }
-    return true;
-  }
-
-  bool AtEnd() const { return pos == size; }
-};
-
-void EncodeRuleIds(const std::vector<RuleId>& ids, std::string* out) {
-  AppendVarint(ids.size(), out);
-  for (const RuleId id : ids) AppendVarint(id, out);
-}
-
-bool DecodeRuleIds(Reader* in, std::vector<RuleId>* out) {
-  return in->ReadIdList(out);
+void WriteSetting(const ParameterSetting& setting, StringWriter* out) {
+  out->F64(setting.min_support);
+  out->F64(setting.min_confidence);
 }
 
 }  // namespace
@@ -190,76 +127,77 @@ QueryRequest QueryRequest::RollUpMine(std::vector<WindowId> windows,
 }
 
 std::string EncodeQueryRequest(const QueryRequest& request) {
-  std::string out;
-  out.push_back(static_cast<char>(request.kind));
+  StringWriter out;
+  out.Byte(static_cast<uint8_t>(request.kind));
   switch (request.kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kRegion:
     case QueryKind::kContentView:
-      AppendVarint(request.window, &out);
-      AppendSetting(request.setting, &out);
+      out.U64(request.window);
+      WriteSetting(request.setting, &out);
       break;
     case QueryKind::kMineWindows:
-      out.push_back(static_cast<char>(request.mode));
-      AppendSetting(request.setting, &out);
-      AppendIdList(request.windows, &out);
+      out.Byte(static_cast<uint8_t>(request.mode));
+      WriteSetting(request.setting, &out);
+      WriteIdSet(request.windows, &out);
       break;
     case QueryKind::kTrajectory:
-      AppendVarint(request.window, &out);
-      AppendSetting(request.setting, &out);
-      AppendIdList(request.windows, &out);
+      out.U64(request.window);
+      WriteSetting(request.setting, &out);
+      WriteIdSet(request.windows, &out);
       break;
     case QueryKind::kCompare:
-      out.push_back(static_cast<char>(request.mode));
-      AppendSetting(request.setting, &out);
-      AppendSetting(request.second, &out);
-      AppendIdList(request.windows, &out);
+      out.Byte(static_cast<uint8_t>(request.mode));
+      WriteSetting(request.setting, &out);
+      WriteSetting(request.second, &out);
+      WriteIdSet(request.windows, &out);
       break;
     case QueryKind::kMeasures:
     case QueryKind::kRollUpRule:
-      AppendVarint(request.rule, &out);
-      AppendIdList(request.windows, &out);
+      out.U64(request.rule);
+      WriteIdSet(request.windows, &out);
       break;
     case QueryKind::kContent:
-      AppendVarint(request.window, &out);
-      AppendSetting(request.setting, &out);
-      AppendIdList(request.items, &out);
+      out.U64(request.window);
+      WriteSetting(request.setting, &out);
+      WriteIdSet(request.items, &out);
       break;
     case QueryKind::kRollUpMine:
-      AppendSetting(request.setting, &out);
-      AppendIdList(request.windows, &out);
+      WriteSetting(request.setting, &out);
+      WriteIdSet(request.windows, &out);
       break;
   }
-  return out;
+  return std::move(out).bytes();
 }
 
 namespace {
 
-void EncodeTrajectory(const Trajectory& trajectory, std::string* out) {
-  AppendVarint(trajectory.size(), out);
+void EncodeTrajectory(const Trajectory& trajectory, StringWriter* out) {
+  out->U64(trajectory.size());
   for (const TrajectoryPoint& point : trajectory) {
-    AppendVarint(point.window, out);
-    out->push_back(point.present ? 1 : 0);
-    AppendDouble(point.support, out);
-    AppendDouble(point.confidence, out);
+    out->U64(point.window);
+    out->Byte(point.present ? 1 : 0);
+    out->F64(point.support);
+    out->F64(point.confidence);
   }
 }
 
-bool DecodeTrajectory(Reader* in, Trajectory* out) {
+/// Points grow as they decode: a count is only as good as the bytes
+/// behind it.
+bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
   uint64_t count = 0;
-  if (!in->ReadVarint(&count) || count > in->size) return false;
+  if (!in->Count(&count)) return false;
   out->clear();
-  out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TrajectoryPoint point;
     uint64_t window = 0;
-    if (!in->ReadVarint(&window) || in->pos >= in->size) return false;
-    point.window = static_cast<WindowId>(window);
-    point.present = in->data[in->pos++] != 0;
-    if (!in->ReadDouble(&point.support) ||
-        !in->ReadDouble(&point.confidence)) {
+    uint8_t present = 0;
+    if (!in->U64(&window) || !in->Byte(&present) ||
+        !in->F64(&point.support) || !in->F64(&point.confidence)) {
       return false;
     }
+    point.window = static_cast<WindowId>(window);
+    point.present = present != 0;
     out->push_back(point);
   }
   return true;
@@ -268,17 +206,17 @@ bool DecodeTrajectory(Reader* in, Trajectory* out) {
 }  // namespace
 
 std::string EncodeQueryResult(QueryKind kind, const QueryResult& result) {
-  std::string out;
+  StringWriter out;
   switch (kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kMineWindows:
     case QueryKind::kContent:
-      EncodeRuleIds(std::get<std::vector<RuleId>>(result), &out);
+      out.IdList(std::get<std::vector<RuleId>>(result));
       break;
     case QueryKind::kTrajectory: {
       const auto& value = std::get<TrajectoryQueryResult>(result);
-      EncodeRuleIds(value.rules, &out);
-      AppendVarint(value.trajectories.size(), &out);
+      out.IdList(value.rules);
+      out.U64(value.trajectories.size());
       for (const Trajectory& t : value.trajectories) {
         EncodeTrajectory(t, &out);
       }
@@ -286,27 +224,27 @@ std::string EncodeQueryResult(QueryKind kind, const QueryResult& result) {
     }
     case QueryKind::kCompare: {
       const auto& value = std::get<RulesetDiff>(result);
-      EncodeRuleIds(value.only_first, &out);
-      EncodeRuleIds(value.only_second, &out);
+      out.IdList(value.only_first);
+      out.IdList(value.only_second);
       break;
     }
     case QueryKind::kRegion: {
       const auto& value = std::get<RegionInfo>(result);
-      AppendDouble(value.support_lower, &out);
-      AppendDouble(value.support_upper, &out);
-      AppendDouble(value.confidence_lower, &out);
-      AppendDouble(value.confidence_upper, &out);
-      AppendVarint(value.result_size, &out);
+      out.F64(value.support_lower);
+      out.F64(value.support_upper);
+      out.F64(value.confidence_lower);
+      out.F64(value.confidence_upper);
+      out.U64(value.result_size);
       break;
     }
     case QueryKind::kMeasures: {
       const auto& value = std::get<TrajectoryMeasures>(result);
-      AppendDouble(value.coverage, &out);
-      AppendDouble(value.stability, &out);
-      AppendDouble(value.support_stddev, &out);
-      AppendDouble(value.confidence_stddev, &out);
-      AppendDouble(value.mean_support, &out);
-      AppendDouble(value.mean_confidence, &out);
+      out.F64(value.coverage);
+      out.F64(value.stability);
+      out.F64(value.support_stddev);
+      out.F64(value.confidence_stddev);
+      out.F64(value.mean_support);
+      out.F64(value.mean_confidence);
       break;
     }
     case QueryKind::kContentView: {
@@ -315,65 +253,60 @@ std::string EncodeQueryResult(QueryKind kind, const QueryResult& result) {
       items.reserve(value.size());
       for (const auto& [item, rules] : value) items.push_back(item);
       std::sort(items.begin(), items.end());
-      AppendVarint(items.size(), &out);
+      out.U64(items.size());
       for (const ItemId item : items) {
-        AppendVarint(item, &out);
-        EncodeRuleIds(value.at(item), &out);
+        out.U64(item);
+        out.IdList(value.at(item));
       }
       break;
     }
     case QueryKind::kRollUpRule: {
       const auto& value = std::get<RollUpBound>(result);
-      AppendDouble(value.support_lo, &out);
-      AppendDouble(value.support_hi, &out);
-      AppendDouble(value.confidence_lo, &out);
-      AppendDouble(value.confidence_hi, &out);
-      AppendVarint(value.missing_windows, &out);
+      out.F64(value.support_lo);
+      out.F64(value.support_hi);
+      out.F64(value.confidence_lo);
+      out.F64(value.confidence_hi);
+      out.U64(value.missing_windows);
       break;
     }
     case QueryKind::kRollUpMine: {
       const auto& value = std::get<RolledUpRules>(result);
-      EncodeRuleIds(value.certain, &out);
-      EncodeRuleIds(value.possible, &out);
+      out.IdList(value.certain);
+      out.IdList(value.possible);
       break;
     }
   }
-  return out;
+  return std::move(out).bytes();
 }
 
 std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
                                              std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes);
   std::optional<QueryResult> result;
   switch (kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kMineWindows:
     case QueryKind::kContent: {
       std::vector<RuleId> rules;
-      if (!DecodeRuleIds(&in, &rules)) return std::nullopt;
+      if (!in.IdList(&rules)) return std::nullopt;
       result = std::move(rules);
       break;
     }
     case QueryKind::kTrajectory: {
       TrajectoryQueryResult value;
       uint64_t count = 0;
-      if (!DecodeRuleIds(&in, &value.rules) || !in.ReadVarint(&count) ||
-          count > in.size) {
-        return std::nullopt;
-      }
-      value.trajectories.resize(count);
+      if (!in.IdList(&value.rules) || !in.Count(&count)) return std::nullopt;
       for (uint64_t i = 0; i < count; ++i) {
-        if (!DecodeTrajectory(&in, &value.trajectories[i])) {
-          return std::nullopt;
-        }
+        Trajectory trajectory;
+        if (!DecodeTrajectory(&in, &trajectory)) return std::nullopt;
+        value.trajectories.push_back(std::move(trajectory));
       }
       result = std::move(value);
       break;
     }
     case QueryKind::kCompare: {
       RulesetDiff value;
-      if (!DecodeRuleIds(&in, &value.only_first) ||
-          !DecodeRuleIds(&in, &value.only_second)) {
+      if (!in.IdList(&value.only_first) || !in.IdList(&value.only_second)) {
         return std::nullopt;
       }
       result = std::move(value);
@@ -382,10 +315,9 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     case QueryKind::kRegion: {
       RegionInfo value;
       uint64_t size = 0;
-      if (!in.ReadDouble(&value.support_lower) ||
-          !in.ReadDouble(&value.support_upper) ||
-          !in.ReadDouble(&value.confidence_lower) ||
-          !in.ReadDouble(&value.confidence_upper) || !in.ReadVarint(&size)) {
+      if (!in.F64(&value.support_lower) || !in.F64(&value.support_upper) ||
+          !in.F64(&value.confidence_lower) ||
+          !in.F64(&value.confidence_upper) || !in.U64(&size)) {
         return std::nullopt;
       }
       value.result_size = size;
@@ -394,11 +326,10 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     }
     case QueryKind::kMeasures: {
       TrajectoryMeasures value;
-      if (!in.ReadDouble(&value.coverage) || !in.ReadDouble(&value.stability) ||
-          !in.ReadDouble(&value.support_stddev) ||
-          !in.ReadDouble(&value.confidence_stddev) ||
-          !in.ReadDouble(&value.mean_support) ||
-          !in.ReadDouble(&value.mean_confidence)) {
+      if (!in.F64(&value.coverage) || !in.F64(&value.stability) ||
+          !in.F64(&value.support_stddev) ||
+          !in.F64(&value.confidence_stddev) ||
+          !in.F64(&value.mean_support) || !in.F64(&value.mean_confidence)) {
         return std::nullopt;
       }
       result = value;
@@ -407,13 +338,11 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     case QueryKind::kContentView: {
       ContentViewResult value;
       uint64_t count = 0;
-      if (!in.ReadVarint(&count) || count > in.size) return std::nullopt;
+      if (!in.Count(&count)) return std::nullopt;
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t item = 0;
         std::vector<RuleId> rules;
-        if (!in.ReadVarint(&item) || !DecodeRuleIds(&in, &rules)) {
-          return std::nullopt;
-        }
+        if (!in.U64(&item) || !in.IdList(&rules)) return std::nullopt;
         value[static_cast<ItemId>(item)] = std::move(rules);
       }
       result = std::move(value);
@@ -422,10 +351,9 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     case QueryKind::kRollUpRule: {
       RollUpBound value;
       uint64_t missing = 0;
-      if (!in.ReadDouble(&value.support_lo) ||
-          !in.ReadDouble(&value.support_hi) ||
-          !in.ReadDouble(&value.confidence_lo) ||
-          !in.ReadDouble(&value.confidence_hi) || !in.ReadVarint(&missing)) {
+      if (!in.F64(&value.support_lo) || !in.F64(&value.support_hi) ||
+          !in.F64(&value.confidence_lo) || !in.F64(&value.confidence_hi) ||
+          !in.U64(&missing)) {
         return std::nullopt;
       }
       value.missing_windows = static_cast<uint32_t>(missing);
@@ -434,8 +362,7 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     }
     case QueryKind::kRollUpMine: {
       RolledUpRules value;
-      if (!DecodeRuleIds(&in, &value.certain) ||
-          !DecodeRuleIds(&in, &value.possible)) {
+      if (!in.IdList(&value.certain) || !in.IdList(&value.possible)) {
         return std::nullopt;
       }
       result = std::move(value);

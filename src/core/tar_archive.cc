@@ -49,19 +49,21 @@ void TarArchive::Add(RuleId rule, WindowId window, uint64_t rule_count,
   RuleStream& s = streams_[rule];
   const size_t before = s.bytes.size();
   if (s.empty) {
-    varint::EncodeU64(window, &s.bytes);
-    varint::EncodeU64(rule_count, &s.bytes);
-    varint::EncodeU64(antecedent_count, &s.bytes);
+    codec::PutVarint(window, &s.bytes);
+    codec::PutVarint(rule_count, &s.bytes);
+    codec::PutVarint(antecedent_count, &s.bytes);
     s.empty = false;
   } else {
     TARA_CHECK_GT(window, s.last_window) << "entries must advance in time";
-    varint::EncodeU64(window - s.last_window, &s.bytes);
-    varint::EncodeS64(static_cast<int64_t>(rule_count) -
-                          static_cast<int64_t>(s.last_rule_count),
-                      &s.bytes);
-    varint::EncodeS64(static_cast<int64_t>(antecedent_count) -
-                          static_cast<int64_t>(s.last_antecedent_count),
-                      &s.bytes);
+    codec::PutVarint(window - s.last_window, &s.bytes);
+    codec::PutVarint(
+        codec::ZigzagEncode(static_cast<int64_t>(rule_count) -
+                            static_cast<int64_t>(s.last_rule_count)),
+        &s.bytes);
+    codec::PutVarint(
+        codec::ZigzagEncode(static_cast<int64_t>(antecedent_count) -
+                            static_cast<int64_t>(s.last_antecedent_count)),
+        &s.bytes);
   }
   s.last_window = window;
   s.last_rule_count = rule_count;

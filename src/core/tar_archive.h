@@ -8,7 +8,8 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/varint.h"
+#include "common/byte_codec.h"
+#include "common/logging.h"
 #include "core/rule_catalog.h"
 #include "txdb/evolving_database.h"
 
@@ -115,20 +116,27 @@ class TarArchive {
     const uint8_t* data = s.bytes.data();
     const size_t size = s.bytes.size();
     size_t pos = 0;
+    // The archive wrote these bytes itself: a bad varint is a broken
+    // invariant, not bad input.
+    const auto next = [data, size, &pos] {
+      uint64_t value = 0;
+      TARA_CHECK(codec::GetVarint(data, size, &pos, &value) ==
+                 codec::VarintStatus::kOk)
+          << "corrupt archive stream";
+      return value;
+    };
     ArchiveEntry entry;
-    entry.window = static_cast<WindowId>(varint::DecodeU64(data, size, &pos));
-    entry.rule_count = varint::DecodeU64(data, size, &pos);
-    entry.antecedent_count = varint::DecodeU64(data, size, &pos);
+    entry.window = static_cast<WindowId>(next());
+    entry.rule_count = next();
+    entry.antecedent_count = next();
     if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     while (pos < size) {
-      entry.window +=
-          static_cast<WindowId>(varint::DecodeU64(data, size, &pos));
+      entry.window += static_cast<WindowId>(next());
       entry.rule_count = static_cast<uint64_t>(
-          static_cast<int64_t>(entry.rule_count) +
-          varint::DecodeS64(data, size, &pos));
+          static_cast<int64_t>(entry.rule_count) + codec::ZigzagDecode(next()));
       entry.antecedent_count = static_cast<uint64_t>(
           static_cast<int64_t>(entry.antecedent_count) +
-          varint::DecodeS64(data, size, &pos));
+          codec::ZigzagDecode(next()));
       if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     }
   }

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -12,9 +11,9 @@
 #include <sstream>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/crash_point.h"
 #include "common/hash.h"
-#include "common/varint.h"
 
 namespace tara {
 namespace {
@@ -38,38 +37,13 @@ std::string WalPath(const std::string& dir) {
   return (std::filesystem::path(dir) / kWalFile).string();
 }
 
-void PutRaw64(uint64_t bits, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
-  }
-}
-
-uint64_t GetRaw64(const uint8_t* data) {
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(data[i]) << (8 * i);
-  }
-  return bits;
-}
-
-uint32_t GetRaw32(const uint8_t* data) {
-  uint32_t bits = 0;
-  for (int i = 0; i < 4; ++i) {
-    bits |= static_cast<uint32_t>(data[i]) << (8 * i);
-  }
-  return bits;
-}
-
-/// Magic + the serialized KbOptions subset. The exact bytes a valid log
-/// starts with — also used to verify an existing log on reopen.
+/// Magic + the options fingerprint. The exact bytes a valid log starts
+/// with — also used to verify an existing log on reopen.
 std::vector<uint8_t> EncodeHeader(const KbOptions& options) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kWalMagic, kWalMagic + kWalMagicLen);
-  PutRaw64(std::bit_cast<uint64_t>(options.min_support_floor), &out);
-  PutRaw64(std::bit_cast<uint64_t>(options.min_confidence_floor), &out);
-  varint::EncodeU64(options.max_itemset_size, &out);
-  varint::EncodeU64(options.build_content_index ? 1 : 0, &out);
-  return out;
+  codec::ByteWriter out;
+  out.Magic(kWalMagic, kWalMagicLen);
+  WriteOptionsFingerprint(options, &out);
+  return std::move(out).bytes();
 }
 
 /// Parses the header at the start of `data`; on success sets `*options`
@@ -77,40 +51,20 @@ std::vector<uint8_t> EncodeHeader(const KbOptions& options) {
 std::optional<LoadError> DecodeHeader(const uint8_t* data, size_t size,
                                       KbOptions* options,
                                       size_t* header_bytes) {
-  if (size < kWalMagicLen ||
-      std::memcmp(data, kWalMagic, kWalMagicLen) != 0) {
+  codec::ByteReader in(data, size);
+  if (!in.Magic(kWalMagic, kWalMagicLen)) {
     return Err(LoadError::Code::kBadMagic,
                "not a TARA write-ahead log (TARAWAL1 magic missing)");
   }
-  size_t pos = kWalMagicLen;
-  if (size - pos < 16) {
-    return Err(LoadError::Code::kTruncated,
-               "write-ahead log ends inside its header");
-  }
-  options->min_support_floor = std::bit_cast<double>(GetRaw64(data + pos));
-  options->min_confidence_floor =
-      std::bit_cast<double>(GetRaw64(data + pos + 8));
-  pos += 16;
-  uint64_t max_itemset = 0, content_index = 0;
-  if (!varint::TryDecodeU64(data, size, &pos, &max_itemset) ||
-      !varint::TryDecodeU64(data, size, &pos, &content_index)) {
-    return Err(LoadError::Code::kTruncated,
-               "write-ahead log ends inside its header");
-  }
-  if (content_index > 1) {
+  if (auto error = ReadOptionsFingerprint(&in, options)) {
+    if (error->truncated) {
+      return Err(LoadError::Code::kTruncated,
+                 "write-ahead log ends inside its header");
+    }
     return Err(LoadError::Code::kBadManifest,
-               "write-ahead log content-index flag is neither 0 nor 1");
+               "write-ahead log header " + error->message);
   }
-  options->max_itemset_size = static_cast<uint32_t>(max_itemset);
-  options->build_content_index = content_index != 0;
-  if (options->max_itemset_size != max_itemset ||
-      options->Validate().has_value()) {
-    return Err(LoadError::Code::kBadManifest,
-               "write-ahead log header options are outside the valid "
-               "ranges: " +
-                   options->Validate().value_or("itemset cap overflows"));
-  }
-  *header_bytes = pos;
+  *header_bytes = in.pos();
   return std::nullopt;
 }
 
@@ -159,15 +113,16 @@ Expected<WalContents, LoadError> ReadWal(const std::string& dir) {
   size_t pos = header_bytes;
   contents.valid_bytes = pos;
   while (size - pos >= kRecordHeaderBytes) {
-    const uint32_t payload_len = GetRaw32(data + pos);
-    const uint64_t checksum = GetRaw64(data + pos + 4);
+    const uint32_t payload_len = codec::GetFixed<uint32_t>(data + pos);
+    const uint64_t checksum = codec::GetFixed<uint64_t>(data + pos + 4);
     if (size - pos - kRecordHeaderBytes < payload_len) break;
     const uint8_t* payload = data + pos + kRecordHeaderBytes;
     if (HashBytes(payload, payload_len) != checksum) break;
     WalRecord record;
     size_t payload_pos = 0;
-    if (!varint::TryDecodeU64(payload, payload_len, &payload_pos,
-                              &record.total_transactions)) {
+    if (codec::GetVarint(payload, payload_len, &payload_pos,
+                         &record.total_transactions) !=
+        codec::VarintStatus::kOk) {
       break;
     }
     record.segment_bytes.assign(payload + payload_pos,
@@ -300,19 +255,18 @@ std::optional<LoadError> WalWriter::Fsync() {
 
 std::optional<LoadError> WalWriter::Append(
     uint64_t total_transactions, const std::vector<uint8_t>& segment_bytes) {
-  std::vector<uint8_t> payload;
-  payload.reserve(segment_bytes.size() + 10);
-  varint::EncodeU64(total_transactions, &payload);
-  payload.insert(payload.end(), segment_bytes.begin(), segment_bytes.end());
+  codec::ByteWriter payload_writer;
+  payload_writer.Reserve(segment_bytes.size() + 10);
+  payload_writer.U64(total_transactions);
+  payload_writer.Append(segment_bytes);
+  const std::vector<uint8_t>& payload = payload_writer.bytes();
 
-  std::vector<uint8_t> record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  const uint32_t payload_len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    record.push_back(static_cast<uint8_t>(payload_len >> (8 * i)));
-  }
-  PutRaw64(HashBytes(payload.data(), payload.size()), &record);
-  record.insert(record.end(), payload.begin(), payload.end());
+  codec::ByteWriter record_writer;
+  record_writer.Reserve(kRecordHeaderBytes + payload.size());
+  record_writer.Raw32(static_cast<uint32_t>(payload.size()));
+  record_writer.Raw64(HashBytes(payload.data(), payload.size()));
+  record_writer.Append(payload);
+  const std::vector<uint8_t>& record = record_writer.bytes();
 
   size_t written = 0;
   while (written < record.size()) {

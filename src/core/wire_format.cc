@@ -1,81 +1,14 @@
 #include "core/wire_format.h"
 
-#include <bit>
 #include <sstream>
 
-#include "common/varint.h"
+#include "common/byte_codec.h"
 
 namespace tara {
 namespace {
 
-void AppendVarint(uint64_t value, std::string* out) {
-  std::vector<uint8_t> bytes;
-  varint::EncodeU64(value, &bytes);
-  out->append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-}
-
-/// Little-endian IEEE-754 bits, the inverse of Reader::ReadDouble.
-void AppendDouble(double value, std::string* out) {
-  const uint64_t bits = std::bit_cast<uint64_t>(value);
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-}
-
-/// Cursor over untrusted payload bytes; every Read* returns false on
-/// truncation or malformed varints (mirrors the Reader of
-/// query_request.cc, which is private to that translation unit).
-struct Reader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-
-  explicit Reader(std::string_view bytes)
-      : data(reinterpret_cast<const uint8_t*>(bytes.data())),
-        size(bytes.size()) {}
-
-  bool ReadVarint(uint64_t* out) {
-    return varint::TryDecodeU64(data, size, &pos, out);
-  }
-
-  bool ReadByte(uint8_t* out) {
-    if (pos >= size) return false;
-    *out = data[pos++];
-    return true;
-  }
-
-  bool ReadDouble(double* out) {
-    if (pos + 8 > size) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    *out = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  template <typename Int>
-  bool ReadIdList(std::vector<Int>* out) {
-    uint64_t count = 0;
-    if (!ReadVarint(&count) || count > size) return false;
-    out->clear();
-    out->reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!ReadVarint(&id)) return false;
-      out->push_back(static_cast<Int>(id));
-    }
-    return true;
-  }
-
-  std::string_view Rest() const {
-    return std::string_view(reinterpret_cast<const char*>(data) + pos,
-                            size - pos);
-  }
-
-  bool AtEnd() const { return pos == size; }
-};
+using codec::ByteReader;
+using codec::StringWriter;
 
 ParseError Truncated(std::string_view what) {
   return ParseError{ParseError::Code::kTruncatedPayload,
@@ -92,15 +25,14 @@ ParseError Trailing(size_t extra) {
   return ParseError{ParseError::Code::kTrailingBytes, message.str()};
 }
 
-bool ReadSetting(Reader* in, ParameterSetting* out) {
-  return in->ReadDouble(&out->min_support) &&
-         in->ReadDouble(&out->min_confidence);
+bool ReadSetting(ByteReader* in, ParameterSetting* out) {
+  return in->F64(&out->min_support) && in->F64(&out->min_confidence);
 }
 
 /// MatchMode arrives as one byte; only the two defined values are legal.
-bool ReadMode(Reader* in, MatchMode* out) {
+bool ReadMode(ByteReader* in, MatchMode* out) {
   uint8_t mode = 0;
-  if (!in->ReadByte(&mode) || mode > 1) return false;
+  if (!in->Byte(&mode) || mode > 1) return false;
   *out = static_cast<MatchMode>(mode);
   return true;
 }
@@ -179,10 +111,7 @@ void AppendFrameHeader(FrameType type, size_t payload_size,
   out->push_back(static_cast<char>(kWireMagic1));
   out->push_back(static_cast<char>(kWireProtocolVersion));
   out->push_back(static_cast<char>(type));
-  const uint32_t size = static_cast<uint32_t>(payload_size);
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((size >> (8 * i)) & 0xff));
-  }
+  codec::PutFixed(static_cast<uint32_t>(payload_size), out);
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
@@ -220,10 +149,7 @@ Expected<FrameHeader, ParseError> DecodeFrameHeader(std::string_view bytes,
     message << "unknown frame type " << static_cast<unsigned>(type);
     return ParseError{ParseError::Code::kUnknownFrameType, message.str()};
   }
-  uint32_t size = 0;
-  for (int i = 0; i < 4; ++i) {
-    size |= static_cast<uint32_t>(data[4 + i]) << (8 * i);
-  }
+  const uint32_t size = codec::GetFixed<uint32_t>(data + 4);
   if (size > max_payload || size > kWireMaxPayloadBytes) {
     std::ostringstream message;
     message << "declared payload of " << size << " bytes exceeds the limit "
@@ -258,9 +184,9 @@ Expected<DecodedFrame, ParseError> DecodeFrame(std::string_view bytes,
 
 Expected<QueryRequest, ParseError> DecodeQueryRequest(
     std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes);
   uint8_t kind_byte = 0;
-  if (!in.ReadByte(&kind_byte)) return Truncated("the kind byte");
+  if (!in.Byte(&kind_byte)) return Truncated("the kind byte");
   if (kind_byte >= kQueryKindCount) {
     std::ostringstream message;
     message << "kind byte " << static_cast<unsigned>(kind_byte)
@@ -275,7 +201,7 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
     case QueryKind::kMineWindow:
     case QueryKind::kRegion:
     case QueryKind::kContentView:
-      if (!in.ReadVarint(&id)) return Truncated("the window id");
+      if (!in.U64(&id)) return Truncated("the window id");
       request.window = static_cast<WindowId>(id);
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
@@ -288,17 +214,17 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.ReadIdList(&request.windows)) {
+      if (!in.IdList(&request.windows)) {
         return Truncated("the window id list");
       }
       break;
     case QueryKind::kTrajectory:
-      if (!in.ReadVarint(&id)) return Truncated("the anchor window id");
+      if (!in.U64(&id)) return Truncated("the anchor window id");
       request.window = static_cast<WindowId>(id);
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.ReadIdList(&request.windows)) {
+      if (!in.IdList(&request.windows)) {
         return Truncated("the horizon window list");
       }
       break;
@@ -310,52 +236,52 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
           !ReadSetting(&in, &request.second)) {
         return Truncated("a parameter setting");
       }
-      if (!in.ReadIdList(&request.windows)) {
+      if (!in.IdList(&request.windows)) {
         return Truncated("the window id list");
       }
       break;
     case QueryKind::kMeasures:
     case QueryKind::kRollUpRule:
-      if (!in.ReadVarint(&id)) return Truncated("the rule id");
+      if (!in.U64(&id)) return Truncated("the rule id");
       request.rule = static_cast<RuleId>(id);
-      if (!in.ReadIdList(&request.windows)) {
+      if (!in.IdList(&request.windows)) {
         return Truncated("the window id list");
       }
       break;
     case QueryKind::kContent:
-      if (!in.ReadVarint(&id)) return Truncated("the window id");
+      if (!in.U64(&id)) return Truncated("the window id");
       request.window = static_cast<WindowId>(id);
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.ReadIdList(&request.items)) return Truncated("the item list");
+      if (!in.IdList(&request.items)) return Truncated("the item list");
       break;
     case QueryKind::kRollUpMine:
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.ReadIdList(&request.windows)) {
+      if (!in.IdList(&request.windows)) {
         return Truncated("the window id list");
       }
       break;
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   return request;
 }
 
 std::string EncodeExecuteFrame(const QueryRequest& request,
                                uint32_t deadline_ms) {
-  std::string payload;
-  AppendVarint(deadline_ms, &payload);
-  payload += EncodeQueryRequest(request);
-  return EncodeFrame(FrameType::kExecute, payload);
+  StringWriter payload;
+  payload.U64(deadline_ms);
+  payload.Append(EncodeQueryRequest(request));
+  return EncodeFrame(FrameType::kExecute, payload.bytes());
 }
 
 Expected<ExecuteCommand, ParseError> DecodeExecutePayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t deadline = 0;
-  if (!in.ReadVarint(&deadline) || deadline > UINT32_MAX) {
+  if (!in.U64(&deadline) || deadline > UINT32_MAX) {
     return Truncated("the deadline varint");
   }
   auto request = DecodeQueryRequest(in.Rest());
@@ -395,10 +321,10 @@ Expected<std::pair<QueryKind, QueryResult>, ParseError> DecodeResultPayload(
 }
 
 std::string EncodeErrorFrame(uint32_t code, std::string_view message) {
-  std::string payload;
-  AppendVarint(code, &payload);
-  payload.append(message);
-  return EncodeFrame(FrameType::kError, payload);
+  StringWriter payload;
+  payload.U64(code);
+  payload.Append(message);
+  return EncodeFrame(FrameType::kError, payload.bytes());
 }
 
 std::string EncodeErrorFrame(const QueryError& error) {
@@ -414,9 +340,9 @@ std::string EncodeErrorFrame(const ParseError& error) {
 }
 
 Expected<WireError, ParseError> DecodeErrorPayload(std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t code = 0;
-  if (!in.ReadVarint(&code) || code == 0 || code > UINT32_MAX) {
+  if (!in.U64(&code) || code == 0 || code > UINT32_MAX) {
     return ParseError{ParseError::Code::kBadErrorBody,
                       "error payload lacks a valid nonzero code varint"};
   }
@@ -428,87 +354,81 @@ Expected<WireError, ParseError> DecodeErrorPayload(std::string_view payload) {
 
 std::string EncodeBatchExecuteFrame(const std::vector<QueryRequest>& requests,
                                     uint32_t deadline_ms) {
-  std::string payload;
-  AppendVarint(deadline_ms, &payload);
-  AppendVarint(requests.size(), &payload);
+  StringWriter payload;
+  payload.U64(deadline_ms);
+  payload.U64(requests.size());
   for (const QueryRequest& request : requests) {
     const std::string bytes = EncodeQueryRequest(request);
-    AppendVarint(bytes.size(), &payload);
-    payload += bytes;
+    payload.U64(bytes.size());
+    payload.Append(bytes);
   }
-  return EncodeFrame(FrameType::kBatchExecute, payload);
+  return EncodeFrame(FrameType::kBatchExecute, payload.bytes());
 }
 
 Expected<BatchExecuteCommand, ParseError> DecodeBatchExecutePayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t deadline = 0, count = 0;
-  if (!in.ReadVarint(&deadline) || deadline > UINT32_MAX) {
+  if (!in.U64(&deadline) || deadline > UINT32_MAX) {
     return Truncated("the deadline varint");
   }
-  if (!in.ReadVarint(&count) || count > in.size) {
-    return Truncated("the request count");
-  }
+  if (!in.Count(&count)) return Truncated("the request count");
   BatchExecuteCommand command;
   command.deadline_ms = static_cast<uint32_t>(deadline);
-  command.requests.reserve(count);
+  // Requests grow as they decode: a count is only as good as the bytes
+  // behind it, and a request takes far more memory than its encoding.
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t length = 0;
-    if (!in.ReadVarint(&length) || length > in.size - in.pos) {
+    std::string_view bytes;
+    if (!in.U64(&length) || !in.Slice(length, &bytes)) {
       return Truncated("a request length prefix");
     }
-    auto request =
-        DecodeQueryRequest(std::string_view(in.Rest().data(), length));
+    auto request = DecodeQueryRequest(bytes);
     if (!request.has_value()) return request.error();
-    in.pos += length;
     command.requests.push_back(*std::move(request));
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   return command;
 }
 
 std::string EncodeBatchResultFrame(
     const std::vector<QueryKind>& kinds,
     const std::vector<Expected<QueryResult, QueryError>>& results) {
-  std::string payload;
-  AppendVarint(results.size(), &payload);
+  StringWriter payload;
+  payload.U64(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    std::string body;
+    StringWriter body;
     if (results[i].has_value()) {
-      payload.push_back(0);
-      body.push_back(static_cast<char>(kinds[i]));
-      body += EncodeQueryResult(kinds[i], *results[i]);
+      payload.Byte(0);
+      body.Byte(static_cast<uint8_t>(kinds[i]));
+      body.Append(EncodeQueryResult(kinds[i], *results[i]));
     } else {
-      payload.push_back(1);
-      AppendVarint(QueryErrorWireCode(results[i].error().code), &body);
-      body += results[i].error().message;
+      payload.Byte(1);
+      body.U64(QueryErrorWireCode(results[i].error().code));
+      body.Append(results[i].error().message);
     }
-    AppendVarint(body.size(), &payload);
-    payload += body;
+    payload.U64(body.bytes().size());
+    payload.Append(body.bytes());
   }
-  return EncodeFrame(FrameType::kBatchResult, payload);
+  return EncodeFrame(FrameType::kBatchResult, payload.bytes());
 }
 
 Expected<std::vector<Expected<QueryResult, WireError>>, ParseError>
 DecodeBatchResultPayload(std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t count = 0;
-  if (!in.ReadVarint(&count) || count > in.size) {
-    return Truncated("the result count");
-  }
+  if (!in.Count(&count)) return Truncated("the result count");
   std::vector<Expected<QueryResult, WireError>> results;
-  results.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint8_t status = 0;
     uint64_t length = 0;
-    if (!in.ReadByte(&status) || status > 1) {
+    std::string_view body;
+    if (!in.Byte(&status) || status > 1) {
       return BadBody("missing or out-of-range batch item status byte");
     }
-    if (!in.ReadVarint(&length) || length > in.size - in.pos) {
+    if (!in.U64(&length) || !in.Slice(length, &body)) {
       return Truncated("a batch item length prefix");
     }
-    const std::string_view body(in.Rest().data(), length);
-    in.pos += length;
     if (status == 0) {
       auto result = DecodeResultPayload(body);
       if (!result.has_value()) return result.error();
@@ -519,38 +439,35 @@ DecodeBatchResultPayload(std::string_view payload) {
       results.push_back(*std::move(error));
     }
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   return results;
 }
 
 std::string EncodeAppendWindowFrame(const TransactionDatabase& db,
                                     size_t begin, size_t end) {
-  std::string payload;
-  AppendVarint(end - begin, &payload);
+  StringWriter payload;
+  payload.U64(end - begin);
   for (size_t i = begin; i < end; ++i) {
     const Transaction& tx = db[i];
-    AppendVarint(varint::ZigzagEncode(tx.time), &payload);
-    AppendVarint(tx.items.size(), &payload);
-    for (const ItemId item : tx.items) AppendVarint(item, &payload);
+    payload.U64(codec::ZigzagEncode(tx.time));
+    payload.IdList(tx.items);
   }
-  return EncodeFrame(FrameType::kAppendWindow, payload);
+  return EncodeFrame(FrameType::kAppendWindow, payload.bytes());
 }
 
 Expected<TransactionDatabase, ParseError> DecodeAppendWindowPayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t count = 0;
-  if (!in.ReadVarint(&count) || count > in.size) {
-    return Truncated("the transaction count");
-  }
+  if (!in.Count(&count)) return Truncated("the transaction count");
   TransactionDatabase db;
   Timestamp last_time = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t time_bits = 0;
     Itemset items;
-    if (!in.ReadVarint(&time_bits)) return Truncated("a timestamp");
-    if (!in.ReadIdList(&items)) return Truncated("a transaction item list");
-    const Timestamp time = varint::ZigzagDecode(time_bits);
+    if (!in.U64(&time_bits)) return Truncated("a timestamp");
+    if (!in.IdList(&items)) return Truncated("a transaction item list");
+    const Timestamp time = codec::ZigzagDecode(time_bits);
     if (i > 0 && time < last_time) {
       return BadBody("transaction timestamps decrease; the database "
                      "requires non-decreasing order");
@@ -558,25 +475,25 @@ Expected<TransactionDatabase, ParseError> DecodeAppendWindowPayload(
     last_time = time;
     db.Append(time, std::move(items));
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   return db;
 }
 
 std::string EncodeAppendAckFrame(WindowId window, uint64_t generation) {
-  std::string payload;
-  AppendVarint(window, &payload);
-  AppendVarint(generation, &payload);
-  return EncodeFrame(FrameType::kAppendAck, payload);
+  StringWriter payload;
+  payload.U64(window);
+  payload.U64(generation);
+  return EncodeFrame(FrameType::kAppendAck, payload.bytes());
 }
 
 Expected<AppendAck, ParseError> DecodeAppendAckPayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t window = 0, generation = 0;
-  if (!in.ReadVarint(&window) || !in.ReadVarint(&generation)) {
+  if (!in.U64(&window) || !in.U64(&generation)) {
     return Truncated("the append acknowledgement");
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   AppendAck ack;
   ack.window = static_cast<WindowId>(window);
   ack.generation = generation;
@@ -584,22 +501,22 @@ Expected<AppendAck, ParseError> DecodeAppendAckPayload(
 }
 
 std::string EncodeInfoResponseFrame(const ServerInfo& info) {
-  std::string payload;
-  AppendVarint(info.window_count, &payload);
-  AppendVarint(info.generation, &payload);
-  AppendVarint(info.rule_count, &payload);
-  return EncodeFrame(FrameType::kInfoResponse, payload);
+  StringWriter payload;
+  payload.U64(info.window_count);
+  payload.U64(info.generation);
+  payload.U64(info.rule_count);
+  return EncodeFrame(FrameType::kInfoResponse, payload.bytes());
 }
 
 Expected<ServerInfo, ParseError> DecodeInfoResponsePayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t windows = 0, generation = 0, rules = 0;
-  if (!in.ReadVarint(&windows) || !in.ReadVarint(&generation) ||
-      !in.ReadVarint(&rules)) {
+  if (!in.U64(&windows) || !in.U64(&generation) ||
+      !in.U64(&rules)) {
     return Truncated("the server info");
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   ServerInfo info;
   info.window_count = static_cast<uint32_t>(windows);
   info.generation = generation;
@@ -608,61 +525,46 @@ Expected<ServerInfo, ParseError> DecodeInfoResponsePayload(
 }
 
 std::string EncodeReplicaSubscribeFrame(uint32_t from_window) {
-  std::string payload;
-  AppendVarint(from_window, &payload);
-  return EncodeFrame(FrameType::kReplicaSubscribe, payload);
+  StringWriter payload;
+  payload.U64(from_window);
+  return EncodeFrame(FrameType::kReplicaSubscribe, payload.bytes());
 }
 
 Expected<ReplicaSubscribe, ParseError> DecodeReplicaSubscribePayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t from = 0;
-  if (!in.ReadVarint(&from) || from > UINT32_MAX) {
+  if (!in.U64(&from) || from > UINT32_MAX) {
     return Truncated("the subscription start window");
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   ReplicaSubscribe subscribe;
   subscribe.from_window = static_cast<uint32_t>(from);
   return subscribe;
 }
 
 std::string EncodeReplicaCheckpointFrame(const ReplicaCheckpoint& checkpoint) {
-  std::string payload;
-  AppendDouble(checkpoint.min_support_floor, &payload);
-  AppendDouble(checkpoint.min_confidence_floor, &payload);
-  AppendVarint(checkpoint.max_itemset_size, &payload);
-  payload.push_back(checkpoint.build_content_index ? 1 : 0);
-  AppendVarint(checkpoint.window_count, &payload);
-  AppendVarint(checkpoint.generation, &payload);
-  return EncodeFrame(FrameType::kReplicaCheckpoint, payload);
+  StringWriter payload;
+  WriteOptionsFingerprint(checkpoint, &payload);
+  payload.U64(checkpoint.window_count);
+  payload.U64(checkpoint.generation);
+  return EncodeFrame(FrameType::kReplicaCheckpoint, payload.bytes());
 }
 
 Expected<ReplicaCheckpoint, ParseError> DecodeReplicaCheckpointPayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   ReplicaCheckpoint checkpoint;
-  if (!in.ReadDouble(&checkpoint.min_support_floor) ||
-      !in.ReadDouble(&checkpoint.min_confidence_floor)) {
-    return Truncated("the option floors");
-  }
-  uint64_t itemset_cap = 0;
-  uint8_t content = 0;
-  if (!in.ReadVarint(&itemset_cap) || itemset_cap > UINT32_MAX) {
-    return Truncated("the itemset cap");
-  }
-  if (!in.ReadByte(&content) || content > 1) {
-    return BadBody("missing or out-of-range content-index byte");
+  if (auto error = ReadOptionsFingerprint(&in, &checkpoint)) {
+    if (error->truncated) return Truncated("the options fingerprint");
+    return BadBody("checkpoint " + error->message);
   }
   uint64_t windows = 0;
-  if (!in.ReadVarint(&windows) || windows > UINT32_MAX) {
+  if (!in.U64(&windows) || windows > UINT32_MAX) {
     return Truncated("the durable window count");
   }
-  if (!in.ReadVarint(&checkpoint.generation)) {
-    return Truncated("the generation");
-  }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
-  checkpoint.max_itemset_size = static_cast<uint32_t>(itemset_cap);
-  checkpoint.build_content_index = content == 1;
+  if (!in.U64(&checkpoint.generation)) return Truncated("the generation");
+  if (!in.AtEnd()) return Trailing(in.remaining());
   checkpoint.window_count = static_cast<uint32_t>(windows);
   return checkpoint;
 }
@@ -671,26 +573,26 @@ std::string EncodeReplicaRecordFrame(WindowId window,
                                      uint64_t total_transactions,
                                      uint64_t generation,
                                      std::string_view segment) {
-  std::string payload;
-  AppendVarint(window, &payload);
-  AppendVarint(total_transactions, &payload);
-  AppendVarint(generation, &payload);
-  payload.append(segment);
-  return EncodeFrame(FrameType::kReplicaRecord, payload);
+  StringWriter payload;
+  payload.U64(window);
+  payload.U64(total_transactions);
+  payload.U64(generation);
+  payload.Append(segment);
+  return EncodeFrame(FrameType::kReplicaRecord, payload.bytes());
 }
 
 Expected<ReplicaRecord, ParseError> DecodeReplicaRecordPayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t window = 0;
   ReplicaRecord record;
-  if (!in.ReadVarint(&window) || window > UINT32_MAX) {
+  if (!in.U64(&window) || window > UINT32_MAX) {
     return Truncated("the record window id");
   }
-  if (!in.ReadVarint(&record.total_transactions)) {
+  if (!in.U64(&record.total_transactions)) {
     return Truncated("the transaction total");
   }
-  if (!in.ReadVarint(&record.generation)) {
+  if (!in.U64(&record.generation)) {
     return Truncated("the generation");
   }
   if (in.AtEnd()) return Truncated("the segment blob");
@@ -701,22 +603,22 @@ Expected<ReplicaRecord, ParseError> DecodeReplicaRecordPayload(
 
 std::string EncodeReplicaHeartbeatFrame(uint32_t window_count,
                                         uint64_t generation) {
-  std::string payload;
-  AppendVarint(window_count, &payload);
-  AppendVarint(generation, &payload);
-  return EncodeFrame(FrameType::kReplicaHeartbeat, payload);
+  StringWriter payload;
+  payload.U64(window_count);
+  payload.U64(generation);
+  return EncodeFrame(FrameType::kReplicaHeartbeat, payload.bytes());
 }
 
 Expected<ReplicaHeartbeat, ParseError> DecodeReplicaHeartbeatPayload(
     std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload);
   uint64_t windows = 0;
   ReplicaHeartbeat heartbeat;
-  if (!in.ReadVarint(&windows) || windows > UINT32_MAX ||
-      !in.ReadVarint(&heartbeat.generation)) {
+  if (!in.U64(&windows) || windows > UINT32_MAX ||
+      !in.U64(&heartbeat.generation)) {
     return Truncated("the heartbeat");
   }
-  if (!in.AtEnd()) return Trailing(in.size - in.pos);
+  if (!in.AtEnd()) return Trailing(in.remaining());
   heartbeat.window_count = static_cast<uint32_t>(windows);
   return heartbeat;
 }

@@ -155,8 +155,8 @@ std::optional<std::string> ReplicaEngine::OpenStream(Socket* socket) {
   }
   if (engine_ == nullptr) {
     // Stream bootstrap: the handshake's option fingerprint becomes the
-    // local engine's construction options. The fields came off the wire,
-    // so validate before constructing (KbBuilder aborts on bad options).
+    // local engine's construction options. The payload decoder already
+    // validated it, so constructing cannot abort.
     KbOptions kb;
     kb.min_support_floor = checkpoint->min_support_floor;
     kb.min_confidence_floor = checkpoint->min_confidence_floor;
@@ -165,9 +165,6 @@ std::optional<std::string> ReplicaEngine::OpenStream(Socket* socket) {
     kb.metrics = options_.metrics;
     kb.parallelism = options_.parallelism;
     kb.query_cache_bytes = options_.query_cache_bytes;
-    if (auto invalid = kb.Validate()) {
-      return "primary handshake carries invalid engine options: " + *invalid;
-    }
     engine_ = std::make_unique<TaraEngine>(kb);
   } else {
     // Same compatibility gate AttachWal applies to a foreign log: a

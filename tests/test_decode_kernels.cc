@@ -9,7 +9,7 @@
 
 #include "common/arena.h"
 #include "common/rng.h"
-#include "common/varint.h"
+#include "common/byte_codec.h"
 #include "core/decode_kernels.h"
 #include "core/tar_archive.h"
 #include "gtest/gtest.h"
@@ -32,18 +32,19 @@ std::vector<uint8_t> EncodeSeries(const std::vector<ArchiveEntry>& entries) {
   std::vector<uint8_t> bytes;
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i == 0) {
-      varint::EncodeU64(entries[i].window, &bytes);
-      varint::EncodeU64(entries[i].rule_count, &bytes);
-      varint::EncodeU64(entries[i].antecedent_count, &bytes);
+      codec::PutVarint(entries[i].window, &bytes);
+      codec::PutVarint(entries[i].rule_count, &bytes);
+      codec::PutVarint(entries[i].antecedent_count, &bytes);
     } else {
-      varint::EncodeU64(entries[i].window - entries[i - 1].window, &bytes);
-      varint::EncodeS64(
-          static_cast<int64_t>(entries[i].rule_count) -
-              static_cast<int64_t>(entries[i - 1].rule_count),
+      codec::PutVarint(entries[i].window - entries[i - 1].window, &bytes);
+      codec::PutVarint(
+          codec::ZigzagEncode(static_cast<int64_t>(entries[i].rule_count) -
+                              static_cast<int64_t>(entries[i - 1].rule_count)),
           &bytes);
-      varint::EncodeS64(
-          static_cast<int64_t>(entries[i].antecedent_count) -
-              static_cast<int64_t>(entries[i - 1].antecedent_count),
+      codec::PutVarint(
+          codec::ZigzagEncode(
+              static_cast<int64_t>(entries[i].antecedent_count) -
+              static_cast<int64_t>(entries[i - 1].antecedent_count)),
           &bytes);
     }
   }
@@ -200,8 +201,8 @@ TEST(DecodeKernels, CorruptByteFuzzNeverCrashesAndKernelsAgree) {
 
 TEST(DecodeKernels, TruncationMidVarintIsTruncated) {
   std::vector<uint8_t> bytes;
-  varint::EncodeU64(0, &bytes);
-  varint::EncodeU64(1u << 20, &bytes);  // multi-byte varint
+  codec::PutVarint(0, &bytes);
+  codec::PutVarint(1u << 20, &bytes);  // multi-byte varint
   bytes.pop_back();                     // cut its last byte
   for (const DecodeKernel& kernel : Kernels()) {
     DecodeArena arena;
@@ -215,8 +216,8 @@ TEST(DecodeKernels, TruncationMidVarintIsTruncated) {
 TEST(DecodeKernels, DanglingValuesIsTyped) {
   // Two complete varints, then a clean end: value count % 3 != 0.
   std::vector<uint8_t> bytes;
-  varint::EncodeU64(3, &bytes);
-  varint::EncodeU64(7, &bytes);
+  codec::PutVarint(3, &bytes);
+  codec::PutVarint(7, &bytes);
   for (const DecodeKernel& kernel : Kernels()) {
     DecodeArena arena;
     const CheckedDecode result = DecodeStreamCheckedWith(
@@ -248,7 +249,8 @@ TEST(DecodeKernels, DispatchPrefersWidestAndHonorsForceScalar) {
   avx.avx2 = true;
 #if defined(__x86_64__) || defined(__i386__)
   EXPECT_STREQ(decode::DispatchDecodeKernel(sse, false).name, "sse4");
-  EXPECT_STREQ(decode::DispatchDecodeKernel(avx, false).name, "avx2");
+  // AVX2 adds nothing: SSE4 is the widest kernel that pays for itself.
+  EXPECT_STREQ(decode::DispatchDecodeKernel(avx, false).name, "sse4");
 #endif
   // TARA_FORCE_SCALAR pins dispatch regardless of features.
   EXPECT_STREQ(decode::DispatchDecodeKernel(sse, true).name, "scalar");

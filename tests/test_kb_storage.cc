@@ -3,13 +3,23 @@
 // a typed LoadError, never a crash. The TARAKB3 directory format and its
 // crash safety are covered by test_kb_blocks.cc.
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "core/kb_blocks.h"
+#include "core/kb_storage.h"
 #include "core/serialization.h"
 #include "core/tara_engine.h"
+#include "core/wal.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
 
@@ -82,6 +92,84 @@ TEST(KbStorageFuzz, TruncationsNeverCrashTheStreamLoader) {
   for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
     ASSERT_FALSE(KnowledgeBaseFromString(valid.substr(0, cut)).has_value());
   }
+}
+
+uint64_t HashOf(const std::string& bytes) {
+  return HashBytes(reinterpret_cast<const uint8_t*>(bytes.data()),
+                   bytes.size());
+}
+
+uint64_t HashOf(const std::vector<uint8_t>& bytes) {
+  return HashBytes(bytes.data(), bytes.size());
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Golden bytes of every persisted format, from one fixed-seed 4-window
+// knowledge base. The constants were captured from the encoders as they
+// stood before the byte codec was shared by every format; round trips
+// only prove self-consistency, these prove that no stored byte moved.
+// Never edit a constant to make this pass.
+class KbStorageGolden : public ::testing::Test {
+ protected:
+  KbStorageGolden()
+      : engine_(BuildEngine(MakeData(4))),
+        dir_(std::filesystem::path(::testing::TempDir()) /
+             ("kb_golden_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+  }
+  ~KbStorageGolden() override { std::filesystem::remove_all(dir_); }
+
+  TaraEngine engine_;
+  std::filesystem::path dir_;
+};
+
+TEST_F(KbStorageGolden, SegmentsAndStreamFormArePinned) {
+  const auto snapshot = engine_.Snapshot();
+  ASSERT_EQ(snapshot->window_count(), 4u);
+  const std::vector<uint64_t> segment_hashes = {
+      14802381097122508480ull, 13501230264394455720ull, 44934819816692645ull,
+      316082519068008788ull};
+  for (WindowId w = 0; w < 4; ++w) {
+    EXPECT_EQ(HashOf(EncodeWindowSegment(*snapshot, w)), segment_hashes[w])
+        << "TSEG segment of window " << w;
+  }
+  const std::string stream = EncodeKnowledgeBase(*snapshot);
+  EXPECT_EQ(stream.size(), 906379u);
+  EXPECT_EQ(HashOf(stream), 10360232453410411125ull);
+}
+
+TEST_F(KbStorageGolden, BlocksManifestIsPinned) {
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine_.Snapshot(), dir_.string(),
+                                       /*block_bytes=*/4096)
+                   .has_value());
+  const std::string manifest =
+      ReadFile(dir_ / KnowledgeBaseBlocksManifestFileName());
+  EXPECT_EQ(manifest.size(), 162u);
+  EXPECT_EQ(HashOf(manifest), 12251093423930846738ull);
+}
+
+TEST_F(KbStorageGolden, WalAfterTwoAppendsIsPinned) {
+  const auto snapshot = engine_.Snapshot();
+  {
+    auto writer =
+        WalWriter::Open(dir_.string(), snapshot->options(), 0, nullptr);
+    ASSERT_TRUE(writer.has_value()) << writer.error().message;
+    for (WindowId w = 0; w < 2; ++w) {
+      ASSERT_FALSE(writer.value()
+                       .Append(snapshot->segment(w).total_transactions,
+                               EncodeWindowSegment(*snapshot, w))
+                       .has_value());
+    }
+  }
+  const std::string wal = ReadFile(dir_ / "wal.tarawal");
+  EXPECT_EQ(wal.size(), 549755u);
+  EXPECT_EQ(HashOf(wal), 3692313774869973544ull);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "core/byte_codec.h"
+#include "common/byte_codec.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
 #include "core/kb_storage.h"

@@ -375,6 +375,9 @@ TEST_F(ServerTest, StalledResponseTripsTheClientDeadlineBackstop) {
     release = true;
   }
   cv.notify_all();
+  // Join the released handler before the hook's mutex and condition
+  // variable go out of scope; it may still be inside cv.wait.
+  server_->Stop();
 }
 
 TEST_F(ServerTest, MalformedFramesGetTypedErrorsAndServerSurvives) {

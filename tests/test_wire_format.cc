@@ -5,10 +5,13 @@
 
 #include "core/wire_format.h"
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -437,6 +440,241 @@ TEST(WireFormat, ReplicationCodesArePinned) {
   EXPECT_EQ(WireErrorCodeName(105), "read_only_replica");
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<uint8_t>(c);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0xf]);
+  }
+  return out;
+}
+
+/// One small result of each kind, with multi-byte varints and non-trivial
+/// doubles so every encoding path shows up in the bytes.
+std::vector<std::pair<QueryKind, QueryResult>> OneResultOfEachKind() {
+  std::vector<std::pair<QueryKind, QueryResult>> results;
+  results.emplace_back(QueryKind::kMineWindow,
+                       std::vector<RuleId>{3, 1, 400});
+  results.emplace_back(QueryKind::kMineWindows, std::vector<RuleId>{0, 200});
+  TrajectoryQueryResult trajectory;
+  trajectory.rules = {5, 9};
+  trajectory.trajectories = {{{0, true, 0.25, 0.5}, {1, false, 0, 0}},
+                             {{2, true, 0.125, 1.0}}};
+  results.emplace_back(QueryKind::kTrajectory, trajectory);
+  results.emplace_back(QueryKind::kCompare, RulesetDiff{{1, 2}, {300}});
+  results.emplace_back(QueryKind::kRegion,
+                       RegionInfo{0.01, 0.02, 0.3, 0.4, 17});
+  results.emplace_back(QueryKind::kMeasures,
+                       TrajectoryMeasures{0.5, 0.75, 0.1, 0.2, 0.3, 0.6});
+  results.emplace_back(QueryKind::kContent, std::vector<RuleId>{7});
+  results.emplace_back(QueryKind::kContentView,
+                       ContentViewResult{{4, {1, 2}}, {2, {9}}});
+  results.emplace_back(QueryKind::kRollUpRule,
+                       RollUpBound{0.1, 0.2, 0.3, 0.4, 2});
+  results.emplace_back(QueryKind::kRollUpMine, RolledUpRules{{1, 5}, {130}});
+  return results;
+}
+
+// Golden bytes. The constants were captured from the encoders as they
+// stood before the byte codec was shared by every format; round trips
+// only prove self-consistency, these prove that no byte on the wire
+// moved. Never edit a constant to make this pass.
+TEST(WireFormatGolden, RequestBytesArePinned) {
+  const std::vector<std::string> expected = {
+      "00037b14ae47e17a943f9a9999999999d93f",
+      "01017b14ae47e17a943f9a9999999999d93f03000205",
+      "01007b14ae47e17a943f9a9999999999d93f020104",
+      "02047b14ae47e17a943f9a9999999999d93f050001020304",
+      "03017b14ae47e17a943f9a9999999999d93f9a9999999999a93f000000000000"
+      "e03f03000102",
+      "04017b14ae47e17a943f9a9999999999d93f",
+      "052a0400010203",
+      "06027b14ae47e17a943f9a9999999999d93f03070b0d",
+      "07007b14ae47e17a943f9a9999999999d93f",
+      "0863020103",
+      "097b14ae47e17a943f9a9999999999d93f06000102030405",
+  };
+  const std::vector<QueryRequest> requests = AllKindsOfRequests();
+  ASSERT_EQ(requests.size(), expected.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(Hex(EncodeQueryRequest(requests[i])), expected[i])
+        << "request " << i << " (" << QueryKindName(requests[i].kind) << ")";
+  }
+}
+
+TEST(WireFormatGolden, ResultBytesArePinned) {
+  const std::vector<std::string> expected = {
+      "0303019003",
+      "0200c801",
+      "02050902020001000000000000d03f000000000000e03f010000000000000000"
+      "000000000000000000010201000000000000c03f000000000000f03f",
+      "02010201ac02",
+      "7b14ae47e17a843f7b14ae47e17a943f333333333333d33f9a9999999999d93f"
+      "11",
+      "000000000000e03f000000000000e83f9a9999999999b93f9a9999999999c93f"
+      "333333333333d33f333333333333e33f",
+      "0107",
+      "0202010904020102",
+      "9a9999999999b93f9a9999999999c93f333333333333d33f9a9999999999d93f"
+      "02",
+      "020105018201",
+  };
+  const auto results = OneResultOfEachKind();
+  ASSERT_EQ(results.size(), expected.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    const auto& [kind, result] = results[i];
+    const std::string bytes = EncodeQueryResult(kind, result);
+    EXPECT_EQ(Hex(bytes), expected[i]) << QueryKindName(kind);
+    const auto decoded = DecodeQueryResult(kind, bytes);
+    ASSERT_TRUE(decoded.has_value()) << QueryKindName(kind);
+    EXPECT_EQ(EncodeQueryResult(kind, *decoded), bytes) << QueryKindName(kind);
+  }
+}
+
+TEST(WireFormatGolden, FrameBytesArePinned) {
+  const ParameterSetting setting{0.02, 0.4};
+  std::vector<std::pair<std::string, std::string>> frames;
+  frames.emplace_back(
+      "execute",
+      EncodeExecuteFrame(QueryRequest::Trajectory(4, setting, {0, 1, 2, 3, 4}),
+                         250));
+  frames.emplace_back(
+      "batch_execute",
+      EncodeBatchExecuteFrame({QueryRequest::MineWindow(3, setting),
+                               QueryRequest::RollUpRule(199, {1, 3})},
+                              300));
+  frames.emplace_back("result",
+                      EncodeResultFrame(QueryKind::kMineWindow,
+                                        std::vector<RuleId>{3, 1, 400}));
+  QueryError error;
+  error.code = QueryError::Code::kSupportBelowFloor;
+  error.message = "below";
+  std::vector<Expected<QueryResult, QueryError>> batch_results;
+  batch_results.emplace_back(QueryResult(std::vector<RuleId>{1, 2, 300}));
+  batch_results.emplace_back(error);
+  frames.emplace_back(
+      "batch_result",
+      EncodeBatchResultFrame({QueryKind::kMineWindow, QueryKind::kRegion},
+                             batch_results));
+  frames.emplace_back(
+      "error", EncodeErrorFrame(ServerWireError::kOverloaded, "try later"));
+  TransactionDatabase db;
+  db.Append(100, {3, 1, 200});
+  db.Append(101, {2, 5});
+  db.Append(1000, {9});
+  frames.emplace_back("append_window",
+                      EncodeAppendWindowFrame(db, 0, db.size()));
+  frames.emplace_back("append_ack", EncodeAppendAckFrame(7, 300));
+  frames.emplace_back("info", EncodeInfoResponseFrame(ServerInfo{3, 400, 5}));
+  frames.emplace_back("replica_subscribe", EncodeReplicaSubscribeFrame(130));
+  ReplicaCheckpoint checkpoint;
+  checkpoint.min_support_floor = 0.015;
+  checkpoint.min_confidence_floor = 0.25;
+  checkpoint.max_itemset_size = 5;
+  checkpoint.build_content_index = true;
+  checkpoint.window_count = 12;
+  checkpoint.generation = 370;
+  frames.emplace_back("replica_checkpoint",
+                      EncodeReplicaCheckpointFrame(checkpoint));
+  frames.emplace_back("replica_record",
+                      EncodeReplicaRecordFrame(4, 2000, 9, "segment"));
+  frames.emplace_back("replica_heartbeat",
+                      EncodeReplicaHeartbeatFrame(5, 300));
+  const std::vector<std::string> expected = {
+      "545701011a000000fa0102047b14ae47e17a943f9a9999999999d93f05000102"
+      "0304",
+      "545701081d000000ac02021200037b14ae47e17a943f9a9999999999d93f0608"
+      "c701020103",
+      "5457010206000000000303019003",
+      "545701091100000002000600030102ac0201060162656c6f77",
+      "545701030a00000064747279206c61746572",
+      "545701041100000003c801030103c801ca01020205d00f0109",
+      "545701050300000007ac02",
+      "5457010d0400000003900305",
+      "5457010e020000008201",
+      "5457010f15000000b81e85eb51b88e3f000000000000d03f05010cf202",
+      "545701100b00000004d00f097365676d656e74",
+      "545701110300000005ac02",
+  };
+  ASSERT_EQ(frames.size(), expected.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(Hex(frames[i].second), expected[i]) << frames[i].first;
+  }
+}
+
+/// A frame whose payload starts with `prefix` and is padded to
+/// `payload_size` with 0xff bytes — each an unterminated varint, so the
+/// first record after a claimed count fails to decode.
+std::string HostileFrame(FrameType type, const std::string& prefix,
+                         size_t payload_size) {
+  std::string frame;
+  AppendFrameHeader(type, payload_size, &frame);
+  frame += prefix;
+  frame.resize(kWireHeaderBytes + payload_size, '\xff');
+  return frame;
+}
+
+/// Payload prefixes that claim 60M records: a batch of requests (after a
+/// zero deadline), a batch of results, and a trajectory result (after its
+/// kind byte and an empty rule list).
+std::string ClaimsSixtyMillion(FrameType type) {
+  std::string prefix;
+  if (type == FrameType::kBatchExecute) prefix.push_back(0);
+  if (type == FrameType::kResult) {
+    prefix.push_back(static_cast<char>(QueryKind::kTrajectory));
+    prefix.push_back(0);
+  }
+  prefix += "\x80\x8e\xce\x1c";  // varint 60,000,000
+  return prefix;
+}
+
+bool DecodesToTypedError(const std::string& frame) {
+  const auto decoded = DecodeFrame(frame);
+  if (!decoded.has_value()) return false;
+  switch (decoded->header.type) {
+    case FrameType::kBatchExecute:
+      return !DecodeBatchExecutePayload(decoded->payload).has_value();
+    case FrameType::kBatchResult:
+      return !DecodeBatchResultPayload(decoded->payload).has_value();
+    case FrameType::kResult:
+      return !DecodeResultPayload(decoded->payload).has_value();
+    default:
+      return false;
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// A decoder may size an allocation only from bytes it has: a count the
+// payload cannot back is a typed error, and records that take more memory
+// than their encoding grow as they decode. In a child capped at 512 MiB of
+// address space, 64 MiB frames claiming 60M records must come back as
+// typed errors; sizing from the count (5.8 GB of requests, 1.4 GB of
+// trajectories) would die of std::bad_alloc instead.
+TEST(WireFormatDeathTest, HostileCountsNeverSizeAnAllocation) {
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizers reserve shadow memory past any RLIMIT_AS cap";
+  }
+  const auto decode_capped = [] {
+    const rlimit cap{512ull << 20, 512ull << 20};
+    if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+    for (const FrameType type : {FrameType::kBatchExecute,
+                                 FrameType::kBatchResult, FrameType::kResult}) {
+      const std::string frame =
+          HostileFrame(type, ClaimsSixtyMillion(type), kWireMaxPayloadBytes);
+      if (!DecodesToTypedError(frame)) std::_Exit(3);
+    }
+    std::_Exit(0);
+  };
+  EXPECT_EXIT(decode_capped(), ::testing::ExitedWithCode(0), "");
+}
+
 /// Decodes `bytes` through every payload decoder its header names. The
 /// fuzz invariant: typed error or benign success, never a crash/abort.
 void DecodeEverything(const std::string& bytes) {
@@ -517,6 +755,11 @@ TEST(WireFormatFuzz, CorruptedFramesNeverCrash) {
   corpus.push_back(EncodeReplicaCheckpointFrame(checkpoint));
   corpus.push_back(EncodeReplicaRecordFrame(3, 1500, 7, "fuzzable segment"));
   corpus.push_back(EncodeReplicaHeartbeatFrame(5, 9));
+  // Counts the bytes behind them cannot back.
+  for (const FrameType type : {FrameType::kBatchExecute,
+                               FrameType::kBatchResult, FrameType::kResult}) {
+    corpus.push_back(HostileFrame(type, ClaimsSixtyMillion(type), 24));
+  }
 
   Rng rng(20240807);
   for (const std::string& seed : corpus) {
