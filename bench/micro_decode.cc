@@ -14,6 +14,13 @@
 // produce bit-identical bounds). CI asserts the tree beats the linear
 // scan on the all-windows set.
 //
+// Part 3 (codec rows): the result codec every served answer passes
+// through, in MB/s of frame bytes, over two fixed-seed answers — a
+// trajectory answer of 2,000 points and a list of 5,000 rule ids:
+// EncodeResultFrame (the one exact-size writer, run once per answer the
+// server sends) and DecodeResultPayload (the client's decode). CI asserts
+// the trajectory encode runs at least 0.75x as fast as its decode.
+//
 // Writes BENCH_decode.json (schema of bench_report.h).
 
 #include <algorithm>
@@ -30,6 +37,7 @@
 #include "core/decode_kernels.h"
 #include "core/rollup_tree.h"
 #include "core/tar_archive.h"
+#include "core/wire_format.h"
 
 namespace tara {
 namespace {
@@ -39,6 +47,7 @@ constexpr uint32_t kRules = 64;
 constexpr uint64_t kWindowSize = 100000;
 constexpr int kDecodeReps = 100;
 constexpr int kRollUpReps = 400;
+constexpr int kCodecReps = 200;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -105,6 +114,41 @@ struct Workload {
     }
   }
 };
+
+/// A trajectory answer: 100 rules over a 20-window horizon.
+QueryResult TrajectoryAnswer() {
+  Rng rng(11);
+  TrajectoryQueryResult answer;
+  for (RuleId r = 0; r < 100; ++r) {
+    answer.rules.push_back(r * 8 + static_cast<RuleId>(rng.NextBounded(8)));
+    Trajectory trajectory;
+    for (WindowId w = 0; w < 20; ++w) {
+      TrajectoryPoint point;
+      point.window = w;
+      point.present = rng.NextBool(0.8);
+      if (point.present) {
+        point.support = 0.01 + 0.1 * rng.NextDouble();
+        point.confidence = 0.3 + 0.6 * rng.NextDouble();
+      }
+      trajectory.push_back(point);
+    }
+    answer.trajectories.push_back(std::move(trajectory));
+  }
+  return answer;
+}
+
+/// A Q1 answer: 5,000 ascending rule ids out of a catalog of about
+/// 10,000, so most ids take two varint bytes.
+QueryResult RuleListAnswer() {
+  Rng rng(13);
+  std::vector<RuleId> rules;
+  RuleId id = 0;
+  for (int i = 0; i < 5000; ++i) {
+    id += 1 + static_cast<RuleId>(rng.NextBounded(3));
+    rules.push_back(id);
+  }
+  return rules;
+}
 
 }  // namespace
 }  // namespace tara
@@ -200,6 +244,50 @@ int main() {
         .Set("set_size", static_cast<uint64_t>(c.windows->size()))
         .Set("linear_p50_us", linear_p50)
         .Set("tree_p50_us", tree_p50);
+  }
+
+  // --- Part 3: result codec throughput -----------------------------------
+  struct CodecCase {
+    const char* name;
+    QueryKind kind;
+    QueryResult answer;
+  };
+  const CodecCase codecs[] = {
+      {"trajectory", QueryKind::kTrajectory, TrajectoryAnswer()},
+      {"rule_list", QueryKind::kMineWindow, RuleListAnswer()},
+  };
+  for (const CodecCase& c : codecs) {
+    std::string frame;
+    uint64_t encode_ns = UINT64_MAX;
+    for (int rep = 0; rep < kCodecReps; ++rep) {
+      const uint64_t start = NowNs();
+      frame = EncodeResultFrame(c.kind, c.answer);
+      encode_ns = std::min(encode_ns, NowNs() - start);
+    }
+    const std::string_view payload =
+        std::string_view(frame).substr(kWireHeaderBytes);
+    uint64_t decode_ns = UINT64_MAX;
+    for (int rep = 0; rep < kCodecReps; ++rep) {
+      const uint64_t start = NowNs();
+      const auto decoded = DecodeResultPayload(payload);
+      decode_ns = std::min(decode_ns, NowNs() - start);
+      if (!decoded.has_value() ||
+          EncodeResultFrame(c.kind, decoded->second) != frame) {
+        std::fprintf(stderr, "codec round trip diverged on %s\n", c.name);
+        return 1;
+      }
+    }
+    const double bytes = static_cast<double>(frame.size());
+    const double encode_mbps = bytes * 1000.0 / static_cast<double>(encode_ns);
+    const double decode_mbps = bytes * 1000.0 / static_cast<double>(decode_ns);
+    std::printf("codec %-10s %7zu B  encode %8.1f MB/s | decode %8.1f MB/s\n",
+                c.name, frame.size(), encode_mbps, decode_mbps);
+    report.AddRow()
+        .Set("row", "codec")
+        .Set("answer", c.name)
+        .Set("frame_bytes", static_cast<uint64_t>(frame.size()))
+        .Set("encode_mb_per_s", encode_mbps)
+        .Set("decode_mb_per_s", decode_mbps);
   }
 
   report.AddRow()

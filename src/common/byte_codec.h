@@ -22,9 +22,11 @@
 ///
 /// Wire and cache code write std::string, persistence writes
 /// std::vector<uint8_t>; every writer is a template over the container, so
-/// each encoding is written once. Untrusted bytes are read only through
-/// GetVarint and ByteReader, which report a short or malformed input
-/// instead of aborting.
+/// each encoding is written once. Query answers, the hottest encode, are
+/// sized first (VarintLength) and written into an exact-size buffer
+/// through a raw cursor (WriteVarint, WriteFixed). Untrusted bytes are
+/// read only through GetVarint and ByteReader, which report a short or
+/// malformed input instead of aborting.
 namespace tara::codec {
 
 /// Outcome of decoding one varint.
@@ -45,6 +47,31 @@ inline void PutVarint(uint64_t value, Bytes* out) {
     value >>= 7;
   }
   out->push_back(static_cast<Byte>(value));
+}
+
+/// Bytes the LEB128 encoding of `value` takes. A loop of comparisons, not
+/// countl_zero: the ids and counts sized here are mostly one or two bytes.
+inline size_t VarintLength(uint64_t value) {
+  size_t length = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++length;
+  }
+  return length;
+}
+
+/// Writes the LEB128 encoding of `value` at `out`, which has room for
+/// VarintLength(value) bytes, and returns the position after it. Exact-size
+/// writers keep the returned cursor in a local variable: a cursor held in
+/// memory is reloaded after every byte store, since a char store may alias
+/// it.
+inline char* WriteVarint(uint64_t value, char* out) {
+  while (value >= 0x80) {
+    *out++ = static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<char>(value);
+  return out;
 }
 
 /// Decodes the varint at `data[*pos]`. On kOk stores the value and
@@ -85,6 +112,21 @@ inline void PutFixed(UInt value, Bytes* out) {
   for (size_t i = 0; i < sizeof(UInt); ++i) {
     out->push_back(static_cast<Byte>(value >> (8 * i)));
   }
+}
+
+/// Writes `value` as sizeof(UInt) little-endian bytes at `out` and returns
+/// the position after them (the raw-cursor twin of PutFixed). One store
+/// on a little-endian host, where a byte loop is not always merged.
+template <typename UInt>
+inline char* WriteFixed(UInt value, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &value, sizeof(UInt));
+  } else {
+    for (size_t i = 0; i < sizeof(UInt); ++i) {
+      out[i] = static_cast<char>(value >> (8 * i));
+    }
+  }
+  return out + sizeof(UInt);
 }
 
 /// Reads sizeof(UInt) little-endian bytes at `data`, which the caller has

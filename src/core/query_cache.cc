@@ -41,33 +41,41 @@ void QueryCache::UpdateBytesGauge() {
   }
 }
 
-std::optional<std::string> QueryCache::Get(uint64_t generation, QueryKind kind,
-                                           std::string_view request) {
+size_t QueryCache::Cost(const std::string& key, const std::string& value) {
+  // make_shared's one block behind a Value: the string object plus the
+  // control block's vtable pointer and two reference counts.
+  constexpr size_t kSharedBlock =
+      sizeof(std::string) + sizeof(void*) + 2 * sizeof(int);
+  return key.capacity() + value.capacity() + kSharedBlock + kEntryOverhead;
+}
+
+QueryCache::Value QueryCache::Get(uint64_t generation, QueryKind kind,
+                                  std::string_view request) {
   const std::string key = MakeKey(generation, kind, request);
   Shard& shard = ShardFor(key);
-  std::optional<std::string> result;
+  Value value;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      result = it->second->value;
+      value = it->second->value;
     }
   }
-  if (result.has_value()) {
+  if (value != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (hits_counter_ != nullptr) hits_counter_->Increment();
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
     if (misses_counter_ != nullptr) misses_counter_->Increment();
   }
-  return result;
+  return value;
 }
 
 void QueryCache::Put(uint64_t generation, QueryKind kind,
-                     std::string_view request, std::string result) {
+                     std::string_view request, Value value) {
   std::string key = MakeKey(generation, kind, request);
-  const size_t cost = key.size() + result.size() + kEntryOverhead;
+  const size_t cost = Cost(key, *value);
   // An entry that cannot fit within one shard's budget is never cached:
   // admitting it would flush the whole shard for one value.
   if (cost > shard_budget_) return;
@@ -80,24 +88,23 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
     if (it != shard.index.end()) {
       // Refresh in place (same key implies same deterministic value, but
       // replace anyway so the accounting never drifts).
-      byte_delta -= static_cast<int64_t>(it->second->value.size());
-      byte_delta += static_cast<int64_t>(result.size());
-      shard.bytes = static_cast<size_t>(
-          static_cast<int64_t>(shard.bytes) + byte_delta);
-      it->second->value = std::move(result);
+      Entry& entry = *it->second;
+      byte_delta =
+          static_cast<int64_t>(cost) - static_cast<int64_t>(entry.cost);
+      shard.bytes = shard.bytes - entry.cost + cost;
+      entry.value = std::move(value);
+      entry.cost = cost;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       while (shard.bytes + cost > shard_budget_ && !shard.lru.empty()) {
         const Entry& victim = shard.lru.back();
-        const size_t victim_cost =
-            victim.key.size() + victim.value.size() + kEntryOverhead;
         shard.index.erase(std::string_view(victim.key));
+        shard.bytes -= victim.cost;
+        byte_delta -= static_cast<int64_t>(victim.cost);
         shard.lru.pop_back();
-        shard.bytes -= victim_cost;
-        byte_delta -= static_cast<int64_t>(victim_cost);
         ++evicted;
       }
-      shard.lru.push_front(Entry{std::move(key), std::move(result)});
+      shard.lru.push_front(Entry{std::move(key), std::move(value), cost});
       shard.index.emplace(std::string_view(shard.lru.front().key),
                           shard.lru.begin());
       shard.bytes += cost;

@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,8 +16,18 @@
 
 namespace tara {
 
-/// A sharded, memory-bounded LRU cache of serialized query results,
-/// keyed by (generation, QueryKind, canonical request bytes).
+/// A sharded, memory-bounded LRU cache of finished answers, keyed by
+/// (generation, QueryKind, canonical request bytes).
+///
+/// ## Values are finished frames, shared
+///
+/// A value is the complete kResult frame of one answer (wire_format.h:
+/// header, kind byte, canonical result bytes), held behind a
+/// shared_ptr<const std::string>. Get hands back the pointer — a reference
+/// count bumped under the shard lock, no copy — so a hit goes to the
+/// socket as it is stored, and an entry evicted while a reader still
+/// writes it stays alive until that reader lets go. The engine's miss
+/// path encodes an answer once, into exactly the frame it caches.
 ///
 /// ## Why generation-pinned keying needs no invalidation
 ///
@@ -37,9 +47,11 @@ namespace tara {
 /// The budget is split evenly across a fixed number of shards, each an
 /// independent (mutex, hash map, LRU list). A Put that would exceed its
 /// shard's budget evicts least-recently-used entries first; an entry
-/// larger than a whole shard's budget is not cached at all. Charged cost
-/// is key + value bytes plus a fixed per-entry overhead estimate, so the
-/// configured bound approximates real heap use rather than entry count.
+/// larger than a whole shard's budget is not cached at all. An entry is
+/// charged the heap bytes it really holds — its key's and its value's
+/// allocations by capacity, not size, plus the value's shared block and
+/// a fixed per-entry overhead — so the configured bound is a bound on
+/// real heap use rather than on entry count or encoded length.
 ///
 /// Thread-safety: Get/Put are safe from any number of threads; the shard
 /// mutexes are uncontended unless two concurrent queries hash to the same
@@ -71,15 +83,18 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// Returns the serialized result cached for this exact (generation,
-  /// kind, request) key, refreshing its recency; nullopt on a miss.
-  std::optional<std::string> Get(uint64_t generation, QueryKind kind,
-                                 std::string_view request);
+  /// A cached answer: immutable bytes shared by every reader.
+  using Value = std::shared_ptr<const std::string>;
 
-  /// Inserts (or refreshes) the serialized result for a key, evicting
-  /// LRU entries of the same shard as needed to stay within budget.
+  /// Returns the value cached for this exact (generation, kind, request)
+  /// key — the stored pointer itself, not a copy — refreshing its
+  /// recency; null on a miss.
+  Value Get(uint64_t generation, QueryKind kind, std::string_view request);
+
+  /// Inserts (or refreshes) the value for a key, evicting LRU entries of
+  /// the same shard as needed to stay within budget.
   void Put(uint64_t generation, QueryKind kind, std::string_view request,
-           std::string result);
+           Value value);
 
   size_t max_bytes() const { return max_bytes_; }
 
@@ -87,13 +102,15 @@ class QueryCache {
 
  private:
   static constexpr size_t kShardCount = 16;
-  /// Charged per entry on top of key+value bytes: rough cost of the list
+  /// Charged per entry on top of its heap bytes: rough cost of the list
   /// node, map slot, and string headers.
   static constexpr size_t kEntryOverhead = 96;
 
   struct Entry {
     std::string key;
-    std::string value;
+    Value value;
+    /// What the entry was charged (Cost), released on eviction.
+    size_t cost;
   };
 
   struct Shard {
@@ -107,6 +124,9 @@ class QueryCache {
   /// One flat key: generation + kind + canonical request bytes.
   static std::string MakeKey(uint64_t generation, QueryKind kind,
                              std::string_view request);
+  /// The heap bytes an entry holds: key and value allocations by
+  /// capacity, the value's shared block, and kEntryOverhead.
+  static size_t Cost(const std::string& key, const std::string& value);
   Shard& ShardFor(std::string_view key);
   void UpdateBytesGauge();
 

@@ -1,10 +1,12 @@
 #include "core/query_request.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <utility>
 
 #include "common/byte_codec.h"
+#include "common/logging.h"
 
 namespace tara {
 namespace {
@@ -172,22 +174,133 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
 
 namespace {
 
-void EncodeTrajectory(const Trajectory& trajectory, StringWriter* out) {
-  out->U64(trajectory.size());
-  for (const TrajectoryPoint& point : trajectory) {
-    out->U64(point.window);
-    out->Byte(point.present ? 1 : 0);
-    out->F64(point.support);
-    out->F64(point.confidence);
-  }
+/// The result writer runs one grammar twice: over a ByteCount to size the
+/// answer exactly, then over a raw char* cursor into a buffer of that
+/// size. Both outputs travel by value and come back from every call, so
+/// the writing pass keeps its cursor in a register.
+struct ByteCount {
+  size_t bytes = 0;
+};
+
+ByteCount Varint(uint64_t value, ByteCount out) {
+  return {out.bytes + codec::VarintLength(value)};
+}
+char* Varint(uint64_t value, char* out) {
+  return codec::WriteVarint(value, out);
+}
+ByteCount Byte(uint8_t, ByteCount out) { return {out.bytes + 1}; }
+char* Byte(uint8_t value, char* out) {
+  *out = static_cast<char>(value);
+  return out + 1;
+}
+ByteCount F64(double, ByteCount out) {
+  return {out.bytes + sizeof(uint64_t)};
+}
+char* F64(double value, char* out) {
+  return codec::WriteFixed(std::bit_cast<uint64_t>(value), out);
 }
 
-/// Points grow as they decode: a count is only as good as the bytes
-/// behind it.
+/// A count, then each id as a varint (ByteWriter::IdList's grammar).
+template <typename Out, typename Int>
+Out Ids(const std::vector<Int>& ids, Out out) {
+  out = Varint(ids.size(), out);
+  for (const Int id : ids) out = Varint(id, out);
+  return out;
+}
+
+template <typename Out>
+Out Points(const Trajectory& trajectory, Out out) {
+  out = Varint(trajectory.size(), out);
+  for (const TrajectoryPoint& point : trajectory) {
+    out = Varint(point.window, out);
+    out = Byte(point.present ? 1 : 0, out);
+    out = F64(point.support, out);
+    out = F64(point.confidence, out);
+  }
+  return out;
+}
+
+/// The canonical result grammar, the one place it is written down.
+template <typename Out>
+Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
+  switch (kind) {
+    case QueryKind::kMineWindow:
+    case QueryKind::kMineWindows:
+    case QueryKind::kContent:
+      return Ids(std::get<std::vector<RuleId>>(result), out);
+    case QueryKind::kTrajectory: {
+      const auto& value = std::get<TrajectoryQueryResult>(result);
+      out = Ids(value.rules, out);
+      out = Varint(value.trajectories.size(), out);
+      for (const Trajectory& t : value.trajectories) out = Points(t, out);
+      return out;
+    }
+    case QueryKind::kCompare: {
+      const auto& value = std::get<RulesetDiff>(result);
+      out = Ids(value.only_first, out);
+      return Ids(value.only_second, out);
+    }
+    case QueryKind::kRegion: {
+      const auto& value = std::get<RegionInfo>(result);
+      out = F64(value.support_lower, out);
+      out = F64(value.support_upper, out);
+      out = F64(value.confidence_lower, out);
+      out = F64(value.confidence_upper, out);
+      return Varint(value.result_size, out);
+    }
+    case QueryKind::kMeasures: {
+      const auto& value = std::get<TrajectoryMeasures>(result);
+      out = F64(value.coverage, out);
+      out = F64(value.stability, out);
+      out = F64(value.support_stddev, out);
+      out = F64(value.confidence_stddev, out);
+      out = F64(value.mean_support, out);
+      return F64(value.mean_confidence, out);
+    }
+    case QueryKind::kContentView: {
+      const auto& value = std::get<ContentViewResult>(result);
+      std::vector<ItemId> items;
+      items.reserve(value.size());
+      for (const auto& [item, rules] : value) items.push_back(item);
+      std::sort(items.begin(), items.end());
+      out = Varint(items.size(), out);
+      for (const ItemId item : items) {
+        out = Varint(item, out);
+        out = Ids(value.at(item), out);
+      }
+      return out;
+    }
+    case QueryKind::kRollUpRule: {
+      const auto& value = std::get<RollUpBound>(result);
+      out = F64(value.support_lo, out);
+      out = F64(value.support_hi, out);
+      out = F64(value.confidence_lo, out);
+      out = F64(value.confidence_hi, out);
+      return Varint(value.missing_windows, out);
+    }
+    case QueryKind::kRollUpMine: {
+      const auto& value = std::get<RolledUpRules>(result);
+      out = Ids(value.certain, out);
+      return Ids(value.possible, out);
+    }
+  }
+  return out;
+}
+
+/// The fewest bytes a trajectory point encodes to: a one-byte window
+/// varint, the present byte and two f64s.
+constexpr uint64_t kMinPointBytes = 18;
+
+/// A point count is only as good as the bytes behind it: a count the
+/// rest cannot hold at kMinPointBytes a point is malformed, and any other
+/// sizes the points up front — at most 24/18 of the bytes behind it.
 bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
   uint64_t count = 0;
-  if (!in->Count(&count)) return false;
+  if (!in->U64(&count) || count > in->remaining() / kMinPointBytes) {
+    return false;
+  }
   out->clear();
+  out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TrajectoryPoint point;
     uint64_t window = 0;
@@ -205,78 +318,14 @@ bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
 
 }  // namespace
 
-std::string EncodeQueryResult(QueryKind kind, const QueryResult& result) {
-  StringWriter out;
-  switch (kind) {
-    case QueryKind::kMineWindow:
-    case QueryKind::kMineWindows:
-    case QueryKind::kContent:
-      out.IdList(std::get<std::vector<RuleId>>(result));
-      break;
-    case QueryKind::kTrajectory: {
-      const auto& value = std::get<TrajectoryQueryResult>(result);
-      out.IdList(value.rules);
-      out.U64(value.trajectories.size());
-      for (const Trajectory& t : value.trajectories) {
-        EncodeTrajectory(t, &out);
-      }
-      break;
-    }
-    case QueryKind::kCompare: {
-      const auto& value = std::get<RulesetDiff>(result);
-      out.IdList(value.only_first);
-      out.IdList(value.only_second);
-      break;
-    }
-    case QueryKind::kRegion: {
-      const auto& value = std::get<RegionInfo>(result);
-      out.F64(value.support_lower);
-      out.F64(value.support_upper);
-      out.F64(value.confidence_lower);
-      out.F64(value.confidence_upper);
-      out.U64(value.result_size);
-      break;
-    }
-    case QueryKind::kMeasures: {
-      const auto& value = std::get<TrajectoryMeasures>(result);
-      out.F64(value.coverage);
-      out.F64(value.stability);
-      out.F64(value.support_stddev);
-      out.F64(value.confidence_stddev);
-      out.F64(value.mean_support);
-      out.F64(value.mean_confidence);
-      break;
-    }
-    case QueryKind::kContentView: {
-      const auto& value = std::get<ContentViewResult>(result);
-      std::vector<ItemId> items;
-      items.reserve(value.size());
-      for (const auto& [item, rules] : value) items.push_back(item);
-      std::sort(items.begin(), items.end());
-      out.U64(items.size());
-      for (const ItemId item : items) {
-        out.U64(item);
-        out.IdList(value.at(item));
-      }
-      break;
-    }
-    case QueryKind::kRollUpRule: {
-      const auto& value = std::get<RollUpBound>(result);
-      out.F64(value.support_lo);
-      out.F64(value.support_hi);
-      out.F64(value.confidence_lo);
-      out.F64(value.confidence_hi);
-      out.U64(value.missing_windows);
-      break;
-    }
-    case QueryKind::kRollUpMine: {
-      const auto& value = std::get<RolledUpRules>(result);
-      out.IdList(value.certain);
-      out.IdList(value.possible);
-      break;
-    }
-  }
-  return std::move(out).bytes();
+std::string EncodeQueryResult(QueryKind kind, const QueryResult& result,
+                              size_t prefix_bytes) {
+  const size_t size =
+      prefix_bytes + PutResult(kind, result, ByteCount{}).bytes;
+  std::string out(size, '\0');
+  const char* end = PutResult(kind, result, out.data() + prefix_bytes);
+  TARA_CHECK(end == out.data() + size) << "result writer passes disagree";
+  return out;
 }
 
 std::optional<QueryResult> DecodeQueryResult(QueryKind kind,

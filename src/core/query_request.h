@@ -77,9 +77,15 @@ using QueryResult =
 std::string EncodeQueryRequest(const QueryRequest& request);
 
 /// Canonical result bytes: deterministic for a given result value (maps
-/// are emitted in sorted key order). What the query cache stores, and
-/// what the differential tests compare byte-for-byte.
-std::string EncodeQueryResult(QueryKind kind, const QueryResult& result);
+/// are emitted in sorted key order). What a kResult frame carries after
+/// its kind byte, and what the differential tests compare byte-for-byte.
+///
+/// The one result writer: a first pass sums the exact encoded length, a
+/// second writes it into a buffer allocated once, so the string's
+/// capacity equals its size. `prefix_bytes` zero bytes are left in front
+/// for a caller that frames the answer in place (EncodeResultFrame).
+std::string EncodeQueryResult(QueryKind kind, const QueryResult& result,
+                              size_t prefix_bytes = 0);
 
 /// Inverse of EncodeQueryResult. Returns nullopt on malformed bytes (a
 /// cache handing back bytes it did not produce); never aborts.

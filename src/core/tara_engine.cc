@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -282,35 +283,63 @@ Expected<WalReplayStats, LoadError> TaraEngine::AttachWal(
   return builder_->AttachWal(dir);
 }
 
-Expected<QueryResult, QueryError> TaraEngine::Execute(
-    const QueryRequest& request) const {
+template <typename Form>
+std::optional<Form> TaraEngine::Lookup(uint64_t generation, QueryKind kind,
+                                      std::string_view key) const {
+  if (cache_ == nullptr) return std::nullopt;
+  ResultFrame hit = cache_->Get(generation, kind, key);
+  if (hit == nullptr) return std::nullopt;
+  if constexpr (std::is_same_v<Form, ResultFrame>) {
+    return hit;
+  } else {
+    // nullopt only for bytes this engine did not write: then a miss.
+    return DecodeQueryResult(
+        kind, std::string_view(*hit).substr(kResultFramePrefixBytes));
+  }
+}
+
+template <typename Form>
+Expected<Form, QueryError> TaraEngine::Miss(
+    const KnowledgeBaseSnapshot& snapshot, const QueryRequest& request,
+    std::string_view key) const {
+  Expected<QueryResult, QueryError> result = ExecuteQuery(snapshot, request);
+  if (!result.has_value()) return result.error();
+  constexpr bool kFrameForm = std::is_same_v<Form, ResultFrame>;
+  ResultFrame frame;
+  if (kFrameForm || cache_ != nullptr) {
+    frame = std::make_shared<const std::string>(
+        EncodeResultFrame(request.kind, *result));
+    if (cache_ != nullptr) {
+      cache_->Put(snapshot.generation(), request.kind, key, frame);
+    }
+  }
+  if constexpr (kFrameForm) {
+    return frame;
+  } else {
+    return std::move(result).value();
+  }
+}
+
+template <typename Form>
+Expected<Form, QueryError> TaraEngine::Run(const QueryRequest& request) const {
   obs::QuerySpan span(metrics_.latency[static_cast<int>(request.kind)]);
   if (auto gate = EnsureForRequest(request)) {
-    return Finish(&span, *std::move(gate));
+    return Finish<Form>(&span, *std::move(gate));
   }
   const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
       builder_->snapshot();
-  if (cache_ == nullptr) {
-    return Finish(&span, ExecuteQuery(*snapshot, request));
+  // The request bytes are only the cache's key: no cache, no encode.
+  const std::string key =
+      cache_ != nullptr ? EncodeQueryRequest(request) : std::string();
+  if (std::optional<Form> hit =
+          Lookup<Form>(snapshot->generation(), request.kind, key)) {
+    return Finish<Form>(&span, *std::move(hit));
   }
-  const std::string key = EncodeQueryRequest(request);
-  if (std::optional<std::string> hit =
-          cache_->Get(snapshot->generation(), request.kind, key)) {
-    if (std::optional<QueryResult> decoded =
-            DecodeQueryResult(request.kind, *hit)) {
-      return Finish(&span, Expected<QueryResult, QueryError>(
-                               *std::move(decoded)));
-    }
-  }
-  Expected<QueryResult, QueryError> result = ExecuteQuery(*snapshot, request);
-  if (result.has_value()) {
-    cache_->Put(snapshot->generation(), request.kind, key,
-                EncodeQueryResult(request.kind, result.value()));
-  }
-  return Finish(&span, std::move(result));
+  return Finish<Form>(&span, Miss<Form>(*snapshot, request, key));
 }
 
-std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
+template <typename Form>
+std::vector<Expected<Form, QueryError>> TaraEngine::RunBatch(
     std::span<const QueryRequest> requests) const {
   // Gate every request BEFORE pinning the snapshot or fanning out: pool
   // workers must never materialize (they would need the lazy mutex). A
@@ -349,34 +378,21 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
     request_to_unique[i] = it->second;
   }
 
-  std::vector<std::optional<Expected<QueryResult, QueryError>>> unique_results(
+  std::vector<std::optional<Expected<Form, QueryError>>> unique_results(
       unique_requests.size());
   std::vector<size_t> miss_indexes;
   for (size_t u = 0; u < unique_requests.size(); ++u) {
-    const QueryKind kind = unique_requests[u]->kind;
-    if (cache_ != nullptr) {
-      if (std::optional<std::string> hit =
-              cache_->Get(generation, kind, *unique_keys[u])) {
-        if (std::optional<QueryResult> decoded =
-                DecodeQueryResult(kind, *hit)) {
-          unique_results[u] = Expected<QueryResult, QueryError>(
-              *std::move(decoded));
-          continue;
-        }
-      }
+    if (std::optional<Form> hit = Lookup<Form>(
+            generation, unique_requests[u]->kind, *unique_keys[u])) {
+      unique_results[u].emplace(*std::move(hit));
+    } else {
+      miss_indexes.push_back(u);
     }
-    miss_indexes.push_back(u);
   }
 
   const auto execute_miss = [&](size_t u) {
-    const QueryRequest& request = *unique_requests[u];
-    Expected<QueryResult, QueryError> result =
-        ExecuteQuery(*snapshot, request);
-    if (cache_ != nullptr && result.has_value()) {
-      cache_->Put(generation, request.kind, *unique_keys[u],
-                  EncodeQueryResult(request.kind, result.value()));
-    }
-    unique_results[u] = std::move(result);
+    unique_results[u].emplace(
+        Miss<Form>(*snapshot, *unique_requests[u], *unique_keys[u]));
   };
   if (query_pool_ != nullptr && miss_indexes.size() > 1) {
     query_pool_->ParallelFor(miss_indexes.size(),
@@ -390,7 +406,7 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
   }
 
   // Counted per batch position, so a duplicated request counts each time.
-  std::vector<Expected<QueryResult, QueryError>> results;
+  std::vector<Expected<Form, QueryError>> results;
   results.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     if (gated(i)) {
@@ -401,6 +417,26 @@ std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
     Count(results.back());
   }
   return results;
+}
+
+Expected<QueryResult, QueryError> TaraEngine::Execute(
+    const QueryRequest& request) const {
+  return Run<QueryResult>(request);
+}
+
+Expected<ResultFrame, QueryError> TaraEngine::ExecuteFrame(
+    const QueryRequest& request) const {
+  return Run<ResultFrame>(request);
+}
+
+std::vector<Expected<QueryResult, QueryError>> TaraEngine::ExecuteBatch(
+    std::span<const QueryRequest> requests) const {
+  return RunBatch<QueryResult>(requests);
+}
+
+std::vector<Expected<ResultFrame, QueryError>> TaraEngine::ExecuteBatchFrames(
+    std::span<const QueryRequest> requests) const {
+  return RunBatch<ResultFrame>(requests);
 }
 
 void TaraEngine::SetQueryCacheBytes(size_t bytes) {

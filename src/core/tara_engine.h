@@ -20,6 +20,7 @@
 #include "core/rule_catalog.h"
 #include "core/stable_region_index.h"
 #include "core/tar_archive.h"
+#include "core/wire_format.h"
 #include "obs/metrics.h"
 #include "obs/query_span.h"
 #include "txdb/evolving_database.h"
@@ -44,7 +45,8 @@ class MappedKb;
 ///   typed queries answered from one consistent view.
 ///
 /// The facade adds the one query entry point, Execute(QueryRequest) /
-/// ExecuteBatch: the only path that records query metrics, consults the
+/// ExecuteBatch (and their frame forms, ExecuteFrame / ExecuteBatchFrames,
+/// for the server): the only path that records query metrics, consults the
 /// query cache and lazily materializes a mapped knowledge base. For typed,
 /// uninstrumented results, pin Snapshot() and call its query methods.
 ///
@@ -249,11 +251,23 @@ class TaraEngine {
   /// consult the query cache (query_cache.h), and materialize the window
   /// prefix a request needs on a mapped engine. Cached, batched and
   /// uncached answers are byte-identical (tests/test_query_cache.cc).
+  ///
+  /// Each comes in two forms over one execute core: typed (QueryResult)
+  /// for library callers, and frame (ResultFrame, the finished kResult
+  /// frame of wire_format.h) for the server. The cache holds frames: a
+  /// miss encodes its answer once, exactly sized, into the frame it
+  /// caches; a frame-form hit is the cached pointer itself and a typed hit
+  /// decodes it past the 9-byte prefix. With no cache the typed form
+  /// serializes nothing and the frame form encodes once.
 
   /// Executes one request against the current generation, answering from
   /// the cache when enabled. Safe for any number of concurrent callers,
   /// including while ingestion runs.
   Expected<QueryResult, QueryError> Execute(const QueryRequest& request) const;
+
+  /// Execute in frame form: what the server writes to the socket as it is.
+  Expected<ResultFrame, QueryError> ExecuteFrame(
+      const QueryRequest& request) const;
 
   /// Executes a batch against ONE pinned snapshot (every request sees the
   /// same generation, even if appends land mid-batch). Identical requests
@@ -261,6 +275,10 @@ class TaraEngine {
   /// the engine's thread pool when Options::parallelism != 1. Results are
   /// positionally aligned with `requests`.
   std::vector<Expected<QueryResult, QueryError>> ExecuteBatch(
+      std::span<const QueryRequest> requests) const;
+
+  /// ExecuteBatch in frame form, for the server's batch reply.
+  std::vector<Expected<ResultFrame, QueryError>> ExecuteBatchFrames(
       std::span<const QueryRequest> requests) const;
 
   /// Resizes (or disables, with 0) the query cache, dropping all cached
@@ -319,7 +337,8 @@ class TaraEngine {
   };
 
   /// Bumps `ok` or `rejected` for one answered request.
-  void Count(const Expected<QueryResult, QueryError>& result) const {
+  template <typename T>
+  void Count(const Expected<T, QueryError>& result) const {
     obs::Counter* counter =
         result.has_value() ? metrics_.ok : metrics_.rejected;
     if (counter != nullptr) counter->Increment();
@@ -328,12 +347,34 @@ class TaraEngine {
   /// Books the span/counters for a finished query: cancels the latency
   /// span on an error, counts the outcome, and forwards the result
   /// unchanged.
-  Expected<QueryResult, QueryError> Finish(
-      obs::QuerySpan* span, Expected<QueryResult, QueryError> result) const {
+  template <typename T>
+  Expected<T, QueryError> Finish(obs::QuerySpan* span,
+                                 Expected<T, QueryError> result) const {
     if (!result.has_value()) span->Cancel();
     Count(result);
     return result;
   }
+
+  /// --- The one execute core ----------------------------------------------
+  /// Run and RunBatch are Execute and ExecuteBatch in either form: `Form`
+  /// is QueryResult (typed) or ResultFrame. Both forms share the gate, the
+  /// pin, the span, the ok/rejected count, the probe and the miss path.
+  template <typename Form>
+  Expected<Form, QueryError> Run(const QueryRequest& request) const;
+  template <typename Form>
+  std::vector<Expected<Form, QueryError>> RunBatch(
+      std::span<const QueryRequest> requests) const;
+  /// The cache probe: the cached frame itself, or the typed answer decoded
+  /// past its prefix; nullopt on a miss or without a cache.
+  template <typename Form>
+  std::optional<Form> Lookup(uint64_t generation, QueryKind kind,
+                             std::string_view key) const;
+  /// A miss: executes against `snapshot`, then — when a cache or the frame
+  /// form wants bytes — encodes the answer once into the frame it caches.
+  template <typename Form>
+  Expected<Form, QueryError> Miss(const KnowledgeBaseSnapshot& snapshot,
+                                  const QueryRequest& request,
+                                  std::string_view key) const;
 
   /// Registers query instruments in options.metrics (no-op when null).
   void RegisterMetrics(obs::MetricsRegistry* registry);

@@ -37,6 +37,15 @@ bool ReadMode(ByteReader* in, MatchMode* out) {
   return true;
 }
 
+/// Writes the 8-byte header at `out`, which has room for it.
+void WriteFrameHeader(FrameType type, size_t payload_size, char* out) {
+  out[0] = static_cast<char>(kWireMagic0);
+  out[1] = static_cast<char>(kWireMagic1);
+  out[2] = static_cast<char>(kWireProtocolVersion);
+  out[3] = static_cast<char>(type);
+  codec::WriteFixed(static_cast<uint32_t>(payload_size), out + 4);
+}
+
 }  // namespace
 
 std::string_view ParseErrorCodeName(ParseError::Code code) {
@@ -107,11 +116,9 @@ std::ostream& operator<<(std::ostream& out, const WireError& error) {
 
 void AppendFrameHeader(FrameType type, size_t payload_size,
                        std::string* out) {
-  out->push_back(static_cast<char>(kWireMagic0));
-  out->push_back(static_cast<char>(kWireMagic1));
-  out->push_back(static_cast<char>(kWireProtocolVersion));
-  out->push_back(static_cast<char>(type));
-  codec::PutFixed(static_cast<uint32_t>(payload_size), out);
+  const size_t at = out->size();
+  out->resize(at + kWireHeaderBytes);
+  WriteFrameHeader(type, payload_size, out->data() + at);
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
@@ -293,10 +300,11 @@ Expected<ExecuteCommand, ParseError> DecodeExecutePayload(
 }
 
 std::string EncodeResultFrame(QueryKind kind, const QueryResult& result) {
-  std::string payload;
-  payload.push_back(static_cast<char>(kind));
-  payload += EncodeQueryResult(kind, result);
-  return EncodeFrame(FrameType::kResult, payload);
+  std::string frame = EncodeQueryResult(kind, result, kResultFramePrefixBytes);
+  WriteFrameHeader(FrameType::kResult, frame.size() - kWireHeaderBytes,
+                   frame.data());
+  frame[kWireHeaderBytes] = static_cast<char>(kind);
+  return frame;
 }
 
 Expected<std::pair<QueryKind, QueryResult>, ParseError> DecodeResultPayload(
@@ -392,25 +400,42 @@ Expected<BatchExecuteCommand, ParseError> DecodeBatchExecutePayload(
 }
 
 std::string EncodeBatchResultFrame(
-    const std::vector<QueryKind>& kinds,
-    const std::vector<Expected<QueryResult, QueryError>>& results) {
+    const std::vector<Expected<ResultFrame, QueryError>>& items) {
   StringWriter payload;
-  payload.U64(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    StringWriter body;
-    if (results[i].has_value()) {
+  payload.U64(items.size());
+  for (const Expected<ResultFrame, QueryError>& item : items) {
+    if (item.has_value()) {
+      const std::string_view body =
+          std::string_view(**item).substr(kWireHeaderBytes);
       payload.Byte(0);
-      body.Byte(static_cast<uint8_t>(kinds[i]));
-      body.Append(EncodeQueryResult(kinds[i], *results[i]));
+      payload.U64(body.size());
+      payload.Append(body);
     } else {
+      const uint32_t code = QueryErrorWireCode(item.error().code);
+      const std::string& message = item.error().message;
       payload.Byte(1);
-      body.U64(QueryErrorWireCode(results[i].error().code));
-      body.Append(results[i].error().message);
+      payload.U64(codec::VarintLength(code) + message.size());
+      payload.U64(code);
+      payload.Append(message);
     }
-    payload.U64(body.bytes().size());
-    payload.Append(body.bytes());
   }
   return EncodeFrame(FrameType::kBatchResult, payload.bytes());
+}
+
+std::string EncodeBatchResultFrame(
+    const std::vector<QueryKind>& kinds,
+    const std::vector<Expected<QueryResult, QueryError>>& results) {
+  std::vector<Expected<ResultFrame, QueryError>> items;
+  items.reserve(results.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].has_value()) {
+      items.emplace_back(std::make_shared<const std::string>(
+          EncodeResultFrame(kinds[i], *results[i])));
+    } else {
+      items.emplace_back(results[i].error());
+    }
+  }
+  return EncodeBatchResultFrame(items);
 }
 
 Expected<std::vector<Expected<QueryResult, WireError>>, ParseError>

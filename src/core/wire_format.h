@@ -2,6 +2,7 @@
 #define TARA_CORE_WIRE_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -255,7 +256,16 @@ Expected<ExecuteCommand, ParseError> DecodeExecutePayload(
 
 /// --- Result framing --------------------------------------------------
 
-/// A complete kResult frame: kind byte + canonical result bytes.
+/// Bytes in front of a kResult frame's canonical result: the header and
+/// the kind byte.
+inline constexpr size_t kResultFramePrefixBytes = kWireHeaderBytes + 1;
+
+/// A finished kResult frame, shared: what the query cache holds, what
+/// TaraEngine::ExecuteFrame answers and what the server writes as it is.
+using ResultFrame = std::shared_ptr<const std::string>;
+
+/// A complete kResult frame: kind byte + canonical result bytes, encoded
+/// once into an exact-size buffer (EncodeQueryResult's writer).
 std::string EncodeResultFrame(QueryKind kind, const QueryResult& result);
 
 /// Decoded kResult payload. The kind rides in the payload so the bytes
@@ -284,6 +294,12 @@ struct BatchExecuteCommand {
 };
 Expected<BatchExecuteCommand, ParseError> DecodeBatchExecutePayload(
     std::string_view payload);
+
+/// Encodes positionally aligned batch answers in frame form. An ok item's
+/// body is its kResult frame minus the 8-byte header (kind byte + result
+/// bytes), copied as it is: no answer is decoded or re-encoded.
+std::string EncodeBatchResultFrame(
+    const std::vector<Expected<ResultFrame, QueryError>>& items);
 
 /// Encodes positionally aligned batch results. `kinds[i]` must be the
 /// kind of `results[i]`'s request (the result variant alone does not

@@ -294,7 +294,9 @@ bool TaraServer::HandleExecute(Connection* connection,
     return Reply(connection, *rejection);
   }
   if (options_.pre_execute_hook) options_.pre_execute_hook();
-  const auto result = engine_->Execute(command->request);
+  // The engine's bytes go out as they are: a hit is the cached frame,
+  // a miss the one encode that also filled the cache.
+  const auto frame = engine_->ExecuteFrame(command->request);
   gate_.Leave();
   if (metrics_.request_latency != nullptr) {
     metrics_.request_latency->Record(static_cast<uint64_t>(
@@ -302,11 +304,10 @@ bool TaraServer::HandleExecute(Connection* connection,
                                                              received)
             .count()));
   }
-  if (!result.has_value()) {
-    return Reply(connection, EncodeErrorFrame(result.error()));
+  if (!frame.has_value()) {
+    return Reply(connection, EncodeErrorFrame(frame.error()));
   }
-  return Reply(connection,
-               EncodeResultFrame(command->request.kind, *result));
+  return Reply(connection, **frame);
 }
 
 bool TaraServer::HandleBatchExecute(Connection* connection,
@@ -329,7 +330,7 @@ bool TaraServer::HandleBatchExecute(Connection* connection,
     return Reply(connection, *rejection);
   }
   if (options_.pre_execute_hook) options_.pre_execute_hook();
-  const auto results = engine_->ExecuteBatch(command->requests);
+  const auto frames = engine_->ExecuteBatchFrames(command->requests);
   gate_.Leave();
   if (metrics_.request_latency != nullptr) {
     metrics_.request_latency->Record(static_cast<uint64_t>(
@@ -337,12 +338,7 @@ bool TaraServer::HandleBatchExecute(Connection* connection,
                                                              received)
             .count()));
   }
-  std::vector<QueryKind> kinds;
-  kinds.reserve(command->requests.size());
-  for (const QueryRequest& request : command->requests) {
-    kinds.push_back(request.kind);
-  }
-  return Reply(connection, EncodeBatchResultFrame(kinds, results));
+  return Reply(connection, EncodeBatchResultFrame(frames));
 }
 
 bool TaraServer::HandleAppendWindow(Connection* connection,

@@ -60,6 +60,11 @@ struct ServerOptions {
 /// per-request deadlines and admission control, live AppendWindow
 /// ingestion, a metrics endpoint, and info/ping.
 ///
+/// Answers leave as the engine's bytes: a kResult reply is the frame
+/// TaraEngine::ExecuteFrame returns — on a cache hit the cached frame
+/// itself — and a batch reply copies each ok item's frame past its
+/// header. The server neither decodes nor re-encodes an answer.
+///
 /// ## Threading model
 ///
 /// One accept thread plus one handler thread per connection. Each

@@ -8,12 +8,13 @@
 // serves a stale generation's answer.
 //
 // Also here: QueryCache unit tests (generation keying, LRU eviction
-// within the byte budget, oversized-entry refusal, stats counters) and a
-// TSan-targeted stress test racing Execute/ExecuteBatch against a live
-// appender. Run under both sanitizer presets (tools/run_asan.sh,
-// tools/run_tsan.sh).
+// within the byte budget, charging by capacity, oversized-entry refusal,
+// stats counters) and a TSan-targeted stress test racing
+// Execute/ExecuteBatch against a live appender. Run under both sanitizer
+// presets (tools/run_asan.sh, tools/run_tsan.sh).
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -286,14 +287,21 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   EXPECT_EQ(counts(cached_metrics), std::make_pair(2 * ok, 2 * rejected));
 }
 
+/// A cache value holding `bytes`.
+QueryCache::Value Bytes(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 TEST(QueryCacheUnit, KeysIncludeGenerationAndKind) {
   QueryCache cache(1u << 20);
-  cache.Put(1, QueryKind::kMineWindow, "req", "result");
-  EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req"), "result");
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("result"));
+  const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, "result");
   // Different generation, kind, or request bytes: all distinct keys.
-  EXPECT_FALSE(cache.Get(2, QueryKind::kMineWindow, "req").has_value());
-  EXPECT_FALSE(cache.Get(1, QueryKind::kRegion, "req").has_value());
-  EXPECT_FALSE(cache.Get(1, QueryKind::kMineWindow, "req2").has_value());
+  EXPECT_EQ(cache.Get(2, QueryKind::kMineWindow, "req"), nullptr);
+  EXPECT_EQ(cache.Get(1, QueryKind::kRegion, "req"), nullptr);
+  EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req2"), nullptr);
   const QueryCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 3u);
@@ -303,7 +311,7 @@ TEST(QueryCacheUnit, KeysIncludeGenerationAndKind) {
 TEST(QueryCacheUnit, EvictsLruToStayWithinBudget) {
   constexpr size_t kBudget = 8 * 1024;
   QueryCache cache(kBudget);
-  const std::string value(256, 'v');
+  const QueryCache::Value value = Bytes(std::string(256, 'v'));
   for (uint64_t g = 0; g < 200; ++g) {
     cache.Put(g, QueryKind::kMineWindow, "req", value);
     EXPECT_LE(cache.stats().bytes, kBudget);
@@ -312,23 +320,62 @@ TEST(QueryCacheUnit, EvictsLruToStayWithinBudget) {
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.bytes, 0u);
   // The newest insertion is its shard's MRU entry and must survive.
-  EXPECT_TRUE(cache.Get(199, QueryKind::kMineWindow, "req").has_value());
+  EXPECT_NE(cache.Get(199, QueryKind::kMineWindow, "req"), nullptr);
+}
+
+// An entry is charged the heap it holds, not the bytes it encodes: a
+// value whose buffer is 4x its size costs its capacity, and the LRU
+// evicts by that cost.
+TEST(QueryCacheUnit, ChargesValueCapacityNotSize) {
+  constexpr size_t kSize = 256;
+  constexpr size_t kCapacity = 4 * kSize;
+  const auto slack_value = [] {
+    std::string bytes;
+    bytes.reserve(kCapacity);
+    bytes.assign(kSize, 'v');
+    return Bytes(std::move(bytes));
+  };
+  ASSERT_GE(slack_value()->capacity(), kCapacity);
+
+  QueryCache one(1u << 20);
+  one.Put(1, QueryKind::kMineWindow, "req", slack_value());
+  EXPECT_GE(one.stats().bytes, kCapacity);
+
+  // 16 shards of 1.5 KiB: room for four entries a shard by size, but for
+  // only one by capacity.
+  constexpr size_t kBudget = 16 * 1536;
+  QueryCache cache(kBudget);
+  constexpr uint64_t kPuts = 200;
+  for (uint64_t g = 0; g < kPuts; ++g) {
+    cache.Put(g, QueryKind::kMineWindow, "req", slack_value());
+    EXPECT_LE(cache.stats().bytes, kBudget);
+  }
+  uint64_t resident = 0;
+  for (uint64_t g = 0; g < kPuts; ++g) {
+    if (cache.Get(g, QueryKind::kMineWindow, "req") != nullptr) ++resident;
+  }
+  EXPECT_GT(resident, 0u);
+  EXPECT_LE(resident, 16u);
+  EXPECT_GE(cache.stats().bytes, resident * kCapacity);
+  EXPECT_EQ(cache.stats().evictions, kPuts - resident);
 }
 
 TEST(QueryCacheUnit, RefusesEntriesLargerThanAShard) {
   QueryCache cache(1024);  // 64 bytes per shard: nothing below fits
-  cache.Put(1, QueryKind::kMineWindow, "req", std::string(512, 'v'));
-  EXPECT_FALSE(cache.Get(1, QueryKind::kMineWindow, "req").has_value());
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes(std::string(512, 'v')));
+  EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req"), nullptr);
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(QueryCacheUnit, PutRefreshesInPlace) {
   QueryCache cache(1u << 20);
-  cache.Put(1, QueryKind::kMineWindow, "req", "old");
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("old"));
   const uint64_t bytes_once = cache.stats().bytes;
-  cache.Put(1, QueryKind::kMineWindow, "req", "new");
-  EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req"), "new");
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("new"));
+  const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, "new");
   EXPECT_EQ(cache.stats().bytes, bytes_once);
 }
 

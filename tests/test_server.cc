@@ -4,8 +4,9 @@
 // concurrent clients with live wire ingestion, the deterministic shed
 // and deadline admission paths, malformed-frame survival, and the
 // metrics/info endpoints (including info on a lazily mapped, corrupt
-// knowledge base) and every client frame against a corrupt mapped tail.
-// Runs under TSan in CI.
+// knowledge base), every client frame against a corrupt mapped tail, and
+// answers served as cached frames (byte-equal to the snapshot's answer,
+// and a hit is the cached bytes themselves). Runs under TSan in CI.
 
 #include "server/tara_server.h"
 
@@ -50,12 +51,13 @@ TransactionDatabase MakeData(uint32_t transactions, uint64_t seed) {
 /// A small engine + server, freshly built per fixture.
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options = {}) {
+  void StartServer(ServerOptions options = {}, size_t cache_bytes = 0) {
     TaraEngine::Options engine_options;
     engine_options.min_support_floor = 0.02;
     engine_options.min_confidence_floor = 0.2;
     engine_options.max_itemset_size = 4;
     engine_options.build_content_index = true;
+    engine_options.query_cache_bytes = cache_bytes;
     engine_options.metrics = &metrics_;
     engine_ = std::make_unique<TaraEngine>(engine_options);
     engine_->BuildAll(
@@ -469,6 +471,115 @@ TEST_F(ServerTest, InfoReportsKnowledgeBaseShape) {
   EXPECT_EQ(info->window_count, 3u);
   EXPECT_EQ(info->generation, engine_->generation());
   EXPECT_EQ(info->rule_count, engine_->Snapshot()->catalog().size());
+}
+
+/// ServerTest with the query cache on: answers cross the wire as the
+/// cached frames themselves.
+class CachedServerTest : public ServerTest {
+ protected:
+  void SetUp() override { StartServer({}, 4u << 20); }
+
+  /// One request of every kind, answerable over the fixture's windows.
+  std::vector<QueryRequest> AllKinds() {
+    const ParameterSetting setting{0.03, 0.3};
+    const auto mined = ExecuteQuery(*engine_->Snapshot(),
+                                    QueryRequest::MineWindow(0, setting));
+    EXPECT_TRUE(mined.has_value());
+    const auto& rules = std::get<std::vector<RuleId>>(mined.value());
+    EXPECT_FALSE(rules.empty());
+    const RuleId rule = rules.empty() ? 0 : rules.front();
+    return {
+        QueryRequest::MineWindow(1, setting),
+        QueryRequest::MineWindows({0, 1, 2}, setting, MatchMode::kSingle),
+        QueryRequest::Trajectory(2, setting, {0, 1, 2}),
+        QueryRequest::Compare(setting, ParameterSetting{0.05, 0.4},
+                              {0, 1, 2}, MatchMode::kExact),
+        QueryRequest::Region(2, setting),
+        QueryRequest::Measures(rule, {0, 1, 2}),
+        QueryRequest::Content(0, {1, 2}, setting),
+        QueryRequest::ContentView(0, setting),
+        QueryRequest::RollUpRule(rule, {0, 1, 2}),
+        QueryRequest::RollUpMine({0, 1, 2}, setting),
+    };
+  }
+
+  /// Sends `frame` on a raw connection and returns the reply frame's
+  /// bytes as they arrived.
+  static std::string RawRoundTrip(const Socket& socket,
+                                  const std::string& frame) {
+    std::string error;
+    EXPECT_TRUE(WriteAll(socket.fd(), frame, &error)) << error;
+    const FrameRead reply = ReadFrame(socket.fd(), kWireMaxPayloadBytes);
+    EXPECT_EQ(reply.status, FrameRead::Status::kOk);
+    return EncodeFrame(reply.header.type, reply.payload);
+  }
+};
+
+TEST_F(CachedServerTest, EveryKindArrivesAsTheSnapshotAnswersFrame) {
+  const std::vector<QueryRequest> requests = AllKinds();
+  ASSERT_EQ(requests.size(), static_cast<size_t>(kQueryKindCount));
+  const auto snapshot = engine_->Snapshot();
+  auto raw = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(raw.has_value());
+  for (const QueryRequest& request : requests) {
+    const auto answer = ExecuteQuery(*snapshot, request);
+    ASSERT_TRUE(answer.has_value()) << QueryKindName(request.kind);
+    const std::string expected = EncodeResultFrame(request.kind, *answer);
+    // A miss, then a hit: both the same bytes.
+    for (int send = 0; send < 2; ++send) {
+      EXPECT_EQ(RawRoundTrip(raw.value(), EncodeExecuteFrame(request)),
+                expected)
+          << QueryKindName(request.kind) << " send " << send;
+    }
+  }
+  const QueryCache::Stats stats = engine_->query_cache()->stats();
+  EXPECT_EQ(stats.misses, requests.size());
+  EXPECT_EQ(stats.hits, requests.size());
+}
+
+TEST_F(CachedServerTest, BatchReplyCopiesTheCachedFrames) {
+  const std::vector<QueryRequest> kinds = AllKinds();
+  const QueryRequest& warm = kinds[2];   // a trajectory, cached below
+  const QueryRequest& fresh = kinds[9];  // a roll-up, sent twice
+  ASSERT_TRUE(engine_->Execute(warm).has_value());
+  const std::vector<QueryRequest> batch = {
+      fresh, warm, fresh,
+      QueryRequest::MineWindow(0, ParameterSetting{0.001, 0.3})};
+  const auto snapshot = engine_->Snapshot();
+  std::vector<QueryKind> batch_kinds;
+  std::vector<Expected<QueryResult, QueryError>> answers;
+  for (const QueryRequest& request : batch) {
+    batch_kinds.push_back(request.kind);
+    answers.push_back(ExecuteQuery(*snapshot, request));
+  }
+  ASSERT_FALSE(answers.back().has_value());
+  EXPECT_EQ(answers.back().error().code,
+            QueryError::Code::kSupportBelowFloor);
+
+  const QueryCache::Stats before = engine_->query_cache()->stats();
+  auto raw = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_EQ(RawRoundTrip(raw.value(), EncodeBatchExecuteFrame(batch)),
+            EncodeBatchResultFrame(batch_kinds, answers));
+  // Three distinct requests probe once each: the warm one hits.
+  const QueryCache::Stats after = engine_->query_cache()->stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses + 2);
+}
+
+TEST_F(CachedServerTest, AHitIsTheCachedFrameNotACopy) {
+  const QueryRequest request =
+      QueryRequest::Trajectory(2, ParameterSetting{0.03, 0.3}, {0, 1, 2});
+  const auto miss = engine_->ExecuteFrame(request);
+  const auto hit = engine_->ExecuteFrame(request);
+  ASSERT_TRUE(miss.has_value());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(miss->get(), hit->get());
+  const auto answer = ExecuteQuery(*engine_->Snapshot(), request);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(**hit, EncodeResultFrame(request.kind, *answer));
+  // Encoded once into an exact-size buffer: the cache holds no slack.
+  EXPECT_EQ((*hit)->capacity(), (*hit)->size());
 }
 
 /// A server over a lazily mapped knowledge base whose last window's

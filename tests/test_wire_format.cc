@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/rng.h"
 #include "core/query_request.h"
 
@@ -630,6 +631,22 @@ std::string ClaimsSixtyMillion(FrameType type) {
   return prefix;
 }
 
+/// The most trajectory points the rest of a full-size ClaimsPoints
+/// payload can hold at 18 bytes a point, the least a point encodes to.
+constexpr uint64_t kPointsThatFit = (kWireMaxPayloadBytes - 3 - 4) / 18;
+
+/// A trajectory result prefix — kind byte, no rules, one trajectory —
+/// claiming `points` points in a 4-byte count.
+std::string ClaimsPoints(uint64_t points) {
+  std::string prefix;
+  prefix.push_back(static_cast<char>(QueryKind::kTrajectory));
+  prefix.push_back(0);  // no rules
+  prefix.push_back(1);  // one trajectory
+  if (codec::VarintLength(points) != 4) std::abort();
+  codec::PutVarint(points, &prefix);
+  return prefix;
+}
+
 bool DecodesToTypedError(const std::string& frame) {
   const auto decoded = DecodeFrame(frame);
   if (!decoded.has_value()) return false;
@@ -653,10 +670,12 @@ constexpr bool kSanitized = false;
 
 // A decoder may size an allocation only from bytes it has: a count the
 // payload cannot back is a typed error, and records that take more memory
-// than their encoding grow as they decode. In a child capped at 512 MiB of
-// address space, 64 MiB frames claiming 60M records must come back as
-// typed errors; sizing from the count (5.8 GB of requests, 1.4 GB of
-// trajectories) would die of std::bad_alloc instead.
+// than their encoding grow as they decode — or, like trajectory points,
+// are sized from a count checked against their least encoded size. In a
+// child capped at 512 MiB of address space, 64 MiB frames claiming 60M
+// records must come back as typed errors; sizing from the count (5.8 GB
+// of requests, 1.4 GB of trajectories) would die of std::bad_alloc
+// instead.
 TEST(WireFormatDeathTest, HostileCountsNeverSizeAnAllocation) {
   if (kSanitized) {
     GTEST_SKIP() << "sanitizers reserve shadow memory past any RLIMIT_AS cap";
@@ -669,6 +688,16 @@ TEST(WireFormatDeathTest, HostileCountsNeverSizeAnAllocation) {
       const std::string frame =
           HostileFrame(type, ClaimsSixtyMillion(type), kWireMaxPayloadBytes);
       if (!DecodesToTypedError(frame)) std::_Exit(3);
+    }
+    // Points are sized from their count: one point past what the bytes
+    // can hold, and 60M (1.4 GB of points), are rejected; exactly what
+    // they can hold sizes the points (at most 24/18 of the payload), and
+    // the junk behind the count is then a typed error.
+    for (const uint64_t points :
+         {kPointsThatFit + 1, uint64_t{60'000'000}, kPointsThatFit}) {
+      const std::string frame = HostileFrame(
+          FrameType::kResult, ClaimsPoints(points), kWireMaxPayloadBytes);
+      if (!DecodesToTypedError(frame)) std::_Exit(4);
     }
     std::_Exit(0);
   };
