@@ -5,8 +5,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,13 +22,15 @@
 ///   little-endian fixed-width words;
 /// - itemsets are a varint count, then the gaps between the sorted ids.
 ///
-/// Wire and cache code write std::string, persistence writes
-/// std::vector<uint8_t>; every writer is a template over the container, so
-/// each encoding is written once. Query answers, the hottest encode, are
-/// sized first (VarintLength) and written into an exact-size buffer
-/// through a raw cursor (WriteVarint, WriteFixed). Untrusted bytes are
-/// read only through GetVarint and ByteReader, which report a short or
-/// malformed input instead of aborting.
+/// Each encoding is written once: WriteVarint and WriteFixed are the only
+/// encoders, templates over the output they write through. PutVarint,
+/// PutFixed and ByteWriter append to a std::string (wire, cache) or
+/// std::vector<uint8_t> (persistence) through a back_inserter; query
+/// answers, the hottest encode, run their grammar over a ByteCount to size
+/// the answer, then write it through a raw char* cursor into one
+/// exact-size buffer. Untrusted bytes are read only through GetVarint and
+/// ByteReader, which report a short or malformed input instead of
+/// aborting.
 namespace tara::codec {
 
 /// Outcome of decoding one varint.
@@ -37,17 +41,6 @@ enum class VarintStatus : uint8_t {
   /// The varint continues past 64 bits (ten bytes).
   kOverlong,
 };
-
-/// Appends the LEB128 encoding of `value` to `out`.
-template <typename Bytes>
-inline void PutVarint(uint64_t value, Bytes* out) {
-  using Byte = typename Bytes::value_type;
-  while (value >= 0x80) {
-    out->push_back(static_cast<Byte>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<Byte>(value));
-}
 
 /// Bytes the LEB128 encoding of `value` takes. A loop of comparisons, not
 /// countl_zero: the ids and counts sized here are mostly one or two bytes.
@@ -60,18 +53,80 @@ inline size_t VarintLength(uint64_t value) {
   return length;
 }
 
-/// Writes the LEB128 encoding of `value` at `out`, which has room for
-/// VarintLength(value) bytes, and returns the position after it. Exact-size
-/// writers keep the returned cursor in a local variable: a cursor held in
-/// memory is reloaded after every byte store, since a char store may alias
-/// it.
-inline char* WriteVarint(uint64_t value, char* out) {
+/// The one varint encoder: writes the LEB128 encoding of `value` through
+/// the output iterator `out` and returns it advanced. A raw char* cursor
+/// needs room for VarintLength(value) bytes; exact-size writers keep it in
+/// a local variable, since a cursor held in memory is reloaded after every
+/// byte store (a char store may alias it).
+template <typename Out>
+inline Out WriteVarint(uint64_t value, Out out) {
   while (value >= 0x80) {
     *out++ = static_cast<char>((value & 0x7f) | 0x80);
     value >>= 7;
   }
   *out++ = static_cast<char>(value);
   return out;
+}
+
+/// The one fixed-width encoder: writes `value` as sizeof(UInt)
+/// little-endian bytes through `out` and returns it advanced. A char*
+/// cursor on a little-endian host takes one store, where a byte loop is
+/// not always merged.
+template <typename UInt, typename Out>
+inline Out WriteFixed(UInt value, Out out) {
+  if constexpr (std::is_same_v<Out, char*> &&
+                std::endian::native == std::endian::little) {
+    std::memcpy(out, &value, sizeof(UInt));
+    return out + sizeof(UInt);
+  } else {
+    for (size_t i = 0; i < sizeof(UInt); ++i) {
+      *out++ = static_cast<char>(value >> (8 * i));
+    }
+    return out;
+  }
+}
+
+template <typename Out>
+inline Out WriteByte(uint8_t value, Out out) {
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
+/// Exact-size writers run one grammar twice: over a ByteCount, which only
+/// adds up what each step would write, then over a raw char* cursor into
+/// a buffer of that size. Every step takes its output by value and
+/// returns it, so the writing pass keeps its cursor in a register.
+struct ByteCount {
+  size_t bytes = 0;
+};
+
+inline ByteCount WriteVarint(uint64_t value, ByteCount out) {
+  return {out.bytes + VarintLength(value)};
+}
+template <typename UInt>
+inline ByteCount WriteFixed(UInt, ByteCount out) {
+  return {out.bytes + sizeof(UInt)};
+}
+inline ByteCount WriteByte(uint8_t, ByteCount out) { return {out.bytes + 1}; }
+
+/// A count, then each id as a varint.
+template <typename Int, typename Out>
+inline Out WriteIdList(const std::vector<Int>& ids, Out out) {
+  out = WriteVarint(ids.size(), out);
+  for (const Int id : ids) out = WriteVarint(id, out);
+  return out;
+}
+
+/// Appends the LEB128 encoding of `value` to a std::string or byte vector.
+template <typename Bytes>
+inline void PutVarint(uint64_t value, Bytes* out) {
+  WriteVarint(value, std::back_inserter(*out));
+}
+
+/// Appends `value` as sizeof(UInt) little-endian bytes.
+template <typename UInt, typename Bytes>
+inline void PutFixed(UInt value, Bytes* out) {
+  WriteFixed(value, std::back_inserter(*out));
 }
 
 /// Decodes the varint at `data[*pos]`. On kOk stores the value and
@@ -105,30 +160,6 @@ inline int64_t ZigzagDecode(uint64_t value) {
   return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
 }
 
-/// Appends `value` as sizeof(UInt) little-endian bytes.
-template <typename UInt, typename Bytes>
-inline void PutFixed(UInt value, Bytes* out) {
-  using Byte = typename Bytes::value_type;
-  for (size_t i = 0; i < sizeof(UInt); ++i) {
-    out->push_back(static_cast<Byte>(value >> (8 * i)));
-  }
-}
-
-/// Writes `value` as sizeof(UInt) little-endian bytes at `out` and returns
-/// the position after them (the raw-cursor twin of PutFixed). One store
-/// on a little-endian host, where a byte loop is not always merged.
-template <typename UInt>
-inline char* WriteFixed(UInt value, char* out) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, &value, sizeof(UInt));
-  } else {
-    for (size_t i = 0; i < sizeof(UInt); ++i) {
-      out[i] = static_cast<char>(value >> (8 * i));
-    }
-  }
-  return out + sizeof(UInt);
-}
-
 /// Reads sizeof(UInt) little-endian bytes at `data`, which the caller has
 /// checked are there.
 template <typename UInt>
@@ -148,8 +179,10 @@ class ByteWriter {
   void Byte(uint8_t byte) {
     bytes_.push_back(static_cast<typename Bytes::value_type>(byte));
   }
+  /// Byte by byte: GCC 12 reports a false -Wstringop-overflow for a range
+  /// insert into a still-empty vector once this writer is inlined.
   void Magic(const char* magic, size_t len) {
-    Append(std::string_view(magic, len));
+    for (size_t i = 0; i < len; ++i) Byte(static_cast<uint8_t>(magic[i]));
   }
   /// Appends raw bytes: a string, string_view or byte vector.
   template <typename Range>
@@ -163,8 +196,7 @@ class ByteWriter {
   /// A count, then each id as a varint.
   template <typename Int>
   void IdList(const std::vector<Int>& ids) {
-    U64(ids.size());
-    for (const Int id : ids) U64(id);
+    WriteIdList(ids, std::back_inserter(bytes_));
   }
   /// A count, then the gaps between the sorted item ids.
   template <typename Int>

@@ -174,114 +174,103 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
 
 namespace {
 
-/// The result writer runs one grammar twice: over a ByteCount to size the
-/// answer exactly, then over a raw char* cursor into a buffer of that
-/// size. Both outputs travel by value and come back from every call, so
-/// the writing pass keeps its cursor in a register.
-struct ByteCount {
-  size_t bytes = 0;
-};
+// The result writer runs one grammar twice, over a ByteCount to size the
+// answer exactly, then over a raw char* cursor into a buffer of that size.
+using codec::ByteCount;
+using codec::WriteByte;
+using codec::WriteIdList;
+using codec::WriteVarint;
 
-ByteCount Varint(uint64_t value, ByteCount out) {
-  return {out.bytes + codec::VarintLength(value)};
-}
-char* Varint(uint64_t value, char* out) {
-  return codec::WriteVarint(value, out);
-}
-ByteCount Byte(uint8_t, ByteCount out) { return {out.bytes + 1}; }
-char* Byte(uint8_t value, char* out) {
-  *out = static_cast<char>(value);
-  return out + 1;
-}
-ByteCount F64(double, ByteCount out) {
-  return {out.bytes + sizeof(uint64_t)};
-}
-char* F64(double value, char* out) {
+template <typename Out>
+Out WriteF64(double value, Out out) {
   return codec::WriteFixed(std::bit_cast<uint64_t>(value), out);
 }
 
-/// A count, then each id as a varint (ByteWriter::IdList's grammar).
-template <typename Out, typename Int>
-Out Ids(const std::vector<Int>& ids, Out out) {
-  out = Varint(ids.size(), out);
-  for (const Int id : ids) out = Varint(id, out);
-  return out;
+/// A content view's items in id order, each with its rules: the order the
+/// grammar writes them in, sorted once for both passes.
+using SortedContentView =
+    std::vector<std::pair<ItemId, const std::vector<RuleId>*>>;
+
+SortedContentView SortContentView(const ContentViewResult& view) {
+  SortedContentView items;
+  items.reserve(view.size());
+  for (const auto& [item, rules] : view) items.emplace_back(item, &rules);
+  std::sort(items.begin(), items.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return items;
 }
 
 template <typename Out>
-Out Points(const Trajectory& trajectory, Out out) {
-  out = Varint(trajectory.size(), out);
+Out WritePoints(const Trajectory& trajectory, Out out) {
+  out = WriteVarint(trajectory.size(), out);
   for (const TrajectoryPoint& point : trajectory) {
-    out = Varint(point.window, out);
-    out = Byte(point.present ? 1 : 0, out);
-    out = F64(point.support, out);
-    out = F64(point.confidence, out);
+    out = WriteVarint(point.window, out);
+    out = WriteByte(point.present ? 1 : 0, out);
+    out = WriteF64(point.support, out);
+    out = WriteF64(point.confidence, out);
   }
   return out;
 }
 
 /// The canonical result grammar, the one place it is written down.
+/// `content_view` is the kContentView answer's SortContentView.
 template <typename Out>
-Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
+Out PutResult(QueryKind kind, const QueryResult& result,
+              const SortedContentView& content_view, Out out) {
   switch (kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kMineWindows:
     case QueryKind::kContent:
-      return Ids(std::get<std::vector<RuleId>>(result), out);
+      return WriteIdList(std::get<std::vector<RuleId>>(result), out);
     case QueryKind::kTrajectory: {
       const auto& value = std::get<TrajectoryQueryResult>(result);
-      out = Ids(value.rules, out);
-      out = Varint(value.trajectories.size(), out);
-      for (const Trajectory& t : value.trajectories) out = Points(t, out);
+      out = WriteIdList(value.rules, out);
+      out = WriteVarint(value.trajectories.size(), out);
+      for (const Trajectory& t : value.trajectories) out = WritePoints(t, out);
       return out;
     }
     case QueryKind::kCompare: {
       const auto& value = std::get<RulesetDiff>(result);
-      out = Ids(value.only_first, out);
-      return Ids(value.only_second, out);
+      out = WriteIdList(value.only_first, out);
+      return WriteIdList(value.only_second, out);
     }
     case QueryKind::kRegion: {
       const auto& value = std::get<RegionInfo>(result);
-      out = F64(value.support_lower, out);
-      out = F64(value.support_upper, out);
-      out = F64(value.confidence_lower, out);
-      out = F64(value.confidence_upper, out);
-      return Varint(value.result_size, out);
+      out = WriteF64(value.support_lower, out);
+      out = WriteF64(value.support_upper, out);
+      out = WriteF64(value.confidence_lower, out);
+      out = WriteF64(value.confidence_upper, out);
+      return WriteVarint(value.result_size, out);
     }
     case QueryKind::kMeasures: {
       const auto& value = std::get<TrajectoryMeasures>(result);
-      out = F64(value.coverage, out);
-      out = F64(value.stability, out);
-      out = F64(value.support_stddev, out);
-      out = F64(value.confidence_stddev, out);
-      out = F64(value.mean_support, out);
-      return F64(value.mean_confidence, out);
+      out = WriteF64(value.coverage, out);
+      out = WriteF64(value.stability, out);
+      out = WriteF64(value.support_stddev, out);
+      out = WriteF64(value.confidence_stddev, out);
+      out = WriteF64(value.mean_support, out);
+      return WriteF64(value.mean_confidence, out);
     }
     case QueryKind::kContentView: {
-      const auto& value = std::get<ContentViewResult>(result);
-      std::vector<ItemId> items;
-      items.reserve(value.size());
-      for (const auto& [item, rules] : value) items.push_back(item);
-      std::sort(items.begin(), items.end());
-      out = Varint(items.size(), out);
-      for (const ItemId item : items) {
-        out = Varint(item, out);
-        out = Ids(value.at(item), out);
+      out = WriteVarint(content_view.size(), out);
+      for (const auto& [item, rules] : content_view) {
+        out = WriteVarint(item, out);
+        out = WriteIdList(*rules, out);
       }
       return out;
     }
     case QueryKind::kRollUpRule: {
       const auto& value = std::get<RollUpBound>(result);
-      out = F64(value.support_lo, out);
-      out = F64(value.support_hi, out);
-      out = F64(value.confidence_lo, out);
-      out = F64(value.confidence_hi, out);
-      return Varint(value.missing_windows, out);
+      out = WriteF64(value.support_lo, out);
+      out = WriteF64(value.support_hi, out);
+      out = WriteF64(value.confidence_lo, out);
+      out = WriteF64(value.confidence_hi, out);
+      return WriteVarint(value.missing_windows, out);
     }
     case QueryKind::kRollUpMine: {
       const auto& value = std::get<RolledUpRules>(result);
-      out = Ids(value.certain, out);
-      return Ids(value.possible, out);
+      out = WriteIdList(value.certain, out);
+      return WriteIdList(value.possible, out);
     }
   }
   return out;
@@ -320,10 +309,15 @@ bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
 
 std::string EncodeQueryResult(QueryKind kind, const QueryResult& result,
                               size_t prefix_bytes) {
+  const SortedContentView content_view =
+      kind == QueryKind::kContentView
+          ? SortContentView(std::get<ContentViewResult>(result))
+          : SortedContentView();
   const size_t size =
-      prefix_bytes + PutResult(kind, result, ByteCount{}).bytes;
+      prefix_bytes + PutResult(kind, result, content_view, ByteCount{}).bytes;
   std::string out(size, '\0');
-  const char* end = PutResult(kind, result, out.data() + prefix_bytes);
+  const char* end =
+      PutResult(kind, result, content_view, out.data() + prefix_bytes);
   TARA_CHECK(end == out.data() + size) << "result writer passes disagree";
   return out;
 }

@@ -118,6 +118,36 @@ TEST(ByteCodecTest, FixedWidthWordsAreLittleEndian) {
             (std::vector<uint8_t>{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}));
 }
 
+TEST(ByteCodecTest, ExactSizeWritesMatchAppends) {
+  const std::vector<uint64_t> ids(kVarintValues.begin(), kVarintValues.end());
+  const auto write = [&](auto out) {
+    for (uint64_t v : kVarintValues) out = codec::WriteVarint(v, out);
+    out = codec::WriteFixed(uint32_t{0x04030201}, out);
+    out = codec::WriteFixed(uint64_t{0x0807060504030201}, out);
+    out = codec::WriteByte(0xab, out);
+    return codec::WriteIdList(ids, out);
+  };
+  std::string appended;
+  for (uint64_t v : kVarintValues) codec::PutVarint(v, &appended);
+  codec::PutFixed(uint32_t{0x04030201}, &appended);
+  codec::PutFixed(uint64_t{0x0807060504030201}, &appended);
+  appended.push_back(static_cast<char>(0xab));
+  StringWriter id_list;
+  id_list.IdList(ids);
+  appended += id_list.bytes();
+
+  const size_t size = write(codec::ByteCount{}).bytes;
+  ASSERT_EQ(size, appended.size());
+  std::string exact(size, '\0');
+  EXPECT_EQ(write(exact.data()), exact.data() + size);
+  EXPECT_EQ(exact, appended);
+  for (uint64_t v : kVarintValues) {
+    std::string one;
+    codec::PutVarint(v, &one);
+    EXPECT_EQ(codec::VarintLength(v), one.size()) << v;
+  }
+}
+
 /// One of every primitive, in a fixed order.
 template <typename Bytes>
 Bytes WriteEveryPrimitive() {
