@@ -6,6 +6,7 @@
 // ~20% over H-Mine's itemset-only preprocessing.
 
 #include <cstdio>
+#include <memory>
 
 #include "baselines/hmine_baseline.h"
 #include "bench/bench_datasets.h"
@@ -37,6 +38,7 @@ void Run() {
     Stopwatch tara_total;
     engine.BuildAll(d.data);
     const double tara_seconds = tara_total.ElapsedSeconds();
+    const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
 
     // H-Mine baseline preprocessing, timed per window.
     HMineBaseline hmine(d.support_floor, d.max_itemset_size);
@@ -54,7 +56,8 @@ void Run() {
                 "itemsets", "rules", "archive", "eps-index", "TARA-total",
                 "HMine");
     double extra_sum = 0, itemset_sum = 0;
-    for (const auto& s : engine.build_stats()) {
+    for (WindowId w = 0; w < kb->window_count(); ++w) {
+      const WindowBuildStats& s = kb->segment(w).stats;
       extra_sum += s.rule_seconds + s.archive_seconds + s.index_seconds;
       itemset_sum += s.itemset_seconds;
       std::printf("%-8u %10.3f %10.3f %10.3f %10.3f %10.3f | %10.3f\n",
@@ -68,13 +71,14 @@ void Run() {
                 hmine_seconds > 0 ? tara_seconds / hmine_seconds : 0.0,
                 itemset_sum > 0 ? 100.0 * extra_sum / itemset_sum : 0.0);
     size_t itemsets = 0, rules = 0;
-    for (const auto& s : engine.build_stats()) {
+    for (WindowId w = 0; w < kb->window_count(); ++w) {
+      const WindowBuildStats& s = kb->segment(w).stats;
       itemsets += s.itemset_count;
       rules += s.rule_count;
     }
     std::printf("itemsets=%zu rules=%zu catalog=%zu archive_entries=%zu\n",
-                itemsets, rules, engine.catalog().size(),
-                engine.archive().entry_count());
+                itemsets, rules, kb->catalog().size(),
+                kb->archive().entry_count());
   }
 }
 

@@ -7,6 +7,7 @@
 // the uncompressed rule parameter values.
 
 #include <cstdio>
+#include <memory>
 
 #include "baselines/hmine_baseline.h"
 #include "bench/bench_datasets.h"
@@ -35,12 +36,14 @@ void Run() {
     HMineBaseline hmine(d.support_floor, d.max_itemset_size);
     hmine.Build(d.data);
 
-    const size_t tar_bytes = engine.archive().payload_bytes();
-    const size_t raw_bytes = engine.archive().entry_count() * kRawRecordBytes;
+    const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
+    const TarArchive& archive = kb->archive();
+    const size_t tar_bytes = archive.payload_bytes();
+    const size_t raw_bytes = archive.entry_count() * kRawRecordBytes;
     std::printf("%-10s | %14zu %14.1f | %14zu %14.1f | %16.1f %11.2fx\n",
                 d.name.c_str(), hmine.StoredItemsetCount(),
                 hmine.ApproximateBytes() / 1024.0,
-                engine.archive().entry_count(), tar_bytes / 1024.0,
+                archive.entry_count(), tar_bytes / 1024.0,
                 raw_bytes / 1024.0,
                 tar_bytes > 0 ? static_cast<double>(raw_bytes) / tar_bytes
                               : 0.0);

@@ -3,6 +3,7 @@
 // the per-window location/region counts, per dataset.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_datasets.h"
 #include "core/tara_engine.h"
@@ -26,15 +27,18 @@ void Run() {
     TaraEngine engine_s(options);
     engine_s.BuildAll(d.data);
 
+    const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
     size_t locations = 0, regions = 0;
-    for (const auto& stats : engine.build_stats()) {
+    for (WindowId w = 0; w < kb->window_count(); ++w) {
+      const WindowBuildStats& stats = kb->segment(w).stats;
       locations += stats.location_count;
       regions += stats.region_count;
     }
     std::printf("%-10s | %10zu %10zu %12.1f | %12.1f %14.1f\n",
                 d.name.c_str(), locations, regions,
-                engine.IndexBytes() / 1024.0, engine_s.IndexBytes() / 1024.0,
-                engine.archive().payload_bytes() / 1024.0);
+                kb->IndexBytes() / 1024.0,
+                engine_s.Snapshot()->IndexBytes() / 1024.0,
+                kb->archive().payload_bytes() / 1024.0);
   }
 }
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/bench_report.h"
-#include "core/serialization.h"
+#include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "obs/metrics.h"
@@ -52,7 +52,7 @@ RunResult BuildOnce(const EvolvingDatabase& data, uint32_t parallelism) {
   engine.BuildAll(data);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  return RunResult{elapsed.count(), KnowledgeBaseToString(engine)};
+  return RunResult{elapsed.count(), EncodeKnowledgeBase(*engine.Snapshot())};
 }
 
 int Run() {

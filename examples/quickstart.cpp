@@ -33,14 +33,15 @@ int main() {
   options.max_itemset_size = 5;
   TaraEngine engine(options);
   engine.BuildAll(data);
+  // Typed reads and queries run on a pinned snapshot — one immutable
+  // generation of the knowledge base.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
   std::printf("built knowledge base: %u windows, %zu distinct rules, "
               "%zu archived entries\n",
-              engine.window_count(), engine.catalog().size(),
-              engine.archive().entry_count());
+              kb->window_count(), kb->catalog().size(),
+              kb->archive().entry_count());
 
-  // 3. Online: mine the newest window. Typed queries run on a pinned
-  // snapshot — one immutable generation of the knowledge base.
-  const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
+  // 3. Online: mine the newest window.
   const ParameterSetting setting{0.02, 0.5};
   const WindowId newest = kb->window_count() - 1;
   // Queries return Expected<..., QueryError>; .value() asserts success,
@@ -55,9 +56,9 @@ int main() {
   const WindowSet horizon = kb->AllWindows();
   std::printf("\ntrajectories (support/confidence per window):\n");
   for (size_t i = 0; i < rules.size() && i < 3; ++i) {
-    std::printf("  %-28s", engine.catalog().FormatRule(rules[i]).c_str());
+    std::printf("  %-28s", kb->catalog().FormatRule(rules[i]).c_str());
     for (const TrajectoryPoint& p :
-         BuildTrajectory(engine.archive(), rules[i], horizon.ids())) {
+         BuildTrajectory(kb->archive(), rules[i], horizon.ids())) {
       if (p.present) {
         std::printf("  [%.3f/%.2f]", p.support, p.confidence);
       } else {

@@ -101,7 +101,7 @@ int main() {
 
   // Emerging: strong in the last week, absent in the first weeks.
   auto emergence = [&](const Scored& s) {
-    const Trajectory t = BuildTrajectory(engine.archive(), s.rule, all_weeks.ids());
+    const Trajectory t = BuildTrajectory(kb->archive(), s.rule, all_weeks.ids());
     const double early = t[0].present ? t[0].support : 0.0;
     const double late = t.back().present ? t.back().support : 0.0;
     return late - early;

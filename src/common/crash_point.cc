@@ -1,7 +1,6 @@
 #include "common/crash_point.h"
 
 #include <csignal>
-#include <cstdlib>
 
 #include <atomic>
 
@@ -26,12 +25,6 @@ void CrashPoint(const char* /*site*/) {
 
 void ArmCrashPoint(long index) {
   g_remaining.store(index, std::memory_order_relaxed);
-}
-
-void ArmCrashPointFromEnv() {
-  const char* value = std::getenv("TARA_CRASH_AT");
-  if (value == nullptr || *value == '\0') return;
-  ArmCrashPoint(std::atol(value));
 }
 
 }  // namespace tara

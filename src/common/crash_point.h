@@ -6,9 +6,8 @@
 /// The persistence path calls CrashPoint("site") between every pair of
 /// durability steps (after a write, before the fsync; after the fsync,
 /// before the rename; ...). In production builds the call is a single
-/// relaxed atomic load and branch. Tests arm the N-th crossing — via
-/// ArmCrashPoint(n) in a forked child, or the TARA_CRASH_AT environment
-/// variable for subprocess binaries — and the armed crossing terminates
+/// relaxed atomic load and branch. Tests arm the N-th crossing with
+/// ArmCrashPoint(n) in a forked child, and the armed crossing terminates
 /// the process with SIGKILL, exactly as a power failure would: no
 /// destructors, no buffered-stream flushes, no atexit handlers.
 namespace tara {
@@ -21,11 +20,6 @@ void CrashPoint(const char* site);
 /// kills the process. Call in a freshly forked child before exercising the
 /// persistence path. A negative index disarms.
 void ArmCrashPoint(long index);
-
-/// Reads TARA_CRASH_AT from the environment and arms accordingly; no-op
-/// when the variable is unset. Called by binaries that want env-driven
-/// injection (the smoke harness); unit tests use ArmCrashPoint directly.
-void ArmCrashPointFromEnv();
 
 }  // namespace tara
 

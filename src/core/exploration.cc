@@ -34,6 +34,17 @@ std::vector<RuleInsight> TakeTop(std::vector<RuleInsight> insights,
 Expected<std::vector<RuleInsight>, QueryError>
 ExplorationService::ProfileRules(const WindowSet& horizon,
                                  const ParameterSetting& setting) const {
+  const uint32_t max_period =
+      std::max<uint32_t>(2, static_cast<uint32_t>(horizon.size() / 2));
+  return Profile(horizon, setting, max_period);
+}
+
+Expected<std::vector<RuleInsight>, QueryError> ExplorationService::Profile(
+    const WindowSet& horizon, const ParameterSetting& setting,
+    uint32_t max_period) const {
+  // Snapshot() materializes every window and aborts on corrupt storage;
+  // the gate turns that into the typed error instead.
+  if (auto error = engine_->MaterializeAll()) return *std::move(error);
   // Pin one generation for the whole profile so the mined ruleset and the
   // trajectories agree even while windows are being appended.
   const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
@@ -44,8 +55,6 @@ ExplorationService::ProfileRules(const WindowSet& horizon,
   const std::vector<RuleId>& rules = *mined;
   std::vector<RuleInsight> insights;
   insights.reserve(rules.size());
-  const uint32_t max_period =
-      std::max<uint32_t>(2, static_cast<uint32_t>(horizon.size() / 2));
   // One arena for the whole profile: each rule's decode + trajectory is
   // scratch that dies at the top of the next iteration.
   DecodeArena arena;
@@ -123,18 +132,9 @@ ExplorationService::TopPeriodic(const WindowSet& horizon,
                                 const ParameterSetting& setting, size_t k,
                                 uint32_t max_period) const {
   Expected<std::vector<RuleInsight>, QueryError> profiled =
-      ProfileRules(horizon, setting);
+      Profile(horizon, setting, max_period);
   if (!profiled) return profiled.error();
   std::vector<RuleInsight> insights = std::move(profiled).value();
-  const std::shared_ptr<const KnowledgeBaseSnapshot> snapshot =
-      engine_->Snapshot();
-  DecodeArena arena;
-  for (RuleInsight& insight : insights) {
-    arena.Reset();
-    const std::span<const TrajectoryPoint> trajectory = BuildTrajectoryInto(
-        snapshot->archive(), insight.rule, horizon.ids(), arena);
-    insight.periodicity = DetectPeriodicity(trajectory, max_period);
-  }
   std::sort(insights.begin(), insights.end(),
             [](const RuleInsight& a, const RuleInsight& b) {
               if (a.periodicity.strength != b.periodicity.strength) {

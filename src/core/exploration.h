@@ -37,7 +37,8 @@ class ExplorationService {
   explicit ExplorationService(const TaraEngine* engine) : engine_(engine) {}
 
   /// Profiles every rule valid (under `setting`) in at least one window of
-  /// `horizon`.
+  /// `horizon`, looking for cycles up to half the horizon. A mapped
+  /// knowledge base that cannot materialize is kCorruptStorage.
   Expected<std::vector<RuleInsight>, QueryError> ProfileRules(
       const WindowSet& horizon, const ParameterSetting& setting) const;
 
@@ -62,6 +63,12 @@ class ExplorationService {
       uint32_t max_period) const;
 
  private:
+  /// ProfileRules with periodicity detected up to `max_period`, from one
+  /// pinned snapshot.
+  Expected<std::vector<RuleInsight>, QueryError> Profile(
+      const WindowSet& horizon, const ParameterSetting& setting,
+      uint32_t max_period) const;
+
   const TaraEngine* engine_;
 };
 

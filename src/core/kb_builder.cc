@@ -37,8 +37,14 @@ KbBuilder::KbBuilder(const Options& options)
   RegisterMetrics();
   {
     // Publish the empty generation-0 snapshot so snapshot() is never null.
+    auto empty =
+        std::shared_ptr<KnowledgeBaseSnapshot>(new KnowledgeBaseSnapshot());
+    empty->catalog_ = catalog_;
+    empty->archive_ = std::make_shared<const TarArchive>();
+    empty->rollup_tree_ = tree_builder_.Snapshot();
+    empty->options_ = options_;
     std::lock_guard<std::mutex> lock(commit_mutex_);
-    PublishSnapshotLocked(0);
+    PublishSnapshotLocked(std::move(empty));
   }
   if (!options_.wal_dir.empty()) {
     const auto attached = AttachWal(options_.wal_dir);
@@ -75,6 +81,7 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
     stats.truncated_bytes = contents->truncated_bytes;
     stats.records_scanned = contents->records.size();
     // Every record the checkpoint does not cover goes in one batch.
+    const uint32_t have = snapshot()->window_count();
     std::vector<PersistedWindow> batch;
     for (const WalRecord& record : contents->records) {
       // Order the record by its window id BEFORE parsing it: a record the
@@ -83,8 +90,7 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
       const auto window = PeekWindowSegmentWindow(record.segment_bytes.data(),
                                                  record.segment_bytes.size());
       if (!window.has_value()) return window.error();
-      const WindowId next =
-          static_cast<WindowId>(window_count() + batch.size());
+      const WindowId next = static_cast<WindowId>(have + batch.size());
       if (*window < next) {
         ++stats.records_skipped;
         continue;
@@ -125,36 +131,12 @@ std::optional<LoadError> KbBuilder::TruncateWal() {
   return wal_->Truncate();
 }
 
-void KbBuilder::LogWindowsLocked(WindowId first) {
-  if (wal_ == nullptr) return;
-  const std::shared_ptr<const KnowledgeBaseSnapshot> published = snapshot();
-  for (WindowId w = first; w < static_cast<WindowId>(segments_.size()); ++w) {
-    const auto error = wal_->Append(segments_[w]->total_transactions,
-                                    EncodeWindowSegment(*published, w));
-    // The window is already committed and visible; returning without
-    // durability would let the caller ack a window a crash can lose.
-    TARA_CHECK(!error.has_value())
-        << "write-ahead log append failed for window " << w << ": "
-        << error->message;
-  }
-}
-
-void KbBuilder::MarkDurableLocked() {
-  {
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    durable_windows_.store(static_cast<uint32_t>(segments_.size()),
-                           std::memory_order_release);
-  }
-  durable_cv_.notify_all();
-}
-
-uint32_t KbBuilder::WaitDurableWindowsAbove(
-    uint32_t floor, std::chrono::milliseconds timeout) const {
-  std::unique_lock<std::mutex> lock(durable_mutex_);
-  durable_cv_.wait_for(lock, timeout, [&] {
-    return durable_windows_.load(std::memory_order_acquire) > floor;
-  });
-  return durable_windows_.load(std::memory_order_acquire);
+uint32_t KbBuilder::WaitForWindows(uint32_t windows,
+                                  std::chrono::milliseconds timeout) const {
+  std::unique_lock<std::mutex> lock(current_mutex_);
+  published_cv_.wait_for(
+      lock, timeout, [&] { return current_->window_count() >= windows; });
+  return current_->window_count();
 }
 
 void KbBuilder::RegisterMetrics() {
@@ -178,11 +160,12 @@ void KbBuilder::RegisterMetrics() {
   metrics_.kb_swaps = registry->GetCounter("tara.kb.swaps");
 }
 
-void KbBuilder::UpdateBuildMetrics() {
+void KbBuilder::UpdateBuildMetrics(const KnowledgeBaseSnapshot& published) {
   if (options_.metrics == nullptr) return;
   double itemset = 0, rule = 0, archive = 0, index = 0;
   double regions = 0;
-  for (const WindowBuildStats& s : stats_) {
+  for (WindowId w = 0; w < published.window_count(); ++w) {
+    const WindowBuildStats& s = published.segment(w).stats;
     itemset += s.itemset_seconds;
     rule += s.rule_seconds;
     archive += s.archive_seconds;
@@ -193,26 +176,15 @@ void KbBuilder::UpdateBuildMetrics() {
   metrics_.build_rule_seconds->Set(rule);
   metrics_.build_archive_seconds->Set(archive);
   metrics_.build_index_seconds->Set(index);
-  metrics_.build_windows->Set(static_cast<double>(segments_.size()));
+  metrics_.build_windows->Set(static_cast<double>(published.window_count()));
   metrics_.build_rules->Set(static_cast<double>(catalog_->size()));
   metrics_.build_regions->Set(regions);
   metrics_.archive_payload_bytes->Set(
-      static_cast<double>(archive_.payload_bytes()));
-  metrics_.archive_entries->Set(static_cast<double>(archive_.entry_count()));
-  metrics_.index_bytes->Set(static_cast<double>(IndexBytes()));
-}
-
-const WindowSegment& KbBuilder::segment(WindowId w) const {
-  TARA_CHECK_LT(w, segments_.size()) << "bad window id";
-  return *segments_[w];
-}
-
-size_t KbBuilder::IndexBytes() const {
-  size_t bytes = 0;
-  for (const auto& segment : segments_) {
-    bytes += segment->index.ApproximateBytes();
-  }
-  return bytes;
+      static_cast<double>(published.archive().payload_bytes()));
+  metrics_.archive_entries->Set(
+      static_cast<double>(published.archive().entry_count()));
+  metrics_.index_bytes->Set(static_cast<double>(published.IndexBytes()));
+  metrics_.kb_generation->Set(static_cast<double>(published.generation()));
 }
 
 KbBuilder::MinedWindow KbBuilder::MineWindowSlice(
@@ -265,6 +237,7 @@ std::shared_ptr<WindowSegment> KbBuilder::InternMined(MinedWindow mined) {
 }
 
 std::optional<LoadError> KbBuilder::ValidatePersistedLocked(
+    const KnowledgeBaseSnapshot& current,
     const std::vector<PersistedWindow>& windows) const {
   if (windows.empty()) return std::nullopt;
   uint64_t watermark = catalog_->size();
@@ -276,7 +249,7 @@ std::optional<LoadError> KbBuilder::ValidatePersistedLocked(
   }
   // last_seen[id] == i + 1 once window i of the batch listed rule id.
   std::vector<uint32_t> last_seen(watermark, 0);
-  WindowId next = static_cast<WindowId>(segments_.size());
+  WindowId next = current.window_count();
   watermark = catalog_->size();
   for (size_t i = 0; i < windows.size(); ++i, ++next) {
     const PersistedWindow& p = windows[i];
@@ -320,7 +293,9 @@ std::optional<LoadError> KbBuilder::ValidatePersistedLocked(
 std::optional<LoadError> KbBuilder::CommitPersistedWindows(
     std::vector<PersistedWindow> windows) {
   std::lock_guard<std::mutex> lock(commit_mutex_);
-  if (auto error = ValidatePersistedLocked(windows)) return error;
+  if (auto error = ValidatePersistedLocked(*snapshot(), windows)) {
+    return error;
+  }
 
   // Intern every new rule of the batch at once: all or nothing, so a
   // rule whose contents the catalog already holds leaves it unchanged.
@@ -362,7 +337,12 @@ std::optional<LoadError> KbBuilder::CommitPersistedWindows(
 void KbBuilder::CommitLocked(
     std::vector<std::shared_ptr<WindowSegment>> pending) {
   if (pending.empty()) return;
-  const WindowId first = static_cast<WindowId>(segments_.size());
+  // The next generation is the current one plus `pending`: the current
+  // segments, shared by reference, and one copy of the current archive,
+  // appended in place before any reader can see it.
+  const std::shared_ptr<const KnowledgeBaseSnapshot> current = snapshot();
+  const WindowId first = current->window_count();
+  auto archive = std::make_shared<TarArchive>(current->archive());
 
   // Archive and roll-up tree appends, by id, strictly in window order.
   for (size_t i = 0; i < pending.size(); ++i) {
@@ -370,7 +350,7 @@ void KbBuilder::CommitLocked(
     const WindowId window = first + static_cast<WindowId>(i);
     segment.stats.window = window;
     Stopwatch timer;
-    archive_.RegisterWindow(window, segment.total_transactions,
+    archive->RegisterWindow(window, segment.total_transactions,
                             segment.floor_count,
                             options_.min_confidence_floor);
     tree_builder_.BeginWindow(
@@ -379,7 +359,7 @@ void KbBuilder::CommitLocked(
                              options_.min_confidence_floor,
                              segment.total_transactions));
     for (const WindowIndex::Entry& e : segment.entries) {
-      archive_.Add(e.rule, window, e.rule_count, e.antecedent_count);
+      archive->Add(e.rule, window, e.rule_count, e.antecedent_count);
       tree_builder_.AddEntry(e.rule, e.rule_count, e.antecedent_count);
     }
     segment.stats.archive_seconds += timer.ElapsedSeconds();
@@ -406,47 +386,55 @@ void KbBuilder::CommitLocked(
     for (const auto& segment : pending) build_index(segment.get(), pool_.get());
   }
 
-  for (auto& segment : pending) {
-    stats_.push_back(segment->stats);
-    segments_.push_back(std::move(segment));
+  // Log, then publish: every window is durable before any is visible.
+  if (wal_ != nullptr) {
+    RuleId first_rule =
+        first == 0 ? 0 : current->segment(first - 1).rule_watermark;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const WindowSegment& segment = *pending[i];
+      const WindowId window = first + static_cast<WindowId>(i);
+      const auto error = wal_->Append(
+          segment.total_transactions,
+          EncodeWindowSegment(window, first_rule, segment, *catalog_));
+      // Nothing is visible yet, but returning without durability would
+      // let the caller ack a window a crash can lose.
+      TARA_CHECK(!error.has_value())
+          << "write-ahead log append failed for window " << window << ": "
+          << error->message;
+      first_rule = segment.rule_watermark;
+    }
   }
-  PublishSnapshotLocked(static_cast<uint32_t>(pending.size()));
-  LogWindowsLocked(first);
-  MarkDurableLocked();
+
+  auto next = std::shared_ptr<KnowledgeBaseSnapshot>(
+      new KnowledgeBaseSnapshot(*current));
+  next->rule_count_ = catalog_->size();
+  next->archive_ = std::move(archive);
+  next->rollup_tree_ = tree_builder_.Snapshot();
+  next->generation_ += pending.size();
+  for (auto& segment : pending) next->segments_.push_back(std::move(segment));
+  PublishSnapshotLocked(std::move(next));
 }
 
-void KbBuilder::PublishSnapshotLocked(uint32_t windows) {
-  auto snapshot =
-      std::shared_ptr<KnowledgeBaseSnapshot>(new KnowledgeBaseSnapshot());
-  snapshot->catalog_ = catalog_;
-  snapshot->rule_count_ = catalog_->size();
-  // Readers must never observe the builder's in-place archive appends, so
-  // each generation carries its own immutable copy of the (compressed)
-  // delta streams.
-  snapshot->archive_ = std::make_shared<const TarArchive>(archive_);
-  snapshot->rollup_tree_ = tree_builder_.Snapshot();
-  snapshot->segments_ = segments_;
-  snapshot->options_ = options_;
-  generation_ += windows;
-  snapshot->generation_ = generation_;
-  std::shared_ptr<const KnowledgeBaseSnapshot> outgoing = std::move(snapshot);
+void KbBuilder::PublishSnapshotLocked(
+    std::shared_ptr<const KnowledgeBaseSnapshot> next) {
+  const KnowledgeBaseSnapshot& published = *next;
   {
     std::lock_guard<std::mutex> lock(current_mutex_);
-    current_.swap(outgoing);
+    current_.swap(next);
   }
-  // The previous generation is released here, outside the lock, so its
-  // last reference never frees a whole snapshot while readers wait.
-  outgoing.reset();
-  UpdateBuildMetrics();
-  if (options_.metrics != nullptr) {
-    metrics_.kb_generation->Set(static_cast<double>(generation_));
-    if (windows > 0) metrics_.kb_swaps->Increment();
+  published_cv_.notify_all();
+  // `next` now holds the outgoing generation (null at construction). It
+  // is released outside the lock, so its last reference never frees a
+  // whole snapshot while readers wait.
+  UpdateBuildMetrics(published);
+  if (next != nullptr && metrics_.kb_swaps != nullptr) {
+    metrics_.kb_swaps->Increment();
   }
 }
 
 WindowId KbBuilder::CommitMinedWindow(MinedWindow mined) {
   std::lock_guard<std::mutex> lock(commit_mutex_);
-  const WindowId window = window_count();
+  const WindowId window = snapshot()->window_count();
   CommitLocked({InternMined(std::move(mined))});
   return window;
 }

@@ -1,7 +1,6 @@
 #ifndef TARA_CORE_KB_BUILDER_H_
 #define TARA_CORE_KB_BUILDER_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -41,7 +40,8 @@ struct PersistedWindow {
 /// The mutable half of the knowledge base: mines arriving windows, commits
 /// them onto the current KnowledgeBaseSnapshot, and publishes each new
 /// generation with a single shared_ptr swap under a publication mutex
-/// (RCU-style).
+/// (RCU-style). The published snapshot is the only committed state: the
+/// builder keeps no working copy of the knowledge base beside it.
 ///
 /// ## Concurrency contract
 ///
@@ -56,21 +56,23 @@ struct PersistedWindow {
 ///   are committed and published.
 ///
 /// What makes the swap safe:
-/// - WindowSegments are immutable once published and shared by reference
-///   across generations (appending window N copies N-1 pointers, not the
-///   segments themselves).
+/// - Each commit builds the next generation from the current one. It
+///   shares the current WindowSegments by reference (appending window N
+///   copies N-1 pointers, not the segments), and appends to its own copy
+///   of the current archive, whose delta streams are rewritten in place
+///   — so no reader ever sees an archive change.
 /// - The RuleCatalog is shared between the builder and all snapshots: it
 ///   is append-only, internally synchronized (shared_mutex), and each
 ///   snapshot carries the rule-count watermark valid for its generation.
-/// - The TAR Archive's delta streams are rewritten in place by appends, so
-///   each published snapshot receives its own immutable copy of the
-///   (compressed) archive; the builder keeps the working archive private.
 ///
 /// Publication: every writer call publishes exactly ONE generation for
 /// all the windows it commits, and the generation number advances by
 /// the number of windows committed — so an engine's generation equals
 /// its window count however its windows were batched (`tara.kb.swaps`
-/// counts the publications).
+/// counts the publications). With a WAL attached, every window is
+/// appended and fdatasync'd to the log BEFORE the publication that makes
+/// it visible: a window a reader (or a replication stream) can see
+/// survives any crash.
 ///
 /// Determinism: catalog interning runs strictly in window order whether
 /// windows arrive via BuildAll's parallel pipeline, one at a time through
@@ -109,11 +111,11 @@ class KbBuilder {
   void BuildAll(const EvolvingDatabase& data);
 
   /// Commits persisted windows — parsed TSEG segments, in window order,
-  /// the first being window_count() — by rule id, as ONE publication:
-  /// each window's new rules are moved into the catalog and must get
-  /// exactly the ids the segment names; entries go to the archive and the
-  /// roll-up tree by id (no content lookups); the EPS slices are built
-  /// across the pool when one exists. Everything is checked before the
+  /// the first being the published window count — by rule id, as ONE
+  /// publication: each window's new rules are moved into the catalog and
+  /// must get exactly the ids the segment names; entries go to the
+  /// archive and the roll-up tree by id (no content lookups); the EPS
+  /// slices are built across the pool when one exists. Everything is checked before the
   /// catalog or the archive is touched: a wrong window or first rule id,
   /// an entry with a zero rule count or an antecedent count below it, an
   /// id past the window's watermark, one rule listed twice in a window,
@@ -153,42 +155,17 @@ class KbBuilder {
   /// advances it by the windows it commits).
   uint64_t generation() const { return snapshot()->generation(); }
 
-  /// --- Durable watermark ------------------------------------------------
-  /// Publication makes a window visible BEFORE its WAL record is
-  /// fdatasync'd (both under the commit mutex), so a plain snapshot()
-  /// can briefly expose a window a crash could still lose. Replication
-  /// must not: a follower that replayed such a window would diverge from
-  /// the recovered primary. The durable watermark trails publication by
-  /// exactly that fsync: windows below it are safe to stream. Without a
-  /// WAL every published window counts (there is no stronger durability
-  /// to wait for).
+  /// Blocks until at least `windows` windows are published or `timeout`
+  /// elapses; returns the published window count either way. A window is
+  /// logged before it is published, so every window counted is durable:
+  /// this is how a replication stream tails new windows without polling.
+  uint32_t WaitForWindows(uint32_t windows,
+                          std::chrono::milliseconds timeout) const;
 
-  /// Windows durably acked so far. Lock-free; safe from any thread.
-  uint32_t durable_window_count() const {
-    return durable_windows_.load(std::memory_order_acquire);
-  }
-
-  /// Blocks until durable_window_count() > floor or `timeout` elapses;
-  /// returns the current count either way. This is how a replication
-  /// stream tails new windows without polling.
-  uint32_t WaitDurableWindowsAbove(uint32_t floor,
-                                   std::chrono::milliseconds timeout) const;
-
-  /// --- Quiescent accessors ----------------------------------------------
-  /// Direct views of the builder's working state, for offline tooling
-  /// (benches, build-stats reports). Unlike snapshot(), these are NOT
-  /// synchronized with concurrent appends — use them only when no writer
-  /// is active, or go through snapshot().
-
+  /// The master catalog, shared with every snapshot: append-only and
+  /// internally synchronized, so safe from any thread.
   const RuleCatalog& catalog() const { return *catalog_; }
-  const TarArchive& archive() const { return archive_; }
-  const WindowSegment& segment(WindowId w) const;
-  uint32_t window_count() const {
-    return static_cast<uint32_t>(segments_.size());
-  }
-  const std::vector<WindowBuildStats>& build_stats() const { return stats_; }
   const Options& options() const { return options_; }
-  size_t IndexBytes() const;
 
  private:
   /// One window's mining output, produced off-thread by the parallel
@@ -217,43 +194,33 @@ class KbBuilder {
   /// publication); returns its id. Takes the commit mutex.
   WindowId CommitMinedWindow(MinedWindow mined);
 
-  /// Checks a persisted batch against the working state without touching
-  /// it (the CommitPersistedWindows contract). Commit mutex must be held.
+  /// Checks a persisted batch against `current` without touching
+  /// anything (the CommitPersistedWindows contract). Commit mutex must be
+  /// held.
   std::optional<LoadError> ValidatePersistedLocked(
+      const KnowledgeBaseSnapshot& current,
       const std::vector<PersistedWindow>& windows) const;
 
-  /// The commit tail every writer shares: appends each pending window
-  /// (ids already interned, in window order, starting at window_count())
-  /// to the archive and the roll-up tree, builds the EPS slices (across
-  /// the pool when there are several windows), publishes ONE generation
-  /// holding all of them, logs them to the WAL and marks them durable.
-  /// No-op for an empty batch. Commit mutex must be held.
+  /// The commit tail every writer shares. Builds the next generation from
+  /// the current one: appends each pending window (ids already interned,
+  /// in window order) to a copy of the current archive and to the roll-up
+  /// tree, builds the EPS slices (across the pool when there are several
+  /// windows), appends each window's TSEG record to the WAL (fdatasync'd),
+  /// and only then publishes ONE generation holding all of them. Aborts
+  /// if the log cannot be written — before anything is visible. No-op for
+  /// an empty batch. Commit mutex must be held.
   void CommitLocked(std::vector<std::shared_ptr<WindowSegment>> pending);
 
-  /// Appends windows [first, window_count()) to the attached WAL,
-  /// fdatasync'd, reading their bytes from the just-published snapshot.
-  /// No-op without a WAL; aborts if the log cannot be written — the
-  /// windows are already visible in memory, and returning success
-  /// without durability would break the ack contract. Commit mutex must
-  /// be held.
-  void LogWindowsLocked(WindowId first);
-
-  /// Advances the durable watermark to every committed window and wakes
-  /// waiting replication streams. Call after LogWindowsLocked (commit
-  /// mutex must be held).
-  void MarkDurableLocked();
-
-  /// Swaps in a snapshot of the current working state, advancing the
-  /// generation by `windows` (the windows this publication commits; 0
-  /// only for the initial publication). `swaps` counts publications
-  /// after the initial one. Commit mutex must be held.
-  void PublishSnapshotLocked(uint32_t windows);
+  /// Swaps in `next` as the current generation and wakes WaitForWindows.
+  /// `swaps` counts every publication but the initial one. Commit mutex
+  /// must be held.
+  void PublishSnapshotLocked(std::shared_ptr<const KnowledgeBaseSnapshot> next);
 
   /// Registers instruments in options_.metrics (no-op when null).
   void RegisterMetrics();
-  /// Refreshes the build/size gauges from stats_/archive_/segments_
-  /// (no-op when the registry is null; commit mutex must be held).
-  void UpdateBuildMetrics();
+  /// Refreshes the build/size gauges from `published` (no-op when the
+  /// registry is null; commit mutex must be held).
+  void UpdateBuildMetrics(const KnowledgeBaseSnapshot& published);
 
   /// Build-side instrument pointers, all null when Options::metrics is
   /// null (the null sink).
@@ -281,30 +248,17 @@ class KbBuilder {
   /// Master catalog, shared with every published snapshot (append-only,
   /// internally synchronized).
   std::shared_ptr<RuleCatalog> catalog_;
-  /// Working archive; every published snapshot gets an immutable copy.
-  TarArchive archive_;
   /// Mirrors the archive as hierarchical partial sums; every published
   /// snapshot gets an immutable tree (series shared copy-on-write).
   RollUpTreeBuilder tree_builder_;
-  /// All committed segments, oldest first (each immutable once pushed).
-  std::vector<std::shared_ptr<const WindowSegment>> segments_;
-  std::vector<WindowBuildStats> stats_;
-  /// Windows committed by the publications so far. A counter of its own
-  /// rather than segments_.size(), so a reader comparing a snapshot's
-  /// generation with its window count catches a torn publication.
-  uint64_t generation_ = 0;
   /// The RCU publication point: readers copy it and the writer swaps it,
-  /// both under current_mutex_.
+  /// both under current_mutex_; WaitForWindows parks on published_cv_.
   mutable std::mutex current_mutex_;
+  mutable std::condition_variable published_cv_;
   std::shared_ptr<const KnowledgeBaseSnapshot> current_;
   /// Write-ahead log; null until AttachWal succeeds. Written only under
-  /// the commit mutex, after each publication.
+  /// the commit mutex, before each publication.
   std::unique_ptr<WalWriter> wal_;
-  /// Windows whose WAL records are fdatasync'd (== window count when no
-  /// WAL is attached). Readers poll the atomic; waiters park on the cv.
-  std::atomic<uint32_t> durable_windows_{0};
-  mutable std::mutex durable_mutex_;
-  mutable std::condition_variable durable_cv_;
   BuilderMetrics metrics_;
 };
 

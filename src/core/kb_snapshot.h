@@ -246,8 +246,8 @@ class KnowledgeBaseSnapshot {
   /// rule_count() belong to this snapshot.
   const RuleCatalog& catalog() const { return *catalog_; }
 
-  /// This generation's archive. Immutable; never shared with the
-  /// builder's working archive.
+  /// This generation's archive. Immutable: the next commit appends to
+  /// its own copy.
   const TarArchive& archive() const { return *archive_; }
 
   /// This generation's hierarchical roll-up index (partial sums over the

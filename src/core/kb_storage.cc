@@ -39,30 +39,6 @@ LoadError Err(LoadError::Code code, std::string message) {
   return LoadError{code, std::move(message)};
 }
 
-std::vector<uint8_t> EncodeSegmentBytes(const KnowledgeBaseSnapshot& snapshot,
-                                        WindowId window) {
-  const WindowSegment& segment = snapshot.segment(window);
-  const RuleId first_rule =
-      window == 0 ? 0 : snapshot.segment(window - 1).rule_watermark;
-  ByteWriter w;
-  w.Magic(kSegmentMagic, kSegmentMagicLen);
-  w.U64(window);
-  w.U64(first_rule);
-  w.U64(segment.rule_watermark - first_rule);
-  for (RuleId id = first_rule; id < segment.rule_watermark; ++id) {
-    const Rule& rule = snapshot.catalog().rule(id);
-    w.Items(rule.antecedent);
-    w.Items(rule.consequent);
-  }
-  w.U64(segment.entries.size());
-  for (const WindowIndex::Entry& e : segment.entries) {
-    w.U64(e.rule);
-    w.U64(e.rule_count);
-    w.U64(e.antecedent_count - e.rule_count);  // delta, always >= 0
-  }
-  return w.bytes();
-}
-
 ManifestRow RowFor(const KnowledgeBaseSnapshot& snapshot, WindowId window,
                    const std::vector<uint8_t>& segment_bytes) {
   const WindowSegment& segment = snapshot.segment(window);
@@ -165,7 +141,7 @@ std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot) {
   std::vector<std::vector<uint8_t>> segments;
   segments.reserve(snapshot.window_count());
   for (WindowId w = 0; w < snapshot.window_count(); ++w) {
-    segments.push_back(EncodeSegmentBytes(snapshot, w));
+    segments.push_back(EncodeWindowSegment(snapshot, w));
     manifest.rows.push_back(RowFor(snapshot, w, segments.back()));
   }
   const std::vector<uint8_t> header = EncodeManifestBytes(manifest);
@@ -222,9 +198,33 @@ Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
   return engine;
 }
 
+std::vector<uint8_t> EncodeWindowSegment(WindowId window, RuleId first_rule,
+                                         const WindowSegment& segment,
+                                         const RuleCatalog& catalog) {
+  ByteWriter w;
+  w.Magic(kSegmentMagic, kSegmentMagicLen);
+  w.U64(window);
+  w.U64(first_rule);
+  w.U64(segment.rule_watermark - first_rule);
+  for (RuleId id = first_rule; id < segment.rule_watermark; ++id) {
+    const Rule& rule = catalog.rule(id);
+    w.Items(rule.antecedent);
+    w.Items(rule.consequent);
+  }
+  w.U64(segment.entries.size());
+  for (const WindowIndex::Entry& e : segment.entries) {
+    w.U64(e.rule);
+    w.U64(e.rule_count);
+    w.U64(e.antecedent_count - e.rule_count);  // delta, always >= 0
+  }
+  return w.bytes();
+}
+
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,
                                          WindowId window) {
-  return EncodeSegmentBytes(snapshot, window);
+  return EncodeWindowSegment(
+      window, window == 0 ? 0 : snapshot.segment(window - 1).rule_watermark,
+      snapshot.segment(window), snapshot.catalog());
 }
 
 Expected<WindowId, LoadError> PeekWindowSegmentWindow(const uint8_t* data,

@@ -24,8 +24,9 @@ namespace tara {
 ///   options fingerprint (kb_snapshot.h) plus one row per window (transaction
 ///   count, rule watermark, entry count, segment size and checksum) —
 ///   followed by every segment, concatenated. It is the single-file
-///   `save`/`load` format (serialization.h) and the byte-identity oracle
-///   every test compares knowledge bases with.
+///   `save`/`loadkb` format (EncodeKnowledgeBase / DecodeKnowledgeBase)
+///   and the byte-identity oracle every test compares knowledge bases
+///   with.
 ///
 /// The one on-disk directory format is TARAKB3 (kb_blocks.h); open it
 /// with OpenKnowledgeBase (kb_open.h).
@@ -41,14 +42,22 @@ namespace tara {
 /// parallelism or whether windows arrived via BuildAll or live appends.
 std::string EncodeKnowledgeBase(const KnowledgeBaseSnapshot& snapshot);
 
-/// Parses bytes produced by EncodeKnowledgeBase (or the stream helpers in
-/// serialization.h), committing every window in one batch
-/// (CommitPersistedWindows). `metrics` becomes the loaded engine's
-/// Options::metrics — runtime knobs are not serialized state.
+/// Parses bytes produced by EncodeKnowledgeBase, committing every window
+/// in one batch (CommitPersistedWindows). The bytes are untrusted input:
+/// wrong magic, truncation or corruption is a LoadError, never an abort.
+/// `metrics` becomes the loaded engine's Options::metrics — runtime knobs
+/// are not serialized state.
 Expected<TaraEngine, LoadError> DecodeKnowledgeBase(
     std::string_view bytes, obs::MetricsRegistry* metrics = nullptr);
 
 /// --- Window-segment codec -------------------------------------------------
+
+/// The one segment encoder: window `window`, whose rules first interned
+/// hold ids [first_rule, segment.rule_watermark) in `catalog`. The
+/// builder logs a pending window with it before the window is published.
+std::vector<uint8_t> EncodeWindowSegment(WindowId window, RuleId first_rule,
+                                         const WindowSegment& segment,
+                                         const RuleCatalog& catalog);
 
 /// Encodes window `window` of `snapshot` as its segment blob.
 std::vector<uint8_t> EncodeWindowSegment(const KnowledgeBaseSnapshot& snapshot,

@@ -126,25 +126,6 @@ void WindowIndex::CollectRules(double min_support, double min_confidence,
   }
 }
 
-size_t WindowIndex::CollectRulesInto(double min_support,
-                                     double min_confidence,
-                                     std::span<RuleId> out) const {
-  const uint64_t min_count =
-      MinCountForSupport(min_support, total_transactions_);
-  size_t written = 0;
-  for (const Bucket& bucket : buckets_) {
-    if (bucket.rule_count < min_count) break;  // buckets descend
-    for (const Location& loc : bucket.locations) {
-      if (loc.confidence + 1e-12 < min_confidence) break;  // conf descends
-      for (RuleId rule : loc.rules) {
-        if (written == out.size()) return written;
-        out[written++] = rule;
-      }
-    }
-  }
-  return written;
-}
-
 size_t WindowIndex::CountRules(double min_support,
                                double min_confidence) const {
   const uint64_t min_count =

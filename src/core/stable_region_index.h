@@ -65,13 +65,6 @@ class WindowIndex {
   void CollectRules(double min_support, double min_confidence,
                     std::vector<RuleId>* out) const;
 
-  /// Allocation-free variant: writes into `out` (size it with CountRules
-  /// or an arena span) and returns how many rules were written. Stops at
-  /// capacity, so a correctly sized span gets exactly the CollectRules
-  /// answer in the same order.
-  size_t CollectRulesInto(double min_support, double min_confidence,
-                          std::span<RuleId> out) const;
-
   /// Number of rules valid under the setting without materializing them.
   size_t CountRules(double min_support, double min_confidence) const;
 

@@ -2,6 +2,7 @@
 #define TARA_CORE_TARA_ENGINE_H_
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -18,8 +19,6 @@
 #include "core/query_kind.h"
 #include "core/query_request.h"
 #include "core/rule_catalog.h"
-#include "core/stable_region_index.h"
-#include "core/tar_archive.h"
 #include "core/wire_format.h"
 #include "obs/metrics.h"
 #include "obs/query_span.h"
@@ -98,15 +97,14 @@ class MappedKb;
 ///   visible to the *next* call. This is enforced by the live-ingestion
 ///   stress test (tests/test_live_ingestion.cc) run under
 ///   ThreadSanitizer.
-/// - **Accessors** (catalog(), archive(), window_index(),
-///   window_entries(), build_stats()): quiescent views of the builder's
-///   working state for offline tooling. They are NOT synchronized with a
-///   concurrent writer — under live ingestion, obtain a Snapshot() and
-///   use its equivalents instead.
+/// - **Reading the knowledge base** (archive, segments, build stats,
+///   index sizes): pin Snapshot() in a local and read from it. The
+///   published snapshot is the only committed state; the engine keeps no
+///   second copy to read behind a writer's back. catalog() needs no pin:
+///   the catalog is shared, append-only and internally synchronized.
 class TaraEngine {
  public:
   using Options = KbOptions;
-  using WindowBuildStats = tara::WindowBuildStats;
   using PrecomputedRule = tara::PrecomputedRule;
 
   explicit TaraEngine(const Options& options);
@@ -146,12 +144,12 @@ class TaraEngine {
       std::vector<PersistedWindow> windows);
 
   /// --- Durability (write-ahead log) ---------------------------------------
-  /// With a WAL attached, Append*/BuildAll return only after the new
-  /// window's record is fdatasync'd to the log, so an ack sent after an
-  /// append survives any crash: recovery (OpenKnowledgeBase with
-  /// OpenOptions::wal_dir in kb_open.h, or AttachWal over a loaded
-  /// engine) replays the log tail and reproduces the acked state
-  /// byte-for-byte.
+  /// With a WAL attached, each committed window's record is appended and
+  /// fdatasync'd to the log before the window is published, so a window
+  /// any reader (a query, an ack, a replication stream) can see survives
+  /// any crash: recovery (OpenKnowledgeBase with OpenOptions::wal_dir in
+  /// kb_open.h, or AttachWal over a loaded engine) replays the log tail
+  /// and reproduces that state byte-for-byte.
 
   /// Attaches (creating if absent) the write-ahead log in `dir`,
   /// replaying any records it holds into this engine first. Call once,
@@ -169,22 +167,14 @@ class TaraEngine {
   /// True once a WAL is attached (Options::wal_dir or AttachWal).
   bool wal_attached() const { return builder_->wal_attached(); }
 
-  /// Windows durably acked (WAL record fdatasync'd; every published
-  /// window when no WAL is attached). Publication runs ahead of the
-  /// fsync, so this can briefly trail window_count() — replication
-  /// streams only below this watermark, because a window above it could
-  /// still be lost to a crash and a follower that replayed it would
-  /// diverge from the recovered primary.
-  uint32_t durable_window_count() const {
-    return builder_->durable_window_count();
-  }
-
-  /// Blocks until durable_window_count() > floor or `timeout` elapses;
-  /// returns the current count either way (how replication streams tail
-  /// new windows without polling).
-  uint32_t WaitDurableWindowsAbove(uint32_t floor,
-                                   std::chrono::milliseconds timeout) const {
-    return builder_->WaitDurableWindowsAbove(floor, timeout);
+  /// Blocks until at least `windows` windows are published or `timeout`
+  /// elapses; returns the published window count either way. Every
+  /// published window is already durable, so this is how a replication
+  /// stream tails new windows without polling (the same name and meaning
+  /// as ReplicaEngine::WaitForWindows).
+  uint32_t WaitForWindows(uint32_t windows,
+                          std::chrono::milliseconds timeout) const {
+    return builder_->WaitForWindows(windows, timeout);
   }
 
   /// Pins and returns the current knowledge-base generation: an immutable
@@ -292,39 +282,14 @@ class TaraEngine {
   /// (hit rate, bytes); never needed for correctness.
   const QueryCache* query_cache() const { return cache_.get(); }
 
-  /// --- Quiescent accessors ------------------------------------------------
-  /// Views of the builder's working state. NOT synchronized with a
-  /// concurrent writer; under live ingestion use Snapshot() instead. On
-  /// a mapped engine these materialize every remaining window first
-  /// (they expose the full working state).
-
+  /// The rule catalog, whole: on a mapped engine this materializes every
+  /// remaining window first. Shared, append-only and internally
+  /// synchronized, so safe from any thread without a pin.
   const RuleCatalog& catalog() const {
     EnsureAllOrDie();
     return builder_->catalog();
   }
-  const TarArchive& archive() const {
-    EnsureAllOrDie();
-    return builder_->archive();
-  }
-  const WindowIndex& window_index(WindowId w) const {
-    EnsureAllOrDie();
-    return builder_->segment(w).index;
-  }
-  /// The build inputs of a window (used by roll-up and serialization).
-  const std::vector<WindowIndex::Entry>& window_entries(WindowId w) const {
-    EnsureAllOrDie();
-    return builder_->segment(w).entries;
-  }
-  const std::vector<WindowBuildStats>& build_stats() const {
-    return builder_->build_stats();
-  }
   const Options& options() const { return builder_->options(); }
-
-  /// Approximate bytes of all EPS window indexes (Figure 12 bookkeeping).
-  size_t IndexBytes() const {
-    EnsureAllOrDie();
-    return builder_->IndexBytes();
-  }
 
  private:
   /// Query-side instrument pointers, all null when Options::metrics is
@@ -393,7 +358,7 @@ class TaraEngine {
   /// decides which window prefix each query kind needs.
   std::optional<QueryError> EnsureForRequest(const QueryRequest& request) const;
   /// MaterializeAll for callers with no error channel (Snapshot, appends,
-  /// quiescent accessors); aborts on corrupt storage.
+  /// catalog()); aborts on corrupt storage.
   void EnsureAllOrDie() const;
   /// The mutex-held worker: hash-checks and parses windows
   /// [materialized, need) against the manifest (fanned across the query

@@ -586,7 +586,7 @@ Expected<ReplicaCheckpoint, ParseError> DecodeReplicaCheckpointPayload(
   }
   uint64_t windows = 0;
   if (!in.U64(&windows) || windows > UINT32_MAX) {
-    return Truncated("the durable window count");
+    return Truncated("the window count");
   }
   if (!in.U64(&checkpoint.generation)) return Truncated("the generation");
   if (!in.AtEnd()) return Trailing(in.remaining());

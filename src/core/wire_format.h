@@ -102,7 +102,7 @@ enum class FrameType : uint8_t {
   /// Server -> client: varint window count + varint generation +
   /// varint interned rule count.
   kInfoResponse = 13,
-  /// Replica -> primary: subscribe to the durably-acked window stream.
+  /// Replica -> primary: subscribe to the published window stream.
   /// Payload: varint first window wanted (the replica's window count).
   /// The connection then leaves request-response lockstep: the primary
   /// answers with one kReplicaCheckpoint and pushes kReplicaRecord /
@@ -111,17 +111,18 @@ enum class FrameType : uint8_t {
   /// Primary -> replica: the stream handshake. Payload: the primary's
   /// construction-option fingerprint (f64 support floor + f64 confidence
   /// floor + varint itemset cap + content-index byte — the same fields
-  /// the TARAWAL1 header freezes) + varint durable window count + varint
-  /// generation. A replica must refuse to replay a stream mined at other
+  /// the TARAWAL1 header freezes) + varint published window count +
+  /// varint generation. A replica must refuse to replay a stream mined at other
   /// floors, exactly as AttachWal refuses a foreign log.
   kReplicaCheckpoint = 15,
-  /// Primary -> replica: one durably-acked window. Payload: varint
+  /// Primary -> replica: one published window. Payload: varint
   /// window id + varint total transactions + varint primary generation +
   /// the window's TSEG segment blob (rest of payload) — byte-for-byte
   /// what the write-ahead log record for that window carries.
   kReplicaRecord = 16,
   /// Primary -> replica: liveness + lag probe sent when the stream is
-  /// caught up. Payload: varint durable window count + varint generation.
+  /// caught up. Payload: varint published window count + varint
+  /// generation.
   kReplicaHeartbeat = 17,
 };
 
@@ -354,7 +355,7 @@ Expected<ReplicaSubscribe, ParseError> DecodeReplicaSubscribePayload(
     std::string_view payload);
 
 /// The stream handshake: the primary's construction-option fingerprint
-/// plus its durable position. The option fields mirror what the
+/// plus its published position. The option fields mirror what the
 /// TARAWAL1 header freezes — a stream, like a log, must only be replayed
 /// into an engine built with the same floors.
 struct ReplicaCheckpoint {
@@ -362,8 +363,9 @@ struct ReplicaCheckpoint {
   double min_confidence_floor = 0;
   uint32_t max_itemset_size = 0;
   bool build_content_index = false;
-  /// Windows whose WAL records the primary has fdatasync'd — the stream
-  /// never runs past this watermark.
+  /// Windows the primary has published. A primary logs (and
+  /// fdatasyncs) each window before publishing it, so every one of them
+  /// is durable.
   uint32_t window_count = 0;
   uint64_t generation = 0;
 };
@@ -392,8 +394,8 @@ std::string EncodeReplicaRecordFrame(WindowId window,
 Expected<ReplicaRecord, ParseError> DecodeReplicaRecordPayload(
     std::string_view payload);
 
-/// The caught-up probe: how far the primary's durable watermark has
-/// advanced. lag = heartbeat.window_count - replica's window count.
+/// The caught-up probe: how many windows the primary has published.
+/// lag = heartbeat.window_count - replica's window count.
 struct ReplicaHeartbeat {
   uint32_t window_count = 0;
   uint64_t generation = 0;

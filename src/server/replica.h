@@ -70,14 +70,15 @@ struct ReplicaOptions {
 /// resubscribing from the engine's own window count. Windows already
 /// applied are never reapplied (the subscribe position advances), so a
 /// mid-stream primary restart or replica kill resumes exactly at the
-/// last durably-acked window. A primary whose floors mismatch the local
-/// checkpoint is a permanent error: the tail loop parks in backoff and
-/// reports the message through Status().
+/// last window the primary published (every published window is
+/// durable). A primary whose floors mismatch the local checkpoint is a
+/// permanent error: the tail loop parks in backoff and reports the
+/// message through Status().
 ///
 /// ## Metrics (with ReplicaOptions::metrics set)
 ///
 ///   tara.replica.generation       engine generation (gauge)
-///   tara.replica.lag_windows      primary durable windows - local (gauge)
+///   tara.replica.lag_windows      primary published windows - local (gauge)
 ///   tara.replica.reconnects      resubscriptions after the first (counter)
 ///   tara.replica.records_applied windows replayed off the stream (counter)
 class ReplicaEngine {
@@ -87,8 +88,9 @@ class ReplicaEngine {
     bool connected = false;
     uint32_t window_count = 0;
     uint64_t generation = 0;
-    /// The primary's durable window count per the latest checkpoint/
-    /// heartbeat/record seen (0 until the first handshake).
+    /// The primary's published window count per the latest checkpoint/
+    /// heartbeat/record seen (0 until the first handshake). The primary
+    /// publishes a window only once it is durable.
     uint32_t primary_windows = 0;
     uint32_t lag_windows = 0;
     uint64_t records_applied = 0;

@@ -381,34 +381,38 @@ bool TaraServer::HandleReplicaSubscribe(Connection* connection,
   if (auto error = engine_->MaterializeAll()) {
     return Reply(connection, EncodeErrorFrame(*error));
   }
+  // Publication is the replication contract: a window is logged and
+  // fdatasync'd before it is published, so every published window is
+  // durable and safe to stream.
   uint32_t next = subscribe->from_window;
-  if (next > engine_->durable_window_count()) {
-    // A follower ahead of this primary holds windows we never durably
-    // acked — it is replicating the wrong knowledge base (or the wrong
-    // incarnation of it). Refuse rather than stream a diverging tail.
-    std::string message = "subscription starts at window ";
-    message += std::to_string(next);
-    message += " but the primary has ";
-    message += std::to_string(engine_->durable_window_count());
-    message += " durable windows";
-    return Reply(connection, EncodeErrorFrame(ServerWireError::kBadRequest,
-                                              std::move(message)));
-  }
-  if (metrics_.replica_streams != nullptr) {
-    metrics_.replica_streams->Increment();
-  }
   {
-    // Handshake: announce this engine's option fingerprint and durable
-    // position so the follower can refuse a stream mined at other floors
-    // (the same compatibility gate AttachWal applies to a foreign log).
     const auto snapshot = engine_->Snapshot();
+    if (next > snapshot->window_count()) {
+      // A follower ahead of this primary holds windows we never
+      // published — it is replicating the wrong knowledge base (or the
+      // wrong incarnation of it). Refuse rather than stream a diverging
+      // tail.
+      std::string message = "subscription starts at window ";
+      message += std::to_string(next);
+      message += " but the primary has ";
+      message += std::to_string(snapshot->window_count());
+      message += " durable windows";
+      return Reply(connection, EncodeErrorFrame(ServerWireError::kBadRequest,
+                                                std::move(message)));
+    }
+    if (metrics_.replica_streams != nullptr) {
+      metrics_.replica_streams->Increment();
+    }
+    // Handshake: announce this engine's option fingerprint and position
+    // so the follower can refuse a stream mined at other floors (the same
+    // compatibility gate AttachWal applies to a foreign log).
     const KbOptions& engine_options = snapshot->options();
     ReplicaCheckpoint checkpoint;
     checkpoint.min_support_floor = engine_options.min_support_floor;
     checkpoint.min_confidence_floor = engine_options.min_confidence_floor;
     checkpoint.max_itemset_size = engine_options.max_itemset_size;
     checkpoint.build_content_index = engine_options.build_content_index;
-    checkpoint.window_count = engine_->durable_window_count();
+    checkpoint.window_count = snapshot->window_count();
     checkpoint.generation = snapshot->generation();
     if (!Reply(connection, EncodeReplicaCheckpointFrame(checkpoint))) {
       return false;
@@ -417,25 +421,20 @@ bool TaraServer::HandleReplicaSubscribe(Connection* connection,
   const auto heartbeat_wait =
       std::chrono::milliseconds(options_.replication_heartbeat_ms);
   while (!stopping_.load(std::memory_order_relaxed)) {
-    uint32_t durable = engine_->durable_window_count();
-    if (durable <= next) {
-      durable = engine_->WaitDurableWindowsAbove(next, heartbeat_wait);
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (durable <= next) {
-        // Still caught up: heartbeat, which doubles as peer-liveness
-        // detection (a vanished follower fails the write).
-        if (!Reply(connection, EncodeReplicaHeartbeatFrame(
-                                   durable, engine_->generation()))) {
-          return false;
-        }
-        continue;
+    const uint32_t published =
+        engine_->WaitForWindows(next + 1, heartbeat_wait);
+    if (stopping_.load(std::memory_order_relaxed)) break;
+    if (published <= next) {
+      // Still caught up: heartbeat, which doubles as peer-liveness
+      // detection (a vanished follower fails the write).
+      if (!Reply(connection, EncodeReplicaHeartbeatFrame(
+                                 published, engine_->generation()))) {
+        return false;
       }
+      continue;
     }
-    // The snapshot is published before the WAL fsync advances the
-    // watermark, so any snapshot taken now holds every durable window.
     const auto snapshot = engine_->Snapshot();
-    const uint32_t limit = std::min(durable, snapshot->window_count());
-    for (; next < limit; ++next) {
+    for (; next < snapshot->window_count(); ++next) {
       const std::vector<uint8_t> segment = EncodeWindowSegment(*snapshot, next);
       const std::string frame = EncodeReplicaRecordFrame(
           next, snapshot->segment(next).total_transactions,

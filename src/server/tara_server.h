@@ -46,8 +46,8 @@ struct ServerOptions {
   /// (chained) replication subscriptions all keep working.
   bool read_only = false;
   /// Cadence of kReplicaHeartbeat frames on a caught-up replication
-  /// stream. Also bounds how long a stream thread can sit in the
-  /// durable-watermark wait before noticing Stop().
+  /// stream. Also bounds how long a stream thread can sit waiting for
+  /// the next published window before noticing Stop().
   uint32_t replication_heartbeat_ms = 250;
   /// Test seam: runs on the worker after admission, immediately before
   /// engine execution. Lets tests hold the pool occupied deterministically

@@ -117,9 +117,10 @@ TEST_P(EnginePropertyTest, ArchivedCountsMatchRawScans) {
   TaraEngine engine(options);
   engine.BuildAll(w.data);
 
+  const auto kb = engine.Snapshot();
   for (WindowId window = 0; window < w.data.window_count(); ++window) {
     const WindowInfo& info = w.data.window(window);
-    for (const WindowIndex::Entry& e : engine.window_entries(window)) {
+    for (const WindowIndex::Entry& e : kb->window_entries(window)) {
       const Rule& rule = engine.catalog().rule(e.rule);
       const Itemset whole = Union(rule.antecedent, rule.consequent);
       EXPECT_EQ(e.rule_count, w.data.database().CountContaining(
@@ -127,7 +128,7 @@ TEST_P(EnginePropertyTest, ArchivedCountsMatchRawScans) {
       EXPECT_EQ(e.antecedent_count,
                 w.data.database().CountContaining(rule.antecedent,
                                                   info.begin, info.end));
-      const auto archived = engine.archive().EntryFor(e.rule, window);
+      const auto archived = kb->archive().EntryFor(e.rule, window);
       ASSERT_TRUE(archived.has_value());
       EXPECT_EQ(archived->rule_count, e.rule_count);
       EXPECT_EQ(archived->antecedent_count, e.antecedent_count);

@@ -1,6 +1,14 @@
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/exploration.h"
+#include "core/kb_blocks.h"
+#include "core/kb_open.h"
 #include "core/tara_engine.h"
 
 namespace tara {
@@ -128,6 +136,46 @@ TEST_F(ExplorationFixture, SettingFiltersProfiles) {
   EXPECT_EQ(all.size(), 2u);
   ASSERT_EQ(strong.size(), 1u);
   EXPECT_EQ(strong[0].rule, IdOf(0));
+}
+
+TEST_F(ExplorationFixture, CorruptMappedStorageIsATypedError) {
+  Build({
+      {50, 50, 50, 50, 50, 50},
+      {50, 80, 20, 90, 10, 60},
+  });
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("exploration_corrupt_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ASSERT_FALSE(
+      SaveKnowledgeBaseBlocks(*engine_.Snapshot(), dir.string()).has_value());
+  // Flip one payload byte in the last window's segment.
+  const auto manifest = ReadKnowledgeBaseBlocksManifest(dir.string());
+  ASSERT_TRUE(manifest.has_value()) << manifest.error();
+  const KbBlockInfo& block = manifest->blocks.back();
+  const KbBlockRow& row = block.rows.back();
+  {
+    std::fstream file(dir / KnowledgeBaseBlockFileName(block.file_index),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    const std::streamoff at =
+        static_cast<std::streamoff>(row.offset + row.segment_bytes / 2);
+    file.seekg(at);
+    const int byte = file.get();
+    file.seekp(at);
+    file.put(static_cast<char>(byte ^ 0x5a));
+    ASSERT_TRUE(file.good());
+  }
+
+  OpenOptions options;
+  options.kb_dir = dir.string();
+  options.mode = OpenMode::kMapped;
+  const auto mapped = OpenKnowledgeBase(options);
+  ASSERT_TRUE(mapped.has_value()) << mapped.error();
+  const auto top =
+      ExplorationService(&mapped.value()).TopStable(horizon_, setting_, 3);
+  ASSERT_FALSE(top.has_value());
+  EXPECT_EQ(top.error().code, QueryError::Code::kCorruptStorage);
+  fs::remove_all(dir);
 }
 
 }  // namespace

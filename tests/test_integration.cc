@@ -10,7 +10,7 @@
 
 #include "baselines/dctar.h"
 #include "core/exploration.h"
-#include "core/serialization.h"
+#include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "datagen/faers_generator.h"
@@ -42,7 +42,7 @@ TEST(IntegrationTest, RetailPipelineEndToEnd) {
   engine.BuildAll(data);
 
   const TaraEngine reloaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(engine)).value();
+      DecodeKnowledgeBase(EncodeKnowledgeBase(*engine.Snapshot())).value();
   const DctarBaseline scratch(&data, 4);
 
   const ParameterSetting setting{0.006, 0.3};
@@ -91,6 +91,7 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
   TaraEngine coarse_engine(options);
   coarse_engine.BuildAll(coarse);
   const auto fine_kb = fine_engine.Snapshot();
+  const auto coarse_kb = coarse_engine.Snapshot();
 
   const ParameterSetting setting{0.01, 0.3};
   const auto coarse_rules =
@@ -102,11 +103,10 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
     if (fine_id == RuleCatalog::kNotFound) continue;
     // Only exact when archived in all three fine windows.
     DecodeArena arena;
-    if (fine_engine.archive().DecodeInto(fine_id, arena).size() != 3) continue;
+    if (fine_kb->archive().DecodeInto(fine_id, arena).size() != 3) continue;
     const RollUpBound bound =
         fine_kb->RollUpRule(fine_id, fine_kb->AllWindows()).value();
-    const auto coarse_entry =
-        coarse_engine.archive().EntryFor(coarse_id, 0);
+    const auto coarse_entry = coarse_kb->archive().EntryFor(coarse_id, 0);
     ASSERT_TRUE(coarse_entry.has_value());
     const double coarse_support =
         static_cast<double>(coarse_entry->rule_count) / batch.size();
@@ -181,7 +181,8 @@ TEST(IntegrationTest, TextRoundTripFeedsTheEngine) {
   const ParameterSetting setting{0.02, 0.3};
   EXPECT_EQ(a.Snapshot()->MineWindow(0, setting).value().size(),
             b.Snapshot()->MineWindow(0, setting).value().size());
-  EXPECT_EQ(a.archive().payload_bytes(), b.archive().payload_bytes());
+  EXPECT_EQ(a.Snapshot()->archive().payload_bytes(),
+            b.Snapshot()->archive().payload_bytes());
 }
 
 TEST(IntegrationTest, MarasAndTaraAgreeOnAssociationCounts) {
@@ -209,13 +210,14 @@ TEST(IntegrationTest, MarasAndTaraAgreeOnAssociationCounts) {
   TaraEngine engine(tara_options);
   engine.AppendWindow(reports, 0, reports.size());
 
+  const auto kb = engine.Snapshot();
   size_t compared = 0;
   for (const MdarSignal& signal : maras.signals()) {
     if (signal.assoc.drugs.size() + signal.assoc.adrs.size() > 4) continue;
     const RuleId id =
         engine.catalog().Find(Rule{signal.assoc.drugs, signal.assoc.adrs});
     if (id == RuleCatalog::kNotFound) continue;
-    const auto entry = engine.archive().EntryFor(id, 0);
+    const auto entry = kb->archive().EntryFor(id, 0);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->rule_count, signal.count);
     EXPECT_EQ(entry->antecedent_count,

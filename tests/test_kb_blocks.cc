@@ -31,7 +31,6 @@
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/query_request.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "obs/metrics.h"
@@ -126,7 +125,8 @@ TEST_F(KbBlocksTest, RoundTripsThroughBothOpenModes) {
     // Once every window is materialized the loaded engine streams to the
     // exact bytes of the source engine — blocks hold the same segment
     // blobs the stream form does.
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
+    EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+              EncodeKnowledgeBase(*original.Snapshot()));
   }
 }
 
@@ -202,8 +202,8 @@ TEST_F(KbBlocksTest, AppendPacksOnlyNewWindowsIntoFreshBlocks) {
 
   const auto loaded = Open(dir_.string(), OpenMode::kMapped);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(KnowledgeBaseToString(*loaded),
-            KnowledgeBaseToString(BuildEngine(data)));
+  EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+            EncodeKnowledgeBase(*BuildEngine(data).Snapshot()));
 }
 
 TEST_F(KbBlocksTest, AppendIntoEmptyDirectoryDoesAFullSave) {
@@ -214,7 +214,8 @@ TEST_F(KbBlocksTest, AppendIntoEmptyDirectoryDoesAFullSave) {
   const auto loaded = Open(dir_.string(), OpenMode::kEager);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_EQ(loaded->window_count(), 2u);
-  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(engine));
+  EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+            EncodeKnowledgeBase(*engine.Snapshot()));
 }
 
 TEST_F(KbBlocksTest, AppendRefusesAMismatchedDirectory) {
@@ -257,7 +258,8 @@ TEST_F(KbBlocksTest, AppendRefusesAMismatchedDirectory) {
   // Every refusal left the directory as it was.
   const auto loaded = Open(dir_.string(), OpenMode::kEager);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(first));
+  EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+            EncodeKnowledgeBase(*first.Snapshot()));
 }
 
 TEST_F(KbBlocksTest, CleanSavesLeaveNoTempFiles) {
@@ -341,7 +343,8 @@ TEST_F(KbBlocksTest, OpenRefusesMissingAndRetiredDirectories) {
   const auto recovered = OpenKnowledgeBase(options);
   ASSERT_TRUE(recovered.has_value()) << recovered.error();
   EXPECT_TRUE(recovered->wal_attached());
-  EXPECT_EQ(KnowledgeBaseToString(*recovered), KnowledgeBaseToString(engine));
+  EXPECT_EQ(EncodeKnowledgeBase(*recovered->Snapshot()),
+            EncodeKnowledgeBase(*engine.Snapshot()));
 }
 
 // One gate serves every kind: a mapped open decodes nothing, and one
@@ -457,12 +460,12 @@ TEST_F(KbBlocksTest, EveryCommitStepPublishesOnce) {
     EXPECT_EQ(swaps(registry), 1u) << "parallelism " << parallelism;
     EXPECT_EQ(engine.generation(), 6u) << "parallelism " << parallelism;
     if (reference.empty()) {
-      reference = KnowledgeBaseToString(engine);
+      reference = EncodeKnowledgeBase(*engine.Snapshot());
       ASSERT_FALSE(
           SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
               .has_value());
     }
-    EXPECT_EQ(KnowledgeBaseToString(engine), reference)
+    EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()), reference)
         << "parallelism " << parallelism;
   }
 
@@ -476,7 +479,7 @@ TEST_F(KbBlocksTest, EveryCommitStepPublishesOnce) {
     ASSERT_TRUE(eager.has_value()) << eager.error();
     EXPECT_EQ(swaps(registry), 1u);
     EXPECT_EQ(eager->generation(), 6u);
-    EXPECT_EQ(KnowledgeBaseToString(eager.value()), reference);
+    EXPECT_EQ(EncodeKnowledgeBase(*eager.value().Snapshot()), reference);
   }
 
   // A mapped open: one publication per materializing step, none for a
@@ -504,7 +507,7 @@ TEST_F(KbBlocksTest, EveryCommitStepPublishesOnce) {
       EXPECT_EQ(mapped->generation(), step.materialized);
       EXPECT_EQ(swaps(registry), step.swaps) << "window " << step.window;
     }
-    EXPECT_EQ(KnowledgeBaseToString(mapped.value()), reference);
+    EXPECT_EQ(EncodeKnowledgeBase(*mapped.value().Snapshot()), reference);
     EXPECT_EQ(swaps(registry), 3u);
   }
 
@@ -538,7 +541,7 @@ TEST_F(KbBlocksTest, EveryCommitStepPublishesOnce) {
   EXPECT_EQ(replayed.records_replayed, 4u);
   EXPECT_EQ(swaps(registry), 2u);
   EXPECT_EQ(recovered->generation(), 6u);
-  EXPECT_EQ(KnowledgeBaseToString(recovered.value()), reference);
+  EXPECT_EQ(EncodeKnowledgeBase(*recovered.value().Snapshot()), reference);
 }
 
 TEST_F(KbBlocksTest, FirstWindowWithRuleFollowsTheWatermarks) {
@@ -693,8 +696,8 @@ TEST_F(KbBlocksTest, MappedAnswersAreByteIdenticalToEager) {
         << "step " << step;
   }
   EXPECT_EQ(appended, data.window_count());
-  EXPECT_EQ(KnowledgeBaseToString(eager_engine),
-            KnowledgeBaseToString(mapped_engine));
+  EXPECT_EQ(EncodeKnowledgeBase(*eager_engine.Snapshot()),
+            EncodeKnowledgeBase(*mapped_engine.Snapshot()));
 }
 
 // TSan target: racing queries must materialize each window exactly once
@@ -737,7 +740,8 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   ASSERT_TRUE(engine.fully_materialized());
-  EXPECT_EQ(KnowledgeBaseToString(engine), KnowledgeBaseToString(original));
+  EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
+            EncodeKnowledgeBase(*original.Snapshot()));
 }
 
 TEST_F(KbBlocksTest, VerifyHashesCatchesEveryInjectedBlockCorruption) {
@@ -915,7 +919,8 @@ TEST_F(KbBlocksTest, RepartitionTrimAndRemoveRoundTrip) {
   {
     const auto loaded = Open(dir_.string(), OpenMode::kMapped);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(original));
+    EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+              EncodeKnowledgeBase(*original.Snapshot()));
   }
 
   // Rebalance into one big block: fresh file indices, same bytes.
@@ -936,7 +941,8 @@ TEST_F(KbBlocksTest, RepartitionTrimAndRemoveRoundTrip) {
       const WindowInfo& info = data.window(w);
       prefix.AppendWindow(data.database(), info.begin, info.end);
     }
-    EXPECT_EQ(KnowledgeBaseToString(*loaded), KnowledgeBaseToString(prefix));
+    EXPECT_EQ(EncodeKnowledgeBase(*loaded->Snapshot()),
+              EncodeKnowledgeBase(*prefix.Snapshot()));
   }
   // Over-trim is a typed refusal.
   EXPECT_TRUE(TrimKnowledgeBase(dir_.string(), 7).has_value());
@@ -974,7 +980,7 @@ TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
       const WindowInfo& info = data.window(w);
       engine.AppendWindow(data.database(), info.begin, info.end);
     }
-    reference = KnowledgeBaseToString(engine);
+    reference = EncodeKnowledgeBase(*engine.Snapshot());
   }
 
   // Recover-on-open: mapped checkpoint + WAL tail. Replay forces full
@@ -991,7 +997,7 @@ TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
   EXPECT_TRUE(recovered->fully_materialized());
   EXPECT_EQ(recovered->window_count(), 4u);
   EXPECT_EQ(stats.records_replayed, 2u);
-  EXPECT_EQ(KnowledgeBaseToString(*recovered), reference);
+  EXPECT_EQ(EncodeKnowledgeBase(*recovered->Snapshot()), reference);
 }
 
 /// The crash matrix every TARAKB3 rewrite must pass. `rewrite` first runs
@@ -1062,7 +1068,8 @@ void ExpectEveryCrashLeavesBeforeOrAfter(const fs::path& seed,
       const auto opened = Open(trial.string(), mode);
       ASSERT_TRUE(opened.has_value())
           << "crash point " << crash_at << ": " << opened.error();
-      EXPECT_EQ(KnowledgeBaseToString(*opened), landed ? after : before)
+      EXPECT_EQ(EncodeKnowledgeBase(*opened->Snapshot()),
+                landed ? after : before)
           << "crash point " << crash_at;
     }
     fs::remove_all(trial);
@@ -1083,12 +1090,12 @@ TEST_F(KbBlocksTest, AppendSurvivesACrashAtEveryDurabilityStep) {
   ASSERT_FALSE(
       SaveKnowledgeBaseBlocks(*engine.Snapshot(), seed.string(), 4096)
           .has_value());
-  const std::string before = KnowledgeBaseToString(engine);
+  const std::string before = EncodeKnowledgeBase(*engine.Snapshot());
   const WindowInfo& info = data.window(3);
   engine.AppendWindow(data.database(), info.begin, info.end);
   const std::string after =
-      KnowledgeBaseToString(BuildEngine(data, kCrashSupportFloor));
-  ASSERT_EQ(KnowledgeBaseToString(engine), after);
+      EncodeKnowledgeBase(*BuildEngine(data, kCrashSupportFloor).Snapshot());
+  ASSERT_EQ(EncodeKnowledgeBase(*engine.Snapshot()), after);
   ExpectEveryCrashLeavesBeforeOrAfter(
       seed, before, after, [&engine](const std::string& dir) {
         return AppendKnowledgeBaseBlocks(*engine.Snapshot(), dir, 4096);
@@ -1103,7 +1110,7 @@ TEST_F(KbBlocksTest, RepartitionSurvivesACrashAtEveryDurabilityStep) {
           .has_value());
   ASSERT_GT(ReadKnowledgeBaseBlocksManifest(seed.string())->blocks.size(), 1u);
   // Merging into one block moves bytes, never the knowledge base.
-  const std::string reference = KnowledgeBaseToString(engine);
+  const std::string reference = EncodeKnowledgeBase(*engine.Snapshot());
   ExpectEveryCrashLeavesBeforeOrAfter(
       seed, reference, reference, [](const std::string& dir) {
         return RepartitionKnowledgeBase(dir);
@@ -1123,7 +1130,8 @@ TEST_F(KbBlocksTest, TrimSurvivesACrashAtEveryDurabilityStep) {
     prefix.AppendWindow(data.database(), info.begin, info.end);
   }
   ExpectEveryCrashLeavesBeforeOrAfter(
-      seed, KnowledgeBaseToString(engine), KnowledgeBaseToString(prefix),
+      seed, EncodeKnowledgeBase(*engine.Snapshot()),
+      EncodeKnowledgeBase(*prefix.Snapshot()),
       [](const std::string& dir) { return TrimKnowledgeBase(dir, 2); });
 }
 

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "core/kb_blocks.h"
 #include "core/kb_storage.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "core/wal.h"
 #include "datagen/quest_generator.h"
@@ -55,9 +54,9 @@ TaraEngine BuildEngine(const EvolvingDatabase& data) {
 // acceptable; an abort is not.
 TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheStreamLoader) {
   const TaraEngine engine = BuildEngine(MakeData(2));
-  const std::string valid = KnowledgeBaseToString(engine);
+  const std::string valid = EncodeKnowledgeBase(*engine.Snapshot());
   ASSERT_GT(valid.size(), 256u);
-  ASSERT_TRUE(KnowledgeBaseFromString(valid).has_value());
+  ASSERT_TRUE(DecodeKnowledgeBase(valid).has_value());
 
   Rng rng(0xF00DF00D);
   int rejected = 0;
@@ -66,7 +65,7 @@ TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheStreamLoader) {
     std::string mutated = valid;
     const size_t pos = rng.NextBounded(mutated.size());
     mutated[pos] ^= static_cast<char>(1 + rng.NextBounded(255));
-    const auto loaded = KnowledgeBaseFromString(mutated);
+    const auto loaded = DecodeKnowledgeBase(mutated);
     if (!loaded.has_value()) {
       ++rejected;
       EXPECT_FALSE(loaded.error().message.empty());
@@ -78,19 +77,19 @@ TEST(KbStorageFuzz, SingleByteFlipsNeverCrashTheStreamLoader) {
 
 TEST(KbStorageFuzz, TruncationsNeverCrashTheStreamLoader) {
   const TaraEngine engine = BuildEngine(MakeData(2));
-  const std::string valid = KnowledgeBaseToString(engine);
+  const std::string valid = EncodeKnowledgeBase(*engine.Snapshot());
 
   Rng rng(0xBADC0FFE);
   for (int i = 0; i < 50; ++i) {
     const auto loaded =
-        KnowledgeBaseFromString(valid.substr(0, rng.NextBounded(valid.size())));
+        DecodeKnowledgeBase(valid.substr(0, rng.NextBounded(valid.size())));
     // A strict prefix can never be a whole knowledge base.
     ASSERT_FALSE(loaded.has_value());
     EXPECT_FALSE(loaded.error().message.empty());
   }
   // Every exact-boundary truncation near the tail as well.
   for (size_t cut = valid.size() - 16; cut < valid.size(); ++cut) {
-    ASSERT_FALSE(KnowledgeBaseFromString(valid.substr(0, cut)).has_value());
+    ASSERT_FALSE(DecodeKnowledgeBase(valid.substr(0, cut)).has_value());
   }
 }
 

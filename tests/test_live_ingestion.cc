@@ -22,8 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/kb_storage.h"
 #include "core/query_request.h"
-#include "core/serialization.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "obs/metrics.h"
@@ -80,7 +80,7 @@ TEST(LiveIngestionTest, PinnedSnapshotIsImmuneToLaterAppends) {
   const ParameterSetting setting{0.01, 0.3};
   const auto before = pinned->MineWindow(1, setting).value();
   const size_t rules_before = pinned->rule_count();
-  const std::string bytes_before = KnowledgeBaseToString(*pinned);
+  const std::string bytes_before = EncodeKnowledgeBase(*pinned);
 
   for (uint32_t w = 2; w < kWindows; ++w) AppendOne(&engine, data, w);
 
@@ -89,7 +89,7 @@ TEST(LiveIngestionTest, PinnedSnapshotIsImmuneToLaterAppends) {
   EXPECT_EQ(pinned->window_count(), 2u);
   EXPECT_EQ(pinned->rule_count(), rules_before);
   EXPECT_EQ(pinned->MineWindow(1, setting).value(), before);
-  EXPECT_EQ(KnowledgeBaseToString(*pinned), bytes_before);
+  EXPECT_EQ(EncodeKnowledgeBase(*pinned), bytes_before);
   // A window committed after the pin is out of range *for that pin*.
   EXPECT_FALSE(pinned->MineWindow(2, setting).has_value());
 
@@ -106,17 +106,17 @@ TEST(LiveIngestionTest, LiveAppendsSerializeIdenticallyToBuildAll) {
 
   TaraEngine bulk(MakeOptions());
   bulk.BuildAll(data);
-  const std::string bulk_bytes = KnowledgeBaseToString(bulk);
+  const std::string bulk_bytes = EncodeKnowledgeBase(*bulk.Snapshot());
 
   // Pure live path: one publication per window.
   TaraEngine live(MakeOptions());
   for (uint32_t w = 0; w < kWindows; ++w) AppendOne(&live, data, w);
-  EXPECT_EQ(KnowledgeBaseToString(live), bulk_bytes);
+  EXPECT_EQ(EncodeKnowledgeBase(*live.Snapshot()), bulk_bytes);
 
   // Parallel bulk build, then the byte-identity must still hold.
   TaraEngine parallel(MakeOptions(nullptr, 3));
   parallel.BuildAll(data);
-  EXPECT_EQ(KnowledgeBaseToString(parallel), bulk_bytes);
+  EXPECT_EQ(EncodeKnowledgeBase(*parallel.Snapshot()), bulk_bytes);
 
   // Mixed path: bulk prefix, live suffix.
   EvolvingDatabase prefix;
@@ -133,7 +133,7 @@ TEST(LiveIngestionTest, LiveAppendsSerializeIdenticallyToBuildAll) {
   for (uint32_t w = kWindows / 2; w < kWindows; ++w) {
     AppendOne(&mixed, data, w);
   }
-  EXPECT_EQ(KnowledgeBaseToString(mixed), bulk_bytes);
+  EXPECT_EQ(EncodeKnowledgeBase(*mixed.Snapshot()), bulk_bytes);
 }
 
 TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
@@ -250,8 +250,8 @@ TEST(LiveIngestionTest, ConcurrentReadersSeeOnlyCompleteGenerations) {
                 engine.Execute(QueryRequest::MineWindow(kWindows - 1, setting))
                     .value()),
             mine_base[kWindows]);
-  EXPECT_EQ(KnowledgeBaseToString(engine),
-            KnowledgeBaseToString(reference));
+  EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
+            EncodeKnowledgeBase(*reference.Snapshot()));
   // The snapshot gauges tracked the publications.
   EXPECT_NE(registry.SnapshotText().find("tara.kb.generation"),
             std::string::npos);

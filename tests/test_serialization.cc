@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/serialization.h"
+#include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "datagen/quest_generator.h"
 #include "txdb/evolving_database.h"
@@ -34,11 +34,14 @@ TEST(SerializationTest, RoundTripPreservesEveryQueryAnswer) {
   const EvolvingDatabase data = MakeData(60);
   const TaraEngine original = BuildEngine(data, false);
   const TaraEngine loaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(original)).value();
+      DecodeKnowledgeBase(EncodeKnowledgeBase(*original.Snapshot())).value();
 
   ASSERT_EQ(loaded.window_count(), original.window_count());
   ASSERT_EQ(loaded.catalog().size(), original.catalog().size());
-  ASSERT_EQ(loaded.archive().entry_count(), original.archive().entry_count());
+  const auto loaded_kb = loaded.Snapshot();
+  const auto original_kb = original.Snapshot();
+  ASSERT_EQ(loaded_kb->archive().entry_count(),
+            original_kb->archive().entry_count());
 
   // Every interned rule survives verbatim (same ids, same content).
   for (RuleId id = 0; id < original.catalog().size(); ++id) {
@@ -49,8 +52,6 @@ TEST(SerializationTest, RoundTripPreservesEveryQueryAnswer) {
   }
 
   // Mining, regions, and trajectories answer identically.
-  const auto loaded_kb = loaded.Snapshot();
-  const auto original_kb = original.Snapshot();
   const std::vector<WindowId> horizon = {0, 1, 2};
   for (double supp : {0.01, 0.02, 0.05}) {
     for (double conf : {0.1, 0.4, 0.7}) {
@@ -68,8 +69,8 @@ TEST(SerializationTest, RoundTripPreservesEveryQueryAnswer) {
   const auto rules =
       original_kb->MineWindow(0, ParameterSetting{0.02, 0.3}).value();
   for (RuleId id : rules) {
-    const Trajectory a = BuildTrajectory(loaded.archive(), id, horizon);
-    const Trajectory b = BuildTrajectory(original.archive(), id, horizon);
+    const Trajectory a = BuildTrajectory(loaded_kb->archive(), id, horizon);
+    const Trajectory b = BuildTrajectory(original_kb->archive(), id, horizon);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].present, b[i].present);
@@ -83,7 +84,7 @@ TEST(SerializationTest, PreservesOptionsAndContentIndex) {
   const EvolvingDatabase data = MakeData(61);
   const TaraEngine original = BuildEngine(data, true);
   const TaraEngine loaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(original)).value();
+      DecodeKnowledgeBase(EncodeKnowledgeBase(*original.Snapshot())).value();
   EXPECT_DOUBLE_EQ(loaded.options().min_support_floor, 0.01);
   EXPECT_DOUBLE_EQ(loaded.options().min_confidence_floor, 0.1);
   EXPECT_EQ(loaded.options().max_itemset_size, 5u);
@@ -102,7 +103,7 @@ TEST(SerializationTest, LoadedEngineKeepsEvolving) {
   const EvolvingDatabase data = MakeData(62);
   const TaraEngine original = BuildEngine(data, false);
   TaraEngine loaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(original)).value();
+      DecodeKnowledgeBase(EncodeKnowledgeBase(*original.Snapshot())).value();
 
   // A new batch can be appended to the reloaded base.
   const EvolvingDatabase more = MakeData(63);
@@ -119,26 +120,26 @@ TEST(SerializationTest, LoadedEngineKeepsEvolving) {
 TEST(SerializationTest, RejectsGarbageStreamsAsValues) {
   // The loader treats its input as untrusted bytes: garbage comes back as
   // a LoadError value, never a crash.
-  const auto garbage = KnowledgeBaseFromString("not a knowledge base");
+  const auto garbage = DecodeKnowledgeBase("not a knowledge base");
   ASSERT_FALSE(garbage.has_value());
   EXPECT_EQ(garbage.error().code, LoadError::Code::kBadMagic);
 
   // An old-format magic is distinguished for a better operator message.
-  const auto stale = KnowledgeBaseFromString("TARAKB1 leftover bytes");
+  const auto stale = DecodeKnowledgeBase("TARAKB1 leftover bytes");
   ASSERT_FALSE(stale.has_value());
   EXPECT_EQ(stale.error().code, LoadError::Code::kBadVersion);
 
   const TaraEngine original = BuildEngine(MakeData(64), false);
-  const std::string bytes = KnowledgeBaseToString(original);
+  const std::string bytes = EncodeKnowledgeBase(*original.Snapshot());
 
   // Truncation anywhere is reported, not CHECK-aborted.
   for (size_t keep : {size_t{3}, bytes.size() / 2, bytes.size() - 1}) {
-    const auto truncated = KnowledgeBaseFromString(bytes.substr(0, keep));
+    const auto truncated = DecodeKnowledgeBase(bytes.substr(0, keep));
     ASSERT_FALSE(truncated.has_value()) << "kept " << keep << " bytes";
   }
 
   // Trailing bytes after a well-formed knowledge base are flagged too.
-  const auto trailing = KnowledgeBaseFromString(bytes + "x");
+  const auto trailing = DecodeKnowledgeBase(bytes + "x");
   ASSERT_FALSE(trailing.has_value());
   EXPECT_EQ(trailing.error().code, LoadError::Code::kTrailingBytes);
 }
@@ -148,7 +149,7 @@ TEST(SerializationTest, EmptyEngineRoundTrips) {
   options.min_support_floor = 0.05;
   const TaraEngine empty(options);
   const TaraEngine loaded =
-      KnowledgeBaseFromString(KnowledgeBaseToString(empty)).value();
+      DecodeKnowledgeBase(EncodeKnowledgeBase(*empty.Snapshot())).value();
   EXPECT_EQ(loaded.window_count(), 0u);
   EXPECT_EQ(loaded.catalog().size(), 0u);
 }

@@ -347,8 +347,10 @@ TEST(TaraEngineTest, BuildStatsCoverEveryWindowAndTask) {
   const EvolvingDatabase data = MakeEvolvingQuest(3, 41);
   TaraEngine engine(EngineOptions());
   engine.BuildAll(data);
-  ASSERT_EQ(engine.build_stats().size(), 3u);
-  for (const auto& stats : engine.build_stats()) {
+  const auto kb = engine.Snapshot();
+  ASSERT_EQ(kb->window_count(), 3u);
+  for (WindowId w = 0; w < kb->window_count(); ++w) {
+    const auto& stats = kb->segment(w).stats;
     EXPECT_GT(stats.itemset_count, 0u);
     EXPECT_GT(stats.rule_count, 0u);
     EXPECT_GT(stats.location_count, 0u);

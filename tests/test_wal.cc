@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -290,6 +291,45 @@ TEST_F(WalTest, InstrumentsCountRecordsAndReplays) {
   EXPECT_NE(recovery_metrics.SnapshotText().find("tara.wal.replays = 2"),
             std::string::npos)
       << recovery_metrics.SnapshotText();
+}
+
+// The log writes ahead: a window is durable before any reader can see it.
+// A reader that reads the published window count and then the log must
+// never find the log shorter than what it was shown.
+TEST_F(WalTest, NoWindowIsPublishedBeforeItIsLogged) {
+  constexpr uint32_t kAppends = 12;
+  QuestGenerator::Params params;
+  params.num_transactions = 300 * kAppends;
+  params.num_items = 70;
+  params.num_patterns = 30;
+  params.avg_transaction_len = 8;
+  params.seed = 1234;
+  const EvolvingDatabase data = EvolvingDatabase::PartitionIntoBatches(
+      QuestGenerator(params).Generate(), kAppends);
+  TaraEngine::Options options = EngineOptions();
+  options.wal_dir = wal_dir_;
+  TaraEngine engine(options);
+
+  std::atomic<bool> done{false};
+  uint64_t probes = 0, ahead = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const uint32_t published = engine.Snapshot()->window_count();
+      const auto logged = ReadWal(wal_dir_);
+      ASSERT_TRUE(logged.has_value()) << logged.error();
+      ++probes;
+      if (published > logged->records.size()) ++ahead;
+    }
+  });
+  for (uint32_t w = 0; w < kAppends; ++w) {
+    const WindowInfo& info = data.window(w);
+    engine.AppendWindow(data.database(), info.begin, info.end);
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(ahead, 0u) << ahead << " of " << probes
+                       << " probes saw a published window the log lacked";
 }
 
 /// The crash harness: a forked child ingests live windows with the WAL

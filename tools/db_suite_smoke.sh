@@ -2,8 +2,9 @@
 # db-suite smoke test: build a small KB through an interactive session,
 # then drive every `db` verb over it — stats/show/verify on the TARAKB3
 # directory `savedir` writes, split into small blocks, verify (clean AND
-# corrupted), a mapped load through the session, trim, and rm. Exercises
-# the noun-verb surface end to end.
+# corrupted), a mapped load through the session (and `top` refused over
+# the corrupted block), a `save` that cannot write, trim, and rm.
+# Exercises the noun-verb surface end to end.
 #
 #   db_suite_smoke.sh /path/to/tara_cli
 set -e
@@ -59,6 +60,17 @@ if "$CLI" db verify --kb "$WORK/kb" 2> "$WORK/verify.err"; then
     && { echo "verify missed an injected corruption"; exit 1; }
 fi
 grep -q "." "$WORK/verify.err" || { echo "verify printed no error"; exit 1; }
+
+# A mapped session over the damaged block answers `top` with a typed
+# rejection instead of aborting.
+printf 'loaddir %s/kb mmap\ntop stable 3\nquit\n' "$WORK" | "$CLI" \
+  | grep -q "^rejected: " \
+  || { echo "top over a corrupt mapped KB was not rejected"; exit 1; }
+
+# `save` reports a write it could not make instead of claiming success.
+printf 'gen quest 600 60\nwindows 2\nbuild 0.02 0.1\nsave %s/none/kb\nquit\n' \
+  "$WORK" | "$CLI" | grep -q "^failed: cannot write" \
+  || { echo "save into a missing directory did not fail"; exit 1; }
 
 # Rebuild a clean copy for trim/rm.
 rm -rf "$WORK/kb"

@@ -48,7 +48,7 @@
 #include "core/exploration.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
-#include "core/serialization.h"
+#include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
 #include "datagen/quest_generator.h"
@@ -410,11 +410,13 @@ class Session {
       return;
     }
     engine_->BuildAll(*data_);
+    const auto kb = engine_->Snapshot();
     double seconds = 0;
-    for (const auto& s : engine_->build_stats()) seconds += s.total_seconds();
+    for (WindowId w = 0; w < kb->window_count(); ++w) {
+      seconds += kb->segment(w).stats.total_seconds();
+    }
     std::printf("built: %zu rules interned, %zu archive entries, %.2fs\n",
-                engine_->catalog().size(), engine_->archive().entry_count(),
-                seconds);
+                kb->catalog().size(), kb->archive().entry_count(), seconds);
   }
 
   bool Ready() const {
@@ -654,8 +656,14 @@ class Session {
   void SaveKb(std::istringstream& in) {
     std::string path;
     if (!(in >> path) || !Ready()) return;
+    const std::string bytes = EncodeKnowledgeBase(*engine_->Snapshot());
     std::ofstream file(path, std::ios::binary);
-    SaveKnowledgeBase(*engine_, &file);
+    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    file.close();
+    if (!file) {
+      std::printf("failed: cannot write %s\n", path.c_str());
+      return;
+    }
     std::printf("saved knowledge base to %s\n", path.c_str());
   }
 
@@ -667,8 +675,14 @@ class Session {
       std::printf("cannot open %s\n", path.c_str());
       return;
     }
+    std::ostringstream bytes;
+    bytes << file.rdbuf();
+    if (file.bad()) {
+      std::printf("failed: cannot read %s\n", path.c_str());
+      return;
+    }
     Expected<TaraEngine, LoadError> loaded =
-        LoadKnowledgeBase(&file, &Registry());
+        DecodeKnowledgeBase(bytes.str(), &Registry());
     if (!loaded.has_value()) {
       std::ostringstream out;
       out << loaded.error();
