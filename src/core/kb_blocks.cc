@@ -241,20 +241,6 @@ std::optional<LoadError> DecodeBlocksManifest(ByteReader* reader,
   return std::nullopt;
 }
 
-std::optional<LoadError> CheckBlocksOptionsMatch(
-    const KnowledgeBaseSnapshot& snapshot, const KbBlocksManifest& manifest) {
-  const KbOptions& options = snapshot.options();
-  if (manifest.min_support_floor != options.min_support_floor ||
-      manifest.min_confidence_floor != options.min_confidence_floor ||
-      manifest.max_itemset_size != options.max_itemset_size ||
-      manifest.build_content_index != options.build_content_index) {
-    return Err(LoadError::Code::kBadManifest,
-               "directory was written with different construction options "
-               "(floors/itemset cap/content index) — refusing to append");
-  }
-  return std::nullopt;
-}
-
 std::optional<LoadError> CheckBlocksPrefix(
     const KnowledgeBaseSnapshot& snapshot, const KbBlocksManifest& manifest) {
   if (manifest.window_count() > snapshot.window_count()) {
@@ -495,8 +481,10 @@ std::optional<LoadError> AppendKnowledgeBaseBlocks(
   }
   auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
   if (!manifest.has_value()) return manifest.error();
-  if (auto error = CheckBlocksOptionsMatch(snapshot, manifest.value())) {
-    return error;
+  if (!SameOptionsFingerprint(manifest.value(), snapshot.options())) {
+    return Err(LoadError::Code::kBadManifest,
+               "directory was written with different construction options "
+               "(floors/itemset cap/content index) — refusing to append");
   }
   if (auto error = CheckBlocksPrefix(snapshot, manifest.value())) {
     return error;

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/kb_storage.h"
+#include "core/rollup_tree.h"
 #include "mining/fp_growth.h"
 
 namespace tara {
@@ -41,7 +42,7 @@ KbBuilder::KbBuilder(const Options& options)
         std::shared_ptr<KnowledgeBaseSnapshot>(new KnowledgeBaseSnapshot());
     empty->catalog_ = catalog_;
     empty->archive_ = std::make_shared<const TarArchive>();
-    empty->rollup_tree_ = tree_builder_.Snapshot();
+    empty->rollup_tree_ = std::make_shared<const RollUpTree>(empty->archive_);
     empty->options_ = options_;
     std::lock_guard<std::mutex> lock(commit_mutex_);
     PublishSnapshotLocked(std::move(empty));
@@ -64,12 +65,7 @@ Expected<WalReplayStats, LoadError> KbBuilder::AttachWal(
     if (!contents.has_value()) return contents.error();
     // The log must describe this builder's engine; replaying records
     // mined at other floors would poison the knowledge base.
-    if (contents->options.min_support_floor != options_.min_support_floor ||
-        contents->options.min_confidence_floor !=
-            options_.min_confidence_floor ||
-        contents->options.max_itemset_size != options_.max_itemset_size ||
-        contents->options.build_content_index !=
-            options_.build_content_index) {
+    if (!SameOptionsFingerprint(contents->options, options_)) {
       return LoadError{
           LoadError::Code::kBadManifest,
           "write-ahead log in '" + dir +
@@ -344,7 +340,7 @@ void KbBuilder::CommitLocked(
   const WindowId first = current->window_count();
   auto archive = std::make_shared<TarArchive>(current->archive());
 
-  // Archive and roll-up tree appends, by id, strictly in window order.
+  // Archive appends, by id, strictly in window order.
   for (size_t i = 0; i < pending.size(); ++i) {
     WindowSegment& segment = *pending[i];
     const WindowId window = first + static_cast<WindowId>(i);
@@ -353,14 +349,8 @@ void KbBuilder::CommitLocked(
     archive->RegisterWindow(window, segment.total_transactions,
                             segment.floor_count,
                             options_.min_confidence_floor);
-    tree_builder_.BeginWindow(
-        window, segment.total_transactions,
-        UnarchivedCountSlack(segment.floor_count,
-                             options_.min_confidence_floor,
-                             segment.total_transactions));
     for (const WindowIndex::Entry& e : segment.entries) {
       archive->Add(e.rule, window, e.rule_count, e.antecedent_count);
-      tree_builder_.AddEntry(e.rule, e.rule_count, e.antecedent_count);
     }
     segment.stats.archive_seconds += timer.ElapsedSeconds();
   }
@@ -409,7 +399,7 @@ void KbBuilder::CommitLocked(
       new KnowledgeBaseSnapshot(*current));
   next->rule_count_ = catalog_->size();
   next->archive_ = std::move(archive);
-  next->rollup_tree_ = tree_builder_.Snapshot();
+  next->rollup_tree_ = std::make_shared<const RollUpTree>(next->archive_);
   next->generation_ += pending.size();
   for (auto& segment : pending) next->segments_.push_back(std::move(segment));
   PublishSnapshotLocked(std::move(next));

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "core/kb_snapshot.h"
 #include "core/load_error.h"
-#include "core/rollup_tree.h"
 #include "core/wal.h"
 #include "mining/rule_generation.h"
 #include "obs/metrics.h"
@@ -114,9 +113,9 @@ class KbBuilder {
   /// the first being the published window count — by rule id, as ONE
   /// publication: each window's new rules are moved into the catalog and
   /// must get exactly the ids the segment names; entries go to the
-  /// archive and the roll-up tree by id (no content lookups); the EPS
-  /// slices are built across the pool when one exists. Everything is checked before the
-  /// catalog or the archive is touched: a wrong window or first rule id,
+  /// archive by id (no content lookups); the EPS slices are built across
+  /// the pool when one exists. Everything is checked before the catalog
+  /// or the archive is touched: a wrong window or first rule id,
   /// an entry with a zero rule count or an antecedent count below it, an
   /// id past the window's watermark, one rule listed twice in a window,
   /// or a new rule whose contents the catalog already holds is a typed
@@ -203,12 +202,13 @@ class KbBuilder {
 
   /// The commit tail every writer shares. Builds the next generation from
   /// the current one: appends each pending window (ids already interned,
-  /// in window order) to a copy of the current archive and to the roll-up
-  /// tree, builds the EPS slices (across the pool when there are several
-  /// windows), appends each window's TSEG record to the WAL (fdatasync'd),
-  /// and only then publishes ONE generation holding all of them. Aborts
-  /// if the log cannot be written — before anything is visible. No-op for
-  /// an empty batch. Commit mutex must be held.
+  /// in window order) to a copy of the current archive, builds the EPS
+  /// slices (across the pool when there are several windows), appends
+  /// each window's TSEG record to the WAL (fdatasync'd), and only then
+  /// publishes ONE generation holding all of them, with a roll-up tree
+  /// over its archive. Aborts if the log cannot be written — before
+  /// anything is visible. No-op for an empty batch. Commit mutex must be
+  /// held.
   void CommitLocked(std::vector<std::shared_ptr<WindowSegment>> pending);
 
   /// Swaps in `next` as the current generation and wakes WaitForWindows.
@@ -248,9 +248,6 @@ class KbBuilder {
   /// Master catalog, shared with every published snapshot (append-only,
   /// internally synchronized).
   std::shared_ptr<RuleCatalog> catalog_;
-  /// Mirrors the archive as hierarchical partial sums; every published
-  /// snapshot gets an immutable tree (series shared copy-on-write).
-  RollUpTreeBuilder tree_builder_;
   /// The RCU publication point: readers copy it and the writer swaps it,
   /// both under current_mutex_; WaitForWindows parks on published_cv_.
   mutable std::mutex current_mutex_;

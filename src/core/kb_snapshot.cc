@@ -350,8 +350,8 @@ Expected<RollUpBound, QueryError> KnowledgeBaseSnapshot::RollUpRule(
     RuleId rule, const WindowSet& windows) const {
   if (auto error = ValidateRule(rule)) return *std::move(error);
   if (auto error = ValidateWindows(windows)) return *std::move(error);
-  // O(runs · log entries) against the hierarchical index; the linear
-  // archive scan stays available as the differential reference.
+  // Window totals from the tree's prefixes and one pass over the rule's
+  // series; the linear archive scan stays as the differential reference.
   return rollup_tree_->RollUp(rule, windows.ids());
 }
 

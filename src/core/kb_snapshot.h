@@ -105,6 +105,16 @@ void WriteOptionsFingerprint(const Options& options,
   out->Byte(options.build_content_index ? 1 : 0);
 }
 
+/// True when `a` and `b`, each any struct with the four fingerprint
+/// fields, carry the same fingerprint.
+template <typename A, typename B>
+bool SameOptionsFingerprint(const A& a, const B& b) {
+  return a.min_support_floor == b.min_support_floor &&
+         a.min_confidence_floor == b.min_confidence_floor &&
+         a.max_itemset_size == b.max_itemset_size &&
+         a.build_content_index == b.build_content_index;
+}
+
 /// Why a fingerprint did not read: the bytes end inside it, or a field is
 /// out of range (KbOptions::Validate). Each format maps the two cases to
 /// its own error codes.
@@ -250,17 +260,11 @@ class KnowledgeBaseSnapshot {
   /// its own copy.
   const TarArchive& archive() const { return *archive_; }
 
-  /// This generation's hierarchical roll-up index (partial sums over the
-  /// archive). Immutable; answers RollUpRule and EntryFor in O(log)
-  /// instead of decoding streams. MineRolledUp reads every candidate's
-  /// entries anyway, so it sums them in one pass instead.
+  /// This generation's roll-up index: the window axis of archive() as
+  /// prefix sums, answering RollUpRule with one pass over the rule's
+  /// archive series. MineRolledUp reads every candidate's entries anyway,
+  /// so it sums them in one pass instead.
   const RollUpTree& rollup_tree() const { return *rollup_tree_; }
-
-  /// The archived entry of `rule` in `window`, if any — O(log entries)
-  /// via the roll-up tree's window offsets, no stream decode.
-  std::optional<ArchiveEntry> EntryFor(RuleId rule, WindowId window) const {
-    return rollup_tree_->EntryFor(rule, window);
-  }
 
   const WindowSegment& segment(WindowId w) const;
   const WindowIndex& window_index(WindowId w) const {
@@ -372,8 +376,7 @@ class KnowledgeBaseSnapshot {
   std::shared_ptr<const RuleCatalog> catalog_;
   size_t rule_count_ = 0;
   std::shared_ptr<const TarArchive> archive_;
-  /// Partial-sum mirror of archive_; rule series shared across
-  /// generations copy-on-write.
+  /// The window axis of archive_, built when the generation is.
   std::shared_ptr<const RollUpTree> rollup_tree_;
   /// Shared with every other generation that committed the same windows.
   std::vector<std::shared_ptr<const WindowSegment>> segments_;

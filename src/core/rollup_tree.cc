@@ -1,17 +1,33 @@
 #include "core/rollup_tree.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace tara {
 
+RollUpTree::RollUpTree(std::shared_ptr<const TarArchive> archive)
+    : archive_(std::move(archive)) {
+  const uint32_t windows = archive_->window_count();
+  window_size_prefix_.reserve(windows + 1);
+  window_slack_prefix_.reserve(windows + 1);
+  window_size_prefix_.push_back(0);
+  window_slack_prefix_.push_back(0);
+  for (WindowId w = 0; w < windows; ++w) {
+    const uint64_t size = archive_->window_size(w);
+    window_size_prefix_.push_back(window_size_prefix_.back() + size);
+    window_slack_prefix_.push_back(
+        window_slack_prefix_.back() +
+        UnarchivedCountSlack(archive_->floor_count(w),
+                             archive_->confidence_floor(w), size));
+  }
+}
+
 RollUpBound RollUpTree::RollUp(RuleId rule,
                                std::span<const WindowId> windows) const {
-  const RuleSeries* series =
-      rule < series_.size() ? series_[rule].get() : nullptr;
-
   RollUpAggregate agg;
+  if (windows.empty()) return FinishRollUp(agg);
+  uint64_t total_slack = 0;
   size_t i = 0;
   while (i < windows.size()) {
     // Maximal run of consecutive window ids [a, b]; the common all-windows
@@ -22,109 +38,34 @@ RollUpBound RollUpTree::RollUp(RuleId rule,
     const WindowId b = windows[j - 1];
     i = j;
     TARA_CHECK_LT(b, window_count());
+    agg.total += window_size_prefix_[b + 1] - window_size_prefix_[a];
+    total_slack += window_slack_prefix_[b + 1] - window_slack_prefix_[a];
+  }
 
-    const uint64_t run_size =
-        window_size_prefix_[b + 1] - window_size_prefix_[a];
-    const uint64_t run_slack =
-        window_slack_prefix_[b + 1] - window_slack_prefix_[a];
-    const uint32_t run_len = b - a + 1;
-    agg.total += run_size;
-
-    uint64_t present_size = 0;
-    uint64_t present_slack = 0;
-    uint32_t present_count = 0;
-    if (series != nullptr) {
-      const auto lo = std::lower_bound(series->windows.begin(),
-                                       series->windows.end(), a);
-      const auto hi =
-          std::lower_bound(lo, series->windows.end(), b + 1);
-      const size_t lo_i = static_cast<size_t>(lo - series->windows.begin());
-      const size_t hi_i = static_cast<size_t>(hi - series->windows.begin());
-      agg.known_rule += series->rule_prefix[hi_i] - series->rule_prefix[lo_i];
-      agg.known_ant += series->ant_prefix[hi_i] - series->ant_prefix[lo_i];
-      present_size = series->size_prefix[hi_i] - series->size_prefix[lo_i];
-      present_slack = series->slack_prefix[hi_i] - series->slack_prefix[lo_i];
-      present_count = static_cast<uint32_t>(hi_i - lo_i);
+  // Merge the rule's series with the requested windows, both ascending,
+  // and stop after the last window requested.
+  const WindowId last = windows.back();
+  uint64_t present_size = 0;
+  uint64_t present_slack = 0;
+  uint32_t present = 0;
+  size_t next = 0;
+  archive_->VisitEntries(rule, [&](const ArchiveEntry& e) {
+    if (e.window > last) return false;
+    while (windows[next] < e.window) ++next;  // stops at `last` at the latest
+    if (windows[next] == e.window) {
+      const WindowId w = e.window;
+      agg.known_rule += e.rule_count;
+      agg.known_ant += e.antecedent_count;
+      present_size += window_size_prefix_[w + 1] - window_size_prefix_[w];
+      present_slack += window_slack_prefix_[w + 1] - window_slack_prefix_[w];
+      ++present;
     }
-    agg.missing_windows += run_len - present_count;
-    agg.missing_size += run_size - present_size;
-    agg.missing_slack += run_slack - present_slack;
-  }
+    return e.window < last;
+  });
+  agg.missing_windows = static_cast<uint32_t>(windows.size()) - present;
+  agg.missing_size = agg.total - present_size;
+  agg.missing_slack = total_slack - present_slack;
   return FinishRollUp(agg);
-}
-
-std::optional<ArchiveEntry> RollUpTree::EntryFor(RuleId rule,
-                                                 WindowId window) const {
-  if (rule >= series_.size() || series_[rule] == nullptr) return std::nullopt;
-  const RuleSeries& series = *series_[rule];
-  const auto it = std::lower_bound(series.windows.begin(),
-                                   series.windows.end(), window);
-  if (it == series.windows.end() || *it != window) return std::nullopt;
-  const size_t i = static_cast<size_t>(it - series.windows.begin());
-  ArchiveEntry entry;
-  entry.window = window;
-  entry.rule_count = series.rule_prefix[i + 1] - series.rule_prefix[i];
-  entry.antecedent_count = series.ant_prefix[i + 1] - series.ant_prefix[i];
-  return entry;
-}
-
-uint32_t RollUpTree::entry_count(RuleId rule) const {
-  if (rule >= series_.size() || series_[rule] == nullptr) return 0;
-  return static_cast<uint32_t>(series_[rule]->windows.size());
-}
-
-void RollUpTreeBuilder::BeginWindow(WindowId window, uint64_t size,
-                                    uint64_t slack) {
-  TARA_CHECK_EQ(window, window_size_prefix_.size() - 1)
-      << "windows must be registered consecutively";
-  window_size_prefix_.push_back(window_size_prefix_.back() + size);
-  window_slack_prefix_.push_back(window_slack_prefix_.back() + slack);
-}
-
-void RollUpTreeBuilder::AddEntry(RuleId rule, uint64_t rule_count,
-                                 uint64_t antecedent_count) {
-  TARA_CHECK_GE(window_size_prefix_.size(), 2u) << "no window begun";
-  const uint32_t window =
-      static_cast<uint32_t>(window_size_prefix_.size() - 2);
-  if (rule >= series_.size()) series_.resize(rule + 1);
-  std::shared_ptr<RollUpTree::RuleSeries>& slot = series_[rule];
-  if (slot == nullptr) {
-    slot = std::make_shared<RollUpTree::RuleSeries>();
-    slot->rule_prefix.push_back(0);
-    slot->ant_prefix.push_back(0);
-    slot->size_prefix.push_back(0);
-    slot->slack_prefix.push_back(0);
-  } else if (slot.use_count() > 1) {
-    // A published snapshot still references this series: copy-on-write.
-    // Refcounts only grow under the builder's commit lock, so observing 1
-    // here proves exclusive ownership.
-    slot = std::make_shared<RollUpTree::RuleSeries>(*slot);
-  }
-  TARA_CHECK(slot->windows.empty() || slot->windows.back() < window)
-      << "entries must advance in time";
-  const uint64_t size =
-      window_size_prefix_[window + 1] - window_size_prefix_[window];
-  const uint64_t slack =
-      window_slack_prefix_[window + 1] - window_slack_prefix_[window];
-  slot->windows.push_back(window);
-  slot->rule_prefix.push_back(slot->rule_prefix.back() + rule_count);
-  slot->ant_prefix.push_back(slot->ant_prefix.back() + antecedent_count);
-  slot->size_prefix.push_back(slot->size_prefix.back() + size);
-  slot->slack_prefix.push_back(slot->slack_prefix.back() + slack);
-}
-
-std::shared_ptr<const RollUpTree> RollUpTreeBuilder::Snapshot() const {
-  auto tree = std::shared_ptr<RollUpTree>(new RollUpTree());
-  tree->series_.assign(series_.begin(), series_.end());
-  tree->window_size_prefix_ = window_size_prefix_;
-  tree->window_slack_prefix_ = window_slack_prefix_;
-  return tree;
-}
-
-void RollUpTreeBuilder::Reset() {
-  series_.clear();
-  window_size_prefix_.assign(1, 0);
-  window_slack_prefix_.assign(1, 0);
 }
 
 }  // namespace tara

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,105 +11,40 @@
 
 namespace tara {
 
-/// Hierarchical roll-up index: per-rule partial sums and floor-slack
-/// bounds over windows, so RollUp drops from O(windows · entries) to
-/// O(runs · log entries) with intervals identical to the linear archive
-/// scan.
+/// Roll-up over the window axis (Section 2.4.1): prefix sums of window
+/// size and of UnarchivedCountSlack — the worst-case undetected count the
+/// floors admit per window (see tar_archive.h for the bound derivation) —
+/// over one generation's archive, which stays the only per-rule copy of
+/// the counts.
 ///
-/// Structurally this is a segment tree over the window axis stored in
-/// flattened prefix form: the aggregate of any interior node [a, b) is the
-/// difference of two prefix nodes, so one array of n+1 partial sums
-/// answers every range in O(1) after an O(log n) boundary search — same
-/// bounds as an explicit tree, a fraction of the memory, and the partial
-/// sums stay exact (u64, associative) so FinishRollUp produces bit-equal
-/// doubles to TarArchive::RollUp.
+/// A request resolves as: the transactions and worst-case slack of each
+/// maximal run of consecutive windows from two prefix differences; the
+/// rule's known counts, and the sizes and slacks of the windows that
+/// archived it, from one streaming pass over its archive series that
+/// stops after the last requested window; and the missing windows' terms
+/// as totals minus present. Every term is an exact u64 sum, so
+/// FinishRollUp produces bit-equal doubles to TarArchive::RollUp.
 ///
-/// Two layers of nodes:
-/// - Global (over all registered windows): prefix sums of window size and
-///   of UnarchivedCountSlack — the worst-case undetected count the floors
-///   admit per window (see tar_archive.h for the bound derivation).
-/// - Per rule (over the windows where the rule was archived): the window
-///   ids ascending, plus prefix sums of rule_count, antecedent_count, and
-///   of the containing window's size and slack.
-///
-/// A range [a, b] of requested windows then resolves as: total and
-/// worst-case slack from the global prefixes; known counts from the
-/// rule's prefixes between lower_bound(a) and upper_bound(b); and the
-/// missing windows' slack/size as global-minus-present — every term a
-/// prefix difference.
-///
-/// Immutable once built; KbBuilder publishes one per generation on the
-/// KnowledgeBaseSnapshot. Incremental cost is one clone of a rule's
-/// series per generation it is touched in (copy-on-write), mirroring the
-/// snapshot cost profile of the archive itself.
+/// Immutable; KbBuilder builds one per generation, in O(windows), and
+/// publishes it on the KnowledgeBaseSnapshot.
 class RollUpTree {
  public:
+  /// The window axis of `archive`, which the tree shares.
+  explicit RollUpTree(std::shared_ptr<const TarArchive> archive);
+
   /// Interval measures of `rule` over `windows` (ascending, no
   /// duplicates — exactly WindowSet::ids()). Bit-identical to
-  /// TarArchive::RollUp over the same archive state.
+  /// TarArchive::RollUp over the same archive; allocates nothing.
   RollUpBound RollUp(RuleId rule, std::span<const WindowId> windows) const;
-
-  /// The entry of `rule` in `window`, if archived — O(log entries), no
-  /// stream decode. Equivalent to TarArchive::EntryFor.
-  std::optional<ArchiveEntry> EntryFor(RuleId rule, WindowId window) const;
 
   uint32_t window_count() const {
     return static_cast<uint32_t>(window_size_prefix_.size() - 1);
   }
-  /// Archived entries of one rule (0 for rules never added).
-  uint32_t entry_count(RuleId rule) const;
 
  private:
-  friend class RollUpTreeBuilder;
-
-  /// One rule's flattened leaf-to-root path set: windows ascending with
-  /// n+1 prefix arrays ([0] = 0).
-  struct RuleSeries {
-    std::vector<WindowId> windows;
-    std::vector<uint64_t> rule_prefix;
-    std::vector<uint64_t> ant_prefix;
-    /// Sizes and slacks of the *present* windows, so missing-window terms
-    /// come out as global range minus present range.
-    std::vector<uint64_t> size_prefix;
-    std::vector<uint64_t> slack_prefix;
-  };
-
-  RollUpTree() = default;
-
-  std::vector<std::shared_ptr<const RuleSeries>> series_;  // by RuleId
-  std::vector<uint64_t> window_size_prefix_;   // length W+1
-  std::vector<uint64_t> window_slack_prefix_;  // length W+1
-};
-
-/// Incremental builder owned by KbBuilder, fed at commit time alongside
-/// TarArchive::RegisterWindow/Add. Snapshot() is cheap: it shares rule
-/// series with earlier snapshots and later appends copy-on-write, so
-/// published trees are immutable without deep-copying the index per
-/// generation.
-class RollUpTreeBuilder {
- public:
-  RollUpTreeBuilder() { Reset(); }
-
-  /// Mirrors TarArchive::RegisterWindow: must be called once per window,
-  /// in order, before entries of that window are added. `slack` is
-  /// UnarchivedCountSlack(floor_count, confidence_floor, size).
-  void BeginWindow(WindowId window, uint64_t size, uint64_t slack);
-
-  /// Mirrors TarArchive::Add for the current (most recent) window.
-  void AddEntry(RuleId rule, uint64_t rule_count, uint64_t antecedent_count);
-
-  /// An immutable tree over everything added so far.
-  std::shared_ptr<const RollUpTree> Snapshot() const;
-
-  /// Drops all state (used when a builder is reset wholesale).
-  void Reset();
-
- private:
-  /// Series the builder may append to in place; becomes shared (and
-  /// copy-on-write) once Snapshot() has published it.
-  std::vector<std::shared_ptr<RollUpTree::RuleSeries>> series_;
-  std::vector<uint64_t> window_size_prefix_;
-  std::vector<uint64_t> window_slack_prefix_;
+  std::shared_ptr<const TarArchive> archive_;
+  std::vector<uint64_t> window_size_prefix_;   // length W+1, [0] = 0
+  std::vector<uint64_t> window_slack_prefix_;  // length W+1, [0] = 0
 };
 
 }  // namespace tara

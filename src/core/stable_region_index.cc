@@ -27,6 +27,10 @@ bool LocationLess(const WindowIndex::Entry& a, const WindowIndex::Entry& b) {
   return a.rule < b.rule;
 }
 
+bool RuleLess(const WindowIndex::Entry& a, const WindowIndex::Entry& b) {
+  return a.rule < b.rule;
+}
+
 /// Sorts `entries` into parametric-location order, chunk-sorting on the
 /// pool and merging when one is supplied. Small inputs sort inline — the
 /// fan-out overhead would dwarf the work.
@@ -64,13 +68,10 @@ void WindowIndex::Build(const std::vector<Entry>& entries,
   has_content_index_ = build_content_index;
   buckets_.clear();
   confidence_grid_.clear();
-  rule_locations_.clear();
   content_index_.clear();
 
-  rule_locations_.reserve(entries.size() * 2);
   for (const Entry& e : entries) {
     TARA_CHECK(e.rule_count > 0 && e.antecedent_count >= e.rule_count);
-    rule_locations_[e.rule] = e;
   }
 
   // Group by exact location (rule_count, antecedent_count determines the
@@ -100,15 +101,11 @@ void WindowIndex::Build(const std::vector<Entry>& entries,
   if (build_content_index) {
     for (const Entry& e : entries) {
       const Rule& rule = catalog.rule(e.rule);
-      for (ItemId item : rule.antecedent) {
-        content_index_[item].push_back(e.rule);
-      }
-      for (ItemId item : rule.consequent) {
-        content_index_[item].push_back(e.rule);
-      }
+      for (ItemId item : rule.antecedent) content_index_[item].push_back(e);
+      for (ItemId item : rule.consequent) content_index_[item].push_back(e);
     }
-    for (auto& [item, rules] : content_index_) {
-      std::sort(rules.begin(), rules.end());
+    for (auto& [item, postings] : content_index_) {
+      std::sort(postings.begin(), postings.end(), RuleLess);
     }
   }
 }
@@ -182,8 +179,8 @@ void WindowIndex::ContentQuery(const Itemset& items, double min_support,
     CollectRules(min_support, min_confidence, out);
     return;
   }
-  // Intersect the per-item rule lists, smallest first.
-  std::vector<const std::vector<RuleId>*> lists;
+  // Intersect the per-item postings by rule id, smallest first.
+  std::vector<const std::vector<Entry>*> lists;
   for (ItemId item : items) {
     auto it = content_index_.find(item);
     if (it == content_index_.end()) return;  // some item never occurs
@@ -191,32 +188,25 @@ void WindowIndex::ContentQuery(const Itemset& items, double min_support,
   }
   std::sort(lists.begin(), lists.end(),
             [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<RuleId> current = *lists[0];
-  std::vector<RuleId> next;
+  std::span<const Entry> current = *lists[0];
+  std::vector<Entry> kept, next;
   for (size_t i = 1; i < lists.size() && !current.empty(); ++i) {
     next.clear();
     std::set_intersection(current.begin(), current.end(), lists[i]->begin(),
-                          lists[i]->end(), std::back_inserter(next));
-    current.swap(next);
+                          lists[i]->end(), std::back_inserter(next), RuleLess);
+    kept.swap(next);
+    current = kept;
   }
 
   const uint64_t min_count =
       MinCountForSupport(min_support, total_transactions_);
-  for (RuleId rule : current) {
-    const auto it = rule_locations_.find(rule);
-    TARA_DCHECK(it != rule_locations_.end());
-    const Entry& e = it->second;
+  for (const Entry& e : current) {
     if (e.rule_count >= min_count &&
         ConfidenceOf(e.rule_count, e.antecedent_count) + 1e-12 >=
             min_confidence) {
-      out->push_back(rule);
+      out->push_back(e.rule);
     }
   }
-}
-
-const WindowIndex::Entry* WindowIndex::FindRule(RuleId rule) const {
-  const auto it = rule_locations_.find(rule);
-  return it == rule_locations_.end() ? nullptr : &it->second;
 }
 
 size_t WindowIndex::location_count() const {
@@ -240,9 +230,8 @@ size_t WindowIndex::ApproximateBytes() const {
     }
   }
   bytes += confidence_grid_.size() * sizeof(double);
-  bytes += rule_locations_.size() * (sizeof(RuleId) + sizeof(Entry) + 16);
-  for (const auto& [item, rules] : content_index_) {
-    bytes += sizeof(ItemId) + rules.size() * sizeof(RuleId) + 16;
+  for (const auto& [item, postings] : content_index_) {
+    bytes += sizeof(ItemId) + postings.size() * sizeof(Entry) + 16;
   }
   return bytes;
 }

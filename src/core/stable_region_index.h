@@ -50,7 +50,8 @@ class WindowIndex {
 
   /// Builds the index for a window with `total_transactions` transactions.
   /// When `build_content_index` is set (the TARA-S variant), a per-item
-  /// inverted index over the rules is kept for content-based exploration.
+  /// inverted index over the entries is kept for content-based
+  /// exploration.
   /// A non-null `pool` parallelizes the stable-region sweep's dominant
   /// cost — sorting the entries into parametric-location order — via
   /// chunked sorts merged deterministically; the built index is identical
@@ -75,10 +76,6 @@ class WindowIndex {
   /// antecedent ∪ consequent. Requires build_content_index.
   void ContentQuery(const Itemset& items, double min_support,
                     double min_confidence, std::vector<RuleId>* out) const;
-
-  /// The (rule_count, antecedent_count) location of a rule in this window,
-  /// or nullptr if the rule was not generated here.
-  const Entry* FindRule(RuleId rule) const;
 
   /// Number of distinct temporal parametric locations.
   size_t location_count() const;
@@ -107,10 +104,10 @@ class WindowIndex {
   std::vector<Bucket> buckets_;
   /// Unique confidence values ascending (region grid boundaries).
   std::vector<double> confidence_grid_;
-  /// rule -> its location, for diffs and trajectory assembly.
-  std::unordered_map<RuleId, Entry> rule_locations_;
-  /// item -> rules containing it (TARA-S only), each list sorted.
-  std::unordered_map<ItemId, std::vector<RuleId>> content_index_;
+  /// item -> the entries of the rules containing it (TARA-S only), each
+  /// list sorted by rule id. The postings carry the counts, so
+  /// ContentQuery filters without a lookup.
+  std::unordered_map<ItemId, std::vector<Entry>> content_index_;
   bool has_content_index_ = false;
 };
 

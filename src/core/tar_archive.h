@@ -53,8 +53,8 @@ inline uint64_t UnarchivedCountSlack(uint64_t floor_count,
   return support_slack > confidence_slack ? support_slack : confidence_slack;
 }
 
-/// Integer sums a roll-up reduces to before the final divisions. Both the
-/// linear scan and the hierarchical roll-up tree aggregate into this and
+/// Integer sums a roll-up reduces to before the final divisions. The
+/// linear scan, the roll-up tree and MineRolledUp aggregate into this and
 /// finish through FinishRollUp, so their intervals are bit-identical: the
 /// u64 sums are associative and the doubles are produced by the same
 /// divisions in the same order.
@@ -172,12 +172,6 @@ class TarArchive {
   /// Total archived (rule, window) entries — multiplied by the raw record
   /// width this gives Figure 12's "uncompressed" series.
   size_t entry_count() const { return entry_count_; }
-
-  /// Archived entries in one rule's stream (0 for rules never added).
-  uint32_t entry_count(RuleId rule) const {
-    if (rule >= streams_.size()) return 0;
-    return streams_[rule].entries;
-  }
 
   /// Number of rules with at least one entry.
   size_t rule_count() const;

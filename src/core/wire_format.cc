@@ -19,6 +19,14 @@ ParseError BadBody(std::string_view what) {
   return ParseError{ParseError::Code::kBadRequestBody, std::string(what)};
 }
 
+/// A batch count past kWireMaxBatchRequests, as `code`.
+ParseError OverBatchCap(ParseError::Code code, uint64_t count) {
+  std::ostringstream message;
+  message << "batch counts " << count << " items; a frame may carry at most "
+          << kWireMaxBatchRequests;
+  return ParseError{code, message.str()};
+}
+
 ParseError Trailing(size_t extra) {
   std::ostringstream message;
   message << extra << " unexpected bytes after a well-formed structure";
@@ -381,6 +389,9 @@ Expected<BatchExecuteCommand, ParseError> DecodeBatchExecutePayload(
     return Truncated("the deadline varint");
   }
   if (!in.Count(&count)) return Truncated("the request count");
+  if (count > kWireMaxBatchRequests) {
+    return OverBatchCap(ParseError::Code::kBadRequestBody, count);
+  }
   BatchExecuteCommand command;
   command.deadline_ms = static_cast<uint32_t>(deadline);
   // Requests grow as they decode: a count is only as good as the bytes
@@ -443,6 +454,9 @@ DecodeBatchResultPayload(std::string_view payload) {
   ByteReader in(payload);
   uint64_t count = 0;
   if (!in.Count(&count)) return Truncated("the result count");
+  if (count > kWireMaxBatchRequests) {
+    return OverBatchCap(ParseError::Code::kBadResultBody, count);
+  }
   std::vector<Expected<QueryResult, WireError>> results;
   for (uint64_t i = 0; i < count; ++i) {
     uint8_t status = 0;

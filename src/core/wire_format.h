@@ -58,9 +58,18 @@ inline constexpr uint8_t kWireMagic0 = 0x54;  // 'T'
 inline constexpr uint8_t kWireMagic1 = 0x57;  // 'W'
 inline constexpr uint8_t kWireProtocolVersion = 1;
 inline constexpr size_t kWireHeaderBytes = 8;
-/// Hard upper bound a peer may declare for one payload; servers may
-/// configure a lower operational limit.
+/// Receiver limits. A frame past either one is a typed error; neither
+/// changes a frame's bytes.
+///
+/// The largest payload a peer may declare for one frame, checked at the
+/// header before the payload is read.
 inline constexpr uint32_t kWireMaxPayloadBytes = 64u << 20;
+/// The most requests one kBatchExecute frame and the most items one
+/// kBatchResult frame may count, checked before any of them decodes. A
+/// decoded request takes about 25 times its smallest encoding, so a count
+/// bounded only by the payload would let one full-size frame claim about
+/// 1.6 GB before admission control sees it.
+inline constexpr uint32_t kWireMaxBatchRequests = 1024;
 
 /// What a frame carries. Append-only; never reuse or renumber.
 enum class FrameType : uint8_t {
@@ -293,6 +302,7 @@ struct BatchExecuteCommand {
   std::vector<QueryRequest> requests;
   uint32_t deadline_ms = 0;
 };
+/// A count past kWireMaxBatchRequests is kBadRequestBody.
 Expected<BatchExecuteCommand, ParseError> DecodeBatchExecutePayload(
     std::string_view payload);
 
@@ -309,6 +319,7 @@ std::string EncodeBatchResultFrame(
     const std::vector<QueryKind>& kinds,
     const std::vector<Expected<QueryResult, QueryError>>& results);
 
+/// A count past kWireMaxBatchRequests is kBadResultBody.
 Expected<std::vector<Expected<QueryResult, WireError>>, ParseError>
 DecodeBatchResultPayload(std::string_view payload);
 

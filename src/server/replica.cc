@@ -9,8 +9,14 @@
 #include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/wire_format.h"
+#include "server/tara_server.h"
 
 namespace tara::server {
+
+// A caught-up primary sends a heartbeat every kReplicationHeartbeatMs; a
+// healthy idle stream must never read as a dead peer, even when a few
+// heartbeats run late.
+static_assert(kReplicaIoTimeoutMs > 4 * kReplicationHeartbeatMs);
 
 namespace {
 
@@ -125,7 +131,7 @@ std::optional<std::string> ReplicaEngine::OpenStream(Socket* socket) {
   }
   Socket stream = std::move(connected).value();
   std::string io_error;
-  if (!SetSocketTimeouts(stream.fd(), options_.io_timeout_ms, &io_error)) {
+  if (!SetSocketTimeouts(stream.fd(), kReplicaIoTimeoutMs, &io_error)) {
     return io_error;
   }
   const uint32_t from = engine_ != nullptr ? engine_->window_count() : 0;
@@ -169,11 +175,7 @@ std::optional<std::string> ReplicaEngine::OpenStream(Socket* socket) {
   } else {
     // Same compatibility gate AttachWal applies to a foreign log: a
     // stream mined at other floors must never be replayed here.
-    const KbOptions& mine = engine_->options();
-    if (mine.min_support_floor != checkpoint->min_support_floor ||
-        mine.min_confidence_floor != checkpoint->min_confidence_floor ||
-        mine.max_itemset_size != checkpoint->max_itemset_size ||
-        mine.build_content_index != checkpoint->build_content_index) {
+    if (!SameOptionsFingerprint(engine_->options(), *checkpoint)) {
       return "primary " + endpoint +
              " was built with different options than the local checkpoint "
              "(floors/itemset cap/content index mismatch); refusing to "
@@ -291,7 +293,7 @@ bool ReplicaEngine::SleepBackoff(uint32_t* backoff_ms) {
   state_cv_.wait_for(lock, std::chrono::milliseconds(*backoff_ms), [&] {
     return stopping_.load(std::memory_order_relaxed);
   });
-  *backoff_ms = std::min(*backoff_ms * 2, options_.backoff_max_ms);
+  *backoff_ms = std::min(*backoff_ms * 2, kReplicaBackoffMaxMs);
   return !stopping_.load(std::memory_order_relaxed);
 }
 

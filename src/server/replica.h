@@ -17,6 +17,12 @@
 
 namespace tara::server {
 
+/// Ceiling of the reconnect backoff, which starts at
+/// ReplicaOptions::backoff_initial_ms and doubles per consecutive failure.
+inline constexpr uint32_t kReplicaBackoffMaxMs = 2000;
+/// Per-syscall socket deadline on the subscription connection.
+inline constexpr uint32_t kReplicaIoTimeoutMs = 5000;
+
 /// Configuration of a hot-standby follower.
 struct ReplicaOptions {
   /// The primary's TaraServer endpoint.
@@ -34,14 +40,8 @@ struct ReplicaOptions {
   /// Engine knobs for the local replica engine.
   uint64_t query_cache_bytes = 0;
   uint32_t parallelism = 1;
-  /// Reconnect backoff: starts at `backoff_initial_ms`, doubles per
-  /// consecutive failure, saturates at `backoff_max_ms`.
+  /// First reconnect delay; see kReplicaBackoffMaxMs.
   uint32_t backoff_initial_ms = 50;
-  uint32_t backoff_max_ms = 2000;
-  /// Per-syscall socket deadline on the subscription connection. Must
-  /// comfortably exceed the primary's heartbeat cadence (default 250 ms)
-  /// or a healthy idle stream reads as a dead peer.
-  uint32_t io_timeout_ms = 5000;
 };
 
 /// A hot-standby follower of one TARA primary: it bootstraps from an

@@ -62,8 +62,6 @@ TaraServer::TaraServer(TaraEngine* engine, ServerOptions options)
                 ? options_.max_concurrent_queries
                 : std::max(1u, std::thread::hardware_concurrency()),
             std::max(0, options_.max_queued_queries)) {
-  options_.max_payload_bytes =
-      std::min(options_.max_payload_bytes, kWireMaxPayloadBytes);
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* registry = options_.metrics;
     metrics_.connections = registry->GetCounter("tara.server.connections");
@@ -88,8 +86,8 @@ TaraServer::~TaraServer() { Stop(); }
 
 std::optional<std::string> TaraServer::Start() {
   if (started_) return std::string("Start() called twice");
-  auto listener = ListenTcp(options_.host, options_.port,
-                            options_.listen_backlog, &bound_port_);
+  auto listener =
+      ListenTcp(options_.host, options_.port, kListenBacklog, &bound_port_);
   if (!listener.has_value()) return listener.error();
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
   if (wake_fd_ < 0) {
@@ -183,8 +181,7 @@ void TaraServer::HandleConnection(Connection* connection) {
     metrics_.active_connections->Add(1);
   }
   while (!stopping_.load(std::memory_order_relaxed)) {
-    FrameRead frame =
-        ReadFrame(connection->socket.fd(), options_.max_payload_bytes);
+    FrameRead frame = ReadFrame(connection->socket.fd(), kWireMaxPayloadBytes);
     if (frame.status == FrameRead::Status::kEof ||
         frame.status == FrameRead::Status::kIoError ||
         frame.status == FrameRead::Status::kTimeout) {
@@ -419,7 +416,7 @@ bool TaraServer::HandleReplicaSubscribe(Connection* connection,
     }
   }
   const auto heartbeat_wait =
-      std::chrono::milliseconds(options_.replication_heartbeat_ms);
+      std::chrono::milliseconds(kReplicationHeartbeatMs);
   while (!stopping_.load(std::memory_order_relaxed)) {
     const uint32_t published =
         engine_->WaitForWindows(next + 1, heartbeat_wait);

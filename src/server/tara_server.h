@@ -20,6 +20,13 @@
 
 namespace tara::server {
 
+/// Listen backlog passed to listen(2).
+inline constexpr int kListenBacklog = 64;
+/// Cadence of kReplicaHeartbeat frames on a caught-up replication
+/// stream. Also bounds how long a stream thread can sit waiting for the
+/// next published window before noticing Stop().
+inline constexpr uint32_t kReplicationHeartbeatMs = 250;
+
 /// Serving configuration. The defaults suit tests and small deployments;
 /// a production process sizes the pool and queue to its hardware.
 struct ServerOptions {
@@ -33,11 +40,6 @@ struct ServerOptions {
   /// limit. The (max_concurrent_queries + max_queued_queries + 1)-th
   /// simultaneous request is shed with kOverloaded.
   int max_queued_queries = 64;
-  /// Per-frame payload ceiling enforced at the header (memory-bomb
-  /// admission; must be <= kWireMaxPayloadBytes).
-  uint32_t max_payload_bytes = kWireMaxPayloadBytes;
-  /// Listen backlog passed to listen(2).
-  int listen_backlog = 64;
   /// Instrument destination for the tara.server.* series and the
   /// kMetricsRequest endpoint; nullptr = no metrics, empty endpoint.
   obs::MetricsRegistry* metrics = nullptr;
@@ -45,10 +47,6 @@ struct ServerOptions {
   /// instead of mutating the engine. Queries, info, metrics, and
   /// (chained) replication subscriptions all keep working.
   bool read_only = false;
-  /// Cadence of kReplicaHeartbeat frames on a caught-up replication
-  /// stream. Also bounds how long a stream thread can sit waiting for
-  /// the next published window before noticing Stop().
-  uint32_t replication_heartbeat_ms = 250;
   /// Test seam: runs on the worker after admission, immediately before
   /// engine execution. Lets tests hold the pool occupied deterministically
   /// to drive the shed and deadline paths. Never set in production.

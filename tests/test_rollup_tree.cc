@@ -1,6 +1,7 @@
-// Tree-vs-linear equivalence for the hierarchical roll-up index, and the
-// snapshot's one-pass multi-window queries against per-window and
-// per-rule references. Every roll-up path aggregates into RollUpAggregate
+// Tree-vs-linear equivalence for the roll-up tree (window-axis prefix
+// sums plus one pass over the rule's archive series), and the snapshot's
+// one-pass multi-window queries against per-window and per-rule
+// references. Every roll-up path aggregates into RollUpAggregate
 // and finishes through FinishRollUp, so the property tests here demand
 // EXACT double equality (or equal result bytes), not tolerances — any
 // drift means the sums diverged.
@@ -30,28 +31,25 @@ void ExpectSameBound(const RollUpBound& tree, const RollUpBound& linear) {
   EXPECT_EQ(tree.missing_windows, linear.missing_windows);
 }
 
-/// Archive and tree builder fed byte-identically, the way KbBuilder
-/// drives them at commit time.
+/// An archive fed the way KbBuilder's commit feeds it, and the roll-up
+/// tree over it.
 struct MirroredIndex {
-  TarArchive archive;
-  RollUpTreeBuilder builder;
+  std::shared_ptr<TarArchive> archive = std::make_shared<TarArchive>();
   uint32_t window_count = 0;
   uint32_t rule_count = 0;
 
   void AddWindow(uint64_t size, uint64_t floor_count,
                  double confidence_floor) {
-    const WindowId w = window_count++;
-    archive.RegisterWindow(w, size, floor_count, confidence_floor);
-    builder.BeginWindow(
-        w, size, UnarchivedCountSlack(floor_count, confidence_floor, size));
+    archive->RegisterWindow(window_count++, size, floor_count,
+                            confidence_floor);
   }
 
   void AddEntry(RuleId rule, uint64_t rule_cnt, uint64_t ant_cnt) {
-    const WindowId w = window_count - 1;
-    archive.Add(rule, w, rule_cnt, ant_cnt);
-    builder.AddEntry(rule, rule_cnt, ant_cnt);
+    archive->Add(rule, window_count - 1, rule_cnt, ant_cnt);
     if (rule >= rule_count) rule_count = rule + 1;
   }
+
+  RollUpTree Tree() const { return RollUpTree(archive); }
 };
 
 /// A seeded random index: per-window sizes/floors vary, rules are present
@@ -106,37 +104,16 @@ WindowSet RandomWindowSet(Rng& rng, uint32_t window_count) {
 TEST(RollUpTree, MatchesLinearScanOnRandomizedIndexes) {
   for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const MirroredIndex m = RandomIndex(seed, 48, 12);
-    const std::shared_ptr<const RollUpTree> tree = m.builder.Snapshot();
+    const RollUpTree tree = m.Tree();
     Rng rng(seed * 1000 + 7);
     for (int round = 0; round < 100; ++round) {
       const WindowSet windows = RandomWindowSet(rng, m.window_count);
       // Include a rule id past everything archived (decodes to empty).
       for (RuleId rule = 0; rule <= m.rule_count; ++rule) {
-        ExpectSameBound(tree->RollUp(rule, windows.ids()),
-                        m.archive.RollUp(rule, windows.ids()));
+        ExpectSameBound(tree.RollUp(rule, windows.ids()),
+                        m.archive->RollUp(rule, windows.ids()));
       }
     }
-  }
-}
-
-TEST(RollUpTree, EntryForMatchesArchive) {
-  const MirroredIndex m = RandomIndex(99, 32, 8);
-  const std::shared_ptr<const RollUpTree> tree = m.builder.Snapshot();
-  for (RuleId rule = 0; rule <= m.rule_count; ++rule) {
-    EXPECT_EQ(tree->entry_count(rule), m.archive.entry_count(rule));
-    for (WindowId w = 0; w < m.window_count; ++w) {
-      const auto from_tree = tree->EntryFor(rule, w);
-      const auto from_archive = m.archive.EntryFor(rule, w);
-      ASSERT_EQ(from_tree.has_value(), from_archive.has_value())
-          << "rule " << rule << " window " << w;
-      if (from_tree) {
-        EXPECT_EQ(from_tree->window, from_archive->window);
-        EXPECT_EQ(from_tree->rule_count, from_archive->rule_count);
-        EXPECT_EQ(from_tree->antecedent_count,
-                  from_archive->antecedent_count);
-      }
-    }
-    EXPECT_FALSE(tree->EntryFor(rule, m.window_count + 5).has_value());
   }
 }
 
@@ -147,18 +124,40 @@ TEST(RollUpTree, HandlesEmptyAndSparseSeries) {
   m.AddWindow(300, 3, 0.1);
   // Rule 0: only the last window. Rules 1 and 7: never archived.
   m.AddEntry(0, 12, 24);
-  const std::shared_ptr<const RollUpTree> tree = m.builder.Snapshot();
+  const RollUpTree tree = m.Tree();
   for (RuleId rule : {0u, 1u, 7u}) {
-    ExpectSameBound(tree->RollUp(rule, WindowSet::All(3).ids()),
-                    m.archive.RollUp(rule, WindowSet::All(3).ids()));
+    ExpectSameBound(tree.RollUp(rule, WindowSet::All(3).ids()),
+                    m.archive->RollUp(rule, WindowSet::All(3).ids()));
   }
-  EXPECT_EQ(tree->window_count(), 3u);
+  EXPECT_EQ(tree.window_count(), 3u);
+
+  // Rule 0 spans windows 2-3 of 6, rule 2 only window 0, rule 1 none.
+  // Sets that end before a series begins, begin after it ends, or
+  // straddle it exercise every exit of the walk over the series.
+  MirroredIndex gaps;
+  for (WindowId w = 0; w < 6; ++w) {
+    gaps.AddWindow(100 * (w + 1), 4, 0.05);
+    if (w == 0) gaps.AddEntry(2, 9, 30);
+    if (w == 2 || w == 3) gaps.AddEntry(0, 10 + w, 40);
+  }
+  const RollUpTree gap_tree = gaps.Tree();
+  const std::vector<std::vector<WindowId>> sets = {
+      {0}, {0, 1}, {1}, {4, 5}, {5}, {1, 4}, {0, 5}, {2}, {3, 4}, {1, 2}};
+  for (const std::vector<WindowId>& ids : sets) {
+    for (RuleId rule : {0u, 1u, 2u}) {
+      ExpectSameBound(gap_tree.RollUp(rule, ids),
+                      gaps.archive->RollUp(rule, ids));
+    }
+  }
+  EXPECT_EQ(gap_tree.RollUp(0, sets[1]).missing_windows, 2u);  // ends before
+  EXPECT_EQ(gap_tree.RollUp(0, sets[3]).missing_windows, 2u);  // begins after
+  EXPECT_EQ(gap_tree.RollUp(0, sets[8]).missing_windows, 1u);  // straddles
 }
 
 /// Live appends through the engine: after every published window the
 /// snapshot's tree must agree with a linear scan of that snapshot's own
 /// archive, and snapshots pinned earlier must keep answering from their
-/// generation (immutability under the builder's copy-on-write appends).
+/// generation while later windows are appended.
 TEST(RollUpTree, LiveAppendsKeepTreeAndPinnedSnapshotsConsistent) {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
@@ -199,20 +198,9 @@ TEST(RollUpTree, LiveAppendsKeepTreeAndPinnedSnapshotsConsistent) {
       const auto bound = snapshot->RollUpRule(rule, all);
       ASSERT_TRUE(bound.has_value());
       ExpectSameBound(*bound, snapshot->archive().RollUp(rule, all.ids()));
-      for (WindowId win = 0; win < snapshot->window_count(); ++win) {
-        const auto from_tree = snapshot->EntryFor(rule, win);
-        const auto from_archive = snapshot->archive().EntryFor(rule, win);
-        ASSERT_EQ(from_tree.has_value(), from_archive.has_value());
-        if (from_tree) {
-          EXPECT_EQ(from_tree->rule_count, from_archive->rule_count);
-          EXPECT_EQ(from_tree->antecedent_count,
-                    from_archive->antecedent_count);
-        }
-      }
-      // Windows published after this snapshot do not exist in its tree.
-      EXPECT_FALSE(
-          snapshot->EntryFor(rule, snapshot->window_count()).has_value());
     }
+    // Windows published after this snapshot do not exist in its tree.
+    EXPECT_EQ(snapshot->rollup_tree().window_count(), g + 1);
   }
 }
 
@@ -364,27 +352,6 @@ TEST(RollUpTree, MultiWindowQueriesMatchPerWindowReferences) {
     }
   }
   EXPECT_GT(nonempty, 0u);  // the floors admit rules; not all answers empty
-}
-
-TEST(RollUpTreeBuilder, SnapshotsShareSeriesCopyOnWrite) {
-  MirroredIndex m;
-  m.AddWindow(100, 2, 0.0);
-  m.AddEntry(0, 10, 20);
-  const std::shared_ptr<const RollUpTree> first = m.builder.Snapshot();
-
-  // Appending after a snapshot must not mutate what it published.
-  m.AddWindow(100, 2, 0.0);
-  m.AddEntry(0, 30, 40);
-  const std::shared_ptr<const RollUpTree> second = m.builder.Snapshot();
-
-  EXPECT_EQ(first->window_count(), 1u);
-  EXPECT_EQ(second->window_count(), 2u);
-  EXPECT_EQ(first->entry_count(0), 1u);
-  EXPECT_EQ(second->entry_count(0), 2u);
-  EXPECT_FALSE(first->EntryFor(0, 1).has_value());
-  const auto updated = second->EntryFor(0, 1);
-  ASSERT_TRUE(updated.has_value());
-  EXPECT_EQ(updated->rule_count, 30u);
 }
 
 }  // namespace

@@ -182,6 +182,25 @@ TEST_F(ServerTest, BatchMixesResultsAndErrors) {
             EncodeQueryResult(requests[0].kind, local[0].value()));
 }
 
+TEST_F(ServerTest, BatchPastTheCapGetsATypedErrorAndTheConnectionServes) {
+  StartServer();
+  TaraClient client = Connect();
+  const ParameterSetting setting{0.03, 0.3};
+  std::vector<QueryRequest> requests(kWireMaxBatchRequests,
+                                     QueryRequest::Region(1, setting));
+  const auto at_cap = client.ExecuteBatch(requests);
+  ASSERT_TRUE(at_cap.has_value()) << at_cap.error();
+  EXPECT_EQ(at_cap->size(), kWireMaxBatchRequests);
+
+  requests.push_back(requests.front());
+  const auto over_cap = client.ExecuteBatch(requests);
+  ASSERT_FALSE(over_cap.has_value());
+  EXPECT_EQ(over_cap.error().code,
+            static_cast<uint32_t>(ParseError::Code::kBadRequestBody));
+  // The same connection keeps serving.
+  EXPECT_TRUE(client.Execute(requests.front()).has_value());
+}
+
 TEST_F(ServerTest, LiveIngestionDuringConcurrentQueries) {
   StartServer();
   constexpr int kClients = 4;

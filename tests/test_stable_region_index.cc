@@ -185,15 +185,69 @@ TEST(WindowIndexTest, ContentQueryFiltersByItems) {
   (void)r3;
 }
 
-TEST(WindowIndexTest, FindRuleReturnsLocation) {
-  Fixture fx;
-  const RuleId r = fx.AddRule(1, 2, 20, 40);
+/// The content twin of CollectMatchesBruteForceFilter: random rules of
+/// two or three items, random item sets (empty, matching, or naming an
+/// item no rule holds) and random settings, against a filter over every
+/// entry.
+TEST(WindowIndexTest, ContentQueryMatchesBruteForceFilter) {
+  Rng rng(11);
+  RuleCatalog catalog;
+  std::vector<WindowIndex::Entry> entries;
+  const uint64_t total = 400;
+  // Rules use items 0-9; queries also draw items 10 and 11.
+  const auto distinct_items = [&rng](size_t size, ItemId universe) {
+    Itemset items;
+    while (items.size() < size) {
+      const ItemId item = static_cast<ItemId>(rng.NextBounded(universe));
+      if (std::find(items.begin(), items.end(), item) == items.end()) {
+        items.push_back(item);
+      }
+    }
+    std::sort(items.begin(), items.end());
+    return items;
+  };
+  for (int i = 0; i < 300; ++i) {
+    Itemset items = distinct_items(2 + rng.NextBounded(2), 10);
+    const size_t split = rng.NextBounded(items.size());
+    Rule rule{{}, {items[split]}};
+    items.erase(items.begin() + static_cast<ptrdiff_t>(split));
+    rule.antecedent = std::move(items);
+    const size_t before = catalog.size();
+    const RuleId id = catalog.Intern(rule);
+    if (catalog.size() == before) continue;  // drew a rule already held
+    const uint64_t count = 1 + rng.NextBounded(150);
+    entries.push_back(
+        WindowIndex::Entry{id, count, count + rng.NextBounded(200)});
+  }
   WindowIndex index;
-  index.Build(fx.entries, 100, false, fx.catalog);
-  const WindowIndex::Entry* entry = index.FindRule(r);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->rule_count, 20u);
-  EXPECT_EQ(index.FindRule(999), nullptr);
+  index.Build(entries, total, /*build_content_index=*/true, catalog);
+
+  size_t matched = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Itemset items = distinct_items(rng.NextBounded(4), 12);
+    const double s = rng.NextDouble() * 0.3;
+    const double c = rng.NextDouble();
+    std::vector<RuleId> got;
+    index.ContentQuery(items, s, c, &got);
+
+    std::vector<RuleId> want;
+    const uint64_t min_count = MinCountForSupport(s, total);
+    for (const auto& e : entries) {
+      const Rule& rule = catalog.rule(e.rule);
+      Itemset held = rule.antecedent;
+      held.insert(held.end(), rule.consequent.begin(), rule.consequent.end());
+      std::sort(held.begin(), held.end());
+      const double conf = static_cast<double>(e.rule_count) /
+                          static_cast<double>(e.antecedent_count);
+      if (std::includes(held.begin(), held.end(), items.begin(), items.end()) &&
+          e.rule_count >= min_count && conf + 1e-12 >= c) {
+        want.push_back(e.rule);
+      }
+    }
+    EXPECT_EQ(Sorted(got), Sorted(want)) << "trial " << trial;
+    matched += want.size();
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 TEST(WindowIndexTest, RegionCountReflectsGrid) {

@@ -284,6 +284,44 @@ TEST(WireFormat, BatchResultMixesOkAndError) {
   EXPECT_EQ((*batch)[1].error().message, "0.001 < floor 0.01");
 }
 
+/// The least a request encodes to: Measures(0, {}), three bytes.
+QueryRequest MinimalRequest() { return QueryRequest::Measures(0, {}); }
+
+TEST(WireFormat, BatchCountsPastTheCapAreTypedErrors) {
+  // A view of the payload of `frame`, which must outlive it.
+  const auto payload = [](const std::string& frame) {
+    return std::string_view(frame).substr(kWireHeaderBytes);
+  };
+  std::vector<QueryRequest> requests(kWireMaxBatchRequests, MinimalRequest());
+  const std::string at_cap = EncodeBatchExecuteFrame(requests);
+  const auto decoded = DecodeBatchExecutePayload(payload(at_cap));
+  ASSERT_TRUE(decoded.has_value()) << decoded.error();
+  EXPECT_EQ(decoded->requests.size(), kWireMaxBatchRequests);
+
+  requests.push_back(MinimalRequest());
+  const std::string over_cap = EncodeBatchExecuteFrame(requests);
+  const auto rejected = DecodeBatchExecutePayload(payload(over_cap));
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.error().code, ParseError::Code::kBadRequestBody);
+
+  std::vector<QueryKind> kinds(kWireMaxBatchRequests, QueryKind::kMineWindow);
+  std::vector<Expected<QueryResult, QueryError>> results;
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    results.emplace_back(QueryResult(std::vector<RuleId>{}));
+  }
+  const std::string items_at_cap = EncodeBatchResultFrame(kinds, results);
+  const auto items = DecodeBatchResultPayload(payload(items_at_cap));
+  ASSERT_TRUE(items.has_value()) << items.error();
+  EXPECT_EQ(items->size(), kWireMaxBatchRequests);
+
+  kinds.push_back(QueryKind::kMineWindow);
+  results.emplace_back(QueryResult(std::vector<RuleId>{}));
+  const std::string items_over_cap = EncodeBatchResultFrame(kinds, results);
+  const auto too_many = DecodeBatchResultPayload(payload(items_over_cap));
+  ASSERT_FALSE(too_many.has_value());
+  EXPECT_EQ(too_many.error().code, ParseError::Code::kBadResultBody);
+}
+
 TEST(WireFormat, AppendWindowRoundTrip) {
   TransactionDatabase db;
   db.Append(100, {3, 1, 2});
@@ -647,6 +685,24 @@ std::string ClaimsPoints(uint64_t points) {
   return prefix;
 }
 
+/// A kBatchExecute frame of as many minimal requests, each behind a
+/// one-byte length, as a full-size payload holds: about 16.7M requests,
+/// 1.6 GB once decoded.
+std::string FullSizeMinimalBatch() {
+  const std::string request = EncodeQueryRequest(MinimalRequest());
+  const uint64_t count = (kWireMaxPayloadBytes - 5) / (1 + request.size());
+  std::string payload;
+  payload.reserve(kWireMaxPayloadBytes);
+  payload.push_back(0);  // no deadline
+  if (codec::VarintLength(count) != 4) std::abort();
+  codec::PutVarint(count, &payload);
+  for (uint64_t i = 0; i < count; ++i) {
+    payload.push_back(static_cast<char>(request.size()));
+    payload += request;
+  }
+  return EncodeFrame(FrameType::kBatchExecute, payload);
+}
+
 bool DecodesToTypedError(const std::string& frame) {
   const auto decoded = DecodeFrame(frame);
   if (!decoded.has_value()) return false;
@@ -675,7 +731,9 @@ constexpr bool kSanitized = false;
 // child capped at 512 MiB of address space, 64 MiB frames claiming 60M
 // records must come back as typed errors; sizing from the count (5.8 GB
 // of requests, 1.4 GB of trajectories) would die of std::bad_alloc
-// instead.
+// instead. A batch also counts at most kWireMaxBatchRequests items, so a
+// full-size frame of well-formed minimal requests (1.6 GB decoded) is a
+// typed error too.
 TEST(WireFormatDeathTest, HostileCountsNeverSizeAnAllocation) {
   if (kSanitized) {
     GTEST_SKIP() << "sanitizers reserve shadow memory past any RLIMIT_AS cap";
@@ -699,6 +757,9 @@ TEST(WireFormatDeathTest, HostileCountsNeverSizeAnAllocation) {
           FrameType::kResult, ClaimsPoints(points), kWireMaxPayloadBytes);
       if (!DecodesToTypedError(frame)) std::_Exit(4);
     }
+    // Well-formed minimal requests filling a full-size frame: only the
+    // batch cap stops them before they decode.
+    if (!DecodesToTypedError(FullSizeMinimalBatch())) std::_Exit(5);
     std::_Exit(0);
   };
   EXPECT_EXIT(decode_capped(), ::testing::ExitedWithCode(0), "");
