@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core data structures —
 // ablation-level measurements behind the figure harnesses: archive
 // encode/decode throughput, stable-region query cost versus result size,
-// tidset counting, contrast scoring, and the observability layer's
-// overhead on the online query path (null sink versus live registry).
+// roll-up mining over the trailing windows of a long history, tidset
+// counting, contrast scoring, and the observability layer's overhead on
+// the online query path (null sink versus live registry).
 
 #include <benchmark/benchmark.h>
 
@@ -98,6 +99,67 @@ void BM_StableRegionLocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StableRegionLocate);
+
+// Roll-up mining over the trailing windows of a long, churny history: 512
+// windows of 600 rules, 400 present in every window and 200 drawn from a
+// 20k-rule pool, so the catalog (about 20k rules) far outgrows what a few
+// windows read. A request should cost its windows' entries, not the
+// catalog.
+const KnowledgeBaseSnapshot& ChurnyKnowledgeBase() {
+  static const auto* snapshot = [] {
+    TaraEngine::Options options;
+    options.min_support_floor = 0.02;
+    options.min_confidence_floor = 0.3;
+    TaraEngine engine(options);
+    constexpr uint32_t kWindows = 512;
+    constexpr uint32_t kSteady = 400;
+    constexpr uint32_t kDrawn = 200;
+    constexpr uint32_t kPool = 20000;
+    Rng rng(29);
+    std::vector<uint32_t> drawn_in(kPool, kWindows);  // last window drawn
+    std::vector<TaraEngine::PrecomputedRule> rules;
+    const auto add = [&](uint32_t r) {
+      TaraEngine::PrecomputedRule p;
+      p.rule = Rule{{static_cast<ItemId>(r)},
+                    {static_cast<ItemId>(100000 + r)}};
+      p.rule_count = 10 + rng.NextBounded(100);
+      p.antecedent_count = p.rule_count + rng.NextBounded(2 * p.rule_count);
+      rules.push_back(p);
+    };
+    for (uint32_t w = 0; w < kWindows; ++w) {
+      rules.clear();
+      for (uint32_t r = 0; r < kSteady; ++r) add(r);
+      while (rules.size() < kSteady + kDrawn) {
+        const auto r = static_cast<uint32_t>(rng.NextBounded(kPool));
+        if (drawn_in[r] == w) continue;
+        drawn_in[r] = w;
+        add(kSteady + r);
+      }
+      engine.AppendPrecomputedWindow(500, rules);
+    }
+    return new std::shared_ptr<const KnowledgeBaseSnapshot>(
+        engine.Snapshot());
+  }();
+  return **snapshot;
+}
+
+void BM_MineRolledUp(benchmark::State& state) {
+  const KnowledgeBaseSnapshot& kb = ChurnyKnowledgeBase();
+  const uint32_t count = kb.window_count();
+  const WindowSet windows = WindowSet::Range(
+      count - static_cast<uint32_t>(state.range(0)), count, count);
+  const ParameterSetting setting{0.05, 0.4};
+  size_t answered = 0;
+  for (auto _ : state) {
+    const RolledUpRules rules = kb.MineRolledUp(windows, setting).value();
+    answered = rules.certain.size() + rules.possible.size();
+    benchmark::DoNotOptimize(rules.certain.data());
+    benchmark::DoNotOptimize(rules.possible.data());
+  }
+  state.SetLabel("answer=" + std::to_string(answered) +
+                 " catalog=" + std::to_string(kb.rule_count()));
+}
+BENCHMARK(BM_MineRolledUp)->Arg(2)->Arg(8)->Arg(24);
 
 void BM_TidsetCount(benchmark::State& state) {
   FaersGenerator::Params params;

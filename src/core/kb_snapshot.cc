@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -12,86 +14,70 @@ namespace tara {
 
 namespace {
 
-/// Per-rule accumulators of one multi-window request: an open-addressing
-/// table from RuleId to a dense slot. The table grows with the distinct
-/// rules the request reads, never with the catalog, so a two-window
-/// request on a large knowledge base costs two windows' rules. Rules are
-/// kept in the order first read; callers sort what they emit.
+/// Per-rule accumulators of one multi-window request, indexed by RuleId:
+/// a slot for every id below `bound`, allocated uninitialized, and one bit
+/// per slot marking the rules the request read. A slot is value-initialized
+/// when first read, so a request costs the entries it reads plus bound / 64
+/// bitmap words, and ForEach visits the read rules in ascending RuleId
+/// order: answers need no sort.
 template <typename Value>
-class RuleAccumulators {
+class RuleTable {
+  // A default member initializer would zero every slot per request.
+  static_assert(std::is_trivially_default_constructible_v<Value>);
+
  public:
-  RuleAccumulators() { Rehash(16); }
+  explicit RuleTable(RuleId bound)
+      : values_(std::make_unique_for_overwrite<Value[]>(bound)),
+        read_((static_cast<size_t>(bound) + 63) / 64) {}
 
   /// The accumulator of `rule`, value-initialized when first read.
   Value& operator[](RuleId rule) {
-    Slot* slot = Probe(rule);
-    if (slot->index == kEmpty) {
-      if (2 * (rules_.size() + 1) > table_.size()) {
-        Rehash(2 * table_.size());
-        slot = Probe(rule);
-      }
-      *slot = Slot{rule, static_cast<uint32_t>(rules_.size())};
-      rules_.push_back(rule);
-      values_.emplace_back();
+    uint64_t& word = read_[rule / 64];
+    const uint64_t bit = uint64_t{1} << (rule % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      values_[rule] = Value{};
     }
-    return values_[slot->index];
+    return values_[rule];
   }
 
   /// The accumulator of `rule`, or nullptr if no window read it.
   Value* Find(RuleId rule) {
-    const Slot* slot = Probe(rule);
-    return slot->index == kEmpty ? nullptr : &values_[slot->index];
+    const bool read = ((read_[rule / 64] >> (rule % 64)) & 1) != 0;
+    return read ? &values_[rule] : nullptr;
   }
 
-  size_t size() const { return rules_.size(); }
-  RuleId rule(size_t i) const { return rules_[i]; }
-  const Value& value(size_t i) const { return values_[i]; }
+  /// Calls visit(rule, value) for every rule read, in ascending order.
+  template <typename Visit>
+  void ForEach(Visit visit) const {
+    for (size_t i = 0; i < read_.size(); ++i) {
+      for (uint64_t word = read_[i]; word != 0; word &= word - 1) {
+        const RuleId rule =
+            static_cast<RuleId>(64 * i + std::countr_zero(word));
+        visit(rule, values_[rule]);
+      }
+    }
+  }
 
  private:
-  static constexpr uint32_t kEmpty = ~uint32_t{0};
-  struct Slot {
-    RuleId rule = 0;
-    uint32_t index = kEmpty;
-  };
-
-  Slot* Probe(RuleId rule) {
-    // Fibonacci hashing scatters the dense, consecutive RuleIds.
-    size_t i = static_cast<size_t>((rule * 0x9E3779B97F4A7C15ull) >> shift_);
-    while (table_[i].index != kEmpty && table_[i].rule != rule) {
-      i = (i + 1) & (table_.size() - 1);
-    }
-    return &table_[i];
-  }
-
-  void Rehash(size_t capacity) {
-    table_.assign(capacity, Slot{});
-    shift_ = 64 - std::countr_zero(capacity);
-    for (uint32_t i = 0; i < rules_.size(); ++i) {
-      *Probe(rules_[i]) = Slot{rules_[i], i};
-    }
-  }
-
-  std::vector<Slot> table_;
-  int shift_ = 64;
-  std::vector<RuleId> rules_;
-  std::vector<Value> values_;
+  std::unique_ptr<Value[]> values_;
+  std::vector<uint64_t> read_;
 };
 
-/// Sorts rule ids ascending by least-significant-digit radix sort, one
-/// pass per significant byte of the largest id: linear in the ids emitted.
-void SortRuleIds(std::vector<RuleId>* rules) {
-  if (rules->empty()) return;
-  const RuleId largest = *std::max_element(rules->begin(), rules->end());
-  std::vector<RuleId> sorted(rules->size());
-  for (int shift = 0; shift < 32 && (largest >> shift) != 0; shift += 8) {
-    std::array<size_t, 257> next{};
-    for (RuleId rule : *rules) ++next[((rule >> shift) & 0xff) + 1];
-    for (size_t digit = 1; digit < next.size(); ++digit) {
-      next[digit] += next[digit - 1];
-    }
-    for (RuleId rule : *rules) sorted[next[(rule >> shift) & 0xff]++] = rule;
-    rules->swap(sorted);
+/// The table bound of a request over `windows`: the rule watermark of its
+/// last window. Each window's entries name rules below its own watermark
+/// and watermarks never decrease, so checking each requested window's
+/// watermark against the bound bounds every entry the request reads.
+RuleId TableBound(
+    const std::vector<std::shared_ptr<const WindowSegment>>& segments,
+    const WindowSet& windows) {
+  const RuleId bound =
+      segments[windows.required_window_count() - 1]->rule_watermark;
+  for (WindowId w : windows) {
+    TARA_CHECK_LE(segments[w]->rule_watermark, bound)
+        << "window " << w << "'s rule watermark passes a later window's";
   }
+  return bound;
 }
 
 /// One pass over `windows`: each rule valid under settings[s] in a window
@@ -99,11 +85,11 @@ void SortRuleIds(std::vector<RuleId>* rules) {
 /// valid in the first window are tracked — no other rule can be valid in
 /// every window.
 template <size_t N>
-RuleAccumulators<std::array<uint32_t, N>> CountHits(
+RuleTable<std::array<uint32_t, N>> CountHits(
     const std::vector<std::shared_ptr<const WindowSegment>>& segments,
     const WindowSet& windows, const std::array<ParameterSetting, N>& settings,
     MatchMode mode) {
-  RuleAccumulators<std::array<uint32_t, N>> hits;
+  RuleTable<std::array<uint32_t, N>> hits(TableBound(segments, windows));
   std::vector<RuleId> valid;
   bool first = true;
   for (WindowId w : windows) {
@@ -251,10 +237,9 @@ Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::MineWindows(
   const auto hits = CountHits<1>(segments_, windows, {setting}, mode);
   const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
   std::vector<RuleId> rules;
-  for (size_t i = 0; i < hits.size(); ++i) {
-    if (hits.value(i)[0] >= need) rules.push_back(hits.rule(i));
-  }
-  SortRuleIds(&rules);
+  hits.ForEach([&](RuleId rule, const std::array<uint32_t, 1>& hit) {
+    if (hit[0] >= need) rules.push_back(rule);
+  });
   return rules;
 }
 
@@ -288,14 +273,12 @@ Expected<RulesetDiff, QueryError> KnowledgeBaseSnapshot::CompareSettings(
   const auto hits = CountHits<2>(segments_, windows, {first, second}, mode);
   const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
   RulesetDiff diff;
-  for (size_t i = 0; i < hits.size(); ++i) {
-    const bool in_first = hits.value(i)[0] >= need;
-    const bool in_second = hits.value(i)[1] >= need;
-    if (in_first && !in_second) diff.only_first.push_back(hits.rule(i));
-    if (in_second && !in_first) diff.only_second.push_back(hits.rule(i));
-  }
-  SortRuleIds(&diff.only_first);
-  SortRuleIds(&diff.only_second);
+  hits.ForEach([&](RuleId rule, const std::array<uint32_t, 2>& hit) {
+    const bool in_first = hit[0] >= need;
+    const bool in_second = hit[1] >= need;
+    if (in_first && !in_second) diff.only_first.push_back(rule);
+    if (in_second && !in_first) diff.only_second.push_back(rule);
+  });
   return diff;
 }
 
@@ -365,15 +348,15 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
   // RollUpAggregate the roll-up tree and the linear archive scan build, so
   // FinishRollUp yields the same doubles.
   struct Present {
-    uint64_t rule_count = 0;
-    uint64_t antecedent_count = 0;
-    uint64_t size = 0;
-    uint64_t slack = 0;
-    uint32_t windows = 0;
+    uint64_t rule_count;
+    uint64_t antecedent_count;
+    uint64_t size;
+    uint64_t slack;
+    uint32_t windows;
   };
   uint64_t total = 0;
   uint64_t total_slack = 0;
-  RuleAccumulators<Present> present;
+  RuleTable<Present> present(TableBound(segments_, windows));
   for (WindowId w : windows) {
     const uint64_t size = archive_->window_size(w);
     const uint64_t slack = UnarchivedCountSlack(
@@ -391,8 +374,7 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
   }
 
   RolledUpRules result;
-  for (size_t i = 0; i < present.size(); ++i) {
-    const Present& p = present.value(i);
+  present.ForEach([&](RuleId rule, const Present& p) {
     RollUpAggregate agg;
     agg.known_rule = p.rule_count;
     agg.known_ant = p.antecedent_count;
@@ -406,13 +388,11 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
     const bool possible = bound.support_hi + 1e-12 >= setting.min_support &&
                           bound.confidence_hi + 1e-12 >= setting.min_confidence;
     if (certain) {
-      result.certain.push_back(present.rule(i));
+      result.certain.push_back(rule);
     } else if (possible) {
-      result.possible.push_back(present.rule(i));
+      result.possible.push_back(rule);
     }
-  }
-  SortRuleIds(&result.certain);
-  SortRuleIds(&result.possible);
+  });
   return result;
 }
 

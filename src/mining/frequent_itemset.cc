@@ -13,9 +13,10 @@ void SortItemsets(std::vector<FrequentItemset>* itemsets) {
 }
 
 uint64_t MinCountForSupport(double min_support, size_t n) {
-  const double raw = min_support * static_cast<double>(n);
-  const uint64_t count = static_cast<uint64_t>(std::ceil(raw - 1e-9));
-  return count == 0 ? 1 : count;
+  const double count = std::ceil(min_support * static_cast<double>(n) - 1e-9);
+  // Casting a double at or past 2^64 to uint64_t is undefined.
+  if (!(count < 0x1p64)) return UINT64_MAX;
+  return count < 1.0 ? 1 : static_cast<uint64_t>(count);
 }
 
 }  // namespace tara

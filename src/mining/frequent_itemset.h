@@ -50,7 +50,8 @@ class FrequentItemsetMiner {
 void SortItemsets(std::vector<FrequentItemset>* itemsets);
 
 /// Converts a fractional minimum support into the absolute count used by
-/// Options (ceil(min_support * n), at least 1).
+/// Options (ceil(min_support * n), at least 1). A count of 2^64 or more
+/// saturates to UINT64_MAX, which no itemset reaches.
 uint64_t MinCountForSupport(double min_support, size_t n);
 
 }  // namespace tara

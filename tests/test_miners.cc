@@ -171,6 +171,11 @@ TEST(MinCountForSupportTest, CeilsAndClampsToOne) {
   EXPECT_EQ(MinCountForSupport(0.0, 100), 1u);
   EXPECT_EQ(MinCountForSupport(0.001, 100), 1u);
   EXPECT_EQ(MinCountForSupport(1.0, 100), 100u);
+  // Counts of 2^64 or more saturate; no itemset reaches UINT64_MAX.
+  EXPECT_EQ(MinCountForSupport(0x1p52, 2048), uint64_t{1} << 63);
+  EXPECT_EQ(MinCountForSupport(0x1p53, 2048), UINT64_MAX);  // exactly 2^64
+  EXPECT_EQ(MinCountForSupport(1e17, 1000), UINT64_MAX);
+  EXPECT_EQ(MinCountForSupport(1e300, 1000), UINT64_MAX);
 }
 
 }  // namespace

@@ -232,6 +232,57 @@ TEST(QueryErrorNonFiniteTest, EveryKindWithASettingRejectsNonFiniteValues) {
       engine.Execute(QueryRequest::MineWindow(0, kOkSetting)).has_value());
 }
 
+// A finite support so large that ceil(support × transactions) passes
+// 2^64 has no minimum count to convert to. The count saturates, so every
+// kind that takes a setting answers as at any support above 1: no rule.
+// Unsaturated, the conversion was undefined; on x86-64 it made the
+// minimum count 1, and these requests answered every rule of the floors.
+TEST(QueryErrorHugeSupportTest, SupportsPastTheCountRangeAnswerAsAtSupportTwo) {
+  TaraEngine::Options options;
+  options.min_support_floor = kFloorSupport;
+  options.min_confidence_floor = kFloorConfidence;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;
+  TaraEngine engine(options);
+  engine.BuildAll(MakeData());
+  const ItemId item = engine.Snapshot()->catalog().rule(0).antecedent.at(0);
+  const auto requests = [&](const ParameterSetting& setting) {
+    return std::vector<QueryRequest>{
+        QueryRequest::MineWindow(0, setting),
+        QueryRequest::MineWindows(kAllWindows, setting, MatchMode::kSingle),
+        QueryRequest::Trajectory(0, setting, kAllWindows),
+        QueryRequest::Compare(setting, kOkSetting, kAllWindows,
+                              MatchMode::kSingle),
+        QueryRequest::Region(1, setting),
+        QueryRequest::Content(0, {item}, setting),
+        QueryRequest::ContentView(2, setting),
+        QueryRequest::RollUpMine(kAllWindows, setting),
+    };
+  };
+  const std::vector<QueryRequest> at_two = requests({2.0, 0.3});
+  for (const double support : {1e17, 1e300}) {
+    const ParameterSetting huge{support, 0.3};
+    const std::vector<QueryRequest> asked = requests(huge);
+    for (size_t i = 0; i < asked.size(); ++i) {
+      const std::string_view kind = QueryKindName(asked[i].kind);
+      const auto expected = engine.Execute(at_two[i]);
+      const auto answer = engine.Execute(asked[i]);
+      ASSERT_TRUE(expected.has_value()) << kind;
+      ASSERT_TRUE(answer.has_value()) << kind << " at support " << support;
+      EXPECT_EQ(EncodeQueryResult(asked[i].kind, *answer),
+                EncodeQueryResult(at_two[i].kind, *expected))
+          << kind << " at support " << support;
+    }
+    EXPECT_TRUE(std::get<std::vector<RuleId>>(
+                    *engine.Execute(QueryRequest::MineWindow(0, huge)))
+                    .empty());
+    EXPECT_EQ(std::get<RegionInfo>(
+                  *engine.Execute(QueryRequest::Region(1, huge)))
+                  .result_size,
+              0u);
+  }
+}
+
 TEST_F(QueryErrorTest, EngineKeepsAnsweringAfterRejections) {
   (void)engine_->Execute(QueryRequest::MineWindow(99, kOkSetting));
   (void)engine_->Execute(

@@ -237,6 +237,62 @@ std::shared_ptr<const KnowledgeBaseSnapshot> RandomKnowledgeBase(
   return engine.Snapshot();
 }
 
+/// A seeded knowledge base whose catalog grows with every window: each
+/// window interns 64-127 new rules and keeps about half of the earlier
+/// ones, so consecutive rule watermarks fall in different 64-rule words.
+std::shared_ptr<const KnowledgeBaseSnapshot> GrowingKnowledgeBase(
+    uint64_t seed, const TaraEngine::Options& options) {
+  TaraEngine engine(options);
+  Rng rng(seed);
+  const uint32_t windows = 3 + static_cast<uint32_t>(rng.NextBounded(6));
+  uint32_t interned = 0;
+  for (uint32_t w = 0; w < windows; ++w) {
+    const uint64_t size = 400 + rng.NextBounded(1200);
+    const uint64_t floor_count =
+        MinCountForSupport(options.min_support_floor, size);
+    const uint32_t rules =
+        interned + 64 + static_cast<uint32_t>(rng.NextBounded(64));
+    std::vector<TaraEngine::PrecomputedRule> mined;
+    for (uint32_t r = 0; r < rules; ++r) {
+      if (r < interned && rng.NextBounded(2) == 0) continue;
+      TaraEngine::PrecomputedRule p;
+      p.rule = Rule{{static_cast<ItemId>(r)},
+                    {static_cast<ItemId>(100000 + r)}};
+      p.rule_count = floor_count + rng.NextBounded(size / 2);
+      const uint64_t most = std::min<uint64_t>(
+          size, static_cast<uint64_t>(static_cast<double>(p.rule_count) /
+                                      options.min_confidence_floor));
+      p.antecedent_count =
+          p.rule_count + rng.NextBounded(most - p.rule_count + 1);
+      mined.push_back(p);
+    }
+    engine.AppendPrecomputedWindow(size, mined);
+    interned = rules;
+  }
+  return engine.Snapshot();
+}
+
+/// A random window set whose last window is `last`: the single window, a
+/// range ending there, or a sparse subset of the windows before it.
+WindowSet WindowSetEndingAt(Rng& rng, WindowId last, uint32_t window_count) {
+  std::vector<WindowId> ids = {last};
+  switch (rng.NextBounded(3)) {
+    case 0:
+      break;
+    case 1:
+      for (WindowId w = static_cast<WindowId>(rng.NextBounded(last + 1));
+           w < last; ++w) {
+        ids.push_back(w);
+      }
+      break;
+    default:
+      for (WindowId w = 0; w < last; ++w) {
+        if (rng.NextBounded(2) == 0) ids.push_back(w);
+      }
+  }
+  return WindowSet(std::move(ids), window_count);
+}
+
 /// MineWindows reference: each window's answer sorted, merged pairwise.
 std::vector<RuleId> ReferenceMineWindows(const KnowledgeBaseSnapshot& kb,
                                          const WindowSet& windows,
@@ -292,7 +348,9 @@ RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
 /// The multi-window queries (MineWindows, CompareSettings, MineRolledUp)
 /// against the references above, byte for byte, over random knowledge
 /// bases, window sets of every shape, both match modes, and settings at
-/// the floors, in between, and above every rule.
+/// the floors, in between, and above every rule. Growing knowledge bases
+/// add window sets that end at every window, each with its own rule
+/// watermark.
 TEST(RollUpTree, MultiWindowQueriesMatchPerWindowReferences) {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
@@ -301,53 +359,71 @@ TEST(RollUpTree, MultiWindowQueriesMatchPerWindowReferences) {
                                 options.min_confidence_floor};
   const ParameterSetting above_every_rule{1.0, 1.0};
   size_t nonempty = 0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto kb = RandomKnowledgeBase(seed, options);
-    Rng rng(seed * 7919);
+  const auto check = [&](const KnowledgeBaseSnapshot& kb,
+                         const WindowSet& windows, Rng& rng, uint64_t seed,
+                         int round) {
     const auto random_setting = [&] {
       return ParameterSetting{0.01 + 0.4 * rng.NextDouble(),
                               0.1 + 0.9 * rng.NextDouble()};
     };
+    const ParameterSetting settings[] = {floors, above_every_rule,
+                                         random_setting()};
+    for (const ParameterSetting& setting : settings) {
+      const RolledUpRules rolled = kb.MineRolledUp(windows, setting).value();
+      EXPECT_EQ(EncodeQueryResult(QueryKind::kRollUpMine, rolled),
+                EncodeQueryResult(
+                    QueryKind::kRollUpMine,
+                    ReferenceMineRolledUp(kb, windows, setting)))
+          << "seed " << seed << " round " << round;
+      nonempty += rolled.certain.size() + rolled.possible.size();
+
+      for (MatchMode mode : {MatchMode::kSingle, MatchMode::kExact}) {
+        const std::vector<RuleId> mined =
+            kb.MineWindows(windows, setting, mode).value();
+        const std::vector<RuleId> expected =
+            ReferenceMineWindows(kb, windows, setting, mode);
+        EXPECT_EQ(EncodeQueryResult(QueryKind::kMineWindows, mined),
+                  EncodeQueryResult(QueryKind::kMineWindows, expected))
+            << "seed " << seed << " round " << round;
+        nonempty += mined.size();
+
+        const ParameterSetting second = random_setting();
+        const RulesetDiff diff =
+            kb.CompareSettings(setting, second, windows, mode).value();
+        const std::vector<RuleId> other =
+            ReferenceMineWindows(kb, windows, second, mode);
+        RulesetDiff expected_diff;
+        std::set_difference(expected.begin(), expected.end(),
+                            other.begin(), other.end(),
+                            std::back_inserter(expected_diff.only_first));
+        std::set_difference(other.begin(), other.end(), expected.begin(),
+                            expected.end(),
+                            std::back_inserter(expected_diff.only_second));
+        EXPECT_EQ(EncodeQueryResult(QueryKind::kCompare, diff),
+                  EncodeQueryResult(QueryKind::kCompare, expected_diff))
+            << "seed " << seed << " round " << round;
+      }
+    }
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto kb = RandomKnowledgeBase(seed, options);
+    Rng rng(seed * 7919);
     for (int round = 0; round < 60; ++round) {
       const WindowSet windows = RandomWindowSet(rng, kb->window_count());
-      const ParameterSetting settings[] = {floors, above_every_rule,
-                                           random_setting()};
-      for (const ParameterSetting& setting : settings) {
-        const RolledUpRules rolled =
-            kb->MineRolledUp(windows, setting).value();
-        EXPECT_EQ(EncodeQueryResult(QueryKind::kRollUpMine, rolled),
-                  EncodeQueryResult(
-                      QueryKind::kRollUpMine,
-                      ReferenceMineRolledUp(*kb, windows, setting)))
-            << "seed " << seed << " round " << round;
-        nonempty += rolled.certain.size() + rolled.possible.size();
-
-        for (MatchMode mode : {MatchMode::kSingle, MatchMode::kExact}) {
-          const std::vector<RuleId> mined =
-              kb->MineWindows(windows, setting, mode).value();
-          const std::vector<RuleId> expected =
-              ReferenceMineWindows(*kb, windows, setting, mode);
-          EXPECT_EQ(EncodeQueryResult(QueryKind::kMineWindows, mined),
-                    EncodeQueryResult(QueryKind::kMineWindows, expected))
-              << "seed " << seed << " round " << round;
-          nonempty += mined.size();
-
-          const ParameterSetting second = random_setting();
-          const RulesetDiff diff =
-              kb->CompareSettings(setting, second, windows, mode).value();
-          const std::vector<RuleId> other =
-              ReferenceMineWindows(*kb, windows, second, mode);
-          RulesetDiff expected_diff;
-          std::set_difference(expected.begin(), expected.end(),
-                              other.begin(), other.end(),
-                              std::back_inserter(expected_diff.only_first));
-          std::set_difference(other.begin(), other.end(), expected.begin(),
-                              expected.end(),
-                              std::back_inserter(expected_diff.only_second));
-          EXPECT_EQ(EncodeQueryResult(QueryKind::kCompare, diff),
-                    EncodeQueryResult(QueryKind::kCompare, expected_diff))
-              << "seed " << seed << " round " << round;
-        }
+      check(*kb, windows, rng, seed, round);
+    }
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto kb = GrowingKnowledgeBase(seed, options);
+    Rng rng(seed * 104729);
+    int round = 0;
+    for (WindowId last = 0; last < kb->window_count(); ++last) {
+      ASSERT_GE(kb->segment(last).rule_watermark,
+                (last + 1) * 64)  // one word further per window
+          << "seed " << seed;
+      for (int draw = 0; draw < 6; ++draw, ++round) {
+        check(*kb, WindowSetEndingAt(rng, last, kb->window_count()), rng,
+              seed, round);
       }
     }
   }
