@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core data structures —
 // ablation-level measurements behind the figure harnesses: archive
-// encode/decode throughput, stable-region query cost versus result size,
-// roll-up mining over the trailing windows of a long history, tidset
-// counting, contrast scoring, and the observability layer's overhead on
-// the online query path (null sink versus live registry).
+// encode/decode throughput, the stable-region build, stable-region query
+// cost versus result size, the content view, roll-up mining over the
+// trailing windows of a long history, tidset counting, contrast scoring,
+// and the observability layer's overhead on the online query path (null
+// sink versus live registry).
 
 #include <benchmark/benchmark.h>
 
@@ -63,7 +64,8 @@ void BM_ArchiveDecodeInto(benchmark::State& state) {
 }
 BENCHMARK(BM_ArchiveDecodeInto)->Arg(5)->Arg(50)->Arg(500);
 
-WindowIndex BuildIndex(size_t rules, RuleCatalog* catalog) {
+std::vector<WindowIndex::Entry> IndexEntries(size_t rules,
+                                             RuleCatalog* catalog) {
   Rng rng(3);
   std::vector<WindowIndex::Entry> entries;
   for (size_t i = 0; i < rules; ++i) {
@@ -73,8 +75,12 @@ WindowIndex BuildIndex(size_t rules, RuleCatalog* catalog) {
     entries.push_back(
         WindowIndex::Entry{id, count, count + rng.NextBounded(1000)});
   }
+  return entries;
+}
+
+WindowIndex BuildIndex(size_t rules, RuleCatalog* catalog) {
   WindowIndex index;
-  index.Build(entries, 100000, false, *catalog);
+  index.Build(IndexEntries(rules, catalog), 100000, false, *catalog);
   return index;
 }
 
@@ -99,6 +105,82 @@ void BM_StableRegionLocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StableRegionLocate);
+
+// One window of explore_cold's read knowledge base: a Quest window of
+// 1,500 transactions over 300 items and 200 patterns of mean length 3,
+// mined at floors 0.01/0.2 with itemsets capped at 4, content index on.
+const KnowledgeBaseSnapshot& ExploreWindow() {
+  static const auto* snapshot = [] {
+    QuestGenerator::Params params;
+    params.num_transactions = 1500;
+    params.num_items = 300;
+    params.num_patterns = 200;
+    params.avg_pattern_len = 3;
+    const TransactionDatabase db = QuestGenerator(params).Generate();
+    TaraEngine::Options options;
+    options.min_support_floor = 0.01;
+    options.min_confidence_floor = 0.2;
+    options.max_itemset_size = 4;
+    options.build_content_index = true;
+    auto* engine = new TaraEngine(options);
+    engine->AppendWindow(db, 0, db.size());
+    return new std::shared_ptr<const KnowledgeBaseSnapshot>(
+        engine->Snapshot());
+  }();
+  return **snapshot;
+}
+
+// The EPS build of that window, the cost a mapped open pays per window its
+// first query materializes: content index off (0) and on (1).
+void BM_StableRegionBuild(benchmark::State& state) {
+  const KnowledgeBaseSnapshot& kb = ExploreWindow();
+  const WindowSegment& segment = kb.segment(0);
+  const bool content = state.range(0) != 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    WindowIndex index;
+    index.Build(segment.entries, segment.total_transactions, content,
+                kb.catalog());
+    bytes = index.ApproximateBytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * segment.entries.size());
+  state.SetLabel("entries=" + std::to_string(segment.entries.size()) +
+                 " bytes=" + std::to_string(bytes));
+}
+BENCHMARK(BM_StableRegionBuild)->Arg(0)->Arg(1);
+
+// One synthetic window of 20k entries: a large single-window commit's EPS
+// build, which runs on the committing thread whatever the pool.
+void BM_StableRegionBuildLarge(benchmark::State& state) {
+  RuleCatalog catalog;
+  const std::vector<WindowIndex::Entry> entries =
+      IndexEntries(state.range(0), &catalog);
+  for (auto _ : state) {
+    WindowIndex index;
+    index.Build(entries, 100000, false, catalog);
+    benchmark::DoNotOptimize(index.location_count());
+  }
+  state.SetItemsProcessed(state.iterations() * entries.size());
+}
+BENCHMARK(BM_StableRegionBuildLarge)->Arg(20000);
+
+// Q5's merged item→rules view of the explore_cold window at a mid
+// setting.
+void BM_ContentView(benchmark::State& state) {
+  const KnowledgeBaseSnapshot& kb = ExploreWindow();
+  const ParameterSetting setting{0.02, 0.4};
+  size_t items = 0;
+  for (auto _ : state) {
+    const ContentViewResult view = kb.ContentView(0, setting).value();
+    items = view.size();
+    benchmark::DoNotOptimize(items);
+  }
+  state.SetLabel("items=" + std::to_string(items) + " rules=" +
+                 std::to_string(kb.window_index(0).CountRules(
+                     setting.min_support, setting.min_confidence)));
+}
+BENCHMARK(BM_ContentView);
 
 // Roll-up mining over the trailing windows of a long, churny history: 512
 // windows of 600 rules, 400 present in every window and 200 drawn from a

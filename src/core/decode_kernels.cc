@@ -21,7 +21,7 @@ inline Status NextVarint(const uint8_t* data, size_t size, size_t* pos,
 
 /// Phase B of the two-phase SSE4 kernel: turns the flat varint value
 /// array into entries with exactly the arithmetic of TarArchive's scalar
-/// VisitEntries scan — uint32 wrap on window gaps, int64 wrap on zigzag
+/// VisitEntries scan — uint32 wrap on window gaps, uint64 wrap on zigzag
 /// count deltas.
 DecodeResult ReconstructEntries(const uint64_t* values, size_t value_count,
                                 Status tail_status, ArchiveEntry* out,
@@ -37,12 +37,9 @@ DecodeResult ReconstructEntries(const uint64_t* values, size_t value_count,
       entry.antecedent_count = v[2];
     } else {
       entry.window += static_cast<WindowId>(v[0]);
-      entry.rule_count =
-          static_cast<uint64_t>(static_cast<int64_t>(entry.rule_count) +
-                                codec::ZigzagDecode(v[1]));
-      entry.antecedent_count = static_cast<uint64_t>(
-          static_cast<int64_t>(entry.antecedent_count) +
-          codec::ZigzagDecode(v[2]));
+      entry.rule_count += static_cast<uint64_t>(codec::ZigzagDecode(v[1]));
+      entry.antecedent_count +=
+          static_cast<uint64_t>(codec::ZigzagDecode(v[2]));
     }
     out[t] = entry;
   }
@@ -77,12 +74,9 @@ DecodeResult ScalarDecode(const uint8_t* data, size_t size, ArchiveEntry* out,
       entry.antecedent_count = v[2];
     } else {
       entry.window += static_cast<WindowId>(v[0]);
-      entry.rule_count =
-          static_cast<uint64_t>(static_cast<int64_t>(entry.rule_count) +
-                                codec::ZigzagDecode(v[1]));
-      entry.antecedent_count = static_cast<uint64_t>(
-          static_cast<int64_t>(entry.antecedent_count) +
-          codec::ZigzagDecode(v[2]));
+      entry.rule_count += static_cast<uint64_t>(codec::ZigzagDecode(v[1]));
+      entry.antecedent_count +=
+          static_cast<uint64_t>(codec::ZigzagDecode(v[2]));
     }
     out[n++] = entry;
   }

@@ -269,7 +269,8 @@ std::optional<LoadError> KbBuilder::ValidatePersistedLocked(
                                             " past the window's watermark " +
                                             std::to_string(watermark));
       }
-      if (e.rule_count == 0 || e.antecedent_count < e.rule_count) {
+      if (e.rule_count == 0 || e.antecedent_count < e.rule_count ||
+          e.antecedent_count > p.total_transactions) {
         return CorruptSegment(
             p.window, "rule " + std::to_string(e.rule) +
                           " has impossible counts (rule " +
@@ -355,25 +356,23 @@ void KbBuilder::CommitLocked(
     segment.stats.archive_seconds += timer.ElapsedSeconds();
   }
 
-  // EPS slices: windows spread across the pool when there are several,
-  // else the one window's sort spread over it. Each build writes only its
-  // own (still private) segment and reads the catalog shared.
-  const auto build_index = [this](WindowSegment* segment, ThreadPool* pool) {
+  // EPS slices: windows spread across the pool when there are several.
+  // Each build writes only its own (still private) segment and reads the
+  // catalog shared.
+  const auto build_index = [this](WindowSegment* segment) {
     Stopwatch timer;
     segment->index.Build(segment->entries, segment->total_transactions,
-                         options_.build_content_index, *catalog_, pool);
+                         options_.build_content_index, *catalog_);
     segment->stats.index_seconds = timer.ElapsedSeconds();
     segment->stats.location_count = segment->index.location_count();
     segment->stats.region_count = segment->index.region_count();
   };
   if (pool_ != nullptr && pending.size() > 1) {
     pool_->ParallelFor(pending.size(), [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        build_index(pending[i].get(), nullptr);
-      }
+      for (size_t i = begin; i < end; ++i) build_index(pending[i].get());
     });
   } else {
-    for (const auto& segment : pending) build_index(segment.get(), pool_.get());
+    for (const auto& segment : pending) build_index(segment.get());
   }
 
   // Log, then publish: every window is durable before any is visible.
@@ -442,6 +441,14 @@ WindowId KbBuilder::AppendPrecomputedWindow(
       MinCountForSupport(options_.min_support_floor, total_transactions);
   mined.rules.reserve(rules.size());
   for (const PrecomputedRule& r : rules) {
+    // The counts CommitPersistedWindows refuses are refused here too,
+    // before anything is archived or logged, so every logged window
+    // replays.
+    TARA_CHECK(r.rule_count > 0 && r.antecedent_count >= r.rule_count &&
+               r.antecedent_count <= total_transactions)
+        << "impossible counts (rule " << r.rule_count << ", antecedent "
+        << r.antecedent_count << ") in a window of " << total_transactions
+        << " transactions";
     MinedRule rule;
     rule.antecedent = r.rule.antecedent;
     rule.consequent = r.rule.consequent;

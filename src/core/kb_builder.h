@@ -96,7 +96,8 @@ class KbBuilder {
   /// Installs a window whose rules were mined elsewhere (an external
   /// miner), interning them by content, then publishes. The caller
   /// guarantees the rules are exactly those passing this builder's floors
-  /// over a window of `total_transactions` transactions. Persisted
+  /// over a window of `total_transactions` transactions; counts no window
+  /// can hold abort before anything is archived or logged. Persisted
   /// windows, whose segments already name their rules by id, go through
   /// CommitPersistedWindows instead.
   WindowId AppendPrecomputedWindow(uint64_t total_transactions,

@@ -9,6 +9,7 @@
 #include <type_traits>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace tara {
 
@@ -314,18 +315,35 @@ Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::ContentQuery(
   return out;
 }
 
-Expected<std::unordered_map<ItemId, std::vector<RuleId>>, QueryError>
-KnowledgeBaseSnapshot::ContentView(WindowId w,
-                                   const ParameterSetting& setting) const {
+Expected<ContentViewResult, QueryError> KnowledgeBaseSnapshot::ContentView(
+    WindowId w, const ParameterSetting& setting) const {
   if (auto error = ValidateWindow(w)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
-  std::unordered_map<ItemId, std::vector<RuleId>> view;
-  for (RuleId rule : CollectWindow(w, setting)) {
+  // One (item, rule) pair per item of each answered rule, in rule-id
+  // order, then stably by item: items ascending, each item's rules
+  // ascending.
+  std::vector<RuleId> answer = CollectWindow(w, setting);
+  RadixSort(&answer);
+  std::vector<uint64_t> pairs;
+  for (const RuleId rule : answer) {
     const Rule& r = catalog_->rule(rule);
-    for (ItemId item : r.antecedent) view[item].push_back(rule);
-    for (ItemId item : r.consequent) view[item].push_back(rule);
+    for (const Itemset* side : {&r.antecedent, &r.consequent}) {
+      for (const ItemId item : *side) {
+        pairs.push_back(uint64_t{item} << 32 | rule);
+      }
+    }
   }
-  for (auto& [item, rules] : view) std::sort(rules.begin(), rules.end());
+  RadixSort(&pairs, [](uint64_t pair) { return pair >> 32; });
+  ContentViewResult view;
+  for (size_t begin = 0, end = 0; begin < pairs.size(); begin = end) {
+    const uint64_t item = pairs[begin] >> 32;
+    while (end < pairs.size() && pairs[end] >> 32 == item) ++end;
+    std::vector<RuleId> rules(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      rules[i - begin] = static_cast<RuleId>(pairs[i]);
+    }
+    view.emplace_hint(view.end(), static_cast<ItemId>(item), std::move(rules));
+  }
   return view;
 }
 

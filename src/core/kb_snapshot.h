@@ -2,10 +2,10 @@
 #define TARA_CORE_KB_SNAPSHOT_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/byte_codec.h"
@@ -56,8 +56,9 @@ struct KbOptions {
   /// enabling Q5 content queries at extra build cost.
   bool build_content_index = false;
   /// Worker threads for the offline build: BuildAll overlaps whole
-  /// windows, AppendWindow parallelizes its intra-window hot loops
-  /// (rule derivation, stable-region sort). 1 = fully sequential
+  /// windows, a commit of several windows spreads their EPS slices over
+  /// the pool, and AppendWindow parallelizes rule derivation. One
+  /// window's EPS slice always builds sequentially. 1 = fully sequential
   /// (default), 0 = use the hardware concurrency. Any value yields a
   /// byte-identical serialized knowledge base; this is an execution
   /// knob, not knowledge-base state, and is not serialized.
@@ -187,6 +188,11 @@ struct TrajectoryQueryResult {
   std::vector<RuleId> rules;
   std::vector<Trajectory> trajectories;
 };
+
+/// The merged item→rules view of a window's answer (the TARA-S Q5
+/// companion result): items ascending, each with its rules ascending —
+/// the order the result grammar writes.
+using ContentViewResult = std::map<ItemId, std::vector<RuleId>>;
 
 /// Result of the Q2 ruleset comparison.
 struct RulesetDiff {
@@ -343,8 +349,8 @@ class KnowledgeBaseSnapshot {
 
   /// Builds the merged item→rules view of a window's result set (the
   /// TARA-S region-index merge).
-  Expected<std::unordered_map<ItemId, std::vector<RuleId>>, QueryError>
-  ContentView(WindowId w, const ParameterSetting& setting) const;
+  Expected<ContentViewResult, QueryError> ContentView(
+      WindowId w, const ParameterSetting& setting) const;
 
   /// Roll-up: interval measures of `rule` over the union of `windows`.
   Expected<RollUpBound, QueryError> RollUpRule(

@@ -186,20 +186,6 @@ Out WriteF64(double value, Out out) {
   return codec::WriteFixed(std::bit_cast<uint64_t>(value), out);
 }
 
-/// A content view's items in id order, each with its rules: the order the
-/// grammar writes them in, sorted once for both passes.
-using SortedContentView =
-    std::vector<std::pair<ItemId, const std::vector<RuleId>*>>;
-
-SortedContentView SortContentView(const ContentViewResult& view) {
-  SortedContentView items;
-  items.reserve(view.size());
-  for (const auto& [item, rules] : view) items.emplace_back(item, &rules);
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return items;
-}
-
 template <typename Out>
 Out WritePoints(const Trajectory& trajectory, Out out) {
   out = WriteVarint(trajectory.size(), out);
@@ -213,10 +199,8 @@ Out WritePoints(const Trajectory& trajectory, Out out) {
 }
 
 /// The canonical result grammar, the one place it is written down.
-/// `content_view` is the kContentView answer's SortContentView.
 template <typename Out>
-Out PutResult(QueryKind kind, const QueryResult& result,
-              const SortedContentView& content_view, Out out) {
+Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
   switch (kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kMineWindows:
@@ -252,10 +236,11 @@ Out PutResult(QueryKind kind, const QueryResult& result,
       return WriteF64(value.mean_confidence, out);
     }
     case QueryKind::kContentView: {
-      out = WriteVarint(content_view.size(), out);
-      for (const auto& [item, rules] : content_view) {
+      const auto& value = std::get<ContentViewResult>(result);
+      out = WriteVarint(value.size(), out);
+      for (const auto& [item, rules] : value) {
         out = WriteVarint(item, out);
-        out = WriteIdList(*rules, out);
+        out = WriteIdList(rules, out);
       }
       return out;
     }
@@ -309,15 +294,9 @@ bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
 
 std::string EncodeQueryResult(QueryKind kind, const QueryResult& result,
                               size_t prefix_bytes) {
-  const SortedContentView content_view =
-      kind == QueryKind::kContentView
-          ? SortContentView(std::get<ContentViewResult>(result))
-          : SortedContentView();
-  const size_t size =
-      prefix_bytes + PutResult(kind, result, content_view, ByteCount{}).bytes;
+  const size_t size = prefix_bytes + PutResult(kind, result, ByteCount{}).bytes;
   std::string out(size, '\0');
-  const char* end =
-      PutResult(kind, result, content_view, out.data() + prefix_bytes);
+  const char* end = PutResult(kind, result, out.data() + prefix_bytes);
   TARA_CHECK(end == out.data() + size) << "result writer passes disagree";
   return out;
 }
@@ -382,11 +361,17 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
       ContentViewResult value;
       uint64_t count = 0;
       if (!in.Count(&count)) return std::nullopt;
+      // Items ascend strictly, as the grammar writes them: bytes naming an
+      // item twice, or out of order, are not a result any encoder wrote.
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t item = 0;
         std::vector<RuleId> rules;
-        if (!in.U64(&item) || !in.IdList(&rules)) return std::nullopt;
-        value[static_cast<ItemId>(item)] = std::move(rules);
+        if (!in.U64(&item) || !in.IdList(&rules) || item > UINT32_MAX ||
+            (!value.empty() && item <= value.rbegin()->first)) {
+          return std::nullopt;
+        }
+        value.emplace_hint(value.end(), static_cast<ItemId>(item),
+                           std::move(rules));
       }
       result = std::move(value);
       break;

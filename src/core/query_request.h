@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -57,9 +56,6 @@ struct QueryRequest {
   static QueryRequest RollUpMine(std::vector<WindowId> windows,
                                  const ParameterSetting& setting);
 };
-
-/// The merged item→rules view (the TARA-S Q5 companion result).
-using ContentViewResult = std::unordered_map<ItemId, std::vector<RuleId>>;
 
 /// Any online operation's result. The active alternative is determined by
 /// the request's kind (vector<RuleId> serves mine_window, mine_windows,

@@ -1,139 +1,170 @@
 #include "core/stable_region_index.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <span>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "mining/frequent_itemset.h"
 
 namespace tara {
 namespace {
 
+using Entry = WindowIndex::Entry;
+
 double ConfidenceOf(uint64_t rule_count, uint64_t antecedent_count) {
-  return antecedent_count == 0
-             ? 0.0
-             : static_cast<double>(rule_count) /
-                   static_cast<double>(antecedent_count);
+  return static_cast<double>(rule_count) /
+         static_cast<double>(antecedent_count);
 }
 
-/// Strict total order on entries: descending support count, then
-/// descending confidence, then rule id. Total because rule ids are unique
-/// within a window, so every sort — chunked or not — yields one sequence.
-bool LocationLess(const WindowIndex::Entry& a, const WindowIndex::Entry& b) {
-  if (a.rule_count != b.rule_count) return a.rule_count > b.rule_count;
-  const double ca = ConfidenceOf(a.rule_count, a.antecedent_count);
-  const double cb = ConfidenceOf(b.rule_count, b.antecedent_count);
-  if (ca != cb) return ca > cb;
-  return a.rule < b.rule;
-}
-
-bool RuleLess(const WindowIndex::Entry& a, const WindowIndex::Entry& b) {
-  return a.rule < b.rule;
-}
-
-/// Sorts `entries` into parametric-location order, chunk-sorting on the
-/// pool and merging when one is supplied. Small inputs sort inline — the
-/// fan-out overhead would dwarf the work.
-void SortByLocation(std::vector<WindowIndex::Entry>* entries,
-                    ThreadPool* pool) {
-  constexpr size_t kParallelSortMin = 4096;
-  const size_t n = entries->size();
-  if (pool == nullptr || n < kParallelSortMin ||
-      pool->ChunkCountFor(n) <= 1) {
-    std::sort(entries->begin(), entries->end(), LocationLess);
-    return;
-  }
-  const size_t chunks = pool->ChunkCountFor(n);
-  std::vector<std::pair<size_t, size_t>> ranges(chunks);
-  pool->ParallelFor(n, [&](size_t chunk, size_t begin, size_t end) {
-    std::sort(entries->begin() + begin, entries->begin() + end, LocationLess);
-    ranges[chunk] = {begin, end};
-  });
-  // Fold the sorted chunks left-to-right; the comparator's total order
-  // makes the merged sequence identical to a single full sort.
-  size_t merged_end = ranges[0].second;
-  for (size_t c = 1; c < chunks; ++c) {
-    std::inplace_merge(entries->begin(), entries->begin() + merged_end,
-                       entries->begin() + ranges[c].second, LocationLess);
-    merged_end = ranges[c].second;
-  }
+/// The entries in location order: rule count descending, then antecedent
+/// count ascending, then rule id. Within one rule count a larger
+/// antecedent count is a lower confidence, so this is descending
+/// confidence with no division. Each radix sort is stable, so sorting by
+/// the least significant field first orders by all three.
+std::vector<Entry> InLocationOrder(const std::vector<Entry>& entries) {
+  std::vector<Entry> sorted = entries;
+  RadixSort(&sorted, [](const Entry& e) { return e.rule; });
+  RadixSort(&sorted, [](const Entry& e) { return e.antecedent_count; });
+  RadixSort(&sorted, [](const Entry& e) { return ~e.rule_count; });
+  return sorted;
 }
 
 }  // namespace
 
 void WindowIndex::Build(const std::vector<Entry>& entries,
                         uint64_t total_transactions, bool build_content_index,
-                        const RuleCatalog& catalog, ThreadPool* pool) {
+                        const RuleCatalog& catalog) {
+  *this = WindowIndex();
   total_transactions_ = total_transactions;
   has_content_index_ = build_content_index;
-  buckets_.clear();
-  confidence_grid_.clear();
-  content_index_.clear();
 
+  TARA_CHECK_LE(entries.size(), UINT32_MAX);
   for (const Entry& e : entries) {
     TARA_CHECK(e.rule_count > 0 && e.antecedent_count >= e.rule_count);
   }
 
-  // Group by exact location (rule_count, antecedent_count determines the
-  // confidence exactly; two rules share a location iff both counts match —
-  // Lemma 2's distinctness guarantee).
-  std::vector<Entry> sorted = entries;
-  SortByLocation(&sorted, pool);
-
-  for (const Entry& e : sorted) {
-    const double conf = ConfidenceOf(e.rule_count, e.antecedent_count);
-    if (buckets_.empty() || buckets_.back().rule_count != e.rule_count) {
-      buckets_.push_back(Bucket{e.rule_count, {}});
+  // A location is a run of one rule count and one confidence; rules share
+  // it when both their counts match (Lemma 2). Each confidence is
+  // computed once, at the first entry of its count pair.
+  const std::vector<Entry> sorted = InLocationOrder(entries);
+  const size_t n = sorted.size();
+  rules_.resize(n);
+  bool merged = false;
+  for (size_t i = 0; i < n; ++i) {
+    const Entry& e = sorted[i];
+    rules_[i] = e.rule;
+    const bool new_bucket = i == 0 || e.rule_count != sorted[i - 1].rule_count;
+    if (!new_bucket && e.antecedent_count == sorted[i - 1].antecedent_count) {
+      continue;
     }
-    Bucket& bucket = buckets_.back();
-    if (bucket.locations.empty() ||
-        bucket.locations.back().confidence != conf) {
-      bucket.locations.push_back(Location{e.rule_count, conf, {}});
+    const double confidence = ConfidenceOf(e.rule_count, e.antecedent_count);
+    if (new_bucket) {
+      bucket_begin_.push_back(static_cast<uint32_t>(location_begin_.size()));
+      bucket_count_.push_back(e.rule_count);
+    } else if (confidence == location_confidence_.back()) {
+      // Antecedent counts past 2^52 can round to one confidence; the
+      // location then takes both, its rules in id order.
+      merged = true;
+      continue;
     }
-    bucket.locations.back().rules.push_back(e.rule);
-    confidence_grid_.push_back(conf);
+    location_begin_.push_back(static_cast<uint32_t>(i));
+    location_confidence_.push_back(confidence);
   }
-  std::sort(confidence_grid_.begin(), confidence_grid_.end());
-  confidence_grid_.erase(
-      std::unique(confidence_grid_.begin(), confidence_grid_.end()),
-      confidence_grid_.end());
-
-  if (build_content_index) {
-    for (const Entry& e : entries) {
-      const Rule& rule = catalog.rule(e.rule);
-      for (ItemId item : rule.antecedent) content_index_[item].push_back(e);
-      for (ItemId item : rule.consequent) content_index_[item].push_back(e);
-    }
-    for (auto& [item, postings] : content_index_) {
-      std::sort(postings.begin(), postings.end(), RuleLess);
+  location_begin_.push_back(static_cast<uint32_t>(n));
+  bucket_begin_.push_back(static_cast<uint32_t>(location_confidence_.size()));
+  if (merged) {
+    for (size_t l = 0; l + 1 < location_begin_.size(); ++l) {
+      std::sort(rules_.begin() + location_begin_[l],
+                rules_.begin() + location_begin_[l + 1]);
     }
   }
+
+  // Positive doubles order as their bit patterns.
+  std::vector<uint64_t> grid(location_confidence_.size());
+  for (size_t l = 0; l < grid.size(); ++l) {
+    grid[l] = std::bit_cast<uint64_t>(location_confidence_[l]);
+  }
+  RadixSort(&grid);
+  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  confidence_grid_.resize(grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    confidence_grid_[i] = std::bit_cast<double>(grid[i]);
+  }
+
+  if (!build_content_index) return;
+  // Positions in rule-id order, each remembering its location.
+  by_rule_.resize(n);
+  for (uint32_t l = 0; l < location_confidence_.size(); ++l) {
+    for (uint32_t i = location_begin_[l]; i < location_begin_[l + 1]; ++i) {
+      by_rule_[i] = uint64_t{rules_[i]} << 32 | l;
+    }
+  }
+  RadixSort(&by_rule_, [](uint64_t position) { return position >> 32; });
+
+  // (item, position) pairs in position order, then stably by item.
+  std::vector<uint64_t> pairs;
+  pairs.reserve(4 * n);
+  for (uint32_t p = 0; p < n; ++p) {
+    const Rule& rule = catalog.rule(static_cast<RuleId>(by_rule_[p] >> 32));
+    for (const Itemset* side : {&rule.antecedent, &rule.consequent}) {
+      for (const ItemId item : *side) pairs.push_back(uint64_t{item} << 32 | p);
+    }
+  }
+  TARA_CHECK_LE(pairs.size(), UINT32_MAX);
+  RadixSort(&pairs, [](uint64_t pair) { return pair >> 32; });
+  postings_.resize(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto item = static_cast<ItemId>(pairs[i] >> 32);
+    if (content_items_.empty() || content_items_.back() != item) {
+      content_items_.push_back(item);
+      item_begin_.push_back(static_cast<uint32_t>(i));
+    }
+    postings_[i] = static_cast<uint32_t>(pairs[i]);
+  }
+  item_begin_.push_back(static_cast<uint32_t>(pairs.size()));
+}
+
+size_t WindowIndex::AdmittedBuckets(double min_support) const {
+  const uint64_t min_count =
+      MinCountForSupport(min_support, total_transactions_);
+  return static_cast<size_t>(
+      std::partition_point(
+          bucket_count_.begin(), bucket_count_.end(),
+          [min_count](uint64_t count) { return count >= min_count; }) -
+      bucket_count_.begin());
+}
+
+uint32_t WindowIndex::AdmittedEnd(size_t b, double min_confidence) const {
+  const auto first = location_confidence_.begin();
+  return static_cast<uint32_t>(
+      std::partition_point(first + bucket_begin_[b],
+                           first + bucket_begin_[b + 1],
+                           [min_confidence](double confidence) {
+                             return !(confidence + 1e-12 < min_confidence);
+                           }) -
+      first);
 }
 
 void WindowIndex::CollectRules(double min_support, double min_confidence,
                                std::vector<RuleId>* out) const {
-  const uint64_t min_count =
-      MinCountForSupport(min_support, total_transactions_);
-  for (const Bucket& bucket : buckets_) {
-    if (bucket.rule_count < min_count) break;  // buckets descend
-    for (const Location& loc : bucket.locations) {
-      if (loc.confidence + 1e-12 < min_confidence) break;  // conf descends
-      out->insert(out->end(), loc.rules.begin(), loc.rules.end());
-    }
+  const size_t buckets = AdmittedBuckets(min_support);
+  for (size_t b = 0; b < buckets; ++b) {
+    const auto first = rules_.begin() + location_begin_[bucket_begin_[b]];
+    const auto last =
+        rules_.begin() + location_begin_[AdmittedEnd(b, min_confidence)];
+    out->insert(out->end(), first, last);
   }
 }
 
 size_t WindowIndex::CountRules(double min_support,
                                double min_confidence) const {
-  const uint64_t min_count =
-      MinCountForSupport(min_support, total_transactions_);
+  const size_t buckets = AdmittedBuckets(min_support);
   size_t count = 0;
-  for (const Bucket& bucket : buckets_) {
-    if (bucket.rule_count < min_count) break;
-    for (const Location& loc : bucket.locations) {
-      if (loc.confidence + 1e-12 < min_confidence) break;
-      count += loc.rules.size();
-    }
+  for (size_t b = 0; b < buckets; ++b) {
+    count += location_begin_[AdmittedEnd(b, min_confidence)] -
+             location_begin_[bucket_begin_[b]];
   }
   return count;
 }
@@ -146,10 +177,10 @@ RegionInfo WindowIndex::Locate(double min_support,
   // Support grid: unique support values descending (from buckets).
   region.support_lower = 0.0;
   region.support_upper = 1.0;
-  for (const Bucket& bucket : buckets_) {
+  for (const uint64_t count : bucket_count_) {
     const double support = total_transactions_ == 0
                                ? 0.0
-                               : static_cast<double>(bucket.rule_count) /
+                               : static_cast<double>(count) /
                                      static_cast<double>(total_transactions_);
     if (support + 1e-12 >= min_support) {
       region.support_upper = support;  // smallest boundary >= query
@@ -179,61 +210,55 @@ void WindowIndex::ContentQuery(const Itemset& items, double min_support,
     CollectRules(min_support, min_confidence, out);
     return;
   }
-  // Intersect the per-item postings by rule id, smallest first.
-  std::vector<const std::vector<Entry>*> lists;
-  for (ItemId item : items) {
-    auto it = content_index_.find(item);
-    if (it == content_index_.end()) return;  // some item never occurs
-    lists.push_back(&it->second);
+  // Intersect the per-item postings, smallest first. Positions ascend
+  // with rule ids, so the survivors come out in rule-id order.
+  std::vector<std::span<const uint32_t>> lists;
+  lists.reserve(items.size());
+  for (const ItemId item : items) {
+    const auto it = std::lower_bound(content_items_.begin(),
+                                     content_items_.end(), item);
+    if (it == content_items_.end() || *it != item) return;  // never occurs
+    const size_t i = static_cast<size_t>(it - content_items_.begin());
+    lists.emplace_back(postings_.data() + item_begin_[i],
+                       item_begin_[i + 1] - item_begin_[i]);
   }
   std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::span<const Entry> current = *lists[0];
-  std::vector<Entry> kept, next;
+            [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  std::span<const uint32_t> current = lists[0];
+  std::vector<uint32_t> kept, next;
   for (size_t i = 1; i < lists.size() && !current.empty(); ++i) {
     next.clear();
-    std::set_intersection(current.begin(), current.end(), lists[i]->begin(),
-                          lists[i]->end(), std::back_inserter(next), RuleLess);
+    std::set_intersection(current.begin(), current.end(), lists[i].begin(),
+                          lists[i].end(), std::back_inserter(next));
     kept.swap(next);
     current = kept;
   }
 
-  const uint64_t min_count =
-      MinCountForSupport(min_support, total_transactions_);
-  for (const Entry& e : current) {
-    if (e.rule_count >= min_count &&
-        ConfidenceOf(e.rule_count, e.antecedent_count) + 1e-12 >=
-            min_confidence) {
-      out->push_back(e.rule);
+  // A location is admitted iff its bucket is and its confidence passes.
+  const uint32_t admitted = bucket_begin_[AdmittedBuckets(min_support)];
+  for (const uint32_t p : current) {
+    const auto location = static_cast<uint32_t>(by_rule_[p]);
+    if (location < admitted &&
+        location_confidence_[location] + 1e-12 >= min_confidence) {
+      out->push_back(static_cast<RuleId>(by_rule_[p] >> 32));
     }
   }
-}
-
-size_t WindowIndex::location_count() const {
-  size_t n = 0;
-  for (const Bucket& b : buckets_) n += b.locations.size();
-  return n;
 }
 
 size_t WindowIndex::region_count() const {
   // Grid cells spanned by the support boundaries (+1 for the region above
   // the largest value) times confidence boundaries (+1 likewise).
-  return (buckets_.size() + 1) * (confidence_grid_.size() + 1);
+  return (bucket_count_.size() + 1) * (confidence_grid_.size() + 1);
 }
 
 size_t WindowIndex::ApproximateBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const Bucket& b : buckets_) {
-    bytes += sizeof(Bucket);
-    for (const Location& loc : b.locations) {
-      bytes += sizeof(Location) + loc.rules.size() * sizeof(RuleId);
-    }
-  }
-  bytes += confidence_grid_.size() * sizeof(double);
-  for (const auto& [item, postings] : content_index_) {
-    bytes += sizeof(ItemId) + postings.size() * sizeof(Entry) + 16;
-  }
-  return bytes;
+  const auto bytes = [](const auto& array) {
+    return array.size() * sizeof(array[0]);
+  };
+  return sizeof(*this) + bytes(rules_) + bytes(location_begin_) +
+         bytes(location_confidence_) + bytes(bucket_begin_) +
+         bytes(bucket_count_) + bytes(confidence_grid_) + bytes(by_rule_) +
+         bytes(content_items_) + bytes(item_begin_) + bytes(postings_);
 }
 
 }  // namespace tara

@@ -2,11 +2,8 @@
 #define TARA_CORE_STABLE_REGION_INDEX_H_
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/rule_catalog.h"
 #include "txdb/types.h"
 
@@ -37,6 +34,11 @@ struct RegionInfo {
 /// cost is proportional to the number of *locations* in the answer, never
 /// to the data size. This is the index that makes the online phase
 /// milliseconds instead of re-mining.
+///
+/// The layout is flat: one rule-id array in location order, cut into
+/// locations and the locations into buckets by offset arrays (compressed
+/// sparse rows), so a build sorts integers into a handful of arrays
+/// however many locations the window holds.
 class WindowIndex {
  public:
   /// One rule observation used to build the index.
@@ -52,17 +54,14 @@ class WindowIndex {
   /// When `build_content_index` is set (the TARA-S variant), a per-item
   /// inverted index over the entries is kept for content-based
   /// exploration.
-  /// A non-null `pool` parallelizes the stable-region sweep's dominant
-  /// cost — sorting the entries into parametric-location order — via
-  /// chunked sorts merged deterministically; the built index is identical
-  /// to a sequential build.
   void Build(const std::vector<Entry>& entries, uint64_t total_transactions,
-             bool build_content_index, const RuleCatalog& catalog,
-             ThreadPool* pool = nullptr);
+             bool build_content_index, const RuleCatalog& catalog);
 
   uint64_t total_transactions() const { return total_transactions_; }
 
-  /// Appends every rule valid under (min_support, min_confidence).
+  /// Appends every rule valid under (min_support, min_confidence), in
+  /// location order: support count descending, then confidence
+  /// descending, then rule id.
   void CollectRules(double min_support, double min_confidence,
                     std::vector<RuleId>* out) const;
 
@@ -73,41 +72,52 @@ class WindowIndex {
   RegionInfo Locate(double min_support, double min_confidence) const;
 
   /// Q5: rules valid under the setting that contain all of `items` in
-  /// antecedent ∪ consequent. Requires build_content_index.
+  /// antecedent ∪ consequent, in rule-id order (location order when
+  /// `items` is empty). Requires build_content_index.
   void ContentQuery(const Itemset& items, double min_support,
                     double min_confidence, std::vector<RuleId>* out) const;
 
   /// Number of distinct temporal parametric locations.
-  size_t location_count() const;
+  size_t location_count() const { return location_confidence_.size(); }
 
   /// Number of stable regions in this window's EPS slice (grid cells
   /// spanned by the unique support and confidence boundaries).
   size_t region_count() const;
 
-  /// Approximate heap footprint of the index structures, for Figure 12.
+  /// Heap footprint of the index arrays, for Figure 12.
   size_t ApproximateBytes() const;
 
  private:
-  struct Location {
-    uint64_t rule_count = 0;
-    double confidence = 0.0;
-    std::vector<RuleId> rules;
-  };
-  /// Locations with the same support count, confidence descending.
-  struct Bucket {
-    uint64_t rule_count = 0;
-    std::vector<Location> locations;
-  };
+  /// The number of leading buckets whose rule count reaches the support
+  /// threshold (buckets descend, so the admitted ones are a prefix).
+  size_t AdmittedBuckets(double min_support) const;
+  /// Past-the-end location of bucket `b`'s admitted prefix: its locations
+  /// descend in confidence, so collection stops at the first one below.
+  uint32_t AdmittedEnd(size_t b, double min_confidence) const;
 
   uint64_t total_transactions_ = 0;
-  /// Buckets in descending rule_count order.
-  std::vector<Bucket> buckets_;
+  /// Rule ids in location order.
+  std::vector<RuleId> rules_;
+  /// Location l holds rules_[location_begin_[l], location_begin_[l + 1]).
+  std::vector<uint32_t> location_begin_;
+  /// Each location's confidence, computed once at build.
+  std::vector<double> location_confidence_;
+  /// Bucket b holds locations [bucket_begin_[b], bucket_begin_[b + 1]),
+  /// all with rule count bucket_count_[b]; buckets descend in count.
+  std::vector<uint32_t> bucket_begin_;
+  std::vector<uint64_t> bucket_count_;
   /// Unique confidence values ascending (region grid boundaries).
   std::vector<double> confidence_grid_;
-  /// item -> the entries of the rules containing it (TARA-S only), each
-  /// list sorted by rule id. The postings carry the counts, so
-  /// ContentQuery filters without a lookup.
-  std::unordered_map<ItemId, std::vector<Entry>> content_index_;
+
+  // The content index (TARA-S only). Positions number the window's rules
+  // in rule-id order; position p is rule by_rule_[p] >> 32 at location
+  // by_rule_[p] & 0xffffffff. content_items_ holds the items in ascending
+  // order, and item i's postings are the ascending positions
+  // postings_[item_begin_[i], item_begin_[i + 1]).
+  std::vector<uint64_t> by_rule_;
+  std::vector<ItemId> content_items_;
+  std::vector<uint32_t> item_begin_;
+  std::vector<uint32_t> postings_;
   bool has_content_index_ = false;
 };
 

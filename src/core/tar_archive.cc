@@ -56,14 +56,14 @@ void TarArchive::Add(RuleId rule, WindowId window, uint64_t rule_count,
   } else {
     TARA_CHECK_GT(window, s.last_window) << "entries must advance in time";
     codec::PutVarint(window - s.last_window, &s.bytes);
-    codec::PutVarint(
-        codec::ZigzagEncode(static_cast<int64_t>(rule_count) -
-                            static_cast<int64_t>(s.last_rule_count)),
-        &s.bytes);
-    codec::PutVarint(
-        codec::ZigzagEncode(static_cast<int64_t>(antecedent_count) -
-                            static_cast<int64_t>(s.last_antecedent_count)),
-        &s.bytes);
+    // Deltas wrap in unsigned arithmetic: the same bytes as a signed
+    // difference for every count below 2^63, and defined past it.
+    codec::PutVarint(codec::ZigzagEncode(static_cast<int64_t>(
+                         rule_count - s.last_rule_count)),
+                     &s.bytes);
+    codec::PutVarint(codec::ZigzagEncode(static_cast<int64_t>(
+                         antecedent_count - s.last_antecedent_count)),
+                     &s.bytes);
   }
   s.last_window = window;
   s.last_rule_count = rule_count;

@@ -132,11 +132,9 @@ class TarArchive {
     if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     while (pos < size) {
       entry.window += static_cast<WindowId>(next());
-      entry.rule_count = static_cast<uint64_t>(
-          static_cast<int64_t>(entry.rule_count) + codec::ZigzagDecode(next()));
-      entry.antecedent_count = static_cast<uint64_t>(
-          static_cast<int64_t>(entry.antecedent_count) +
-          codec::ZigzagDecode(next()));
+      entry.rule_count += static_cast<uint64_t>(codec::ZigzagDecode(next()));
+      entry.antecedent_count +=
+          static_cast<uint64_t>(codec::ZigzagDecode(next()));
       if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     }
   }

@@ -123,7 +123,9 @@ class TaraEngine {
   /// by content. The caller guarantees the rules are exactly those
   /// passing this engine's floors over a window of `total_transactions`
   /// transactions. For callers plugging in their own miner; persisted
-  /// windows go through CommitPersistedWindows.
+  /// windows go through CommitPersistedWindows. Counts no window can hold
+  /// (a zero rule count, or an antecedent count below the rule count or
+  /// above `total_transactions`) abort before anything is logged.
   WindowId AppendPrecomputedWindow(uint64_t total_transactions,
                                    const std::vector<PrecomputedRule>& rules);
 

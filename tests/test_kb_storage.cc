@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/kb_blocks.h"
+#include "core/kb_open.h"
 #include "core/kb_storage.h"
 #include "core/tara_engine.h"
 #include "core/wal.h"
@@ -169,6 +171,104 @@ TEST_F(KbStorageGolden, WalAfterTwoAppendsIsPinned) {
   const std::string wal = ReadFile(dir_ / "wal.tarawal");
   EXPECT_EQ(wal.size(), 549755u);
   EXPECT_EQ(HashOf(wal), 3692313774869973544ull);
+}
+
+// A window of more than 2^63 transactions holds counts past 2^63. The
+// archive writes count deltas in wrapping unsigned arithmetic, so a rule
+// climbing from 5 to 2^63 + 1 and falling back to 4 must read back
+// exactly through every decode path (the scalar scan, the dispatched
+// kernel, the stream form, a mapped open) and every roll-up.
+TEST(KbStorageWideCounts, CountsPast2To63RoundTrip) {
+  constexpr uint64_t kHalf = uint64_t{1} << 63;
+  struct Count {
+    uint64_t rule_count;
+    uint64_t antecedent_count;
+  };
+  const std::vector<uint64_t> totals = {100, kHalf + 10, 100};
+  const std::vector<Rule> rules = {Rule{{1}, {2}}, Rule{{2}, {3}}};
+  // counts[w][r]: rule r's counts in window w.
+  const std::vector<std::vector<Count>> counts = {
+      {{5, 7}, {10, 20}},
+      {{kHalf + 1, kHalf + 3}, {kHalf / 2, kHalf}},
+      {{4, 5}, {50, 60}}};
+  TaraEngine::Options options;
+  options.min_support_floor = 0.01;
+  options.min_confidence_floor = 0.2;
+  TaraEngine engine(options);
+  for (size_t w = 0; w < totals.size(); ++w) {
+    std::vector<TaraEngine::PrecomputedRule> window;
+    for (size_t r = 0; r < rules.size(); ++r) {
+      window.push_back({rules[r], counts[w][r].rule_count,
+                        counts[w][r].antecedent_count});
+    }
+    engine.AppendPrecomputedWindow(totals[w], window);
+  }
+
+  const auto expect_counts = [&](const KnowledgeBaseSnapshot& kb) {
+    ASSERT_EQ(kb.window_count(), totals.size());
+    for (RuleId r = 0; r < rules.size(); ++r) {
+      std::vector<ArchiveEntry> scanned;
+      kb.archive().VisitEntries(r, [&](const ArchiveEntry& e) {
+        scanned.push_back(e);
+        return true;
+      });
+      DecodeArena arena;
+      const std::span<const ArchiveEntry> decoded =
+          kb.archive().DecodeInto(r, arena);
+      ASSERT_EQ(scanned.size(), totals.size());
+      ASSERT_EQ(decoded.size(), totals.size());
+      for (WindowId w = 0; w < totals.size(); ++w) {
+        for (const ArchiveEntry& e : {scanned[w], decoded[w]}) {
+          EXPECT_EQ(e.window, w);
+          EXPECT_EQ(e.rule_count, counts[w][r].rule_count);
+          EXPECT_EQ(e.antecedent_count, counts[w][r].antecedent_count);
+        }
+      }
+      // Every run of windows holds at most one past 2^63, so the sums
+      // fit 64 bits and each roll-up is exact.
+      for (const std::vector<WindowId>& ids :
+           std::vector<std::vector<WindowId>>{{0, 1}, {1}, {1, 2}, {0, 1, 2}}) {
+        uint64_t rule_sum = 0, antecedent_sum = 0, total = 0;
+        for (const WindowId w : ids) {
+          rule_sum += counts[w][r].rule_count;
+          antecedent_sum += counts[w][r].antecedent_count;
+          total += totals[w];
+        }
+        const auto bound = kb.RollUpRule(r, kb.MakeWindowSet(ids));
+        ASSERT_TRUE(bound.has_value());
+        EXPECT_EQ(bound->missing_windows, 0u);
+        EXPECT_DOUBLE_EQ(bound->support_lo,
+                         static_cast<double>(rule_sum) / total);
+        EXPECT_DOUBLE_EQ(bound->support_hi, bound->support_lo);
+        EXPECT_DOUBLE_EQ(bound->confidence_lo,
+                         static_cast<double>(rule_sum) / antecedent_sum);
+        EXPECT_DOUBLE_EQ(bound->confidence_hi, bound->confidence_lo);
+      }
+    }
+  };
+  expect_counts(*engine.Snapshot());
+
+  const std::string bytes = EncodeKnowledgeBase(*engine.Snapshot());
+  auto streamed = DecodeKnowledgeBase(bytes);
+  ASSERT_TRUE(streamed.has_value()) << streamed.error().message;
+  expect_counts(*streamed.value().Snapshot());
+  EXPECT_EQ(EncodeKnowledgeBase(*streamed.value().Snapshot()), bytes);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("kb_wide_counts_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir.string(),
+                                       /*block_bytes=*/4096)
+                   .has_value());
+  OpenOptions open;
+  open.kb_dir = dir.string();
+  open.mode = OpenMode::kMapped;
+  auto mapped = OpenKnowledgeBase(open);
+  ASSERT_TRUE(mapped.has_value()) << mapped.error().message;
+  expect_counts(*mapped.value().Snapshot());
+  EXPECT_EQ(EncodeKnowledgeBase(*mapped.value().Snapshot()), bytes);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

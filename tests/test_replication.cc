@@ -453,6 +453,8 @@ std::vector<CraftedSegment> HostileSegments(const KnowledgeBaseSnapshot& base) {
       Craft("zero rule count", base, {}, {{0, 0, 3}}),
       Craft("antecedent count overflow", base, {},
             {{0, 5, UINT64_MAX - 2}}),
+      Craft("antecedent count past the window's transactions", base, {},
+            {{0, 3, kHostileTransactions - 2}}),
       Craft("rule id past the watermark", base, {fresh},
             {{next_id, 3, 1}, {next_id + 1, 3, 1}}),
       Craft("one rule twice in the window", base, {}, {{0, 3, 1}, {0, 4, 2}}),

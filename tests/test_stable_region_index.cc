@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/stable_region_index.h"
+#include "core/tara_engine.h"
 #include "mining/frequent_itemset.h"
 
 namespace tara {
@@ -248,6 +250,234 @@ TEST(WindowIndexTest, ContentQueryMatchesBruteForceFilter) {
     matched += want.size();
   }
   EXPECT_GT(matched, 0u);
+}
+
+// --- The order oracle: every EPS answer pinned to a brute-force filter in
+// the order it is served, not just as a set. The wire carries that order,
+// so a reordered answer changes bytes even when the set is right.
+
+/// Rules of two or three items drawn from a small universe, so items are
+/// shared by many rules, with counts drawn to share support buckets and
+/// confidence values. `stride` spaces the item ids apart.
+std::vector<PrecomputedRule> OracleRules(Rng& rng, uint64_t total,
+                                         ItemId stride) {
+  std::vector<uint64_t> pool;  // rule counts, so buckets hold many rules
+  for (int i = 0; i < 8; ++i) pool.push_back(1 + rng.NextBounded(total / 3));
+  std::vector<PrecomputedRule> rules;
+  for (int i = 0; i < 140; ++i) {
+    Itemset items;
+    const size_t size = 2 + rng.NextBounded(2);
+    while (items.size() < size) {
+      const ItemId item = static_cast<ItemId>(rng.NextBounded(7)) * stride;
+      if (std::find(items.begin(), items.end(), item) == items.end()) {
+        items.push_back(item);
+      }
+    }
+    std::sort(items.begin(), items.end());
+    const size_t split = rng.NextBounded(items.size());
+    PrecomputedRule r;
+    r.rule.consequent = {items[split]};
+    items.erase(items.begin() + static_cast<ptrdiff_t>(split));
+    r.rule.antecedent = std::move(items);
+    if (std::any_of(rules.begin(), rules.end(), [&r](const auto& held) {
+          return held.rule == r.rule;
+        })) {
+      continue;
+    }
+    r.rule_count = rng.NextBool(0.7) ? pool[rng.NextBounded(pool.size())]
+                                     : 1 + rng.NextBounded(total / 2);
+    // Multiples of the count repeat a confidence across buckets.
+    const uint64_t multiple = r.rule_count * (1 + rng.NextBounded(4));
+    r.antecedent_count =
+        rng.NextBool(0.5) && multiple <= total
+            ? multiple
+            : r.rule_count + rng.NextBounded(total - r.rule_count + 1);
+    rules.push_back(std::move(r));
+  }
+  return rules;
+}
+
+double ConfidenceOf(const WindowIndex::Entry& e) {
+  return static_cast<double>(e.rule_count) /
+         static_cast<double>(e.antecedent_count);
+}
+
+bool Admits(const WindowIndex::Entry& e, uint64_t total, double s, double c) {
+  return e.rule_count >= MinCountForSupport(s, total) &&
+         ConfidenceOf(e) + 1e-12 >= c;
+}
+
+/// The admitted entries in serving order: support count descending, then
+/// antecedent count ascending (confidence descending), then rule id.
+std::vector<RuleId> FilterInServingOrder(
+    std::vector<WindowIndex::Entry> entries, uint64_t total, double s,
+    double c) {
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    if (a.rule_count != b.rule_count) return a.rule_count > b.rule_count;
+    if (a.antecedent_count != b.antecedent_count) {
+      return a.antecedent_count < b.antecedent_count;
+    }
+    return a.rule < b.rule;
+  });
+  std::vector<RuleId> out;
+  for (const auto& e : entries) {
+    if (Admits(e, total, s, c)) out.push_back(e.rule);
+  }
+  return out;
+}
+
+TEST(WindowIndexTest, AnswersMatchBruteForceInServingOrder) {
+  Rng rng(2024);
+  TaraEngine::Options options;
+  options.min_support_floor = 1e-9;
+  options.min_confidence_floor = 0.0;
+  options.build_content_index = true;
+  TaraEngine engine(options);
+  std::vector<uint64_t> totals;
+  for (int w = 0; w < 12; ++w) {
+    // The last window counts past 2^32, too wide for one 64-bit sort key.
+    const uint64_t total = w == 11 ? (uint64_t{1} << 40) + rng.NextBounded(999)
+                                   : 40 + rng.NextBounded(600);
+    // Every fourth window spreads its items far apart.
+    const ItemId stride = w % 4 == 3 ? 1000003 : 1;
+    engine.AppendPrecomputedWindow(total, OracleRules(rng, total, stride));
+    totals.push_back(total);
+  }
+  const auto kb = engine.Snapshot();
+  size_t collected = 0, content_hits = 0;
+  for (WindowId w = 0; w < kb->window_count(); ++w) {
+    const uint64_t total = totals[w];
+    const WindowIndex& index = kb->window_index(w);
+    const std::vector<WindowIndex::Entry>& entries = kb->window_entries(w);
+    ASSERT_EQ(index.total_transactions(), total);
+
+    // Settings between boundaries, and exactly on every bucket support k/n
+    // and every location confidence a/b, each paired with the other kind.
+    std::vector<double> supports, confidences;
+    for (const auto& e : entries) {
+      supports.push_back(static_cast<double>(e.rule_count) /
+                         static_cast<double>(total));
+      confidences.push_back(ConfidenceOf(e));
+    }
+    std::vector<ParameterSetting> settings;
+    for (int i = 0; i < 40; ++i) {
+      settings.push_back({rng.NextDouble() * 0.5, rng.NextDouble()});
+    }
+    for (const double s : supports) {
+      settings.push_back({s, rng.NextDouble()});
+      settings.push_back({s, confidences[rng.NextBounded(confidences.size())]});
+    }
+    for (const double c : confidences) {
+      settings.push_back({rng.NextDouble() * 0.5, c});
+    }
+
+    for (const ParameterSetting& setting : settings) {
+      const double s = setting.min_support;
+      const double c = setting.min_confidence;
+      const std::vector<RuleId> want =
+          FilterInServingOrder(entries, total, s, c);
+      std::vector<RuleId> got;
+      index.CollectRules(s, c, &got);
+      ASSERT_EQ(got, want) << "window " << w << " s=" << s << " c=" << c;
+      ASSERT_EQ(index.CountRules(s, c), want.size());
+      collected += want.size();
+
+      // Q5 probes: empty, absent, duplicate and unsorted items.
+      const ItemId stride = w % 4 == 3 ? 1000003 : 1;
+      const ItemId a = static_cast<ItemId>(rng.NextBounded(7)) * stride;
+      const ItemId b = static_cast<ItemId>(rng.NextBounded(7)) * stride;
+      const std::vector<Itemset> probes = {
+          {}, {a}, {a, a}, {b, a}, {std::max(a, b), std::min(a, b), a},
+          {a, 7 * stride}};
+      for (const Itemset& probe : probes) {
+        std::vector<RuleId> content;
+        index.ContentQuery(probe, s, c, &content);
+        if (probe.empty()) {
+          EXPECT_EQ(content, got) << "an empty probe is a plain collect";
+          continue;
+        }
+        std::vector<RuleId> expected;
+        for (const auto& e : entries) {
+          const Rule& rule = kb->catalog().rule(e.rule);
+          const auto holds = [&rule](ItemId item) {
+            return std::count(rule.antecedent.begin(), rule.antecedent.end(),
+                              item) +
+                       std::count(rule.consequent.begin(),
+                                  rule.consequent.end(), item) >
+                   0;
+          };
+          if (Admits(e, total, s, c) &&
+              std::all_of(probe.begin(), probe.end(), holds)) {
+            expected.push_back(e.rule);
+          }
+        }
+        std::sort(expected.begin(), expected.end());
+        ASSERT_EQ(content, expected) << "window " << w << " s=" << s;
+        content_hits += expected.size();
+      }
+
+      // The merged view, grouped by brute force.
+      std::map<ItemId, std::vector<RuleId>> grouped;
+      for (const RuleId id : want) {
+        const Rule& rule = kb->catalog().rule(id);
+        for (const ItemId item : rule.antecedent) grouped[item].push_back(id);
+        for (const ItemId item : rule.consequent) grouped[item].push_back(id);
+      }
+      for (auto& [item, rules] : grouped) std::sort(rules.begin(), rules.end());
+      const auto view = kb->ContentView(w, setting);
+      ASSERT_TRUE(view.has_value());
+      const std::map<ItemId, std::vector<RuleId>> served(view->begin(),
+                                                         view->end());
+      ASSERT_EQ(served, grouped) << "window " << w << " s=" << s;
+    }
+
+    // Q3, strictly between boundaries: the region brackets the setting,
+    // and every setting inside it collects the same rules.
+    for (int i = 0; i < 40; ++i) {
+      const double s = 0.001 + rng.NextDouble() * 0.6;
+      const double c = 0.001 + rng.NextDouble() * 0.998;
+      const RegionInfo region = index.Locate(s, c);
+      ASSERT_LT(region.support_lower, s);
+      ASSERT_LE(s, region.support_upper);
+      ASSERT_LT(region.confidence_lower, c);
+      ASSERT_LE(c, region.confidence_upper);
+      std::vector<RuleId> here;
+      index.CollectRules(s, c, &here);
+      ASSERT_EQ(here.size(), region.result_size);
+      for (int j = 0; j < 4; ++j) {
+        const double s2 = region.support_lower +
+                          (region.support_upper - region.support_lower) *
+                              (0.01 + 0.98 * rng.NextDouble());
+        const double c2 = region.confidence_lower +
+                          (region.confidence_upper - region.confidence_lower) *
+                              (0.01 + 0.98 * rng.NextDouble());
+        std::vector<RuleId> there;
+        index.CollectRules(s2, c2, &there);
+        ASSERT_EQ(Sorted(there), Sorted(here))
+            << "window " << w << " (" << s << ", " << c << ") vs (" << s2
+            << ", " << c2 << ")";
+      }
+    }
+  }
+  EXPECT_GT(collected, 1000u);
+  EXPECT_GT(content_hits, 100u);
+}
+
+// Past 2^53 two antecedent counts can convert to one double: the rules
+// then share one confidence, so one location, in rule-id order.
+TEST(WindowIndexTest, EqualConfidencesShareOneLocation) {
+  Fixture fx;
+  const uint64_t base = uint64_t{3} << 55;
+  const RuleId low = fx.AddRule(1, 2, uint64_t{1} << 55, base);
+  const RuleId high = fx.AddRule(2, 3, uint64_t{1} << 55, base + 1);
+  const RuleId other = fx.AddRule(3, 4, uint64_t{1} << 55, base + 4096);
+  std::swap(fx.entries[0].rule, fx.entries[1].rule);  // the larger id first
+  WindowIndex index;
+  index.Build(fx.entries, uint64_t{1} << 60, false, fx.catalog);
+  EXPECT_EQ(index.location_count(), 2u);
+  std::vector<RuleId> out;
+  index.CollectRules(0.01, 0.0, &out);
+  EXPECT_EQ(out, (std::vector<RuleId>{low, high, other}));
 }
 
 TEST(WindowIndexTest, RegionCountReflectsGrid) {

@@ -132,6 +132,29 @@ TEST_F(WalTest, LoggedWindowsReplayByteIdentically) {
   EXPECT_EQ(Encode(replayed), refs_[kWindows]);
 }
 
+// A precomputed window whose counts a loader would refuse (an antecedent
+// count above the window's transactions) must be refused before it is
+// logged: a logged window that replay rejects would stop the engine from
+// reopening. The log keeps exactly the windows the engine accepted.
+TEST_F(WalTest, ImpossibleCountsAreRefusedBeforeTheyAreLogged) {
+  const Rule rule{{1}, {2}};
+  std::string accepted;
+  {
+    TaraEngine::Options options = EngineOptions();
+    options.wal_dir = wal_dir_;
+    TaraEngine engine(options);
+    engine.AppendPrecomputedWindow(100, {{rule, 30, 60}});
+    accepted = Encode(engine);
+    EXPECT_DEATH(engine.AppendPrecomputedWindow(100, {{rule, 30, 101}}),
+                 "impossible counts");
+    EXPECT_EQ(Encode(engine), accepted);
+  }
+  TaraEngine::Options options = EngineOptions();
+  options.wal_dir = wal_dir_;
+  TaraEngine reopened(options);
+  EXPECT_EQ(Encode(reopened), accepted);
+}
+
 TEST_F(WalTest, CheckpointTruncatesAndTailReplaysOnTop) {
   const EvolvingDatabase data = MakeData();
   BuildReferences(data);

@@ -166,6 +166,29 @@ TEST(WireFormat, ResultRoundTrip) {
             (std::vector<RuleId>{3, 1, 4, 1, 5}));
 }
 
+// A content view's items ascend strictly on the wire. Bytes naming an item
+// twice, or items out of order, would decode to a view that re-encodes to
+// other bytes, so they are malformed.
+TEST(WireFormat, ContentViewDecodesOnlyInCanonicalOrder) {
+  const auto decode = [](std::vector<uint8_t> bytes) {
+    return DecodeQueryResult(
+        QueryKind::kContentView,
+        std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size()));
+  };
+  const auto canonical = decode({2, 2, 1, 9, 4, 2, 1, 2});
+  ASSERT_TRUE(canonical.has_value());
+  EXPECT_EQ(std::get<ContentViewResult>(*canonical),
+            (ContentViewResult{{2, {9}}, {4, {1, 2}}}));
+  EXPECT_EQ(EncodeQueryResult(QueryKind::kContentView, *canonical),
+            std::string("\x02\x02\x01\x09\x04\x02\x01\x02", 8));
+
+  EXPECT_FALSE(decode({2, 4, 1, 1, 4, 1, 2}).has_value())
+      << "an item named twice";
+  EXPECT_FALSE(decode({2, 4, 1, 1, 2, 1, 9}).has_value())
+      << "items in descending order";
+}
+
 TEST(WireFormat, ErrorRoundTripPreservesCode) {
   const std::string frame =
       EncodeErrorFrame(ServerWireError::kOverloaded, "try later");
