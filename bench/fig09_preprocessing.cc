@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "baselines/hmine_baseline.h"
 #include "bench/bench_datasets.h"
@@ -37,8 +38,15 @@ void Run() {
     TaraEngine engine(options);
     Stopwatch tara_total;
     engine.BuildAll(d.data);
-    const double tara_seconds = tara_total.ElapsedSeconds();
     const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
+    // A window's EPS slice is built by its first read: time that read.
+    std::vector<double> eps_per_window;
+    for (WindowId w = 0; w < kb->window_count(); ++w) {
+      Stopwatch timer;
+      kb->window_index(w);
+      eps_per_window.push_back(timer.ElapsedSeconds());
+    }
+    const double tara_seconds = tara_total.ElapsedSeconds();
 
     // H-Mine baseline preprocessing, timed per window.
     HMineBaseline hmine(d.support_floor, d.max_itemset_size);
@@ -58,11 +66,12 @@ void Run() {
     double extra_sum = 0, itemset_sum = 0;
     for (WindowId w = 0; w < kb->window_count(); ++w) {
       const WindowBuildStats& s = kb->segment(w).stats;
-      extra_sum += s.rule_seconds + s.archive_seconds + s.index_seconds;
+      const double eps = eps_per_window[w];
+      extra_sum += s.rule_seconds + s.archive_seconds + eps;
       itemset_sum += s.itemset_seconds;
       std::printf("%-8u %10.3f %10.3f %10.3f %10.3f %10.3f | %10.3f\n",
                   s.window, s.itemset_seconds, s.rule_seconds,
-                  s.archive_seconds, s.index_seconds, s.total_seconds(),
+                  s.archive_seconds, eps, s.total_seconds() + eps,
                   hmine_per_window[s.window]);
     }
     std::printf("%-8s %54.3f | %10.3f  (TARA/HMine = %.2fx, extra tasks = "

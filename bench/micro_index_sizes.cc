@@ -30,9 +30,9 @@ void Run() {
     const std::shared_ptr<const KnowledgeBaseSnapshot> kb = engine.Snapshot();
     size_t locations = 0, regions = 0;
     for (WindowId w = 0; w < kb->window_count(); ++w) {
-      const WindowBuildStats& stats = kb->segment(w).stats;
-      locations += stats.location_count;
-      regions += stats.region_count;
+      const WindowIndex& index = kb->window_index(w);
+      locations += index.location_count();
+      regions += index.region_count();
     }
     std::printf("%-10s | %10zu %10zu %12.1f | %12.1f %14.1f\n",
                 d.name.c_str(), locations, regions,

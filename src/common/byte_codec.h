@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -260,7 +261,16 @@ class ByteReader {
     *out = std::bit_cast<double>(bits);
     return true;
   }
-  /// Inverse of ByteWriter::IdList.
+  /// A varint id, rejected (like a short one) when it does not fit `Int`:
+  /// narrowing it would name another id.
+  template <typename Int>
+  bool Id(Int* out) {
+    uint64_t id = 0;
+    if (!U64(&id) || id > std::numeric_limits<Int>::max()) return false;
+    *out = static_cast<Int>(id);
+    return true;
+  }
+  /// Inverse of ByteWriter::IdList; every id must fit `Int`.
   template <typename Int>
   bool IdList(std::vector<Int>* out) {
     uint64_t count = 0;
@@ -268,25 +278,28 @@ class ByteReader {
     out->clear();
     out->reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!U64(&id)) return false;
-      out->push_back(static_cast<Int>(id));
+      Int id = 0;
+      if (!Id(&id)) return false;
+      out->push_back(id);
     }
     return true;
   }
-  /// Inverse of ByteWriter::Items.
+  /// Inverse of ByteWriter::Items; every item must fit `Int`.
   template <typename Int>
   bool Items(std::vector<Int>* out) {
     uint64_t count = 0;
     if (!Count(&count)) return false;
     out->clear();
     out->reserve(count);
-    Int previous = 0;
+    uint64_t previous = 0;
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t delta = 0;
-      if (!U64(&delta)) return false;
-      previous += static_cast<Int>(delta);
-      out->push_back(previous);
+      if (!U64(&delta) ||
+          delta > uint64_t{std::numeric_limits<Int>::max()} - previous) {
+        return false;
+      }
+      previous += delta;
+      out->push_back(static_cast<Int>(previous));
     }
     return true;
   }

@@ -15,9 +15,10 @@
 namespace tara {
 
 /// A fixed-size pool of worker threads with a shared FIFO task queue — no
-/// work stealing, no priorities. Used by the offline build pipeline: tasks
-/// are coarse (a whole window's mining, an EPS slice build, a sort chunk),
-/// so a plain mutex-protected queue is never the bottleneck.
+/// work stealing, no priorities. Used by the offline build pipeline and
+/// batched queries: tasks are coarse (a whole window's mining, a segment
+/// parse, a query), so a plain mutex-protected queue is never the
+/// bottleneck.
 ///
 /// Thread-safety: Submit and ParallelFor may be called from any thread,
 /// including from inside a pool task (ParallelFor then degrades to the

@@ -44,6 +44,7 @@ KbBuilder::KbBuilder(const Options& options)
     empty->archive_ = std::make_shared<const TarArchive>();
     empty->rollup_tree_ = std::make_shared<const RollUpTree>(empty->archive_);
     empty->options_ = options_;
+    empty->index_build_ns_ = metrics_.index_build_ns;
     std::lock_guard<std::mutex> lock(commit_mutex_);
     PublishSnapshotLocked(std::move(empty));
   }
@@ -143,43 +144,34 @@ void KbBuilder::RegisterMetrics() {
   metrics_.build_rule_seconds = registry->GetGauge("tara.build.rule_seconds");
   metrics_.build_archive_seconds =
       registry->GetGauge("tara.build.archive_seconds");
-  metrics_.build_index_seconds =
-      registry->GetGauge("tara.build.index_seconds");
   metrics_.build_windows = registry->GetGauge("tara.build.windows");
   metrics_.build_rules = registry->GetGauge("tara.build.rules");
-  metrics_.build_regions = registry->GetGauge("tara.build.regions");
   metrics_.archive_payload_bytes =
       registry->GetGauge("tara.archive.payload_bytes");
   metrics_.archive_entries = registry->GetGauge("tara.archive.entries");
-  metrics_.index_bytes = registry->GetGauge("tara.index.bytes");
+  metrics_.index_build_ns = registry->GetHistogram("tara.index.build_ns");
   metrics_.kb_generation = registry->GetGauge("tara.kb.generation");
   metrics_.kb_swaps = registry->GetCounter("tara.kb.swaps");
 }
 
 void KbBuilder::UpdateBuildMetrics(const KnowledgeBaseSnapshot& published) {
   if (options_.metrics == nullptr) return;
-  double itemset = 0, rule = 0, archive = 0, index = 0;
-  double regions = 0;
+  double itemset = 0, rule = 0, archive = 0;
   for (WindowId w = 0; w < published.window_count(); ++w) {
     const WindowBuildStats& s = published.segment(w).stats;
     itemset += s.itemset_seconds;
     rule += s.rule_seconds;
     archive += s.archive_seconds;
-    index += s.index_seconds;
-    regions += static_cast<double>(s.region_count);
   }
   metrics_.build_itemset_seconds->Set(itemset);
   metrics_.build_rule_seconds->Set(rule);
   metrics_.build_archive_seconds->Set(archive);
-  metrics_.build_index_seconds->Set(index);
   metrics_.build_windows->Set(static_cast<double>(published.window_count()));
   metrics_.build_rules->Set(static_cast<double>(catalog_->size()));
-  metrics_.build_regions->Set(regions);
   metrics_.archive_payload_bytes->Set(
       static_cast<double>(published.archive().payload_bytes()));
   metrics_.archive_entries->Set(
       static_cast<double>(published.archive().entry_count()));
-  metrics_.index_bytes->Set(static_cast<double>(published.IndexBytes()));
   metrics_.kb_generation->Set(static_cast<double>(published.generation()));
 }
 
@@ -356,25 +348,6 @@ void KbBuilder::CommitLocked(
     segment.stats.archive_seconds += timer.ElapsedSeconds();
   }
 
-  // EPS slices: windows spread across the pool when there are several.
-  // Each build writes only its own (still private) segment and reads the
-  // catalog shared.
-  const auto build_index = [this](WindowSegment* segment) {
-    Stopwatch timer;
-    segment->index.Build(segment->entries, segment->total_transactions,
-                         options_.build_content_index, *catalog_);
-    segment->stats.index_seconds = timer.ElapsedSeconds();
-    segment->stats.location_count = segment->index.location_count();
-    segment->stats.region_count = segment->index.region_count();
-  };
-  if (pool_ != nullptr && pending.size() > 1) {
-    pool_->ParallelFor(pending.size(), [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) build_index(pending[i].get());
-    });
-  } else {
-    for (const auto& segment : pending) build_index(segment.get());
-  }
-
   // Log, then publish: every window is durable before any is visible.
   if (wal_ != nullptr) {
     RuleId first_rule =
@@ -478,9 +451,8 @@ void KbBuilder::BuildAll(const EvolvingDatabase& data) {
     //   stage 1 (fan-out): mine itemsets + derive rules per window;
     //   stage 2 (serial):  intern rules strictly in window order — RuleIds
     //                      come out identical to a sequential build;
-    //   stage 3:           the commit tail below (archive appends, EPS
-    //                      builds fanned across the pool, one
-    //                      publication for every window).
+    //   stage 3:           the commit tail below (archive appends, the
+    //                      WAL, one publication for every window).
     // Keep only a few windows of mined-but-uninterned rules in memory.
     const uint32_t max_ahead = pool->size() + 2;
     std::deque<std::future<MinedWindow>> in_flight;

@@ -105,17 +105,17 @@ class KbBuilder {
 
   /// Appends every window of an evolving database. With
   /// Options::parallelism > 1, independent windows are mined
-  /// concurrently, interned in window order, and EPS-indexed across the
-  /// pool. At any parallelism the new windows become visible to readers
-  /// atomically, as ONE publication after the last window's commit.
+  /// concurrently and interned in window order. At any parallelism the
+  /// new windows become visible to readers atomically, as ONE
+  /// publication after the last window's commit.
   void BuildAll(const EvolvingDatabase& data);
 
   /// Commits persisted windows — parsed TSEG segments, in window order,
   /// the first being the published window count — by rule id, as ONE
   /// publication: each window's new rules are moved into the catalog and
   /// must get exactly the ids the segment names; entries go to the
-  /// archive by id (no content lookups); the EPS slices are built across
-  /// the pool when one exists. Everything is checked before the catalog
+  /// archive by id (no content lookups); no EPS slice is built until a
+  /// query reads it. Everything is checked before the catalog
   /// or the archive is touched: a wrong window or first rule id,
   /// an entry with a zero rule count or an antecedent count below it, an
   /// id past the window's watermark, one rule listed twice in a window,
@@ -203,13 +203,12 @@ class KbBuilder {
 
   /// The commit tail every writer shares. Builds the next generation from
   /// the current one: appends each pending window (ids already interned,
-  /// in window order) to a copy of the current archive, builds the EPS
-  /// slices (across the pool when there are several windows), appends
-  /// each window's TSEG record to the WAL (fdatasync'd), and only then
+  /// in window order) to a copy of the current archive, appends each
+  /// window's TSEG record to the WAL (fdatasync'd), and only then
   /// publishes ONE generation holding all of them, with a roll-up tree
-  /// over its archive. Aborts if the log cannot be written — before
-  /// anything is visible. No-op for an empty batch. Commit mutex must be
-  /// held.
+  /// over its archive. The EPS slices are left to their first readers.
+  /// Aborts if the log cannot be written — before anything is visible.
+  /// No-op for an empty batch. Commit mutex must be held.
   void CommitLocked(std::vector<std::shared_ptr<WindowSegment>> pending);
 
   /// Swaps in `next` as the current generation and wakes WaitForWindows.
@@ -229,13 +228,12 @@ class KbBuilder {
     obs::Gauge* build_itemset_seconds = nullptr;
     obs::Gauge* build_rule_seconds = nullptr;
     obs::Gauge* build_archive_seconds = nullptr;
-    obs::Gauge* build_index_seconds = nullptr;
     obs::Gauge* build_windows = nullptr;
     obs::Gauge* build_rules = nullptr;
-    obs::Gauge* build_regions = nullptr;
     obs::Gauge* archive_payload_bytes = nullptr;
     obs::Gauge* archive_entries = nullptr;
-    obs::Gauge* index_bytes = nullptr;
+    /// Handed to every snapshot: one sample per EPS slice built.
+    obs::Histogram* index_build_ns = nullptr;
     obs::Gauge* kb_generation = nullptr;
     obs::Counter* kb_swaps = nullptr;
   };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -10,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
+#include "obs/metrics.h"
 
 namespace tara {
 
@@ -69,13 +71,12 @@ class RuleTable {
 /// last window. Each window's entries name rules below its own watermark
 /// and watermarks never decrease, so checking each requested window's
 /// watermark against the bound bounds every entry the request reads.
-RuleId TableBound(
-    const std::vector<std::shared_ptr<const WindowSegment>>& segments,
-    const WindowSet& windows) {
+RuleId TableBound(const KnowledgeBaseSnapshot& snapshot,
+                  const WindowSet& windows) {
   const RuleId bound =
-      segments[windows.required_window_count() - 1]->rule_watermark;
+      snapshot.segment(windows.required_window_count() - 1).rule_watermark;
   for (WindowId w : windows) {
-    TARA_CHECK_LE(segments[w]->rule_watermark, bound)
+    TARA_CHECK_LE(snapshot.segment(w).rule_watermark, bound)
         << "window " << w << "'s rule watermark passes a later window's";
   }
   return bound;
@@ -87,17 +88,17 @@ RuleId TableBound(
 /// every window.
 template <size_t N>
 RuleTable<std::array<uint32_t, N>> CountHits(
-    const std::vector<std::shared_ptr<const WindowSegment>>& segments,
-    const WindowSet& windows, const std::array<ParameterSetting, N>& settings,
-    MatchMode mode) {
-  RuleTable<std::array<uint32_t, N>> hits(TableBound(segments, windows));
+    const KnowledgeBaseSnapshot& snapshot, const WindowSet& windows,
+    const std::array<ParameterSetting, N>& settings, MatchMode mode) {
+  RuleTable<std::array<uint32_t, N>> hits(TableBound(snapshot, windows));
   std::vector<RuleId> valid;
   bool first = true;
   for (WindowId w : windows) {
+    const WindowIndex& index = snapshot.window_index(w);
     for (size_t s = 0; s < N; ++s) {
       valid.clear();
-      segments[w]->index.CollectRules(settings[s].min_support,
-                                      settings[s].min_confidence, &valid);
+      index.CollectRules(settings[s].min_support, settings[s].min_confidence,
+                         &valid);
       for (RuleId rule : valid) {
         if (first || mode == MatchMode::kSingle) {
           ++hits[rule][s];
@@ -135,15 +136,40 @@ std::optional<std::string> KbOptions::Validate() const {
   return std::nullopt;
 }
 
+const WindowIndex& WindowSegment::Index(const RuleCatalog& catalog,
+                                        bool content_index,
+                                        obs::Histogram* build_ns) const {
+  if (!index_built_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(index_mutex_);
+    if (!index_built_.load(std::memory_order_relaxed)) {
+      const auto start = std::chrono::steady_clock::now();
+      index_.Build(entries, total_transactions, content_index, catalog);
+      if (build_ns != nullptr) {
+        build_ns->Record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count()));
+      }
+      index_built_.store(true, std::memory_order_release);
+    }
+  }
+  return index_;
+}
+
 const WindowSegment& KnowledgeBaseSnapshot::segment(WindowId w) const {
   TARA_CHECK_LT(w, segments_.size()) << "bad window id";
   return *segments_[w];
 }
 
+const WindowIndex& KnowledgeBaseSnapshot::window_index(WindowId w) const {
+  return segment(w).Index(*catalog_, options_.build_content_index,
+                          index_build_ns_);
+}
+
 size_t KnowledgeBaseSnapshot::IndexBytes() const {
   size_t bytes = 0;
-  for (const auto& segment : segments_) {
-    bytes += segment->index.ApproximateBytes();
+  for (WindowId w = 0; w < window_count(); ++w) {
+    bytes += window_index(w).ApproximateBytes();
   }
   return bytes;
 }
@@ -218,8 +244,8 @@ std::optional<QueryError> KnowledgeBaseSnapshot::ValidateRule(
 std::vector<RuleId> KnowledgeBaseSnapshot::CollectWindow(
     WindowId w, const ParameterSetting& setting) const {
   std::vector<RuleId> out;
-  segments_[w]->index.CollectRules(setting.min_support,
-                                   setting.min_confidence, &out);
+  window_index(w).CollectRules(setting.min_support, setting.min_confidence,
+                               &out);
   return out;
 }
 
@@ -235,7 +261,7 @@ Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::MineWindows(
     MatchMode mode) const {
   if (auto error = ValidateWindows(windows)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
-  const auto hits = CountHits<1>(segments_, windows, {setting}, mode);
+  const auto hits = CountHits<1>(*this, windows, {setting}, mode);
   const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
   std::vector<RuleId> rules;
   hits.ForEach([&](RuleId rule, const std::array<uint32_t, 1>& hit) {
@@ -271,7 +297,7 @@ Expected<RulesetDiff, QueryError> KnowledgeBaseSnapshot::CompareSettings(
   if (auto error = ValidateWindows(windows)) return *std::move(error);
   if (auto error = ValidateSetting(first)) return *std::move(error);
   if (auto error = ValidateSetting(second)) return *std::move(error);
-  const auto hits = CountHits<2>(segments_, windows, {first, second}, mode);
+  const auto hits = CountHits<2>(*this, windows, {first, second}, mode);
   const size_t need = mode == MatchMode::kSingle ? 1 : windows.size();
   RulesetDiff diff;
   hits.ForEach([&](RuleId rule, const std::array<uint32_t, 2>& hit) {
@@ -287,8 +313,7 @@ Expected<RegionInfo, QueryError> KnowledgeBaseSnapshot::RecommendRegion(
     WindowId w, const ParameterSetting& setting) const {
   if (auto error = ValidateWindow(w)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
-  return segments_[w]->index.Locate(setting.min_support,
-                                    setting.min_confidence);
+  return window_index(w).Locate(setting.min_support, setting.min_confidence);
 }
 
 Expected<TrajectoryMeasures, QueryError> KnowledgeBaseSnapshot::RuleMeasures(
@@ -310,8 +335,8 @@ Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::ContentQuery(
   if (auto error = ValidateWindow(w)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
   std::vector<RuleId> out;
-  segments_[w]->index.ContentQuery(items, setting.min_support,
-                                   setting.min_confidence, &out);
+  window_index(w).ContentQuery(items, setting.min_support,
+                               setting.min_confidence, &out);
   return out;
 }
 
@@ -325,14 +350,13 @@ Expected<ContentViewResult, QueryError> KnowledgeBaseSnapshot::ContentView(
   std::vector<RuleId> answer = CollectWindow(w, setting);
   RadixSort(&answer);
   std::vector<uint64_t> pairs;
-  for (const RuleId rule : answer) {
-    const Rule& r = catalog_->rule(rule);
+  catalog_->ForEachRule(answer, [&](size_t i, const Rule& r) {
     for (const Itemset* side : {&r.antecedent, &r.consequent}) {
       for (const ItemId item : *side) {
-        pairs.push_back(uint64_t{item} << 32 | rule);
+        pairs.push_back(uint64_t{item} << 32 | answer[i]);
       }
     }
-  }
+  });
   RadixSort(&pairs, [](uint64_t pair) { return pair >> 32; });
   ContentViewResult view;
   for (size_t begin = 0, end = 0; begin < pairs.size(); begin = end) {
@@ -374,7 +398,7 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
   };
   uint64_t total = 0;
   uint64_t total_slack = 0;
-  RuleTable<Present> present(TableBound(segments_, windows));
+  RuleTable<Present> present(TableBound(*this, windows));
   for (WindowId w : windows) {
     const uint64_t size = archive_->window_size(w);
     const uint64_t slack = UnarchivedCountSlack(

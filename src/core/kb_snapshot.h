@@ -1,9 +1,11 @@
 #ifndef TARA_CORE_KB_SNAPSHOT_H_
 #define TARA_CORE_KB_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 namespace tara {
 
 namespace obs {
+class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -55,13 +58,15 @@ struct KbOptions {
   /// Build per-window item→rule inverted indexes (the TARA-S variant)
   /// enabling Q5 content queries at extra build cost.
   bool build_content_index = false;
-  /// Worker threads for the offline build: BuildAll overlaps whole
-  /// windows, a commit of several windows spreads their EPS slices over
-  /// the pool, and AppendWindow parallelizes rule derivation. One
-  /// window's EPS slice always builds sequentially. 1 = fully sequential
-  /// (default), 0 = use the hardware concurrency. Any value yields a
-  /// byte-identical serialized knowledge base; this is an execution
-  /// knob, not knowledge-base state, and is not serialized.
+  /// Worker threads for the offline build and for queries: BuildAll
+  /// overlaps whole windows, AppendWindow parallelizes rule derivation, a
+  /// mapped open parses the segments a query needs, and ExecuteBatch
+  /// spreads its misses. A commit builds no EPS slice: each window's
+  /// slice is built, sequentially, by the first query that reads it (in
+  /// a batch, by one pool worker while the others wait for it).
+  /// 1 = fully sequential (default), 0 = use the hardware concurrency.
+  /// Any value yields a byte-identical serialized knowledge base; this is
+  /// an execution knob, not knowledge-base state, and is not serialized.
   uint32_t parallelism = 1;
   /// Destination for the engine's instruments, or nullptr for the null
   /// sink (no clocks, no atomics on the query path). The registry must
@@ -158,19 +163,18 @@ std::optional<FingerprintError> ReadOptionsFingerprint(codec::ByteReader* in,
 }
 
 /// Per-window offline timing/size breakdown (Figure 9's stacked tasks).
+/// The EPS slice is built by its window's first read, not at commit, so
+/// its cost and shape are the slice's to report (window_index(w)).
 struct WindowBuildStats {
   WindowId window = 0;
   double itemset_seconds = 0;  ///< frequent itemset generation
   double rule_seconds = 0;     ///< rule derivation
   double archive_seconds = 0;  ///< TAR Archive append
-  double index_seconds = 0;    ///< EPS (stable region) index build
   size_t itemset_count = 0;
   size_t rule_count = 0;
-  size_t location_count = 0;
-  size_t region_count = 0;
 
   double total_seconds() const {
-    return itemset_seconds + rule_seconds + archive_seconds + index_seconds;
+    return itemset_seconds + rule_seconds + archive_seconds;
   }
 };
 
@@ -208,13 +212,16 @@ struct RolledUpRules {
   std::vector<RuleId> possible;
 };
 
-/// One committed window of the knowledge base: its EPS index slice, its
-/// build inputs (kept for roll-up mining and serialization), and its build
-/// breakdown. Immutable once a snapshot referencing it has been published;
-/// shared by every later snapshot, so appending a window never copies older
-/// windows.
-struct WindowSegment {
-  WindowIndex index;
+/// One committed window of the knowledge base: its entries (the EPS
+/// slice's input, read as they are by roll-up mining and serialization),
+/// its build breakdown, and its EPS slice, built from the entries by the
+/// first KnowledgeBaseSnapshot::window_index(w) call rather than at
+/// commit. The public fields are immutable once a snapshot referencing the
+/// segment has been published; the segment is shared by every later
+/// snapshot, so appending a window never copies older windows, and a slice
+/// one generation built serves all of them.
+class WindowSegment {
+ public:
   std::vector<WindowIndex::Entry> entries;
   uint64_t total_transactions = 0;
   uint64_t floor_count = 0;
@@ -224,6 +231,20 @@ struct WindowSegment {
   /// relies on to persist one window at a time.
   RuleId rule_watermark = 0;
   WindowBuildStats stats;
+
+ private:
+  friend class KnowledgeBaseSnapshot;
+
+  /// The EPS slice, built on the first call. Concurrent first callers
+  /// wait for one build; once it is built a call costs one acquire load.
+  /// Each build records its nanoseconds in `build_ns` (may be null).
+  const WindowIndex& Index(const RuleCatalog& catalog, bool content_index,
+                           obs::Histogram* build_ns) const;
+
+  mutable std::atomic<bool> index_built_{false};
+  mutable std::mutex index_mutex_;
+  /// Written once, under index_mutex_, before index_built_ is released.
+  mutable WindowIndex index_;
 };
 
 /// An immutable, point-in-time view of the knowledge base: the rule
@@ -273,9 +294,10 @@ class KnowledgeBaseSnapshot {
   const RollUpTree& rollup_tree() const { return *rollup_tree_; }
 
   const WindowSegment& segment(WindowId w) const;
-  const WindowIndex& window_index(WindowId w) const {
-    return segment(w).index;
-  }
+  /// Window `w`'s EPS slice. The first call for a window builds it (and
+  /// records one `tara.index.build_ns` sample); every later call, from
+  /// this generation or any later one, returns the same slice.
+  const WindowIndex& window_index(WindowId w) const;
   const std::vector<WindowIndex::Entry>& window_entries(WindowId w) const {
     return segment(w).entries;
   }
@@ -285,6 +307,7 @@ class KnowledgeBaseSnapshot {
   const KbOptions& options() const { return options_; }
 
   /// Approximate bytes of all EPS window indexes (Figure 12 bookkeeping).
+  /// Builds every slice not yet built.
   size_t IndexBytes() const;
 
   /// --- WindowSet construction -------------------------------------------
@@ -388,6 +411,8 @@ class KnowledgeBaseSnapshot {
   std::vector<std::shared_ptr<const WindowSegment>> segments_;
   uint64_t generation_ = 0;
   KbOptions options_;
+  /// `tara.index.build_ns`, or null without a registry.
+  obs::Histogram* index_build_ns_ = nullptr;
 };
 
 }  // namespace tara

@@ -1,6 +1,7 @@
 #include "core/kb_storage.h"
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -206,11 +207,12 @@ std::vector<uint8_t> EncodeWindowSegment(WindowId window, RuleId first_rule,
   w.U64(window);
   w.U64(first_rule);
   w.U64(segment.rule_watermark - first_rule);
-  for (RuleId id = first_rule; id < segment.rule_watermark; ++id) {
-    const Rule& rule = catalog.rule(id);
+  std::vector<RuleId> new_rules(segment.rule_watermark - first_rule);
+  std::iota(new_rules.begin(), new_rules.end(), first_rule);
+  catalog.ForEachRule(new_rules, [&w](size_t, const Rule& rule) {
     w.Items(rule.antecedent);
     w.Items(rule.consequent);
-  }
+  });
   w.U64(segment.entries.size());
   for (const WindowIndex::Entry& e : segment.entries) {
     w.U64(e.rule);
@@ -271,7 +273,8 @@ Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
   for (uint64_t i = 0; i < new_rule_count; ++i) {
     Rule rule;
     if (!r.Items(&rule.antecedent) || !r.Items(&rule.consequent)) {
-      return corrupt("truncated rule contents");
+      return corrupt("rule contents are truncated or name an item id past "
+                     "32 bits");
     }
     parsed.new_rules.push_back(std::move(rule));
   }

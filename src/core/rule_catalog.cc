@@ -5,54 +5,46 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "common/logging.h"
 
 namespace tara {
 
-size_t RuleCatalog::RuleHash::operator()(const Rule& r) const {
-  return HashCombine(HashSpan(r.antecedent), HashSpan(r.consequent));
+size_t RuleCatalog::IdHash::operator()(const Rule& rule) const {
+  return HashCombine(HashSpan(rule.antecedent), HashSpan(rule.consequent));
 }
 
-RuleCatalog::RuleCatalog(RuleCatalog&& other) noexcept {
-  std::unique_lock<std::shared_mutex> lock(other.mutex_);
-  ids_ = std::move(other.ids_);
-  rules_ = std::move(other.rules_);
-}
-
-RuleCatalog& RuleCatalog::operator=(RuleCatalog&& other) noexcept {
-  if (this != &other) {
-    std::scoped_lock lock(mutex_, other.mutex_);
-    ids_ = std::move(other.ids_);
-    rules_ = std::move(other.rules_);
-  }
-  return *this;
-}
+RuleCatalog::RuleCatalog()
+    : ids_(0, IdHash{&rules_}, IdEqual{&rules_}) {}
 
 RuleId RuleCatalog::Intern(const Rule& rule) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto [it, inserted] =
-      ids_.try_emplace(rule, static_cast<RuleId>(rules_.size()));
-  if (inserted) rules_.push_back(rule);
-  return it->second;
+  if (const auto it = ids_.find(rule); it != ids_.end()) return *it;
+  const auto id = static_cast<RuleId>(rules_.size());
+  rules_.push_back(rule);
+  ids_.insert(id);
+  return id;
 }
 
 std::optional<size_t> RuleCatalog::InternNew(std::span<Rule> rules) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   const size_t base = rules_.size();
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (!ids_.try_emplace(rules[i], static_cast<RuleId>(base + i)).second) {
-      for (size_t j = 0; j < i; ++j) ids_.erase(rules[j]);
-      return i;
+    rules_.push_back(std::move(rules[i]));
+    if (ids_.insert(static_cast<RuleId>(base + i)).second) continue;
+    // Hand every rule back, the offender first, and forget their ids.
+    for (size_t j = i + 1; j-- > 0;) {
+      if (j < i) ids_.erase(static_cast<RuleId>(base + j));
+      rules[j] = std::move(rules_.back());
+      rules_.pop_back();
     }
+    return i;
   }
-  for (Rule& rule : rules) rules_.push_back(std::move(rule));
   return std::nullopt;
 }
 
 RuleId RuleCatalog::Find(const Rule& rule) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = ids_.find(rule);
-  return it == ids_.end() ? kNotFound : it->second;
+  const auto it = ids_.find(rule);
+  return it == ids_.end() ? kNotFound : *it;
 }
 
 const Rule& RuleCatalog::rule(RuleId id) const {

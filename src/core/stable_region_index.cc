@@ -104,14 +104,17 @@ void WindowIndex::Build(const std::vector<Entry>& entries,
   RadixSort(&by_rule_, [](uint64_t position) { return position >> 32; });
 
   // (item, position) pairs in position order, then stably by item.
+  std::vector<RuleId> ids(n);
+  for (size_t p = 0; p < n; ++p) {
+    ids[p] = static_cast<RuleId>(by_rule_[p] >> 32);
+  }
   std::vector<uint64_t> pairs;
   pairs.reserve(4 * n);
-  for (uint32_t p = 0; p < n; ++p) {
-    const Rule& rule = catalog.rule(static_cast<RuleId>(by_rule_[p] >> 32));
+  catalog.ForEachRule(ids, [&pairs](size_t p, const Rule& rule) {
     for (const Itemset* side : {&rule.antecedent, &rule.consequent}) {
       for (const ItemId item : *side) pairs.push_back(uint64_t{item} << 32 | p);
     }
-  }
+  });
   TARA_CHECK_LE(pairs.size(), UINT32_MAX);
   RadixSort(&pairs, [](uint64_t pair) { return pair >> 32; });
   postings_.resize(pairs.size());

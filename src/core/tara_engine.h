@@ -35,13 +35,13 @@ class MappedKb;
 /// The engine is a thin facade over two layers:
 ///
 /// - a **KbBuilder** (the write side) that mines arriving windows,
-///   interns their rules, appends the TAR Archive, builds each window's
-///   EPS slice, and publishes every new generation of the knowledge base
-///   with one atomic pointer swap;
+///   interns their rules, appends the TAR Archive, and publishes every
+///   new generation of the knowledge base with one atomic pointer swap;
 /// - immutable **KnowledgeBaseSnapshot** values (the read side) that all
-///   query code runs against. Execute pins the current generation for its
-///   duration; Snapshot() hands the same pin to callers that want several
-///   typed queries answered from one consistent view.
+///   query code runs against; each window's EPS slice is built by the
+///   first query that reads it. Execute pins the current generation for
+///   its duration; Snapshot() hands the same pin to callers that want
+///   several typed queries answered from one consistent view.
 ///
 /// The facade adds the one query entry point, Execute(QueryRequest) /
 /// ExecuteBatch (and their frame forms, ExecuteFrame / ExecuteBatchFrames,
@@ -65,7 +65,8 @@ class MappedKb;
 /// ## Observability
 ///
 /// When Options::metrics names a registry, the engine registers per-kind
-/// query latency histograms, ok/rejected counters, build/size gauges, and
+/// query latency histograms, ok/rejected counters, build/size gauges,
+/// `tara.index.build_ns` (one sample per EPS slice built), and
 /// the snapshot instruments `tara.kb.generation` (gauge) and
 /// `tara.kb.swaps` (publication counter) — see DESIGN.md,
 /// "Observability". With a query cache enabled the cache adds
@@ -83,8 +84,8 @@ class MappedKb;
 ///   CommitPersistedWindows): one writer at a time (concurrent writer
 ///   calls serialize on an internal commit mutex), one publication per
 ///   call. With Options::parallelism > 1 the builder
-///   parallelizes internally — independent windows are mined and
-///   EPS-indexed on a private thread pool while catalog interning and
+///   parallelizes internally — independent windows are mined on a
+///   private thread pool while catalog interning and
 ///   archive appends go through a serialized, window-ordered commit
 ///   stage, so RuleIds and the serialized knowledge base are
 ///   byte-identical to a sequential build, on the bulk and the live path
@@ -130,9 +131,9 @@ class TaraEngine {
                                    const std::vector<PrecomputedRule>& rules);
 
   /// Appends every window of an evolving database. With
-  /// Options::parallelism > 1, independent windows are mined and
-  /// EPS-indexed concurrently and committed in window order. All new
-  /// windows are published together as one publication.
+  /// Options::parallelism > 1, independent windows are mined
+  /// concurrently and committed in window order. All new windows are
+  /// published together as one publication.
   void BuildAll(const EvolvingDatabase& data);
 
   /// Commits windows persisted elsewhere — parsed TSEG segments

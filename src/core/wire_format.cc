@@ -1,6 +1,9 @@
 #include "core/wire_format.h"
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/byte_codec.h"
 
@@ -31,6 +34,32 @@ ParseError Trailing(size_t extra) {
   std::ostringstream message;
   message << extra << " unexpected bytes after a well-formed structure";
   return ParseError{ParseError::Code::kTrailingBytes, message.str()};
+}
+
+/// An id too wide for its 32-bit type: narrowing it would name another.
+ParseError TooWide(std::string_view what) {
+  return BadBody(std::string(what) + " holds an id past 32 bits");
+}
+
+/// Reads one id of `what`: a short field is truncated, an id past its
+/// type a bad body.
+template <typename Id>
+std::optional<ParseError> ReadId(ByteReader* in, std::string_view what,
+                                 Id* out) {
+  ByteReader probe = *in;
+  if (in->Id(out)) return std::nullopt;
+  uint64_t wide = 0;
+  return probe.U64(&wide) ? TooWide(what) : Truncated(what);
+}
+
+/// ReadId for a list of ids.
+template <typename Id>
+std::optional<ParseError> ReadIds(ByteReader* in, std::string_view what,
+                                  std::vector<Id>* out) {
+  ByteReader probe = *in;
+  if (in->IdList(out)) return std::nullopt;
+  std::vector<uint64_t> wide;
+  return probe.IdList(&wide) ? TooWide(what) : Truncated(what);
 }
 
 bool ReadSetting(ByteReader* in, ParameterSetting* out) {
@@ -211,13 +240,13 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
   }
   QueryRequest request;
   request.kind = static_cast<QueryKind>(kind_byte);
-  uint64_t id = 0;
   switch (request.kind) {
     case QueryKind::kMineWindow:
     case QueryKind::kRegion:
     case QueryKind::kContentView:
-      if (!in.U64(&id)) return Truncated("the window id");
-      request.window = static_cast<WindowId>(id);
+      if (auto error = ReadId(&in, "the window id", &request.window)) {
+        return *error;
+      }
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
@@ -229,18 +258,20 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.IdList(&request.windows)) {
-        return Truncated("the window id list");
+      if (auto error = ReadIds(&in, "the window id list", &request.windows)) {
+        return *error;
       }
       break;
     case QueryKind::kTrajectory:
-      if (!in.U64(&id)) return Truncated("the anchor window id");
-      request.window = static_cast<WindowId>(id);
+      if (auto error = ReadId(&in, "the anchor window id", &request.window)) {
+        return *error;
+      }
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.IdList(&request.windows)) {
-        return Truncated("the horizon window list");
+      if (auto error =
+              ReadIds(&in, "the horizon window list", &request.windows)) {
+        return *error;
       }
       break;
     case QueryKind::kCompare:
@@ -251,32 +282,34 @@ Expected<QueryRequest, ParseError> DecodeQueryRequest(
           !ReadSetting(&in, &request.second)) {
         return Truncated("a parameter setting");
       }
-      if (!in.IdList(&request.windows)) {
-        return Truncated("the window id list");
+      if (auto error = ReadIds(&in, "the window id list", &request.windows)) {
+        return *error;
       }
       break;
     case QueryKind::kMeasures:
     case QueryKind::kRollUpRule:
-      if (!in.U64(&id)) return Truncated("the rule id");
-      request.rule = static_cast<RuleId>(id);
-      if (!in.IdList(&request.windows)) {
-        return Truncated("the window id list");
+      if (auto error = ReadId(&in, "the rule id", &request.rule)) return *error;
+      if (auto error = ReadIds(&in, "the window id list", &request.windows)) {
+        return *error;
       }
       break;
     case QueryKind::kContent:
-      if (!in.U64(&id)) return Truncated("the window id");
-      request.window = static_cast<WindowId>(id);
+      if (auto error = ReadId(&in, "the window id", &request.window)) {
+        return *error;
+      }
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.IdList(&request.items)) return Truncated("the item list");
+      if (auto error = ReadIds(&in, "the item list", &request.items)) {
+        return *error;
+      }
       break;
     case QueryKind::kRollUpMine:
       if (!ReadSetting(&in, &request.setting)) {
         return Truncated("the parameter setting");
       }
-      if (!in.IdList(&request.windows)) {
-        return Truncated("the window id list");
+      if (auto error = ReadIds(&in, "the window id list", &request.windows)) {
+        return *error;
       }
       break;
   }
@@ -505,7 +538,9 @@ Expected<TransactionDatabase, ParseError> DecodeAppendWindowPayload(
     uint64_t time_bits = 0;
     Itemset items;
     if (!in.U64(&time_bits)) return Truncated("a timestamp");
-    if (!in.IdList(&items)) return Truncated("a transaction item list");
+    if (auto error = ReadIds(&in, "a transaction item list", &items)) {
+      return *error;
+    }
     const Timestamp time = codec::ZigzagDecode(time_bits);
     if (i > 0 && time < last_time) {
       return BadBody("transaction timestamps decrease; the database "
@@ -533,6 +568,11 @@ Expected<AppendAck, ParseError> DecodeAppendAckPayload(
     return Truncated("the append acknowledgement");
   }
   if (!in.AtEnd()) return Trailing(in.remaining());
+  if (window > UINT32_MAX) {
+    return ParseError{ParseError::Code::kBadResultBody,
+                      "append acknowledgement names window " +
+                          std::to_string(window) + ", past 32 bits"};
+  }
   AppendAck ack;
   ack.window = static_cast<WindowId>(window);
   ack.generation = generation;

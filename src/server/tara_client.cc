@@ -56,9 +56,12 @@ Expected<TaraClient, WireError> TaraClient::Connect(const std::string& host,
 Expected<DecodedFrame, WireError> TaraClient::RoundTrip(
     const std::string& frame, uint32_t deadline_ms) {
   std::string error;
-  if (!SetSocketTimeouts(socket_.fd(), SocketDeadlineMs(deadline_ms),
-                         &error)) {
-    return Transport(std::move(error));
+  const uint32_t socket_ms = SocketDeadlineMs(deadline_ms);
+  if (socket_ms != armed_socket_ms_) {
+    if (!SetSocketTimeouts(socket_.fd(), socket_ms, &error)) {
+      return Transport(std::move(error));
+    }
+    armed_socket_ms_ = socket_ms;
   }
   bool send_timed_out = false;
   if (!WriteAll(socket_.fd(), frame, &error, &send_timed_out)) {

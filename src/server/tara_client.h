@@ -84,11 +84,16 @@ class TaraClient {
   /// Sends `frame` and reads exactly one response frame, turning
   /// transport failures and kError responses into WireError.
   /// deadline_ms > 0 arms the socket's send/receive deadlines for this
-  /// round trip; expiry maps to kClientTimedOut and closes the socket.
+  /// round trip, 0 disarms them; the socket is touched only when that
+  /// changes what is armed. Expiry maps to kClientTimedOut and closes the
+  /// socket.
   Expected<DecodedFrame, WireError> RoundTrip(const std::string& frame,
                                               uint32_t deadline_ms = 0);
 
   Socket socket_;
+  /// The send/receive timeout the socket carries, in ms (0 = none, as a
+  /// new socket starts).
+  uint32_t armed_socket_ms_ = 0;
   /// The response payload of the last RoundTrip (DecodedFrame::payload
   /// points into it).
   std::string response_payload_;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -67,11 +68,13 @@ TaraEngine BuildEngine(const EvolvingDatabase& data,
 }
 
 Expected<TaraEngine, LoadError> Open(const std::string& dir, OpenMode mode,
-                                     OpenVerify verify = OpenVerify::kNone) {
+                                     OpenVerify verify = OpenVerify::kNone,
+                                     obs::MetricsRegistry* metrics = nullptr) {
   OpenOptions options;
   options.kb_dir = dir;
   options.mode = mode;
   options.verify = verify;
+  options.metrics = metrics;
   return OpenKnowledgeBase(options);
 }
 
@@ -373,32 +376,38 @@ TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
   struct Case {
     QueryRequest request;
     uint32_t prefix;  // windows the request needs materialized
+    uint64_t slices;  // EPS slices the request builds
   };
   const Case cases[] = {
-      // Single-window kinds: through the window.
-      {QueryRequest::MineWindow(1, setting), 2},
-      {QueryRequest::Region(2, setting), 3},
-      {QueryRequest::Content(1, {item}, setting), 2},
-      {QueryRequest::ContentView(3, setting), 4},
-      // Trajectory: through the larger of anchor and horizon.
-      {QueryRequest::Trajectory(1, setting, {0, 3}), 4},
-      {QueryRequest::Trajectory(2, setting, {0, 1}), 3},
-      // Multi-window kinds: through the largest requested window.
-      {QueryRequest::MineWindows({0, 2}, setting, MatchMode::kSingle), 3},
-      {QueryRequest::Compare(setting, second, {1, 2}, MatchMode::kExact), 3},
-      {QueryRequest::RollUpMine({0, 1}, setting), 2},
+      // Single-window kinds: through the window, and its slice.
+      {QueryRequest::MineWindow(1, setting), 2, 1},
+      {QueryRequest::Region(2, setting), 3, 1},
+      {QueryRequest::Content(1, {item}, setting), 2, 1},
+      {QueryRequest::ContentView(3, setting), 4, 1},
+      // Trajectory: through the larger of anchor and horizon; the horizon
+      // reads the archive, so only the anchor's slice is built.
+      {QueryRequest::Trajectory(1, setting, {0, 3}), 4, 1},
+      {QueryRequest::Trajectory(2, setting, {0, 1}), 3, 1},
+      // Multi-window kinds: through the largest requested window, with a
+      // slice per requested window; roll-up mining reads entries only.
+      {QueryRequest::MineWindows({0, 2}, setting, MatchMode::kSingle), 3, 2},
+      {QueryRequest::Compare(setting, second, {1, 2}, MatchMode::kExact), 3,
+       2},
+      {QueryRequest::RollUpMine({0, 1}, setting), 2, 0},
       // Rule kinds: through the rule's first window or the largest
-      // requested window, whichever is later.
-      {QueryRequest::Measures(rule_of_2, {0}), 3},
-      {QueryRequest::Measures(rule_of_0, {3}), 4},
-      {QueryRequest::RollUpRule(rule_of_2, {0, 1}), 3},
-      {QueryRequest::RollUpRule(rule_of_0, {1}), 2},
+      // requested window, whichever is later; they read the archive.
+      {QueryRequest::Measures(rule_of_2, {0}), 3, 0},
+      {QueryRequest::Measures(rule_of_0, {3}), 4, 0},
+      {QueryRequest::RollUpRule(rule_of_2, {0, 1}), 3, 0},
+      {QueryRequest::RollUpRule(rule_of_0, {1}), 2, 0},
   };
   bool kinds_seen[kQueryKindCount] = {};
   for (const Case& c : cases) {
     const std::string_view kind = QueryKindName(c.request.kind);
     kinds_seen[static_cast<int>(c.request.kind)] = true;
-    const auto loaded = Open(dir_.string(), OpenMode::kMapped);
+    obs::MetricsRegistry registry;
+    const auto loaded =
+        Open(dir_.string(), OpenMode::kMapped, OpenVerify::kNone, &registry);
     ASSERT_TRUE(loaded.has_value()) << loaded.error();
     // Open itself decoded nothing.
     EXPECT_EQ(loaded->window_count(), 5u);
@@ -409,6 +418,8 @@ TEST_F(KbBlocksTest, MappedOpenMaterializesNothingUntilQueried) {
     ASSERT_TRUE(result.has_value()) << kind << ": " << result.error();
     EXPECT_EQ(loaded->materialized_window_count(), c.prefix) << kind;
     EXPECT_FALSE(loaded->fully_materialized()) << kind;
+    EXPECT_EQ(registry.GetHistogram("tara.index.build_ns")->Count(), c.slices)
+        << kind;
     // Same answer as the eagerly built engine.
     EXPECT_EQ(EncodeQueryResult(c.request.kind, result.value()),
               EncodeQueryResult(c.request.kind,
@@ -708,8 +719,8 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
                                        4096)
                    .has_value());
-  // Pooled: materialization parses on the query pool and builds the EPS
-  // slices of a batch on the builder pool while other readers query.
+  // Pooled: materialization parses on the query pool, and each window's
+  // first reader builds its EPS slice while other readers query.
   OpenOptions open;
   open.kb_dir = dir_.string();
   open.mode = OpenMode::kMapped;
@@ -742,6 +753,94 @@ TEST_F(KbBlocksTest, ConcurrentQueriesMaterializeLazilyWithoutRacing) {
   ASSERT_TRUE(engine.fully_materialized());
   EXPECT_EQ(EncodeKnowledgeBase(*engine.Snapshot()),
             EncodeKnowledgeBase(*original.Snapshot()));
+}
+
+// TSan target: eight first readers released at once on one window whose
+// entries are materialized but whose EPS slice is not built yet. Half ask
+// one request at a time, half as a batch that the query pool's workers
+// execute; all wait for one build and answer as the eager engine does.
+TEST_F(KbBlocksTest, RacingFirstReadersBuildTheSliceOnce) {
+  TaraEngine::Options options;
+  options.min_support_floor = kSupportFloor;
+  options.min_confidence_floor = kConfidenceFloor;
+  options.max_itemset_size = 4;
+  options.build_content_index = true;
+  TaraEngine original(options);
+  original.BuildAll(MakeData(5));
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*original.Snapshot(), dir_.string(),
+                                       4096)
+                   .has_value());
+  const auto eager = Open(dir_.string(), OpenMode::kEager);
+  ASSERT_TRUE(eager.has_value()) << eager.error();
+  obs::MetricsRegistry registry;
+  OpenOptions open;
+  open.kb_dir = dir_.string();
+  open.mode = OpenMode::kMapped;
+  open.parallelism = 4;
+  open.metrics = &registry;
+  const auto mapped = OpenKnowledgeBase(open);
+  ASSERT_TRUE(mapped.has_value()) << mapped.error();
+  const obs::Histogram& slices = *registry.GetHistogram("tara.index.build_ns");
+
+  // Roll-up mining materializes windows 0-3 and reads entries only.
+  constexpr WindowId kWindow = 3;
+  const ParameterSetting setting{0.02, 0.3};
+  ASSERT_TRUE(
+      mapped->Execute(QueryRequest::RollUpMine({kWindow}, setting))
+          .has_value());
+  ASSERT_EQ(mapped->materialized_window_count(), kWindow + 1);
+  ASSERT_EQ(slices.Count(), 0u);
+
+  const auto kb = original.Snapshot();
+  const ItemId item =
+      kb->catalog().rule(kb->window_entries(kWindow)[0].rule).antecedent[0];
+  const std::vector<QueryRequest> requests = {
+      QueryRequest::MineWindow(kWindow, setting),
+      QueryRequest::Region(kWindow, setting),
+      QueryRequest::Content(kWindow, {item}, setting),
+      QueryRequest::ContentView(kWindow, setting),
+      QueryRequest::Trajectory(kWindow, setting, {0, kWindow}),
+      QueryRequest::MineWindows({kWindow}, setting, MatchMode::kSingle),
+      QueryRequest::Compare(setting, ParameterSetting{0.03, 0.4}, {kWindow},
+                            MatchMode::kExact),
+  };
+  std::vector<std::string> expected;
+  for (const QueryRequest& request : requests) {
+    const auto answer = eager->Execute(request);
+    ASSERT_TRUE(answer.has_value()) << answer.error();
+    expected.push_back(EncodeQueryResult(request.kind, *answer));
+  }
+
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::vector<std::string>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::string>& mine = answers[t];
+      start.arrive_and_wait();
+      if (t % 2 == 0) {
+        for (const QueryRequest& request : requests) {
+          const auto answer = mapped->Execute(request);
+          mine.push_back(answer.has_value()
+                             ? EncodeQueryResult(request.kind, *answer)
+                             : "error");
+        }
+      } else {
+        const auto batch = mapped->ExecuteBatch(requests);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          mine.push_back(batch[i].has_value()
+                             ? EncodeQueryResult(requests[i].kind, *batch[i])
+                             : "error");
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(slices.Count(), 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(answers[t], expected) << "thread " << t;
+  }
 }
 
 TEST_F(KbBlocksTest, VerifyHashesCatchesEveryInjectedBlockCorruption) {

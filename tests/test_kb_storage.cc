@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/kb_blocks.h"
@@ -178,6 +179,33 @@ TEST_F(KbStorageGolden, WalAfterTwoAppendsIsPinned) {
 // climbing from 5 to 2^63 + 1 and falling back to 4 must read back
 // exactly through every decode path (the scalar scan, the dispatched
 // kernel, the stream form, a mapped open) and every roll-up.
+// Item ids are 32 bits: a segment whose rule names a wider item is
+// corrupt, not a rule over another item.
+TEST(KbStorageWideIds, ItemIdsPast32BitsAreCorruptSegments) {
+  const auto segment = [](uint64_t item) {
+    codec::ByteWriter<> out;
+    out.Magic("TSEG", 4);
+    out.U64(0);  // window
+    out.U64(0);  // first rule
+    out.U64(1);  // one new rule: {1} -> {item}
+    out.Items(std::vector<uint64_t>{1});
+    out.Items(std::vector<uint64_t>{item});
+    out.U64(1);  // one entry: rule 0, counts 5 of 7
+    out.U64(0);
+    out.U64(5);
+    out.U64(2);
+    return out.bytes();
+  };
+  const std::vector<uint8_t> narrow = segment(2);
+  const auto parsed = ParseWindowSegment(narrow.data(), narrow.size());
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_EQ(parsed->new_rules[0], (Rule{{1}, {2}}));
+  const std::vector<uint8_t> wide = segment((uint64_t{1} << 32) + 2);
+  const auto refused = ParseWindowSegment(wide.data(), wide.size());
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().code, LoadError::Code::kCorruptSegment);
+}
+
 TEST(KbStorageWideCounts, CountsPast2To63RoundTrip) {
   constexpr uint64_t kHalf = uint64_t{1} << 63;
   struct Count {

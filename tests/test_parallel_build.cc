@@ -119,7 +119,7 @@ TEST(ParallelBuildTest, BuildStatsArePopulatedPerWindow) {
     const auto& stats = kb->segment(w).stats;
     EXPECT_EQ(stats.window, w);
     EXPECT_GT(stats.rule_count, 0u);
-    EXPECT_GT(stats.location_count, 0u);
+    EXPECT_GT(kb->window_index(w).location_count(), 0u);
     EXPECT_GE(stats.total_seconds(), 0.0);
   }
 }

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <atomic>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,6 +101,75 @@ TEST(RuleCatalogTest, InternNewIsAllOrNothing) {
   EXPECT_EQ(catalog.Find(Rule{{7}, {8}}), RuleCatalog::kNotFound);
   EXPECT_EQ(catalog.Find(Rule{{9}, {10}}), RuleCatalog::kNotFound);
   EXPECT_EQ(catalog.Intern(Rule{{7}, {8}}), 3u);
+}
+
+// Readers hash and compare through the rules the catalog stores, so they
+// must be safe beside one interning writer: Intern, InternNew batches,
+// and refused batches whose rules are interned and then handed back.
+// A TSan and ASan target.
+TEST(RuleCatalogTest, ReadersRaceOneInterningWriter) {
+  constexpr ItemId kRules = 3000;
+  const auto nth = [](ItemId i) { return Rule{{i}, {i + kRules}}; };
+  // Never interned: the refused batches offer these.
+  const auto never = [](ItemId i) { return Rule{{i + 2 * kRules}, {i}}; };
+  RuleCatalog catalog;
+  std::atomic<ItemId> interned{0};  // rules [0, interned) hold id == i
+  std::atomic<bool> done{false};
+
+  std::thread writer([&] {
+    ItemId next = 0;
+    while (next < kRules) {
+      if (next % 7 == 0) {
+        EXPECT_EQ(catalog.Intern(nth(next)), next);
+        ++next;
+      } else {
+        std::vector<Rule> batch;
+        for (ItemId i = next; i < std::min(kRules, next + 3); ++i) {
+          batch.push_back(nth(i));
+        }
+        EXPECT_FALSE(catalog.InternNew(batch).has_value());
+        next += static_cast<ItemId>(batch.size());
+      }
+      interned.store(next, std::memory_order_release);
+      if (next % 50 < 3) {
+        // A rule already held, then one repeated within the batch.
+        std::vector<Rule> held = {never(next), nth(next / 2)};
+        EXPECT_EQ(catalog.InternNew(held), std::optional<size_t>(1));
+        EXPECT_EQ(held[0], never(next));
+        std::vector<Rule> repeated = {never(next), never(next)};
+        EXPECT_EQ(catalog.InternNew(repeated), std::optional<size_t>(1));
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    readers.emplace_back([&, seed] {
+      Rng rng(seed);
+      size_t lookups = 0;
+      while (!done.load(std::memory_order_acquire) || lookups < 1000) {
+        const ItemId have = interned.load(std::memory_order_acquire);
+        if (have == 0) continue;
+        const auto id = static_cast<RuleId>(rng.NextBounded(have));
+        EXPECT_EQ(catalog.Find(nth(id)), id);
+        EXPECT_EQ(catalog.rule(id), nth(id));
+        EXPECT_EQ(catalog.Find(never(id)), RuleCatalog::kNotFound);
+        const RuleId ids[] = {0, id};
+        catalog.ForEachRule(ids, [&](size_t i, const Rule& rule) {
+          EXPECT_EQ(rule, nth(ids[i]));
+        });
+        ++lookups;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_EQ(catalog.size(), kRules);
+  for (ItemId i = 0; i < kRules; ++i) {
+    EXPECT_EQ(catalog.Find(nth(i)), i);
+    EXPECT_EQ(catalog.Find(never(i)), RuleCatalog::kNotFound);
+  }
 }
 
 TEST(RuleCatalogDeathTest, RejectsUnknownIds) {

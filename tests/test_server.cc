@@ -401,6 +401,55 @@ TEST_F(ServerTest, StalledResponseTripsTheClientDeadlineBackstop) {
   server_->Stop();
 }
 
+// The client re-arms its socket deadline only when a request's deadline
+// differs from the armed one, so no deadline must disarm it: a request
+// without one, stalled past the previous request's 1,100 ms socket
+// deadline, still succeeds, and the next request with a deadline re-arms
+// it and times out.
+TEST_F(ServerTest, SocketDeadlinesFollowEachRequestsDeadline) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> executed{0};
+  ServerOptions options;
+  options.max_concurrent_queries = 1;
+  options.pre_execute_hook = [&] {
+    const int n = executed.fetch_add(1);
+    if (n == 1) std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    if (n == 2) {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return release; });
+    }
+  };
+  StartServer(options);
+
+  TaraClient client = Connect();
+  const QueryRequest request =
+      QueryRequest::MineWindow(0, ParameterSetting{0.03, 0.3});
+  const auto armed = client.Execute(request, /*deadline_ms=*/100);
+  ASSERT_TRUE(armed.has_value()) << armed.error();
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto unbounded = client.Execute(request);
+  const auto waited_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(unbounded.has_value()) << unbounded.error();
+  EXPECT_GE(waited_ms, 1100);
+
+  const auto rearmed = client.Execute(request, /*deadline_ms=*/100);
+  ASSERT_FALSE(rearmed.has_value());
+  EXPECT_TRUE(IsClientTimeout(rearmed.error())) << rearmed.error();
+  EXPECT_FALSE(client.connected());
+
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  server_->Stop();
+}
+
 TEST_F(ServerTest, MalformedFramesGetTypedErrorsAndServerSurvives) {
   StartServer();
   // Raw socket: send garbage that is not even a TARA header.

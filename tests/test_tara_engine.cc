@@ -353,7 +353,7 @@ TEST(TaraEngineTest, BuildStatsCoverEveryWindowAndTask) {
     const auto& stats = kb->segment(w).stats;
     EXPECT_GT(stats.itemset_count, 0u);
     EXPECT_GT(stats.rule_count, 0u);
-    EXPECT_GT(stats.location_count, 0u);
+    EXPECT_GT(kb->window_index(w).location_count(), 0u);
     EXPECT_GE(stats.total_seconds(), stats.itemset_seconds);
   }
 }

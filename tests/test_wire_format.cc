@@ -189,6 +189,87 @@ TEST(WireFormat, ContentViewDecodesOnlyInCanonicalOrder) {
       << "items in descending order";
 }
 
+// Ids are 32 bits. An id varint past that is refused with a typed error,
+// never narrowed: narrowed, window 2^32 + 3 would be window 3.
+TEST(WireFormat, IdsPastThirtyTwoBitsAreTypedErrors) {
+  constexpr uint64_t kPast = uint64_t{1} << 32;
+  const auto request = [](QueryKind kind, auto write) {
+    codec::StringWriter out;
+    out.Byte(static_cast<uint8_t>(kind));
+    write(&out);
+    return DecodeQueryRequest(out.bytes());
+  };
+  const auto window_request = [&](uint64_t window) {
+    return request(QueryKind::kMineWindow, [window](auto* out) {
+      out->U64(window);
+      out->F64(0.02);
+      out->F64(0.4);
+    });
+  };
+  ASSERT_TRUE(window_request(3).has_value());
+  const auto wide_window = window_request(kPast + 3);
+  ASSERT_FALSE(wide_window.has_value());
+  EXPECT_EQ(wide_window.error().code, ParseError::Code::kBadRequestBody)
+      << wide_window.error();
+
+  // A list holding one such id, a rule id, and an item id.
+  const auto wide_list = request(QueryKind::kRollUpMine, [&](auto* out) {
+    out->F64(0.02);
+    out->F64(0.4);
+    out->IdList(std::vector<uint64_t>{0, kPast + 1});
+  });
+  ASSERT_FALSE(wide_list.has_value());
+  EXPECT_EQ(wide_list.error().code, ParseError::Code::kBadRequestBody);
+  const auto wide_rule = request(QueryKind::kMeasures, [&](auto* out) {
+    out->U64(kPast);
+    out->IdList(std::vector<uint64_t>{0});
+  });
+  ASSERT_FALSE(wide_rule.has_value());
+  EXPECT_EQ(wide_rule.error().code, ParseError::Code::kBadRequestBody);
+  const auto wide_item = request(QueryKind::kContent, [&](auto* out) {
+    out->U64(1);
+    out->F64(0.02);
+    out->F64(0.4);
+    out->IdList(std::vector<uint64_t>{7, kPast + 7});
+  });
+  ASSERT_FALSE(wide_item.has_value());
+  EXPECT_EQ(wide_item.error().code, ParseError::Code::kBadRequestBody);
+  // A list that ends early is still truncated, not too wide.
+  const auto short_list = request(QueryKind::kRollUpMine, [](auto* out) {
+    out->F64(0.02);
+    out->F64(0.4);
+    out->U64(2);
+    out->U64(0);
+  });
+  ASSERT_FALSE(short_list.has_value());
+  EXPECT_EQ(short_list.error().code, ParseError::Code::kTruncatedPayload);
+
+  // A result {1, 2^32 + 5} is no result: narrowed, it would name rule 5.
+  codec::StringWriter result;
+  result.IdList(std::vector<uint64_t>{kPast + 5});
+  EXPECT_FALSE(
+      DecodeQueryResult(QueryKind::kMineWindow, result.bytes()).has_value());
+  codec::StringWriter narrow;
+  narrow.IdList(std::vector<uint64_t>{5});
+  EXPECT_TRUE(
+      DecodeQueryResult(QueryKind::kMineWindow, narrow.bytes()).has_value());
+
+  codec::StringWriter ack;
+  ack.U64(kPast + 1);
+  ack.U64(9);
+  const auto wide_ack = DecodeAppendAckPayload(ack.bytes());
+  ASSERT_FALSE(wide_ack.has_value());
+  EXPECT_EQ(wide_ack.error().code, ParseError::Code::kBadResultBody);
+
+  // Item gaps add up past 32 bits.
+  codec::StringWriter items;
+  items.U64(2);
+  items.U64(UINT32_MAX);
+  items.U64(1);
+  std::vector<ItemId> decoded;
+  EXPECT_FALSE(codec::ByteReader(items.bytes()).Items(&decoded));
+}
+
 TEST(WireFormat, ErrorRoundTripPreservesCode) {
   const std::string frame =
       EncodeErrorFrame(ServerWireError::kOverloaded, "try later");
