@@ -1,5 +1,7 @@
 #include "core/query_cache.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/byte_codec.h"
@@ -8,10 +10,17 @@
 namespace tara {
 
 QueryCache::QueryCache(size_t max_bytes, obs::MetricsRegistry* registry)
-    : max_bytes_(max_bytes), shard_budget_(max_bytes / kShardCount) {
+    : max_bytes_(max_bytes),
+      shard_budget_(max_bytes / kShardCount),
+      doorkeeper_sets_(std::max<size_t>(
+          1, shard_budget_ / (kBudgetBytesPerSlot * kDoorkeeperWays))) {
+  for (Shard& shard : shards_) {
+    shard.doorkeeper.assign(doorkeeper_sets_ * kDoorkeeperWays, 0);
+  }
   if (registry == nullptr) return;
   hits_counter_ = registry->GetCounter("tara.cache.hits");
   misses_counter_ = registry->GetCounter("tara.cache.misses");
+  declined_counter_ = registry->GetCounter("tara.cache.declined");
   evictions_counter_ = registry->GetCounter("tara.cache.evictions");
   bytes_gauge_ = registry->GetGauge("tara.cache.bytes");
 }
@@ -26,12 +35,44 @@ std::string QueryCache::MakeKey(uint64_t generation, QueryKind kind,
   return key;
 }
 
-QueryCache::Shard& QueryCache::ShardFor(std::string_view key) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (const char c : key) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<uint8_t>(c)));
+uint64_t QueryCache::Fingerprint(QueryKind kind, std::string_view request) {
+  // The length goes in first, so a short tail's zero padding cannot
+  // make two requests of different lengths read the same words.
+  uint64_t h = HashCombine(0x2545f4914f6cdd1dULL,
+                           (uint64_t{static_cast<uint8_t>(kind)} << 56) ^
+                               request.size());
+  const char* bytes = request.data();
+  size_t left = request.size();
+  for (; left >= sizeof(uint64_t); left -= sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes, sizeof(word));
+    h = HashCombine(h, word);
+    bytes += sizeof(word);
   }
-  return shards_[h % kShardCount];
+  if (left > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes, left);
+    h = HashCombine(h, word);
+  }
+  return h;
+}
+
+QueryCache::Shard& QueryCache::ShardFor(uint64_t fingerprint) {
+  // The top bits pick the shard; Admit picks the set by remainder.
+  return shards_[fingerprint >> (64 - kShardBits)];
+}
+
+bool QueryCache::Admit(Shard& shard, uint64_t fingerprint) const {
+  uint64_t* const set = shard.doorkeeper.data() +
+                        fingerprint % doorkeeper_sets_ * kDoorkeeperWays;
+  uint64_t* const end = set + kDoorkeeperWays;
+  uint64_t* const seen = std::find(set, end, fingerprint);
+  // Most recent sighting first: a repeat moves to the front, and a first
+  // sighting pushes the set's oldest fingerprint out.
+  uint64_t* const shift_end = seen == end ? end - 1 : seen;
+  std::copy_backward(set, shift_end, shift_end + 1);
+  set[0] = fingerprint;
+  return seen != end;
 }
 
 void QueryCache::UpdateBytesGauge() {
@@ -52,7 +93,7 @@ size_t QueryCache::Cost(const std::string& key, const std::string& value) {
 QueryCache::Value QueryCache::Get(uint64_t generation, QueryKind kind,
                                   std::string_view request) {
   const std::string key = MakeKey(generation, kind, request);
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(Fingerprint(kind, request));
   Value value;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -79,7 +120,9 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
   // An entry that cannot fit within one shard's budget is never cached:
   // admitting it would flush the whole shard for one value.
   if (cost > shard_budget_) return;
-  Shard& shard = ShardFor(key);
+  const uint64_t fingerprint = Fingerprint(kind, request);
+  Shard& shard = ShardFor(fingerprint);
+  bool declined = false;
   uint64_t evicted = 0;
   int64_t byte_delta = 0;
   {
@@ -95,6 +138,8 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
       entry.value = std::move(value);
       entry.cost = cost;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    } else if (!Admit(shard, fingerprint)) {
+      declined = true;
     } else {
       while (shard.bytes + cost > shard_budget_ && !shard.lru.empty()) {
         const Entry& victim = shard.lru.back();
@@ -110,6 +155,10 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
       shard.bytes += cost;
       byte_delta += static_cast<int64_t>(cost);
     }
+  }
+  if (declined) {
+    declined_.fetch_add(1, std::memory_order_relaxed);
+    if (declined_counter_ != nullptr) declined_counter_->Increment();
   }
   if (evicted > 0) {
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
@@ -131,6 +180,7 @@ QueryCache::Stats QueryCache::stats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
+  stats.declined = declined_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.bytes = bytes_.load(std::memory_order_relaxed);
   return stats;

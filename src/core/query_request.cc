@@ -381,7 +381,7 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
       uint64_t missing = 0;
       if (!in.F64(&value.support_lo) || !in.F64(&value.support_hi) ||
           !in.F64(&value.confidence_lo) || !in.F64(&value.confidence_hi) ||
-          !in.U64(&missing)) {
+          !in.U64(&missing) || missing > UINT32_MAX) {
         return std::nullopt;
       }
       value.missing_windows = static_cast<uint32_t>(missing);

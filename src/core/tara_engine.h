@@ -70,10 +70,10 @@ class MappedKb;
 /// the snapshot instruments `tara.kb.generation` (gauge) and
 /// `tara.kb.swaps` (publication counter) — see DESIGN.md,
 /// "Observability". With a query cache enabled the cache adds
-/// `tara.cache.{hits,misses,evictions}` counters and a `tara.cache.bytes`
-/// gauge. All recording is relaxed-atomic and allocation-free;
-/// with metrics == nullptr every instrument pointer is null and spans
-/// skip the clock read entirely (the null sink).
+/// `tara.cache.{hits,misses,declined,evictions}` counters and a
+/// `tara.cache.bytes` gauge. All recording is relaxed-atomic and
+/// allocation-free; with metrics == nullptr every instrument pointer is
+/// null and spans skip the clock read entirely (the null sink).
 ///
 /// ## Threading model
 ///

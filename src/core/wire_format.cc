@@ -596,6 +596,11 @@ Expected<ServerInfo, ParseError> DecodeInfoResponsePayload(
     return Truncated("the server info");
   }
   if (!in.AtEnd()) return Trailing(in.remaining());
+  if (windows > UINT32_MAX) {
+    return ParseError{ParseError::Code::kBadResultBody,
+                      "server info counts " + std::to_string(windows) +
+                          " windows, past 32 bits"};
+  }
   ServerInfo info;
   info.window_count = static_cast<uint32_t>(windows);
   info.generation = generation;

@@ -9,9 +9,9 @@
 //
 // Also here: QueryCache unit tests (generation keying, LRU eviction
 // within the byte budget, charging by capacity, oversized-entry refusal,
-// stats counters) and a TSan-targeted stress test racing
-// Execute/ExecuteBatch against a live appender. Run under both sanitizer
-// presets (tools/run_asan.sh, tools/run_tsan.sh).
+// second-offer admission, stats counters) and a TSan-targeted stress test
+// racing Execute/ExecuteBatch against a live appender. Run under both
+// sanitizer presets (tools/run_asan.sh, tools/run_tsan.sh).
 
 #include <atomic>
 #include <memory>
@@ -265,7 +265,8 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   EXPECT_EQ(counts(oracle_metrics), std::make_pair(ok, rejected));
   EXPECT_EQ(counts(cached_metrics), std::make_pair(ok, rejected));
 
-  // Re-running the identical batch is answered fully from cache for the
+  // A second offer of each request admits its answer. Re-running the
+  // identical batch after it is answered fully from cache for the
   // successful requests; rejected ones are never cached (errors are
   // cheap to recompute and must stay loud), so each unique failed
   // request re-misses exactly once per batch.
@@ -275,6 +276,7 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
       failed_keys.insert(EncodeQueryRequest(requests[i]));
     }
   }
+  cached.ExecuteBatch(requests);
   const QueryCache::Stats before = cached.query_cache()->stats();
   const auto replay = cached.ExecuteBatch(requests);
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -284,7 +286,7 @@ TEST(QueryCacheDifferential, BatchMatchesOracleAndDedups) {
   EXPECT_EQ(after.misses, before.misses + failed_keys.size());
   EXPECT_GT(after.hits, before.hits);
   // A batch answered mostly from cache counts exactly like the first.
-  EXPECT_EQ(counts(cached_metrics), std::make_pair(2 * ok, 2 * rejected));
+  EXPECT_EQ(counts(cached_metrics), std::make_pair(3 * ok, 3 * rejected));
 }
 
 /// A cache value holding `bytes`.
@@ -294,6 +296,8 @@ QueryCache::Value Bytes(std::string bytes) {
 
 TEST(QueryCacheUnit, KeysIncludeGenerationAndKind) {
   QueryCache cache(1u << 20);
+  // The first offer is declined; the second is cached.
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("result"));
   cache.Put(1, QueryKind::kMineWindow, "req", Bytes("result"));
   const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
   ASSERT_NE(hit, nullptr);
@@ -339,6 +343,7 @@ TEST(QueryCacheUnit, ChargesValueCapacityNotSize) {
 
   QueryCache one(1u << 20);
   one.Put(1, QueryKind::kMineWindow, "req", slack_value());
+  one.Put(1, QueryKind::kMineWindow, "req", slack_value());
   EXPECT_GE(one.stats().bytes, kCapacity);
 
   // 16 shards of 1.5 KiB: room for four entries a shard by size, but for
@@ -346,6 +351,9 @@ TEST(QueryCacheUnit, ChargesValueCapacityNotSize) {
   constexpr size_t kBudget = 16 * 1536;
   QueryCache cache(kBudget);
   constexpr uint64_t kPuts = 200;
+  // One earlier offer: the doorkeeper ignores the generation, so every
+  // Put below is the request's second or later offer and is cached.
+  cache.Put(0, QueryKind::kMineWindow, "req", slack_value());
   for (uint64_t g = 0; g < kPuts; ++g) {
     cache.Put(g, QueryKind::kMineWindow, "req", slack_value());
     EXPECT_LE(cache.stats().bytes, kBudget);
@@ -362,6 +370,8 @@ TEST(QueryCacheUnit, ChargesValueCapacityNotSize) {
 
 TEST(QueryCacheUnit, RefusesEntriesLargerThanAShard) {
   QueryCache cache(1024);  // 64 bytes per shard: nothing below fits
+  // Offered twice, so only its size keeps it out.
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes(std::string(512, 'v')));
   cache.Put(1, QueryKind::kMineWindow, "req", Bytes(std::string(512, 'v')));
   EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req"), nullptr);
   EXPECT_EQ(cache.stats().bytes, 0u);
@@ -371,12 +381,109 @@ TEST(QueryCacheUnit, RefusesEntriesLargerThanAShard) {
 TEST(QueryCacheUnit, PutRefreshesInPlace) {
   QueryCache cache(1u << 20);
   cache.Put(1, QueryKind::kMineWindow, "req", Bytes("old"));
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("old"));
   const uint64_t bytes_once = cache.stats().bytes;
   cache.Put(1, QueryKind::kMineWindow, "req", Bytes("new"));
   const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "new");
   EXPECT_EQ(cache.stats().bytes, bytes_once);
+}
+
+TEST(QueryCacheUnit, CachesARequestOnItsSecondOffer) {
+  obs::MetricsRegistry metrics;
+  QueryCache cache(1u << 20, &metrics);
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("result"));
+  EXPECT_EQ(cache.Get(1, QueryKind::kMineWindow, "req"), nullptr);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().declined, 1u);
+  cache.Put(1, QueryKind::kMineWindow, "req", Bytes("result"));
+  const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, "result");
+  EXPECT_EQ(cache.stats().declined, 1u);
+  EXPECT_EQ(metrics.GetCounter("tara.cache.declined")->Value(), 1u);
+  // The kind is part of the request: another kind's offer is a first.
+  cache.Put(1, QueryKind::kRegion, "req", Bytes("result"));
+  EXPECT_EQ(cache.Get(1, QueryKind::kRegion, "req"), nullptr);
+  EXPECT_EQ(cache.stats().declined, 2u);
+}
+
+// A stream that never repeats caches nothing, so it evicts nothing: at
+// this budget a cache admitting every first offer evicts hundreds.
+TEST(QueryCacheUnit, NeverRepeatingRequestsCacheNothing) {
+  QueryCache cache(8 * 1024);
+  const QueryCache::Value value = Bytes(std::string(256, 'v'));
+  constexpr uint64_t kRequests = 1000;
+  for (uint64_t r = 0; r < kRequests; ++r) {
+    const std::string request = "request " + std::to_string(r);
+    ASSERT_EQ(cache.Get(1, QueryKind::kMineWindow, request), nullptr);
+    cache.Put(1, QueryKind::kMineWindow, request, value);
+  }
+  const QueryCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.declined, kRequests);
+  EXPECT_EQ(stats.misses, kRequests);
+}
+
+// The doorkeeper leaves the generation out: a request cached under G is
+// cached again by its first offer under G+1, the miss after an append.
+TEST(QueryCacheUnit, AdmittedRequestsReturnOnTheirFirstMissAfterAnAppend) {
+  QueryCache cache(1u << 20);
+  cache.Put(7, QueryKind::kTrajectory, "req", Bytes("g7"));
+  cache.Put(7, QueryKind::kTrajectory, "req", Bytes("g7"));
+  ASSERT_NE(cache.Get(7, QueryKind::kTrajectory, "req"), nullptr);
+  ASSERT_EQ(cache.Get(8, QueryKind::kTrajectory, "req"), nullptr);
+  cache.Put(8, QueryKind::kTrajectory, "req", Bytes("g8"));
+  const QueryCache::Value hit = cache.Get(8, QueryKind::kTrajectory, "req");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, "g8");
+  EXPECT_EQ(cache.stats().declined, 1u);
+}
+
+// At 2 KiB a shard the doorkeeper is one set per shard, and 17 requests
+// over 16 shards put at least two into one set. Offered alternately,
+// every pair is cached after its second offers: a doorkeeper of one slot
+// per set would keep only the latest and decline both forever.
+TEST(QueryCacheUnit, RequestsSharingADoorkeeperSetAreBothAdmitted) {
+  constexpr size_t kBudget = 16 * 2048;
+  constexpr int kRequests = 17;
+  for (int a = 0; a < kRequests; ++a) {
+    for (int b = a + 1; b < kRequests; ++b) {
+      QueryCache cache(kBudget);
+      const std::string first = "request " + std::to_string(a);
+      const std::string second = "request " + std::to_string(b);
+      for (int round = 0; round < 2; ++round) {
+        cache.Put(1, QueryKind::kMineWindow, first, Bytes("a"));
+        cache.Put(1, QueryKind::kMineWindow, second, Bytes("b"));
+      }
+      EXPECT_NE(cache.Get(1, QueryKind::kMineWindow, first), nullptr)
+          << a << " with " << b;
+      EXPECT_NE(cache.Get(1, QueryKind::kMineWindow, second), nullptr)
+          << b << " with " << a;
+    }
+  }
+}
+
+// dashboard_hot's shape: Zipf(1.1) over a pool of 282 requests, each
+// miss answered and offered. Two misses per request drawn is all the
+// doorkeeper costs.
+TEST(QueryCacheUnit, AZipfStreamIsServedFromTheCache) {
+  QueryCache cache(32u << 20);
+  const QueryCache::Value value = Bytes(std::string(1024, 'v'));
+  Rng rng(1);
+  for (int draw = 0; draw < 20000; ++draw) {
+    const std::string request =
+        "request " + std::to_string(rng.NextZipf(282, 1.1));
+    if (cache.Get(1, QueryKind::kMineWindow, request) == nullptr) {
+      cache.Put(1, QueryKind::kMineWindow, request, value);
+    }
+  }
+  const QueryCache::Stats stats = cache.stats();
+  EXPECT_GE(stats.hit_rate(), 0.95) << stats.hits << " hits, "
+                                    << stats.misses << " misses";
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 // TSan target: Execute and ExecuteBatch race a live appender. Window 0's

@@ -593,15 +593,16 @@ TEST_F(CachedServerTest, EveryKindArrivesAsTheSnapshotAnswersFrame) {
     const auto answer = ExecuteQuery(*snapshot, request);
     ASSERT_TRUE(answer.has_value()) << QueryKindName(request.kind);
     const std::string expected = EncodeResultFrame(request.kind, *answer);
-    // A miss, then a hit: both the same bytes.
-    for (int send = 0; send < 2; ++send) {
+    // Two misses (the second offer is cached), then a hit: all the same
+    // bytes.
+    for (int send = 0; send < 3; ++send) {
       EXPECT_EQ(RawRoundTrip(raw.value(), EncodeExecuteFrame(request)),
                 expected)
           << QueryKindName(request.kind) << " send " << send;
     }
   }
   const QueryCache::Stats stats = engine_->query_cache()->stats();
-  EXPECT_EQ(stats.misses, requests.size());
+  EXPECT_EQ(stats.misses, 2 * requests.size());
   EXPECT_EQ(stats.hits, requests.size());
 }
 
@@ -609,6 +610,8 @@ TEST_F(CachedServerTest, BatchReplyCopiesTheCachedFrames) {
   const std::vector<QueryRequest> kinds = AllKinds();
   const QueryRequest& warm = kinds[2];   // a trajectory, cached below
   const QueryRequest& fresh = kinds[9];  // a roll-up, sent twice
+  // Offered twice: the second offer is cached.
+  ASSERT_TRUE(engine_->Execute(warm).has_value());
   ASSERT_TRUE(engine_->Execute(warm).has_value());
   const std::vector<QueryRequest> batch = {
       fresh, warm, fresh,
@@ -638,6 +641,8 @@ TEST_F(CachedServerTest, BatchReplyCopiesTheCachedFrames) {
 TEST_F(CachedServerTest, AHitIsTheCachedFrameNotACopy) {
   const QueryRequest request =
       QueryRequest::Trajectory(2, ParameterSetting{0.03, 0.3}, {0, 1, 2});
+  // The first offer is declined; the second is cached.
+  ASSERT_TRUE(engine_->ExecuteFrame(request).has_value());
   const auto miss = engine_->ExecuteFrame(request);
   const auto hit = engine_->ExecuteFrame(request);
   ASSERT_TRUE(miss.has_value());

@@ -261,6 +261,28 @@ TEST(WireFormat, IdsPastThirtyTwoBitsAreTypedErrors) {
   ASSERT_FALSE(wide_ack.has_value());
   EXPECT_EQ(wide_ack.error().code, ParseError::Code::kBadResultBody);
 
+  // Counts past 32 bits too: a roll-up bound's missing windows, and the
+  // window count of a server info frame.
+  const auto rollup_bound = [](uint64_t missing) {
+    codec::StringWriter out;
+    for (const double bound : {0.1, 0.2, 0.3, 0.4}) out.F64(bound);
+    out.U64(missing);
+    return DecodeQueryResult(QueryKind::kRollUpRule, out.bytes());
+  };
+  EXPECT_TRUE(rollup_bound(1).has_value());
+  EXPECT_FALSE(rollup_bound(kPast + 1).has_value());
+  const auto info = [](uint64_t windows) {
+    codec::StringWriter out;
+    out.U64(windows);
+    out.U64(3);
+    out.U64(40);
+    return DecodeInfoResponsePayload(out.bytes());
+  };
+  ASSERT_TRUE(info(7).has_value());
+  const auto wide_info = info(kPast + 7);
+  ASSERT_FALSE(wide_info.has_value());
+  EXPECT_EQ(wide_info.error().code, ParseError::Code::kBadResultBody);
+
   // Item gaps add up past 32 bits.
   codec::StringWriter items;
   items.U64(2);

@@ -572,12 +572,14 @@ class Session {
     const uint64_t misses = now.misses - before.misses;
     const uint64_t lookups = hits + misses;
     std::printf("cache: %llu hits, %llu misses (hit rate %.3f), "
-                "%llu evictions, %llu bytes of %zu\n",
+                "%llu declined, %llu evictions, %llu bytes of %zu\n",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses),
                 lookups == 0 ? 0.0
                              : static_cast<double>(hits) /
                                    static_cast<double>(lookups),
+                static_cast<unsigned long long>(now.declined -
+                                                before.declined),
                 static_cast<unsigned long long>(now.evictions),
                 static_cast<unsigned long long>(now.bytes),
                 cache->max_bytes());
