@@ -36,7 +36,7 @@ HMineBaseline::BuildStats HMineBaseline::Build(const EvolvingDatabase& data) {
 std::vector<MinedRule> HMineBaseline::MineWindow(
     WindowId w, const ParameterSetting& setting) const {
   TARA_CHECK_LT(w, windows_.size());
-  TARA_CHECK(setting.min_support + 1e-12 >= min_support_floor_)
+  TARA_CHECK(ClearsFloor(setting.min_support, min_support_floor_))
       << "query support below the pregeneration floor";
   const WindowStore& store = windows_[w];
   const uint64_t min_count =

@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
+#include "mining/measures.h"
 #include "obs/metrics.h"
 
 namespace tara {
@@ -185,7 +186,7 @@ std::optional<QueryError> KnowledgeBaseSnapshot::ValidateSetting(
             << ") is not finite — thresholds must be real numbers";
     return QueryError{QueryError::Code::kNonFiniteSetting, message.str()};
   }
-  if (setting.min_support + 1e-12 < options_.min_support_floor) {
+  if (!ClearsFloor(setting.min_support, options_.min_support_floor)) {
     std::ostringstream message;
     message << "min_support " << setting.min_support
             << " is below the generation floor "
@@ -193,7 +194,7 @@ std::optional<QueryError> KnowledgeBaseSnapshot::ValidateSetting(
             << " — rules under the floor were never mined";
     return QueryError{QueryError::Code::kSupportBelowFloor, message.str()};
   }
-  if (setting.min_confidence + 1e-12 < options_.min_confidence_floor) {
+  if (!ClearsFloor(setting.min_confidence, options_.min_confidence_floor)) {
     std::ostringstream message;
     message << "min_confidence " << setting.min_confidence
             << " is below the generation floor "
@@ -386,15 +387,16 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
   if (auto error = ValidateSetting(setting)) return *std::move(error);
   // One pass over the requested windows' entries. Per rule it sums the
   // counts of the windows that archived it; the missing windows' terms are
-  // the request's totals minus the rule's present ones. That is the
-  // RollUpAggregate the roll-up tree and the linear archive scan build, so
-  // FinishRollUp yields the same doubles.
+  // the request's totals minus the rule's present ones (RollUpAggregate's
+  // sums). Each rule is then classified in counts against one min count
+  // over the request's total: certain if it passes while absent from the
+  // missing windows that its antecedent fills, possible if it passes only
+  // at the floor slack there.
   struct Present {
     uint64_t rule_count;
     uint64_t antecedent_count;
     uint64_t size;
     uint64_t slack;
-    uint32_t windows;
   };
   uint64_t total = 0;
   uint64_t total_slack = 0;
@@ -411,27 +413,23 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
       p.antecedent_count += e.antecedent_count;
       p.size += size;
       p.slack += slack;
-      ++p.windows;
     }
   }
 
+  const uint64_t min_count = MinCountForSupport(setting.min_support, total);
+  const double min_confidence = setting.min_confidence;
   RolledUpRules result;
   present.ForEach([&](RuleId rule, const Present& p) {
-    RollUpAggregate agg;
-    agg.known_rule = p.rule_count;
-    agg.known_ant = p.antecedent_count;
-    agg.missing_slack = total_slack - p.slack;
-    agg.missing_size = total - p.size;
-    agg.total = total;
-    agg.missing_windows = static_cast<uint32_t>(windows.size()) - p.windows;
-    const RollUpBound bound = FinishRollUp(agg);
-    const bool certain = bound.support_lo + 1e-12 >= setting.min_support &&
-                         bound.confidence_lo + 1e-12 >= setting.min_confidence;
-    const bool possible = bound.support_hi + 1e-12 >= setting.min_support &&
-                          bound.confidence_hi + 1e-12 >= setting.min_confidence;
-    if (certain) {
+    const uint64_t missing_size = total - p.size;
+    const uint64_t missing_slack = total_slack - p.slack;
+    if (p.rule_count >= min_count &&
+        AdmitsConfidence(p.rule_count, p.antecedent_count + missing_size,
+                         min_confidence)) {
       result.certain.push_back(rule);
-    } else if (possible) {
+    } else if (p.rule_count + missing_slack >= min_count &&
+               AdmitsConfidence(p.rule_count + missing_slack,
+                                p.antecedent_count + missing_slack,
+                                min_confidence)) {
       result.possible.push_back(rule);
     }
   });

@@ -379,9 +379,12 @@ class KnowledgeBaseSnapshot {
   Expected<RollUpBound, QueryError> RollUpRule(
       RuleId rule, const WindowSet& windows) const;
 
-  /// Roll-up mining: rules valid over the union of `windows` under
-  /// `setting`, split into certain and possible per the interval bounds.
-  /// Both outputs sorted by RuleId.
+  /// Roll-up mining: rules archived in some window of `windows`, split by
+  /// their validity over the union under `setting`. Classified in counts
+  /// (mining/measures.h): certain when the rule's lower bounds pass,
+  /// possible when only its upper bounds do. A rule valid over the union
+  /// but archived in none of the windows is not reported. Both outputs
+  /// sorted by RuleId.
   Expected<RolledUpRules, QueryError> MineRolledUp(
       const WindowSet& windows, const ParameterSetting& setting) const;
 

@@ -113,16 +113,23 @@ QueryCache::Value QueryCache::Get(uint64_t generation, QueryKind kind,
   return value;
 }
 
-void QueryCache::Put(uint64_t generation, QueryKind kind,
-                     std::string_view request, Value value) {
-  std::string key = MakeKey(generation, kind, request);
+bool QueryCache::Offer(const std::string& key, uint64_t fingerprint) {
+  Shard& shard = ShardFor(fingerprint);
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (shard.index.contains(key) || Admit(shard, fingerprint)) return true;
+  }
+  declined_.fetch_add(1, std::memory_order_relaxed);
+  if (declined_counter_ != nullptr) declined_counter_->Increment();
+  return false;
+}
+
+void QueryCache::Store(std::string key, uint64_t fingerprint, Value value) {
   const size_t cost = Cost(key, *value);
   // An entry that cannot fit within one shard's budget is never cached:
   // admitting it would flush the whole shard for one value.
   if (cost > shard_budget_) return;
-  const uint64_t fingerprint = Fingerprint(kind, request);
   Shard& shard = ShardFor(fingerprint);
-  bool declined = false;
   uint64_t evicted = 0;
   int64_t byte_delta = 0;
   {
@@ -138,8 +145,6 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
       entry.value = std::move(value);
       entry.cost = cost;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else if (!Admit(shard, fingerprint)) {
-      declined = true;
     } else {
       while (shard.bytes + cost > shard_budget_ && !shard.lru.empty()) {
         const Entry& victim = shard.lru.back();
@@ -155,10 +160,6 @@ void QueryCache::Put(uint64_t generation, QueryKind kind,
       shard.bytes += cost;
       byte_delta += static_cast<int64_t>(cost);
     }
-  }
-  if (declined) {
-    declined_.fetch_add(1, std::memory_order_relaxed);
-    if (declined_counter_ != nullptr) declined_counter_->Increment();
   }
   if (evicted > 0) {
     evictions_.fetch_add(evicted, std::memory_order_relaxed);

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +30,8 @@ namespace tara {
 /// count bumped under the shard lock, no copy — so a hit goes to the
 /// socket as it is stored, and an entry evicted while a reader still
 /// writes it stays alive until that reader lets go. The engine's miss
-/// path encodes an answer once, into exactly the frame it caches.
+/// path encodes an answer once, into exactly the frame it caches, and a
+/// typed miss encodes only for an offer the cache will keep.
 ///
 /// ## Why generation-pinned keying needs no invalidation
 ///
@@ -119,9 +121,20 @@ class QueryCache {
 
   /// Refreshes the value of a resident key; otherwise inserts it, if the
   /// doorkeeper admits the request, evicting LRU entries of the same
-  /// shard as needed to stay within budget.
+  /// shard as needed to stay within budget. `make()` returns the value
+  /// and runs only then, so a declined offer builds nothing.
+  template <typename Make>
+    requires std::is_invocable_r_v<Value, Make&>
   void Put(uint64_t generation, QueryKind kind, std::string_view request,
-           Value value);
+           Make&& make) {
+    std::string key = MakeKey(generation, kind, request);
+    const uint64_t fingerprint = Fingerprint(kind, request);
+    if (Offer(key, fingerprint)) Store(std::move(key), fingerprint, make());
+  }
+  void Put(uint64_t generation, QueryKind kind, std::string_view request,
+           Value value) {
+    Put(generation, kind, request, [&value] { return std::move(value); });
+  }
 
   size_t max_bytes() const { return max_bytes_; }
 
@@ -168,6 +181,11 @@ class QueryCache {
   /// Records a sighting of `fingerprint` in its shard's doorkeeper and
   /// returns whether it had been seen before. Caller holds shard.mutex.
   bool Admit(Shard& shard, uint64_t fingerprint) const;
+  /// Whether Put will store the value for `key`: the key is resident, or
+  /// the doorkeeper admits its request. Counts a decline otherwise.
+  bool Offer(const std::string& key, uint64_t fingerprint);
+  /// Refreshes or inserts `value` under `key`, evicting as needed.
+  void Store(std::string key, uint64_t fingerprint, Value value);
   void UpdateBytesGauge();
 
   const size_t max_bytes_;

@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
-#include "mining/frequent_itemset.h"
+#include "mining/measures.h"
 
 namespace tara {
 namespace {
@@ -145,7 +145,8 @@ uint32_t WindowIndex::AdmittedEnd(size_t b, double min_confidence) const {
       std::partition_point(first + bucket_begin_[b],
                            first + bucket_begin_[b + 1],
                            [min_confidence](double confidence) {
-                             return !(confidence + 1e-12 < min_confidence);
+                             return AdmitsConfidence(confidence,
+                                                     min_confidence);
                            }) -
       first);
 }
@@ -177,30 +178,25 @@ RegionInfo WindowIndex::Locate(double min_support,
   RegionInfo region;
   region.result_size = CountRules(min_support, min_confidence);
 
-  // Support grid: unique support values descending (from buckets).
-  region.support_lower = 0.0;
-  region.support_upper = 1.0;
-  for (const uint64_t count : bucket_count_) {
-    const double support = total_transactions_ == 0
-                               ? 0.0
-                               : static_cast<double>(count) /
-                                     static_cast<double>(total_transactions_);
-    if (support + 1e-12 >= min_support) {
-      region.support_upper = support;  // smallest boundary >= query
-    } else {
-      region.support_lower = support;  // largest boundary < query
-      break;
-    }
-  }
-
-  // Confidence grid: ascending vector; region is (prev, next].
-  const auto it = std::lower_bound(confidence_grid_.begin(),
-                                   confidence_grid_.end(),
-                                   min_confidence - 1e-12);
-  region.confidence_upper =
-      it == confidence_grid_.end() ? 1.0 : *it;
-  region.confidence_lower =
-      it == confidence_grid_.begin() ? 0.0 : *(it - 1);
+  // The bounds are the boundaries on either side of the admission cut:
+  // the last admitted and the first refused support bucket (buckets
+  // descend), and the first admitted and the last refused confidence on
+  // the ascending grid.
+  const size_t buckets = AdmittedBuckets(min_support);
+  const auto support = [this](size_t b) {
+    return static_cast<double>(bucket_count_[b]) /
+           static_cast<double>(total_transactions_);
+  };
+  region.support_upper = buckets == 0 ? 1.0 : support(buckets - 1);
+  region.support_lower =
+      buckets == bucket_count_.size() ? 0.0 : support(buckets);
+  const auto it = std::partition_point(
+      confidence_grid_.begin(), confidence_grid_.end(),
+      [min_confidence](double confidence) {
+        return !AdmitsConfidence(confidence, min_confidence);
+      });
+  region.confidence_upper = it == confidence_grid_.end() ? 1.0 : *it;
+  region.confidence_lower = it == confidence_grid_.begin() ? 0.0 : *(it - 1);
   return region;
 }
 
@@ -242,7 +238,7 @@ void WindowIndex::ContentQuery(const Itemset& items, double min_support,
   for (const uint32_t p : current) {
     const auto location = static_cast<uint32_t>(by_rule_[p]);
     if (location < admitted &&
-        location_confidence_[location] + 1e-12 >= min_confidence) {
+        AdmitsConfidence(location_confidence_[location], min_confidence)) {
       out->push_back(static_cast<RuleId>(by_rule_[p] >> 32));
     }
   }

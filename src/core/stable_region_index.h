@@ -10,11 +10,14 @@
 namespace tara {
 
 /// The time-aware stable region enclosing a query setting (Definition 11),
-/// reported by the Q3 parameter-recommendation operation. Any
-/// (minsupp, minconf) inside (support_lower, support_upper] ×
-/// (confidence_lower, confidence_upper] yields the same ruleset, whose size
-/// is `result_size`. The region's upper corner is its cut location
-/// (Definition 12).
+/// reported by the Q3 parameter-recommendation operation. The bounds are
+/// the window's support and confidence boundaries on either side of the
+/// setting's admission cut (mining/measures.h), so any (minsupp, minconf)
+/// inside (support_lower, support_upper] × (confidence_lower,
+/// confidence_upper] — up to the admission tests' tolerances — yields the
+/// same ruleset, whose size is `result_size`, and two settings given the
+/// same bounds get the same ruleset. The region's upper corner is its cut
+/// location (Definition 12).
 struct RegionInfo {
   double support_lower = 0.0;
   double support_upper = 1.0;

@@ -54,10 +54,12 @@ inline uint64_t UnarchivedCountSlack(uint64_t floor_count,
 }
 
 /// Integer sums a roll-up reduces to before the final divisions. The
-/// linear scan, the roll-up tree and MineRolledUp aggregate into this and
-/// finish through FinishRollUp, so their intervals are bit-identical: the
-/// u64 sums are associative and the doubles are produced by the same
-/// divisions in the same order.
+/// linear scan and the roll-up tree aggregate into this and finish through
+/// FinishRollUp, rollup_rule's answer, so their intervals are
+/// bit-identical: the u64 sums are associative and the doubles are
+/// produced by the same divisions in the same order. MineRolledUp sums the
+/// same terms but builds no interval: it classifies the sums in counts
+/// with the admission tests of mining/measures.h.
 struct RollUpAggregate {
   uint64_t known_rule = 0;     ///< rule_count over archived windows
   uint64_t known_ant = 0;      ///< antecedent_count over archived windows
@@ -67,6 +69,7 @@ struct RollUpAggregate {
   uint32_t missing_windows = 0;
 };
 
+/// The divisions that turn the sums into rollup_rule's interval.
 RollUpBound FinishRollUp(const RollUpAggregate& agg);
 
 /// The Temporal Association Rule Archive (TAR Archive).

@@ -304,18 +304,22 @@ Expected<Form, QueryError> TaraEngine::Miss(
     std::string_view key) const {
   Expected<QueryResult, QueryError> result = ExecuteQuery(snapshot, request);
   if (!result.has_value()) return result.error();
-  constexpr bool kFrameForm = std::is_same_v<Form, ResultFrame>;
-  ResultFrame frame;
-  if (kFrameForm || cache_ != nullptr) {
-    frame = std::make_shared<const std::string>(
+  const auto encode = [&request, &result] {
+    return std::make_shared<const std::string>(
         EncodeResultFrame(request.kind, *result));
+  };
+  if constexpr (std::is_same_v<Form, ResultFrame>) {
+    ResultFrame frame = encode();
     if (cache_ != nullptr) {
       cache_->Put(snapshot.generation(), request.kind, key, frame);
     }
-  }
-  if constexpr (kFrameForm) {
     return frame;
   } else {
+    // The typed answer needs no frame: encode one only for the cache to
+    // keep.
+    if (cache_ != nullptr) {
+      cache_->Put(snapshot.generation(), request.kind, key, encode);
+    }
     return std::move(result).value();
   }
 }

@@ -337,8 +337,9 @@ class TaraEngine {
   template <typename Form>
   std::optional<Form> Lookup(uint64_t generation, QueryKind kind,
                              std::string_view key) const;
-  /// A miss: executes against `snapshot`, then — when a cache or the frame
-  /// form wants bytes — encodes the answer once into the frame it caches.
+  /// A miss: executes against `snapshot`, then encodes the answer once,
+  /// into the frame it caches, when the frame form returns it or the cache
+  /// will keep it.
   template <typename Form>
   Expected<Form, QueryError> Miss(const KnowledgeBaseSnapshot& snapshot,
                                   const QueryRequest& request,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "mining/measures.h"
 #include "txdb/transaction_database.h"
 #include "txdb/types.h"
 
@@ -26,7 +27,7 @@ struct FrequentItemset {
 class FrequentItemsetMiner {
  public:
   struct Options {
-    /// Minimum absolute occurrence count (ceil(minsupp * |D|)).
+    /// Minimum absolute occurrence count (MinCountForSupport).
     uint64_t min_count = 1;
     /// Maximum itemset cardinality; 0 means unlimited. Benchmark harnesses
     /// cap this to keep dense synthetic workloads tractable.
@@ -48,11 +49,6 @@ class FrequentItemsetMiner {
 /// Sorts itemsets lexicographically — a canonical order for comparing the
 /// outputs of different miners.
 void SortItemsets(std::vector<FrequentItemset>* itemsets);
-
-/// Converts a fractional minimum support into the absolute count used by
-/// Options (ceil(min_support * n), at least 1). A count of 2^64 or more
-/// saturates to UINT64_MAX, which no itemset reaches.
-uint64_t MinCountForSupport(double min_support, size_t n);
 
 }  // namespace tara
 

@@ -48,9 +48,7 @@ void EmitRulesForItemset(const Itemset& base, uint64_t base_count,
     const uint64_t antecedent_count = index.Count(antecedent);
     TARA_DCHECK(antecedent_count >= base_count)
         << "downward closure violated";
-    const double confidence = static_cast<double>(base_count) /
-                              static_cast<double>(antecedent_count);
-    if (confidence + 1e-12 >= min_confidence) {
+    if (AdmitsConfidence(base_count, antecedent_count, min_confidence)) {
       out->push_back(
           MinedRule{antecedent, consequent, base_count, antecedent_count});
     }

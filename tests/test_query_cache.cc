@@ -409,6 +409,27 @@ TEST(QueryCacheUnit, CachesARequestOnItsSecondOffer) {
   EXPECT_EQ(cache.stats().declined, 2u);
 }
 
+// A value is built only for an offer the cache keeps: a first offer
+// builds nothing, a second builds it once and leaves it resident.
+TEST(QueryCacheUnit, DeclinedOffersBuildNoValue) {
+  QueryCache cache(1u << 20);
+  int built = 0;
+  const auto make = [&built] {
+    ++built;
+    return Bytes("result");
+  };
+  cache.Put(1, QueryKind::kMineWindow, "req", make);
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(cache.stats().declined, 1u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  cache.Put(1, QueryKind::kMineWindow, "req", make);
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(cache.stats().declined, 1u);
+  const QueryCache::Value hit = cache.Get(1, QueryKind::kMineWindow, "req");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, "result");
+}
+
 // A stream that never repeats caches nothing, so it evicts nothing: at
 // this budget a cache admitting every first offer evicts hundreds.
 TEST(QueryCacheUnit, NeverRepeatingRequestsCacheNothing) {

@@ -1,10 +1,11 @@
 // Tree-vs-linear equivalence for the roll-up tree (window-axis prefix
 // sums plus one pass over the rule's archive series), and the snapshot's
 // one-pass multi-window queries against per-window and per-rule
-// references. Every roll-up path aggregates into RollUpAggregate
-// and finishes through FinishRollUp, so the property tests here demand
-// EXACT double equality (or equal result bytes), not tolerances — any
-// drift means the sums diverged.
+// references. Both interval paths aggregate into RollUpAggregate and
+// finish through FinishRollUp, and roll-up mining classifies the same u64
+// sums with the admission tests, so the property tests here demand EXACT
+// double equality (or equal result bytes), not tolerances — any drift
+// means the sums diverged.
 
 #include <algorithm>
 #include <iterator>
@@ -18,7 +19,7 @@
 #include "core/tara_engine.h"
 #include "core/window_set.h"
 #include "gtest/gtest.h"
-#include "mining/frequent_itemset.h"
+#include "mining/measures.h"
 
 namespace tara {
 namespace {
@@ -322,23 +323,38 @@ std::vector<RuleId> ReferenceMineWindows(const KnowledgeBaseSnapshot& kb,
 }
 
 /// MineRolledUp reference: every rule the archive holds in some requested
-/// window, classified by its linear-scan TarArchive::RollUp bounds.
+/// window, its counts summed per window from the linear archive scan and
+/// classified by the admission tests of mining/measures.h.
 RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
                                     const WindowSet& windows,
                                     const ParameterSetting& setting) {
+  const TarArchive& archive = kb.archive();
+  uint64_t total = 0;
+  for (WindowId w : windows) total += archive.window_size(w);
+  const uint64_t min_count = MinCountForSupport(setting.min_support, total);
+  const double c = setting.min_confidence;
   RolledUpRules result;
   for (RuleId rule = 0; rule < kb.rule_count(); ++rule) {
     bool present = false;
+    uint64_t known_rule = 0, known_ant = 0, missing_size = 0, slack = 0;
     for (WindowId w : windows) {
-      present = present || kb.archive().EntryFor(rule, w).has_value();
+      if (const auto entry = archive.EntryFor(rule, w)) {
+        present = true;
+        known_rule += entry->rule_count;
+        known_ant += entry->antecedent_count;
+      } else {
+        missing_size += archive.window_size(w);
+        slack += UnarchivedCountSlack(archive.floor_count(w),
+                                      archive.confidence_floor(w),
+                                      archive.window_size(w));
+      }
     }
     if (!present) continue;
-    const RollUpBound bound = kb.archive().RollUp(rule, windows.ids());
-    if (bound.support_lo + 1e-12 >= setting.min_support &&
-        bound.confidence_lo + 1e-12 >= setting.min_confidence) {
+    if (known_rule >= min_count &&
+        AdmitsConfidence(known_rule, known_ant + missing_size, c)) {
       result.certain.push_back(rule);
-    } else if (bound.support_hi + 1e-12 >= setting.min_support &&
-               bound.confidence_hi + 1e-12 >= setting.min_confidence) {
+    } else if (known_rule + slack >= min_count &&
+               AdmitsConfidence(known_rule + slack, known_ant + slack, c)) {
       result.possible.push_back(rule);
     }
   }
