@@ -173,7 +173,7 @@ void BM_ContentView(benchmark::State& state) {
   size_t items = 0;
   for (auto _ : state) {
     const ContentViewResult view = kb.ContentView(0, setting).value();
-    items = view.size();
+    items = view.items.size();
     benchmark::DoNotOptimize(items);
   }
   state.SetLabel("items=" + std::to_string(items) + " rules=" +

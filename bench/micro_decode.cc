@@ -120,7 +120,6 @@ QueryResult TrajectoryAnswer() {
   TrajectoryQueryResult answer;
   for (RuleId r = 0; r < 100; ++r) {
     answer.rules.push_back(r * 8 + static_cast<RuleId>(rng.NextBounded(8)));
-    Trajectory trajectory;
     for (WindowId w = 0; w < 20; ++w) {
       TrajectoryPoint point;
       point.window = w;
@@ -129,9 +128,9 @@ QueryResult TrajectoryAnswer() {
         point.support = 0.01 + 0.1 * rng.NextDouble();
         point.confidence = 0.3 + 0.6 * rng.NextDouble();
       }
-      trajectory.push_back(point);
+      answer.points.push_back(point);
     }
-    answer.trajectories.push_back(std::move(trajectory));
+    answer.offsets.push_back(static_cast<uint32_t>(answer.points.size()));
   }
   return answer;
 }

@@ -110,11 +110,11 @@ inline ByteCount WriteFixed(UInt, ByteCount out) {
 }
 inline ByteCount WriteByte(uint8_t, ByteCount out) { return {out.bytes + 1}; }
 
-/// A count, then each id as a varint.
-template <typename Int, typename Out>
-inline Out WriteIdList(const std::vector<Int>& ids, Out out) {
+/// A count, then each id as a varint; `ids` is a vector or a span.
+template <typename Ids, typename Out>
+inline Out WriteIdList(const Ids& ids, Out out) {
   out = WriteVarint(ids.size(), out);
-  for (const Int id : ids) out = WriteVarint(id, out);
+  for (const auto id : ids) out = WriteVarint(id, out);
   return out;
 }
 

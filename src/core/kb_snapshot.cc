@@ -328,16 +328,19 @@ KnowledgeBaseSnapshot::TrajectoryQuery(WindowId anchor,
   if (auto error = ValidateWindow(anchor)) return *std::move(error);
   if (auto error = ValidateSetting(setting)) return *std::move(error);
   if (auto error = ValidateWindows(horizon)) return *std::move(error);
+  // One block, sized once: each rule's trajectory is written behind the
+  // previous one by one walk along the rule's archive series.
   TrajectoryQueryResult result;
   result.rules = CollectWindow(anchor, setting);
-  result.trajectories.reserve(result.rules.size());
-  // One arena across the per-rule decodes; each iteration's scratch dies
-  // at the Reset (the returned trajectories own their points).
-  DecodeArena arena;
-  for (RuleId rule : result.rules) {
-    arena.Reset();
-    result.trajectories.push_back(
-        BuildTrajectory(*archive_, rule, horizon.ids(), &arena));
+  TARA_CHECK_LE(result.rules.size() * horizon.size(), UINT32_MAX)
+      << "a trajectory answer's points outgrow 32-bit offsets";
+  result.offsets.reserve(result.rules.size() + 1);
+  result.points.resize(result.rules.size() * horizon.size());
+  TrajectoryPoint* out = result.points.data();
+  for (const RuleId rule : result.rules) {
+    out = WriteTrajectory(*archive_, rule, horizon.ids(), out);
+    result.offsets.push_back(
+        static_cast<uint32_t>(out - result.points.data()));
   }
   return result;
 }
@@ -409,15 +412,18 @@ Expected<ContentViewResult, QueryError> KnowledgeBaseSnapshot::ContentView(
     }
   });
   RadixSort(&pairs, [](uint64_t pair) { return pair >> 32; });
+  // The CSR straight from the sorted pairs: each new item opens a row at
+  // the previous row's end, and each pair extends the open row.
   ContentViewResult view;
-  for (size_t begin = 0, end = 0; begin < pairs.size(); begin = end) {
-    const uint64_t item = pairs[begin] >> 32;
-    while (end < pairs.size() && pairs[end] >> 32 == item) ++end;
-    std::vector<RuleId> rules(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      rules[i - begin] = static_cast<RuleId>(pairs[i]);
+  view.rules.resize(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto item = static_cast<ItemId>(pairs[i] >> 32);
+    if (view.items.empty() || item != view.items.back()) {
+      view.items.push_back(item);
+      view.offsets.push_back(view.offsets.back());
     }
-    view.emplace_hint(view.end(), static_cast<ItemId>(item), std::move(rules));
+    view.rules[i] = static_cast<RuleId>(pairs[i]);
+    ++view.offsets.back();
   }
   return view;
 }
@@ -494,13 +500,10 @@ Expected<std::vector<RuleInsight>, QueryError> KnowledgeBaseSnapshot::Panorama(
   if (!rules) return rules.error();
   std::vector<RuleInsight> insights;
   insights.reserve(rules->size());
-  // One arena across the per-rule decodes; each iteration's scratch dies
-  // at the Reset.
-  DecodeArena arena;
+  // One trajectory buffer, rewritten per rule.
+  Trajectory trajectory(horizon.size());
   for (RuleId rule : *rules) {
-    arena.Reset();
-    const std::span<const TrajectoryPoint> trajectory =
-        BuildTrajectoryInto(*archive_, rule, horizon.ids(), arena);
+    WriteTrajectory(*archive_, rule, horizon.ids(), trajectory.data());
     insights.push_back(RuleInsight{
         .rule = rule,
         .measures = ComputeMeasures(trajectory),

@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,16 +188,39 @@ struct PrecomputedRule {
 };
 
 /// Result of the Q1 trajectory query: the rules matching the anchor
-/// setting plus each rule's trajectory over the horizon windows.
+/// setting plus each rule's trajectory over the horizon windows, flat.
+/// Trajectory t is points[offsets[t], offsets[t + 1]) (compressed sparse
+/// rows: `offsets` starts at 0 and has one entry more than there are
+/// trajectories). The engine answers one trajectory per rule, each over
+/// the whole horizon; the rows are not assumed equal, so any bytes the
+/// result grammar accepts decode to a value.
 struct TrajectoryQueryResult {
   std::vector<RuleId> rules;
-  std::vector<Trajectory> trajectories;
+  std::vector<uint32_t> offsets = {0};
+  std::vector<TrajectoryPoint> points;
+
+  size_t trajectory_count() const { return offsets.size() - 1; }
+  std::span<const TrajectoryPoint> trajectory(size_t t) const {
+    return std::span<const TrajectoryPoint>(points).subspan(
+        offsets[t], offsets[t + 1] - offsets[t]);
+  }
 };
 
 /// The merged item→rules view of a window's answer (the TARA-S Q5
-/// companion result): items ascending, each with its rules ascending —
-/// the order the result grammar writes.
-using ContentViewResult = std::map<ItemId, std::vector<RuleId>>;
+/// companion result), flat: items ascending, item i's rules ascending in
+/// rules[offsets[i], offsets[i + 1]) — the order the result grammar
+/// writes. `offsets` starts at 0 and has one entry more than `items`.
+struct ContentViewResult {
+  std::vector<ItemId> items;
+  std::vector<uint32_t> offsets = {0};
+  std::vector<RuleId> rules;
+
+  std::span<const RuleId> rules_of(size_t i) const {
+    return std::span<const RuleId>(rules).subspan(
+        offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  bool operator==(const ContentViewResult&) const = default;
+};
 
 /// Result of the Q2 ruleset comparison.
 struct RulesetDiff {

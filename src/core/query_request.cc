@@ -187,7 +187,7 @@ Out WriteF64(double value, Out out) {
 }
 
 template <typename Out>
-Out WritePoints(const Trajectory& trajectory, Out out) {
+Out WritePoints(std::span<const TrajectoryPoint> trajectory, Out out) {
   out = WriteVarint(trajectory.size(), out);
   for (const TrajectoryPoint& point : trajectory) {
     out = WriteVarint(point.window, out);
@@ -209,8 +209,10 @@ Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
     case QueryKind::kTrajectory: {
       const auto& value = std::get<TrajectoryQueryResult>(result);
       out = WriteIdList(value.rules, out);
-      out = WriteVarint(value.trajectories.size(), out);
-      for (const Trajectory& t : value.trajectories) out = WritePoints(t, out);
+      out = WriteVarint(value.trajectory_count(), out);
+      for (size_t t = 0; t < value.trajectory_count(); ++t) {
+        out = WritePoints(value.trajectory(t), out);
+      }
       return out;
     }
     case QueryKind::kCompare: {
@@ -237,10 +239,10 @@ Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
     }
     case QueryKind::kContentView: {
       const auto& value = std::get<ContentViewResult>(result);
-      out = WriteVarint(value.size(), out);
-      for (const auto& [item, rules] : value) {
-        out = WriteVarint(item, out);
-        out = WriteIdList(rules, out);
+      out = WriteVarint(value.items.size(), out);
+      for (size_t i = 0; i < value.items.size(); ++i) {
+        out = WriteVarint(value.items[i], out);
+        out = WriteIdList(value.rules_of(i), out);
       }
       return out;
     }
@@ -265,27 +267,32 @@ Out PutResult(QueryKind kind, const QueryResult& result, Out out) {
 /// varint, the present byte and two f64s.
 constexpr uint64_t kMinPointBytes = 18;
 
-/// A point count is only as good as the bytes behind it: a count the
-/// rest cannot hold at kMinPointBytes a point is malformed, and any other
-/// sizes the points up front — at most 24/18 of the bytes behind it.
-bool DecodeTrajectory(ByteReader* in, Trajectory* out) {
-  uint64_t count = 0;
-  if (!in->U64(&count) || count > in->remaining() / kMinPointBytes) {
-    return false;
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    TrajectoryPoint point;
-    uint64_t window = 0;
-    uint8_t present = 0;
-    if (!in->U64(&window) || !in->Byte(&present) ||
-        !in->F64(&point.support) || !in->F64(&point.confidence)) {
+/// Decodes `count` trajectories into the flat block. The points are
+/// reserved once, for as many as the remaining bytes hold at
+/// kMinPointBytes a point (at most 24/18 of those bytes), so they never
+/// grow; a point count the rest cannot hold is malformed.
+bool DecodeTrajectories(ByteReader* in, uint64_t count,
+                        TrajectoryQueryResult* out) {
+  out->offsets.reserve(count + 1);
+  out->points.reserve(in->remaining() / kMinPointBytes);
+  for (uint64_t t = 0; t < count; ++t) {
+    uint64_t points = 0;
+    if (!in->U64(&points) || points > in->remaining() / kMinPointBytes) {
       return false;
     }
-    point.window = static_cast<WindowId>(window);
-    point.present = present != 0;
-    out->push_back(point);
+    for (uint64_t i = 0; i < points; ++i) {
+      TrajectoryPoint point;
+      uint64_t window = 0;
+      uint8_t present = 0;
+      if (!in->U64(&window) || !in->Byte(&present) ||
+          !in->F64(&point.support) || !in->F64(&point.confidence)) {
+        return false;
+      }
+      point.window = static_cast<WindowId>(window);
+      point.present = present != 0;
+      out->points.push_back(point);
+    }
+    out->offsets.push_back(static_cast<uint32_t>(out->points.size()));
   }
   return true;
 }
@@ -317,11 +324,9 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
     case QueryKind::kTrajectory: {
       TrajectoryQueryResult value;
       uint64_t count = 0;
-      if (!in.IdList(&value.rules) || !in.Count(&count)) return std::nullopt;
-      for (uint64_t i = 0; i < count; ++i) {
-        Trajectory trajectory;
-        if (!DecodeTrajectory(&in, &trajectory)) return std::nullopt;
-        value.trajectories.push_back(std::move(trajectory));
+      if (!in.IdList(&value.rules) || !in.Count(&count) ||
+          !DecodeTrajectories(&in, count, &value)) {
+        return std::nullopt;
       }
       result = std::move(value);
       break;
@@ -361,17 +366,27 @@ std::optional<QueryResult> DecodeQueryResult(QueryKind kind,
       ContentViewResult value;
       uint64_t count = 0;
       if (!in.Count(&count)) return std::nullopt;
+      value.items.reserve(count);
+      value.offsets.reserve(count + 1);
       // Items ascend strictly, as the grammar writes them: bytes naming an
       // item twice, or out of order, are not a result any encoder wrote.
+      // The rules grow by each item's count, which the bytes behind it
+      // must back.
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t item = 0;
-        std::vector<RuleId> rules;
-        if (!in.U64(&item) || !in.IdList(&rules) || item > UINT32_MAX ||
-            (!value.empty() && item <= value.rbegin()->first)) {
+        uint64_t rules = 0;
+        if (!in.U64(&item) || item > UINT32_MAX ||
+            (!value.items.empty() && item <= value.items.back()) ||
+            !in.Count(&rules)) {
           return std::nullopt;
         }
-        value.emplace_hint(value.end(), static_cast<ItemId>(item),
-                           std::move(rules));
+        value.items.push_back(static_cast<ItemId>(item));
+        const size_t begin = value.rules.size();
+        value.rules.resize(begin + rules);
+        for (size_t r = begin; r < value.rules.size(); ++r) {
+          if (!in.Id(&value.rules[r])) return std::nullopt;
+        }
+        value.offsets.push_back(static_cast<uint32_t>(value.rules.size()));
       }
       result = std::move(value);
       break;

@@ -42,25 +42,16 @@ RollUpBound RollUpTree::RollUp(RuleId rule,
     total_slack += window_slack_prefix_[b + 1] - window_slack_prefix_[a];
   }
 
-  // Merge the rule's series with the requested windows, both ascending,
-  // and stop after the last window requested.
-  const WindowId last = windows.back();
   uint64_t present_size = 0;
   uint64_t present_slack = 0;
   uint32_t present = 0;
-  size_t next = 0;
-  archive_->VisitEntries(rule, [&](const ArchiveEntry& e) {
-    if (e.window > last) return false;
-    while (windows[next] < e.window) ++next;  // stops at `last` at the latest
-    if (windows[next] == e.window) {
-      const WindowId w = e.window;
-      agg.known_rule += e.rule_count;
-      agg.known_ant += e.antecedent_count;
-      present_size += window_size_prefix_[w + 1] - window_size_prefix_[w];
-      present_slack += window_slack_prefix_[w + 1] - window_slack_prefix_[w];
-      ++present;
-    }
-    return e.window < last;
+  archive_->VisitWindows(rule, windows, [&](size_t, const ArchiveEntry& e) {
+    const WindowId w = e.window;
+    agg.known_rule += e.rule_count;
+    agg.known_ant += e.antecedent_count;
+    present_size += window_size_prefix_[w + 1] - window_size_prefix_[w];
+    present_slack += window_slack_prefix_[w + 1] - window_slack_prefix_[w];
+    ++present;
   });
   agg.missing_windows = static_cast<uint32_t>(windows.size()) - present;
   agg.missing_size = agg.total - present_size;

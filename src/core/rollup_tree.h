@@ -20,8 +20,8 @@ namespace tara {
 /// A request resolves as: the transactions and worst-case slack of each
 /// maximal run of consecutive windows from two prefix differences; the
 /// rule's known counts, and the sizes and slacks of the windows that
-/// archived it, from one streaming pass over its archive series that
-/// stops after the last requested window; and the missing windows' terms
+/// archived it, from the archive's window-axis walk
+/// (TarArchive::VisitWindows); and the missing windows' terms
 /// as totals minus present. Every term is an exact u64 sum, so
 /// FinishRollUp produces bit-equal doubles to TarArchive::RollUp.
 ///

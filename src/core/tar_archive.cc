@@ -98,13 +98,8 @@ std::span<const ArchiveEntry> TarArchive::DecodeInto(
 std::optional<ArchiveEntry> TarArchive::EntryFor(RuleId rule,
                                                  WindowId window) const {
   std::optional<ArchiveEntry> found;
-  VisitEntries(rule, [&](const ArchiveEntry& e) {
-    if (e.window == window) {
-      found = e;
-      return false;
-    }
-    return e.window < window;  // series is window-ordered: stop once past
-  });
+  VisitWindows(rule, std::span<const WindowId>(&window, 1),
+               [&](size_t, const ArchiveEntry& e) { found = e; });
   return found;
 }
 

@@ -134,12 +134,46 @@ class TarArchive {
     entry.antecedent_count = next();
     if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     while (pos < size) {
-      entry.window += static_cast<WindowId>(next());
-      entry.rule_count += static_cast<uint64_t>(codec::ZigzagDecode(next()));
+      uint64_t gap, rule_delta, antecedent_delta;
+      // A steady rule's delta entry is three one-byte varints: read them
+      // with one test instead of a branch each.
+      if (size - pos >= 3 &&
+          ((data[pos] | data[pos + 1] | data[pos + 2]) & 0x80) == 0) {
+        gap = data[pos];
+        rule_delta = data[pos + 1];
+        antecedent_delta = data[pos + 2];
+        pos += 3;
+      } else {
+        gap = next();
+        rule_delta = next();
+        antecedent_delta = next();
+      }
+      entry.window += static_cast<WindowId>(gap);
+      entry.rule_count +=
+          static_cast<uint64_t>(codec::ZigzagDecode(rule_delta));
       entry.antecedent_count +=
-          static_cast<uint64_t>(codec::ZigzagDecode(next()));
+          static_cast<uint64_t>(codec::ZigzagDecode(antecedent_delta));
       if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
     }
+  }
+
+  /// The window-axis walk: merges the rule's series with `windows`
+  /// (strictly ascending, as WindowSet::ids() gives them; unchecked) and
+  /// calls visit(i, entry) for each windows[i] the rule archived, in
+  /// order. The scan stops after the last requested window, so a horizon
+  /// that ends early decodes only the series' prefix.
+  template <typename Visit>
+  void VisitWindows(RuleId rule, std::span<const WindowId> windows,
+                    Visit&& visit) const {
+    if (windows.empty()) return;
+    const WindowId last = windows.back();
+    size_t next = 0;
+    VisitEntries(rule, [&](const ArchiveEntry& e) {
+      if (e.window > last) return false;
+      while (windows[next] < e.window) ++next;  // stops at `last` at the latest
+      if (windows[next] == e.window) visit(next, e);
+      return e.window < last;
+    });
   }
 
   /// Returns the entry of `rule` in `window`, if archived. Early-exits the

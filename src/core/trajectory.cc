@@ -2,59 +2,65 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+
+#include "common/logging.h"
 
 namespace tara {
 namespace {
 
-void FillPoints(const TarArchive& archive,
-                std::span<const ArchiveEntry> series,
-                std::span<const WindowId> windows, TrajectoryPoint* out) {
-  for (size_t i = 0; i < windows.size(); ++i) {
-    const WindowId w = windows[i];
-    TrajectoryPoint point;
-    point.window = w;
-    // The series is window-ordered by construction; the request order is
-    // arbitrary, so each lookup is an independent binary search.
-    const auto it = std::lower_bound(
-        series.begin(), series.end(), w,
-        [](const ArchiveEntry& e, WindowId target) {
-          return e.window < target;
-        });
-    if (it != series.end() && it->window == w) {
-      point.present = true;
-      const uint64_t total = archive.window_size(w);
-      point.support = total == 0 ? 0.0
-                                 : static_cast<double>(it->rule_count) /
-                                       static_cast<double>(total);
-      point.confidence = it->antecedent_count == 0
-                             ? 0.0
-                             : static_cast<double>(it->rule_count) /
-                                   static_cast<double>(it->antecedent_count);
-    }
-    out[i] = point;
-  }
+void CheckAscending(std::span<const WindowId> windows) {
+  TARA_CHECK(std::adjacent_find(windows.begin(), windows.end(),
+                                std::greater_equal<WindowId>()) ==
+             windows.end())
+      << "trajectory windows must be strictly ascending";
 }
 
 }  // namespace
 
+TrajectoryPoint* WriteTrajectory(const TarArchive& archive, RuleId rule,
+                                 std::span<const WindowId> windows,
+                                 TrajectoryPoint* out) {
+  size_t next = 0;  // windows[next] is the first point not yet written
+  const auto absent_until = [&](size_t end) {
+    for (; next < end; ++next) {
+      *out++ = TrajectoryPoint{.window = windows[next]};
+    }
+  };
+  archive.VisitWindows(rule, windows, [&](size_t i, const ArchiveEntry& e) {
+    absent_until(i);
+    const uint64_t total = archive.window_size(e.window);
+    *out++ = TrajectoryPoint{
+        .window = e.window,
+        .present = true,
+        .support = total == 0 ? 0.0
+                              : static_cast<double>(e.rule_count) /
+                                    static_cast<double>(total),
+        .confidence = e.antecedent_count == 0
+                          ? 0.0
+                          : static_cast<double>(e.rule_count) /
+                                static_cast<double>(e.antecedent_count)};
+    next = i + 1;
+  });
+  absent_until(windows.size());
+  return out;
+}
+
 std::span<const TrajectoryPoint> BuildTrajectoryInto(
     const TarArchive& archive, RuleId rule, std::span<const WindowId> windows,
     DecodeArena& arena) {
-  const std::span<const ArchiveEntry> series = archive.DecodeInto(rule, arena);
+  CheckAscending(windows);
   std::span<TrajectoryPoint> out =
       arena.AllocSpan<TrajectoryPoint>(windows.size());
-  FillPoints(archive, series, windows, out.data());
+  WriteTrajectory(archive, rule, windows, out.data());
   return out;
 }
 
 Trajectory BuildTrajectory(const TarArchive& archive, RuleId rule,
-                           std::span<const WindowId> windows,
-                           DecodeArena* scratch) {
-  DecodeArena local;
-  DecodeArena& arena = scratch != nullptr ? *scratch : local;
-  const std::span<const ArchiveEntry> series = archive.DecodeInto(rule, arena);
+                           std::span<const WindowId> windows) {
+  CheckAscending(windows);
   Trajectory trajectory(windows.size());
-  FillPoints(archive, series, windows, trajectory.data());
+  WriteTrajectory(archive, rule, windows, trajectory.data());
   return trajectory;
 }
 

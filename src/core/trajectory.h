@@ -40,19 +40,27 @@ struct TrajectoryMeasures {
   double mean_confidence = 0.0;
 };
 
-/// Assembles the trajectory of `rule` across `windows` (any order; points
-/// come back in request order) into `arena` — the zero-allocation hot-path
-/// shape. The span stays valid until the arena's next Reset(), which also
-/// reclaims the decode scratch.
+/// Writes the trajectory of `rule` over `windows` to out[0,
+/// windows.size()), each point once, and returns the end: the archive's
+/// window-axis walk (TarArchive::VisitWindows) yields the windows the rule
+/// archived, and the windows between them are absent. The series is
+/// decoded only up to the last window. `windows` must be strictly
+/// ascending, as WindowSet::ids() gives them. Unchecked here, so a caller
+/// writing many rules over one horizon checks it once.
+TrajectoryPoint* WriteTrajectory(const TarArchive& archive, RuleId rule,
+                                 std::span<const WindowId> windows,
+                                 TrajectoryPoint* out);
+
+/// The trajectory of `rule` across `windows` (strictly ascending; checked)
+/// in `arena`: allocation-free once the arena is warm. The span stays
+/// valid until the arena's next Reset().
 std::span<const TrajectoryPoint> BuildTrajectoryInto(
     const TarArchive& archive, RuleId rule, std::span<const WindowId> windows,
     DecodeArena& arena);
 
-/// Allocating convenience shape; `scratch` reuses a caller arena for the
-/// decode instead of a per-call one.
+/// Allocating convenience shape of BuildTrajectoryInto.
 Trajectory BuildTrajectory(const TarArchive& archive, RuleId rule,
-                           std::span<const WindowId> windows,
-                           DecodeArena* scratch = nullptr);
+                           std::span<const WindowId> windows);
 inline Trajectory BuildTrajectory(const TarArchive& archive, RuleId rule,
                                   std::initializer_list<WindowId> windows) {
   return BuildTrajectory(

@@ -504,11 +504,11 @@ DecodeBatchResultPayload(std::string_view payload) {
     if (status == 0) {
       auto result = DecodeResultPayload(body);
       if (!result.has_value()) return result.error();
-      results.push_back(std::move(result->second));
+      results.emplace_back(std::move(result).value().second);
     } else {
       auto error = DecodeErrorPayload(body);
       if (!error.has_value()) return error.error();
-      results.push_back(*std::move(error));
+      results.emplace_back(*std::move(error));
     }
   }
   if (!in.AtEnd()) return Trailing(in.remaining());

@@ -115,7 +115,7 @@ Expected<QueryResult, WireError> TaraClient::Execute(
   if (result->first != request.kind) {
     return Protocol("server answered with a different query kind");
   }
-  return std::move(result->second);
+  return std::move(result).value().second;
 }
 
 Expected<std::vector<Expected<QueryResult, WireError>>, WireError>

@@ -426,8 +426,13 @@ TEST(WindowIndexTest, AnswersMatchBruteForceInServingOrder) {
       for (auto& [item, rules] : grouped) std::sort(rules.begin(), rules.end());
       const auto view = kb->ContentView(w, setting);
       ASSERT_TRUE(view.has_value());
-      const std::map<ItemId, std::vector<RuleId>> served(view->begin(),
-                                                         view->end());
+      std::map<ItemId, std::vector<RuleId>> served;
+      for (size_t i = 0; i < view->items.size(); ++i) {
+        const std::span<const RuleId> rules = view->rules_of(i);
+        served[view->items[i]].assign(rules.begin(), rules.end());
+      }
+      ASSERT_EQ(served.size(), view->items.size()) << "an item named twice";
+      ASSERT_TRUE(std::is_sorted(view->items.begin(), view->items.end()));
       ASSERT_EQ(served, grouped) << "window " << w << " s=" << s;
     }
 

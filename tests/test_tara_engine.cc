@@ -75,6 +75,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.01, 0.02, 0.05, 0.1),
                        ::testing::Values(0.1, 0.3, 0.5, 0.8)));
 
+// Each horizon shape exercises a part of the archive walk: every window;
+// one window; a set with a gap (the walk skips archived windows before
+// and between requested ones); a prefix ending before the anchor, which
+// every answered rule archived (the walk stops early); and a suffix
+// starting after window 0, the first archived window of many (the walk
+// skips the series' head).
 TEST(TaraEngineTest, TrajectoriesMatchRawScans) {
   const EvolvingDatabase data = MakeEvolvingQuest(4, 32);
   TaraEngine engine(EngineOptions());
@@ -82,39 +88,53 @@ TEST(TaraEngineTest, TrajectoriesMatchRawScans) {
   const auto kb = engine.Snapshot();
 
   const ParameterSetting setting{0.03, 0.3};
-  const WindowSet horizon = kb->AllWindows();
-  const auto result = kb->TrajectoryQuery(3, setting, horizon).value();
-  ASSERT_FALSE(result.rules.empty());
-  ASSERT_EQ(result.rules.size(), result.trajectories.size());
+  const WindowId anchor = 3;
+  const std::vector<std::vector<WindowId>> horizons = {
+      {0, 1, 2, 3}, {2}, {1, 3}, {0, 1, 2}, {2, 3}};
+  for (const std::vector<WindowId>& ids : horizons) {
+    const WindowSet horizon = kb->MakeWindowSet(ids);
+    const auto result = kb->TrajectoryQuery(anchor, setting, horizon).value();
+    ASSERT_FALSE(result.rules.empty());
+    ASSERT_EQ(result.rules.size(), result.trajectory_count());
 
-  for (size_t i = 0; i < result.rules.size(); ++i) {
-    const Rule& rule = engine.catalog().rule(result.rules[i]);
-    const Itemset whole = Union(rule.antecedent, rule.consequent);
-    for (const TrajectoryPoint& p : result.trajectories[i]) {
-      const WindowInfo& info = data.window(p.window);
-      const uint64_t rule_count = data.database().CountContaining(
-          whole, info.begin, info.end);
-      const uint64_t ant_count = data.database().CountContaining(
-          rule.antecedent, info.begin, info.end);
-      if (p.present) {
-        EXPECT_DOUBLE_EQ(p.support,
-                         static_cast<double>(rule_count) / info.size());
-        EXPECT_DOUBLE_EQ(p.confidence,
-                         static_cast<double>(rule_count) / ant_count);
-      } else {
-        // Absent means sub-floor in that window (or rule truly missing) —
-        // the rule may still occur, but below the generation threshold or
-        // confidence floor.
-        const double support =
-            static_cast<double>(rule_count) / info.size();
-        const double confidence =
-            ant_count == 0 ? 0.0
-                           : static_cast<double>(rule_count) / ant_count;
-        EXPECT_TRUE(support < engine.options().min_support_floor ||
-                    confidence < engine.options().min_confidence_floor)
-            << "rule archived counts missing though above floors";
+    size_t present = 0;
+    for (size_t i = 0; i < result.rules.size(); ++i) {
+      const Rule& rule = engine.catalog().rule(result.rules[i]);
+      const Itemset whole = Union(rule.antecedent, rule.consequent);
+      const auto trajectory = result.trajectory(i);
+      ASSERT_EQ(trajectory.size(), ids.size());
+      for (size_t k = 0; k < ids.size(); ++k) {
+        const TrajectoryPoint& p = trajectory[k];
+        ASSERT_EQ(p.window, ids[k]);
+        const WindowInfo& info = data.window(p.window);
+        const uint64_t rule_count = data.database().CountContaining(
+            whole, info.begin, info.end);
+        const uint64_t ant_count = data.database().CountContaining(
+            rule.antecedent, info.begin, info.end);
+        if (p.present) {
+          ++present;
+          EXPECT_DOUBLE_EQ(p.support,
+                           static_cast<double>(rule_count) / info.size());
+          EXPECT_DOUBLE_EQ(p.confidence,
+                           static_cast<double>(rule_count) / ant_count);
+        } else {
+          // Absent means sub-floor in that window (or rule truly missing)
+          // — the rule may still occur, but below the generation
+          // threshold or confidence floor.
+          const double support =
+              static_cast<double>(rule_count) / info.size();
+          const double confidence =
+              ant_count == 0 ? 0.0
+                             : static_cast<double>(rule_count) / ant_count;
+          EXPECT_TRUE(support < engine.options().min_support_floor ||
+                      confidence < engine.options().min_confidence_floor)
+              << "rule archived counts missing though above floors, window "
+              << p.window;
+        }
       }
     }
+    EXPECT_GT(present, 0u) << "no point present over " << ids.size()
+                           << " windows";
   }
 }
 
@@ -231,10 +251,12 @@ TEST(TaraEngineTest, ContentViewGroupsResultByItem) {
   for (RuleId id : rules) {
     const Rule& r = engine.catalog().rule(id);
     for (ItemId item : r.antecedent) {
-      const auto it = view.find(item);
-      ASSERT_NE(it, view.end());
-      EXPECT_TRUE(std::binary_search(it->second.begin(), it->second.end(),
-                                     id));
+      const auto it =
+          std::lower_bound(view.items.begin(), view.items.end(), item);
+      ASSERT_TRUE(it != view.items.end() && *it == item);
+      const auto item_rules = view.rules_of(it - view.items.begin());
+      EXPECT_TRUE(
+          std::binary_search(item_rules.begin(), item_rules.end(), id));
     }
   }
 }

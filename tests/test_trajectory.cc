@@ -85,12 +85,26 @@ TEST(BuildTrajectoryTest, SelectsRequestedWindowsOnly) {
   TarArchive archive;
   for (WindowId w = 0; w < 5; ++w) archive.RegisterWindow(w, 100, 2);
   for (WindowId w = 0; w < 5; ++w) archive.Add(1, w, 10 + w, 20);
-  const Trajectory t = BuildTrajectory(archive, 1, {4, 2});
+  const Trajectory t = BuildTrajectory(archive, 1, {2, 4});
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].window, 4u);
-  EXPECT_DOUBLE_EQ(t[0].support, 0.14);
-  EXPECT_EQ(t[1].window, 2u);
-  EXPECT_DOUBLE_EQ(t[1].support, 0.12);
+  EXPECT_EQ(t[0].window, 2u);
+  EXPECT_DOUBLE_EQ(t[0].support, 0.12);
+  EXPECT_EQ(t[1].window, 4u);
+  EXPECT_DOUBLE_EQ(t[1].support, 0.14);
+}
+
+// The walk merges the series with the windows in one ascending pass, so
+// a window list out of order or repeated is a caller bug, not a request.
+TEST(BuildTrajectoryDeathTest, RefusesWindowsNotStrictlyAscending) {
+  TarArchive archive;
+  for (WindowId w = 0; w < 5; ++w) archive.RegisterWindow(w, 100, 2);
+  archive.Add(1, 2, 10, 20);
+  EXPECT_DEATH(BuildTrajectory(archive, 1, {4, 2}), "strictly ascending");
+  EXPECT_DEATH(BuildTrajectory(archive, 1, {2, 2}), "strictly ascending");
+  DecodeArena arena;
+  const WindowId descending[] = {3, 1};
+  EXPECT_DEATH(BuildTrajectoryInto(archive, 1, descending, arena),
+               "strictly ascending");
 }
 
 }  // namespace

@@ -179,7 +179,8 @@ TEST(WireFormat, ContentViewDecodesOnlyInCanonicalOrder) {
   const auto canonical = decode({2, 2, 1, 9, 4, 2, 1, 2});
   ASSERT_TRUE(canonical.has_value());
   EXPECT_EQ(std::get<ContentViewResult>(*canonical),
-            (ContentViewResult{{2, {9}}, {4, {1, 2}}}));
+            (ContentViewResult{
+                .items = {2, 4}, .offsets = {0, 1, 3}, .rules = {9, 1, 2}}));
   EXPECT_EQ(EncodeQueryResult(QueryKind::kContentView, *canonical),
             std::string("\x02\x02\x01\x09\x04\x02\x01\x02", 8));
 
@@ -623,10 +624,12 @@ std::vector<std::pair<QueryKind, QueryResult>> OneResultOfEachKind() {
   results.emplace_back(QueryKind::kMineWindow,
                        std::vector<RuleId>{3, 1, 400});
   results.emplace_back(QueryKind::kMineWindows, std::vector<RuleId>{0, 200});
-  TrajectoryQueryResult trajectory;
-  trajectory.rules = {5, 9};
-  trajectory.trajectories = {{{0, true, 0.25, 0.5}, {1, false, 0, 0}},
-                             {{2, true, 0.125, 1.0}}};
+  // Two trajectories of two points and one: rows need not be equal.
+  const TrajectoryQueryResult trajectory{
+      .rules = {5, 9},
+      .offsets = {0, 2, 3},
+      .points = {
+          {0, true, 0.25, 0.5}, {1, false, 0, 0}, {2, true, 0.125, 1.0}}};
   results.emplace_back(QueryKind::kTrajectory, trajectory);
   results.emplace_back(QueryKind::kCompare, RulesetDiff{{1, 2}, {300}});
   results.emplace_back(QueryKind::kRegion,
@@ -635,7 +638,9 @@ std::vector<std::pair<QueryKind, QueryResult>> OneResultOfEachKind() {
                        TrajectoryMeasures{0.5, 0.75, 0.1, 0.2, 0.3, 0.6});
   results.emplace_back(QueryKind::kContent, std::vector<RuleId>{7});
   results.emplace_back(QueryKind::kContentView,
-                       ContentViewResult{{4, {1, 2}}, {2, {9}}});
+                       ContentViewResult{.items = {2, 4},
+                                         .offsets = {0, 1, 3},
+                                         .rules = {9, 1, 2}});
   results.emplace_back(QueryKind::kRollUpRule,
                        RollUpBound{0.1, 0.2, 0.3, 0.4, 2});
   results.emplace_back(QueryKind::kRollUpMine, RolledUpRules{{1, 5}, {130}});
@@ -951,8 +956,17 @@ TEST(WireFormatFuzz, CorruptedFramesNeverCrash) {
           0, ParameterSetting{
                  std::bit_cast<double>(uint64_t{0x7ff8dead0000beef}), 0.3}),
       100));
-  corpus.push_back(
-      EncodeResultFrame(QueryKind::kMineWindow, std::vector<RuleId>{1, 2}));
+  // A result frame of every kind, and a batch of them, so every result
+  // decoder (the flat trajectory and content-view ones included) meets
+  // truncated, flipped and corrupted bytes.
+  std::vector<QueryKind> kinds;
+  std::vector<Expected<QueryResult, QueryError>> results;
+  for (const auto& [kind, result] : OneResultOfEachKind()) {
+    corpus.push_back(EncodeResultFrame(kind, result));
+    kinds.push_back(kind);
+    results.emplace_back(result);
+  }
+  corpus.push_back(EncodeBatchResultFrame(kinds, results));
   corpus.push_back(EncodeErrorFrame(ServerWireError::kOverloaded, "x"));
   TransactionDatabase db;
   db.Append(10, {1, 2});

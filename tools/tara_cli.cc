@@ -208,7 +208,8 @@ std::string Summarize(const QueryResult& result) {
                   measures->coverage, measures->stability,
                   measures->mean_support);
   } else if (const auto* view = std::get_if<ContentViewResult>(&result)) {
-    std::snprintf(buffer, sizeof(buffer), "%zu items in view", view->size());
+    std::snprintf(buffer, sizeof(buffer), "%zu items in view",
+                  view->items.size());
   } else if (const auto* bound = std::get_if<RollUpBound>(&result)) {
     std::snprintf(buffer, sizeof(buffer),
                   "supp [%.5f, %.5f] conf [%.4f, %.4f], %u missing",
@@ -443,7 +444,7 @@ class Session {
                    std::get_if<TrajectoryQueryResult>(&*result)) {
       for (size_t i = 0; i < traj->rules.size() && i < 5; ++i) {
         std::printf("  %-28s", name(traj->rules[i]).c_str());
-        for (const TrajectoryPoint& p : traj->trajectories[i]) {
+        for (const TrajectoryPoint& p : traj->trajectory(i)) {
           std::printf(p.present ? " %.4f" : "   --  ", p.support);
         }
         std::printf("\n");
