@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <utility>
 
@@ -608,14 +609,33 @@ std::optional<LoadError> TrimKnowledgeBase(const std::string& dir,
 }
 
 std::optional<LoadError> RemoveKnowledgeBase(const std::string& dir) {
-  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
-  if (!manifest.has_value()) return manifest.error();
   const std::filesystem::path root(dir);
-  for (const KbBlockInfo& block : manifest->blocks) {
-    if (auto error =
-            RemoveFile(root / KnowledgeBaseBlockFileName(block.file_index))) {
-      return error;
+  std::vector<std::filesystem::path> blocks;
+  auto manifest = ReadKnowledgeBaseBlocksManifest(dir);
+  if (manifest.has_value()) {
+    for (const KbBlockInfo& block : manifest->blocks) {
+      blocks.push_back(root / KnowledgeBaseBlockFileName(block.file_index));
     }
+  } else if (manifest.error().code == LoadError::Code::kTruncated) {
+    // A torn save names no blocks, so every block-named file goes, the
+    // blocks first: a second `db rm` can finish what a failed one began.
+    const std::regex block_name("block-[0-9]{6,}\\.blk");
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(root, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      if (std::regex_match(it->path().filename().string(), block_name)) {
+        blocks.push_back(it->path());
+      }
+    }
+    if (ec) {
+      return Err(LoadError::Code::kIoError,
+                 "cannot list " + dir + ": " + ec.message());
+    }
+  } else {
+    return manifest.error();
+  }
+  for (const std::filesystem::path& block : blocks) {
+    if (auto error = RemoveFile(block)) return error;
   }
   return RemoveFile(root / kBlocksManifestFile);
 }

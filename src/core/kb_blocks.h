@@ -141,7 +141,9 @@ std::optional<LoadError> TrimKnowledgeBase(const std::string& dir,
 /// Deletes every block file named by the manifest in `dir`, then the
 /// manifest itself (`db rm`). The directory itself is left in place;
 /// files the manifest does not name (a WAL, stray .tmp files) are not
-/// touched.
+/// touched. A manifest that exists but ends early (a torn save) names no
+/// blocks, so every file named like a block file goes with it. Without a
+/// manifest, or with one that fails any other way, nothing is removed.
 std::optional<LoadError> RemoveKnowledgeBase(const std::string& dir);
 
 /// A non-owning view of one window's segment blob inside a mapped block

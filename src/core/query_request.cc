@@ -281,15 +281,15 @@ bool DecodeTrajectories(ByteReader* in, uint64_t count,
       return false;
     }
     for (uint64_t i = 0; i < points; ++i) {
+      // A window past 32 bits or a present byte other than 0 or 1 is
+      // nothing an encoder writes: narrowed, it would name another answer.
       TrajectoryPoint point;
-      uint64_t window = 0;
       uint8_t present = 0;
-      if (!in->U64(&window) || !in->Byte(&present) ||
+      if (!in->Id(&point.window) || !in->Byte(&present) || present > 1 ||
           !in->F64(&point.support) || !in->F64(&point.confidence)) {
         return false;
       }
-      point.window = static_cast<WindowId>(window);
-      point.present = present != 0;
+      point.present = present == 1;
       out->points.push_back(point);
     }
     out->offsets.push_back(static_cast<uint32_t>(out->points.size()));

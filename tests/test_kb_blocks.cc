@@ -1087,6 +1087,45 @@ TEST_F(KbBlocksTest, SaveOverAKnowledgeBaseLeavesNoOrphans) {
                                  << leftovers.front();
 }
 
+TEST_F(KbBlocksTest, RemoveClearsAKnowledgeBaseWhoseManifestIsTorn) {
+  const auto files = [&] {
+    std::vector<std::string> names;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const EvolvingDatabase data = MakeData(4);
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*BuildEngine(data).Snapshot(),
+                                       dir_.string(), 4096)
+                   .has_value());
+  ASSERT_EQ(ReadKnowledgeBaseBlocksManifest(dir_.string())->blocks.size(), 4u);
+  const fs::path manifest = dir_ / KnowledgeBaseBlocksManifestFileName();
+  const std::vector<std::string> saved = files();
+
+  // A manifest that fails any way but ending early is still refused, and
+  // nothing is removed.
+  WriteFileBytes(manifest, "not a manifest");
+  EXPECT_TRUE(RemoveKnowledgeBase(dir_.string()).has_value());
+  EXPECT_EQ(files(), saved);
+
+  // A torn save: the manifest is cut to 0 bytes. The block files and the
+  // manifest go; a stranger, and a name only like a block's, stay.
+  fs::resize_file(manifest, 0);
+  WriteFileBytes(dir_ / "bystander.txt", "not part of the kb");
+  WriteFileBytes(dir_ / "block-12x456.blk", "not a block either");
+  ASSERT_EQ(ReadKnowledgeBaseBlocksManifest(dir_.string()).error().code,
+            LoadError::Code::kTruncated);
+  ASSERT_FALSE(RemoveKnowledgeBase(dir_.string()).has_value());
+  EXPECT_EQ(files(),
+            (std::vector<std::string>{"block-12x456.blk", "bystander.txt"}));
+
+  // No manifest at all: refused.
+  EXPECT_TRUE(RemoveKnowledgeBase(dir_.string()).has_value());
+  EXPECT_EQ(files().size(), 2u);
+}
+
 TEST_F(KbBlocksTest, WalRecoveryOverBlocksReproducesAckedState) {
   const EvolvingDatabase data = MakeData(4);
   const fs::path wal_dir = dir_ / "wal";

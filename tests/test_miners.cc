@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "datagen/basket_generators.h"
 #include "datagen/quest_generator.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
@@ -162,6 +164,98 @@ TEST(MinerEquivalenceTest, AllFourAgreeOnQuestData) {
     EXPECT_EQ(apriori[i].count, hmine[i].count);
     EXPECT_EQ(apriori[i].items, eclat[i].items);
     EXPECT_EQ(apriori[i].count, eclat[i].count);
+  }
+}
+
+/// Order-sensitive hash of a miner's output: every itemset's items and
+/// count, in the order the miner emitted them.
+uint64_t EmissionHash(const std::vector<FrequentItemset>& mined) {
+  uint64_t h = 0;
+  for (const FrequentItemset& f : mined) {
+    h = HashCombine(h, f.items.size());
+    for (const ItemId item : f.items) h = HashCombine(h, item);
+    h = HashCombine(h, f.count);
+  }
+  return h;
+}
+
+/// A Quest window shaped like the benchmark's explore_cold read windows:
+/// 300 items, 200 patterns of mean length 3.
+TransactionDatabase ExploreShapedQuest(uint32_t transactions) {
+  QuestGenerator::Params params;
+  params.num_transactions = transactions;
+  params.num_items = 300;
+  params.num_patterns = 200;
+  params.avg_pattern_len = 3;
+  params.seed = 1;
+  return QuestGenerator(params).Generate();
+}
+
+std::vector<FrequentItemset> MineFp(const TransactionDatabase& db,
+                                    size_t begin, size_t end, double support,
+                                    uint32_t max_size) {
+  FrequentItemsetMiner::Options options;
+  options.min_count = MinCountForSupport(support, end - begin);
+  options.max_size = max_size;
+  return FpGrowthMiner().Mine(db, begin, end, options);
+}
+
+// FP-growth's emission order is part of the stored bytes: GenerateRules
+// walks the itemsets in that order and the rule catalog interns ids in
+// it, so every segment, WAL record and wire answer built from a mined
+// window depends on it. The order is: singletons by descending count
+// (ties by ascending item id); then each frequent item from the rarest to
+// the most frequent, followed depth-first by its extensions, siblings in
+// ascending item id. The constants below were captured from the nested
+// FP-tree miner that preceded the flat one, before the flat one replaced
+// it; they pin that order and must never be edited.
+TEST(FpGrowthEmissionOrderTest, MatchesThePinnedSequence) {
+  const TransactionDatabase explore = ExploreShapedQuest(1500);
+  const auto capped = MineFp(explore, 0, explore.size(), 0.01, 4);
+  EXPECT_EQ(capped.size(), 1903u);
+  EXPECT_EQ(EmissionHash(capped), 0x271dfb96964cd55eULL);
+  const auto uncapped = MineFp(explore, 0, explore.size(), 0.01, 0);
+  EXPECT_EQ(uncapped.size(), 1904u);
+  EXPECT_EQ(EmissionHash(uncapped), 0x13985645dd2673eaULL);
+
+  BasketGenerator::Params retail = BasketGenerator::RetailPreset();
+  retail.num_transactions = 3000;
+  const TransactionDatabase basket =
+      BasketGenerator(retail).GenerateBatch(0, 0);
+  const auto baskets = MineFp(basket, 0, basket.size(), 0.002, 5);
+  EXPECT_EQ(baskets.size(), 7253u);
+  EXPECT_EQ(EmissionHash(baskets), 0xadf88b38edd3a4f7ULL);
+
+  const TransactionDatabase longer = ExploreShapedQuest(3000);
+  const auto slice = MineFp(longer, 1000, 2500, 0.01, 4);
+  EXPECT_EQ(slice.size(), 1860u);
+  EXPECT_EQ(EmissionHash(slice), 0x0ed22bb488bb57a6ULL);
+}
+
+// Item ids are 32-bit and may be sparse: the same window relabelled to ids
+// near 3e9 (an order-preserving map) mines the relabelled itemsets with
+// the same counts, in the same order, without an allocation sized by the
+// largest id.
+TEST(FpGrowthEmissionOrderTest, SparseHighItemIdsMineTheSameItemsets) {
+  const TransactionDatabase explore = ExploreShapedQuest(1500);
+  const auto relabel = [](ItemId item) {
+    return static_cast<ItemId>(3'000'000'000u + item * 1'000'003u);
+  };
+  TransactionDatabase wide;
+  for (const Transaction& t : explore.transactions()) {
+    Itemset items;
+    for (const ItemId item : t.items) items.push_back(relabel(item));
+    wide.Append(t.time, std::move(items));
+  }
+  const auto want = MineFp(explore, 0, explore.size(), 0.01, 4);
+  const auto got = MineFp(wide, 0, wide.size(), 0.01, 4);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    Itemset expected;
+    for (const ItemId item : want[i].items) expected.push_back(relabel(item));
+    ASSERT_EQ(got[i].items, expected) << "itemset " << i;
+    ASSERT_EQ(got[i].count, want[i].count) << "itemset " << i;
   }
 }
 

@@ -284,6 +284,30 @@ TEST(WireFormat, IdsPastThirtyTwoBitsAreTypedErrors) {
   ASSERT_FALSE(wide_info.has_value());
   EXPECT_EQ(wide_info.error().code, ParseError::Code::kBadResultBody);
 
+  // A one-point trajectory answer whose window is past 32 bits, or whose
+  // present byte is neither 0 nor 1: narrowed, it would read as window 3
+  // or as present.
+  const auto trajectory = [](uint64_t window, uint8_t present) {
+    codec::StringWriter out;
+    out.IdList(std::vector<uint64_t>{4});
+    out.U64(1);  // one trajectory
+    out.U64(1);  // of one point
+    out.U64(window);
+    out.Byte(present);
+    out.F64(0.25);
+    out.F64(0.5);
+    return DecodeQueryResult(QueryKind::kTrajectory, out.bytes());
+  };
+  ASSERT_TRUE(trajectory(3, 0).has_value());
+  const auto point = trajectory(3, 1);
+  ASSERT_TRUE(point.has_value());
+  const auto& decoded_point =
+      std::get<TrajectoryQueryResult>(*point).trajectory(0)[0];
+  EXPECT_EQ(decoded_point.window, 3u);
+  EXPECT_TRUE(decoded_point.present);
+  EXPECT_FALSE(trajectory(kPast + 3, 1).has_value());
+  EXPECT_FALSE(trajectory(3, 2).has_value());
+
   // Item gaps add up past 32 bits.
   codec::StringWriter items;
   items.U64(2);
