@@ -1,12 +1,10 @@
-// Decode-kernel and roll-up-index microbench: prices the two layers the
-// kernelized decode refactor added to the query stack.
+// Archive-decode and roll-up-index microbench: prices the archive's one
+// decoder and the roll-up tree built on it.
 //
-// Part 1 (kernel rows): raw decode throughput (MB/s over payload bytes)
-// of every kernel the host supports over stable-rule streams — gap 1 and
+// Part 1 (decode row): TarArchive::DecodeInto throughput (MB/s over
+// payload bytes) over every rule of a stable-rule archive — gap 1 and
 // small count wobble, so almost every varint is one byte: the shape the
-// SIMD fast path targets. CI asserts the dispatched kernel is never
-// slower than the scalar reference (modulo noise when dispatch IS
-// scalar).
+// archive's one-test fast path for three one-byte varints targets.
 //
 // Part 2 (rollup rows): RollUp p50 latency, linear archive scan (decode
 // the series, binary-search each window) vs the roll-up tree (window-axis
@@ -34,10 +32,7 @@
 
 #include "bench/bench_report.h"
 #include "common/arena.h"
-#include "common/cpu_features.h"
 #include "common/rng.h"
-#include "common/byte_codec.h"
-#include "core/decode_kernels.h"
 #include "core/rollup_tree.h"
 #include "core/tar_archive.h"
 #include "core/wire_format.h"
@@ -68,51 +63,21 @@ double PercentileUs(std::vector<uint64_t>* ns, double p) {
   return static_cast<double>((*ns)[index]) / 1000.0;
 }
 
-/// The archive and the raw per-rule byte streams (re-encoded exactly as
-/// TarArchive::Add lays them out, so the kernel loop can decode them
-/// without going through dispatch).
-struct Workload {
-  std::shared_ptr<TarArchive> archive = std::make_shared<TarArchive>();
-  std::vector<std::vector<uint8_t>> streams;
-  size_t payload_bytes = 0;
-
-  Workload() {
-    Rng rng(7);
-    std::vector<ArchiveEntry> last(kRules);
-    streams.resize(kRules);
-    for (WindowId w = 0; w < kWindows; ++w) {
-      archive->RegisterWindow(w, kWindowSize, 50, 0.1);
-      for (RuleId r = 0; r < kRules; ++r) {
-        const uint64_t rule_count = 500 + r + rng.NextBounded(16);
-        const uint64_t ant_count = rule_count + rng.NextBounded(16);
-        archive->Add(r, w, rule_count, ant_count);
-        std::vector<uint8_t>* bytes = &streams[r];
-        if (w == 0) {
-          codec::PutVarint(w, bytes);
-          codec::PutVarint(rule_count, bytes);
-          codec::PutVarint(ant_count, bytes);
-        } else {
-          codec::PutVarint(w - last[r].window, bytes);
-          codec::PutVarint(
-              codec::ZigzagEncode(static_cast<int64_t>(rule_count) -
-                                  static_cast<int64_t>(last[r].rule_count)),
-              bytes);
-          codec::PutVarint(
-              codec::ZigzagEncode(
-                  static_cast<int64_t>(ant_count) -
-                  static_cast<int64_t>(last[r].antecedent_count)),
-              bytes);
-        }
-        last[r] = ArchiveEntry{w, rule_count, ant_count};
-      }
-    }
-    for (const auto& s : streams) payload_bytes += s.size();
-    if (payload_bytes != archive->payload_bytes()) {
-      std::fprintf(stderr, "re-encoded streams diverge from the archive\n");
-      std::abort();
+/// A stable-rule archive: every rule in every window, counts wobbling by
+/// less than 16.
+std::shared_ptr<TarArchive> StableArchive() {
+  auto archive = std::make_shared<TarArchive>();
+  Rng rng(7);
+  for (WindowId w = 0; w < kWindows; ++w) {
+    archive->RegisterWindow(w, kWindowSize, 50, 0.1);
+    for (RuleId r = 0; r < kRules; ++r) {
+      const uint64_t rule_count = 500 + r + rng.NextBounded(16);
+      const uint64_t ant_count = rule_count + rng.NextBounded(16);
+      archive->Add(r, w, rule_count, ant_count);
     }
   }
-};
+  return archive;
+}
 
 /// A trajectory answer: 100 rules over a 20-window horizon.
 QueryResult TrajectoryAnswer() {
@@ -154,51 +119,37 @@ QueryResult RuleListAnswer() {
 int main() {
   using namespace tara;
 
-  Workload workload;
+  const std::shared_ptr<TarArchive> archive = StableArchive();
   std::printf("archive: %u windows x %u rules, %zu payload bytes\n", kWindows,
-              kRules, workload.payload_bytes);
+              kRules, archive->payload_bytes());
 
   bench::BenchReport report("decode");
   DecodeArena arena;
 
-  // --- Part 1: kernel decode throughput -----------------------------------
-  const decode::DecodeKernel& active = decode::ActiveDecodeKernel();
-  double scalar_mbps = 0;
-  double dispatched_mbps = 0;
-  for (const decode::DecodeKernel& kernel : decode::SupportedDecodeKernels()) {
-    uint64_t best_ns = UINT64_MAX;
-    size_t entries = 0;
-    for (int rep = 0; rep < kDecodeReps; ++rep) {
-      entries = 0;
-      const uint64_t start = NowNs();
-      for (const std::vector<uint8_t>& bytes : workload.streams) {
-        arena.Reset();
-        const decode::CheckedDecode result = decode::DecodeStreamCheckedWith(
-            kernel, std::span<const uint8_t>(bytes), arena);
-        if (result.status != decode::Status::kOk) {
-          std::fprintf(stderr, "kernel %s rejected a valid stream: %s\n",
-                       kernel.name, decode::StatusName(result.status));
-          return 1;
-        }
-        entries += result.entries.size();
-      }
-      best_ns = std::min(best_ns, NowNs() - start);
+  // --- Part 1: DecodeInto throughput --------------------------------------
+  uint64_t best_ns = UINT64_MAX;
+  size_t entries = 0;
+  for (int rep = 0; rep < kDecodeReps; ++rep) {
+    entries = 0;
+    const uint64_t start = NowNs();
+    for (RuleId r = 0; r < kRules; ++r) {
+      arena.Reset();
+      entries += archive->DecodeInto(r, arena).size();
     }
-    const double mbps = static_cast<double>(workload.payload_bytes) * 1000.0 /
-                        static_cast<double>(best_ns);
-    if (std::string(kernel.name) == "scalar") scalar_mbps = mbps;
-    if (std::string(kernel.name) == active.name) dispatched_mbps = mbps;
-    std::printf("kernel %-6s  %8.1f MB/s  (%zu entries/pass)\n", kernel.name,
-                mbps, entries);
-    report.AddRow()
-        .Set("row", "kernel")
-        .Set("kernel", kernel.name)
-        .Set("mb_per_s", mbps)
-        .Set("entries_per_pass", static_cast<uint64_t>(entries));
+    best_ns = std::min(best_ns, NowNs() - start);
   }
+  const double into_mbps = static_cast<double>(archive->payload_bytes()) *
+                           1000.0 / static_cast<double>(best_ns);
+  std::printf("decode_into   %8.1f MB/s  (%zu entries/pass)\n", into_mbps,
+              entries);
+  report.AddRow()
+      .Set("row", "decode")
+      .Set("mb_per_s", into_mbps)
+      .Set("entries_per_pass", static_cast<uint64_t>(entries))
+      .Set("peak_rss_bytes", bench::PeakRssBytes());
 
   // --- Part 2: roll-up latency, linear vs tree ----------------------------
-  const RollUpTree tree(workload.archive);
+  const RollUpTree tree(archive);
   std::vector<WindowId> all_windows(kWindows);
   for (WindowId w = 0; w < kWindows; ++w) all_windows[w] = w;
   Rng rng(99);
@@ -219,8 +170,7 @@ int main() {
     for (int rep = 0; rep < kRollUpReps; ++rep) {
       const RuleId rule = static_cast<RuleId>(rep % kRules);
       uint64_t start = NowNs();
-      const RollUpBound linear =
-          workload.archive->RollUp(rule, *c.windows, &arena);
+      const RollUpBound linear = archive->RollUp(rule, *c.windows, &arena);
       linear_ns.push_back(NowNs() - start);
       start = NowNs();
       const RollUpBound hier = tree.RollUp(rule, *c.windows);
@@ -287,14 +237,6 @@ int main() {
         .Set("encode_mb_per_s", encode_mbps)
         .Set("decode_mb_per_s", decode_mbps);
   }
-
-  report.AddRow()
-      .Set("row", "dispatch")
-      .Set("active_kernel", active.name)
-      .Set("dispatch_is_scalar", std::string(active.name) == "scalar")
-      .Set("scalar_mb_per_s", scalar_mbps)
-      .Set("dispatched_mb_per_s", dispatched_mbps)
-      .Set("peak_rss_bytes", bench::PeakRssBytes());
 
   return report.WriteFile() ? 0 : 1;
 }

@@ -217,39 +217,35 @@ void ReportPhase(bench::BenchReport* report, const char* phase,
       .Set("peak_rss_bytes", bench::PeakRssBytes());
 }
 
-/// One timed OpenKnowledgeBase call: best-of-N open latency plus the
-/// resident-set growth the winning open caused (how many payload bytes
+/// The fastest of several OpenKnowledgeBase calls on one directory, plus
+/// the resident-set growth the winning open caused (how many payload bytes
 /// it actually faulted in — near zero for a mapped open).
 struct OpenCost {
-  double open_us = 0;
+  double open_us = 1e18;
   uint64_t rss_delta_bytes = 0;
   uint32_t windows = 0;
 };
 
-OpenCost TimeOpen(const std::string& dir, OpenMode mode) {
-  OpenCost best;
-  best.open_us = 1e18;
-  for (int i = 0; i < 3; ++i) {
-    OpenOptions options;
-    options.kb_dir = dir;
-    options.mode = mode;
-    const uint64_t rss_before = bench::CurrentRssBytes();
-    const uint64_t start = NowNs();
-    auto opened = OpenKnowledgeBase(options);
-    const double us = static_cast<double>(NowNs() - start) / 1000.0;
-    if (!opened.has_value()) {
-      std::fprintf(stderr, "cannot open %s: open-phase bug\n", dir.c_str());
-      return {};
-    }
-    const uint64_t rss_after = bench::CurrentRssBytes();
-    if (us < best.open_us) {
-      best.open_us = us;
-      best.rss_delta_bytes =
-          rss_after > rss_before ? rss_after - rss_before : 0;
-    }
-    best.windows = opened->window_count();
+/// Opens `dir` once and keeps the open in `best` if it is the fastest yet.
+bool TimeOpen(const std::string& dir, OpenMode mode, OpenCost* best) {
+  OpenOptions options;
+  options.kb_dir = dir;
+  options.mode = mode;
+  const uint64_t rss_before = bench::CurrentRssBytes();
+  const uint64_t start = NowNs();
+  auto opened = OpenKnowledgeBase(options);
+  const double us = static_cast<double>(NowNs() - start) / 1000.0;
+  if (!opened.has_value()) {
+    std::fprintf(stderr, "cannot open %s: open-phase bug\n", dir.c_str());
+    return false;
   }
-  return best;
+  const uint64_t rss_after = bench::CurrentRssBytes();
+  if (us < best->open_us) {
+    best->open_us = us;
+    best->rss_delta_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
+  }
+  best->windows = opened->window_count();
+  return true;
 }
 
 /// Phase 7: open-time scaling. The full knowledge base is saved as
@@ -278,9 +274,15 @@ bool ReportOpenScaling(bench::BenchReport* report,
   for (const OpenMode mode : {OpenMode::kMapped, OpenMode::kEager}) {
     const char* phase =
         mode == OpenMode::kMapped ? "open_mmap" : "open_eager";
-    const OpenCost small = TimeOpen(small_dir, mode);
-    const OpenCost large = TimeOpen(large_dir, mode);
-    if (small.windows == 0 || large.windows == 0) return false;
+    // Best of 7, small and large interleaved, so a few ms of host noise
+    // neither decides a side nor lands on one side only.
+    OpenCost small, large;
+    for (int i = 0; i < 7; ++i) {
+      if (!TimeOpen(small_dir, mode, &small) ||
+          !TimeOpen(large_dir, mode, &large)) {
+        return false;
+      }
+    }
     const double ratio =
         small.open_us > 0 ? large.open_us / small.open_us : 0;
     std::printf("%-16s %4u windows %10.1fus -> %4u windows %10.1fus "

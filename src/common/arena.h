@@ -11,9 +11,8 @@
 namespace tara {
 
 /// Bump allocator for per-query decode scratch: the TAR Archive's
-/// DecodeInto, trajectory assembly, and the multi-window rule merges all
-/// carve their transient output out of one of these instead of
-/// materializing a fresh std::vector per call.
+/// DecodeInto and BuildTrajectoryInto carve their transient output out of
+/// one of these instead of materializing a fresh std::vector per call.
 ///
 /// ## Lifetime contract
 ///

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/decode_kernels.h"
 
 namespace tara {
 
@@ -76,22 +75,17 @@ void TarArchive::Add(RuleId rule, WindowId window, uint64_t rule_count,
 std::span<const ArchiveEntry> TarArchive::DecodeInto(
     RuleId rule, DecodeArena& arena) const {
   if (rule >= streams_.size() || streams_[rule].empty) return {};
-  const RuleStream& s = streams_[rule];
-  const decode::DecodeKernel& kernel = decode::ActiveDecodeKernel();
-  std::span<ArchiveEntry> out = arena.AllocSpan<ArchiveEntry>(s.entries);
-  std::span<uint64_t> scratch;
-  if (kernel.needs_scratch) {
-    scratch = arena.AllocSpan<uint64_t>(
-        decode::MaxValuesForStream(s.bytes.size()));
-  }
-  const decode::DecodeResult result =
-      kernel.decode(s.bytes.data(), s.bytes.size(), out.data(), out.size(),
-                    scratch.data(), scratch.size());
-  // Internal streams are valid by construction (Add is the only writer);
-  // anything else is memory corruption, not a recoverable input error.
-  TARA_CHECK(result.status == decode::Status::kOk &&
-             result.entries == s.entries)
-      << "corrupt rule stream: " << decode::StatusName(result.status);
+  const std::span<ArchiveEntry> out =
+      arena.AllocSpan<ArchiveEntry>(streams_[rule].entries);
+  size_t n = 0;
+  // Add is the only writer, so the stream holds exactly `entries`
+  // entries; anything else is memory corruption, not an input error.
+  VisitEntries(rule, [&](const ArchiveEntry& e) {
+    TARA_CHECK_LT(n, out.size()) << "corrupt archive stream";
+    out[n++] = e;
+    return true;
+  });
+  TARA_CHECK_EQ(n, out.size()) << "corrupt archive stream";
   return out;
 }
 

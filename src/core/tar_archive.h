@@ -80,8 +80,8 @@ RollUpBound FinishRollUp(const RollUpAggregate& agg);
 /// rule that stays stable across windows costs ~3 bytes per window instead
 /// of 20. Entries must be appended in increasing window order (the
 /// evolving build provides exactly that); decoding is a linear scan of the
-/// rule's private stream, dispatched to the widest SIMD kernel the host
-/// supports (see core/decode_kernels.h).
+/// rule's private stream, and VisitEntries is the only code that reads
+/// those bytes.
 class TarArchive {
  public:
   TarArchive() = default;
@@ -101,17 +101,17 @@ class TarArchive {
   void Add(RuleId rule, WindowId window, uint64_t rule_count,
            uint64_t antecedent_count);
 
-  /// Decodes the full series of a rule into `arena` via the dispatched
-  /// kernel. The span stays valid until the arena's next Reset(); rules
-  /// never added decode to empty. This is the hot-path decode shape —
-  /// zero heap allocation once the arena is warm.
+  /// Decodes the full series of a rule into `arena`, filling a span sized
+  /// from the stream's entry count through VisitEntries. The span stays
+  /// valid until the arena's next Reset(); rules never added decode to
+  /// empty. Zero heap allocation once the arena is warm.
   std::span<const ArchiveEntry> DecodeInto(RuleId rule,
                                            DecodeArena& arena) const;
 
   /// Single-pass visitor over a rule's series in window order, no
   /// materialization. `visitor(const ArchiveEntry&)` returns false to stop
-  /// early. The decode is the portable scalar scan — consumers that want
-  /// the SIMD kernels should DecodeInto.
+  /// early. This scan is the archive's one decoder: DecodeInto,
+  /// VisitWindows and EntryFor all read the stream through it.
   template <typename Visitor>
   void VisitEntries(RuleId rule, Visitor&& visitor) const {
     if (rule >= streams_.size() || streams_[rule].empty) return;

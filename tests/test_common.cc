@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/byte_codec.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -328,6 +329,25 @@ TEST(HashTest, CombinesOrderSensitively) {
   const std::vector<uint32_t> b = {3, 2, 1};
   EXPECT_NE(HashSpan(a), HashSpan(b));
   EXPECT_EQ(HashSpan(a), HashSpan(a));
+}
+
+TEST(DecodeArenaTest, ReusesCapacityAfterReset) {
+  DecodeArena arena;
+  EXPECT_EQ(arena.heap_block_count(), 0u);
+  (void)arena.AllocSpan<uint64_t>(100);  // fits inline
+  EXPECT_EQ(arena.heap_block_count(), 0u);
+  (void)arena.AllocSpan<uint64_t>(10000);  // overflows to the heap
+  (void)arena.AllocSpan<uint64_t>(10000);  // second block
+  EXPECT_GE(arena.heap_block_count(), 1u);
+  const size_t high_water = arena.high_water_bytes();
+  arena.Reset();
+  EXPECT_EQ(arena.used_bytes(), 0u);
+  // Steady state: one consolidated block, no further allocation churn.
+  EXPECT_EQ(arena.heap_block_count(), 1u);
+  (void)arena.AllocSpan<uint64_t>(10000);
+  (void)arena.AllocSpan<uint64_t>(10000);
+  EXPECT_EQ(arena.heap_block_count(), 1u);
+  EXPECT_EQ(arena.high_water_bytes(), high_water);
 }
 
 }  // namespace

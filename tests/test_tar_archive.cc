@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <iterator>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -224,25 +229,64 @@ TEST(TarArchiveTest, PayloadIsSmallerThanRawEncoding) {
   EXPECT_EQ(archive.rule_count(), 500u);
 }
 
-TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
-  Rng rng(99);
-  TarArchive archive;
-  const uint32_t windows = 30;
-  for (WindowId w = 0; w < windows; ++w) {
-    archive.RegisterWindow(w, 1000, 3);
-  }
-  std::vector<std::vector<ArchiveEntry>> shadow(200);
-  for (WindowId w = 0; w < windows; ++w) {
-    for (RuleId r = 0; r < 200; ++r) {
-      if (rng.NextBool(0.4)) continue;  // rule absent this window
+/// Series of the shapes the archive's one decoder must read back: the
+/// per-window shape the build writes, counts across every varint lane
+/// width, window gaps across the 1-, 2- and 3-byte widths, and a dense
+/// stable run. Windows ascend strictly within each series.
+std::vector<std::vector<ArchiveEntry>> ShadowSeries(Rng& rng) {
+  std::vector<std::vector<ArchiveEntry>> series;
+  // 200 rules over 30 windows, counts below 1,000, absent 40% of the time.
+  for (RuleId r = 0; r < 200; ++r) {
+    std::vector<ArchiveEntry>& s = series.emplace_back();
+    for (WindowId w = 0; w < 30; ++w) {
+      if (rng.NextBool(0.4)) continue;
       const uint64_t count = 3 + rng.NextBounded(500);
-      const uint64_t ant = count + rng.NextBounded(500);
-      archive.Add(r, w, count, ant);
-      shadow[r].push_back(ArchiveEntry{w, count, ant});
+      s.push_back(ArchiveEntry{w, count, count + rng.NextBounded(500)});
+    }
+  }
+  // Lane-width sweep: counts drawn below 2^0 .. 2^62, so consecutive
+  // zigzag deltas take every varint length, with large negative swings;
+  // gaps sit on both sides of each varint width's edge.
+  constexpr uint32_t kGaps[] = {1, 2, 127, 128, 129, 16383, 16384, 16385};
+  for (int r = 0; r < 60; ++r) {
+    std::vector<ArchiveEntry>& s = series.emplace_back();
+    WindowId window = static_cast<WindowId>(rng.NextBounded(4));
+    const size_t n = rng.NextBounded(65);
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0) window += kGaps[rng.NextBounded(std::size(kGaps))];
+      const uint64_t base = 1ULL << rng.NextBounded(63);
+      const uint64_t count = 1 + rng.NextBounded(base);
+      s.push_back(ArchiveEntry{window, count, count + rng.NextBounded(base)});
+    }
+  }
+  // The dense stable shape: 512 windows with gap 1 and a small wobble, so
+  // nearly every delta entry is three one-byte varints.
+  std::vector<ArchiveEntry>& dense = series.emplace_back();
+  for (WindowId w = 0; w < 512; ++w) {
+    const uint64_t count = 500 + rng.NextBounded(9);
+    dense.push_back(ArchiveEntry{w, count, count + rng.NextBounded(3)});
+  }
+  return series;
+}
+
+TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
+  // The shadow Add was fed is the decoder's only oracle: DecodeInto and
+  // VisitEntries read the stream through the same scan.
+  Rng rng(99);
+  const std::vector<std::vector<ArchiveEntry>> shadow = ShadowSeries(rng);
+  WindowId windows = 0;
+  for (const auto& s : shadow) {
+    if (!s.empty()) windows = std::max(windows, s.back().window + 1);
+  }
+  TarArchive archive;
+  for (WindowId w = 0; w < windows; ++w) archive.RegisterWindow(w, 1000, 3);
+  for (RuleId r = 0; r < shadow.size(); ++r) {
+    for (const ArchiveEntry& e : shadow[r]) {
+      archive.Add(r, e.window, e.rule_count, e.antecedent_count);
     }
   }
   DecodeArena arena;
-  for (RuleId r = 0; r < 200; ++r) {
+  for (RuleId r = 0; r < shadow.size(); ++r) {
     arena.Reset();
     const auto series = archive.DecodeInto(r, arena);
     ASSERT_EQ(series.size(), shadow[r].size()) << "rule " << r;
@@ -251,7 +295,6 @@ TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
       EXPECT_EQ(series[i].rule_count, shadow[r][i].rule_count);
       EXPECT_EQ(series[i].antecedent_count, shadow[r][i].antecedent_count);
     }
-    // The visitor's scalar scan yields the same series.
     std::vector<ArchiveEntry> visited;
     archive.VisitEntries(r, [&](const ArchiveEntry& e) {
       visited.push_back(e);
@@ -264,6 +307,59 @@ TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
       EXPECT_EQ(visited[i].antecedent_count, shadow[r][i].antecedent_count);
     }
   }
+}
+
+TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
+  TarArchive archive;
+  for (WindowId w = 0; w < 64; ++w) archive.RegisterWindow(w, 100, 2);
+  for (WindowId w = 0; w < 64; w += 3) archive.Add(4, w, 10 + w, 20 + w);
+
+  size_t visited = 0;
+  archive.VisitEntries(4, [&](const ArchiveEntry& e) {
+    ++visited;
+    return e.window < 30;
+  });
+  // Early exit: stops at the first window >= 30, not the full 22 entries.
+  EXPECT_EQ(visited, 11u);
+
+  for (WindowId w = 0; w < 64; ++w) {
+    const auto entry = archive.EntryFor(4, w);
+    if (w % 3 == 0) {
+      ASSERT_TRUE(entry.has_value()) << w;
+      EXPECT_EQ(entry->rule_count, 10u + w);
+      EXPECT_EQ(entry->antecedent_count, 20u + w);
+    } else {
+      EXPECT_FALSE(entry.has_value()) << w;
+    }
+  }
+  EXPECT_FALSE(archive.EntryFor(4, 1000).has_value());
+  EXPECT_FALSE(archive.EntryFor(999, 0).has_value());
+}
+
+TEST(TarArchiveTest, ConcurrentDecodeIntoWithPrivateArenas) {
+  // DecodeInto is const and takes the arena by reference: concurrent
+  // readers with private arenas must not race (tsan coverage).
+  TarArchive archive;
+  for (WindowId w = 0; w < 128; ++w) archive.RegisterWindow(w, 1000, 3);
+  for (RuleId r = 0; r < 16; ++r) {
+    for (WindowId w = 0; w < 128; ++w) {
+      archive.Add(r, w, 100 + r + (w % 7), 200 + r + (w % 11));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&archive, t] {
+      DecodeArena arena;
+      for (int round = 0; round < 50; ++round) {
+        arena.Reset();
+        const RuleId rule = static_cast<RuleId>((t + round) % 16);
+        const auto entries = archive.DecodeInto(rule, arena);
+        ASSERT_EQ(entries.size(), 128u);
+        ASSERT_EQ(entries.front().rule_count, 100u + rule);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace
