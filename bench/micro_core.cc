@@ -1,10 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the core data structures —
 // ablation-level measurements behind the figure harnesses: archive
-// encode/decode throughput, the stable-region build, stable-region query
-// cost versus result size, the content view, roll-up mining over the
-// trailing windows of a long history, tidset counting, contrast scoring,
-// and the observability layer's overhead on the online query path (null
-// sink versus live registry).
+// encode/decode throughput, append cost against history, the
+// stable-region build, stable-region query cost versus result size, the
+// content view, roll-up mining over the trailing windows of a long
+// history, tidset counting, contrast scoring, and the observability
+// layer's overhead on the online query path (null sink versus live
+// registry).
+
+#include <chrono>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -24,37 +30,41 @@
 namespace tara {
 namespace {
 
+/// One Appended batch of 20 windows of 1,000 rules: the two-pass chunk
+/// build every commit runs.
 void BM_ArchiveAppend(benchmark::State& state) {
-  const int windows = 20;
+  constexpr int kWindows = 20;
+  Rng rng(1);
+  std::vector<std::vector<WindowIndex::Entry>> entries(kWindows);
+  std::vector<TarArchive::Window> batch;
+  for (int w = 0; w < kWindows; ++w) {
+    for (RuleId r = 0; r < 1000; ++r) {
+      const uint64_t count = 10 + rng.NextBounded(100);
+      entries[w].push_back({r, count, count + rng.NextBounded(100)});
+    }
+    batch.push_back({10000, 10, 0.0, entries[w]});
+  }
   for (auto _ : state) {
-    state.PauseTiming();
-    TarArchive archive;
-    for (WindowId w = 0; w < windows; ++w) {
-      archive.RegisterWindow(w, 10000, 10);
-    }
-    Rng rng(1);
-    state.ResumeTiming();
-    for (WindowId w = 0; w < windows; ++w) {
-      for (RuleId r = 0; r < 1000; ++r) {
-        const uint64_t count = 10 + rng.NextBounded(100);
-        archive.Add(r, w, count, count + rng.NextBounded(100));
-      }
-    }
+    const TarArchive archive = TarArchive().Appended(batch);
     benchmark::DoNotOptimize(archive.payload_bytes());
   }
-  state.SetItemsProcessed(state.iterations() * windows * 1000);
+  state.SetItemsProcessed(state.iterations() * kWindows * 1000);
 }
 BENCHMARK(BM_ArchiveAppend);
 
 void BM_ArchiveDecodeInto(benchmark::State& state) {
-  TarArchive archive;
   const int windows = static_cast<int>(state.range(0));
-  for (int w = 0; w < windows; ++w) archive.RegisterWindow(w, 10000, 10);
   Rng rng(2);
+  std::vector<WindowIndex::Entry> entries;
   for (int w = 0; w < windows; ++w) {
     const uint64_t count = 50 + rng.NextBounded(20);
-    archive.Add(0, w, count, count * 2);
+    entries.push_back({0, count, count * 2});
   }
+  std::vector<TarArchive::Window> batch;
+  for (int w = 0; w < windows; ++w) {
+    batch.push_back({10000, 10, 0.0, std::span(&entries[w], 1)});
+  }
+  const TarArchive archive = TarArchive().Appended(batch);
   DecodeArena arena;
   for (auto _ : state) {
     arena.Reset();
@@ -182,48 +192,100 @@ void BM_ContentView(benchmark::State& state) {
 }
 BENCHMARK(BM_ContentView);
 
+/// The append harness's window stream: 600 rules per window, 400 present
+/// in every window and 200 drawn from a 20k-rule pool, so the catalog
+/// (about 20k rules after a few hundred windows) far outgrows what one
+/// window holds.
+class ChurnyWindows {
+ public:
+  explicit ChurnyWindows(uint64_t seed) : rng_(seed) {}
+
+  /// The next window's rules.
+  const std::vector<TaraEngine::PrecomputedRule>& Next() {
+    rules_.clear();
+    for (uint32_t r = 0; r < kSteady; ++r) Add(r);
+    while (rules_.size() < kSteady + kDrawn) {
+      const auto r = static_cast<uint32_t>(rng_.NextBounded(kPool));
+      if (drawn_in_[r] == window_) continue;
+      drawn_in_[r] = window_;
+      Add(kSteady + r);
+    }
+    ++window_;
+    return rules_;
+  }
+
+ private:
+  static constexpr uint32_t kSteady = 400;
+  static constexpr uint32_t kDrawn = 200;
+  static constexpr uint32_t kPool = 20000;
+
+  void Add(uint32_t r) {
+    TaraEngine::PrecomputedRule p;
+    p.rule =
+        Rule{{static_cast<ItemId>(r)}, {static_cast<ItemId>(100000 + r)}};
+    p.rule_count = 10 + rng_.NextBounded(100);
+    p.antecedent_count = p.rule_count + rng_.NextBounded(2 * p.rule_count);
+    rules_.push_back(p);
+  }
+
+  Rng rng_;
+  uint32_t window_ = 0;
+  std::vector<uint32_t> drawn_in_ = std::vector<uint32_t>(kPool, UINT32_MAX);
+  std::vector<TaraEngine::PrecomputedRule> rules_;
+};
+
 // Roll-up mining over the trailing windows of a long, churny history: 512
-// windows of 600 rules, 400 present in every window and 200 drawn from a
-// 20k-rule pool, so the catalog (about 20k rules) far outgrows what a few
-// windows read. A request should cost its windows' entries, not the
-// catalog.
+// windows of the append harness's stream. A request should cost its
+// windows' entries, not the catalog.
 const KnowledgeBaseSnapshot& ChurnyKnowledgeBase() {
   static const auto* snapshot = [] {
     TaraEngine::Options options;
     options.min_support_floor = 0.02;
     options.min_confidence_floor = 0.3;
     TaraEngine engine(options);
-    constexpr uint32_t kWindows = 512;
-    constexpr uint32_t kSteady = 400;
-    constexpr uint32_t kDrawn = 200;
-    constexpr uint32_t kPool = 20000;
-    Rng rng(29);
-    std::vector<uint32_t> drawn_in(kPool, kWindows);  // last window drawn
-    std::vector<TaraEngine::PrecomputedRule> rules;
-    const auto add = [&](uint32_t r) {
-      TaraEngine::PrecomputedRule p;
-      p.rule = Rule{{static_cast<ItemId>(r)},
-                    {static_cast<ItemId>(100000 + r)}};
-      p.rule_count = 10 + rng.NextBounded(100);
-      p.antecedent_count = p.rule_count + rng.NextBounded(2 * p.rule_count);
-      rules.push_back(p);
-    };
-    for (uint32_t w = 0; w < kWindows; ++w) {
-      rules.clear();
-      for (uint32_t r = 0; r < kSteady; ++r) add(r);
-      while (rules.size() < kSteady + kDrawn) {
-        const auto r = static_cast<uint32_t>(rng.NextBounded(kPool));
-        if (drawn_in[r] == w) continue;
-        drawn_in[r] = w;
-        add(kSteady + r);
-      }
-      engine.AppendPrecomputedWindow(500, rules);
+    ChurnyWindows stream(29);
+    for (uint32_t w = 0; w < 512; ++w) {
+      engine.AppendPrecomputedWindow(500, stream.Next());
     }
     return new std::shared_ptr<const KnowledgeBaseSnapshot>(
         engine.Snapshot());
   }();
   return **snapshot;
 }
+
+// Append cost against history, on the append harness's shape (floors
+// 0.02/0.3, 500 transactions a window, content index on): the mean of 8
+// AppendPrecomputedWindow calls after `history` windows. Commits share
+// every filled archive chunk, so the 2,048-window append should cost
+// about what the 24-window one does; CI holds it under 2x.
+void BM_AppendAfterHistory(benchmark::State& state) {
+  const auto history = static_cast<uint32_t>(state.range(0));
+  constexpr int kTimed = 8;
+  for (auto _ : state) {
+    TaraEngine::Options options;
+    options.min_support_floor = 0.02;
+    options.min_confidence_floor = 0.3;
+    options.build_content_index = true;
+    TaraEngine engine(options);
+    ChurnyWindows stream(31);
+    for (uint32_t w = 0; w < history; ++w) {
+      engine.AppendPrecomputedWindow(500, stream.Next());
+    }
+    std::vector<std::vector<TaraEngine::PrecomputedRule>> next;
+    for (int i = 0; i < kTimed; ++i) next.push_back(stream.Next());
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto& rules : next) engine.AppendPrecomputedWindow(500, rules);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count() / kTimed);
+  }
+}
+BENCHMARK(BM_AppendAfterHistory)
+    ->Arg(24)
+    ->Arg(2048)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MineRolledUp(benchmark::State& state) {
   const KnowledgeBaseSnapshot& kb = ChurnyKnowledgeBase();

@@ -66,17 +66,18 @@ double PercentileUs(std::vector<uint64_t>* ns, double p) {
 /// A stable-rule archive: every rule in every window, counts wobbling by
 /// less than 16.
 std::shared_ptr<TarArchive> StableArchive() {
-  auto archive = std::make_shared<TarArchive>();
   Rng rng(7);
+  std::vector<std::vector<WindowIndex::Entry>> entries(kWindows);
+  std::vector<TarArchive::Window> windows;
   for (WindowId w = 0; w < kWindows; ++w) {
-    archive->RegisterWindow(w, kWindowSize, 50, 0.1);
     for (RuleId r = 0; r < kRules; ++r) {
       const uint64_t rule_count = 500 + r + rng.NextBounded(16);
       const uint64_t ant_count = rule_count + rng.NextBounded(16);
-      archive->Add(r, w, rule_count, ant_count);
+      entries[w].push_back({r, rule_count, ant_count});
     }
+    windows.push_back({kWindowSize, 50, 0.1, entries[w]});
   }
-  return archive;
+  return std::make_shared<TarArchive>(TarArchive().Appended(windows));
 }
 
 /// A trajectory answer: 100 rules over a 20-window horizon.

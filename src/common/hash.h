@@ -1,8 +1,10 @@
 #ifndef TARA_COMMON_HASH_H_
 #define TARA_COMMON_HASH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace tara {
@@ -38,6 +40,44 @@ inline uint64_t HashBytes(const uint8_t* data, size_t size) {
   uint64_t h = 0x2545f4914f6cdd1dULL;
   for (size_t i = 0; i < size; ++i) h = HashCombine(h, data[i]);
   return h;
+}
+
+/// out[i] = HashBytes(inputs[i]) for every input. One HashBytes chain
+/// waits on its previous byte's multiplies, so this advances eight chains
+/// in one loop, each for as many bytes as the shortest busy lane has
+/// left; a finished lane takes the next input, and an idle lane hashes a
+/// busy lane's bytes and is discarded.
+inline void HashBytesMany(std::span<const std::span<const uint8_t>> inputs,
+                          uint64_t* out) {
+  constexpr size_t kLanes = 8;
+  std::span<const uint8_t> lane[kLanes];  // a busy lane's unread bytes
+  uint64_t* dest[kLanes] = {};            // where its hash goes
+  uint64_t h[kLanes] = {};
+  for (size_t next = 0;;) {
+    size_t step = SIZE_MAX, busy = kLanes;
+    for (size_t j = 0; j < kLanes; ++j) {
+      for (; lane[j].empty() && next < inputs.size(); ++next) {
+        *(dest[j] = out + next) = h[j] = HashBytes(nullptr, 0);
+        lane[j] = inputs[next];
+      }
+      if (lane[j].empty()) continue;
+      step = std::min(step, lane[j].size());
+      busy = j;
+    }
+    if (busy == kLanes) return;
+    const uint8_t* at[kLanes];
+    for (size_t j = 0; j < kLanes; ++j) {
+      at[j] = (lane[j].empty() ? lane[busy] : lane[j]).data();
+    }
+    for (size_t i = 0; i < step; ++i) {
+      for (size_t j = 0; j < kLanes; ++j) h[j] = HashCombine(h[j], at[j][i]);
+    }
+    for (size_t j = 0; j < kLanes; ++j) {
+      if (lane[j].empty()) continue;
+      lane[j] = lane[j].subspan(step);
+      *dest[j] = h[j];
+    }
+  }
 }
 
 }  // namespace tara

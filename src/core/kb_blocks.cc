@@ -701,10 +701,15 @@ std::optional<LoadError> MappedKb::VerifyHashes(ThreadPool* pool) const {
       errors[b] = Err(LoadError::Code::kCorruptSegment, message.str());
       return;
     }
+    // The rows' segment hashes in one interleaved pass.
+    std::vector<std::span<const uint8_t>> rows;
+    for (const KbBlockRow& row : block.rows) {
+      rows.emplace_back(map.data() + row.offset, row.segment_bytes);
+    }
+    std::vector<uint64_t> hashes(rows.size());
+    HashBytesMany(rows, hashes.data());
     for (size_t i = 0; i < block.rows.size(); ++i) {
-      const KbBlockRow& row = block.rows[i];
-      if (HashBytes(map.data() + row.offset, row.segment_bytes) !=
-          row.segment_hash) {
+      if (hashes[i] != block.rows[i].segment_hash) {
         std::ostringstream message;
         message << "segment of window "
                 << block.first_window + static_cast<WindowId>(i)

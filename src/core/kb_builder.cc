@@ -327,26 +327,24 @@ void KbBuilder::CommitLocked(
     std::vector<std::shared_ptr<WindowSegment>> pending) {
   if (pending.empty()) return;
   // The next generation is the current one plus `pending`: the current
-  // segments, shared by reference, and one copy of the current archive,
-  // appended in place before any reader can see it.
+  // segments and filled archive chunks, shared by reference, and the
+  // archive's open chunk rebuilt with the new windows.
   const std::shared_ptr<const KnowledgeBaseSnapshot> current = snapshot();
   const WindowId first = current->window_count();
-  auto archive = std::make_shared<TarArchive>(current->archive());
-
-  // Archive appends, by id, strictly in window order.
+  std::vector<TarArchive::Window> windows;
+  windows.reserve(pending.size());
   for (size_t i = 0; i < pending.size(); ++i) {
     WindowSegment& segment = *pending[i];
-    const WindowId window = first + static_cast<WindowId>(i);
-    segment.stats.window = window;
-    Stopwatch timer;
-    archive->RegisterWindow(window, segment.total_transactions,
-                            segment.floor_count,
-                            options_.min_confidence_floor);
-    for (const WindowIndex::Entry& e : segment.entries) {
-      archive->Add(e.rule, window, e.rule_count, e.antecedent_count);
-    }
-    segment.stats.archive_seconds += timer.ElapsedSeconds();
+    segment.stats.window = first + static_cast<WindowId>(i);
+    windows.push_back({segment.total_transactions, segment.floor_count,
+                       options_.min_confidence_floor, segment.entries});
   }
+  Stopwatch timer;
+  auto archive =
+      std::make_shared<const TarArchive>(current->archive().Appended(windows));
+  // Each window's share of the batch's archive build.
+  const double share = timer.ElapsedSeconds() / pending.size();
+  for (auto& segment : pending) segment->stats.archive_seconds += share;
 
   // Log, then publish: every window is durable before any is visible.
   if (wal_ != nullptr) {

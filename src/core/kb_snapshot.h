@@ -170,7 +170,7 @@ struct WindowBuildStats {
   WindowId window = 0;
   double itemset_seconds = 0;  ///< frequent itemset generation
   double rule_seconds = 0;     ///< rule derivation
-  double archive_seconds = 0;  ///< TAR Archive append
+  double archive_seconds = 0;  ///< share of its commit's archive build
   size_t itemset_count = 0;
   size_t rule_count = 0;
 
@@ -329,8 +329,8 @@ class KnowledgeBaseSnapshot {
   /// rule_count() belong to this snapshot.
   const RuleCatalog& catalog() const { return *catalog_; }
 
-  /// This generation's archive. Immutable: the next commit appends to
-  /// its own copy.
+  /// This generation's archive. Immutable: the next commit shares its
+  /// filled chunks and rebuilds only the open one.
   const TarArchive& archive() const { return *archive_; }
 
   /// This generation's roll-up index: the window axis of archive() as

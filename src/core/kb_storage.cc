@@ -154,13 +154,14 @@ Expected<PersistedWindow, LoadError> ParseWindowSegment(const uint8_t* data,
 }
 
 Expected<PersistedWindow, LoadError> ParseClaimedSegment(
-    const uint8_t* data, size_t size, const SegmentClaim& claim) {
+    const uint8_t* data, size_t size, uint64_t hash,
+    const SegmentClaim& claim) {
   const auto corrupt = [&claim](const std::string& what) {
     std::ostringstream message;
     message << "segment of window " << claim.window << " is corrupt: " << what;
     return Err(LoadError::Code::kCorruptSegment, message.str());
   };
-  if (HashBytes(data, size) != claim.segment_hash) {
+  if (hash != claim.segment_hash) {
     return corrupt("checksum does not match the manifest");
   }
   auto parsed = ParseWindowSegment(data, size);

@@ -92,12 +92,13 @@ struct SegmentClaim {
   uint64_t segment_hash = 0;
 };
 
-/// Stage 1 of loading a segment a manifest describes: checks the blob's
-/// hash, parses it, and cross-checks the window id, the rule-id range
-/// and the entry count against `claim`; sets total_transactions from it.
-/// Errors name the window. Catalog-free, like ParseWindowSegment.
+/// Stage 1 of loading a segment a manifest describes: checks `hash`, the
+/// blob's HashBytes as the caller computed it, parses the blob, and
+/// cross-checks the window id, the rule-id range and the entry count
+/// against `claim`; sets total_transactions from it. Errors name the
+/// window. Catalog-free, like ParseWindowSegment.
 Expected<PersistedWindow, LoadError> ParseClaimedSegment(
-    const uint8_t* data, size_t size, const SegmentClaim& claim);
+    const uint8_t* data, size_t size, uint64_t hash, const SegmentClaim& claim);
 
 /// Reads just the window id from a segment blob's header, so WAL replay
 /// can skip records a checkpoint already covers without parsing them.

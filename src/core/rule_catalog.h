@@ -7,7 +7,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "common/logging.h"
 #include "txdb/types.h"
@@ -33,18 +33,19 @@ struct Rule {
 ///
 /// Each rule is stored once, in a deque, so a `const Rule&` obtained from
 /// rule() stays valid forever (rules are never removed). The lookup side
-/// is a set of ids hashed and compared through the rules they name, so
-/// it holds no second copy; because it points into the deque, the catalog
-/// can be neither copied nor moved, and it lives behind a shared_ptr.
+/// is one flat open-addressing table of ids with each rule's hash cached
+/// by id, so it holds no second copy of a rule and no node per rule; the
+/// catalog can be neither copied nor moved, and it lives behind a
+/// shared_ptr.
 ///
 /// Thread-safety: readers (Find / rule / ForEachRule / size / FormatRule)
 /// may run concurrently with one Intern-ing writer — a mapped open
 /// interns the windows a query needs while other queries build EPS slices
-/// that read rule contents. Both the deque and the id set are guarded by
-/// a shared_mutex; readers take it shared, once per call.
+/// that read rule contents. The deque and the table are guarded by a
+/// shared_mutex; readers take it shared, once per call.
 class RuleCatalog {
  public:
-  RuleCatalog();
+  RuleCatalog() = default;
   RuleCatalog(const RuleCatalog&) = delete;
   RuleCatalog& operator=(const RuleCatalog&) = delete;
 
@@ -86,30 +87,20 @@ class RuleCatalog {
   static constexpr RuleId kNotFound = static_cast<RuleId>(-1);
 
  private:
-  /// Hash and equality of the id set: an id stands for the rule it names,
-  /// and a Rule is accepted directly, so Find looks a rule up without
-  /// interning it (transparent lookup).
-  struct IdHash {
-    using is_transparent = void;
-    const std::deque<Rule>* rules;
-    size_t operator()(const Rule& rule) const;
-    size_t operator()(RuleId id) const { return (*this)((*rules)[id]); }
-  };
-  struct IdEqual {
-    using is_transparent = void;
-    const std::deque<Rule>* rules;
-    bool operator()(RuleId a, RuleId b) const {
-      return (*rules)[a] == (*rules)[b];
-    }
-    bool operator()(const Rule& a, RuleId b) const { return a == (*rules)[b]; }
-    bool operator()(RuleId a, const Rule& b) const { return (*rules)[a] == b; }
-  };
+  static uint64_t Hash(const Rule& rule);
+  /// The slot that holds the id of a rule equal to `rule` (hash `hash`),
+  /// or the empty slot where it would go.
+  size_t Probe(const Rule& rule, uint64_t hash) const;
+  /// Rehashes into enough slots for `rules` ids at most half full.
+  void Reserve(size_t rules);
 
   mutable std::shared_mutex mutex_;
   /// Deque, not vector: growth never relocates existing rules, so readers
   /// holding references are safe across concurrent Intern calls.
   std::deque<Rule> rules_;
-  std::unordered_set<RuleId, IdHash, IdEqual> ids_;
+  std::vector<uint64_t> hashes_;  ///< Hash(rules_[id]), by id
+  /// Power-of-two size; kNotFound marks an empty slot.
+  std::vector<RuleId> slots_ = std::vector<RuleId>(16, kNotFound);
 };
 
 }  // namespace tara

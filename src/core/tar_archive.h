@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/byte_codec.h"
 #include "common/logging.h"
 #include "core/rule_catalog.h"
+#include "core/stable_region_index.h"
 #include "txdb/evolving_database.h"
 
 namespace tara {
@@ -75,93 +77,110 @@ RollUpBound FinishRollUp(const RollUpAggregate& agg);
 /// The Temporal Association Rule Archive (TAR Archive).
 ///
 /// Per rule, the per-window (rule_count, antecedent_count) series is stored
-/// as a delta-encoded varint byte stream: window gaps are varint-encoded
-/// and counts are zigzag-delta encoded against the previous entry, so a
-/// rule that stays stable across windows costs ~3 bytes per window instead
-/// of 20. Entries must be appended in increasing window order (the
-/// evolving build provides exactly that); decoding is a linear scan of the
-/// rule's private stream, and VisitEntries is the only code that reads
-/// those bytes.
+/// as delta-encoded varints: window gaps are varint-encoded and counts are
+/// zigzag-delta encoded against the previous entry, so a rule that stays
+/// stable across windows costs ~3 bytes per window instead of 20.
+///
+/// Chunk c holds windows [c·K, (c+1)·K), K = kChunkWindows: one byte array
+/// of every rule's run for those windows, in rule-id order. A run's first
+/// entry stores its window's offset from the chunk's first window and
+/// plain counts, so delta bases reset at each chunk. An archive is
+/// immutable; VisitEntries is the only code that reads run bytes.
 class TarArchive {
  public:
+  static constexpr uint32_t kChunkWindows = 64;  ///< windows per chunk
+
+  /// Rule r's run is bytes[offsets[r], offsets[r + 1]), empty when the two
+  /// are equal; rules at or past offsets.size() - 1 have none.
+  struct Chunk {
+    std::vector<uint32_t> offsets;
+    std::vector<uint8_t> bytes;
+  };
+
+  /// One window to append: its size, its generation floors (which bound an
+  /// unarchived rule's count, see UnarchivedCountSlack), and its entries,
+  /// each rule at most once, in any order.
+  struct Window {
+    uint64_t transaction_count = 0;
+    uint64_t floor_count = 0;
+    double confidence_floor = 0.0;
+    std::span<const WindowIndex::Entry> entries;
+  };
+
   TarArchive() = default;
 
-  /// Registers a window's transaction count and generation floors: the
-  /// absolute minimum count used when mining it and the minimum confidence
-  /// used when deriving rules. Both floors bound how large an *unarchived*
-  /// rule's count could be in that window (a rule is absent iff its support
-  /// was below floor_count OR its confidence below confidence_floor).
-  /// Windows must be registered in order, before entries referencing them
-  /// are added.
-  void RegisterWindow(WindowId window, uint64_t transaction_count,
-                      uint64_t floor_count, double confidence_floor = 0.0);
-
-  /// Appends one (rule, window) observation. `window` must be the most
-  /// recently registered window or later than the rule's last entry.
-  void Add(RuleId rule, WindowId window, uint64_t rule_count,
-           uint64_t antecedent_count);
+  /// This archive followed by `windows`: filled chunks are shared by
+  /// pointer, the open one is rebuilt (its runs copied, new entries encoded
+  /// after them) and new ones are built. The cost is the open chunk plus
+  /// the new entries, and the bytes do not depend on how commits batch.
+  TarArchive Appended(std::span<const Window> windows) const;
 
   /// Decodes the full series of a rule into `arena`, filling a span sized
-  /// from the stream's entry count through VisitEntries. The span stays
-  /// valid until the arena's next Reset(); rules never added decode to
-  /// empty. Zero heap allocation once the arena is warm.
+  /// from the runs' lengths through VisitEntries. The span stays valid
+  /// until the arena's next Reset(); rules never archived decode to empty.
+  /// Zero heap allocation once the arena is warm.
   std::span<const ArchiveEntry> DecodeInto(RuleId rule,
                                            DecodeArena& arena) const;
 
   /// Single-pass visitor over a rule's series in window order, no
-  /// materialization. `visitor(const ArchiveEntry&)` returns false to stop
-  /// early. This scan is the archive's one decoder: DecodeInto,
-  /// VisitWindows and EntryFor all read the stream through it.
+  /// materialization: the rule's run in each chunk in turn, from the chunk
+  /// holding window `from`. `visitor(const ArchiveEntry&)` returns false to
+  /// stop early. This scan is the archive's one decoder: DecodeInto,
+  /// VisitWindows and EntryFor all read the runs through it.
   template <typename Visitor>
-  void VisitEntries(RuleId rule, Visitor&& visitor) const {
-    if (rule >= streams_.size() || streams_[rule].empty) return;
-    const RuleStream& s = streams_[rule];
-    const uint8_t* data = s.bytes.data();
-    const size_t size = s.bytes.size();
-    size_t pos = 0;
-    // The archive wrote these bytes itself: a bad varint is a broken
-    // invariant, not bad input.
-    const auto next = [data, size, &pos] {
-      uint64_t value = 0;
-      TARA_CHECK(codec::GetVarint(data, size, &pos, &value) ==
-                 codec::VarintStatus::kOk)
-          << "corrupt archive stream";
-      return value;
-    };
-    ArchiveEntry entry;
-    entry.window = static_cast<WindowId>(next());
-    entry.rule_count = next();
-    entry.antecedent_count = next();
-    if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
-    while (pos < size) {
-      uint64_t gap, rule_delta, antecedent_delta;
-      // A steady rule's delta entry is three one-byte varints: read them
-      // with one test instead of a branch each.
-      if (size - pos >= 3 &&
-          ((data[pos] | data[pos + 1] | data[pos + 2]) & 0x80) == 0) {
-        gap = data[pos];
-        rule_delta = data[pos + 1];
-        antecedent_delta = data[pos + 2];
-        pos += 3;
-      } else {
-        gap = next();
-        rule_delta = next();
-        antecedent_delta = next();
-      }
-      entry.window += static_cast<WindowId>(gap);
-      entry.rule_count +=
-          static_cast<uint64_t>(codec::ZigzagDecode(rule_delta));
-      entry.antecedent_count +=
-          static_cast<uint64_t>(codec::ZigzagDecode(antecedent_delta));
+  void VisitEntries(RuleId rule, Visitor&& visitor, WindowId from = 0) const {
+    for (size_t c = from / kChunkWindows; c < chunks_.size(); ++c) {
+      const Chunk& chunk = *chunks_[c];
+      if (rule >= chunk.offsets.size() - 1) continue;
+      const uint8_t* data = chunk.bytes.data() + chunk.offsets[rule];
+      const size_t size = chunk.offsets[rule + 1] - chunk.offsets[rule];
+      if (size == 0) continue;
+      size_t pos = 0;
+      // The archive wrote these bytes itself: a bad varint is a broken
+      // invariant, not bad input.
+      const auto next = [data, size, &pos] {
+        uint64_t value = 0;
+        TARA_CHECK(codec::GetVarint(data, size, &pos, &value) ==
+                   codec::VarintStatus::kOk)
+            << "corrupt archive run";
+        return value;
+      };
+      ArchiveEntry entry;
+      entry.window = static_cast<WindowId>(c * kChunkWindows + next());
+      entry.rule_count = next();
+      entry.antecedent_count = next();
       if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
+      while (pos < size) {
+        uint64_t gap, rule_delta, antecedent_delta;
+        // A steady rule's delta entry is three one-byte varints: read them
+        // with one test instead of a branch each.
+        if (size - pos >= 3 &&
+            ((data[pos] | data[pos + 1] | data[pos + 2]) & 0x80) == 0) {
+          gap = data[pos];
+          rule_delta = data[pos + 1];
+          antecedent_delta = data[pos + 2];
+          pos += 3;
+        } else {
+          gap = next();
+          rule_delta = next();
+          antecedent_delta = next();
+        }
+        entry.window += static_cast<WindowId>(gap);
+        entry.rule_count +=
+            static_cast<uint64_t>(codec::ZigzagDecode(rule_delta));
+        entry.antecedent_count +=
+            static_cast<uint64_t>(codec::ZigzagDecode(antecedent_delta));
+        if (!visitor(static_cast<const ArchiveEntry&>(entry))) return;
+      }
     }
   }
 
   /// The window-axis walk: merges the rule's series with `windows`
   /// (strictly ascending, as WindowSet::ids() gives them; unchecked) and
   /// calls visit(i, entry) for each windows[i] the rule archived, in
-  /// order. The scan stops after the last requested window, so a horizon
-  /// that ends early decodes only the series' prefix.
+  /// order. The scan starts at the chunk of the first requested window
+  /// and stops after the last one, so it decodes only the runs the
+  /// horizon touches.
   template <typename Visit>
   void VisitWindows(RuleId rule, std::span<const WindowId> windows,
                     Visit&& visit) const {
@@ -173,11 +192,11 @@ class TarArchive {
       while (windows[next] < e.window) ++next;  // stops at `last` at the latest
       if (windows[next] == e.window) visit(next, e);
       return e.window < last;
-    });
+    }, windows.front());
   }
 
   /// Returns the entry of `rule` in `window`, if archived. Early-exits the
-  /// scan at the target window instead of decoding the whole stream.
+  /// scan at the target window instead of decoding the whole series.
   std::optional<ArchiveEntry> EntryFor(RuleId rule, WindowId window) const;
 
   /// Exact/interval measures of `rule` over the union of `windows` (any
@@ -192,7 +211,7 @@ class TarArchive {
                                                   windows.size()));
   }
 
-  /// Number of registered windows.
+  /// Number of archived windows.
   uint32_t window_count() const {
     return static_cast<uint32_t>(window_sizes_.size());
   }
@@ -200,8 +219,8 @@ class TarArchive {
   uint64_t floor_count(WindowId w) const;
   double confidence_floor(WindowId w) const;
 
-  /// Total payload bytes across all rule streams (the paper's Figure 12
-  /// "TAR Archive" series).
+  /// Total payload bytes across all chunks (the paper's Figure 12 "TAR
+  /// Archive" series).
   size_t payload_bytes() const { return payload_bytes_; }
 
   /// Total archived (rule, window) entries — multiplied by the raw record
@@ -211,18 +230,13 @@ class TarArchive {
   /// Number of rules with at least one entry.
   size_t rule_count() const;
 
- private:
-  struct RuleStream {
-    std::vector<uint8_t> bytes;
-    // Delta bases for appending.
-    uint32_t last_window = 0;
-    uint64_t last_rule_count = 0;
-    uint64_t last_antecedent_count = 0;
-    uint32_t entries = 0;
-    bool empty = true;
-  };
+  /// The chunks, oldest first; filled ones are shared across generations.
+  const std::vector<std::shared_ptr<const Chunk>>& chunks() const {
+    return chunks_;
+  }
 
-  std::vector<RuleStream> streams_;
+ private:
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
   std::vector<uint64_t> window_sizes_;
   std::vector<uint64_t> floor_counts_;
   std::vector<double> confidence_floors_;

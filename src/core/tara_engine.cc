@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "core/kb_blocks.h"
 #include "core/kb_storage.h"
@@ -123,18 +124,24 @@ std::optional<LoadError> TaraEngine::MaterializeLocked(uint32_t need) const {
   const uint32_t have = lazy_->materialized.load(std::memory_order_relaxed);
   if (have >= need) return std::nullopt;
 
-  // Stage 1 — catalog-free: hash-check, parse and cross-check each
-  // pending segment against its manifest row, fanned across the query
-  // pool. Workers touch only their slot; the lazy mutex (held by the
-  // caller) is never taken here.
+  // Stage 1 — catalog-free: hash the pending segments in one interleaved
+  // pass, then check, parse and cross-check each against its manifest
+  // row, fanned across the query pool. Workers touch only their slot; the
+  // lazy mutex (held by the caller) is never taken here.
   const uint32_t count = need - have;
+  std::vector<std::span<const uint8_t>> blobs;
+  for (WindowId w = have; w < need; ++w) {
+    blobs.emplace_back(kb.segment(w).data, kb.segment(w).size);
+  }
+  std::vector<uint64_t> hashes(count);
+  HashBytesMany(blobs, hashes.data());
   std::vector<std::optional<Expected<PersistedWindow, LoadError>>> parsed(
       count);
   const auto parse_one = [&](uint32_t i) {
     const WindowId w = have + i;
     const SegmentView view = kb.segment(w);
     parsed[i] = ParseClaimedSegment(
-        view.data, view.size,
+        view.data, view.size, hashes[i],
         {.window = w,
          .total_transactions = view.row->total_transactions,
          .first_rule = w == 0 ? 0 : kb.segment(w - 1).row->rule_watermark,

@@ -1,5 +1,6 @@
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -329,6 +330,33 @@ TEST(HashTest, CombinesOrderSensitively) {
   const std::vector<uint32_t> b = {3, 2, 1};
   EXPECT_NE(HashSpan(a), HashSpan(b));
   EXPECT_EQ(HashSpan(a), HashSpan(a));
+}
+
+TEST(HashTest, ManyChainsMatchHashBytes) {
+  // 0 to 17 inputs (idle lanes, a refill after every lane, two full
+  // rounds plus one), of unequal lengths from 0 to 3,000 bytes, starting
+  // at unaligned offsets of one buffer.
+  Rng rng(17);
+  std::vector<uint8_t> buffer(64 * 1024);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextBounded(256));
+  for (size_t n = 0; n <= 17; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::span<const uint8_t>> inputs;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t size =
+            i % 5 == 0 ? rng.NextBounded(3) : rng.NextBounded(3001);
+        const size_t start = rng.NextBounded(buffer.size() - size);
+        inputs.emplace_back(buffer.data() + start, size);
+      }
+      std::vector<uint64_t> hashes(n + 1, 0);
+      HashBytesMany(inputs, hashes.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hashes[i], HashBytes(inputs[i].data(), inputs[i].size()))
+            << n << " inputs, input " << i;
+      }
+      EXPECT_EQ(hashes[n], 0u) << "wrote past the last input";
+    }
+  }
 }
 
 TEST(DecodeArenaTest, ReusesCapacityAfterReset) {

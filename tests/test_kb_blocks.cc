@@ -924,6 +924,41 @@ TEST_F(KbBlocksTest, LazyDecodeOfCorruptStorageIsATypedQueryError) {
       << eager.error().message;
 }
 
+TEST_F(KbBlocksTest, CorruptSegmentMidBatchFailsTheWholeMaterialization) {
+  // A first answer on window 12 materializes 13 windows in one batch,
+  // hashed in one interleaved pass. With windows 5 and 9 corrupt, the
+  // error names window 5, the first of them, with the checksum message,
+  // and stays sticky; nothing of the batch is published.
+  const TaraEngine engine = BuildEngine(MakeData(13));
+  ASSERT_FALSE(SaveKnowledgeBaseBlocks(*engine.Snapshot(), dir_.string(), 4096)
+                   .has_value());
+  const auto manifest = ReadKnowledgeBaseBlocksManifest(dir_.string());
+  ASSERT_TRUE(manifest.has_value());
+  for (const KbBlockInfo& block : manifest->blocks) {
+    const fs::path file = dir_ / KnowledgeBaseBlockFileName(block.file_index);
+    std::string bytes = ReadFileBytes(file);
+    for (size_t i = 0; i < block.rows.size(); ++i) {
+      const WindowId w = block.first_window + static_cast<WindowId>(i);
+      if (w != 5 && w != 9) continue;
+      bytes[block.rows[i].offset + block.rows[i].segment_bytes / 2] ^= 0x5a;
+    }
+    WriteFileBytes(file, bytes);
+  }
+
+  const auto loaded = Open(dir_.string(), OpenMode::kMapped);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  const ParameterSetting setting{0.02, 0.3};
+  const std::string expected =
+      "segment of window 5 is corrupt: checksum does not match the manifest";
+  for (const WindowId w : {12u, 12u, 2u}) {
+    const auto rejected = loaded->Execute(QueryRequest::MineWindow(w, setting));
+    ASSERT_FALSE(rejected.has_value());
+    EXPECT_EQ(rejected.error().code, QueryError::Code::kCorruptStorage);
+    EXPECT_EQ(rejected.error().message, expected);
+  }
+  EXPECT_FALSE(loaded->fully_materialized());
+}
+
 // Corruption fuzz over the blocks manifest: seeded single-byte flips and
 // truncations. Every mutation must produce a loaded engine or a typed
 // LoadError — never a crash — and the vast majority must be detected.

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "archive_feed.h"
 #include "common/rng.h"
 #include "core/query_request.h"
 #include "core/rollup_tree.h"
@@ -35,22 +36,27 @@ void ExpectSameBound(const RollUpBound& tree, const RollUpBound& linear) {
 /// An archive fed the way KbBuilder's commit feeds it, and the roll-up
 /// tree over it.
 struct MirroredIndex {
-  std::shared_ptr<TarArchive> archive = std::make_shared<TarArchive>();
+  ArchiveFeed feed;
+  std::shared_ptr<const TarArchive> archive;
   uint32_t window_count = 0;
   uint32_t rule_count = 0;
 
   void AddWindow(uint64_t size, uint64_t floor_count,
                  double confidence_floor) {
-    archive->RegisterWindow(window_count++, size, floor_count,
-                            confidence_floor);
+    feed.Window(size, floor_count, confidence_floor);
+    ++window_count;
   }
 
   void AddEntry(RuleId rule, uint64_t rule_cnt, uint64_t ant_cnt) {
-    archive->Add(rule, window_count - 1, rule_cnt, ant_cnt);
+    feed.Add(rule, window_count - 1, rule_cnt, ant_cnt);
     if (rule >= rule_count) rule_count = rule + 1;
   }
 
-  RollUpTree Tree() const { return RollUpTree(archive); }
+  /// Builds the archive from every window fed so far, and its tree.
+  RollUpTree Tree() {
+    archive = std::make_shared<const TarArchive>(feed.Build());
+    return RollUpTree(archive);
+  }
 };
 
 /// A seeded random index: per-window sizes/floors vary, rules are present
@@ -103,16 +109,19 @@ WindowSet RandomWindowSet(Rng& rng, uint32_t window_count) {
 }
 
 TEST(RollUpTree, MatchesLinearScanOnRandomizedIndexes) {
-  for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const MirroredIndex m = RandomIndex(seed, 48, 12);
-    const RollUpTree tree = m.Tree();
-    Rng rng(seed * 1000 + 7);
-    for (int round = 0; round < 100; ++round) {
-      const WindowSet windows = RandomWindowSet(rng, m.window_count);
-      // Include a rule id past everything archived (decodes to empty).
-      for (RuleId rule = 0; rule <= m.rule_count; ++rule) {
-        ExpectSameBound(tree.RollUp(rule, windows.ids()),
-                        m.archive->RollUp(rule, windows.ids()));
+  // 48 windows fit one archive chunk; 3K + 5 span four.
+  for (const uint32_t windows : {48u, 3 * TarArchive::kChunkWindows + 5}) {
+    for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      MirroredIndex m = RandomIndex(seed, windows, 12);
+      const RollUpTree tree = m.Tree();
+      Rng rng(seed * 1000 + 7);
+      for (int round = 0; round < 100; ++round) {
+        const WindowSet windows_set = RandomWindowSet(rng, m.window_count);
+        // Include a rule id past everything archived (decodes to empty).
+        for (RuleId rule = 0; rule <= m.rule_count; ++rule) {
+          ExpectSameBound(tree.RollUp(rule, windows_set.ids()),
+                          m.archive->RollUp(rule, windows_set.ids()));
+        }
       }
     }
   }

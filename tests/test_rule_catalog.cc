@@ -103,6 +103,34 @@ TEST(RuleCatalogTest, InternNewIsAllOrNothing) {
   EXPECT_EQ(catalog.Intern(Rule{{7}, {8}}), 3u);
 }
 
+TEST(RuleCatalogTest, RefusedBatchAfterGrowthLeavesTheCatalogUnchanged) {
+  // The batch grows the table (from 16 slots to 512) before its last rule
+  // repeats a held one; the refusal must leave every lookup as it was.
+  RuleCatalog catalog;
+  for (ItemId i = 0; i < 6; ++i) catalog.Intern(Rule{{i}, {100 + i}});
+  std::vector<Rule> batch;
+  for (ItemId i = 6; i < 200; ++i) batch.push_back(Rule{{i}, {100 + i}});
+  batch.push_back(Rule{{3}, {103}});
+  const std::vector<Rule> sent = batch;
+  EXPECT_EQ(catalog.InternNew(batch), std::optional<size_t>(194));
+  EXPECT_EQ(batch, sent);
+  ASSERT_EQ(catalog.size(), 6u);
+  for (ItemId i = 0; i < 6; ++i) {
+    EXPECT_EQ(catalog.Find(Rule{{i}, {100 + i}}), i);
+    EXPECT_EQ(catalog.rule(i), (Rule{{i}, {100 + i}}));
+  }
+  for (ItemId i = 6; i < 200; ++i) {
+    EXPECT_EQ(catalog.Find(Rule{{i}, {100 + i}}), RuleCatalog::kNotFound);
+  }
+  // The grown table still interns, in order, from the same next id.
+  batch.pop_back();
+  EXPECT_FALSE(catalog.InternNew(batch).has_value());
+  ASSERT_EQ(catalog.size(), 200u);
+  for (ItemId i = 0; i < 200; ++i) {
+    EXPECT_EQ(catalog.Find(Rule{{i}, {100 + i}}), i);
+  }
+}
+
 // Readers hash and compare through the rules the catalog stores, so they
 // must be safe beside one interning writer: Intern, InternNew batches,
 // and refused batches whose rules are interned and then handed back.

@@ -1,23 +1,27 @@
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "archive_feed.h"
 #include "core/tar_archive.h"
+#include "core/tara_engine.h"
 
 namespace tara {
 namespace {
 
 TEST(TarArchiveTest, RoundTripsSingleRule) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 2);
-  archive.RegisterWindow(1, 120, 2);
-  archive.RegisterWindow(2, 90, 2);
-  archive.Add(7, 0, 10, 20);
-  archive.Add(7, 2, 12, 25);
+  ArchiveFeed feed;
+  feed.Window(100, 2);
+  feed.Window(120, 2);
+  feed.Window(90, 2);
+  feed.Add(7, 0, 10, 20);
+  feed.Add(7, 2, 12, 25);
+  const TarArchive archive = feed.Build();
 
   DecodeArena arena;
   const auto series = archive.DecodeInto(7, arena);
@@ -35,8 +39,9 @@ TEST(TarArchiveTest, RoundTripsSingleRule) {
 }
 
 TEST(TarArchiveTest, UnknownRuleDecodesEmpty) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 10, 1);
+  ArchiveFeed feed;
+  feed.Window(10, 1);
+  const TarArchive archive = feed.Build();
   DecodeArena arena;
   EXPECT_TRUE(archive.DecodeInto(3, arena).empty());
   EXPECT_TRUE(archive.DecodeInto(12345, arena).empty());
@@ -49,11 +54,12 @@ TEST(TarArchiveTest, UnknownRuleDecodesEmpty) {
 }
 
 TEST(TarArchiveTest, DecreasingCountsRoundTrip) {
-  TarArchive archive;
-  for (WindowId w = 0; w < 5; ++w) archive.RegisterWindow(w, 1000, 3);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 5; ++w) feed.Window(1000, 3);
   uint64_t counts[] = {500, 400, 450, 100, 90};
   uint64_t ants[] = {800, 700, 650, 300, 95};
-  for (WindowId w = 0; w < 5; ++w) archive.Add(0, w, counts[w], ants[w]);
+  for (WindowId w = 0; w < 5; ++w) feed.Add(0, w, counts[w], ants[w]);
+  const TarArchive archive = feed.Build();
   DecodeArena arena;
   const auto series = archive.DecodeInto(0, arena);
   ASSERT_EQ(series.size(), 5u);
@@ -66,9 +72,10 @@ TEST(TarArchiveTest, DecreasingCountsRoundTrip) {
 TEST(TarArchiveTest, StableRulesCompressWell) {
   // A rule with identical counts across many windows should take ~3 bytes
   // per entry after the first, versus 20 raw.
-  TarArchive archive;
-  for (WindowId w = 0; w < 100; ++w) archive.RegisterWindow(w, 1000, 3);
-  for (WindowId w = 0; w < 100; ++w) archive.Add(0, w, 50, 100);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 100; ++w) feed.Window(1000, 3);
+  for (WindowId w = 0; w < 100; ++w) feed.Add(0, w, 50, 100);
+  const TarArchive archive = feed.Build();
   EXPECT_EQ(archive.entry_count(), 100u);
   EXPECT_LT(archive.payload_bytes(), 100u * 4);
   DecodeArena arena;
@@ -78,11 +85,12 @@ TEST(TarArchiveTest, StableRulesCompressWell) {
 }
 
 TEST(TarArchiveTest, RollUpIsExactWhenAllWindowsPresent) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 2);
-  archive.RegisterWindow(1, 100, 2);
-  archive.Add(1, 0, 10, 20);
-  archive.Add(1, 1, 30, 40);
+  ArchiveFeed feed;
+  feed.Window(100, 2);
+  feed.Window(100, 2);
+  feed.Add(1, 0, 10, 20);
+  feed.Add(1, 1, 30, 40);
+  const TarArchive archive = feed.Build();
   const RollUpBound bound = archive.RollUp(1, {0, 1});
   EXPECT_EQ(bound.missing_windows, 0u);
   EXPECT_DOUBLE_EQ(bound.support_lo, 40.0 / 200.0);
@@ -92,10 +100,11 @@ TEST(TarArchiveTest, RollUpIsExactWhenAllWindowsPresent) {
 }
 
 TEST(TarArchiveTest, RollUpBoundsWidenForMissingWindows) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 5);
-  archive.RegisterWindow(1, 100, 5);
-  archive.Add(2, 0, 10, 20);  // absent in window 1 (count must be < 5)
+  ArchiveFeed feed;
+  feed.Window(100, 5);
+  feed.Window(100, 5);
+  feed.Add(2, 0, 10, 20);  // absent in window 1 (count must be < 5)
+  const TarArchive archive = feed.Build();
   const RollUpBound bound = archive.RollUp(2, {0, 1});
   EXPECT_EQ(bound.missing_windows, 1u);
   // Support: known 10 plus at most 4 undetected, over 200.
@@ -110,10 +119,11 @@ TEST(TarArchiveTest, RollUpBoundsWidenForMissingWindows) {
 }
 
 TEST(TarArchiveTest, RollUpOfRuleAbsentEverywhereIsPureSlack) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 5, 0.0);
-  archive.RegisterWindow(1, 100, 5, 0.0);
-  archive.Add(0, 0, 10, 20);  // some other rule exists; 9 was never added
+  ArchiveFeed feed;
+  feed.Window(100, 5, 0.0);
+  feed.Window(100, 5, 0.0);
+  feed.Add(0, 0, 10, 20);  // some other rule exists; 9 was never added
+  const TarArchive archive = feed.Build();
   const RollUpBound bound = archive.RollUp(9, {0, 1});
   EXPECT_EQ(bound.missing_windows, 2u);
   // Nothing known: lower bounds collapse to zero, upper bounds are pure
@@ -129,12 +139,13 @@ TEST(TarArchiveTest, RollUpSlackStaysStrictlyBelowTheFloor) {
   // A rule observed at EXACTLY the floor count is archived and exact; an
   // absent window contributes at most floor-1 — so a missing window can
   // never account for a rule that actually met the floor there.
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 5, 0.0);
-  archive.RegisterWindow(1, 100, 5, 0.0);
-  archive.Add(0, 0, 5, 10);  // at the floor: present, not slack
-  archive.Add(0, 1, 5, 10);
-  archive.Add(1, 0, 5, 10);  // same counts, but absent from window 1
+  ArchiveFeed feed;
+  feed.Window(100, 5, 0.0);
+  feed.Window(100, 5, 0.0);
+  feed.Add(0, 0, 5, 10);  // at the floor: present, not slack
+  feed.Add(0, 1, 5, 10);
+  feed.Add(1, 0, 5, 10);  // same counts, but absent from window 1
+  const TarArchive archive = feed.Build();
   const RollUpBound at_floor = archive.RollUp(0, {0, 1});
   EXPECT_EQ(at_floor.missing_windows, 0u);
   EXPECT_DOUBLE_EQ(at_floor.support_lo, 10.0 / 200.0);
@@ -147,9 +158,10 @@ TEST(TarArchiveTest, RollUpSlackStaysStrictlyBelowTheFloor) {
 }
 
 TEST(TarArchiveTest, RollUpOverASingleWindowSet) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 5, 0.2);
-  archive.Add(3, 0, 25, 50);
+  ArchiveFeed feed;
+  feed.Window(100, 5, 0.2);
+  feed.Add(3, 0, 25, 50);
+  const TarArchive archive = feed.Build();
   // Present in the only window: a single-window roll-up is exact and
   // degenerates to that window's point measures.
   const RollUpBound present = archive.RollUp(3, {0});
@@ -171,21 +183,21 @@ TEST(TarArchiveTest, RollUpOverASingleWindowSet) {
 
 TEST(TarArchiveTest, RollUpBoundsAreNeverInverted) {
   Rng rng(2026);
-  TarArchive archive;
+  ArchiveFeed feed;
   const uint32_t windows = 8;
   for (WindowId w = 0; w < windows; ++w) {
-    archive.RegisterWindow(w, 200 + rng.NextBounded(800),
-                           1 + rng.NextBounded(10),
-                           rng.NextDouble() * 0.3);
+    feed.Window(200 + rng.NextBounded(800), 1 + rng.NextBounded(10),
+                rng.NextDouble() * 0.3);
   }
   constexpr RuleId kRules = 50;
   for (WindowId w = 0; w < windows; ++w) {
     for (RuleId r = 0; r < kRules; ++r) {
       if (rng.NextBool(0.5)) continue;
       const uint64_t count = 1 + rng.NextBounded(100);
-      archive.Add(r, w, count, count + rng.NextBounded(100));
+      feed.Add(r, w, count, count + rng.NextBounded(100));
     }
   }
+  const TarArchive archive = feed.Build();
   for (RuleId r = 0; r < kRules; ++r) {
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<WindowId> subset;
@@ -207,9 +219,9 @@ TEST(TarArchiveTest, RollUpBoundsAreNeverInverted) {
 
 TEST(TarArchiveTest, PayloadIsSmallerThanRawEncoding) {
   Rng rng(3);
-  TarArchive archive;
+  ArchiveFeed feed;
   const uint32_t windows = 20;
-  for (WindowId w = 0; w < windows; ++w) archive.RegisterWindow(w, 5000, 5);
+  for (WindowId w = 0; w < windows; ++w) feed.Window(5000, 5);
   for (RuleId r = 0; r < 500; ++r) {
     uint64_t count = 50 + rng.NextBounded(100);
     uint64_t ant = count + rng.NextBounded(100);
@@ -219,9 +231,10 @@ TEST(TarArchiveTest, PayloadIsSmallerThanRawEncoding) {
       count = static_cast<uint64_t>(
           std::max<int64_t>(5, static_cast<int64_t>(count) + dc));
       ant = std::max(ant, count);
-      archive.Add(r, w, count, ant);
+      feed.Add(r, w, count, ant);
     }
   }
+  const TarArchive archive = feed.Build();
   // Raw record: window(4) + two counts(8+8) = 20 bytes per entry.
   const size_t raw = archive.entry_count() * 20;
   EXPECT_LT(archive.payload_bytes(), raw / 3)
@@ -269,50 +282,218 @@ std::vector<std::vector<ArchiveEntry>> ShadowSeries(Rng& rng) {
   return series;
 }
 
+/// Every rule's DecodeInto and VisitEntries sequences equal its shadow.
+void ExpectMatchesShadow(const TarArchive& archive,
+                         const std::vector<std::vector<ArchiveEntry>>& shadow) {
+  DecodeArena arena;
+  const auto expect_equal = [](std::span<const ArchiveEntry> got,
+                               const std::vector<ArchiveEntry>& want,
+                               RuleId r) {
+    ASSERT_EQ(got.size(), want.size()) << "rule " << r;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].window, want[i].window) << "rule " << r;
+      EXPECT_EQ(got[i].rule_count, want[i].rule_count) << "rule " << r;
+      EXPECT_EQ(got[i].antecedent_count, want[i].antecedent_count)
+          << "rule " << r;
+    }
+  };
+  for (RuleId r = 0; r < shadow.size(); ++r) {
+    arena.Reset();
+    expect_equal(archive.DecodeInto(r, arena), shadow[r], r);
+    std::vector<ArchiveEntry> visited;
+    archive.VisitEntries(r, [&](const ArchiveEntry& e) {
+      visited.push_back(e);
+      return true;
+    });
+    expect_equal(visited, shadow[r], r);
+  }
+}
+
+/// The feed committed in batches of 1 to `max_batch` windows.
+TarArchive BuildInBatches(const ArchiveFeed& feed, Rng& rng,
+                          size_t max_batch) {
+  TarArchive archive;
+  while (archive.window_count() < feed.window_count()) {
+    const size_t end = std::min(
+        feed.window_count(),
+        archive.window_count() + 1 + rng.NextBounded(max_batch));
+    archive = feed.Append(archive, end);
+  }
+  return archive;
+}
+
 TEST(TarArchiveTest, RandomizedRoundTripAgainstShadow) {
-  // The shadow Add was fed is the decoder's only oracle: DecodeInto and
-  // VisitEntries read the stream through the same scan.
+  // The shadow the feed was built from is the decoder's only oracle:
+  // DecodeInto and VisitEntries read the runs through the same scan. The
+  // windows arrive in random batches, so runs cross chunk boundaries and
+  // open chunks are rebuilt.
   Rng rng(99);
   const std::vector<std::vector<ArchiveEntry>> shadow = ShadowSeries(rng);
   WindowId windows = 0;
   for (const auto& s : shadow) {
     if (!s.empty()) windows = std::max(windows, s.back().window + 1);
   }
-  TarArchive archive;
-  for (WindowId w = 0; w < windows; ++w) archive.RegisterWindow(w, 1000, 3);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < windows; ++w) feed.Window(1000, 3);
   for (RuleId r = 0; r < shadow.size(); ++r) {
     for (const ArchiveEntry& e : shadow[r]) {
-      archive.Add(r, e.window, e.rule_count, e.antecedent_count);
+      feed.Add(r, e.window, e.rule_count, e.antecedent_count);
     }
   }
-  DecodeArena arena;
-  for (RuleId r = 0; r < shadow.size(); ++r) {
-    arena.Reset();
-    const auto series = archive.DecodeInto(r, arena);
-    ASSERT_EQ(series.size(), shadow[r].size()) << "rule " << r;
-    for (size_t i = 0; i < series.size(); ++i) {
-      EXPECT_EQ(series[i].window, shadow[r][i].window);
-      EXPECT_EQ(series[i].rule_count, shadow[r][i].rule_count);
-      EXPECT_EQ(series[i].antecedent_count, shadow[r][i].antecedent_count);
+  const TarArchive archive = BuildInBatches(feed, rng, windows / 4 + 1);
+  ExpectMatchesShadow(archive, shadow);
+  EXPECT_EQ(archive.window_count(), windows);
+}
+
+/// A feed of `windows` windows and its shadow, with every shape chunking
+/// can break: steady rules, rules first seen in a later chunk, rules
+/// absent for whole chunks, sparse rules whose gaps cross chunk
+/// boundaries, counts of every varint width, and entries listed in random
+/// rule order within each window.
+ArchiveFeed ChunkShapes(uint32_t windows, Rng& rng,
+                        std::vector<std::vector<ArchiveEntry>>* shadow) {
+  constexpr uint32_t K = TarArchive::kChunkWindows;
+  constexpr RuleId kRules = 60;
+  shadow->assign(kRules, {});
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < windows; ++w) {
+    feed.Window(1000 + w, 3, 0.1);
+    std::vector<WindowIndex::Entry> entries;
+    for (RuleId r = 0; r < kRules; ++r) {
+      bool present = false;
+      uint64_t base = 1000;
+      switch (r / 10) {
+        case 0: present = true; break;                       // steady
+        case 1: present = w >= K && rng.NextBool(0.7); break;  // later chunk
+        case 2: present = (w / K) % 2 == 0; break;     // whole chunks absent
+        case 3: present = rng.NextBool(0.05) || w % K == K - 1; break;
+        default:  // every varint width
+          present = rng.NextBool(0.6);
+          base = 1ULL << rng.NextBounded(63);
+      }
+      if (!present) continue;
+      const uint64_t count = 1 + rng.NextBounded(base);
+      entries.push_back({r, count, count + rng.NextBounded(base)});
     }
-    std::vector<ArchiveEntry> visited;
-    archive.VisitEntries(r, [&](const ArchiveEntry& e) {
-      visited.push_back(e);
-      return true;
-    });
-    ASSERT_EQ(visited.size(), shadow[r].size()) << "rule " << r;
-    for (size_t i = 0; i < visited.size(); ++i) {
-      EXPECT_EQ(visited[i].window, shadow[r][i].window);
-      EXPECT_EQ(visited[i].rule_count, shadow[r][i].rule_count);
-      EXPECT_EQ(visited[i].antecedent_count, shadow[r][i].antecedent_count);
+    for (size_t i = entries.size(); i > 1; --i) {
+      std::swap(entries[i - 1], entries[rng.NextBounded(i)]);
     }
+    for (const WindowIndex::Entry& e : entries) {
+      feed.Add(e.rule, w, e.rule_count, e.antecedent_count);
+      (*shadow)[e.rule].push_back({w, e.rule_count, e.antecedent_count});
+    }
+  }
+  return feed;
+}
+
+TEST(TarArchiveTest, CommitBatchingDoesNotChangeTheBytes) {
+  constexpr uint32_t K = TarArchive::kChunkWindows;
+  Rng rng(4242);
+  for (const uint32_t windows : {1u, K - 1, K, K + 1, 3 * K + 5}) {
+    SCOPED_TRACE(windows);
+    std::vector<std::vector<ArchiveEntry>> shadow;
+    const ArchiveFeed feed = ChunkShapes(windows, rng, &shadow);
+    const TarArchive one_batch = feed.Build();
+    const TarArchive single = BuildInBatches(feed, rng, 1);
+    const TarArchive random = BuildInBatches(feed, rng, K + 7);
+    ASSERT_EQ(one_batch.chunks().size(), (windows + K - 1) / K);
+    for (const TarArchive* other : {&single, &random}) {
+      ASSERT_EQ(other->chunks().size(), one_batch.chunks().size());
+      for (size_t c = 0; c < one_batch.chunks().size(); ++c) {
+        EXPECT_EQ(other->chunks()[c]->bytes, one_batch.chunks()[c]->bytes)
+            << "chunk " << c;
+        EXPECT_EQ(other->chunks()[c]->offsets,
+                  one_batch.chunks()[c]->offsets)
+            << "chunk " << c;
+      }
+      EXPECT_EQ(other->payload_bytes(), one_batch.payload_bytes());
+      EXPECT_EQ(other->entry_count(), one_batch.entry_count());
+      EXPECT_EQ(other->rule_count(), one_batch.rule_count());
+    }
+    size_t entries = 0;
+    size_t rules = 0;
+    for (const auto& s : shadow) {
+      entries += s.size();
+      rules += s.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(one_batch.entry_count(), entries);
+    EXPECT_EQ(one_batch.rule_count(), rules);
+    ExpectMatchesShadow(one_batch, shadow);
+    ExpectMatchesShadow(random, shadow);
   }
 }
 
+TEST(TarArchiveTest, OneChunkHoldsTheUnchunkedStreams) {
+  // Up to kChunkWindows windows, a rule's run is the stream an unchunked
+  // archive wrote: absolute first window, plain counts, then gap and
+  // zigzag deltas.
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 4; ++w) feed.Window(1000, 3);
+  feed.Add(1, 1, 300, 400);  // 300 and 400 take two varint bytes
+  feed.Add(1, 3, 299, 402);  // gap 2, deltas -1 and +2
+  const TarArchive archive = feed.Build();
+  ASSERT_EQ(archive.chunks().size(), 1u);
+  const TarArchive::Chunk& chunk = *archive.chunks()[0];
+  EXPECT_EQ(chunk.offsets, (std::vector<uint32_t>{0, 0, 8}));
+  EXPECT_EQ(chunk.bytes, (std::vector<uint8_t>{1, 0xac, 0x02, 0x90, 0x03, 2,
+                                               1, 4}));
+  EXPECT_EQ(archive.payload_bytes(), 8u);
+}
+
+TEST(TarArchiveTest, PublicationSharesFilledChunks) {
+  // A knowledge base of 2K + 1 windows holds two filled chunks and an
+  // open one; one more append shares both filled chunks with the parent
+  // generation, whose reads do not move.
+  constexpr uint32_t K = TarArchive::kChunkWindows;
+  TaraEngine::Options options;
+  options.min_support_floor = 0.02;
+  options.min_confidence_floor = 0.3;
+  options.parallelism = 1;
+  TaraEngine engine(options);
+  Rng rng(8);
+  const auto append = [&](WindowId w) {
+    std::vector<TaraEngine::PrecomputedRule> rules;
+    for (uint32_t r = 0; r < 40; ++r) {
+      if (r >= 20 && rng.NextBool(0.5)) continue;
+      TaraEngine::PrecomputedRule p;
+      p.rule = Rule{{static_cast<ItemId>(r)},
+                    {static_cast<ItemId>(1000 + r + (w % 3) * 100)}};
+      p.rule_count = 20 + rng.NextBounded(50);
+      p.antecedent_count = p.rule_count + rng.NextBounded(50);
+      rules.push_back(p);
+    }
+    engine.AppendPrecomputedWindow(500, rules);
+  };
+  for (WindowId w = 0; w < 2 * K + 1; ++w) append(w);
+  const auto parent = engine.Snapshot();
+  const TarArchive& before = parent->archive();
+  ASSERT_EQ(before.chunks().size(), 3u);
+  const size_t payload = before.payload_bytes();
+  std::vector<std::vector<ArchiveEntry>> series(parent->rule_count());
+  for (RuleId r = 0; r < series.size(); ++r) {
+    before.VisitEntries(r, [&](const ArchiveEntry& e) {
+      series[r].push_back(e);
+      return true;
+    });
+  }
+
+  append(2 * K + 1);
+  const auto child = engine.Snapshot();
+  const TarArchive& after = child->archive();
+  ASSERT_EQ(after.chunks().size(), 3u);
+  EXPECT_EQ(after.chunks()[0].get(), before.chunks()[0].get());
+  EXPECT_EQ(after.chunks()[1].get(), before.chunks()[1].get());
+  EXPECT_NE(after.chunks()[2].get(), before.chunks()[2].get());
+  EXPECT_EQ(before.window_count(), 2 * K + 1);
+  EXPECT_EQ(before.payload_bytes(), payload);
+  ExpectMatchesShadow(before, series);
+}
+
 TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
-  TarArchive archive;
-  for (WindowId w = 0; w < 64; ++w) archive.RegisterWindow(w, 100, 2);
-  for (WindowId w = 0; w < 64; w += 3) archive.Add(4, w, 10 + w, 20 + w);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 64; ++w) feed.Window(100, 2);
+  for (WindowId w = 0; w < 64; w += 3) feed.Add(4, w, 10 + w, 20 + w);
+  const TarArchive archive = feed.Build();
 
   size_t visited = 0;
   archive.VisitEntries(4, [&](const ArchiveEntry& e) {
@@ -339,13 +520,14 @@ TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
 TEST(TarArchiveTest, ConcurrentDecodeIntoWithPrivateArenas) {
   // DecodeInto is const and takes the arena by reference: concurrent
   // readers with private arenas must not race (tsan coverage).
-  TarArchive archive;
-  for (WindowId w = 0; w < 128; ++w) archive.RegisterWindow(w, 1000, 3);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 128; ++w) feed.Window(1000, 3);
   for (RuleId r = 0; r < 16; ++r) {
     for (WindowId w = 0; w < 128; ++w) {
-      archive.Add(r, w, 100 + r + (w % 7), 200 + r + (w % 11));
+      feed.Add(r, w, 100 + r + (w % 7), 200 + r + (w % 11));
     }
   }
+  const TarArchive archive = feed.Build();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&archive, t] {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "archive_feed.h"
 #include "core/tar_archive.h"
 #include "core/trajectory.h"
 
@@ -63,12 +64,13 @@ TEST(TrajectoryMeasuresTest, StddevMatchesHandComputation) {
 }
 
 TEST(BuildTrajectoryTest, AssemblesFromArchive) {
-  TarArchive archive;
-  archive.RegisterWindow(0, 100, 2);
-  archive.RegisterWindow(1, 200, 2);
-  archive.RegisterWindow(2, 100, 2);
-  archive.Add(5, 0, 10, 20);
-  archive.Add(5, 2, 25, 50);
+  ArchiveFeed feed;
+  feed.Window(100, 2);
+  feed.Window(200, 2);
+  feed.Window(100, 2);
+  feed.Add(5, 0, 10, 20);
+  feed.Add(5, 2, 25, 50);
+  const TarArchive archive = feed.Build();
 
   const Trajectory t = BuildTrajectory(archive, 5, {0, 1, 2});
   ASSERT_EQ(t.size(), 3u);
@@ -82,9 +84,10 @@ TEST(BuildTrajectoryTest, AssemblesFromArchive) {
 }
 
 TEST(BuildTrajectoryTest, SelectsRequestedWindowsOnly) {
-  TarArchive archive;
-  for (WindowId w = 0; w < 5; ++w) archive.RegisterWindow(w, 100, 2);
-  for (WindowId w = 0; w < 5; ++w) archive.Add(1, w, 10 + w, 20);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 5; ++w) feed.Window(100, 2);
+  for (WindowId w = 0; w < 5; ++w) feed.Add(1, w, 10 + w, 20);
+  const TarArchive archive = feed.Build();
   const Trajectory t = BuildTrajectory(archive, 1, {2, 4});
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].window, 2u);
@@ -96,9 +99,10 @@ TEST(BuildTrajectoryTest, SelectsRequestedWindowsOnly) {
 // The walk merges the series with the windows in one ascending pass, so
 // a window list out of order or repeated is a caller bug, not a request.
 TEST(BuildTrajectoryDeathTest, RefusesWindowsNotStrictlyAscending) {
-  TarArchive archive;
-  for (WindowId w = 0; w < 5; ++w) archive.RegisterWindow(w, 100, 2);
-  archive.Add(1, 2, 10, 20);
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 5; ++w) feed.Window(100, 2);
+  feed.Add(1, 2, 10, 20);
+  const TarArchive archive = feed.Build();
   EXPECT_DEATH(BuildTrajectory(archive, 1, {4, 2}), "strictly ascending");
   EXPECT_DEATH(BuildTrajectory(archive, 1, {2, 2}), "strictly ascending");
   DecodeArena arena;
