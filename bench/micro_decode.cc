@@ -1,18 +1,19 @@
-// Archive-decode and roll-up-index microbench: prices the archive's one
-// decoder and the roll-up tree built on it.
+// Archive-decode and roll-up microbench: prices the archive's one decoder
+// and the roll-up built on its window axis.
 //
-// Part 1 (decode row): TarArchive::DecodeInto throughput (MB/s over
-// payload bytes) over every rule of a stable-rule archive — gap 1 and
+// Part 1 (decode row): a TarArchive::VisitEntries sweep's throughput (MB/s
+// over payload bytes) over every rule of a stable-rule archive — gap 1 and
 // small count wobble, so almost every varint is one byte: the shape the
 // archive's one-test fast path for three one-byte varints targets.
 //
-// Part 2 (rollup rows): RollUp p50 latency, linear archive scan (decode
-// the series, binary-search each window) vs the roll-up tree (window-axis
-// prefix sums plus one streaming pass over the rule's series), over the
-// all-windows set and a sparse jittered set, with a built-in divergence
-// check (the two paths must produce bit-identical bounds). CI asserts the
-// tree beats the linear scan on the all-windows set and stays within
-// 10 us of it on the sparse set.
+// Part 2 (rollup rows): roll-up p50 latency, the linear reference of
+// tests/archive_feed.h (decode the series into a reused vector,
+// binary-search each window) vs TarArchive::RollUp (window-axis prefix sums
+// plus one streaming pass over the rule's series), over the all-windows
+// set and a sparse jittered set, with a built-in divergence check (the two
+// must produce bit-identical bounds). CI asserts the archive's roll-up
+// beats the reference on the all-windows set and stays within 10 us of it
+// on the sparse set.
 //
 // Part 3 (codec rows): the result codec every served answer passes
 // through, in MB/s of frame bytes, over two fixed-seed answers — a
@@ -26,16 +27,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_report.h"
-#include "common/arena.h"
 #include "common/rng.h"
-#include "core/rollup_tree.h"
 #include "core/tar_archive.h"
 #include "core/wire_format.h"
+#include "tests/archive_feed.h"
 
 namespace tara {
 namespace {
@@ -43,6 +42,8 @@ namespace {
 constexpr uint32_t kWindows = 4096;
 constexpr uint32_t kRules = 64;
 constexpr uint64_t kWindowSize = 100000;
+/// Every window's size and floors.
+constexpr WindowTerms kTerms{kWindowSize, 50, 0.1};
 constexpr int kDecodeReps = 100;
 constexpr int kRollUpReps = 400;
 constexpr int kCodecReps = 200;
@@ -65,7 +66,7 @@ double PercentileUs(std::vector<uint64_t>* ns, double p) {
 
 /// A stable-rule archive: every rule in every window, counts wobbling by
 /// less than 16.
-std::shared_ptr<TarArchive> StableArchive() {
+TarArchive StableArchive() {
   Rng rng(7);
   std::vector<std::vector<WindowIndex::Entry>> entries(kWindows);
   std::vector<TarArchive::Window> windows;
@@ -75,9 +76,10 @@ std::shared_ptr<TarArchive> StableArchive() {
       const uint64_t ant_count = rule_count + rng.NextBounded(16);
       entries[w].push_back({r, rule_count, ant_count});
     }
-    windows.push_back({kWindowSize, 50, 0.1, entries[w]});
+    windows.push_back({kTerms.size, kTerms.floor_count,
+                       kTerms.confidence_floor, entries[w]});
   }
-  return std::make_shared<TarArchive>(TarArchive().Appended(windows));
+  return TarArchive().Appended(windows);
 }
 
 /// A trajectory answer: 100 rules over a 20-window horizon.
@@ -120,37 +122,42 @@ QueryResult RuleListAnswer() {
 int main() {
   using namespace tara;
 
-  const std::shared_ptr<TarArchive> archive = StableArchive();
+  const TarArchive archive = StableArchive();
   std::printf("archive: %u windows x %u rules, %zu payload bytes\n", kWindows,
-              kRules, archive->payload_bytes());
+              kRules, archive.payload_bytes());
 
   bench::BenchReport report("decode");
-  DecodeArena arena;
 
-  // --- Part 1: DecodeInto throughput --------------------------------------
+  // --- Part 1: VisitEntries throughput ------------------------------------
   uint64_t best_ns = UINT64_MAX;
   size_t entries = 0;
+  uint64_t count_sum = 0;  // read once the sweep ends, so it is not elided
   for (int rep = 0; rep < kDecodeReps; ++rep) {
     entries = 0;
     const uint64_t start = NowNs();
     for (RuleId r = 0; r < kRules; ++r) {
-      arena.Reset();
-      entries += archive->DecodeInto(r, arena).size();
+      archive.VisitEntries(r, [&](const ArchiveEntry& e) {
+        ++entries;
+        count_sum += e.rule_count + e.antecedent_count;
+        return true;
+      });
     }
     best_ns = std::min(best_ns, NowNs() - start);
   }
-  const double into_mbps = static_cast<double>(archive->payload_bytes()) *
-                           1000.0 / static_cast<double>(best_ns);
-  std::printf("decode_into   %8.1f MB/s  (%zu entries/pass)\n", into_mbps,
-              entries);
+  const double visit_mbps = static_cast<double>(archive.payload_bytes()) *
+                            1000.0 / static_cast<double>(best_ns);
+  std::printf("visit_entries %8.1f MB/s  (%zu entries/pass, sum %llu)\n",
+              visit_mbps, entries,
+              static_cast<unsigned long long>(count_sum));
   report.AddRow()
       .Set("row", "decode")
-      .Set("mb_per_s", into_mbps)
+      .Set("mb_per_s", visit_mbps)
       .Set("entries_per_pass", static_cast<uint64_t>(entries))
       .Set("peak_rss_bytes", bench::PeakRssBytes());
 
-  // --- Part 2: roll-up latency, linear vs tree ----------------------------
-  const RollUpTree tree(archive);
+  // --- Part 2: roll-up latency, linear reference vs archive --------------
+  const std::vector<WindowTerms> terms(kWindows, kTerms);
+  std::vector<ArchiveEntry> scratch;
   std::vector<WindowId> all_windows(kWindows);
   for (WindowId w = 0; w < kWindows; ++w) all_windows[w] = w;
   Rng rng(99);
@@ -166,33 +173,37 @@ int main() {
   const SetCase cases[] = {{"all_windows", &all_windows},
                            {"sparse_jitter", &sparse}};
   for (const SetCase& c : cases) {
-    std::vector<uint64_t> linear_ns, tree_ns;
-    double divergence = 0;
+    std::vector<uint64_t> linear_ns, archive_ns;
+    bool diverged = false;
     for (int rep = 0; rep < kRollUpReps; ++rep) {
       const RuleId rule = static_cast<RuleId>(rep % kRules);
       uint64_t start = NowNs();
-      const RollUpBound linear = archive->RollUp(rule, *c.windows, &arena);
+      const RollUpBound linear =
+          LinearRollUp(archive, rule, *c.windows, terms, &scratch);
       linear_ns.push_back(NowNs() - start);
       start = NowNs();
-      const RollUpBound hier = tree.RollUp(rule, *c.windows);
-      tree_ns.push_back(NowNs() - start);
-      divergence += (linear.support_lo - hier.support_lo) +
-                    (linear.confidence_hi - hier.confidence_hi);
+      const RollUpBound served = archive.RollUp(rule, *c.windows);
+      archive_ns.push_back(NowNs() - start);
+      diverged |= linear.support_lo != served.support_lo ||
+                  linear.support_hi != served.support_hi ||
+                  linear.confidence_lo != served.confidence_lo ||
+                  linear.confidence_hi != served.confidence_hi ||
+                  linear.missing_windows != served.missing_windows;
     }
-    if (divergence != 0) {
-      std::fprintf(stderr, "tree/linear divergence on %s\n", c.name);
+    if (diverged) {
+      std::fprintf(stderr, "archive/linear divergence on %s\n", c.name);
       return 1;
     }
     const double linear_p50 = PercentileUs(&linear_ns, 0.5);
-    const double tree_p50 = PercentileUs(&tree_ns, 0.5);
-    std::printf("rollup %-13s linear p50 %9.2f us | tree p50 %9.2f us\n",
-                c.name, linear_p50, tree_p50);
+    const double archive_p50 = PercentileUs(&archive_ns, 0.5);
+    std::printf("rollup %-13s linear p50 %9.2f us | archive p50 %9.2f us\n",
+                c.name, linear_p50, archive_p50);
     report.AddRow()
         .Set("row", "rollup")
         .Set("window_set", c.name)
         .Set("set_size", static_cast<uint64_t>(c.windows->size()))
-        .Set("linear_p50_us", linear_p50)
-        .Set("tree_p50_us", tree_p50);
+        .Set("reference_p50_us", linear_p50)
+        .Set("archive_p50_us", archive_p50);
   }
 
   // --- Part 3: result codec throughput -----------------------------------

@@ -3,7 +3,7 @@
 
 // The archive has one decoder, TarArchive::VisitEntries. This header only
 // names it for perfbench's trace, which prints it as a run property; the
-// benchmark change of ROADMAP.md item 5 removes the header with that call.
+// benchmark change of ROADMAP.md item 1 removes the header with that call.
 
 namespace tara::decode {
 

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/kb_storage.h"
-#include "core/rollup_tree.h"
 #include "mining/fp_growth.h"
 
 namespace tara {
@@ -42,7 +41,6 @@ KbBuilder::KbBuilder(const Options& options)
         std::shared_ptr<KnowledgeBaseSnapshot>(new KnowledgeBaseSnapshot());
     empty->catalog_ = catalog_;
     empty->archive_ = std::make_shared<const TarArchive>();
-    empty->rollup_tree_ = std::make_shared<const RollUpTree>(empty->archive_);
     empty->options_ = options_;
     empty->index_build_ns_ = metrics_.index_build_ns;
     std::lock_guard<std::mutex> lock(commit_mutex_);
@@ -369,7 +367,6 @@ void KbBuilder::CommitLocked(
       new KnowledgeBaseSnapshot(*current));
   next->rule_count_ = catalog_->size();
   next->archive_ = std::move(archive);
-  next->rollup_tree_ = std::make_shared<const RollUpTree>(next->archive_);
   next->generation_ += pending.size();
   for (auto& segment : pending) next->segments_.push_back(std::move(segment));
   PublishSnapshotLocked(std::move(next));

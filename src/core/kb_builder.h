@@ -202,11 +202,11 @@ class KbBuilder {
       const std::vector<PersistedWindow>& windows) const;
 
   /// The commit tail every writer shares. Builds the next generation from
-  /// the current one: appends each pending window (ids already interned,
-  /// in window order) to a copy of the current archive, appends each
-  /// window's TSEG record to the WAL (fdatasync'd), and only then
-  /// publishes ONE generation holding all of them, with a roll-up tree
-  /// over its archive. The EPS slices are left to their first readers.
+  /// the current one: appends the pending windows (ids already interned,
+  /// in window order) to the current archive through Appended, appends
+  /// each window's TSEG record to the WAL (fdatasync'd), and only then
+  /// publishes ONE generation holding all of them. The EPS slices are
+  /// left to their first readers.
   /// Aborts if the log cannot be written — before anything is visible.
   /// No-op for an empty batch. Commit mutex must be held.
   void CommitLocked(std::vector<std::shared_ptr<WindowSegment>> pending);

@@ -374,9 +374,7 @@ Expected<TrajectoryMeasures, QueryError> KnowledgeBaseSnapshot::RuleMeasures(
     RuleId rule, const WindowSet& windows) const {
   if (auto error = ValidateRule(rule)) return *std::move(error);
   if (auto error = ValidateWindows(windows)) return *std::move(error);
-  DecodeArena arena;
-  return ComputeMeasures(
-      BuildTrajectoryInto(*archive_, rule, windows.ids(), arena));
+  return ComputeMeasures(BuildTrajectory(*archive_, rule, windows.ids()));
 }
 
 Expected<std::vector<RuleId>, QueryError> KnowledgeBaseSnapshot::ContentQuery(
@@ -432,9 +430,7 @@ Expected<RollUpBound, QueryError> KnowledgeBaseSnapshot::RollUpRule(
     RuleId rule, const WindowSet& windows) const {
   if (auto error = ValidateRule(rule)) return *std::move(error);
   if (auto error = ValidateWindows(windows)) return *std::move(error);
-  // Window totals from the tree's prefixes and one pass over the rule's
-  // series; the linear archive scan stays as the differential reference.
-  return rollup_tree_->RollUp(rule, windows.ids());
+  return archive_->RollUp(rule, windows.ids());
 }
 
 Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
@@ -459,8 +455,7 @@ Expected<RolledUpRules, QueryError> KnowledgeBaseSnapshot::MineRolledUp(
   RuleTable<Present> present(TableBound(*this, windows));
   for (WindowId w : windows) {
     const uint64_t size = archive_->window_size(w);
-    const uint64_t slack = UnarchivedCountSlack(
-        archive_->floor_count(w), archive_->confidence_floor(w), size);
+    const uint64_t slack = archive_->window_slack(w);
     total += size;
     total_slack += slack;
     for (const WindowIndex::Entry& e : segments_[w]->entries) {

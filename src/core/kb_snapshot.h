@@ -14,7 +14,6 @@
 #include "common/expected.h"
 #include "core/periodicity.h"
 #include "core/query_error.h"
-#include "core/rollup_tree.h"
 #include "core/rule_catalog.h"
 #include "core/stable_region_index.h"
 #include "core/tar_archive.h"
@@ -333,11 +332,9 @@ class KnowledgeBaseSnapshot {
   /// filled chunks and rebuilds only the open one.
   const TarArchive& archive() const { return *archive_; }
 
-  /// This generation's roll-up index: the window axis of archive() as
-  /// prefix sums, answering RollUpRule with one pass over the rule's
-  /// archive series. MineRolledUp reads every candidate's entries anyway,
-  /// so it sums them in one pass instead.
-  const RollUpTree& rollup_tree() const { return *rollup_tree_; }
+  /// archive(), under the name perfbench's trace calls RollUp through;
+  /// ROADMAP.md item 1 moves that call onto RollUpRule and deletes this.
+  const TarArchive& rollup_tree() const { return archive(); }
 
   const WindowSegment& segment(WindowId w) const;
   /// Window `w`'s EPS slice. The first call for a window builds it (and
@@ -462,8 +459,6 @@ class KnowledgeBaseSnapshot {
   std::shared_ptr<const RuleCatalog> catalog_;
   size_t rule_count_ = 0;
   std::shared_ptr<const TarArchive> archive_;
-  /// The window axis of archive_, built when the generation is.
-  std::shared_ptr<const RollUpTree> rollup_tree_;
   /// Shared with every other generation that committed the same windows.
   std::vector<std::shared_ptr<const WindowSegment>> segments_;
   uint64_t generation_ = 0;

@@ -1,6 +1,7 @@
 #include "core/tar_archive.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.h"
 
@@ -27,6 +28,13 @@ RollUpBound FinishRollUp(const RollUpAggregate& agg) {
     bound.confidence_hi = static_cast<double>(hi_num) / hi_den;
   }
   return bound;
+}
+
+void CheckAscending(std::span<const WindowId> windows) {
+  TARA_CHECK(std::adjacent_find(windows.begin(), windows.end(),
+                                std::greater_equal<WindowId>()) ==
+             windows.end())
+      << "windows must be strictly ascending";
 }
 
 namespace {
@@ -64,9 +72,12 @@ TarArchive TarArchive::Appended(std::span<const Window> windows) const {
   TarArchive next = *this;
   for (const Window& w : windows) {
     TARA_CHECK(w.confidence_floor >= 0.0 && w.confidence_floor <= 1.0);
-    next.window_sizes_.push_back(w.transaction_count);
-    next.floor_counts_.push_back(w.floor_count);
-    next.confidence_floors_.push_back(w.confidence_floor);
+    next.size_prefix_.push_back(next.size_prefix_.back() +
+                                w.transaction_count);
+    next.slack_prefix_.push_back(
+        next.slack_prefix_.back() +
+        UnarchivedCountSlack(w.floor_count, w.confidence_floor,
+                             w.transaction_count));
     next.entry_count_ += w.entries.size();
   }
   // Chunk by chunk, from the open (partial) one, the only one rebuilt.
@@ -142,83 +153,45 @@ TarArchive TarArchive::Appended(std::span<const Window> windows) const {
 
 std::span<const ArchiveEntry> TarArchive::DecodeInto(
     RuleId rule, DecodeArena& arena) const {
-  // Every entry takes at least three bytes, and a run holds at most one
-  // chunk's worth of windows.
-  size_t bound = 0;
-  for (const std::shared_ptr<const Chunk>& chunk : chunks_) {
-    if (rule >= chunk->offsets.size() - 1) continue;
-    const size_t size = chunk->offsets[rule + 1] - chunk->offsets[rule];
-    bound += std::min<size_t>(kChunkWindows, size / 3);
-  }
-  if (bound == 0) return {};
-  const std::span<ArchiveEntry> out = arena.AllocSpan<ArchiveEntry>(bound);
-  size_t n = 0;
+  arena.Reset();
   VisitEntries(rule, [&](const ArchiveEntry& e) {
-    TARA_CHECK_LT(n, out.size()) << "corrupt archive run";
-    out[n++] = e;
+    arena.entries.push_back(e);
     return true;
   });
-  return out.first(n);
+  return arena.entries;
 }
 
-std::optional<ArchiveEntry> TarArchive::EntryFor(RuleId rule,
-                                                 WindowId window) const {
-  std::optional<ArchiveEntry> found;
-  VisitWindows(rule, std::span<const WindowId>(&window, 1),
-               [&](size_t, const ArchiveEntry& e) { found = e; });
-  return found;
-}
-
-RollUpBound TarArchive::RollUp(RuleId rule, std::span<const WindowId> windows,
-                               DecodeArena* scratch) const {
-  DecodeArena local;
-  DecodeArena& arena = scratch != nullptr ? *scratch : local;
-  const std::span<const ArchiveEntry> series = DecodeInto(rule, arena);
-
+RollUpBound TarArchive::RollUp(RuleId rule,
+                               std::span<const WindowId> windows) const {
+  CheckAscending(windows);
   RollUpAggregate agg;
-  for (WindowId w : windows) {
-    TARA_CHECK_LT(w, window_sizes_.size());
-    agg.total += window_sizes_[w];
-    const auto it = std::lower_bound(
-        series.begin(), series.end(), w,
-        [](const ArchiveEntry& e, WindowId target) { return e.window < target; });
-    if (it != series.end() && it->window == w) {
-      agg.known_rule += it->rule_count;
-      agg.known_ant += it->antecedent_count;
-    } else {
-      ++agg.missing_windows;
-      agg.missing_slack += UnarchivedCountSlack(
-          floor_counts_[w], confidence_floors_[w], window_sizes_[w]);
-      agg.missing_size += window_sizes_[w];
-    }
+  uint64_t total_slack = 0;
+  for (size_t i = 0; i < windows.size();) {
+    // A maximal run of consecutive windows [a, b]; the common all-windows
+    // roll-up is a single run.
+    const WindowId a = windows[i++];
+    while (i < windows.size() && windows[i] == windows[i - 1] + 1) ++i;
+    const WindowId b = windows[i - 1];
+    TARA_CHECK_LT(b, window_count());
+    agg.total += size_prefix_[b + 1] - size_prefix_[a];
+    total_slack += slack_prefix_[b + 1] - slack_prefix_[a];
   }
+
+  uint64_t present_size = 0;
+  uint64_t present_slack = 0;
+  uint32_t present = 0;
+  VisitWindows(rule, windows, [&](size_t, const ArchiveEntry& e) {
+    const WindowId w = e.window;
+    agg.known_rule += e.rule_count;
+    agg.known_ant += e.antecedent_count;
+    present_size += size_prefix_[w + 1] - size_prefix_[w];
+    present_slack += slack_prefix_[w + 1] - slack_prefix_[w];
+    ++present;
+  });
+  agg.missing_windows = static_cast<uint32_t>(windows.size()) - present;
+  agg.missing_size = agg.total - present_size;
+  agg.missing_slack = total_slack - present_slack;
   return FinishRollUp(agg);
-}
-
-uint64_t TarArchive::window_size(WindowId w) const {
-  TARA_CHECK_LT(w, window_sizes_.size());
-  return window_sizes_[w];
-}
-
-uint64_t TarArchive::floor_count(WindowId w) const {
-  TARA_CHECK_LT(w, floor_counts_.size());
-  return floor_counts_[w];
-}
-
-double TarArchive::confidence_floor(WindowId w) const {
-  TARA_CHECK_LT(w, confidence_floors_.size());
-  return confidence_floors_[w];
-}
-
-size_t TarArchive::rule_count() const {
-  std::vector<bool> seen;
-  for (const std::shared_ptr<const Chunk>& chunk : chunks_) {
-    seen.resize(std::max(seen.size(), chunk->offsets.size() - 1));
-    for (size_t r = 0; r + 1 < chunk->offsets.size(); ++r) {
-      if (chunk->offsets[r] != chunk->offsets[r + 1]) seen[r] = true;
-    }
-  }
-  return std::count(seen.begin(), seen.end(), true);
 }
 
 }  // namespace tara

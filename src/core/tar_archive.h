@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/byte_codec.h"
 #include "common/logging.h"
 #include "core/rule_catalog.h"
@@ -55,13 +53,13 @@ inline uint64_t UnarchivedCountSlack(uint64_t floor_count,
   return support_slack > confidence_slack ? support_slack : confidence_slack;
 }
 
-/// Integer sums a roll-up reduces to before the final divisions. The
-/// linear scan and the roll-up tree aggregate into this and finish through
-/// FinishRollUp, rollup_rule's answer, so their intervals are
-/// bit-identical: the u64 sums are associative and the doubles are
-/// produced by the same divisions in the same order. MineRolledUp sums the
-/// same terms but builds no interval: it classifies the sums in counts
-/// with the admission tests of mining/measures.h.
+/// Integer sums a roll-up reduces to before the final divisions.
+/// TarArchive::RollUp aggregates into this and finishes through
+/// FinishRollUp, rollup_rule's answer; the u64 sums are associative, so
+/// any reference that sums the same terms gets bit-identical doubles from
+/// the same divisions. MineRolledUp sums the same terms but builds no
+/// interval: it classifies the sums in counts with the admission tests of
+/// mining/measures.h.
 struct RollUpAggregate {
   uint64_t known_rule = 0;     ///< rule_count over archived windows
   uint64_t known_ant = 0;      ///< antecedent_count over archived windows
@@ -73,6 +71,17 @@ struct RollUpAggregate {
 
 /// The divisions that turn the sums into rollup_rule's interval.
 RollUpBound FinishRollUp(const RollUpAggregate& agg);
+
+/// Aborts unless `windows` strictly ascend, as WindowSet::ids() gives them:
+/// the window-axis walk merges them with a series in one ascending pass.
+void CheckAscending(std::span<const WindowId> windows);
+
+/// Scratch for DecodeInto. Outside tests only perfbench's trace uses
+/// either; ROADMAP.md item 1 replaces its calls and deletes both.
+struct DecodeArena {
+  void Reset() { entries.clear(); }
+  std::vector<ArchiveEntry> entries;
+};
 
 /// The Temporal Association Rule Archive (TAR Archive).
 ///
@@ -86,6 +95,11 @@ RollUpBound FinishRollUp(const RollUpAggregate& agg);
 /// entry stores its window's offset from the chunk's first window and
 /// plain counts, so delta bases reset at each chunk. An archive is
 /// immutable; VisitEntries is the only code that reads run bytes.
+///
+/// The window axis is two prefix-sum columns over the archived windows:
+/// their sizes and their UnarchivedCountSlack, the most an unarchived rule
+/// could count there. A roll-up takes a run of consecutive windows' totals
+/// as two prefix differences.
 class TarArchive {
  public:
   static constexpr uint32_t kChunkWindows = 64;  ///< windows per chunk
@@ -115,18 +129,18 @@ class TarArchive {
   /// the new entries, and the bytes do not depend on how commits batch.
   TarArchive Appended(std::span<const Window> windows) const;
 
-  /// Decodes the full series of a rule into `arena`, filling a span sized
-  /// from the runs' lengths through VisitEntries. The span stays valid
-  /// until the arena's next Reset(); rules never archived decode to empty.
-  /// Zero heap allocation once the arena is warm.
+  /// The rule's full series, decoded through VisitEntries into `arena` and
+  /// valid until the arena's next use. Outside tests only perfbench's
+  /// trace calls it; ROADMAP.md item 1 moves that onto VisitEntries and
+  /// deletes this.
   std::span<const ArchiveEntry> DecodeInto(RuleId rule,
                                            DecodeArena& arena) const;
 
   /// Single-pass visitor over a rule's series in window order, no
   /// materialization: the rule's run in each chunk in turn, from the chunk
   /// holding window `from`. `visitor(const ArchiveEntry&)` returns false to
-  /// stop early. This scan is the archive's one decoder: DecodeInto,
-  /// VisitWindows and EntryFor all read the runs through it.
+  /// stop early. This scan is the archive's one decoder: every reader of
+  /// the runs goes through it.
   template <typename Visitor>
   void VisitEntries(RuleId rule, Visitor&& visitor, WindowId from = 0) const {
     for (size_t c = from / kChunkWindows; c < chunks_.size(); ++c) {
@@ -195,16 +209,14 @@ class TarArchive {
     }, windows.front());
   }
 
-  /// Returns the entry of `rule` in `window`, if archived. Early-exits the
-  /// scan at the target window instead of decoding the whole series.
-  std::optional<ArchiveEntry> EntryFor(RuleId rule, WindowId window) const;
-
-  /// Exact/interval measures of `rule` over the union of `windows` (any
-  /// order, no duplicates — WindowSet::ids() converts implicitly). Decodes
-  /// once and binary-searches per window, O(entries + windows log entries);
-  /// `scratch` avoids a heap allocation when provided.
-  RollUpBound RollUp(RuleId rule, std::span<const WindowId> windows,
-                     DecodeArena* scratch = nullptr) const;
+  /// Interval measures of `rule` over the union of `windows` (strictly
+  /// ascending, checked; WindowSet::ids() converts implicitly), the
+  /// roll-up of Section 2.4.1. Each run of consecutive windows adds its
+  /// size and slack as two prefix differences; one VisitWindows pass sums
+  /// the counts of the windows that archived the rule, whose sizes and
+  /// slacks, subtracted from the totals, leave the missing windows' terms.
+  /// Allocates nothing.
+  RollUpBound RollUp(RuleId rule, std::span<const WindowId> windows) const;
   RollUpBound RollUp(RuleId rule,
                      std::initializer_list<WindowId> windows) const {
     return RollUp(rule, std::span<const WindowId>(windows.begin(),
@@ -213,11 +225,18 @@ class TarArchive {
 
   /// Number of archived windows.
   uint32_t window_count() const {
-    return static_cast<uint32_t>(window_sizes_.size());
+    return static_cast<uint32_t>(size_prefix_.size() - 1);
   }
-  uint64_t window_size(WindowId w) const;
-  uint64_t floor_count(WindowId w) const;
-  double confidence_floor(WindowId w) const;
+  /// Transactions in window `w`.
+  uint64_t window_size(WindowId w) const {
+    TARA_CHECK_LT(w, window_count());
+    return size_prefix_[w + 1] - size_prefix_[w];
+  }
+  /// UnarchivedCountSlack of window `w`'s size and floors.
+  uint64_t window_slack(WindowId w) const {
+    TARA_CHECK_LT(w, window_count());
+    return slack_prefix_[w + 1] - slack_prefix_[w];
+  }
 
   /// Total payload bytes across all chunks (the paper's Figure 12 "TAR
   /// Archive" series).
@@ -227,9 +246,6 @@ class TarArchive {
   /// width this gives Figure 12's "uncompressed" series.
   size_t entry_count() const { return entry_count_; }
 
-  /// Number of rules with at least one entry.
-  size_t rule_count() const;
-
   /// The chunks, oldest first; filled ones are shared across generations.
   const std::vector<std::shared_ptr<const Chunk>>& chunks() const {
     return chunks_;
@@ -237,9 +253,9 @@ class TarArchive {
 
  private:
   std::vector<std::shared_ptr<const Chunk>> chunks_;
-  std::vector<uint64_t> window_sizes_;
-  std::vector<uint64_t> floor_counts_;
-  std::vector<double> confidence_floors_;
+  /// Window sizes and slacks summed over windows [0, w) at index w.
+  std::vector<uint64_t> size_prefix_{0};
+  std::vector<uint64_t> slack_prefix_{0};
   size_t payload_bytes_ = 0;
   size_t entry_count_ = 0;
 };

@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-
-#include "common/logging.h"
 
 namespace tara {
-namespace {
-
-void CheckAscending(std::span<const WindowId> windows) {
-  TARA_CHECK(std::adjacent_find(windows.begin(), windows.end(),
-                                std::greater_equal<WindowId>()) ==
-             windows.end())
-      << "trajectory windows must be strictly ascending";
-}
-
-}  // namespace
 
 TrajectoryPoint* WriteTrajectory(const TarArchive& archive, RuleId rule,
                                  std::span<const WindowId> windows,
@@ -43,16 +30,6 @@ TrajectoryPoint* WriteTrajectory(const TarArchive& archive, RuleId rule,
     next = i + 1;
   });
   absent_until(windows.size());
-  return out;
-}
-
-std::span<const TrajectoryPoint> BuildTrajectoryInto(
-    const TarArchive& archive, RuleId rule, std::span<const WindowId> windows,
-    DecodeArena& arena) {
-  CheckAscending(windows);
-  std::span<TrajectoryPoint> out =
-      arena.AllocSpan<TrajectoryPoint>(windows.size());
-  WriteTrajectory(archive, rule, windows, out.data());
   return out;
 }
 

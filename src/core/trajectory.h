@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/tar_archive.h"
 #include "txdb/evolving_database.h"
 
@@ -51,14 +50,7 @@ TrajectoryPoint* WriteTrajectory(const TarArchive& archive, RuleId rule,
                                  std::span<const WindowId> windows,
                                  TrajectoryPoint* out);
 
-/// The trajectory of `rule` across `windows` (strictly ascending; checked)
-/// in `arena`: allocation-free once the arena is warm. The span stays
-/// valid until the arena's next Reset().
-std::span<const TrajectoryPoint> BuildTrajectoryInto(
-    const TarArchive& archive, RuleId rule, std::span<const WindowId> windows,
-    DecodeArena& arena);
-
-/// Allocating convenience shape of BuildTrajectoryInto.
+/// The trajectory of `rule` across `windows` (strictly ascending; checked).
 Trajectory BuildTrajectory(const TarArchive& archive, RuleId rule,
                            std::span<const WindowId> windows);
 inline Trajectory BuildTrajectory(const TarArchive& archive, RuleId rule,

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/byte_codec.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -357,25 +356,6 @@ TEST(HashTest, ManyChainsMatchHashBytes) {
       EXPECT_EQ(hashes[n], 0u) << "wrote past the last input";
     }
   }
-}
-
-TEST(DecodeArenaTest, ReusesCapacityAfterReset) {
-  DecodeArena arena;
-  EXPECT_EQ(arena.heap_block_count(), 0u);
-  (void)arena.AllocSpan<uint64_t>(100);  // fits inline
-  EXPECT_EQ(arena.heap_block_count(), 0u);
-  (void)arena.AllocSpan<uint64_t>(10000);  // overflows to the heap
-  (void)arena.AllocSpan<uint64_t>(10000);  // second block
-  EXPECT_GE(arena.heap_block_count(), 1u);
-  const size_t high_water = arena.high_water_bytes();
-  arena.Reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  // Steady state: one consolidated block, no further allocation churn.
-  EXPECT_EQ(arena.heap_block_count(), 1u);
-  (void)arena.AllocSpan<uint64_t>(10000);
-  (void)arena.AllocSpan<uint64_t>(10000);
-  EXPECT_EQ(arena.heap_block_count(), 1u);
-  EXPECT_EQ(arena.high_water_bytes(), high_water);
 }
 
 }  // namespace

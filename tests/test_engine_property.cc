@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_feed.h"
 #include "baselines/dctar.h"
 #include "core/tara_engine.h"
 #include "datagen/basket_generators.h"
@@ -128,7 +129,7 @@ TEST_P(EnginePropertyTest, ArchivedCountsMatchRawScans) {
       EXPECT_EQ(e.antecedent_count,
                 w.data.database().CountContaining(rule.antecedent,
                                                   info.begin, info.end));
-      const auto archived = kb->archive().EntryFor(e.rule, window);
+      const auto archived = EntryAt(kb->archive(), e.rule, window);
       ASSERT_TRUE(archived.has_value());
       EXPECT_EQ(archived->rule_count, e.rule_count);
       EXPECT_EQ(archived->antecedent_count, e.antecedent_count);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_feed.h"
 #include "baselines/dctar.h"
 #include "core/kb_blocks.h"
 #include "core/kb_open.h"
@@ -116,11 +117,10 @@ TEST(IntegrationTest, DrillDownRefinesRollUp) {
     const RuleId fine_id = fine_engine.catalog().Find(rule);
     if (fine_id == RuleCatalog::kNotFound) continue;
     // Only exact when archived in all three fine windows.
-    DecodeArena arena;
-    if (fine_kb->archive().DecodeInto(fine_id, arena).size() != 3) continue;
+    if (Series(fine_kb->archive(), fine_id).size() != 3) continue;
     const RollUpBound bound =
         fine_kb->RollUpRule(fine_id, fine_kb->AllWindows()).value();
-    const auto coarse_entry = coarse_kb->archive().EntryFor(coarse_id, 0);
+    const auto coarse_entry = EntryAt(coarse_kb->archive(), coarse_id, 0);
     ASSERT_TRUE(coarse_entry.has_value());
     const double coarse_support =
         static_cast<double>(coarse_entry->rule_count) / batch.size();
@@ -231,7 +231,7 @@ TEST(IntegrationTest, MarasAndTaraAgreeOnAssociationCounts) {
     const RuleId id =
         engine.catalog().Find(Rule{signal.assoc.drugs, signal.assoc.adrs});
     if (id == RuleCatalog::kNotFound) continue;
-    const auto entry = kb->archive().EntryFor(id, 0);
+    const auto entry = EntryAt(kb->archive(), id, 0);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->rule_count, signal.count);
     EXPECT_EQ(entry->antecedent_count,

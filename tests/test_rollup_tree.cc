@@ -1,11 +1,13 @@
-// Tree-vs-linear equivalence for the roll-up tree (window-axis prefix
-// sums plus one pass over the rule's archive series), and the snapshot's
-// one-pass multi-window queries against per-window and per-rule
-// references. Both interval paths aggregate into RollUpAggregate and
-// finish through FinishRollUp, and roll-up mining classifies the same u64
-// sums with the admission tests, so the property tests here demand EXACT
-// double equality (or equal result bytes), not tolerances — any drift
-// means the sums diverged.
+// The archive's roll-up (window-axis prefix sums plus one pass over the
+// rule's series) against the linear reference of archive_feed.h, and the
+// snapshot's one-pass multi-window queries against per-window and per-rule
+// references. The references read each window's size and floors from the
+// feed or the engine's segments, never from the archive's window axis.
+// Both interval paths aggregate into RollUpAggregate and finish through
+// FinishRollUp, and roll-up mining classifies the same u64 sums with the
+// admission tests, so the property tests here demand EXACT double equality
+// (or equal result bytes), not tolerances — any drift means the sums
+// diverged.
 
 #include <algorithm>
 #include <iterator>
@@ -15,7 +17,6 @@
 #include "archive_feed.h"
 #include "common/rng.h"
 #include "core/query_request.h"
-#include "core/rollup_tree.h"
 #include "core/tar_archive.h"
 #include "core/tara_engine.h"
 #include "core/window_set.h"
@@ -25,19 +26,30 @@
 namespace tara {
 namespace {
 
-void ExpectSameBound(const RollUpBound& tree, const RollUpBound& linear) {
-  EXPECT_EQ(tree.support_lo, linear.support_lo);
-  EXPECT_EQ(tree.support_hi, linear.support_hi);
-  EXPECT_EQ(tree.confidence_lo, linear.confidence_lo);
-  EXPECT_EQ(tree.confidence_hi, linear.confidence_hi);
-  EXPECT_EQ(tree.missing_windows, linear.missing_windows);
+void ExpectSameBound(const RollUpBound& served, const RollUpBound& linear) {
+  EXPECT_EQ(served.support_lo, linear.support_lo);
+  EXPECT_EQ(served.support_hi, linear.support_hi);
+  EXPECT_EQ(served.confidence_lo, linear.confidence_lo);
+  EXPECT_EQ(served.confidence_hi, linear.confidence_hi);
+  EXPECT_EQ(served.missing_windows, linear.missing_windows);
 }
 
-/// An archive fed the way KbBuilder's commit feeds it, and the roll-up
-/// tree over it.
+/// The sizes and floors an engine fed its archive: each segment's size and
+/// count floor, and the engine's confidence floor.
+std::vector<WindowTerms> KbTerms(const KnowledgeBaseSnapshot& kb) {
+  std::vector<WindowTerms> terms;
+  for (WindowId w = 0; w < kb.window_count(); ++w) {
+    terms.push_back({kb.segment(w).total_transactions,
+                     kb.segment(w).floor_count,
+                     kb.options().min_confidence_floor});
+  }
+  return terms;
+}
+
+/// An archive fed the way KbBuilder's commit feeds it.
 struct MirroredIndex {
   ArchiveFeed feed;
-  std::shared_ptr<const TarArchive> archive;
+  TarArchive archive;
   uint32_t window_count = 0;
   uint32_t rule_count = 0;
 
@@ -52,10 +64,15 @@ struct MirroredIndex {
     if (rule >= rule_count) rule_count = rule + 1;
   }
 
-  /// Builds the archive from every window fed so far, and its tree.
-  RollUpTree Tree() {
-    archive = std::make_shared<const TarArchive>(feed.Build());
-    return RollUpTree(archive);
+  /// Builds the archive from every window fed so far.
+  const TarArchive& Build() {
+    archive = feed.Build();
+    return archive;
+  }
+
+  /// The linear reference over the feed's own sizes and floors.
+  RollUpBound Reference(RuleId rule, std::span<const WindowId> ids) const {
+    return LinearRollUp(archive, rule, ids, feed.Terms());
   }
 };
 
@@ -108,38 +125,38 @@ WindowSet RandomWindowSet(Rng& rng, uint32_t window_count) {
   }
 }
 
-TEST(RollUpTree, MatchesLinearScanOnRandomizedIndexes) {
+TEST(ArchiveRollUp, MatchesLinearScanOnRandomizedIndexes) {
   // 48 windows fit one archive chunk; 3K + 5 span four.
   for (const uint32_t windows : {48u, 3 * TarArchive::kChunkWindows + 5}) {
     for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       MirroredIndex m = RandomIndex(seed, windows, 12);
-      const RollUpTree tree = m.Tree();
+      const TarArchive& archive = m.Build();
       Rng rng(seed * 1000 + 7);
       for (int round = 0; round < 100; ++round) {
         const WindowSet windows_set = RandomWindowSet(rng, m.window_count);
         // Include a rule id past everything archived (decodes to empty).
         for (RuleId rule = 0; rule <= m.rule_count; ++rule) {
-          ExpectSameBound(tree.RollUp(rule, windows_set.ids()),
-                          m.archive->RollUp(rule, windows_set.ids()));
+          ExpectSameBound(archive.RollUp(rule, windows_set.ids()),
+                          m.Reference(rule, windows_set.ids()));
         }
       }
     }
   }
 }
 
-TEST(RollUpTree, HandlesEmptyAndSparseSeries) {
+TEST(ArchiveRollUp, HandlesEmptyAndSparseSeries) {
   MirroredIndex m;
   m.AddWindow(100, 3, 0.1);
   m.AddWindow(200, 3, 0.1);
   m.AddWindow(300, 3, 0.1);
   // Rule 0: only the last window. Rules 1 and 7: never archived.
   m.AddEntry(0, 12, 24);
-  const RollUpTree tree = m.Tree();
+  const TarArchive& archive = m.Build();
   for (RuleId rule : {0u, 1u, 7u}) {
-    ExpectSameBound(tree.RollUp(rule, WindowSet::All(3).ids()),
-                    m.archive->RollUp(rule, WindowSet::All(3).ids()));
+    ExpectSameBound(archive.RollUp(rule, WindowSet::All(3).ids()),
+                    m.Reference(rule, WindowSet::All(3).ids()));
   }
-  EXPECT_EQ(tree.window_count(), 3u);
+  EXPECT_EQ(archive.window_count(), 3u);
 
   // Rule 0 spans windows 2-3 of 6, rule 2 only window 0, rule 1 none.
   // Sets that end before a series begins, begin after it ends, or
@@ -150,25 +167,25 @@ TEST(RollUpTree, HandlesEmptyAndSparseSeries) {
     if (w == 0) gaps.AddEntry(2, 9, 30);
     if (w == 2 || w == 3) gaps.AddEntry(0, 10 + w, 40);
   }
-  const RollUpTree gap_tree = gaps.Tree();
+  const TarArchive& gap_archive = gaps.Build();
   const std::vector<std::vector<WindowId>> sets = {
       {0}, {0, 1}, {1}, {4, 5}, {5}, {1, 4}, {0, 5}, {2}, {3, 4}, {1, 2}};
   for (const std::vector<WindowId>& ids : sets) {
     for (RuleId rule : {0u, 1u, 2u}) {
-      ExpectSameBound(gap_tree.RollUp(rule, ids),
-                      gaps.archive->RollUp(rule, ids));
+      ExpectSameBound(gap_archive.RollUp(rule, ids),
+                      gaps.Reference(rule, ids));
     }
   }
-  EXPECT_EQ(gap_tree.RollUp(0, sets[1]).missing_windows, 2u);  // ends before
-  EXPECT_EQ(gap_tree.RollUp(0, sets[3]).missing_windows, 2u);  // begins after
-  EXPECT_EQ(gap_tree.RollUp(0, sets[8]).missing_windows, 1u);  // straddles
+  EXPECT_EQ(gap_archive.RollUp(0, sets[1]).missing_windows, 2u);  // before
+  EXPECT_EQ(gap_archive.RollUp(0, sets[3]).missing_windows, 2u);  // after
+  EXPECT_EQ(gap_archive.RollUp(0, sets[8]).missing_windows, 1u);  // straddles
 }
 
 /// Live appends through the engine: after every published window the
-/// snapshot's tree must agree with a linear scan of that snapshot's own
+/// snapshot's roll-up must agree with a linear scan of that snapshot's own
 /// archive, and snapshots pinned earlier must keep answering from their
 /// generation while later windows are appended.
-TEST(RollUpTree, LiveAppendsKeepTreeAndPinnedSnapshotsConsistent) {
+TEST(ArchiveRollUp, LiveAppendsKeepPinnedSnapshotsConsistent) {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
   options.min_confidence_floor = 0.2;
@@ -198,19 +215,20 @@ TEST(RollUpTree, LiveAppendsKeepTreeAndPinnedSnapshotsConsistent) {
     const auto& snapshot = pinned[g];
     ASSERT_EQ(snapshot->window_count(), g + 1);
     const WindowSet all = snapshot->AllWindows();
-    const uint32_t known_rules =
-        static_cast<uint32_t>(snapshot->archive().rule_count());
+    const std::vector<WindowTerms> terms = KbTerms(*snapshot);
+    const auto known_rules = static_cast<RuleId>(snapshot->rule_count());
     for (RuleId rule = 0; rule < known_rules; ++rule) {
-      // The pinned snapshot's archive IS that generation — tree answers
+      // The pinned snapshot's archive IS that generation — its roll-up
       // must match it, not the engine's latest state.
-      ExpectSameBound(snapshot->rollup_tree().RollUp(rule, all.ids()),
-                      snapshot->archive().RollUp(rule, all.ids()));
+      const RollUpBound linear =
+          LinearRollUp(snapshot->archive(), rule, all.ids(), terms);
+      ExpectSameBound(snapshot->archive().RollUp(rule, all.ids()), linear);
       const auto bound = snapshot->RollUpRule(rule, all);
       ASSERT_TRUE(bound.has_value());
-      ExpectSameBound(*bound, snapshot->archive().RollUp(rule, all.ids()));
+      ExpectSameBound(*bound, linear);
     }
-    // Windows published after this snapshot do not exist in its tree.
-    EXPECT_EQ(snapshot->rollup_tree().window_count(), g + 1);
+    // Windows published after this snapshot do not exist on its axis.
+    EXPECT_EQ(snapshot->archive().window_count(), g + 1);
   }
 }
 
@@ -332,14 +350,15 @@ std::vector<RuleId> ReferenceMineWindows(const KnowledgeBaseSnapshot& kb,
 }
 
 /// MineRolledUp reference: every rule the archive holds in some requested
-/// window, its counts summed per window from the linear archive scan and
-/// classified by the admission tests of mining/measures.h.
+/// window, its counts read per window and summed, each missing window's
+/// size and slack taken from the engine's segments, and classified by the
+/// admission tests of mining/measures.h.
 RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
                                     const WindowSet& windows,
                                     const ParameterSetting& setting) {
-  const TarArchive& archive = kb.archive();
+  const std::vector<WindowTerms> terms = KbTerms(kb);
   uint64_t total = 0;
-  for (WindowId w : windows) total += archive.window_size(w);
+  for (WindowId w : windows) total += terms[w].size;
   const uint64_t min_count = MinCountForSupport(setting.min_support, total);
   const double c = setting.min_confidence;
   RolledUpRules result;
@@ -347,15 +366,15 @@ RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
     bool present = false;
     uint64_t known_rule = 0, known_ant = 0, missing_size = 0, slack = 0;
     for (WindowId w : windows) {
-      if (const auto entry = archive.EntryFor(rule, w)) {
+      if (const auto entry = EntryAt(kb.archive(), rule, w)) {
         present = true;
         known_rule += entry->rule_count;
         known_ant += entry->antecedent_count;
       } else {
-        missing_size += archive.window_size(w);
-        slack += UnarchivedCountSlack(archive.floor_count(w),
-                                      archive.confidence_floor(w),
-                                      archive.window_size(w));
+        const WindowTerms& t = terms[w];
+        missing_size += t.size;
+        slack += UnarchivedCountSlack(t.floor_count, t.confidence_floor,
+                                      t.size);
       }
     }
     if (!present) continue;
@@ -376,7 +395,7 @@ RolledUpRules ReferenceMineRolledUp(const KnowledgeBaseSnapshot& kb,
 /// the floors, in between, and above every rule. Growing knowledge bases
 /// add window sets that end at every window, each with its own rule
 /// watermark.
-TEST(RollUpTree, MultiWindowQueriesMatchPerWindowReferences) {
+TEST(ArchiveRollUp, MultiWindowQueriesMatchPerWindowReferences) {
   TaraEngine::Options options;
   options.min_support_floor = 0.01;
   options.min_confidence_floor = 0.1;

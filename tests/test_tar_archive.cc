@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <iterator>
+#include <memory>
+#include <numeric>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,19 @@
 namespace tara {
 namespace {
 
+/// Rules with a run in some chunk: the rules the archive holds.
+size_t RulesWithEntries(const TarArchive& archive) {
+  std::vector<bool> seen;
+  for (const std::shared_ptr<const TarArchive::Chunk>& chunk :
+       archive.chunks()) {
+    seen.resize(std::max(seen.size(), chunk->offsets.size() - 1));
+    for (size_t r = 0; r + 1 < chunk->offsets.size(); ++r) {
+      if (chunk->offsets[r] != chunk->offsets[r + 1]) seen[r] = true;
+    }
+  }
+  return std::count(seen.begin(), seen.end(), true);
+}
+
 TEST(TarArchiveTest, RoundTripsSingleRule) {
   ArchiveFeed feed;
   feed.Window(100, 2);
@@ -23,8 +39,7 @@ TEST(TarArchiveTest, RoundTripsSingleRule) {
   feed.Add(7, 2, 12, 25);
   const TarArchive archive = feed.Build();
 
-  DecodeArena arena;
-  const auto series = archive.DecodeInto(7, arena);
+  const std::vector<ArchiveEntry> series = Series(archive, 7);
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].window, 0u);
   EXPECT_EQ(series[0].rule_count, 10u);
@@ -33,18 +48,17 @@ TEST(TarArchiveTest, RoundTripsSingleRule) {
   EXPECT_EQ(series[1].rule_count, 12u);
   EXPECT_EQ(series[1].antecedent_count, 25u);
 
-  EXPECT_TRUE(archive.EntryFor(7, 0).has_value());
-  EXPECT_FALSE(archive.EntryFor(7, 1).has_value());
-  EXPECT_EQ(archive.EntryFor(7, 2)->rule_count, 12u);
+  EXPECT_TRUE(EntryAt(archive, 7, 0).has_value());
+  EXPECT_FALSE(EntryAt(archive, 7, 1).has_value());
+  EXPECT_EQ(EntryAt(archive, 7, 2)->rule_count, 12u);
 }
 
 TEST(TarArchiveTest, UnknownRuleDecodesEmpty) {
   ArchiveFeed feed;
   feed.Window(10, 1);
   const TarArchive archive = feed.Build();
-  DecodeArena arena;
-  EXPECT_TRUE(archive.DecodeInto(3, arena).empty());
-  EXPECT_TRUE(archive.DecodeInto(12345, arena).empty());
+  EXPECT_TRUE(Series(archive, 3).empty());
+  EXPECT_TRUE(Series(archive, 12345).empty());
   bool visited = false;
   archive.VisitEntries(3, [&](const ArchiveEntry&) {
     visited = true;
@@ -60,8 +74,7 @@ TEST(TarArchiveTest, DecreasingCountsRoundTrip) {
   uint64_t ants[] = {800, 700, 650, 300, 95};
   for (WindowId w = 0; w < 5; ++w) feed.Add(0, w, counts[w], ants[w]);
   const TarArchive archive = feed.Build();
-  DecodeArena arena;
-  const auto series = archive.DecodeInto(0, arena);
+  const std::vector<ArchiveEntry> series = Series(archive, 0);
   ASSERT_EQ(series.size(), 5u);
   for (WindowId w = 0; w < 5; ++w) {
     EXPECT_EQ(series[w].rule_count, counts[w]);
@@ -78,8 +91,7 @@ TEST(TarArchiveTest, StableRulesCompressWell) {
   const TarArchive archive = feed.Build();
   EXPECT_EQ(archive.entry_count(), 100u);
   EXPECT_LT(archive.payload_bytes(), 100u * 4);
-  DecodeArena arena;
-  const auto series = archive.DecodeInto(0, arena);
+  const std::vector<ArchiveEntry> series = Series(archive, 0);
   ASSERT_EQ(series.size(), 100u);
   EXPECT_EQ(series[99].rule_count, 50u);
 }
@@ -181,6 +193,18 @@ TEST(TarArchiveTest, RollUpOverASingleWindowSet) {
   EXPECT_DOUBLE_EQ(absent.confidence_hi, 1.0);
 }
 
+TEST(TarArchiveDeathTest, RollUpRefusesWindowsNotStrictlyAscending) {
+  // The walk merges the series with the windows in one ascending pass, so
+  // a window list out of order or repeated is a caller bug; RollUpRule
+  // passes WindowSet::ids(), which ascend.
+  ArchiveFeed feed;
+  for (WindowId w = 0; w < 5; ++w) feed.Window(100, 2);
+  feed.Add(1, 2, 10, 20);
+  const TarArchive archive = feed.Build();
+  EXPECT_DEATH(archive.RollUp(1, {3, 1}), "strictly ascending");
+  EXPECT_DEATH(archive.RollUp(1, {2, 2}), "strictly ascending");
+}
+
 TEST(TarArchiveTest, RollUpBoundsAreNeverInverted) {
   Rng rng(2026);
   ArchiveFeed feed;
@@ -239,7 +263,7 @@ TEST(TarArchiveTest, PayloadIsSmallerThanRawEncoding) {
   const size_t raw = archive.entry_count() * 20;
   EXPECT_LT(archive.payload_bytes(), raw / 3)
       << "delta+varint should compress at least 3x on stable rules";
-  EXPECT_EQ(archive.rule_count(), 500u);
+  EXPECT_EQ(RulesWithEntries(archive), 500u);
 }
 
 /// Series of the shapes the archive's one decoder must read back: the
@@ -397,7 +421,36 @@ TEST(TarArchiveTest, CommitBatchingDoesNotChangeTheBytes) {
     const TarArchive single = BuildInBatches(feed, rng, 1);
     const TarArchive random = BuildInBatches(feed, rng, K + 7);
     ASSERT_EQ(one_batch.chunks().size(), (windows + K - 1) / K);
+    // The window axis: each window's size and slack as the feed gave them,
+    // and an all-windows roll-up, which spans every prefix.
+    const std::vector<WindowTerms> terms = feed.Terms();
+    ASSERT_EQ(one_batch.window_count(), windows);
+    for (WindowId w = 0; w < windows; ++w) {
+      EXPECT_EQ(one_batch.window_size(w), terms[w].size) << "window " << w;
+      EXPECT_EQ(one_batch.window_slack(w),
+                UnarchivedCountSlack(terms[w].floor_count,
+                                     terms[w].confidence_floor,
+                                     terms[w].size))
+          << "window " << w;
+    }
+    std::vector<WindowId> all(windows);
+    std::iota(all.begin(), all.end(), WindowId{0});
+    const auto bound = [&](const TarArchive& archive, RuleId r) {
+      const RollUpBound b = archive.RollUp(r, all);
+      return std::make_tuple(b.support_lo, b.support_hi, b.confidence_lo,
+                             b.confidence_hi, b.missing_windows);
+    };
     for (const TarArchive* other : {&single, &random}) {
+      ASSERT_EQ(other->window_count(), windows);
+      for (WindowId w = 0; w < windows; ++w) {
+        EXPECT_EQ(other->window_size(w), one_batch.window_size(w))
+            << "window " << w;
+        EXPECT_EQ(other->window_slack(w), one_batch.window_slack(w))
+            << "window " << w;
+      }
+      for (RuleId r = 0; r <= shadow.size(); ++r) {
+        EXPECT_EQ(bound(*other, r), bound(one_batch, r)) << "rule " << r;
+      }
       ASSERT_EQ(other->chunks().size(), one_batch.chunks().size());
       for (size_t c = 0; c < one_batch.chunks().size(); ++c) {
         EXPECT_EQ(other->chunks()[c]->bytes, one_batch.chunks()[c]->bytes)
@@ -408,7 +461,7 @@ TEST(TarArchiveTest, CommitBatchingDoesNotChangeTheBytes) {
       }
       EXPECT_EQ(other->payload_bytes(), one_batch.payload_bytes());
       EXPECT_EQ(other->entry_count(), one_batch.entry_count());
-      EXPECT_EQ(other->rule_count(), one_batch.rule_count());
+      EXPECT_EQ(RulesWithEntries(*other), RulesWithEntries(one_batch));
     }
     size_t entries = 0;
     size_t rules = 0;
@@ -417,7 +470,7 @@ TEST(TarArchiveTest, CommitBatchingDoesNotChangeTheBytes) {
       rules += s.empty() ? 0 : 1;
     }
     EXPECT_EQ(one_batch.entry_count(), entries);
-    EXPECT_EQ(one_batch.rule_count(), rules);
+    EXPECT_EQ(RulesWithEntries(one_batch), rules);
     ExpectMatchesShadow(one_batch, shadow);
     ExpectMatchesShadow(random, shadow);
   }
@@ -489,7 +542,7 @@ TEST(TarArchiveTest, PublicationSharesFilledChunks) {
   ExpectMatchesShadow(before, series);
 }
 
-TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
+TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesVisitWindows) {
   ArchiveFeed feed;
   for (WindowId w = 0; w < 64; ++w) feed.Window(100, 2);
   for (WindowId w = 0; w < 64; w += 3) feed.Add(4, w, 10 + w, 20 + w);
@@ -504,7 +557,7 @@ TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
   EXPECT_EQ(visited, 11u);
 
   for (WindowId w = 0; w < 64; ++w) {
-    const auto entry = archive.EntryFor(4, w);
+    const auto entry = EntryAt(archive, 4, w);
     if (w % 3 == 0) {
       ASSERT_TRUE(entry.has_value()) << w;
       EXPECT_EQ(entry->rule_count, 10u + w);
@@ -513,13 +566,13 @@ TEST(TarArchiveTest, VisitEntriesEarlyExitMatchesEntryFor) {
       EXPECT_FALSE(entry.has_value()) << w;
     }
   }
-  EXPECT_FALSE(archive.EntryFor(4, 1000).has_value());
-  EXPECT_FALSE(archive.EntryFor(999, 0).has_value());
+  EXPECT_FALSE(EntryAt(archive, 4, 1000).has_value());
+  EXPECT_FALSE(EntryAt(archive, 999, 0).has_value());
 }
 
-TEST(TarArchiveTest, ConcurrentDecodeIntoWithPrivateArenas) {
-  // DecodeInto is const and takes the arena by reference: concurrent
-  // readers with private arenas must not race (tsan coverage).
+TEST(TarArchiveTest, ConcurrentReadersShareOneArchive) {
+  // An archive is immutable: concurrent readers of one archive must not
+  // race (tsan coverage).
   ArchiveFeed feed;
   for (WindowId w = 0; w < 128; ++w) feed.Window(1000, 3);
   for (RuleId r = 0; r < 16; ++r) {
@@ -531,11 +584,9 @@ TEST(TarArchiveTest, ConcurrentDecodeIntoWithPrivateArenas) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&archive, t] {
-      DecodeArena arena;
       for (int round = 0; round < 50; ++round) {
-        arena.Reset();
         const RuleId rule = static_cast<RuleId>((t + round) % 16);
-        const auto entries = archive.DecodeInto(rule, arena);
+        const std::vector<ArchiveEntry> entries = Series(archive, rule);
         ASSERT_EQ(entries.size(), 128u);
         ASSERT_EQ(entries.front().rule_count, 100u + rule);
       }

@@ -105,10 +105,6 @@ TEST(BuildTrajectoryDeathTest, RefusesWindowsNotStrictlyAscending) {
   const TarArchive archive = feed.Build();
   EXPECT_DEATH(BuildTrajectory(archive, 1, {4, 2}), "strictly ascending");
   EXPECT_DEATH(BuildTrajectory(archive, 1, {2, 2}), "strictly ascending");
-  DecodeArena arena;
-  const WindowId descending[] = {3, 1};
-  EXPECT_DEATH(BuildTrajectoryInto(archive, 1, descending, arena),
-               "strictly ascending");
 }
 
 }  // namespace
